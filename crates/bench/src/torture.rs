@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use std::time::Duration;
@@ -757,10 +758,14 @@ impl Driver {
 /// Run `cfg.cycles` seeded crash–recover–resync cycles. `Ok` carries the
 /// survival counters; `Err` carries a reproduction message with the seed.
 pub fn run(cfg: &TortureConfig) -> Result<TortureStats, String> {
+    // Two runs of one seed may share a process (parallel tests), so the
+    // scratch root also carries a process-wide run number.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
     let root = std::env::temp_dir().join(format!(
-        "deltaforge-torture-{}-{:x}",
+        "deltaforge-torture-{}-{:x}-{}",
         std::process::id(),
-        cfg.seed
+        cfg.seed,
+        RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).map_err(|e| format!("scratch dir: {e}"))?;

@@ -582,43 +582,63 @@ impl Database {
     /// each undo entry removes/reinserts exactly the keys it touched, using
     /// the row images at hand, so aborting a small transaction never scans
     /// the table. A full `rebuild_indexes_for` remains only as the fallback
-    /// for entries whose index fixup cannot be applied cleanly (e.g. a stale
-    /// rid after an in-transaction row relocation).
+    /// for entries whose index fixup cannot be applied cleanly.
+    ///
+    /// Undo entries name rows by the record id they had when the entry was
+    /// written. A re-inserted row may land elsewhere (the heap hands out
+    /// the first free slot, which a later undo may just have freed), so
+    /// `moved` maps each such id to where its row lives now; without it, a
+    /// transaction that deleted and inserted in one table would, on abort,
+    /// delete whichever row had taken the old slot.
     pub fn abort(&self, txn: Transaction) -> EngineResult<()> {
         let mut rebuild: Vec<String> = Vec::new();
+        let mut moved: HashMap<(&str, RecordId), RecordId> = HashMap::new();
         for entry in txn.undo.iter().rev() {
             match entry {
                 UndoEntry::Insert { table, rid } => {
+                    let rid = moved.remove(&(table.as_str(), *rid)).unwrap_or(*rid);
                     let heap = self.heap(table)?;
-                    let image = heap.get(*rid)?;
-                    heap.delete(*rid)?;
+                    let image = heap.get(rid)?;
+                    heap.delete(rid)?;
                     let unhooked = image.as_deref().map(|bytes| {
                         Row::from_bytes(bytes)
                             .map_err(EngineError::Storage)
-                            .and_then(|row| self.unhook_index_keys(table, &row, *rid))
+                            .and_then(|row| self.unhook_index_keys(table, &row, rid))
                     });
                     if !matches!(unhooked, Some(Ok(()))) {
                         note(&mut rebuild, table);
                     }
                 }
-                UndoEntry::Delete { table, before } => {
-                    let rid = self.heap(table)?.insert(&before.to_bytes())?;
-                    if self.hook_index_keys(table, before, rid).is_err() {
+                UndoEntry::Delete { table, rid, before } => {
+                    let now = self.heap(table)?.insert(&before.to_bytes())?;
+                    if now != *rid {
+                        moved.insert((table.as_str(), *rid), now);
+                    }
+                    if self.hook_index_keys(table, before, now).is_err() {
                         note(&mut rebuild, table);
                     }
                 }
-                UndoEntry::Update { table, rid, before } => {
+                UndoEntry::Update {
+                    table,
+                    rid,
+                    old_rid,
+                    before,
+                } => {
+                    let rid = moved.remove(&(table.as_str(), *rid)).unwrap_or(*rid);
                     let heap = self.heap(table)?;
-                    let after = heap.get(*rid)?;
-                    let new_rid = heap.update(*rid, &before.to_bytes())?;
+                    let after = heap.get(rid)?;
+                    let now = heap.update(rid, &before.to_bytes())?;
+                    if now != *old_rid {
+                        moved.insert((table.as_str(), *old_rid), now);
+                    }
                     let fixed = after
                         .as_deref()
                         .ok_or_else(|| {
                             EngineError::Invalid(format!("undo: no row at {rid:?} in {table}"))
                         })
                         .and_then(|bytes| Row::from_bytes(bytes).map_err(EngineError::Storage))
-                        .and_then(|row| self.unhook_index_keys(table, &row, *rid))
-                        .and_then(|()| self.hook_index_keys(table, before, new_rid));
+                        .and_then(|row| self.unhook_index_keys(table, &row, rid))
+                        .and_then(|()| self.hook_index_keys(table, before, now));
                     if fixed.is_err() {
                         note(&mut rebuild, table);
                     }
@@ -771,6 +791,7 @@ impl Database {
         txn.undo.push(UndoEntry::Update {
             table: meta.name.clone(),
             rid: new_rid,
+            old_rid: rid,
             before: old.clone(),
         });
         txn.wal_buffer.push(LogRecord::Update {
@@ -808,6 +829,7 @@ impl Database {
         }
         txn.undo.push(UndoEntry::Delete {
             table: meta.name.clone(),
+            rid,
             before: old.clone(),
         });
         txn.wal_buffer.push(LogRecord::Delete {

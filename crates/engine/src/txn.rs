@@ -26,13 +26,19 @@ impl std::fmt::Display for TxnId {
 pub enum UndoEntry {
     /// Row was inserted at `rid`; undo deletes it.
     Insert { table: String, rid: RecordId },
-    /// Row (`before`) was deleted; undo re-inserts it.
-    Delete { table: String, before: Row },
-    /// Row was updated; `rid` is where the new version lives now, `before`
-    /// is the old image; undo writes `before` back over it.
+    /// Row (`before`) was deleted from `rid`; undo re-inserts it.
+    Delete {
+        table: String,
+        rid: RecordId,
+        before: Row,
+    },
+    /// Row was updated; `rid` is where the new version lives now, `old_rid`
+    /// where the old one lived (they differ when the row had to move),
+    /// `before` is the old image; undo writes `before` back over it.
     Update {
         table: String,
         rid: RecordId,
+        old_rid: RecordId,
         before: Row,
     },
 }

@@ -191,6 +191,62 @@ fn rollback_restores_multi_row_state() {
 }
 
 #[test]
+fn rollback_after_delete_insert_churn_in_one_table_restores_every_row() {
+    // Undo entries name rows by record id, and the heap hands a re-inserted
+    // row the first free slot — which may be the slot an earlier insert of
+    // the same transaction used. Rolling back must still remove exactly the
+    // rows the transaction added and bring back exactly those it removed.
+    let db = open("txn-churn");
+    let mut s = db.session();
+    create_parts(&mut s);
+    seed_parts(&mut s, 12);
+    let key = |r: &delta_storage::Row| r.values()[0].as_int().unwrap();
+    let snapshot = |db: &Database| {
+        let mut rows: Vec<_> = db
+            .scan_table("parts")
+            .unwrap()
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        rows.sort_by_key(key);
+        rows
+    };
+    let want = snapshot(&db);
+    s.execute("BEGIN").unwrap();
+    // Free an early slot, take it with a new row, free that one again and
+    // a later one, refill both, rewrite a survivor.
+    s.execute("DELETE FROM parts WHERE id = 2").unwrap();
+    s.execute("INSERT INTO parts (id, name, qty) VALUES (100, 'n100', 1)")
+        .unwrap();
+    s.execute("DELETE FROM parts WHERE id = 100").unwrap();
+    s.execute("DELETE FROM parts WHERE id = 7").unwrap();
+    s.execute("INSERT INTO parts (id, name, qty) VALUES (101, 'n101', 1)")
+        .unwrap();
+    s.execute("INSERT INTO parts (id, name, qty) VALUES (7, 'back', 1)")
+        .unwrap();
+    s.execute("UPDATE parts SET qty = qty + 1 WHERE id = 101")
+        .unwrap();
+    s.execute("DELETE FROM parts WHERE id = 101").unwrap();
+    s.execute("INSERT INTO parts (id, name, qty) VALUES (102, 'n102', 1)")
+        .unwrap();
+    s.execute("ROLLBACK").unwrap();
+    assert_eq!(snapshot(&db), want);
+    // The primary-key index followed the rows.
+    for id in [2, 7] {
+        let r = s
+            .execute(&format!("SELECT id FROM parts WHERE id = {id}"))
+            .unwrap();
+        assert_eq!(r.rows.len(), 1, "id {id}");
+    }
+    for id in [100, 101, 102] {
+        let r = s
+            .execute(&format!("SELECT id FROM parts WHERE id = {id}"))
+            .unwrap();
+        assert!(r.rows.is_empty(), "id {id}");
+    }
+}
+
+#[test]
 fn txn_control_misuse_is_reported() {
     let db = open("txn3");
     let mut s = db.session();

@@ -78,9 +78,11 @@ impl From<io::Error> for LintError {
 }
 
 /// Directories never linted: build output, vendored shims, VCS metadata, and
-/// test-only trees (the lints target shipping code).
+/// test-only trees (the lints target shipping code). `dwbench` is the
+/// benchmark harness under `crates/bench/src/bin/`, a benchmark like
+/// `benches`.
 const SKIP_DIRS: &[&str] = &[
-    "target", "vendor", ".git", "tests", "benches", "examples", ".github",
+    "target", "vendor", ".git", "tests", "benches", "examples", ".github", "dwbench",
 ];
 
 /// Repo-relative path of the panic-freedom allowlist.

@@ -132,16 +132,18 @@ impl SlottedPage {
         (self.free_ptr() as usize).saturating_sub(dir_end)
     }
 
-    /// Total reclaimable free bytes (contiguous + dead-record space).
+    /// Total reclaimable free bytes: what [`SlottedPage::compact`] would
+    /// leave contiguous. Counted from the live records, never from the
+    /// lengths kept in dead slots — those go stale once a compaction has
+    /// already handed their bytes back.
     pub fn total_free(&self) -> usize {
-        let mut dead = 0usize;
-        for i in 0..self.slot_count() {
-            let (off, len) = self.slot(i);
-            if off == DEAD {
-                dead += len as usize;
-            }
-        }
-        self.contiguous_free() + dead
+        let dir_end = HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE;
+        let live: usize = (0..self.slot_count())
+            .map(|i| self.slot(i))
+            .filter(|(off, _)| *off != DEAD)
+            .map(|(_, len)| len as usize)
+            .sum();
+        PAGE_SIZE.saturating_sub(dir_end + live)
     }
 
     /// Whether a record of `len` bytes fits (possibly after compaction),
@@ -175,7 +177,11 @@ impl SlottedPage {
         if self.contiguous_free() < record.len() + slot_cost {
             self.compact();
         }
-        debug_assert!(self.contiguous_free() >= record.len() + slot_cost);
+        // Writing without room would run the record into the slot
+        // directory; this must hold in release builds too.
+        if self.contiguous_free() < record.len() + slot_cost {
+            return Err(StorageError::PageFull);
+        }
         let new_free = self.free_ptr() as usize - record.len();
         self.data[new_free..new_free + record.len()].copy_from_slice(record);
         self.set_free_ptr(new_free as u16);
@@ -229,15 +235,19 @@ impl SlottedPage {
             self.set_slot(slot, off as u16, record.len() as u16);
             return Ok(());
         }
-        // Growing: free the old payload, then place the new one.
-        self.set_slot(slot, DEAD, len);
-        if self.total_free() < record.len() {
-            // Restore and report full.
-            self.set_slot(slot, off, len);
+        // Growing: the old payload's bytes are reclaimable too. Decide
+        // before touching the slot, so `PageFull` leaves the record intact.
+        if self.total_free() + (len as usize) < record.len() {
             return Err(StorageError::PageFull);
         }
+        self.set_slot(slot, DEAD, 0);
         if self.contiguous_free() < record.len() {
             self.compact();
+        }
+        if self.contiguous_free() < record.len() {
+            return Err(StorageError::Corrupt(format!(
+                "slot directory of a page disagrees with its free pointer (slot {slot})"
+            )));
         }
         let new_free = self.free_ptr() as usize - record.len();
         self.data[new_free..new_free + record.len()].copy_from_slice(record);
@@ -256,9 +266,15 @@ impl SlottedPage {
         self.iter().count()
     }
 
-    /// Squeeze out dead-record space. Slot numbers are preserved.
+    /// Squeeze out dead-record space. Slot numbers are preserved; dead
+    /// slots keep their number but no longer claim any bytes.
     pub fn compact(&mut self) {
         let mut live: Vec<(u16, Vec<u8>)> = self.iter().map(|(s, r)| (s, r.to_vec())).collect();
+        for slot in 0..self.slot_count() {
+            if self.slot(slot).0 == DEAD {
+                self.set_slot(slot, DEAD, 0);
+            }
+        }
         // Pack from the end of the page.
         let mut free = PAGE_SIZE;
         // Stable layout: place larger offsets first is unnecessary; any order works.
@@ -361,6 +377,62 @@ mod tests {
         let big = [2u8; 1024];
         let s = p.insert(&big).unwrap();
         assert_eq!(p.get(s), Some(&big[..]));
+    }
+
+    #[test]
+    fn emptied_page_refilled_with_longer_records_stays_intact() {
+        // Regression: `compact` used to leave the old length in dead slots,
+        // so `total_free` counted reclaimed bytes twice and a refill with
+        // longer records wrote a payload over the slot directory.
+        let mut p = SlottedPage::new();
+        let mut slots = Vec::new();
+        while let Ok(s) = p.insert(&[1u8; 40]) {
+            slots.push(s);
+        }
+        for s in &slots {
+            p.delete(*s).unwrap();
+        }
+        assert_eq!(p.live_count(), 0);
+        // Longer records reuse the dead slots; the first one compacts.
+        let mut refilled = Vec::new();
+        loop {
+            let rec = vec![(refilled.len() % 251) as u8; 41 + refilled.len() % 7];
+            match p.insert(&rec) {
+                Ok(s) => refilled.push((s, rec)),
+                Err(StorageError::PageFull) => break,
+                Err(e) => panic!("unexpected: {e}"),
+            }
+        }
+        assert!(!refilled.is_empty());
+        assert!(refilled.len() < slots.len(), "longer records, fewer fit");
+        for (s, rec) in &refilled {
+            assert_eq!(p.get(*s), Some(&rec[..]), "slot {s}");
+        }
+        let bytes: usize = refilled.iter().map(|(_, r)| r.len()).sum();
+        assert!(HEADER_SIZE + p.slot_count() as usize * SLOT_SIZE + bytes <= PAGE_SIZE);
+        // And the page still round-trips through its on-disk form.
+        let q = SlottedPage::from_bytes(p.as_bytes()).unwrap();
+        assert_eq!(q.live_count(), refilled.len());
+    }
+
+    #[test]
+    fn growing_update_on_a_full_page_reports_full_and_keeps_the_record() {
+        let mut p = SlottedPage::new();
+        let s = p.insert(&[1u8; 64]).unwrap();
+        let mut others = Vec::new();
+        while let Ok(o) = p.insert(&[0u8; 64]) {
+            others.push(o);
+        }
+        // Churn so that a compaction has happened with dead slots around.
+        for o in others.iter().step_by(2) {
+            p.delete(*o).unwrap();
+        }
+        while p.insert(&[2u8; 100]).is_ok() {}
+        assert!(matches!(
+            p.update(s, &[9u8; 4000]),
+            Err(StorageError::PageFull)
+        ));
+        assert_eq!(p.get(s), Some(&[1u8; 64][..]));
     }
 
     #[test]

@@ -356,19 +356,16 @@ impl AggregateView {
         let key = self.group_key(base_row);
         let now = db.now_micros();
         match self.find_group(db, &key)? {
-            Some((rid, mut view_row)) => {
+            Some((rid, stored)) => {
+                let mut view_row = stored.clone();
                 let recompute = self.fold(&mut view_row, base_row, sign)?;
                 self.recompute_extremes(db, &mut view_row, &key, &recompute)?;
                 if view_row.values()[self.rows_pos] == Value::Int(0) {
-                    db.delete_row(txn, &meta, rid, view_row, now, false)?;
+                    // The before image is the stored row: it is what an
+                    // abort re-inserts and what redo must find by image.
+                    db.delete_row(txn, &meta, rid, stored, now, false)?;
                 } else {
-                    let old = db
-                        .heap(&self.def.name)?
-                        .get(rid)?
-                        .map(|b| Row::from_bytes(&b))
-                        .transpose()?
-                        .ok_or_else(|| EngineError::Invalid("view row vanished".into()))?;
-                    db.update_row(txn, &meta, rid, old, view_row, now, false, false)?;
+                    db.update_row(txn, &meta, rid, stored, view_row, now, false, false)?;
                 }
             }
             None => {
@@ -470,6 +467,13 @@ impl AggregateView {
                         wanted.push(i);
                     }
                 }
+                if view_row.values()[self.rows_pos] == Value::Int(0) {
+                    // The group died mid-batch: what follows starts from a
+                    // fresh row, exactly as after the per-row path deleted
+                    // it (no residue in the hidden sums, nothing to rescan).
+                    view_row = self.empty_group_row(key);
+                    wanted.clear();
+                }
             }
             view_rows.push(view_row);
             recomputes.push(wanted);
@@ -529,8 +533,10 @@ impl AggregateView {
         for (g, view_row) in view_rows.into_iter().enumerate() {
             let empty = view_row.values()[self.rows_pos] == Value::Int(0);
             match (found[g].take(), empty) {
-                (Some((rid, _)), true) => {
-                    db.delete_row(txn, &meta, rid, view_row, now, false)?;
+                // The before image is the stored row, not the folded one:
+                // it is what an abort re-inserts and what redo must find.
+                (Some((rid, stored)), true) => {
+                    db.delete_row(txn, &meta, rid, stored, now, false)?;
                 }
                 (Some((rid, stored)), false) => {
                     db.update_row(txn, &meta, rid, stored, view_row, now, false, false)?;
@@ -934,6 +940,90 @@ mod tests {
         assert_eq!(rows[0].values()[2], Value::Int(1), "COUNT(amount)");
         assert_eq!(rows[0].values()[3], Value::Int(10));
         assert!(v.verify_against_recompute(&db).unwrap());
+    }
+
+    #[test]
+    fn aborting_after_a_group_died_restores_the_stored_row() {
+        // Both delete arms must hand `delete_row` the stored row as the
+        // before image; with the folded (`__rows = 0`) row an abort would
+        // bring back a zero-count group.
+        let stored = |db: &Database| {
+            let mut rows: Vec<Vec<u8>> = db
+                .scan_table("sales_by_region")
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r.to_bytes())
+                .collect();
+            rows.sort();
+            rows
+        };
+        let (db, v) = setup();
+        let before = stored(&db);
+        let last_of_east = base_row(3, "east", 70);
+        let mut txn = db.begin();
+        v.on_base_delete(&db, &mut txn, "sales", std::slice::from_ref(&last_of_east))
+            .unwrap();
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 1);
+        db.abort(txn).unwrap();
+        assert_eq!(stored(&db), before, "per-row path");
+        let mut txn = db.begin();
+        v.apply_batch(&db, &mut txn, "sales", &[(-1, &last_of_east)])
+            .unwrap();
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 1);
+        db.abort(txn).unwrap();
+        assert_eq!(stored(&db), before, "batched path");
+    }
+
+    #[test]
+    fn group_that_dies_mid_batch_restarts_from_a_fresh_row() {
+        // east (one row, 70) dies and is reborn inside one batch: the
+        // reborn group's state must be that of a group born then, as the
+        // per-row path (which deletes and re-creates the row) leaves it.
+        let (db_a, v_a) = setup();
+        let (db_b, v_b) = {
+            let db = open_temp("aggview-reborn").unwrap();
+            let mut s = db.session();
+            s.execute("CREATE TABLE sales (id INT PRIMARY KEY, region VARCHAR, amount INT)")
+                .unwrap();
+            s.execute(
+                "INSERT INTO sales VALUES (1, 'west', 100), (2, 'west', 50), (3, 'east', 70)",
+            )
+            .unwrap();
+            let v = AggregateView::create(&db, v_a.def.clone()).unwrap();
+            let mut txn = db.begin();
+            v.refresh_full(&db, &mut txn).unwrap();
+            db.commit(txn).unwrap();
+            (db, v)
+        };
+        let (dead, reborn) = (base_row(3, "east", 70), base_row(4, "east", 9));
+        for db in [&db_a, &db_b] {
+            let mut s = db.session();
+            s.execute("DELETE FROM sales WHERE id = 3").unwrap();
+            s.execute("INSERT INTO sales VALUES (4, 'east', 9)")
+                .unwrap();
+        }
+        let mut txn = db_a.begin();
+        v_a.on_base_delete(&db_a, &mut txn, "sales", std::slice::from_ref(&dead))
+            .unwrap();
+        v_a.on_base_insert(&db_a, &mut txn, "sales", std::slice::from_ref(&reborn))
+            .unwrap();
+        db_a.commit(txn).unwrap();
+        let mut txn = db_b.begin();
+        v_b.apply_batch(&db_b, &mut txn, "sales", &[(-1, &dead), (1, &reborn)])
+            .unwrap();
+        db_b.commit(txn).unwrap();
+        let raw = |db: &Database| -> Vec<Row> {
+            let mut rows: Vec<Row> = db
+                .scan_table("sales_by_region")
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect();
+            rows.sort_by(|a, b| a.values()[0].total_cmp(&b.values()[0]));
+            rows
+        };
+        assert_eq!(raw(&db_a), raw(&db_b), "hidden state included");
+        assert!(v_b.verify_against_recompute(&db_b).unwrap());
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! Both strategies maintain registered SPJ views incrementally from the
 //! row images captured by triggers installed on the mirrors, so the
 //! comparison between them is apples-to-apples.
+//!
+//! The value-delta applier here is the paper's translation, kept as the
+//! reference. [`crate::Pipeline::sync`] applies value-delta runs through
+//! [`crate::direct::DirectValueApplier`] instead: the same outage
+//! transaction (`Warehouse::outage_txn`) and the same view propagation
+//! (`Warehouse::propagate_images`), without SQL in between.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,20 +276,28 @@ impl Warehouse {
     /// watermark advance commit atomically: a crash either keeps both (the
     /// redelivery dedupes) or neither (the redelivery re-applies).
     pub fn record_applied(&self, txn: &mut Transaction, seq: u64) -> EngineResult<()> {
-        let del = Statement::Delete {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            predicate: Some(keyed_predicate("id", &Value::Int(0))),
-        };
-        let ins = Statement::Insert {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            columns: None,
-            rows: vec![vec![
-                Expr::Literal(Value::Int(0)),
-                Expr::Literal(Value::Int(seq as i64)),
-            ]],
-        };
-        exec::execute(&self.db, txn, &del)?;
-        exec::execute(&self.db, txn, &ins)?;
+        self.set_applied_row(txn, 0, seq)
+    }
+
+    /// Write the watermark-table row keyed `id` through the engine's row
+    /// primitives: located by key, updated in place when it exists, inserted
+    /// otherwise. This runs once per committed apply group, so it skips the
+    /// SQL executor; the stored row is the same `(id, seq)` either way.
+    fn set_applied_row(&self, txn: &mut Transaction, id: i64, seq: u64) -> EngineResult<()> {
+        let meta = self.db.table(APPLIED_SEQ_TABLE)?;
+        self.db
+            .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
+        let now = self.db.now_micros();
+        let row = Row::new(vec![Value::Int(id), Value::Int(seq as i64)]);
+        match self.db.locate_by_image(&meta, &row)? {
+            Some((rid, old)) => {
+                self.db
+                    .update_row(txn, &meta, rid, old, row, now, true, false)?;
+            }
+            None => {
+                self.db.insert_row(txn, &meta, row, now, true, false)?;
+            }
+        }
         Ok(())
     }
 
@@ -318,8 +332,25 @@ impl Warehouse {
             .collect()
     }
 
+    /// Every aggregate view over `table`.
+    fn agg_views_for(&self, table: &str) -> Vec<&AggregateView> {
+        self.agg_views
+            .iter()
+            .filter(|v| v.involves(table))
+            .collect()
+    }
+
+    /// Whether any registered view reads `table` (so its row images matter).
+    pub(crate) fn maintains_views_on(&self, table: &str) -> bool {
+        self.views.iter().any(|v| v.def.involves(table))
+            || self.agg_views.iter().any(|v| v.involves(table))
+    }
+
     /// Drain the capture table for `table` inside `txn` and propagate the
-    /// images to the views. Returns view rows touched.
+    /// images to the views. Returns view rows touched. This is the Op-Delta
+    /// path's source of row images: only the executor knows which rows a
+    /// set-oriented statement hit, so the mirror's capture trigger records
+    /// them and this reads them back.
     fn maintain_views(&self, txn: &mut Transaction, table: &str) -> EngineResult<u64> {
         if !self.capturing {
             return Ok(0);
@@ -333,75 +364,56 @@ impl Warehouse {
             records.push(decode_delta_row(&row)?);
             self.db.delete_row(txn, &cap_meta, rid, row, now, false)?;
         }
-        if records.is_empty() {
-            return Ok(0);
-        }
-        let views = self.views_for(table);
-        let agg_views: Vec<&AggregateView> = self
-            .agg_views
-            .iter()
-            .filter(|v| v.involves(table))
-            .collect();
-        if views.is_empty() && agg_views.is_empty() {
-            return Ok(0);
-        }
-        let mut touched = 0u64;
-        // SPJ views replay per record in capture order; aggregate views
-        // accumulate the same stream as signed deltas (+1 insert, -1
-        // delete, a -1/+1 pair per update) and fold it in one batched pass
-        // per view — one group lookup and one write per touched group
-        // instead of one per row. A UB record is always immediately
-        // followed by its UA partner (the trigger writes them together).
-        let mut signed: Vec<(i64, &Row)> = Vec::with_capacity(records.len());
-        let mut i = 0;
-        while i < records.len() {
-            let rec = &records[i];
-            match rec.op {
-                DeltaOp::Insert => {
-                    for v in &views {
-                        touched +=
-                            v.on_base_insert(&self.db, txn, table, std::slice::from_ref(&rec.row))?
-                                as u64;
-                    }
-                    signed.push((1, &rec.row));
-                    i += 1;
-                }
-                DeltaOp::Delete => {
-                    for v in &views {
-                        touched +=
-                            v.on_base_delete(&self.db, txn, table, std::slice::from_ref(&rec.row))?
-                                as u64;
-                    }
-                    signed.push((-1, &rec.row));
-                    i += 1;
-                }
-                DeltaOp::UpdateBefore => {
-                    let after = records.get(i + 1).ok_or_else(|| {
-                        EngineError::Invalid("dangling UB record in capture table".into())
-                    })?;
-                    if after.op != DeltaOp::UpdateAfter {
-                        return Err(EngineError::Invalid("UB record not followed by UA".into()));
-                    }
-                    for v in &views {
-                        touched += v.on_base_update(
-                            &self.db,
-                            txn,
-                            table,
-                            std::slice::from_ref(&rec.row),
-                            std::slice::from_ref(&after.row),
-                        )? as u64;
-                    }
-                    signed.push((-1, &rec.row));
-                    signed.push((1, &after.row));
-                    i += 2;
-                }
-                DeltaOp::UpdateAfter => {
+        // A UB record is always immediately followed by its UA partner (the
+        // trigger writes them together).
+        let mut stream: Vec<(i64, &Row)> = Vec::with_capacity(records.len());
+        let mut open_update = false;
+        for rec in &records {
+            let sign = match (rec.op, open_update) {
+                (DeltaOp::Insert, false) => 1,
+                (DeltaOp::Delete, false) => -1,
+                (DeltaOp::UpdateBefore, false) => -1,
+                (DeltaOp::UpdateAfter, true) => 1,
+                (DeltaOp::UpdateAfter, false) => {
                     return Err(EngineError::Invalid("UA record without UB".into()))
                 }
-            }
+                (_, true) => {
+                    return Err(EngineError::Invalid("UB record not followed by UA".into()))
+                }
+            };
+            open_update = rec.op == DeltaOp::UpdateBefore;
+            stream.push((sign, &rec.row));
         }
-        for v in &agg_views {
-            touched += v.apply_batch(&self.db, txn, table, &signed)?;
+        if open_update {
+            return Err(EngineError::Invalid(
+                "dangling UB record in capture table".into(),
+            ));
+        }
+        self.propagate_images(txn, table, &stream)
+    }
+
+    /// Fold an ordered stream of signed row images of `table` (`+1`
+    /// inserted, `-1` deleted; an update is a `-1`/`+1` pair) into every
+    /// view over it, inside `txn`. Returns view rows touched. Both apply
+    /// paths end here — Op-Delta replay with the images its capture trigger
+    /// recorded for one statement, the direct value apply with the images
+    /// of a whole run — so each view gets one pass per call: SPJ views
+    /// replay the stream in order against one scan of the other mirrors
+    /// ([`MaterializedView::apply_stream`]), aggregate views fold it with
+    /// one group lookup and one write per touched group
+    /// ([`AggregateView::apply_batch`]).
+    pub(crate) fn propagate_images(
+        &self,
+        txn: &mut Transaction,
+        table: &str,
+        stream: &[(i64, &Row)],
+    ) -> EngineResult<u64> {
+        let mut touched = 0u64;
+        for v in self.views_for(table) {
+            touched += v.apply_stream(&self.db, txn, table, stream)? as u64;
+        }
+        for v in self.agg_views_for(table) {
+            touched += v.apply_batch(&self.db, txn, table, stream)?;
         }
         Ok(touched)
     }
@@ -492,22 +504,7 @@ impl Warehouse {
         lo: u64,
         hi: u64,
     ) -> EngineResult<()> {
-        let id = Value::Int((lo + 1) as i64);
-        let del = Statement::Delete {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            predicate: Some(keyed_predicate("id", &id)),
-        };
-        let ins = Statement::Insert {
-            table: APPLIED_SEQ_TABLE.to_string(),
-            columns: None,
-            rows: vec![vec![
-                Expr::Literal(id),
-                Expr::Literal(Value::Int(hi as i64)),
-            ]],
-        };
-        exec::execute(&self.db, txn, &del)?;
-        exec::execute(&self.db, txn, &ins)?;
-        Ok(())
+        self.set_applied_row(txn, (lo + 1) as i64, hi)
     }
 
     /// Apply `mark` inside `txn` (dispatch helper for the appliers).
@@ -516,6 +513,44 @@ impl Warehouse {
             AppliedMark::None => Ok(()),
             AppliedMark::Watermark(seq) => self.record_applied(txn, seq),
             AppliedMark::Range(lo, hi) => self.record_applied_range(txn, lo, hi),
+        }
+    }
+
+    /// Run `body` as the one indivisible transaction of a value-delta run
+    /// on `table` — the maintenance outage of §4.1: the mirror and every
+    /// view over it are exclusively locked up front, `mark` is recorded
+    /// inside, and the transaction commits on success or aborts (every row
+    /// change undone, every lock released) on any error, a lock timeout
+    /// included.
+    pub(crate) fn outage_txn(
+        &self,
+        table: &str,
+        mark: AppliedMark,
+        body: impl FnOnce(&mut Transaction) -> EngineResult<ApplyReport>,
+    ) -> EngineResult<ApplyReport> {
+        let db = &self.db;
+        let mut txn = db.begin();
+        let result = (|| {
+            db.lock_table(&mut txn, table, LockMode::Exclusive)?;
+            for v in self.views_for(table) {
+                db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
+            }
+            for v in self.agg_views_for(table) {
+                db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
+            }
+            let report = body(&mut txn)?;
+            self.record_mark(&mut txn, mark)?;
+            Ok(report)
+        })();
+        match result {
+            Ok(report) => {
+                db.commit(txn)?;
+                Ok(report)
+            }
+            Err(e) => {
+                db.abort(txn)?;
+                Err(e)
+            }
         }
     }
 
@@ -545,12 +580,15 @@ impl Warehouse {
         }
         let mut txn = self.db.begin();
         let result = (|| {
-            for &(lo, _) in &folded {
-                let del = Statement::Delete {
-                    table: APPLIED_SEQ_TABLE.to_string(),
-                    predicate: Some(keyed_predicate("id", &Value::Int((lo + 1) as i64))),
-                };
-                exec::execute(&self.db, &mut txn, &del)?;
+            let meta = self.db.table(APPLIED_SEQ_TABLE)?;
+            self.db
+                .lock_table(&mut txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
+            let now = self.db.now_micros();
+            for &(lo, hi) in &folded {
+                let key = Row::new(vec![Value::Int((lo + 1) as i64), Value::Int(hi as i64)]);
+                if let Some((rid, old)) = self.db.locate_by_image(&meta, &key)? {
+                    self.db.delete_row(&mut txn, &meta, rid, old, now, false)?;
+                }
             }
             if let Some(w) = watermark {
                 self.record_applied(&mut txn, w)?;
@@ -589,7 +627,22 @@ fn keyed_predicate(key_col: &str, key: &Value) -> Expr {
     }
 }
 
-/// Batch applier for value deltas (the outage path).
+/// The table a value-delta run maintains; a run is non-empty and stays on
+/// one table.
+pub(crate) fn run_table<'a>(vds: &[&'a ValueDelta]) -> EngineResult<&'a str> {
+    let first = vds
+        .first()
+        .ok_or_else(|| EngineError::Invalid("empty value-delta run".into()))?;
+    if vds.iter().any(|vd| vd.table != first.table) {
+        return Err(EngineError::Invalid("value-delta run spans tables".into()));
+    }
+    Ok(&first.table)
+}
+
+/// Statement-per-record applier for value deltas: the paper's §4.1
+/// translation, kept as the reference the experiments measure (W, C) and the
+/// direct path ([`crate::direct::DirectValueApplier`], what
+/// [`crate::Pipeline::sync`] runs) is tested against.
 pub struct ValueDeltaApplier;
 
 impl ValueDeltaApplier {
@@ -630,52 +683,23 @@ impl ValueDeltaApplier {
         vds: &[&ValueDelta],
         mark: AppliedMark,
     ) -> EngineResult<ApplyReport> {
-        let first = vds
-            .first()
-            .ok_or_else(|| EngineError::Invalid("empty value-delta run".into()))?;
-        if vds.iter().any(|vd| vd.table != first.table) {
-            return Err(EngineError::Invalid("value-delta run spans tables".into()));
-        }
-        let cfg = wh.mirror(&first.table)?;
+        let table = run_table(vds)?;
+        let cfg = wh.mirror(table)?;
         let mirror_schema = cfg.mirror_schema()?;
         let key_col = cfg.key_column()?.name.clone();
         let key_pos_mirror = mirror_schema.index_of(&key_col).ok_or_else(|| {
-            EngineError::Invalid(format!(
-                "mirror of '{}' lost key column '{key_col}'",
-                first.table
-            ))
+            EngineError::Invalid(format!("mirror of '{table}' lost key column '{key_col}'"))
         })?;
-        let db = wh.db();
-        let mut txn = db.begin();
-        // The outage: every affected table locked for the whole run.
-        db.lock_table(&mut txn, &first.table, LockMode::Exclusive)?;
-        for v in wh.views_for(&first.table) {
-            db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
-        }
-        for v in wh.agg_views.iter().filter(|v| v.involves(&first.table)) {
-            db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
-        }
-        let result = (|| {
+        wh.outage_txn(table, mark, |txn| {
             let mut report = ApplyReport {
                 transactions: 1,
                 ..Default::default()
             };
             for vd in vds {
-                Self::apply_records(wh, cfg, &key_col, key_pos_mirror, vd, &mut txn, &mut report)?;
+                Self::apply_records(wh, cfg, &key_col, key_pos_mirror, vd, txn, &mut report)?;
             }
-            wh.record_mark(&mut txn, mark)?;
             Ok(report)
-        })();
-        match result {
-            Ok(report) => {
-                db.commit(txn)?;
-                Ok(report)
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Translate and execute one batch's records inside the open outage

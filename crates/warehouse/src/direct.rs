@@ -1,0 +1,232 @@
+//! Direct keyed apply of value-delta runs — what [`crate::Pipeline::sync`]
+//! runs for value deltas.
+//!
+//! The paper's §4.1 translation ([`crate::apply::ValueDeltaApplier`]) turns
+//! every changed row into SQL *statements*: ASTs built per row, the executor
+//! choosing an access path and evaluating a predicate per row, the mirror's
+//! capture trigger writing the row images into a capture table, and view
+//! maintenance scanning that table back out after every statement. All of
+//! that only re-derives what a value delta already says — which key, which
+//! image — so this path applies a run through the engine's row primitives
+//! instead:
+//!
+//! * each record goes key → unique-index lookup → `delete_row` /
+//!   `insert_row` (`update_row` in place when an update keeps its key), with
+//!   triggers off, so nothing is written to any `__changes_<table>` table;
+//! * the row images the views need are collected in memory as the run is
+//!   walked: the **stored** row for everything removed (the shipped before
+//!   image may be a projection's worth wider, or stale on a redelivery — the
+//!   views hold what the mirror held), the validated row for everything
+//!   added;
+//! * views are maintained **once per run** from that stream
+//!   (`Warehouse::propagate_images`).
+//!
+//! Locks, transaction scope, the applied mark and the [`ApplyReport`] are
+//! those of the statement applier: one outage transaction per run, and the
+//! report counts the statements the §4.1 translation *would* have issued,
+//! so the two paths can be compared record for record.
+
+use delta_core::model::{DeltaOp, ValueDelta};
+use delta_engine::db::Database;
+use delta_engine::txn::Transaction;
+use delta_engine::{EngineError, EngineResult, TableMeta};
+use delta_storage::{RecordId, Row};
+
+use crate::apply::{run_table, AppliedMark, ApplyReport, Warehouse};
+use crate::mirror::MirrorConfig;
+
+/// Applier for value-delta runs that bypasses SQL (see the module docs).
+pub struct DirectValueApplier;
+
+impl DirectValueApplier {
+    /// Apply a run of batches for one table as a single indivisible
+    /// transaction, recording nothing in the watermark table.
+    pub fn apply_run(wh: &Warehouse, vds: &[&ValueDelta]) -> EngineResult<ApplyReport> {
+        DirectValueApplier::apply_run_marked(wh, vds, AppliedMark::None)
+    }
+
+    /// Apply a run of batches for one table as a single indivisible
+    /// transaction that also records `mark` (see [`AppliedMark`]). The
+    /// mirror, the views and the report end up exactly as
+    /// [`crate::apply::ValueDeltaApplier::apply_run_marked`] leaves them.
+    pub fn apply_run_marked(
+        wh: &Warehouse,
+        vds: &[&ValueDelta],
+        mark: AppliedMark,
+    ) -> EngineResult<ApplyReport> {
+        let table = run_table(vds)?;
+        let cfg = wh.mirror(table)?;
+        let db = wh.db();
+        let meta = db.table(table)?;
+        wh.outage_txn(table, mark, |txn| {
+            let mut run = Run {
+                db,
+                cfg,
+                meta: &meta,
+                now: db.now_micros(),
+                keep_images: wh.maintains_views_on(table),
+                images: Vec::new(),
+                report: ApplyReport {
+                    transactions: 1,
+                    ..Default::default()
+                },
+            };
+            for vd in vds {
+                run.apply_records(txn, vd)?;
+            }
+            let stream: Vec<(i64, &Row)> = run.images.iter().map(|(s, r)| (*s, r)).collect();
+            run.report.view_rows_touched = wh.propagate_images(txn, table, &stream)?;
+            Ok(run.report)
+        })
+    }
+}
+
+/// State of one run while its records are walked.
+struct Run<'a> {
+    db: &'a Database,
+    cfg: &'a MirrorConfig,
+    meta: &'a TableMeta,
+    now: i64,
+    /// Whether any view reads this mirror; without one no image is kept.
+    keep_images: bool,
+    /// Signed row images in apply order: `-1` a row that left the mirror,
+    /// `+1` a row that entered it.
+    images: Vec<(i64, Row)>,
+    report: ApplyReport,
+}
+
+impl Run<'_> {
+    fn apply_records(&mut self, txn: &mut Transaction, vd: &ValueDelta) -> EngineResult<()> {
+        let mut i = 0;
+        while i < vd.records.len() {
+            let rec = &vd.records[i];
+            match rec.op {
+                DeltaOp::Insert => {
+                    // §4.1 coalesces a run of consecutive inserts of one
+                    // batch into one statement.
+                    if i == 0 || vd.records[i - 1].op != DeltaOp::Insert {
+                        self.report.statements += 1;
+                    }
+                    self.insert(txn, &rec.row)?;
+                    i += 1;
+                }
+                DeltaOp::Delete => {
+                    self.report.statements += 1;
+                    self.delete(txn, &rec.row)?;
+                    i += 1;
+                }
+                DeltaOp::UpdateBefore => {
+                    let after = vd
+                        .records
+                        .get(i + 1)
+                        .filter(|r| r.op == DeltaOp::UpdateAfter)
+                        .ok_or_else(|| {
+                            EngineError::Invalid(
+                                "UB record not followed by UA in value delta".into(),
+                            )
+                        })?;
+                    self.report.statements += 2;
+                    self.update(txn, &rec.row, &after.row)?;
+                    i += 2;
+                }
+                DeltaOp::UpdateAfter => {
+                    return Err(EngineError::Invalid(
+                        "UA record without UB in value delta".into(),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The stored mirror row carrying the key of `source_row`, if any. A
+    /// missing row is not an error: a redelivered delete or update finds
+    /// its work already done, exactly as a keyed DELETE matches no row.
+    fn locate(&self, source_row: &Row) -> EngineResult<Option<(RecordId, Row)>> {
+        let image = self.cfg.project_row(source_row);
+        if image.len() != self.meta.schema.len() {
+            return Err(EngineError::Invalid(format!(
+                "row image for '{}' has {} mirrored values, the mirror has {} columns",
+                self.meta.name,
+                image.len(),
+                self.meta.schema.len()
+            )));
+        }
+        self.db.locate_by_image(self.meta, &image)
+    }
+
+    /// The mirror row for a shipped image, as it will be stored (validated,
+    /// coercions included): that, not the shipped row, is what views fold.
+    fn mirror_row(&self, source_row: &Row) -> EngineResult<Row> {
+        Ok(self
+            .meta
+            .schema
+            .validate(&self.cfg.project_row(source_row))?)
+    }
+
+    // The row primitives below run with triggers off — the images kept here
+    // are what the capture trigger would have recorded — and without
+    // timestamp stamping: a mirror stores what was shipped.
+
+    fn add(&mut self, txn: &mut Transaction, row: Row) -> EngineResult<()> {
+        if self.keep_images {
+            self.images.push((1, row.clone()));
+        }
+        self.db
+            .insert_row(txn, self.meta, row, self.now, false, false)?;
+        self.report.rows_affected += 1;
+        Ok(())
+    }
+
+    fn remove(&mut self, txn: &mut Transaction, rid: RecordId, stored: Row) -> EngineResult<()> {
+        if self.keep_images {
+            self.images.push((-1, stored.clone()));
+        }
+        self.db
+            .delete_row(txn, self.meta, rid, stored, self.now, false)?;
+        self.report.rows_affected += 1;
+        Ok(())
+    }
+
+    fn insert(&mut self, txn: &mut Transaction, source_row: &Row) -> EngineResult<()> {
+        let row = self.mirror_row(source_row)?;
+        self.add(txn, row)
+    }
+
+    fn delete(&mut self, txn: &mut Transaction, source_row: &Row) -> EngineResult<()> {
+        match self.locate(source_row)? {
+            Some((rid, stored)) => self.remove(txn, rid, stored),
+            None => Ok(()),
+        }
+    }
+
+    /// An update is a keyed delete of the before image's key plus an insert
+    /// of the after image; when the stored row already carries the after
+    /// image's key, that pair is one in-place `update_row`.
+    fn update(&mut self, txn: &mut Transaction, before: &Row, after: &Row) -> EngineResult<()> {
+        let located = self.locate(before)?;
+        let row = self.mirror_row(after)?;
+        let Some((rid, stored)) = located else {
+            return self.add(txn, row);
+        };
+        let key_kept = self
+            .meta
+            .schema
+            .primary_key_indices()
+            .iter()
+            .all(|&k| stored.values()[k].sql_eq(&row.values()[k]) == Some(true));
+        if !key_kept {
+            self.remove(txn, rid, stored)?;
+            return self.add(txn, row);
+        }
+        if self.keep_images {
+            self.images.push((-1, stored.clone()));
+            self.images.push((1, row.clone()));
+        }
+        self.db
+            .update_row(txn, self.meta, rid, stored, row, self.now, false, false)?;
+        // One row deleted plus one inserted, as the statement pair counts.
+        self.report.rows_affected += 2;
+        Ok(())
+    }
+}

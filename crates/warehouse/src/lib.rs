@@ -11,7 +11,10 @@
 //!   indivisible batch": one warehouse transaction holds exclusive locks for
 //!   the whole batch (the maintenance outage), and every delta record
 //!   becomes its own SQL statement (x deletes + x inserts for an update of
-//!   x rows).
+//!   x rows). This is the paper's translation, kept as the reference the
+//!   experiments measure; [`direct::DirectValueApplier`] applies the same
+//!   run under the same outage by key, without SQL, and is what
+//!   [`pipeline::Pipeline::sync`] runs.
 //! * [`apply::OpDeltaApplier`] — each Op-Delta is replayed as a
 //!   self-contained warehouse transaction matching the source transaction
 //!   boundary; locks are held only per transaction, so OLAP queries
@@ -27,6 +30,7 @@
 pub mod aggview;
 pub mod apply;
 pub mod audit;
+pub mod direct;
 pub mod mirror;
 pub mod olap;
 pub mod pipeline;
@@ -40,6 +44,7 @@ pub use apply::{
     Warehouse,
 };
 pub use audit::{audit_and_repair, AuditConfig, AuditReport, TableAudit};
+pub use direct::DirectValueApplier;
 pub use mirror::MirrorConfig;
 pub use olap::{OlapDriver, OlapStats};
 pub use pipeline::{

@@ -497,11 +497,12 @@ impl Pipeline {
     /// decodes the next run while the current one applies, value-delta
     /// groups for unrelated tables apply concurrently on up to
     /// [`Pipeline::with_sync_workers`] workers (Op-Delta batches are full
-    /// barriers), and aggregate-view maintenance folds per touched group
-    /// instead of per row. Consecutive value-delta batches for one table
-    /// still share a single warehouse transaction
-    /// ([`crate::apply::ValueDeltaApplier::apply_run`]); Op-Deltas still
-    /// replay one warehouse transaction each.
+    /// barriers), and view maintenance runs once per value-delta run (once
+    /// per replayed Op-Delta statement). Consecutive value-delta batches for
+    /// one table share a single warehouse transaction, applied by key
+    /// through the engine's row primitives
+    /// ([`crate::direct::DirectValueApplier`]) rather than as SQL
+    /// statements; Op-Deltas replay one warehouse transaction each.
     ///
     /// The queue ack and the warehouse's applied-sequence watermark only
     /// ever advance over the contiguous completed prefix of the sequence,

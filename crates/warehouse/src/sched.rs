@@ -15,9 +15,15 @@
 //!    spawned once per sync, while groups within a class keep
 //!    queue-sequence order. An Op-Delta group is a wave of its own — a
 //!    full barrier — because replayed SQL may touch any table.
-//! 3. **Batched view maintenance** — inside each apply transaction,
-//!    aggregate views fold the whole capture drain per touched group
-//!    instead of per row (see [`crate::aggview::AggregateView::apply_batch`]).
+//! 3. **Direct value apply, views once per run** — a value-delta group
+//!    applies through the engine's row primitives and hands its row images
+//!    to the views in one stream per run
+//!    ([`crate::direct::DirectValueApplier`]); an Op-Delta's images come
+//!    from the capture drain, one stream per replayed statement. Either
+//!    way aggregate views fold per touched group
+//!    ([`crate::aggview::AggregateView::apply_batch`]) and SPJ views replay
+//!    against one scan of the other mirrors
+//!    ([`crate::view::MaterializedView::apply_stream`]).
 //!
 //! ## The prefix-ack invariant
 //!
@@ -45,7 +51,8 @@ use delta_engine::{EngineError, EngineResult};
 use delta_storage::StorageError;
 use parking_lot::Mutex;
 
-use crate::apply::{AppliedMark, ApplyReport, OpDeltaApplier, ValueDeltaApplier, Warehouse};
+use crate::apply::{AppliedMark, ApplyReport, OpDeltaApplier, Warehouse};
+use crate::direct::DirectValueApplier;
 use crate::pipeline::{Pipeline, SyncReport};
 
 /// One dequeued frame after background decode: sequence id, payload range
@@ -845,7 +852,7 @@ fn apply_with_retry(
                         DeltaBatch::Op(_) => None,
                     })
                     .collect();
-                ValueDeltaApplier::apply_run_marked(wh, &vds, mark)
+                DirectValueApplier::apply_run_marked(wh, &vds, mark)
             }
             DeltaBatch::Op(od) => {
                 OpDeltaApplier::apply_cached_marked(wh, od, &pipe.rewrite_cache, mark)

@@ -13,13 +13,16 @@
 //! regime the paper's companion TR \[8\] works in: warehouse schemas that
 //! aggregate source schemas while retaining identifying keys.)
 
+use std::collections::BTreeMap;
+
 use delta_engine::db::Database;
+use delta_engine::index::IndexKey;
 use delta_engine::lock::LockMode;
 use delta_engine::txn::Transaction;
 use delta_engine::{EngineError, EngineResult, TableOptions};
 use delta_sql::ast::Expr;
 use delta_sql::eval::{EvalContext, RowResolver};
-use delta_storage::{Column, Row, Schema, Value};
+use delta_storage::{Column, RecordId, Row, Schema, Value};
 
 /// An equi-join condition `left_table.left_col = right_table.right_col`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,6 +110,8 @@ pub struct MaterializedView {
     projection_positions: Vec<usize>,
     /// Positions (into the view row) of each table's primary key, by table.
     key_positions_in_view: Vec<(String, usize)>,
+    /// For each table (by position), the delta-join plan seeded at it.
+    join_plans: Vec<Vec<JoinStep>>,
 }
 
 impl MaterializedView {
@@ -204,82 +209,142 @@ impl MaterializedView {
         if db.table(&def.name).is_err() {
             db.create_table(&def.name, Schema::new(out_cols)?, TableOptions::default())?;
         }
+        let join_plans = (0..table_offsets.len())
+            .map(|seed| join_plan(&def, &table_offsets, seed))
+            .collect::<EngineResult<_>>()?;
         Ok(MaterializedView {
             def,
             combined_names,
             table_offsets,
             projection_positions,
             key_positions_in_view,
+            join_plans,
         })
     }
 
-    fn table_schema(&self, table: &str) -> &Schema {
-        &self
-            .table_offsets
+    /// Position of `table` among the joined tables.
+    fn slot_of(&self, table: &str) -> EngineResult<usize> {
+        self.table_offsets
             .iter()
-            .find(|(t, _, _)| t == table)
-            .expect("table validated at create")
-            .2
+            .position(|(t, _, _)| t == table)
+            .ok_or_else(|| {
+                EngineError::Invalid(format!(
+                    "table '{table}' is not part of view '{}'",
+                    self.def.name
+                ))
+            })
     }
 
-    /// Join the mirrors, with `table`'s rows restricted to `restricted` when
-    /// given (the delta-join used by incremental maintenance).
-    fn join_rows(
-        &self,
-        db: &Database,
-        restricted: Option<(&str, &[Row])>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        let mut partials: Vec<Vec<Value>> = vec![Vec::new()];
-        for (idx, (t, _offset, schema)) in self.table_offsets.iter().enumerate() {
-            let rows: Vec<Row> = match restricted {
-                Some((rt, rrows)) if rt == t => rrows.to_vec(),
-                _ => db.scan_table(t)?.into_iter().map(|(_, r)| r).collect(),
-            };
-            // Join conditions connecting this table to the partial row.
-            let conds: Vec<(usize, usize)> = self
-                .def
-                .joins
-                .iter()
-                .filter_map(|j| {
-                    // (combined position already present, column in this table)
-                    let (prev_t, prev_c, this_c) = if j.right_table == *t
-                        && self.def.tables[..idx].contains(&j.left_table)
-                    {
-                        (&j.left_table, &j.left_col, &j.right_col)
-                    } else if j.left_table == *t && self.def.tables[..idx].contains(&j.right_table)
-                    {
-                        (&j.right_table, &j.right_col, &j.left_col)
-                    } else {
-                        return None;
-                    };
-                    let prev_pos = self
-                        .combined_names
-                        .iter()
-                        .position(|n| *n == SpjView::output_name(prev_t, prev_c))
-                        .expect("validated");
-                    let this_pos = schema.index_of(this_c).expect("validated");
-                    Some((prev_pos, this_pos))
-                })
+    /// Scan each table of `plan` once and index it on the column its first
+    /// join condition probes.
+    fn load_join_tables(&self, db: &Database, plan: &[JoinStep]) -> EngineResult<Vec<JoinTable>> {
+        let mut tables = Vec::with_capacity(plan.len());
+        for step in plan {
+            let rows: Vec<Row> = db
+                .scan_table(&self.table_offsets[step.slot].0)?
+                .into_iter()
+                .map(|(_, r)| r)
                 .collect();
-            let mut next: Vec<Vec<Value>> = Vec::new();
+            let index = step.conds.first().map(|&(col, _, _)| {
+                let mut map: BTreeMap<IndexKey, Vec<usize>> = BTreeMap::new();
+                for (i, row) in rows.iter().enumerate() {
+                    if let Some(key) = join_key(&row.values()[col]) {
+                        map.entry(key).or_default().push(i);
+                    }
+                }
+                map
+            });
+            tables.push(JoinTable { rows, index });
+        }
+        Ok(tables)
+    }
+
+    /// Join one row of the table at `seed` against the loaded tables, filter
+    /// and project; the resulting view rows are appended to `out`.
+    fn delta_join(
+        &self,
+        now: i64,
+        seed: usize,
+        row: &Row,
+        plan: &[JoinStep],
+        tables: &[JoinTable],
+        out: &mut Vec<Row>,
+    ) -> EngineResult<()> {
+        let place = |combined: &mut [Value], slot: usize, row: &Row| {
+            let at = self.table_offsets[slot].1;
+            combined[at..at + row.len()].clone_from_slice(row.values());
+        };
+        let mut first = vec![Value::Null; self.combined_names.len()];
+        if row.len() != self.table_offsets[seed].2.len() {
+            return Err(EngineError::Invalid(format!(
+                "row image for '{}' has {} values, the view expects {}",
+                self.table_offsets[seed].0,
+                row.len(),
+                self.table_offsets[seed].2.len()
+            )));
+        }
+        place(&mut first, seed, row);
+        let mut partials = vec![first];
+        for (step, table) in plan.iter().zip(tables) {
+            let mut next = Vec::new();
             for partial in &partials {
-                for row in &rows {
-                    let matches = conds.iter().all(|(prev_pos, this_pos)| {
-                        partial[*prev_pos].sql_eq(&row.values()[*this_pos]) == Some(true)
-                    });
+                let probe = |&(_, other, other_col): &(usize, usize, usize)| {
+                    &partial[self.table_offsets[other].1 + other_col]
+                };
+                let all: Vec<usize>;
+                let candidates: &[usize] = match (&table.index, step.conds.first()) {
+                    (Some(index), Some(cond)) => join_key(probe(cond))
+                        .and_then(|k| index.get(&k))
+                        .map_or(&[], Vec::as_slice),
+                    _ => {
+                        all = (0..table.rows.len()).collect();
+                        &all
+                    }
+                };
+                for &i in candidates {
+                    let cand = &table.rows[i];
+                    let matches = step
+                        .conds
+                        .iter()
+                        .all(|c| probe(c).sql_eq(&cand.values()[c.0]) == Some(true));
                     if matches {
                         let mut combined = partial.clone();
-                        combined.extend(row.values().iter().cloned());
+                        place(&mut combined, step.slot, cand);
                         next.push(combined);
                     }
                 }
             }
             partials = next;
             if partials.is_empty() {
-                break;
+                return Ok(());
             }
         }
-        Ok(partials)
+        for values in partials {
+            if let Some(sel) = &self.def.selection {
+                let resolver = CombinedRow {
+                    names: &self.combined_names,
+                    values,
+                };
+                let keep = EvalContext::new(&resolver, now)
+                    .matches(sel)
+                    .map_err(EngineError::Eval)?;
+                if keep {
+                    out.push(self.project(&resolver.values));
+                }
+            } else {
+                out.push(self.project(&values));
+            }
+        }
+        Ok(())
+    }
+
+    fn project(&self, combined: &[Value]) -> Row {
+        Row::new(
+            self.projection_positions
+                .iter()
+                .map(|&i| combined[i].clone())
+                .collect(),
+        )
     }
 
     /// Compute the view rows produced by joining, filtering and projecting,
@@ -289,35 +354,24 @@ impl MaterializedView {
         db: &Database,
         restricted: Option<(&str, &[Row])>,
     ) -> EngineResult<Vec<Row>> {
-        let combined = self.join_rows(db, restricted)?;
+        let scanned: Vec<Row>;
+        let (seed, rows) = match restricted {
+            Some((table, rows)) => (self.slot_of(table)?, rows),
+            None => {
+                scanned = db
+                    .scan_table(&self.table_offsets[0].0)?
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect();
+                (0, scanned.as_slice())
+            }
+        };
+        let plan = &self.join_plans[seed];
+        let tables = self.load_join_tables(db, plan)?;
         let now = db.peek_clock();
         let mut out = Vec::new();
-        for values in combined {
-            if let Some(sel) = &self.def.selection {
-                let resolver = CombinedRow {
-                    names: &self.combined_names,
-                    values,
-                };
-                let keep = EvalContext::new(&resolver, now)
-                    .matches(sel)
-                    .map_err(EngineError::Eval)?;
-                if !keep {
-                    continue;
-                }
-                out.push(Row::new(
-                    self.projection_positions
-                        .iter()
-                        .map(|&i| resolver.values[i].clone())
-                        .collect(),
-                ));
-            } else {
-                out.push(Row::new(
-                    self.projection_positions
-                        .iter()
-                        .map(|&i| values[i].clone())
-                        .collect(),
-                ));
-            }
+        for row in rows {
+            self.delta_join(now, seed, row, plan, &tables, &mut out)?;
         }
         Ok(out)
     }
@@ -338,8 +392,90 @@ impl MaterializedView {
         Ok(n)
     }
 
-    /// Incremental maintenance for rows inserted into `table`: delta-join the
-    /// new rows against the other mirrors and insert the results.
+    /// Incremental maintenance from an ordered stream of signed row images
+    /// of `table` (`+1` inserted, `-1` deleted; an update is a `-1`/`+1`
+    /// pair), replayed **in stream order**: a `-1` removes the view rows
+    /// carrying that row's key (exact, because the view is key-preserving),
+    /// a `+1` delta-joins the image against the other mirrors and inserts
+    /// the results. Order matters — a key deleted and re-inserted within one
+    /// stream must lose its old view rows and keep its new ones.
+    ///
+    /// The other joined tables are scanned and indexed once per call, and so
+    /// is the view table (by `table`'s key), instead of once per image. That
+    /// is sound because neither changes underneath the replay: the caller
+    /// holds `table` and the view exclusively, and deltas for tables that
+    /// share a view apply one after the other (see
+    /// [`crate::apply::Warehouse::apply_classes`]).
+    ///
+    /// Returns the number of view rows inserted or deleted.
+    pub fn apply_stream(
+        &self,
+        db: &Database,
+        txn: &mut Transaction,
+        table: &str,
+        stream: &[(i64, &Row)],
+    ) -> EngineResult<usize> {
+        if !self.def.involves(table) || stream.is_empty() {
+            return Ok(0);
+        }
+        let seed = self.slot_of(table)?;
+        let pk = self.table_offsets[seed].2.primary_key_indices()[0];
+        let view_key_pos = self.key_positions_in_view[seed].1;
+        let plan = &self.join_plans[seed];
+        let meta = db.table(&self.def.name)?;
+        db.lock_table(txn, &self.def.name, LockMode::Exclusive)?;
+        let now = db.now_micros();
+        let clock = db.peek_clock();
+        // Both sides load on first use: an insert-only stream never reads
+        // the view table, a delete-only stream never scans the other mirrors.
+        let mut joined: Option<Vec<JoinTable>> = None;
+        let mut live: Option<BTreeMap<IndexKey, Vec<(RecordId, Row)>>> = None;
+        let mut computed = Vec::new();
+        let mut n = 0;
+        for &(sign, row) in stream {
+            let key = row.values().get(pk).ok_or_else(|| {
+                EngineError::Invalid(format!("row image for '{table}' is missing its key"))
+            })?;
+            if sign < 0 {
+                let live = match live.take() {
+                    Some(loaded) => live.insert(loaded),
+                    None => {
+                        let mut by_key: BTreeMap<IndexKey, Vec<(RecordId, Row)>> = BTreeMap::new();
+                        for (rid, vrow) in db.scan_table(&self.def.name)? {
+                            if let Some(k) = join_key(&vrow.values()[view_key_pos]) {
+                                by_key.entry(k).or_default().push((rid, vrow));
+                            }
+                        }
+                        live.insert(by_key)
+                    }
+                };
+                let hits = join_key(key).and_then(|k| live.remove(&k));
+                for (rid, vrow) in hits.into_iter().flatten() {
+                    db.delete_row(txn, &meta, rid, vrow, now, false)?;
+                    n += 1;
+                }
+            } else {
+                let tables = match joined.take() {
+                    Some(loaded) => joined.insert(loaded),
+                    None => joined.insert(self.load_join_tables(db, plan)?),
+                };
+                self.delta_join(clock, seed, row, plan, tables, &mut computed)?;
+                for vrow in computed.drain(..) {
+                    let vrow = meta.schema.validate(&vrow)?;
+                    let rid = db.insert_row(txn, &meta, vrow.clone(), now, false, false)?;
+                    if let Some(live) = &mut live {
+                        if let Some(k) = join_key(&vrow.values()[view_key_pos]) {
+                            live.entry(k).or_default().push((rid, vrow));
+                        }
+                    }
+                    n += 1;
+                }
+            }
+        }
+        Ok(n)
+    }
+
+    /// Incremental maintenance for rows inserted into `table`.
     pub fn on_base_insert(
         &self,
         db: &Database,
@@ -347,23 +483,11 @@ impl MaterializedView {
         table: &str,
         new_rows: &[Row],
     ) -> EngineResult<usize> {
-        if !self.def.involves(table) || new_rows.is_empty() {
-            return Ok(0);
-        }
-        let meta = db.table(&self.def.name)?;
-        db.lock_table(txn, &self.def.name, LockMode::Exclusive)?;
-        let rows = self.compute(db, Some((table, new_rows)))?;
-        let now = db.now_micros();
-        let n = rows.len();
-        for row in rows {
-            db.insert_row(txn, &meta, row, now, false, false)?;
-        }
-        Ok(n)
+        let stream: Vec<(i64, &Row)> = new_rows.iter().map(|r| (1, r)).collect();
+        self.apply_stream(db, txn, table, &stream)
     }
 
-    /// Incremental maintenance for rows deleted from `table`: remove the view
-    /// rows whose `table`-key matches a deleted row (exact, because the view
-    /// is key-preserving).
+    /// Incremental maintenance for rows deleted from `table`.
     pub fn on_base_delete(
         &self,
         db: &Database,
@@ -371,29 +495,8 @@ impl MaterializedView {
         table: &str,
         old_rows: &[Row],
     ) -> EngineResult<usize> {
-        if !self.def.involves(table) || old_rows.is_empty() {
-            return Ok(0);
-        }
-        let schema = self.table_schema(table);
-        let pk = schema.primary_key_indices()[0];
-        let keys: Vec<&Value> = old_rows.iter().map(|r| &r.values()[pk]).collect();
-        let (_, view_key_pos) = self
-            .key_positions_in_view
-            .iter()
-            .find(|(t, _)| t == table)
-            .expect("key-preserving");
-        let meta = db.table(&self.def.name)?;
-        db.lock_table(txn, &self.def.name, LockMode::Exclusive)?;
-        let now = db.now_micros();
-        let mut n = 0;
-        for (rid, row) in db.scan_table(&self.def.name)? {
-            let v = &row.values()[*view_key_pos];
-            if keys.iter().any(|k| k.sql_eq(v) == Some(true)) {
-                db.delete_row(txn, &meta, rid, row, now, false)?;
-                n += 1;
-            }
-        }
-        Ok(n)
+        let stream: Vec<(i64, &Row)> = old_rows.iter().map(|r| (-1, r)).collect();
+        self.apply_stream(db, txn, table, &stream)
     }
 
     /// Incremental maintenance for updates: delete-by-old-key, then
@@ -406,9 +509,110 @@ impl MaterializedView {
         old_rows: &[Row],
         new_rows: &[Row],
     ) -> EngineResult<usize> {
-        let d = self.on_base_delete(db, txn, table, old_rows)?;
-        let i = self.on_base_insert(db, txn, table, new_rows)?;
-        Ok(d + i)
+        let stream: Vec<(i64, &Row)> = old_rows
+            .iter()
+            .map(|r| (-1, r))
+            .chain(new_rows.iter().map(|r| (1, r)))
+            .collect();
+        self.apply_stream(db, txn, table, &stream)
+    }
+}
+
+/// One step of a delta join: bring in the table at `slot`, matching `conds`
+/// — (column of that table, an already joined slot, its column).
+struct JoinStep {
+    slot: usize,
+    conds: Vec<(usize, usize, usize)>,
+}
+
+/// One joined table held for the length of a maintenance pass: a single
+/// scan, indexed on the column its step's first condition probes.
+struct JoinTable {
+    rows: Vec<Row>,
+    index: Option<BTreeMap<IndexKey, Vec<usize>>>,
+}
+
+/// The order in which a delta join seeded at table `seed` brings in the
+/// other tables: a table some join condition links to the joined set comes
+/// before one that none reaches yet (that one is a cross product whenever it
+/// is taken). Every condition is checked exactly once, when the second of
+/// its two tables arrives, so the result is the same set of combinations as
+/// joining in definition order.
+fn join_plan(
+    def: &SpjView,
+    tables: &[(String, usize, Schema)],
+    seed: usize,
+) -> EngineResult<Vec<JoinStep>> {
+    let n = tables.len();
+    let mut placed = vec![false; n];
+    placed[seed] = true;
+    let mut plan = Vec::with_capacity(n - 1);
+    while plan.len() + 1 < n {
+        let mut pick: Option<JoinStep> = None;
+        for slot in (0..n).filter(|&s| !placed[s]) {
+            let conds = conds_into(def, tables, slot, &placed)?;
+            let linked = !conds.is_empty();
+            if linked || pick.is_none() {
+                pick = Some(JoinStep { slot, conds });
+            }
+            if linked {
+                break;
+            }
+        }
+        let step =
+            pick.ok_or_else(|| EngineError::Invalid("join plan ran out of tables".into()))?;
+        placed[step.slot] = true;
+        plan.push(step);
+    }
+    Ok(plan)
+}
+
+/// The join conditions between table `slot` and the tables already `placed`,
+/// as (column of `slot`, placed slot, its column).
+fn conds_into(
+    def: &SpjView,
+    tables: &[(String, usize, Schema)],
+    slot: usize,
+    placed: &[bool],
+) -> EngineResult<Vec<(usize, usize, usize)>> {
+    let (name, _, schema) = &tables[slot];
+    let column = |schema: &Schema, t: &str, c: &str| {
+        schema
+            .index_of(c)
+            .ok_or_else(|| EngineError::Invalid(format!("join column {t}.{c} does not exist")))
+    };
+    let mut conds = Vec::new();
+    for j in &def.joins {
+        let (this_col, other_table, other_col) = if j.left_table == *name {
+            (&j.left_col, &j.right_table, &j.right_col)
+        } else if j.right_table == *name {
+            (&j.right_col, &j.left_table, &j.left_col)
+        } else {
+            continue;
+        };
+        let Some(other) = tables.iter().position(|(t, _, _)| t == other_table) else {
+            continue;
+        };
+        if placed[other] {
+            conds.push((
+                column(schema, name, this_col)?,
+                other,
+                column(&tables[other].2, other_table, other_col)?,
+            ));
+        }
+    }
+    Ok(conds)
+}
+
+/// The ordered-map key under which `v` can meet an `sql_eq`-equal value, or
+/// `None` when nothing equals it (NULL, NaN). The map orders by
+/// `Value::total_cmp`, which tells `-0.0` from `0.0` where `sql_eq` does not.
+fn join_key(v: &Value) -> Option<IndexKey> {
+    match v {
+        Value::Null => None,
+        Value::Double(d) if d.is_nan() => None,
+        Value::Double(d) if *d == 0.0 => Some(IndexKey(Value::Double(0.0))),
+        other => Some(IndexKey(other.clone())),
     }
 }
 
@@ -628,6 +832,85 @@ mod tests {
         v.refresh_full(&db, &mut txn).unwrap();
         db.commit(txn).unwrap();
         assert_eq!(incremental, view_rows(&db));
+    }
+
+    #[test]
+    fn stream_replay_on_the_middle_table_of_a_chain_equals_full_recompute() {
+        // regions ⋈ suppliers ⋈ parts, deltas on `suppliers` (the middle of
+        // the chain, so the join fans out to both sides), with a key
+        // deleted and re-inserted inside one stream.
+        let db = setup();
+        let mut s = db.session();
+        s.execute("CREATE TABLE regions (name VARCHAR PRIMARY KEY, zone INT)")
+            .unwrap();
+        s.execute("INSERT INTO regions VALUES ('west', 1), ('east', 2), ('north', 1)")
+            .unwrap();
+        let def = SpjView {
+            name: "chain".into(),
+            tables: vec!["regions".into(), "suppliers".into(), "parts".into()],
+            joins: vec![
+                JoinCond::new("suppliers", "region", "regions", "name"),
+                JoinCond::new("parts", "id", "suppliers", "part_id"),
+            ],
+            selection: Some(parse_expression("regions_zone = 1").unwrap()),
+            projection: vec![
+                ("regions".into(), "name".into()),
+                ("suppliers".into(), "sid".into()),
+                ("parts".into(), "id".into()),
+                ("parts".into(), "qty".into()),
+            ],
+        };
+        let v = MaterializedView::create(&db, def).unwrap();
+        let mut txn = db.begin();
+        assert_eq!(v.refresh_full(&db, &mut txn).unwrap(), 2);
+        db.commit(txn).unwrap();
+
+        let sup = |sid: i64, part: i64, region: &str| {
+            Row::new(vec![
+                Value::Int(sid),
+                Value::Int(part),
+                Value::Str(region.into()),
+            ])
+        };
+        s.execute("DELETE FROM suppliers WHERE sid = 10").unwrap();
+        s.execute(
+            "INSERT INTO suppliers VALUES (10, 3, 'north'), (15, 2, 'west'), (16, 1, 'south')",
+        )
+        .unwrap();
+        s.execute("UPDATE suppliers SET region = 'west' WHERE sid = 11")
+            .unwrap();
+        let (d10, i10) = (sup(10, 1, "west"), sup(10, 3, "north"));
+        let (i15, i16) = (sup(15, 2, "west"), sup(16, 1, "south"));
+        let (b11, a11) = (sup(11, 1, "east"), sup(11, 1, "west"));
+        let stream = [
+            (-1, &d10),
+            (1, &i10),
+            (1, &i15),
+            (1, &i16),
+            (-1, &b11),
+            (1, &a11),
+        ];
+        let mut txn = db.begin();
+        // 10 leaves; 10, 15 and 11 arrive; 16's region does not exist.
+        assert_eq!(
+            v.apply_stream(&db, &mut txn, "suppliers", &stream).unwrap(),
+            4
+        );
+        db.commit(txn).unwrap();
+
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by(|a, b| a.values()[1].total_cmp(&b.values()[1]));
+            rows
+        };
+        let incremental = sorted(
+            db.scan_table("chain")
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect(),
+        );
+        assert_eq!(incremental, sorted(v.compute(&db, None).unwrap()));
+        assert_eq!(incremental.len(), 4);
     }
 
     #[test]

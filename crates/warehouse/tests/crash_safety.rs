@@ -8,12 +8,18 @@
 //! redelivered run converges: keyed deletes hit zero rows, updates net to
 //! zero in the aggregate view, and nothing is lost or double-counted.
 
+use std::mem::ManuallyDrop;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
-use delta_engine::db::open_temp;
+use delta_engine::db::{open_temp, Database, DbOptions, SyncMode};
 use delta_sql::ast::AggFunc;
+use delta_storage::fault::{FaultInjector, FaultPlan};
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_warehouse::{
-    AggSpec, AggViewDef, MirrorConfig, Pipeline, SyncReport, ValueDeltaApplier, Warehouse,
+    AggSpec, AggViewDef, AggregateView, MirrorConfig, Pipeline, SyncReport, ValueDeltaApplier,
+    Warehouse,
 };
 
 fn schema() -> Schema {
@@ -223,4 +229,210 @@ fn partially_acked_run_redelivers_only_the_unacked_suffix() {
     let view = wh.agg_view("t_totals").unwrap();
     assert!(view.verify_against_recompute(wh.db()).unwrap());
     assert_eq!(pipe.queue().pending(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Crashes around the direct value apply (what `sync` runs)
+// ---------------------------------------------------------------------
+
+/// A grouped view over `t`: rows sharing a value of `v` share a group.
+fn by_value_view() -> AggViewDef {
+    AggViewDef {
+        name: "t_by_v".into(),
+        table: "t".into(),
+        group_by: vec!["v".into()],
+        aggregates: vec![AggSpec::count_star(), AggSpec::of(AggFunc::Max, "id")],
+        selection: None,
+    }
+}
+
+fn scratch(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "delta-crash-{}-{:?}-{label}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Open (or reopen) the warehouse under `dir`: mirror of `t`, the global
+/// totals and a grouped view. `None` if the injector killed the open.
+fn warehouse_at(dir: &Path, faults: Option<Arc<FaultInjector>>) -> Option<Warehouse> {
+    // Commits reach the OS, so a leaked (crashed) life keeps them.
+    let mut opts = DbOptions::new(dir.join("wh")).sync(SyncMode::Flush);
+    if let Some(inj) = faults {
+        opts = opts.faults(inj);
+    }
+    let mut wh = Warehouse::new(Database::open(opts).ok()?);
+    wh.add_mirror(MirrorConfig::full("t", schema())).ok()?;
+    wh.add_agg_view(AggViewDef {
+        name: "t_totals".into(),
+        table: "t".into(),
+        group_by: vec![],
+        aggregates: vec![AggSpec::count_star(), AggSpec::of(AggFunc::Sum, "v")],
+        selection: None,
+    })
+    .ok()?;
+    wh.add_agg_view(by_value_view()).ok()?;
+    Some(wh)
+}
+
+/// Every table of `db` as sorted encoded rows.
+fn dump(db: &Database) -> Vec<(String, Vec<Vec<u8>>)> {
+    let mut names = db.table_names();
+    names.sort();
+    names
+        .into_iter()
+        .map(|t| {
+            let mut rows: Vec<Vec<u8>> = db
+                .scan_table(&t)
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r.to_bytes())
+                .collect();
+            rows.sort();
+            (t, rows)
+        })
+        .collect()
+}
+
+/// The run under test: an in-place update, a delete that empties the group
+/// `v = 30`, a key change, an insert and a delete of a key never seen.
+fn churn_run() -> Vec<ValueDelta> {
+    vec![
+        batch(vec![
+            record(DeltaOp::UpdateBefore, 1, 10),
+            record(DeltaOp::UpdateAfter, 1, 20),
+            record(DeltaOp::Delete, 3, 30),
+        ]),
+        batch(vec![
+            record(DeltaOp::UpdateBefore, 4, 40),
+            record(DeltaOp::UpdateAfter, 9, 40),
+            record(DeltaOp::Insert, 5, 20),
+            record(DeltaOp::Delete, 77, 0),
+        ]),
+    ]
+}
+
+fn assert_churn_applied(wh: &Warehouse) {
+    assert_eq!(
+        sorted_ids(wh),
+        [1, 2, 5, 9].map(Value::Int).to_vec(),
+        "mirror after the run"
+    );
+    assert_eq!(totals(wh), (Value::Int(4), Value::Int(100)));
+    for name in ["t_totals", "t_by_v"] {
+        let view = wh.agg_view(name).unwrap();
+        assert!(view.verify_against_recompute(wh.db()).unwrap(), "{name}");
+    }
+}
+
+#[test]
+fn crash_inside_a_direct_run_recovers_the_pre_run_state_and_redelivery_converges() {
+    // Walk a torn write over every page-file or WAL write of one life of
+    // the warehouse. Lives in which it tears the run's own commit are the
+    // ones under test: the run's records reach the log without their
+    // commit, so the reopened warehouse must show the pre-run state, and
+    // the redelivered run must then apply exactly once.
+    let mut torn_runs = 0;
+    for at in 0u64.. {
+        let dir = scratch(&format!("direct-{at}"));
+        let path = dir.join("ship.q");
+        // Life 1, clean: a synced baseline, then the run is published.
+        let before = {
+            let wh = warehouse_at(&dir, None).unwrap();
+            let pipe = Pipeline::open(&path).unwrap().with_sync_workers(1);
+            for id in 1..=4 {
+                pipe.publish(&DeltaBatch::Value(batch(vec![record(
+                    DeltaOp::Insert,
+                    id,
+                    10 * id,
+                )])))
+                .unwrap();
+            }
+            pipe.sync(&wh).unwrap();
+            for vd in churn_run() {
+                pipe.publish(&DeltaBatch::Value(vd)).unwrap();
+            }
+            dump(wh.db())
+        };
+        // Life 2: the `at`-th write keeps 90 bytes and fails.
+        let inj = Arc::new(FaultInjector::new(FaultPlan::new(at).torn_write(at, 90)));
+        let opened = warehouse_at(&dir, Some(inj.clone()));
+        let fired_before_sync = inj.stats().injected > 0;
+        let synced = opened.as_ref().map(|wh| {
+            let pipe = Pipeline::open(&path).unwrap().with_sync_workers(1);
+            pipe.sync(wh)
+        });
+        let fired = inj.stats().injected > 0;
+        // Crash: whatever this life held in memory is gone.
+        let _leaked = ManuallyDrop::new(opened);
+        if !fired {
+            // The walk has passed the last write of a whole clean life.
+            assert!(matches!(synced, Some(Ok(_))));
+            break;
+        }
+        // Life 3, clean: recovery, then redelivery of whatever is unacked.
+        let wh = warehouse_at(&dir, None).unwrap();
+        if !fired_before_sync {
+            assert!(
+                matches!(synced, Some(Err(_))),
+                "a torn commit fails the sync"
+            );
+            assert_eq!(dump(wh.db()), before, "write {at}: pre-run state");
+            torn_runs += 1;
+        }
+        let pipe = Pipeline::open(&path).unwrap().with_sync_workers(1);
+        pipe.sync(&wh).unwrap();
+        assert_churn_applied(&wh);
+        assert_eq!(pipe.queue().pending(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(torn_runs >= 1, "no write of the run's commit was torn");
+}
+
+#[test]
+fn reopening_after_a_committed_group_emptying_run_finds_no_phantom_group() {
+    // The view table has no key, so redo finds the row a `Delete` record
+    // removed by its full before image — which therefore has to be the row
+    // as it was stored, not the row folded down to `__rows = 0`.
+    let dir = scratch("phantom");
+    let path = dir.join("ship.q");
+    {
+        let wh = warehouse_at(&dir, None).unwrap();
+        let pipe = Pipeline::open(&path).unwrap().with_sync_workers(1);
+        for id in 1..=4 {
+            pipe.publish(&DeltaBatch::Value(batch(vec![record(
+                DeltaOp::Insert,
+                id,
+                10 * id,
+            )])))
+            .unwrap();
+        }
+        for vd in churn_run() {
+            pipe.publish(&DeltaBatch::Value(vd)).unwrap();
+        }
+        pipe.sync(&wh).unwrap();
+        assert_churn_applied(&wh);
+        // Crash after the commit: nothing flushed, the log has it all.
+        let _leaked = ManuallyDrop::new(wh);
+    }
+    // Recovery alone, without the refresh `add_agg_view` would run.
+    let db = Database::open(DbOptions::new(dir.join("wh"))).unwrap();
+    assert_eq!(db.row_count("t").unwrap(), 4, "the log was replayed");
+    let view = AggregateView::create(&db, by_value_view()).unwrap();
+    let groups: Vec<Value> = view
+        .visible_rows(&db)
+        .unwrap()
+        .iter()
+        .map(|r| r.values()[0].clone())
+        .collect();
+    assert_eq!(
+        groups,
+        [20, 40].map(Value::Int).to_vec(),
+        "v = 10 and v = 30 died"
+    );
+    assert!(view.verify_against_recompute(&db).unwrap());
 }
