@@ -29,7 +29,7 @@ pub struct CacheStats {
 /// Entries kept before the map is wholesale cleared. A full clear (rather
 /// than LRU bookkeeping) keeps the fast path to one hash lookup; the cache
 /// simply re-warms, which costs one parse per distinct statement.
-const CACHE_CAPACITY: usize = 4096;
+pub const CACHE_CAPACITY: usize = 4096;
 
 /// A thread-safe parse cache keyed by exact SQL text.
 #[derive(Default)]

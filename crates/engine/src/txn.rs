@@ -85,6 +85,37 @@ impl Transaction {
             })
             .count()
     }
+
+    /// The current end of the redo tail; row changes made from here on are
+    /// what [`images_since`](Transaction::images_since) yields for this mark.
+    pub fn redo_mark(&self) -> usize {
+        self.wal_buffer.len()
+    }
+
+    /// The signed images of the rows of `table` this transaction changed
+    /// since `mark`, in execution order and as stored: `+1` a row that
+    /// entered the table, `-1` a row that left it, an update its before
+    /// image (`-1`) then its after image (`+1`). Changes to other tables —
+    /// a trigger's writes, a view's own rows — are skipped.
+    pub fn images_since<'a>(
+        &'a self,
+        mark: usize,
+        table: &'a str,
+    ) -> impl Iterator<Item = (i64, &'a Row)> + 'a {
+        let tail = self.wal_buffer.get(mark..).unwrap_or_default();
+        tail.iter()
+            .filter(move |rec| rec.table() == Some(table))
+            .flat_map(|rec| {
+                let (left, entered) = match rec {
+                    LogRecord::Insert { row, .. } => (None, Some(row)),
+                    LogRecord::Delete { before, .. } => (Some(before), None),
+                    LogRecord::Update { before, after, .. } => (Some(before), Some(after)),
+                    _ => (None, None),
+                };
+                let left = left.map(|row| (-1, row));
+                left.into_iter().chain(entered.map(|row| (1, row)))
+            })
+    }
 }
 
 /// Hands out transaction ids.
@@ -152,5 +183,90 @@ mod tests {
         });
         t.wal_buffer.push(LogRecord::Commit { txn: t.id });
         assert_eq!(t.change_count(), 1);
+    }
+
+    fn stored_rows(db: &crate::db::Database, table: &str) -> Vec<Row> {
+        let rows = db.scan_table(table).unwrap();
+        rows.into_iter().map(|(_, r)| r).collect()
+    }
+
+    #[test]
+    fn images_since_yields_stored_rows_signed_in_order_from_the_mark_for_one_table() {
+        use crate::catalog::TableOptions;
+        use crate::exec::execute;
+        use crate::trigger::TriggerDef;
+        use delta_sql::parser::parse_statement;
+        use delta_storage::{Column, DataType, Schema};
+
+        let db = crate::db::open_temp("txn-images").unwrap();
+        // `price` coerces INT literals to DOUBLE on validation and
+        // `last_modified` is stamped by the engine, so the stored row is
+        // neither the statement's literal row nor the one before stamping.
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("price", DataType::Double),
+            Column::new("last_modified", DataType::Timestamp),
+        ])
+        .unwrap();
+        let stamped = TableOptions {
+            auto_timestamp: Some("last_modified".into()),
+        };
+        db.create_table("t", schema.clone(), stamped).unwrap();
+        db.create_table(
+            "t_delta",
+            crate::trigger::delta_table_schema(&schema),
+            TableOptions::default(),
+        )
+        .unwrap();
+        // A source-side capture trigger writes into another table inside the
+        // same transaction.
+        db.create_trigger(TriggerDef::capture_all("cap", "t", "t_delta"))
+            .unwrap();
+        let run = |txn: &mut Transaction, sql: &str| {
+            execute(&db, txn, &parse_statement(sql).unwrap()).unwrap();
+        };
+
+        let mut txn = db.begin();
+        run(&mut txn, "INSERT INTO t (id, price) VALUES (1, 5), (2, 7)");
+        let inserted = stored_rows(&db, "t");
+        assert_eq!(inserted[0].values()[1], Value::Double(5.0), "coerced");
+        assert!(matches!(inserted[0].values()[2], Value::Timestamp(_)));
+        let from_start: Vec<(i64, Row)> = txn
+            .images_since(0, "t")
+            .map(|(s, r)| (s, r.clone()))
+            .collect();
+        assert_eq!(
+            from_start,
+            vec![(1, inserted[0].clone()), (1, inserted[1].clone())]
+        );
+
+        let mark = txn.redo_mark();
+        run(&mut txn, "UPDATE t SET price = 9 WHERE id = 1");
+        let updated = stored_rows(&db, "t")
+            .into_iter()
+            .find(|r| r.values()[0] == Value::Int(1))
+            .unwrap();
+        assert_eq!(updated.values()[1], Value::Double(9.0));
+        run(&mut txn, "DELETE FROM t WHERE id = 2");
+        let since: Vec<(i64, Row)> = txn
+            .images_since(mark, "t")
+            .map(|(s, r)| (s, r.clone()))
+            .collect();
+        assert_eq!(
+            since,
+            vec![
+                (-1, inserted[0].clone()),
+                (1, updated),
+                (-1, inserted[1].clone()),
+            ]
+        );
+        // The trigger's rows are in the tail, under their own table only:
+        // I, I before the mark; UB, UA, D after it.
+        assert_eq!(txn.images_since(0, "t_delta").count(), 5);
+        assert_eq!(txn.images_since(mark, "t_delta").count(), 3);
+        assert!(txn.images_since(mark, "t_delta").all(|(s, _)| s == 1));
+        assert_eq!(txn.images_since(txn.redo_mark(), "t").count(), 0);
+        assert_eq!(txn.images_since(usize::MAX, "t").count(), 0);
+        db.abort(txn).unwrap();
     }
 }

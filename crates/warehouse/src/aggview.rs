@@ -1028,7 +1028,7 @@ mod tests {
 
     #[test]
     fn batched_fold_matches_per_row_path() {
-        // The same capture drain applied via `apply_batch` (one fold per
+        // The same image stream applied via `apply_batch` (one fold per
         // touched group) and via the per-row entry points must leave the
         // view identical — including group births, group deaths, and
         // MIN/MAX recomputes when an extreme leaves.

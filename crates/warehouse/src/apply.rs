@@ -13,27 +13,32 @@
 //! operation (or a handful of keyed statements for the before-image hybrid).
 //! Locks are held per transaction; OLAP queries interleave between them.
 //!
-//! Both strategies maintain registered SPJ views incrementally from the
-//! row images captured by triggers installed on the mirrors, so the
-//! comparison between them is apples-to-apples.
+//! Both strategies maintain the registered views incrementally from one
+//! image stream: the apply transaction's own redo tail. Every row change a
+//! statement makes is already logged there by the engine, in execution
+//! order, with the stored before and after rows, so an applier takes a mark
+//! ([`Transaction::redo_mark`]) before a statement group and
+//! `Warehouse::propagate_since` folds what was logged since into the views.
+//! Propagation stays sequential, once per replayed statement group: each
+//! delta joins against the state the other tables had when it ran. The
+//! warehouse arms no trigger and keeps no table beside the mirrors, the
+//! views and [`APPLIED_SEQ_TABLE`].
 //!
 //! The value-delta applier here is the paper's translation, kept as the
 //! reference. [`crate::Pipeline::sync`] applies value-delta runs through
 //! [`crate::direct::DirectValueApplier`] instead: the same outage
-//! transaction (`Warehouse::outage_txn`) and the same view propagation
-//! (`Warehouse::propagate_images`), without SQL in between.
+//! transaction (`Warehouse::outage_txn`) and the same view propagation,
+//! once per run, without SQL in between.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use delta_core::model::{DeltaOp, OpDelta, ValueDelta};
-use delta_core::stmtcache::CacheStats;
-use delta_core::trigger_extract::decode_delta_row;
+use delta_core::stmtcache::{CacheStats, CACHE_CAPACITY};
 use delta_engine::db::Database;
 use delta_engine::exec;
 use delta_engine::lock::LockMode;
-use delta_engine::trigger::{delta_table_schema, CaptureImages, TriggerAction, TriggerDef};
 use delta_engine::txn::Transaction;
 use delta_engine::{EngineError, EngineResult, TableOptions};
 use delta_sql::ast::{BinOp, Expr, Statement};
@@ -74,7 +79,9 @@ impl ApplyReport {
 /// statement text (the mirror config is fixed per warehouse), so repeated
 /// statements — replays, re-drains, retry loops — can skip the rewrite.
 /// Hybrid ops carrying a before image bypass this cache entirely: their
-/// expansion depends on the warehouse clock and current mirror state.
+/// expansion depends on the warehouse clock and current mirror state. The
+/// key carries the statement's literals, so the map is bounded like the
+/// parse cache beside it: cleared wholesale at [`CACHE_CAPACITY`] entries.
 #[derive(Default)]
 pub struct RewriteCache {
     map: Mutex<HashMap<String, Option<Statement>>>,
@@ -97,7 +104,11 @@ impl RewriteCache {
         }
         let rewritten = cfg.rewrite(stmt)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().insert(key, rewritten.clone());
+        let mut map = self.map.lock();
+        if map.len() >= CACHE_CAPACITY {
+            map.clear();
+        }
+        map.insert(key, rewritten.clone());
         Ok(rewritten)
     }
 
@@ -116,7 +127,6 @@ pub struct Warehouse {
     mirrors: HashMap<String, MirrorConfig>,
     views: Vec<MaterializedView>,
     agg_views: Vec<AggregateView>,
-    capturing: bool,
 }
 
 impl Warehouse {
@@ -126,7 +136,6 @@ impl Warehouse {
             mirrors: HashMap::new(),
             views: Vec::new(),
             agg_views: Vec::new(),
-            capturing: false,
         }
     }
 
@@ -138,9 +147,6 @@ impl Warehouse {
     /// Register (and create) a mirror. Must precede views over it.
     pub fn add_mirror(&mut self, cfg: MirrorConfig) -> EngineResult<()> {
         cfg.create_in(&self.db)?;
-        if self.capturing {
-            self.install_capture(&cfg.table)?;
-        }
         self.mirrors.insert(cfg.table.clone(), cfg);
         Ok(())
     }
@@ -159,9 +165,10 @@ impl Warehouse {
         v
     }
 
-    /// Register an SPJ view over the mirrors and materialize it. Installs
-    /// change-capture triggers on every mirror (used by incremental view
-    /// maintenance) the first time a view is added.
+    /// Register an SPJ view over the mirrors and materialize it. From then
+    /// on every apply transaction folds the row changes it logs on those
+    /// mirrors into the view (`propagate_since`); nothing is installed on
+    /// the mirrors themselves.
     pub fn add_view(&mut self, def: SpjView) -> EngineResult<()> {
         for t in &def.tables {
             if !self.mirrors.contains_key(t) {
@@ -175,7 +182,6 @@ impl Warehouse {
         let mut txn = self.db.begin();
         view.refresh_full(&self.db, &mut txn)?;
         self.db.commit(txn)?;
-        self.enable_capture()?;
         self.views.push(view);
         Ok(())
     }
@@ -186,7 +192,7 @@ impl Warehouse {
     }
 
     /// Register an aggregate (summary-table) view over one mirror and
-    /// materialize it. Shares the capture machinery with SPJ views.
+    /// materialize it. Maintained from the same image stream as SPJ views.
     pub fn add_agg_view(&mut self, def: AggViewDef) -> EngineResult<()> {
         if !self.mirrors.contains_key(&def.table) {
             return Err(EngineError::NoSuchObject(format!(
@@ -198,7 +204,6 @@ impl Warehouse {
         let mut txn = self.db.begin();
         view.refresh_full(&self.db, &mut txn)?;
         self.db.commit(txn)?;
-        self.enable_capture()?;
         self.agg_views.push(view);
         Ok(())
     }
@@ -206,21 +211,6 @@ impl Warehouse {
     /// The registered aggregate view named `name` (test/inspection aid).
     pub fn agg_view(&self, name: &str) -> Option<&AggregateView> {
         self.agg_views.iter().find(|v| v.def.name == name)
-    }
-
-    fn enable_capture(&mut self) -> EngineResult<()> {
-        if !self.capturing {
-            let tables: Vec<String> = self.mirrors.keys().cloned().collect();
-            for t in tables {
-                self.install_capture(&t)?;
-            }
-            self.capturing = true;
-        }
-        Ok(())
-    }
-
-    fn capture_table(table: &str) -> String {
-        format!("__changes_{table}")
     }
 
     /// Create the applied-sequence watermark table if it does not exist.
@@ -301,29 +291,6 @@ impl Warehouse {
         Ok(())
     }
 
-    fn install_capture(&self, table: &str) -> EngineResult<()> {
-        let meta = self.db.table(table)?;
-        let cap = Self::capture_table(table);
-        if self.db.table(&cap).is_err() {
-            self.db.create_table(
-                &cap,
-                delta_table_schema(&meta.schema),
-                TableOptions::default(),
-            )?;
-        }
-        self.db.create_trigger(TriggerDef {
-            name: format!("__cap_{table}"),
-            table: table.to_string(),
-            on_insert: true,
-            on_update: true,
-            on_delete: true,
-            action: TriggerAction::CaptureDelta {
-                target: cap,
-                images: CaptureImages::Standard,
-            },
-        })
-    }
-
     /// Every view involving `table`.
     fn views_for(&self, table: &str) -> Vec<&MaterializedView> {
         self.views
@@ -340,69 +307,42 @@ impl Warehouse {
             .collect()
     }
 
-    /// Whether any registered view reads `table` (so its row images matter).
-    pub(crate) fn maintains_views_on(&self, table: &str) -> bool {
-        self.views.iter().any(|v| v.def.involves(table))
-            || self.agg_views.iter().any(|v| v.involves(table))
-    }
-
-    /// Drain the capture table for `table` inside `txn` and propagate the
-    /// images to the views. Returns view rows touched. This is the Op-Delta
-    /// path's source of row images: only the executor knows which rows a
-    /// set-oriented statement hit, so the mirror's capture trigger records
-    /// them and this reads them back.
-    fn maintain_views(&self, txn: &mut Transaction, table: &str) -> EngineResult<u64> {
-        if !self.capturing {
+    /// Fold the row changes `txn` made to `table` since `mark` (a
+    /// [`Transaction::redo_mark`]) into every view over it; returns view
+    /// rows touched. The transaction's own redo tail is the image stream:
+    /// the stored before and after rows, in execution order, whichever
+    /// applier made the changes. The images are copied out because the
+    /// views write through `txn` while they read them — one clone per
+    /// image, none when no view reads `table`.
+    pub(crate) fn propagate_since(
+        &self,
+        txn: &mut Transaction,
+        table: &str,
+        mark: usize,
+    ) -> EngineResult<u64> {
+        let read = self.views.iter().any(|v| v.def.involves(table))
+            || self.agg_views.iter().any(|v| v.involves(table));
+        if !read {
             return Ok(0);
         }
-        let cap = Self::capture_table(table);
-        let cap_meta = self.db.table(&cap)?;
-        self.db.lock_table(txn, &cap, LockMode::Exclusive)?;
-        let mut records = Vec::new();
-        let now = self.db.now_micros();
-        for (rid, row) in self.db.scan_table(&cap)? {
-            records.push(decode_delta_row(&row)?);
-            self.db.delete_row(txn, &cap_meta, rid, row, now, false)?;
-        }
-        // A UB record is always immediately followed by its UA partner (the
-        // trigger writes them together).
-        let mut stream: Vec<(i64, &Row)> = Vec::with_capacity(records.len());
-        let mut open_update = false;
-        for rec in &records {
-            let sign = match (rec.op, open_update) {
-                (DeltaOp::Insert, false) => 1,
-                (DeltaOp::Delete, false) => -1,
-                (DeltaOp::UpdateBefore, false) => -1,
-                (DeltaOp::UpdateAfter, true) => 1,
-                (DeltaOp::UpdateAfter, false) => {
-                    return Err(EngineError::Invalid("UA record without UB".into()))
-                }
-                (_, true) => {
-                    return Err(EngineError::Invalid("UB record not followed by UA".into()))
-                }
-            };
-            open_update = rec.op == DeltaOp::UpdateBefore;
-            stream.push((sign, &rec.row));
-        }
-        if open_update {
-            return Err(EngineError::Invalid(
-                "dangling UB record in capture table".into(),
-            ));
-        }
+        let images: Vec<(i64, Row)> = txn
+            .images_since(mark, table)
+            .map(|(sign, row)| (sign, row.clone()))
+            .collect();
+        let stream: Vec<(i64, &Row)> = images.iter().map(|(sign, row)| (*sign, row)).collect();
         self.propagate_images(txn, table, &stream)
     }
 
     /// Fold an ordered stream of signed row images of `table` (`+1`
     /// inserted, `-1` deleted; an update is a `-1`/`+1` pair) into every
-    /// view over it, inside `txn`. Returns view rows touched. Both apply
-    /// paths end here — Op-Delta replay with the images its capture trigger
-    /// recorded for one statement, the direct value apply with the images
-    /// of a whole run — so each view gets one pass per call: SPJ views
-    /// replay the stream in order against one scan of the other mirrors
+    /// view over it, inside `txn`. Returns view rows touched. Each view gets
+    /// one pass per call — per statement group from the statement appliers,
+    /// per run from the direct value apply: SPJ views replay the stream in
+    /// order against one scan of the other mirrors
     /// ([`MaterializedView::apply_stream`]), aggregate views fold it with
     /// one group lookup and one write per touched group
     /// ([`AggregateView::apply_batch`]).
-    pub(crate) fn propagate_images(
+    fn propagate_images(
         &self,
         txn: &mut Transaction,
         table: &str,
@@ -657,22 +597,7 @@ impl ValueDeltaApplier {
     /// whole run. Insert coalescing stays per batch, so the statement
     /// counts match applying each batch alone.
     pub fn apply_run(wh: &Warehouse, vds: &[&ValueDelta]) -> EngineResult<ApplyReport> {
-        ValueDeltaApplier::apply_run_tracked(wh, vds, None)
-    }
-
-    /// Like [`apply_run`](ValueDeltaApplier::apply_run), but additionally
-    /// recording `applied_seq` in the warehouse watermark table inside the
-    /// same transaction (see [`Warehouse::record_applied`]).
-    pub fn apply_run_tracked(
-        wh: &Warehouse,
-        vds: &[&ValueDelta],
-        applied_seq: Option<u64>,
-    ) -> EngineResult<ApplyReport> {
-        let mark = match applied_seq {
-            Some(seq) => AppliedMark::Watermark(seq),
-            None => AppliedMark::None,
-        };
-        ValueDeltaApplier::apply_run_marked(wh, vds, mark)
+        ValueDeltaApplier::apply_run_marked(wh, vds, AppliedMark::None)
     }
 
     /// Like [`apply_run`](ValueDeltaApplier::apply_run), but additionally
@@ -720,6 +645,7 @@ impl ValueDeltaApplier {
             while i < vd.records.len() {
                 let rec = &vd.records[i];
                 let projected = cfg.project_row(&rec.row);
+                let redo_mark = txn.redo_mark();
                 match rec.op {
                     DeltaOp::Insert => {
                         // A run of consecutive inserts becomes ONE multi-row
@@ -742,7 +668,8 @@ impl ValueDeltaApplier {
                         };
                         report.rows_affected += exec::execute(db, txn, &stmt)?.affected;
                         report.statements += 1;
-                        report.view_rows_touched += wh.maintain_views(txn, &vd.table)?;
+                        report.view_rows_touched +=
+                            wh.propagate_since(txn, &vd.table, redo_mark)?;
                         i += run;
                     }
                     DeltaOp::Delete => {
@@ -755,7 +682,8 @@ impl ValueDeltaApplier {
                         };
                         report.rows_affected += exec::execute(db, txn, &stmt)?.affected;
                         report.statements += 1;
-                        report.view_rows_touched += wh.maintain_views(txn, &vd.table)?;
+                        report.view_rows_touched +=
+                            wh.propagate_since(txn, &vd.table, redo_mark)?;
                         i += 1;
                     }
                     DeltaOp::UpdateBefore => {
@@ -784,7 +712,8 @@ impl ValueDeltaApplier {
                         report.rows_affected += exec::execute(db, txn, &del)?.affected;
                         report.rows_affected += exec::execute(db, txn, &ins)?.affected;
                         report.statements += 2;
-                        report.view_rows_touched += wh.maintain_views(txn, &vd.table)?;
+                        report.view_rows_touched +=
+                            wh.propagate_since(txn, &vd.table, redo_mark)?;
                         i += 2;
                     }
                     DeltaOp::UpdateAfter => {
@@ -806,48 +735,14 @@ impl OpDeltaApplier {
     /// Replay one source transaction as one self-contained warehouse
     /// transaction.
     pub fn apply(wh: &Warehouse, od: &OpDelta) -> EngineResult<ApplyReport> {
-        OpDeltaApplier::apply_inner(wh, od, None, AppliedMark::None)
+        OpDeltaApplier::apply_marked(wh, od, None, AppliedMark::None)
     }
 
     /// Like [`apply`](OpDeltaApplier::apply), but resolving mirror rewrites
-    /// through `cache` so repeated statement text skips the rewrite.
-    pub fn apply_cached(
-        wh: &Warehouse,
-        od: &OpDelta,
-        cache: &RewriteCache,
-    ) -> EngineResult<ApplyReport> {
-        OpDeltaApplier::apply_inner(wh, od, Some(cache), AppliedMark::None)
-    }
-
-    /// Like [`apply_cached`](OpDeltaApplier::apply_cached), but additionally
-    /// recording `applied_seq` in the warehouse watermark table inside the
-    /// replay transaction (see [`Warehouse::record_applied`]).
-    pub fn apply_cached_tracked(
-        wh: &Warehouse,
-        od: &OpDelta,
-        cache: &RewriteCache,
-        applied_seq: Option<u64>,
-    ) -> EngineResult<ApplyReport> {
-        let mark = match applied_seq {
-            Some(seq) => AppliedMark::Watermark(seq),
-            None => AppliedMark::None,
-        };
-        OpDeltaApplier::apply_inner(wh, od, Some(cache), mark)
-    }
-
-    /// Like [`apply_cached`](OpDeltaApplier::apply_cached), but additionally
-    /// recording `mark` in the warehouse watermark table inside the replay
-    /// transaction (see [`AppliedMark`]).
-    pub fn apply_cached_marked(
-        wh: &Warehouse,
-        od: &OpDelta,
-        cache: &RewriteCache,
-        mark: AppliedMark,
-    ) -> EngineResult<ApplyReport> {
-        OpDeltaApplier::apply_inner(wh, od, Some(cache), mark)
-    }
-
-    fn apply_inner(
+    /// through `cache` when given, so repeated statement text skips the
+    /// rewrite, and recording `mark` in the warehouse watermark table inside
+    /// the replay transaction (see [`AppliedMark`]).
+    pub fn apply_marked(
         wh: &Warehouse,
         od: &OpDelta,
         cache: Option<&RewriteCache>,
@@ -867,6 +762,7 @@ impl OpDeltaApplier {
                     .ok_or_else(|| EngineError::Invalid("op without a table".into()))?
                     .to_string();
                 let cfg = wh.mirror(&table)?;
+                let redo_mark = txn.redo_mark();
                 let statements: Vec<Statement> = match &op.before_image {
                     Some(bi) => cfg.hybrid_statements(&op.statement, bi, db.peek_clock())?,
                     None => match cache {
@@ -882,7 +778,7 @@ impl OpDeltaApplier {
                 // delta propagation): each delta joins against the state the
                 // *other* tables had when this statement ran, so the
                 // delta-x-delta term is never double counted.
-                report.view_rows_touched += wh.maintain_views(&mut txn, &table)?;
+                report.view_rows_touched += wh.propagate_since(&mut txn, &table, redo_mark)?;
             }
             wh.record_mark(&mut txn, mark)?;
             Ok(report)
@@ -1141,6 +1037,27 @@ mod tests {
         let rows = wh.db().scan_table("parts").unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.values()[0], Value::Int(2));
+    }
+
+    #[test]
+    fn rewrite_cache_stays_bounded_while_its_counters_keep_counting() {
+        let wh = warehouse();
+        let cfg = wh.mirror("parts").unwrap();
+        let path = std::env::temp_dir().join(format!("wh-rewrite-cap-{}.q", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let pipe = crate::Pipeline::open(&path).unwrap();
+        let distinct = CACHE_CAPACITY as u64 + 100;
+        for i in 0..distinct {
+            let stmt = parse_statement(&format!("DELETE FROM parts WHERE id = {i}")).unwrap();
+            pipe.rewrite_cache.rewrite(cfg, &stmt).unwrap();
+            assert!(pipe.rewrite_cache.map.lock().len() <= CACHE_CAPACITY);
+        }
+        // The map was cleared once on the way and re-warmed.
+        assert_eq!(pipe.rewrite_cache.map.lock().len(), 100);
+        let last = parse_statement(&format!("DELETE FROM parts WHERE id = {}", distinct - 1));
+        pipe.rewrite_cache.rewrite(cfg, &last.unwrap()).unwrap();
+        let stats = pipe.rewrite_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, distinct));
     }
 
     #[test]

@@ -3,23 +3,22 @@
 //!
 //! The paper's §4.1 translation ([`crate::apply::ValueDeltaApplier`]) turns
 //! every changed row into SQL *statements*: ASTs built per row, the executor
-//! choosing an access path and evaluating a predicate per row, the mirror's
-//! capture trigger writing the row images into a capture table, and view
-//! maintenance scanning that table back out after every statement. All of
-//! that only re-derives what a value delta already says — which key, which
-//! image — so this path applies a run through the engine's row primitives
-//! instead:
+//! choosing an access path and evaluating a predicate per row, and a view
+//! maintenance pass after every statement. All of that only re-derives what
+//! a value delta already says — which key, which image — so this path
+//! applies a run through the engine's row primitives instead:
 //!
 //! * each record goes key → unique-index lookup → `delete_row` /
 //!   `insert_row` (`update_row` in place when an update keeps its key), with
-//!   triggers off, so nothing is written to any `__changes_<table>` table;
-//! * the row images the views need are collected in memory as the run is
-//!   walked: the **stored** row for everything removed (the shipped before
-//!   image may be a projection's worth wider, or stale on a redelivery — the
-//!   views hold what the mirror held), the validated row for everything
-//!   added;
-//! * views are maintained **once per run** from that stream
-//!   (`Warehouse::propagate_images`).
+//!   triggers off and without timestamp stamping: a mirror stores what was
+//!   shipped;
+//! * the row images the views need are the ones those primitives log on the
+//!   run's transaction: the **stored** row for everything removed (the
+//!   shipped before image may be a projection's worth wider, or stale on a
+//!   redelivery — the views hold what the mirror held), the validated row
+//!   for everything added;
+//! * views are maintained **once per run** from that redo tail: one mark
+//!   when the run starts, one `Warehouse::propagate_since` when it ends.
 //!
 //! Locks, transaction scope, the applied mark and the [`ApplyReport`] are
 //! those of the statement applier: one outage transaction per run, and the
@@ -59,13 +58,12 @@ impl DirectValueApplier {
         let db = wh.db();
         let meta = db.table(table)?;
         wh.outage_txn(table, mark, |txn| {
+            let redo_mark = txn.redo_mark();
             let mut run = Run {
                 db,
                 cfg,
                 meta: &meta,
                 now: db.now_micros(),
-                keep_images: wh.maintains_views_on(table),
-                images: Vec::new(),
                 report: ApplyReport {
                     transactions: 1,
                     ..Default::default()
@@ -74,8 +72,7 @@ impl DirectValueApplier {
             for vd in vds {
                 run.apply_records(txn, vd)?;
             }
-            let stream: Vec<(i64, &Row)> = run.images.iter().map(|(s, r)| (*s, r)).collect();
-            run.report.view_rows_touched = wh.propagate_images(txn, table, &stream)?;
+            run.report.view_rows_touched = wh.propagate_since(txn, table, redo_mark)?;
             Ok(run.report)
         })
     }
@@ -87,11 +84,6 @@ struct Run<'a> {
     cfg: &'a MirrorConfig,
     meta: &'a TableMeta,
     now: i64,
-    /// Whether any view reads this mirror; without one no image is kept.
-    keep_images: bool,
-    /// Signed row images in apply order: `-1` a row that left the mirror,
-    /// `+1` a row that entered it.
-    images: Vec<(i64, Row)>,
     report: ApplyReport,
 }
 
@@ -156,7 +148,7 @@ impl Run<'_> {
     }
 
     /// The mirror row for a shipped image, as it will be stored (validated,
-    /// coercions included): that, not the shipped row, is what views fold.
+    /// coercions included).
     fn mirror_row(&self, source_row: &Row) -> EngineResult<Row> {
         Ok(self
             .meta
@@ -164,14 +156,7 @@ impl Run<'_> {
             .validate(&self.cfg.project_row(source_row))?)
     }
 
-    // The row primitives below run with triggers off — the images kept here
-    // are what the capture trigger would have recorded — and without
-    // timestamp stamping: a mirror stores what was shipped.
-
     fn add(&mut self, txn: &mut Transaction, row: Row) -> EngineResult<()> {
-        if self.keep_images {
-            self.images.push((1, row.clone()));
-        }
         self.db
             .insert_row(txn, self.meta, row, self.now, false, false)?;
         self.report.rows_affected += 1;
@@ -179,9 +164,6 @@ impl Run<'_> {
     }
 
     fn remove(&mut self, txn: &mut Transaction, rid: RecordId, stored: Row) -> EngineResult<()> {
-        if self.keep_images {
-            self.images.push((-1, stored.clone()));
-        }
         self.db
             .delete_row(txn, self.meta, rid, stored, self.now, false)?;
         self.report.rows_affected += 1;
@@ -218,10 +200,6 @@ impl Run<'_> {
         if !key_kept {
             self.remove(txn, rid, stored)?;
             return self.add(txn, row);
-        }
-        if self.keep_images {
-            self.images.push((-1, stored.clone()));
-            self.images.push((1, row.clone()));
         }
         self.db
             .update_row(txn, self.meta, rid, stored, row, self.now, false, false)?;

@@ -18,8 +18,9 @@
 //! 3. **Direct value apply, views once per run** — a value-delta group
 //!    applies through the engine's row primitives and hands its row images
 //!    to the views in one stream per run
-//!    ([`crate::direct::DirectValueApplier`]); an Op-Delta's images come
-//!    from the capture drain, one stream per replayed statement. Either
+//!    ([`crate::direct::DirectValueApplier`]); an Op-Delta's images are
+//!    one stream per replayed statement. Both streams are read off the
+//!    apply transaction's redo tail (`Warehouse::propagate_since`). Either
 //!    way aggregate views fold per touched group
 //!    ([`crate::aggview::AggregateView::apply_batch`]) and SPJ views replay
 //!    against one scan of the other mirrors
@@ -855,7 +856,7 @@ fn apply_with_retry(
                 DirectValueApplier::apply_run_marked(wh, &vds, mark)
             }
             DeltaBatch::Op(od) => {
-                OpDeltaApplier::apply_cached_marked(wh, od, &pipe.rewrite_cache, mark)
+                OpDeltaApplier::apply_marked(wh, od, Some(&pipe.rewrite_cache), mark)
             }
         };
         match result {

@@ -3,9 +3,9 @@
 //!
 //! Every case sends the same run through both appliers on twin warehouses
 //! and requires byte-equal canonical dumps of every table — the mirrors,
-//! every SPJ view, every aggregate view with its hidden state columns, the
-//! capture tables — plus equal `ApplyReport`s, or the same kind of failure
-//! with nothing left behind.
+//! every SPJ view, every aggregate view with its hidden state columns —
+//! plus equal `ApplyReport`s, or the same kind of failure with nothing left
+//! behind.
 
 use delta_core::model::{DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::open_temp;
@@ -528,14 +528,13 @@ fn direct_path_logs_only_mirror_view_and_watermark_rows() {
         );
     }
     // Mirror: one insert, one in-place update, one delete. The statement
-    // path logs the update as a delete plus an insert and, per changed
-    // row, an insert into and a delete from the capture table on top.
+    // path logs the update as a delete plus an insert.
     assert!(row_changes >= 3);
-    for t in db.table_names() {
-        if t.starts_with("__changes_") {
-            assert_eq!(db.row_count(&t).unwrap(), 0, "{t}");
-        }
-    }
+    let tables = db.table_names();
+    assert!(
+        !tables.iter().any(|t| t.starts_with("__changes_")),
+        "{tables:?}"
+    );
 }
 
 /// Interpret generated numbers as a run over `items`, steering by a model
