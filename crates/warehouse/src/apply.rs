@@ -18,7 +18,8 @@
 //! statement makes is already logged there by the engine, in execution
 //! order, with the stored before and after rows, so an applier takes a mark
 //! ([`Transaction::redo_mark`]) before a statement group and
-//! `Warehouse::propagate_since` folds what was logged since into the views.
+//! `Warehouse::propagate_since` folds what was logged since into the views,
+//! one [`View::apply_stream`] pass per view whatever its kind.
 //! Propagation stays sequential, once per replayed statement group: each
 //! delta joins against the state the other tables had when it ran. The
 //! warehouse arms no trigger and keeps no table beside the mirrors, the
@@ -45,9 +46,8 @@ use delta_sql::ast::{BinOp, Expr, Statement};
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use parking_lot::Mutex;
 
-use crate::aggview::{AggViewDef, AggregateView};
 use crate::mirror::MirrorConfig;
-use crate::view::{MaterializedView, SpjView};
+use crate::view::{AggViewDef, SpjView, View, ViewDef};
 
 /// What an apply call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,8 +125,7 @@ impl RewriteCache {
 pub struct Warehouse {
     db: Arc<Database>,
     mirrors: HashMap<String, MirrorConfig>,
-    views: Vec<MaterializedView>,
-    agg_views: Vec<AggregateView>,
+    views: Vec<View>,
 }
 
 impl Warehouse {
@@ -135,7 +134,6 @@ impl Warehouse {
             db,
             mirrors: HashMap::new(),
             views: Vec::new(),
-            agg_views: Vec::new(),
         }
     }
 
@@ -170,47 +168,77 @@ impl Warehouse {
     /// mirrors into the view (`propagate_since`); nothing is installed on
     /// the mirrors themselves.
     pub fn add_view(&mut self, def: SpjView) -> EngineResult<()> {
-        for t in &def.tables {
-            if !self.mirrors.contains_key(t) {
-                return Err(EngineError::NoSuchObject(format!(
-                    "view '{}' needs mirror '{t}'",
-                    def.name
-                )));
-            }
+        self.register(def.into())
+    }
+
+    /// Register an aggregate (summary-table) view over one mirror and
+    /// materialize it. Maintained like any other view.
+    pub fn add_agg_view(&mut self, def: AggViewDef) -> EngineResult<()> {
+        self.register(def.into())
+    }
+
+    fn register(&mut self, def: ViewDef) -> EngineResult<()> {
+        if let Some(t) = def.tables().iter().find(|t| !self.mirrors.contains_key(*t)) {
+            return Err(EngineError::NoSuchObject(format!(
+                "view '{}' needs mirror '{t}'",
+                def.name()
+            )));
         }
-        let view = MaterializedView::create(&self.db, def)?;
-        let mut txn = self.db.begin();
-        view.refresh_full(&self.db, &mut txn)?;
-        self.db.commit(txn)?;
+        let view = View::compile(&self.db, def)?;
+        self.in_txn(|txn| view.refresh_full(&self.db, txn))?;
         self.views.push(view);
         Ok(())
     }
 
-    /// Names of registered views.
-    pub fn view_names(&self) -> Vec<String> {
-        self.views.iter().map(|v| v.def.name.clone()).collect()
+    /// The registered view named `name`.
+    pub fn view(&self, name: &str) -> Option<&View> {
+        self.views.iter().find(|v| v.name() == name)
     }
 
-    /// Register an aggregate (summary-table) view over one mirror and
-    /// materialize it. Maintained from the same image stream as SPJ views.
-    pub fn add_agg_view(&mut self, def: AggViewDef) -> EngineResult<()> {
-        if !self.mirrors.contains_key(&def.table) {
-            return Err(EngineError::NoSuchObject(format!(
-                "aggregate view '{}' needs mirror '{}'",
-                def.name, def.table
-            )));
-        }
-        let view = AggregateView::create(&self.db, def)?;
+    /// [`Warehouse::view`] under the name the frozen dwbench harness calls.
+    pub fn agg_view(&self, name: &str) -> Option<&View> {
+        self.view(name)
+    }
+
+    /// Run `body` as one transaction: committed when it succeeds, aborted
+    /// (every row change undone, every lock released) when it fails.
+    fn in_txn<T>(&self, body: impl FnOnce(&mut Transaction) -> EngineResult<T>) -> EngineResult<T> {
         let mut txn = self.db.begin();
-        view.refresh_full(&self.db, &mut txn)?;
-        self.db.commit(txn)?;
-        self.agg_views.push(view);
-        Ok(())
+        match body(&mut txn) {
+            Ok(out) => {
+                self.db.commit(txn)?;
+                Ok(out)
+            }
+            Err(e) => {
+                self.db.abort(txn)?;
+                Err(e)
+            }
+        }
     }
 
-    /// The registered aggregate view named `name` (test/inspection aid).
-    pub fn agg_view(&self, name: &str) -> Option<&AggregateView> {
-        self.agg_views.iter().find(|v| v.def.name == name)
+    /// Rebuild every view over `table` that does not equal its
+    /// recomputation, in one transaction (inputs shared, views exclusive);
+    /// returns the number rebuilt. Views fold the changes apply
+    /// transactions log, so a mirror changed behind their back — what an
+    /// audit repairs — leaves them summarising rows the mirror no longer
+    /// holds; after this they equal the mirror as it is, and the repair
+    /// folds in like any other delta.
+    pub fn reconcile_views(&self, table: &str) -> EngineResult<u64> {
+        let db = &self.db;
+        self.in_txn(|txn| {
+            let mut rebuilt = 0;
+            for v in self.views_for(table) {
+                for input in v.inputs() {
+                    db.lock_table(txn, input, LockMode::Shared)?;
+                }
+                db.lock_table(txn, v.name(), LockMode::Exclusive)?;
+                if !v.verify_against_recompute(db)? {
+                    v.refresh_full(db, txn)?;
+                    rebuilt += 1;
+                }
+            }
+            Ok(rebuilt)
+        })
     }
 
     /// Create the applied-sequence watermark table if it does not exist.
@@ -291,20 +319,9 @@ impl Warehouse {
         Ok(())
     }
 
-    /// Every view involving `table`.
-    fn views_for(&self, table: &str) -> Vec<&MaterializedView> {
-        self.views
-            .iter()
-            .filter(|v| v.def.involves(table))
-            .collect()
-    }
-
-    /// Every aggregate view over `table`.
-    fn agg_views_for(&self, table: &str) -> Vec<&AggregateView> {
-        self.agg_views
-            .iter()
-            .filter(|v| v.involves(table))
-            .collect()
+    /// Every view that reads `table`.
+    fn views_for<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a View> {
+        self.views.iter().filter(move |v| v.involves(table))
     }
 
     /// Fold the row changes `txn` made to `table` since `mark` (a
@@ -320,9 +337,7 @@ impl Warehouse {
         table: &str,
         mark: usize,
     ) -> EngineResult<u64> {
-        let read = self.views.iter().any(|v| v.def.involves(table))
-            || self.agg_views.iter().any(|v| v.involves(table));
-        if !read {
+        if self.views_for(table).next().is_none() {
             return Ok(0);
         }
         let images: Vec<(i64, Row)> = txn
@@ -336,12 +351,8 @@ impl Warehouse {
     /// Fold an ordered stream of signed row images of `table` (`+1`
     /// inserted, `-1` deleted; an update is a `-1`/`+1` pair) into every
     /// view over it, inside `txn`. Returns view rows touched. Each view gets
-    /// one pass per call — per statement group from the statement appliers,
-    /// per run from the direct value apply: SPJ views replay the stream in
-    /// order against one scan of the other mirrors
-    /// ([`MaterializedView::apply_stream`]), aggregate views fold it with
-    /// one group lookup and one write per touched group
-    /// ([`AggregateView::apply_batch`]).
+    /// one [`View::apply_stream`] pass per call — per statement group from
+    /// the statement appliers, per run from the direct value apply.
     fn propagate_images(
         &self,
         txn: &mut Transaction,
@@ -350,16 +361,13 @@ impl Warehouse {
     ) -> EngineResult<u64> {
         let mut touched = 0u64;
         for v in self.views_for(table) {
-            touched += v.apply_stream(&self.db, txn, table, stream)? as u64;
-        }
-        for v in self.agg_views_for(table) {
-            touched += v.apply_batch(&self.db, txn, table, stream)?;
+            touched += v.apply_stream(&self.db, txn, table, stream)?;
         }
         Ok(touched)
     }
 
     /// Partition the mirrored tables into apply concurrency classes: tables
-    /// joined by any registered SPJ view share a class (their maintenance
+    /// read by one registered view share a class (their maintenance
     /// locks and join reads overlap), every other table is alone in its
     /// own. Delta groups for different classes may apply concurrently;
     /// groups within one class must apply in queue-sequence order.
@@ -379,10 +387,10 @@ impl Warehouse {
             i
         }
         for view in &self.views {
-            let mut tables = view.def.tables.iter();
-            if let Some(first) = tables.next().and_then(|t| index.get(t.as_str())) {
+            let mut tables = view.inputs();
+            if let Some(first) = tables.next().and_then(|t| index.get(t)) {
                 for t in tables {
-                    if let Some(other) = index.get(t.as_str()) {
+                    if let Some(other) = index.get(t) {
                         let a = find(&mut parent, *first);
                         let b = find(&mut parent, *other);
                         parent[a] = b;
@@ -468,30 +476,15 @@ impl Warehouse {
         mark: AppliedMark,
         body: impl FnOnce(&mut Transaction) -> EngineResult<ApplyReport>,
     ) -> EngineResult<ApplyReport> {
-        let db = &self.db;
-        let mut txn = db.begin();
-        let result = (|| {
-            db.lock_table(&mut txn, table, LockMode::Exclusive)?;
+        self.in_txn(|txn| {
+            self.db.lock_table(txn, table, LockMode::Exclusive)?;
             for v in self.views_for(table) {
-                db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
+                self.db.lock_table(txn, v.name(), LockMode::Exclusive)?;
             }
-            for v in self.agg_views_for(table) {
-                db.lock_table(&mut txn, &v.def.name, LockMode::Exclusive)?;
-            }
-            let report = body(&mut txn)?;
-            self.record_mark(&mut txn, mark)?;
+            let report = body(txn)?;
+            self.record_mark(txn, mark)?;
             Ok(report)
-        })();
-        match result {
-            Ok(report) => {
-                db.commit(txn)?;
-                Ok(report)
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Fold every out-of-order range that extends the contiguous prefix
@@ -518,36 +511,26 @@ impl Warehouse {
         if folded.is_empty() {
             return Ok(state);
         }
-        let mut txn = self.db.begin();
-        let result = (|| {
+        self.in_txn(|txn| {
             let meta = self.db.table(APPLIED_SEQ_TABLE)?;
             self.db
-                .lock_table(&mut txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
+                .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
             let now = self.db.now_micros();
             for &(lo, hi) in &folded {
                 let key = Row::new(vec![Value::Int((lo + 1) as i64), Value::Int(hi as i64)]);
                 if let Some((rid, old)) = self.db.locate_by_image(&meta, &key)? {
-                    self.db.delete_row(&mut txn, &meta, rid, old, now, false)?;
+                    self.db.delete_row(txn, &meta, rid, old, now, false)?;
                 }
             }
             if let Some(w) = watermark {
-                self.record_applied(&mut txn, w)?;
+                self.record_applied(txn, w)?;
             }
             Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.db.commit(txn)?;
-                Ok(AppliedState {
-                    watermark,
-                    ranges: rest,
-                })
-            }
-            Err(e) => {
-                self.db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })?;
+        Ok(AppliedState {
+            watermark,
+            ranges: rest,
+        })
     }
 }
 
@@ -749,8 +732,7 @@ impl OpDeltaApplier {
         mark: AppliedMark,
     ) -> EngineResult<ApplyReport> {
         let db = wh.db();
-        let mut txn = db.begin();
-        let result = (|| {
+        wh.in_txn(|txn| {
             let mut report = ApplyReport {
                 transactions: 1,
                 ..Default::default()
@@ -771,28 +753,18 @@ impl OpDeltaApplier {
                     },
                 };
                 for stmt in &statements {
-                    report.rows_affected += exec::execute(db, &mut txn, stmt)?.affected;
+                    report.rows_affected += exec::execute(db, txn, stmt)?.affected;
                     report.statements += 1;
                 }
                 // Views are maintained per statement (standard sequential
                 // delta propagation): each delta joins against the state the
                 // *other* tables had when this statement ran, so the
                 // delta-x-delta term is never double counted.
-                report.view_rows_touched += wh.propagate_since(&mut txn, &table, redo_mark)?;
+                report.view_rows_touched += wh.propagate_since(txn, &table, redo_mark)?;
             }
-            wh.record_mark(&mut txn, mark)?;
+            wh.record_mark(txn, mark)?;
             Ok(report)
-        })();
-        match result {
-            Ok(report) => {
-                db.commit(txn)?;
-                Ok(report)
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Replay a stream of Op-Deltas, one warehouse transaction each.
@@ -1068,6 +1040,47 @@ mod tests {
             ops: vec![op("INSERT INTO unknown VALUES (1)", 1, 1)],
         };
         assert!(OpDeltaApplier::apply(&wh, &od).is_err());
+    }
+
+    #[test]
+    fn add_agg_view_materialises_with_one_insert_per_group() {
+        use crate::view::AggSpec;
+        use delta_engine::LogRecord;
+        use delta_sql::ast::AggFunc;
+        let mut wh = warehouse();
+        let mut seed = ValueDelta::new("parts", source_schema());
+        for i in 0..40 {
+            seed.records.push(ValueDeltaRecord {
+                op: DeltaOp::Insert,
+                txn: 0,
+                row: row(i, &format!("g{}", i % 5), i),
+            });
+        }
+        ValueDeltaApplier::apply(&wh, &seed).unwrap();
+        let from = wh.db().wal().next_lsn();
+        wh.add_agg_view(AggViewDef {
+            name: "by_name".into(),
+            table: "parts".into(),
+            group_by: vec!["name".into()],
+            aggregates: vec![AggSpec::count_star(), AggSpec::of(AggFunc::Max, "qty")],
+            selection: None,
+        })
+        .unwrap();
+        // 40 base rows in 5 groups: 5 row versions, not 40.
+        let log = wh.db().wal().read_from(from).unwrap();
+        let is_row_change = |rec: &&LogRecord| {
+            matches!(
+                rec,
+                LogRecord::Insert { .. } | LogRecord::Update { .. } | LogRecord::Delete { .. }
+            )
+        };
+        let changes: Vec<&LogRecord> = log.iter().map(|(_, r)| r).filter(is_row_change).collect();
+        assert_eq!(changes.len(), 5);
+        assert!(changes.iter().all(|rec| {
+            matches!(rec, LogRecord::Insert { .. }) && rec.table() == Some("by_name")
+        }));
+        let view = wh.view("by_name").unwrap();
+        assert!(view.verify_against_recompute(wh.db()).unwrap());
     }
 
     #[test]

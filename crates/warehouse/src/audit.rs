@@ -18,6 +18,9 @@
 //!    ([`diff_snapshots`]), old = warehouse, new = source; the resulting
 //!    delta ships through the **normal** queue and applies under the same
 //!    watermark/ack machinery as live traffic — repair is just more deltas.
+//!    Views over the table fold that delta like any other, so before it
+//!    ships every view that no longer equals the (diverged) mirror is
+//!    rebuilt from it ([`Warehouse::reconcile_views`]).
 //! 4. **Reconcile** — DLQ entries quarantined *before* the audit watermark
 //!    that target the audited table are superseded by the repair (the
 //!    source snapshot already reflects whatever they carried) and are
@@ -94,6 +97,10 @@ pub struct TableAudit {
     pub repair_batches: u64,
     /// DLQ entries this table's repair superseded.
     pub dlq_resolved: u64,
+    /// Views over this table rebuilt before the repair shipped, because
+    /// they summarised rows the diverged mirror no longer held
+    /// ([`Warehouse::reconcile_views`]).
+    pub views_rebuilt: u64,
     /// Post-repair digests agreed (always true when the table started
     /// consistent; only meaningful with [`AuditConfig::verify_after`]).
     pub converged: bool,
@@ -363,6 +370,11 @@ pub fn audit_and_repair(
                 cfg.diff_algo,
             )
             .map_err(EngineError::Storage)?;
+            // The repair's before images will be the diverged rows as the
+            // mirror stores them; the views must summarise those rows, not
+            // the ones the mirror held before it diverged, or the repair
+            // folds out what was never folded in.
+            audit.views_rebuilt = wh.reconcile_views(table)?;
             let (batches, records, bytes) = publish_repair(pipe, repair, cfg.repair_chunk_rows)?;
             audit.repair_batches = batches;
             audit.repair_records = records;

@@ -1,8 +1,9 @@
 //! # delta-warehouse
 //!
 //! The receiving end of Figure 1: a warehouse database holding **mirrors** of
-//! source tables (full or column-projected) and **SPJ materialized views**
-//! over them, maintained incrementally from shipped deltas.
+//! source tables (full or column-projected) and **materialized views** over
+//! them — select-project-join or grouped aggregates — maintained
+//! incrementally from shipped deltas.
 //!
 //! Two maintenance strategies, the comparison at the heart of §4.1:
 //!
@@ -22,12 +23,11 @@
 //!
 //! Supporting pieces: [`mirror`] (mirror management and statement rewriting
 //! for projected mirrors, including the §4.1 hybrid before-image path),
-//! [`view`] (key-preserving select-project-join views with incremental
-//! maintenance), [`olap`] (a concurrent query driver measuring blocking —
+//! [`view`] (the one view engine: either definition compiles to a plan that
+//! [`view::View::apply_stream`] folds signed row images through), [`olap`] (a concurrent query driver measuring blocking —
 //! Experiment C), and [`pipeline`] (the end-to-end extract → ship → apply
 //! loop).
 
-pub mod aggview;
 pub mod apply;
 pub mod audit;
 pub mod direct;
@@ -38,7 +38,6 @@ mod sched;
 pub mod view;
 pub mod watchdog;
 
-pub use aggview::{AggSpec, AggViewDef, AggregateView};
 pub use apply::{
     AppliedMark, AppliedState, ApplyReport, OpDeltaApplier, RewriteCache, ValueDeltaApplier,
     Warehouse,
@@ -50,5 +49,5 @@ pub use olap::{OlapDriver, OlapStats};
 pub use pipeline::{
     Pipeline, QuarantinedDelta, RetryPolicy, ShipReport, SyncReport, DEFAULT_SYNC_BATCH,
 };
-pub use view::{JoinCond, SpjView};
+pub use view::{AggSpec, AggViewDef, JoinCond, SpjView, View, ViewDef};
 pub use watchdog::{StallInjector, StallPlan};

@@ -161,9 +161,10 @@ mod tests {
         let db = db(20, "starve");
         let driver = OlapDriver::new(db.clone(), &["t"], 2);
         let ((), stats) = driver.run_during(|| {
-            // Hold the outage lock for 150 ms.
+            // Hold the outage lock for 150 ms (taking it may itself time
+            // out behind the readers' shared locks: try until it is ours).
             let mut txn = db.begin();
-            db.lock_table(&mut txn, "t", LockMode::Exclusive).unwrap();
+            while db.lock_table(&mut txn, "t", LockMode::Exclusive).is_err() {}
             std::thread::sleep(Duration::from_millis(150));
             db.commit(txn).unwrap();
         });

@@ -10,8 +10,8 @@
 //! 2. **Table-partitioned apply** — each run's delta groups are scheduled
 //!    in *waves*. Consecutive value-delta groups form one wave whose groups
 //!    are partitioned into concurrency classes
-//!    ([`Warehouse::apply_classes`]: tables joined by a common SPJ view
-//!    share a class); classes apply concurrently on a pool of workers
+//!    ([`Warehouse::apply_classes`]: tables read by a common view share a
+//!    class); classes apply concurrently on a pool of workers
 //!    spawned once per sync, while groups within a class keep
 //!    queue-sequence order. An Op-Delta group is a wave of its own — a
 //!    full barrier — because replayed SQL may touch any table.
@@ -21,10 +21,9 @@
 //!    ([`crate::direct::DirectValueApplier`]); an Op-Delta's images are
 //!    one stream per replayed statement. Both streams are read off the
 //!    apply transaction's redo tail (`Warehouse::propagate_since`). Either
-//!    way aggregate views fold per touched group
-//!    ([`crate::aggview::AggregateView::apply_batch`]) and SPJ views replay
-//!    against one scan of the other mirrors
-//!    ([`crate::view::MaterializedView::apply_stream`]).
+//!    way each view gets one pass of [`crate::view::View::apply_stream`]:
+//!    an aggregate view folds per touched group, an SPJ view replays in
+//!    order against one scan of the other mirrors.
 //!
 //! ## The prefix-ack invariant
 //!

@@ -1,28 +1,47 @@
-//! Key-preserving select-project-join (SPJ) materialized views.
+//! One view engine: every materialized view is a fold over the signed image
+//! stream of its input mirrors (DESIGN.md §17).
 //!
-//! A view joins mirror tables on equi-join conditions, filters with a
-//! selection predicate, and projects columns. Combined rows expose columns
-//! under the name `<table>_<column>`; the selection predicate and the
-//! projection both use those names.
+//! A view is defined either as a key-preserving select-project-join
+//! ([`SpjView`]) or as a grouped aggregate over one mirror ([`AggViewDef`]).
+//! The two are input formats, not engines: [`View::compile`] turns either
+//! into the same plan —
 //!
-//! Views must be **key-preserving**: the projection must include the primary
-//! key of every joined table. This is the classical sufficient condition for
-//! exact incremental maintenance without multiplicity counters — every view
-//! row is uniquely attributable to the base-row combination that produced it,
-//! so base deletes/updates map to precise view deletes. (It is also the
-//! regime the paper's companion TR \[8\] works in: warehouse schemas that
-//! aggregate source schemas while retaining identifying keys.)
+//! 1. **inputs** — the mirrors read, laid side by side as one combined row;
+//! 2. **join steps** — per input, the order in which a delta row of that
+//!    input brings in the others (none for a view over one input);
+//! 3. **selection** — the predicate, its column names resolved once to
+//!    positions in the combined row;
+//! 4. **sink** — what a surviving delta row does to the view table:
+//!    * `Rows` projects it into a view row. Views of this kind must be
+//!      **key-preserving** (the projection includes the primary key of every
+//!      input), the classical sufficient condition for exact maintenance
+//!      without multiplicity counters: a `-1` image removes exactly the view
+//!      rows carrying its key. It is also the regime the paper's companion
+//!      TR \[8\] works in.
+//!    * `Groups` folds it into its group's row by the counting algorithm
+//!      (the paper's ref. \[19\]): `COUNT`/`SUM`/`AVG` in O(1) from the
+//!      hidden `__nn_i`/`__sum_i` columns, `MIN`/`MAX` in O(1) on the way in
+//!      and by one rescan of the base when a group's extreme leaves. The
+//!      hidden `__rows` column is the group's liveness: its row disappears
+//!      exactly when its last base row does.
+//!
+//! and [`View::apply_stream`] is the one driver: arity check → expand →
+//! filter → sink.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt;
 
 use delta_engine::db::Database;
+use delta_engine::exec;
 use delta_engine::index::IndexKey;
 use delta_engine::lock::LockMode;
 use delta_engine::txn::Transaction;
-use delta_engine::{EngineError, EngineResult, TableOptions};
-use delta_sql::ast::Expr;
+use delta_engine::{EngineError, EngineResult, TableMeta, TableOptions};
+use delta_sql::ast::{AggFunc, Expr};
 use delta_sql::eval::{EvalContext, RowResolver};
-use delta_storage::{Column, RecordId, Row, Schema, Value};
+use delta_sql::parser::parse_statement;
+use delta_storage::{Column, DataType, RecordId, Row, Schema, Value};
 
 /// An equi-join condition `left_table.left_col = right_table.right_col`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +68,8 @@ impl JoinCond {
     }
 }
 
-/// An SPJ view definition.
+/// An SPJ view definition. Combined rows expose columns under the name
+/// `<table>_<column>`; the selection and the output columns use those names.
 #[derive(Debug, Clone)]
 pub struct SpjView {
     /// Name of the materialized table in the warehouse.
@@ -69,131 +89,304 @@ impl SpjView {
     pub fn output_name(table: &str, column: &str) -> String {
         format!("{table}_{column}")
     }
-
-    /// Whether `table` participates in this view.
-    pub fn involves(&self, table: &str) -> bool {
-        self.tables.iter().any(|t| t == table)
-    }
-
-    /// Whether this view joins a table that `other` also touches. Views
-    /// sharing a base table must maintain under the same apply worker:
-    /// their join reads and view-table locks overlap (see
-    /// [`crate::apply::Warehouse::apply_classes`]).
-    pub fn shares_base_with(&self, other: &SpjView) -> bool {
-        self.tables.iter().any(|t| other.involves(t))
-    }
 }
 
-/// A combined (joined) row: values addressable as `<table>_<column>`.
-struct CombinedRow<'a> {
-    names: &'a [String],
-    values: Vec<Value>,
+/// One aggregate column of an aggregate view.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AggSpec {
+    pub func: AggFunc,
+    /// Aggregated base column; `None` only for `COUNT(*)`.
+    pub column: Option<String>,
 }
 
-impl RowResolver for CombinedRow<'_> {
-    fn resolve(&self, name: &str) -> Option<Value> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.values[i].clone())
-    }
-}
-
-/// Runtime state for one registered view.
-pub struct MaterializedView {
-    pub def: SpjView,
-    /// Combined-column names, in table order (all columns of every table).
-    combined_names: Vec<String>,
-    /// Per-table (start offset, schema) into the combined row.
-    table_offsets: Vec<(String, usize, Schema)>,
-    /// Positions (into the combined row) of each projected output column.
-    projection_positions: Vec<usize>,
-    /// Positions (into the view row) of each table's primary key, by table.
-    key_positions_in_view: Vec<(String, usize)>,
-    /// For each table (by position), the delta-join plan seeded at it.
-    join_plans: Vec<Vec<JoinStep>>,
-}
-
-impl MaterializedView {
-    /// Validate the definition against the mirror schemas and create the
-    /// backing table. The view starts empty; call
-    /// [`MaterializedView::refresh_full`] to materialize.
-    pub fn create(db: &Database, def: SpjView) -> EngineResult<MaterializedView> {
-        if def.tables.is_empty() {
-            return Err(EngineError::Invalid("view needs at least one table".into()));
+impl AggSpec {
+    pub fn count_star() -> AggSpec {
+        AggSpec {
+            func: AggFunc::Count,
+            column: None,
         }
-        // Build combined layout.
-        let mut combined_names = Vec::new();
-        let mut table_offsets = Vec::new();
-        for t in &def.tables {
-            let meta = db.table(t)?;
-            table_offsets.push((t.clone(), combined_names.len(), meta.schema.clone()));
-            for c in meta.schema.columns() {
-                combined_names.push(SpjView::output_name(t, &c.name));
+    }
+
+    pub fn of(func: AggFunc, column: impl Into<String>) -> AggSpec {
+        AggSpec {
+            func,
+            column: Some(column.into()),
+        }
+    }
+
+    /// Visible output column name.
+    pub fn output_name(&self) -> String {
+        match &self.column {
+            Some(c) => format!("{}_{c}", self.func.name()),
+            None => "count_star".to_string(),
+        }
+    }
+}
+
+/// Definition of an aggregate view (summary table) over one mirror table.
+#[derive(Debug, Clone)]
+pub struct AggViewDef {
+    /// Materialized table name.
+    pub name: String,
+    /// Base mirror table.
+    pub table: String,
+    /// Grouping columns (may be empty: a single global summary row).
+    pub group_by: Vec<String>,
+    /// Aggregate columns.
+    pub aggregates: Vec<AggSpec>,
+    /// Row filter over base columns, applied before aggregation.
+    pub selection: Option<Expr>,
+}
+
+/// Either definition format, as [`View::compile`] takes it.
+#[derive(Debug, Clone)]
+pub enum ViewDef {
+    Spj(SpjView),
+    Agg(AggViewDef),
+}
+
+impl From<SpjView> for ViewDef {
+    fn from(def: SpjView) -> ViewDef {
+        ViewDef::Spj(def)
+    }
+}
+
+impl From<AggViewDef> for ViewDef {
+    fn from(def: AggViewDef) -> ViewDef {
+        ViewDef::Agg(def)
+    }
+}
+
+impl ViewDef {
+    /// Name of the materialized table.
+    pub fn name(&self) -> &str {
+        match self {
+            ViewDef::Spj(def) => &def.name,
+            ViewDef::Agg(def) => &def.name,
+        }
+    }
+
+    /// The mirror tables the view reads.
+    pub fn tables(&self) -> &[String] {
+        match self {
+            ViewDef::Spj(def) => &def.tables,
+            ViewDef::Agg(def) => std::slice::from_ref(&def.table),
+        }
+    }
+}
+
+/// One table a view reads: its columns start at `at` in the combined row.
+struct Input {
+    table: String,
+    at: usize,
+    schema: Schema,
+}
+
+/// One step of a delta join: bring in the input at `slot`, matching `conds`
+/// — (column of that input, an already joined slot, its column).
+struct JoinStep {
+    slot: usize,
+    conds: Vec<(usize, usize, usize)>,
+}
+
+/// One joined input held for the length of a maintenance pass: a single
+/// scan, indexed on the column its step's first condition probes.
+struct JoinTable {
+    rows: Vec<(RecordId, Row)>,
+    index: Option<BTreeMap<IndexKey, Vec<usize>>>,
+}
+
+/// View rows bucketed by the values of their key columns, in scan order.
+type Located = BTreeMap<Vec<IndexKey>, Vec<(RecordId, Row)>>;
+
+/// A delta row on its way to the sink: its sign and its combined values —
+/// borrowed from the image when the view has one input.
+type Delta<'r> = (i64, Cow<'r, [Value]>);
+
+/// A selection and the combined-row position of each column it names.
+type Selection = (Expr, Vec<(String, usize)>);
+
+/// What a delta row that passed the selection does to the view table.
+enum Sink {
+    /// Project it into a view row; a `-1` image removes the view rows that
+    /// carry its key.
+    Rows {
+        /// Combined-row positions of the output columns.
+        projection: Vec<usize>,
+        /// Per input, the position of its key in an image and in a view row.
+        keys: Vec<(usize, usize)>,
+    },
+    /// Fold it into the row of its group.
+    Groups(Fold),
+}
+
+/// The counting fold of a `Groups` sink. A view row holds the group columns
+/// at `0..G`, the aggregates at `G..G+A`, then `__rows`, then each
+/// aggregate's hidden state (`__nn_i`, `__sum_i`).
+struct Fold {
+    /// Combined-row positions of the grouping columns.
+    group_by: Vec<usize>,
+    aggs: Vec<Agg>,
+    /// The SELECT that recomputes the view from its base, with the group's
+    /// row count as a last column.
+    recompute_sql: String,
+}
+
+struct Agg {
+    func: AggFunc,
+    /// Combined-row position of the argument; `None` only for `COUNT(*)`.
+    arg: Option<usize>,
+    /// The argument is an INT column, so its SUM shows as one.
+    int_arg: bool,
+    /// As SQL spells it, e.g. `SUM(amount)`.
+    sql: String,
+}
+
+/// One touched group of a `Groups` pass: the row the view table holds for
+/// it (if any), the row being folded, and the MIN/MAX aggregates whose
+/// extreme left and must be found again.
+struct Group {
+    stored: Option<(RecordId, Row)>,
+    row: Row,
+    rescan: Vec<usize>,
+}
+
+/// A registered view: the compiled plan of one definition.
+pub struct View {
+    name: String,
+    inputs: Vec<Input>,
+    /// Combined-row column names, as the selection spells them.
+    names: Vec<String>,
+    /// Per input, the join steps of a delta row seeded there.
+    plans: Vec<Vec<JoinStep>>,
+    selection: Option<Selection>,
+    sink: Sink,
+}
+
+/// Resolver over a combined row for a selection compiled by [`View`].
+struct Resolved<'a> {
+    columns: &'a [(String, usize)],
+    values: &'a [Value],
+}
+
+impl RowResolver for Resolved<'_> {
+    fn resolve(&self, name: &str) -> Option<Value> {
+        let (_, pos) = self.columns.iter().find(|(n, _)| n == name)?;
+        self.values.get(*pos).cloned()
+    }
+}
+
+impl View {
+    /// Validate a definition against the mirror schemas, compile its plan
+    /// and create the backing table if the database does not hold it yet
+    /// (a reopened warehouse does). A new view table starts empty; call
+    /// [`View::refresh_full`] to materialize.
+    pub fn compile(db: &Database, def: impl Into<ViewDef>) -> EngineResult<View> {
+        let (view, columns) = match def.into() {
+            ViewDef::Spj(def) => View::plan_spj(db, def)?,
+            ViewDef::Agg(def) => View::plan_agg(db, def)?,
+        };
+        let schema = Schema::new(columns)?;
+        match db.table(&view.name) {
+            Ok(meta) if meta.schema == schema => {}
+            Ok(_) => {
+                return Err(EngineError::Invalid(format!(
+                    "table '{}' exists with other columns than the view defines",
+                    view.name
+                )))
+            }
+            Err(_) => {
+                db.create_table(&view.name, schema, TableOptions::default())?;
             }
         }
-        // Joins must reference known tables/columns, linking to an earlier table.
+        Ok(view)
+    }
+
+    /// Lay the input tables side by side; `qualified` names the combined
+    /// columns `<table>_<column>` instead of `<column>`.
+    fn layout(
+        db: &Database,
+        tables: &[String],
+        qualified: bool,
+    ) -> EngineResult<(Vec<Input>, Vec<String>)> {
+        if tables.is_empty() {
+            return Err(EngineError::Invalid("view needs at least one table".into()));
+        }
+        let mut inputs = Vec::with_capacity(tables.len());
+        let mut names = Vec::new();
+        for t in tables {
+            let schema = db.table(t)?.schema.clone();
+            for c in schema.columns() {
+                names.push(match qualified {
+                    true => SpjView::output_name(t, &c.name),
+                    false => c.name.clone(),
+                });
+            }
+            inputs.push(Input {
+                table: t.clone(),
+                at: names.len() - schema.len(),
+                schema,
+            });
+        }
+        Ok((inputs, names))
+    }
+
+    /// Resolve the columns `selection` names to combined-row positions.
+    fn resolve(selection: Option<Expr>, names: &[String]) -> EngineResult<Option<Selection>> {
+        let Some(sel) = selection else {
+            return Ok(None);
+        };
+        let mut columns = Vec::new();
+        for col in sel.referenced_columns() {
+            let pos = names.iter().position(|n| n == col).ok_or_else(|| {
+                EngineError::Invalid(format!("selection references unknown column '{col}'"))
+            })?;
+            columns.push((col.to_string(), pos));
+        }
+        Ok(Some((sel, columns)))
+    }
+
+    fn plan_spj(db: &Database, def: SpjView) -> EngineResult<(View, Vec<Column>)> {
+        let (inputs, names) = View::layout(db, &def.tables, true)?;
+        let column = |t: &str, c: &str| {
+            let input = inputs.iter().find(|i| i.table == t)?;
+            let pos = input.schema.index_of(c)?;
+            Some((input.at + pos, input.schema.columns()[pos].data_type))
+        };
         for j in &def.joins {
-            let li = def.tables.iter().position(|t| *t == j.left_table);
-            let ri = def.tables.iter().position(|t| *t == j.right_table);
-            let (Some(li), Some(ri)) = (li, ri) else {
+            if !(def.tables.contains(&j.left_table) && def.tables.contains(&j.right_table)) {
                 return Err(EngineError::Invalid(format!(
                     "join references unknown table in view '{}'",
                     def.name
                 )));
-            };
-            if li == ri {
+            }
+            if j.left_table == j.right_table {
                 return Err(EngineError::Invalid("self-join condition".into()));
             }
-            for (t, c) in [(&j.left_table, &j.left_col), (&j.right_table, &j.right_col)] {
-                if db.table(t)?.schema.index_of(c).is_none() {
-                    return Err(EngineError::Invalid(format!(
-                        "join column {t}.{c} does not exist"
-                    )));
-                }
-            }
         }
-        // Selection references only combined names.
-        if let Some(sel) = &def.selection {
-            for col in sel.referenced_columns() {
-                if !combined_names.iter().any(|n| n == col) {
-                    return Err(EngineError::Invalid(format!(
-                        "selection references unknown combined column '{col}'"
-                    )));
-                }
-            }
-        }
-        // Projection positions + key preservation.
-        let mut projection_positions = Vec::new();
-        let mut out_cols: Vec<Column> = Vec::new();
+        let plans = (0..inputs.len())
+            .map(|seed| join_plan(&def.joins, &inputs, seed))
+            .collect::<EngineResult<_>>()?;
+        let mut projection = Vec::with_capacity(def.projection.len());
+        let mut columns = Vec::with_capacity(def.projection.len());
         for (t, c) in &def.projection {
-            let name = SpjView::output_name(t, c);
-            let pos = combined_names
-                .iter()
-                .position(|n| *n == name)
-                .ok_or_else(|| {
-                    EngineError::Invalid(format!("projection references unknown column {t}.{c}"))
-                })?;
-            projection_positions.push(pos);
-            let (_, _, schema) = table_offsets
-                .iter()
-                .find(|(tt, _, _)| tt == t)
-                .expect("validated above");
-            let src_col = schema.column(c).expect("validated above");
-            out_cols.push(Column::new(name, src_col.data_type));
+            let (pos, data_type) = column(t, c).ok_or_else(|| {
+                EngineError::Invalid(format!("projection references unknown column {t}.{c}"))
+            })?;
+            projection.push(pos);
+            columns.push(Column::new(SpjView::output_name(t, c), data_type));
         }
-        let mut key_positions_in_view = Vec::new();
-        for (t, _, schema) in &table_offsets {
-            let pk = schema.primary_key_indices();
-            if pk.len() != 1 {
+        let mut keys = Vec::with_capacity(inputs.len());
+        for input in &inputs {
+            let t = &input.table;
+            let &[pk] = input.schema.primary_key_indices().as_slice() else {
                 return Err(EngineError::Invalid(format!(
                     "view '{}' requires a single-column primary key on '{t}'",
                     def.name
                 )));
-            }
-            let key_col = &schema.columns()[pk[0]].name;
-            let out_name = SpjView::output_name(t, key_col);
-            let view_pos = def
+            };
+            let key_col = &input.schema.columns()[pk].name;
+            let in_view = def
                 .projection
                 .iter()
                 .position(|(pt, pc)| pt == t && pc == key_col)
@@ -203,52 +396,127 @@ impl MaterializedView {
                         def.name
                     ))
                 })?;
-            let _ = out_name;
-            key_positions_in_view.push((t.clone(), view_pos));
+            keys.push((pk, in_view));
         }
-        if db.table(&def.name).is_err() {
-            db.create_table(&def.name, Schema::new(out_cols)?, TableOptions::default())?;
-        }
-        let join_plans = (0..table_offsets.len())
-            .map(|seed| join_plan(&def, &table_offsets, seed))
-            .collect::<EngineResult<_>>()?;
-        Ok(MaterializedView {
-            def,
-            combined_names,
-            table_offsets,
-            projection_positions,
-            key_positions_in_view,
-            join_plans,
-        })
+        let view = View {
+            name: def.name,
+            selection: View::resolve(def.selection, &names)?,
+            inputs,
+            names,
+            plans,
+            sink: Sink::Rows { projection, keys },
+        };
+        Ok((view, columns))
     }
 
-    /// Position of `table` among the joined tables.
-    fn slot_of(&self, table: &str) -> EngineResult<usize> {
-        self.table_offsets
-            .iter()
-            .position(|(t, _, _)| t == table)
-            .ok_or_else(|| {
-                EngineError::Invalid(format!(
-                    "table '{table}' is not part of view '{}'",
-                    self.def.name
-                ))
-            })
+    fn plan_agg(db: &Database, def: AggViewDef) -> EngineResult<(View, Vec<Column>)> {
+        let (inputs, names) = View::layout(db, std::slice::from_ref(&def.table), false)?;
+        let base = &inputs[0].schema;
+        let mut columns = Vec::new();
+        let mut group_by = Vec::with_capacity(def.group_by.len());
+        for g in &def.group_by {
+            let pos = base
+                .index_of(g)
+                .ok_or_else(|| EngineError::Invalid(format!("unknown group column '{g}'")))?;
+            group_by.push(pos);
+            columns.push(Column::new(g.clone(), base.columns()[pos].data_type));
+        }
+        if def.aggregates.is_empty() {
+            return Err(EngineError::Invalid(
+                "aggregate view needs at least one aggregate".into(),
+            ));
+        }
+        let mut aggs = Vec::with_capacity(def.aggregates.len());
+        let mut items: Vec<String> = def.group_by.clone();
+        for a in &def.aggregates {
+            let (arg, arg_type) = match (&a.column, a.func) {
+                (None, AggFunc::Count) => (None, DataType::Int),
+                (None, f) => return Err(EngineError::Invalid(format!("{f}(*) is not valid"))),
+                (Some(c), _) => {
+                    let pos = base.index_of(c).ok_or_else(|| {
+                        EngineError::Invalid(format!("unknown aggregate column '{c}'"))
+                    })?;
+                    (Some(pos), base.columns()[pos].data_type)
+                }
+            };
+            let out_type = match a.func {
+                AggFunc::Count => DataType::Int,
+                AggFunc::Avg => DataType::Double,
+                AggFunc::Sum | AggFunc::Min | AggFunc::Max => arg_type,
+            };
+            columns.push(Column::new(a.output_name(), out_type));
+            let sql = format!("{}({})", a.func, a.column.as_deref().unwrap_or("*"));
+            items.push(format!("{sql} AS {}", a.output_name()));
+            aggs.push(Agg {
+                func: a.func,
+                arg,
+                int_arg: arg_type == DataType::Int,
+                sql,
+            });
+        }
+        columns.push(Column::new("__rows", DataType::Int).not_null());
+        for i in 0..aggs.len() {
+            columns.push(Column::new(format!("__nn_{i}"), DataType::Int));
+            columns.push(Column::new(format!("__sum_{i}"), DataType::Double));
+        }
+        items.push("COUNT(*) AS __rows".to_string());
+        let mut recompute_sql = format!("SELECT {} FROM {}", items.join(", "), def.table);
+        if let Some(sel) = &def.selection {
+            recompute_sql.push_str(&format!(" WHERE {sel}"));
+        }
+        if !def.group_by.is_empty() {
+            recompute_sql.push_str(&format!(" GROUP BY {}", def.group_by.join(", ")));
+        }
+        let view = View {
+            name: def.name,
+            selection: View::resolve(def.selection, &names)?,
+            inputs,
+            names,
+            plans: vec![Vec::new()],
+            sink: Sink::Groups(Fold {
+                group_by,
+                aggs,
+                recompute_sql,
+            }),
+        };
+        Ok((view, columns))
     }
 
-    /// Scan each table of `plan` once and index it on the column its first
-    /// join condition probes.
-    fn load_join_tables(&self, db: &Database, plan: &[JoinStep]) -> EngineResult<Vec<JoinTable>> {
+    /// Name of the materialized table.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The mirror tables this view reads.
+    pub fn inputs(&self) -> impl Iterator<Item = &str> {
+        self.inputs.iter().map(|i| i.table.as_str())
+    }
+
+    /// Whether `table` is one of this view's inputs.
+    pub fn involves(&self, table: &str) -> bool {
+        self.inputs().any(|t| t == table)
+    }
+
+    fn passes(&self, clock: i64, values: &[Value]) -> EngineResult<bool> {
+        let Some((sel, columns)) = &self.selection else {
+            return Ok(true);
+        };
+        EvalContext::new(&Resolved { columns, values }, clock)
+            .matches(sel)
+            .map_err(EngineError::Eval)
+    }
+
+    /// Scan each input the plan seeded at `seed` brings in, once, and index
+    /// it on the column its step's first join condition probes.
+    fn load_join_tables(&self, db: &Database, seed: usize) -> EngineResult<Vec<JoinTable>> {
+        let plan = &self.plans[seed];
         let mut tables = Vec::with_capacity(plan.len());
         for step in plan {
-            let rows: Vec<Row> = db
-                .scan_table(&self.table_offsets[step.slot].0)?
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect();
+            let rows = db.scan_table(&self.inputs[step.slot].table)?;
             let index = step.conds.first().map(|&(col, _, _)| {
                 let mut map: BTreeMap<IndexKey, Vec<usize>> = BTreeMap::new();
-                for (i, row) in rows.iter().enumerate() {
-                    if let Some(key) = join_key(&row.values()[col]) {
+                for (i, (_, row)) in rows.iter().enumerate() {
+                    if let Some(key) = row.values().get(col).and_then(join_key) {
                         map.entry(key).or_default().push(i);
                     }
                 }
@@ -259,37 +527,37 @@ impl MaterializedView {
         Ok(tables)
     }
 
-    /// Join one row of the table at `seed` against the loaded tables, filter
-    /// and project; the resulting view rows are appended to `out`.
-    fn delta_join(
+    /// Expand one image of the input at `seed` into delta rows: join it
+    /// outward through `tables` (loaded for the same seed) and keep the
+    /// combinations that pass the selection. The image's arity was checked
+    /// by the caller.
+    fn expand<'r>(
         &self,
-        now: i64,
+        clock: i64,
         seed: usize,
-        row: &Row,
-        plan: &[JoinStep],
+        (sign, row): (i64, &'r Row),
         tables: &[JoinTable],
-        out: &mut Vec<Row>,
+        out: &mut Vec<Delta<'r>>,
     ) -> EngineResult<()> {
+        let plan = &self.plans[seed];
+        if plan.is_empty() {
+            if self.passes(clock, row.values())? {
+                out.push((sign, Cow::Borrowed(row.values())));
+            }
+            return Ok(());
+        }
         let place = |combined: &mut [Value], slot: usize, row: &Row| {
-            let at = self.table_offsets[slot].1;
+            let at = self.inputs[slot].at;
             combined[at..at + row.len()].clone_from_slice(row.values());
         };
-        let mut first = vec![Value::Null; self.combined_names.len()];
-        if row.len() != self.table_offsets[seed].2.len() {
-            return Err(EngineError::Invalid(format!(
-                "row image for '{}' has {} values, the view expects {}",
-                self.table_offsets[seed].0,
-                row.len(),
-                self.table_offsets[seed].2.len()
-            )));
-        }
+        let mut first = vec![Value::Null; self.names.len()];
         place(&mut first, seed, row);
         let mut partials = vec![first];
         for (step, table) in plan.iter().zip(tables) {
             let mut next = Vec::new();
             for partial in &partials {
                 let probe = |&(_, other, other_col): &(usize, usize, usize)| {
-                    &partial[self.table_offsets[other].1 + other_col]
+                    &partial[self.inputs[other].at + other_col]
                 };
                 let all: Vec<usize>;
                 let candidates: &[usize] = match (&table.index, step.conds.first()) {
@@ -302,7 +570,7 @@ impl MaterializedView {
                     }
                 };
                 for &i in candidates {
-                    let cand = &table.rows[i];
+                    let cand = &table.rows[i].1;
                     let matches = step
                         .conds
                         .iter()
@@ -315,242 +583,518 @@ impl MaterializedView {
                 }
             }
             partials = next;
-            if partials.is_empty() {
-                return Ok(());
-            }
         }
         for values in partials {
-            if let Some(sel) = &self.def.selection {
-                let resolver = CombinedRow {
-                    names: &self.combined_names,
-                    values,
-                };
-                let keep = EvalContext::new(&resolver, now)
-                    .matches(sel)
-                    .map_err(EngineError::Eval)?;
-                if keep {
-                    out.push(self.project(&resolver.values));
-                }
-            } else {
-                out.push(self.project(&values));
+            if self.passes(clock, &values)? {
+                out.push((sign, Cow::Owned(values)));
             }
         }
         Ok(())
     }
 
-    fn project(&self, combined: &[Value]) -> Row {
-        Row::new(
-            self.projection_positions
-                .iter()
-                .map(|&i| combined[i].clone())
-                .collect(),
-        )
-    }
-
-    /// Compute the view rows produced by joining, filtering and projecting,
-    /// optionally with one table restricted to specific rows.
-    pub fn compute(
-        &self,
-        db: &Database,
-        restricted: Option<(&str, &[Row])>,
-    ) -> EngineResult<Vec<Row>> {
-        let scanned: Vec<Row>;
-        let (seed, rows) = match restricted {
-            Some((table, rows)) => (self.slot_of(table)?, rows),
-            None => {
-                scanned = db
-                    .scan_table(&self.table_offsets[0].0)?
-                    .into_iter()
-                    .map(|(_, r)| r)
-                    .collect();
-                (0, scanned.as_slice())
-            }
-        };
-        let plan = &self.join_plans[seed];
-        let tables = self.load_join_tables(db, plan)?;
-        let now = db.peek_clock();
-        let mut out = Vec::new();
-        for row in rows {
-            self.delta_join(now, seed, row, plan, &tables, &mut out)?;
+    /// Scan the view table once and bucket its rows by the values at
+    /// `cols`, compared by `Value::total_cmp`: a key finds exactly the rows
+    /// that carry it, and NULLs form one group.
+    fn locate(&self, db: &Database, cols: &[usize]) -> EngineResult<Located> {
+        let mut by_key = Located::new();
+        for (rid, row) in db.scan_table(&self.name)? {
+            let key = cols.iter().map(|&c| IndexKey(row.values()[c].clone()));
+            by_key.entry(key.collect()).or_default().push((rid, row));
         }
-        Ok(out)
-    }
-
-    /// Recompute from scratch inside `txn` (initial load / repair).
-    pub fn refresh_full(&self, db: &Database, txn: &mut Transaction) -> EngineResult<usize> {
-        let meta = db.table(&self.def.name)?;
-        db.lock_table(txn, &self.def.name, LockMode::Exclusive)?;
-        let now = db.now_micros();
-        for (rid, row) in db.scan_table(&self.def.name)? {
-            db.delete_row(txn, &meta, rid, row, now, false)?;
-        }
-        let rows = self.compute(db, None)?;
-        let n = rows.len();
-        for row in rows {
-            db.insert_row(txn, &meta, row, now, false, false)?;
-        }
-        Ok(n)
+        Ok(by_key)
     }
 
     /// Incremental maintenance from an ordered stream of signed row images
-    /// of `table` (`+1` inserted, `-1` deleted; an update is a `-1`/`+1`
-    /// pair), replayed **in stream order**: a `-1` removes the view rows
-    /// carrying that row's key (exact, because the view is key-preserving),
-    /// a `+1` delta-joins the image against the other mirrors and inserts
-    /// the results. Order matters — a key deleted and re-inserted within one
-    /// stream must lose its old view rows and keep its new ones.
+    /// of `table` (`+1` a row that entered it, `-1` a row that left it; an
+    /// update is a `-1`/`+1` pair): every image is checked against the
+    /// input's arity, expanded through the join steps seeded at `table`,
+    /// filtered by the selection and handed to the sink.
     ///
-    /// The other joined tables are scanned and indexed once per call, and so
-    /// is the view table (by `table`'s key), instead of once per image. That
-    /// is sound because neither changes underneath the replay: the caller
-    /// holds `table` and the view exclusively, and deltas for tables that
-    /// share a view apply one after the other (see
+    /// A `Rows` sink replays the stream **in order** — a key deleted and
+    /// re-inserted within one stream must lose its old view rows and keep
+    /// its new ones — and returns the number of view rows inserted or
+    /// deleted. A `Groups` sink folds each delta row into its group in
+    /// memory, finds departed MIN/MAX extremes again in one scan of the base
+    /// for the whole stream, writes each touched group once, and returns the
+    /// number of delta rows folded.
+    ///
+    /// A pass scans the view table at most once, each other input at most
+    /// once, and neither when the stream does not need it (an insert-only
+    /// stream never reads a `Rows` view table, a delete-only one never the
+    /// other mirrors). That is sound because nothing changes underneath the
+    /// pass: the caller holds `table` and the view exclusively, and deltas
+    /// for tables that share a view apply one after the other (see
     /// [`crate::apply::Warehouse::apply_classes`]).
-    ///
-    /// Returns the number of view rows inserted or deleted.
     pub fn apply_stream(
         &self,
         db: &Database,
         txn: &mut Transaction,
         table: &str,
         stream: &[(i64, &Row)],
-    ) -> EngineResult<usize> {
-        if !self.def.involves(table) || stream.is_empty() {
+    ) -> EngineResult<u64> {
+        let Some(seed) = self.inputs.iter().position(|i| i.table == table) else {
+            return Ok(0);
+        };
+        if stream.is_empty() {
             return Ok(0);
         }
-        let seed = self.slot_of(table)?;
-        let pk = self.table_offsets[seed].2.primary_key_indices()[0];
-        let view_key_pos = self.key_positions_in_view[seed].1;
-        let plan = &self.join_plans[seed];
-        let meta = db.table(&self.def.name)?;
-        db.lock_table(txn, &self.def.name, LockMode::Exclusive)?;
+        let width = self.inputs[seed].schema.len();
+        if let Some((_, bad)) = stream.iter().find(|(_, row)| row.len() != width) {
+            return Err(EngineError::Invalid(format!(
+                "row image for '{table}' has {} values, view '{}' expects {width}",
+                bad.len(),
+                self.name
+            )));
+        }
+        let meta = db.table(&self.name)?;
+        db.lock_table(txn, &self.name, LockMode::Exclusive)?;
         let now = db.now_micros();
-        let clock = db.peek_clock();
-        // Both sides load on first use: an insert-only stream never reads
-        // the view table, a delete-only stream never scans the other mirrors.
-        let mut joined: Option<Vec<JoinTable>> = None;
-        let mut live: Option<BTreeMap<IndexKey, Vec<(RecordId, Row)>>> = None;
-        let mut computed = Vec::new();
-        let mut n = 0;
-        for &(sign, row) in stream {
-            let key = row.values().get(pk).ok_or_else(|| {
-                EngineError::Invalid(format!("row image for '{table}' is missing its key"))
-            })?;
-            if sign < 0 {
-                let live = match live.take() {
-                    Some(loaded) => live.insert(loaded),
-                    None => {
-                        let mut by_key: BTreeMap<IndexKey, Vec<(RecordId, Row)>> = BTreeMap::new();
-                        for (rid, vrow) in db.scan_table(&self.def.name)? {
-                            if let Some(k) = join_key(&vrow.values()[view_key_pos]) {
-                                by_key.entry(k).or_default().push((rid, vrow));
+        match &self.sink {
+            Sink::Rows { projection, keys } => {
+                let (pk, in_view) = keys[seed];
+                // Each side is scanned only if the stream needs it: an
+                // insert-only stream never reads the view table, a
+                // delete-only stream never the other mirrors.
+                let tables = match stream.iter().any(|&(sign, _)| sign > 0) {
+                    true => self.load_join_tables(db, seed)?,
+                    false => Vec::new(),
+                };
+                let mut live = match stream.iter().any(|&(sign, _)| sign < 0) {
+                    true => Some(self.locate(db, &[in_view])?),
+                    false => None,
+                };
+                let mut deltas = Vec::new();
+                let mut n = 0;
+                for &(sign, row) in stream {
+                    let key = || vec![IndexKey(row.values()[pk].clone())];
+                    if sign < 0 {
+                        let hits = live.as_mut().and_then(|live| live.remove(&key()));
+                        for stored in hits.into_iter().flatten() {
+                            write(db, txn, &meta, now, Some(stored), None)?;
+                            n += 1;
+                        }
+                        continue;
+                    }
+                    self.expand(now, seed, (sign, row), &tables, &mut deltas)?;
+                    for (_, values) in deltas.drain(..) {
+                        let vrow = project(projection, &values);
+                        n += 1;
+                        let Some(live) = &mut live else {
+                            write(db, txn, &meta, now, None, Some(vrow))?;
+                            continue;
+                        };
+                        // Kept as stored, to be the before image if a later
+                        // `-1` of the stream removes the row again.
+                        let vrow = meta.schema.validate(&vrow)?;
+                        if let Some(rid) = write(db, txn, &meta, now, None, Some(vrow.clone()))? {
+                            live.entry(key()).or_default().push((rid, vrow));
+                        }
+                    }
+                }
+                Ok(n)
+            }
+            Sink::Groups(fold) => {
+                let tables = self.load_join_tables(db, seed)?;
+                let mut deltas = Vec::with_capacity(stream.len());
+                for &image in stream {
+                    self.expand(now, seed, image, &tables, &mut deltas)?;
+                }
+                if deltas.is_empty() {
+                    return Ok(0);
+                }
+                let group_cols: Vec<usize> = (0..fold.group_by.len()).collect();
+                let mut stored = self.locate(db, &group_cols)?;
+                // Touched groups in first-touch order, each folded in
+                // stream order.
+                let mut groups: Vec<Group> = Vec::new();
+                let mut slots: BTreeMap<Vec<IndexKey>, usize> = BTreeMap::new();
+                for (sign, values) in &deltas {
+                    let key = fold.key_of(values);
+                    let g = match slots.get(&key) {
+                        Some(&g) => g,
+                        None => {
+                            let stored =
+                                stored.remove(&key).and_then(|rows| rows.into_iter().next());
+                            let row = match &stored {
+                                Some((_, row)) => row.clone(),
+                                None => fold.empty_row(&key),
+                            };
+                            groups.push(Group {
+                                stored,
+                                row,
+                                rescan: Vec::new(),
+                            });
+                            slots.insert(key.clone(), groups.len() - 1);
+                            groups.len() - 1
+                        }
+                    };
+                    let group = &mut groups[g];
+                    if *sign < 0 && fold.is_empty(&group.row) {
+                        return Err(EngineError::Invalid(format!(
+                            "delete for a group absent from aggregate view '{}'",
+                            self.name
+                        )));
+                    }
+                    fold.fold(group, values, *sign)?;
+                    if fold.is_empty(&group.row) {
+                        // The group died mid-stream: what follows starts
+                        // from a fresh row (no residue in the hidden sums,
+                        // nothing to rescan).
+                        group.row = fold.empty_row(&key);
+                        group.rescan.clear();
+                    }
+                }
+                // Departed extremes, found again in one scan of the base
+                // for every group. Deferring this to the end of the stream
+                // is sound because the base is already in its final state
+                // for this pass: the scan yields the same extreme whenever
+                // it runs, and later `+1` rows of the stream cannot beat it
+                // (they are part of it). A `Groups` plan has one input, so
+                // the seed is the base.
+                if groups.iter().any(|g| !g.rescan.is_empty()) {
+                    for group in &mut groups {
+                        for &i in &group.rescan {
+                            group.row.set(fold.out_pos(i), Value::Null);
+                        }
+                    }
+                    let base = db.scan_table(table)?;
+                    let mut expanded = Vec::new();
+                    for (_, row) in &base {
+                        expanded.clear();
+                        self.expand(now, seed, (1, row), &tables, &mut expanded)?;
+                        for (_, values) in &expanded {
+                            let Some(&g) = slots.get(&fold.key_of(values)) else {
+                                continue;
+                            };
+                            let group = &mut groups[g];
+                            for &i in &group.rescan {
+                                fold.improve(&mut group.row, i, values);
                             }
                         }
-                        live.insert(by_key)
                     }
-                };
-                let hits = join_key(key).and_then(|k| live.remove(&k));
-                for (rid, vrow) in hits.into_iter().flatten() {
-                    db.delete_row(txn, &meta, rid, vrow, now, false)?;
-                    n += 1;
                 }
-            } else {
-                let tables = match joined.take() {
-                    Some(loaded) => joined.insert(loaded),
-                    None => joined.insert(self.load_join_tables(db, plan)?),
-                };
-                self.delta_join(clock, seed, row, plan, tables, &mut computed)?;
-                for vrow in computed.drain(..) {
-                    let vrow = meta.schema.validate(&vrow)?;
-                    let rid = db.insert_row(txn, &meta, vrow.clone(), now, false, false)?;
-                    if let Some(live) = &mut live {
-                        if let Some(k) = join_key(&vrow.values()[view_key_pos]) {
-                            live.entry(k).or_default().push((rid, vrow));
-                        }
+                // One write per touched group; a group born and emptied
+                // within the stream leaves no row.
+                for group in groups {
+                    let new = (!fold.is_empty(&group.row)).then_some(group.row);
+                    write(db, txn, &meta, now, group.stored, new)?;
+                }
+                Ok(deltas.len() as u64)
+            }
+        }
+    }
+
+    /// Rebuild from scratch inside `txn` (initial load / repair): clear the
+    /// view table, then run every row of the first input through
+    /// [`apply_stream`](View::apply_stream) as a `+1` image — one insert per
+    /// view row, whichever the sink.
+    pub fn refresh_full(&self, db: &Database, txn: &mut Transaction) -> EngineResult<u64> {
+        let meta = db.table(&self.name)?;
+        db.lock_table(txn, &self.name, LockMode::Exclusive)?;
+        let now = db.now_micros();
+        for stored in db.scan_table(&self.name)? {
+            write(db, txn, &meta, now, Some(stored), None)?;
+        }
+        let seed = &self.inputs[0].table;
+        let base = db.scan_table(seed)?;
+        let stream: Vec<(i64, &Row)> = base.iter().map(|(_, row)| (1, row)).collect();
+        self.apply_stream(db, txn, seed, &stream)
+    }
+
+    /// Visible (non-hidden) columns of the materialized rows, sorted.
+    pub fn visible_rows(&self, db: &Database) -> EngineResult<Vec<Row>> {
+        let visible = match &self.sink {
+            Sink::Rows { projection, .. } => projection.len(),
+            Sink::Groups(fold) => fold.rows_pos(),
+        };
+        let mut rows: Vec<Row> = db
+            .scan_table(&self.name)?
+            .into_iter()
+            .map(|(_, row)| {
+                let mut values = row.into_values();
+                values.truncate(visible);
+                Row::new(values)
+            })
+            .collect();
+        rows.sort_by(cmp_rows);
+        Ok(rows)
+    }
+
+    /// The visible rows this view should hold, computed from its inputs
+    /// without reading the view table, sorted: a `Rows` plan expands every
+    /// row of its first input in memory, a `Groups` plan asks the SQL
+    /// executor (an implementation that shares nothing with the fold).
+    fn recompute(&self, db: &Database) -> EngineResult<Vec<Row>> {
+        let mut rows: Vec<Row> = match &self.sink {
+            Sink::Rows { projection, .. } => {
+                let base = db.scan_table(&self.inputs[0].table)?;
+                let tables = self.load_join_tables(db, 0)?;
+                let clock = db.peek_clock();
+                let mut deltas = Vec::new();
+                for (_, row) in &base {
+                    self.expand(clock, 0, (1, row), &tables, &mut deltas)?;
+                }
+                let rows = deltas.iter().map(|(_, values)| project(projection, values));
+                rows.collect()
+            }
+            Sink::Groups(fold) => {
+                let stmt = parse_statement(&fold.recompute_sql)?;
+                let mut txn = db.begin();
+                let result = exec::execute(db, &mut txn, &stmt);
+                db.commit(txn)?;
+                // SQL answers a global aggregate over nothing with one row;
+                // the view holds none. The trailing count tells them apart.
+                let live = |row: Row| {
+                    let mut values = row.into_values();
+                    match values.pop() {
+                        Some(Value::Int(0)) | None => None,
+                        Some(_) => Some(Row::new(values)),
                     }
-                    n += 1;
+                };
+                result?.rows.into_iter().filter_map(live).collect()
+            }
+        };
+        rows.sort_by(cmp_rows);
+        Ok(rows)
+    }
+
+    /// Whether the materialization equals its recomputation from the
+    /// inputs. Int and Double forms of the same number count as equal (SUM
+    /// over an INT column materializes as Int whatever the recompute says).
+    pub fn verify_against_recompute(&self, db: &Database) -> EngineResult<bool> {
+        let (expected, actual) = (self.recompute(db)?, self.visible_rows(db)?);
+        let same = |x: &Row, y: &Row| {
+            x.len() == y.len()
+                && x.values()
+                    .iter()
+                    .zip(y.values())
+                    .all(|(u, v)| u.sql_eq(v) == Some(true) || (u.is_null() && v.is_null()))
+        };
+        Ok(expected.len() == actual.len() && expected.iter().zip(&actual).all(|(x, y)| same(x, y)))
+    }
+}
+
+impl Fold {
+    fn out_pos(&self, i: usize) -> usize {
+        self.group_by.len() + i
+    }
+
+    fn rows_pos(&self) -> usize {
+        self.group_by.len() + self.aggs.len()
+    }
+
+    fn nn_pos(&self, i: usize) -> usize {
+        self.rows_pos() + 1 + 2 * i
+    }
+
+    fn sum_pos(&self, i: usize) -> usize {
+        self.rows_pos() + 2 + 2 * i
+    }
+
+    /// The group a delta row belongs to.
+    fn key_of(&self, values: &[Value]) -> Vec<IndexKey> {
+        self.group_by
+            .iter()
+            .map(|&p| IndexKey(values[p].clone()))
+            .collect()
+    }
+
+    /// A fresh (all-empty) view row for the group `key`.
+    fn empty_row(&self, key: &[IndexKey]) -> Row {
+        let mut vals: Vec<Value> = key.iter().map(|k| k.0.clone()).collect();
+        // A count of nothing is 0, every other aggregate of nothing NULL.
+        vals.extend(self.aggs.iter().map(|a| match a.func {
+            AggFunc::Count => Value::Int(0),
+            _ => Value::Null,
+        }));
+        vals.push(Value::Int(0)); // __rows
+        for _ in &self.aggs {
+            vals.push(Value::Int(0)); // __nn_i
+            vals.push(Value::Double(0.0)); // __sum_i
+        }
+        Row::new(vals)
+    }
+
+    /// Whether the group row counts no base row.
+    fn is_empty(&self, row: &Row) -> bool {
+        row.values()[self.rows_pos()] == Value::Int(0)
+    }
+
+    /// Raise aggregate `i` (MIN or MAX) of `row` to the argument in
+    /// `values` if that is more extreme than what the row shows.
+    fn improve(&self, row: &mut Row, i: usize, values: &[Value]) {
+        let agg = &self.aggs[i];
+        let Some(v) = agg.arg.map(|p| &values[p]).filter(|v| !v.is_null()) else {
+            return;
+        };
+        let cur = &row.values()[self.out_pos(i)];
+        let wanted = match agg.func {
+            AggFunc::Min => std::cmp::Ordering::Less,
+            _ => std::cmp::Ordering::Greater,
+        };
+        if cur.is_null() || v.total_cmp(cur) == wanted {
+            row.set(self.out_pos(i), v.clone());
+        }
+    }
+
+    /// Fold one delta row into (`sign` +1) or out of (-1) its group,
+    /// noting the MIN/MAX aggregates whose extreme left.
+    fn fold(&self, group: &mut Group, values: &[Value], sign: i64) -> EngineResult<()> {
+        let row = &mut group.row;
+        let rows = row.values()[self.rows_pos()].as_int()? + sign;
+        row.set(self.rows_pos(), Value::Int(rows));
+        for (i, agg) in self.aggs.iter().enumerate() {
+            let arg = agg.arg.map(|p| &values[p]);
+            if arg.is_some_and(Value::is_null) {
+                // NULL argument: invisible to every aggregate except COUNT(*).
+                continue;
+            }
+            let nn = row.values()[self.nn_pos(i)].as_int()? + sign;
+            row.set(self.nn_pos(i), Value::Int(nn));
+            match (agg.func, arg) {
+                (AggFunc::Count, None) => row.set(self.out_pos(i), Value::Int(rows)),
+                (AggFunc::Count, Some(_)) => row.set(self.out_pos(i), Value::Int(nn)),
+                (AggFunc::Sum | AggFunc::Avg, Some(v)) => {
+                    let sum =
+                        row.values()[self.sum_pos(i)].as_double()? + sign as f64 * v.as_double()?;
+                    row.set(self.sum_pos(i), Value::Double(sum));
+                    let out = match agg.func {
+                        _ if nn == 0 => Value::Null,
+                        AggFunc::Avg => Value::Double(sum / nn as f64),
+                        // SUM keeps the base column's type.
+                        _ if agg.int_arg => Value::Int(sum as i64),
+                        _ => Value::Double(sum),
+                    };
+                    row.set(self.out_pos(i), out);
+                }
+                (AggFunc::Min | AggFunc::Max, Some(v)) => {
+                    if sign > 0 {
+                        self.improve(row, i, values);
+                    } else if nn == 0 {
+                        row.set(self.out_pos(i), Value::Null);
+                    } else if v.total_cmp(&row.values()[self.out_pos(i)])
+                        == std::cmp::Ordering::Equal
+                        && !group.rescan.contains(&i)
+                    {
+                        // The current extreme left: find the next one.
+                        group.rescan.push(i);
+                    }
+                }
+                (f, None) => {
+                    return Err(EngineError::Invalid(format!(
+                        "{f} aggregate lost its argument"
+                    )))
                 }
             }
         }
-        Ok(n)
-    }
-
-    /// Incremental maintenance for rows inserted into `table`.
-    pub fn on_base_insert(
-        &self,
-        db: &Database,
-        txn: &mut Transaction,
-        table: &str,
-        new_rows: &[Row],
-    ) -> EngineResult<usize> {
-        let stream: Vec<(i64, &Row)> = new_rows.iter().map(|r| (1, r)).collect();
-        self.apply_stream(db, txn, table, &stream)
-    }
-
-    /// Incremental maintenance for rows deleted from `table`.
-    pub fn on_base_delete(
-        &self,
-        db: &Database,
-        txn: &mut Transaction,
-        table: &str,
-        old_rows: &[Row],
-    ) -> EngineResult<usize> {
-        let stream: Vec<(i64, &Row)> = old_rows.iter().map(|r| (-1, r)).collect();
-        self.apply_stream(db, txn, table, &stream)
-    }
-
-    /// Incremental maintenance for updates: delete-by-old-key, then
-    /// delta-join the new images.
-    pub fn on_base_update(
-        &self,
-        db: &Database,
-        txn: &mut Transaction,
-        table: &str,
-        old_rows: &[Row],
-        new_rows: &[Row],
-    ) -> EngineResult<usize> {
-        let stream: Vec<(i64, &Row)> = old_rows
-            .iter()
-            .map(|r| (-1, r))
-            .chain(new_rows.iter().map(|r| (1, r)))
-            .collect();
-        self.apply_stream(db, txn, table, &stream)
+        Ok(())
     }
 }
 
-/// One step of a delta join: bring in the table at `slot`, matching `conds`
-/// — (column of that table, an already joined slot, its column).
-struct JoinStep {
-    slot: usize,
-    conds: Vec<(usize, usize, usize)>,
+impl fmt::Display for View {
+    /// The compiled plan, one stage per line.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names = |positions: &[usize]| {
+            let names: Vec<&str> = positions.iter().map(|&p| self.names[p].as_str()).collect();
+            names.join(", ")
+        };
+        writeln!(f, "view {}", self.name)?;
+        for (input, plan) in self.inputs.iter().zip(&self.plans) {
+            write!(f, "  delta {}", input.table)?;
+            for step in plan {
+                write!(f, " ⋈ {}", self.inputs[step.slot].table)?;
+                for (n, &(col, other, other_col)) in step.conds.iter().enumerate() {
+                    let word = if n == 0 { "on" } else { "and" };
+                    let near = &self.names[self.inputs[step.slot].at + col];
+                    let far = &self.names[self.inputs[other].at + other_col];
+                    write!(f, " {word} {near} = {far}")?;
+                }
+            }
+            writeln!(f)?;
+        }
+        if let Some((sel, _)) = &self.selection {
+            writeln!(f, "  select {sel}")?;
+        }
+        match &self.sink {
+            Sink::Rows { projection, keys } => {
+                let keys: Vec<usize> = keys
+                    .iter()
+                    .map(|&(_, in_view)| projection[in_view])
+                    .collect();
+                write!(
+                    f,
+                    "  rows ({}) keyed by ({})",
+                    names(projection),
+                    names(&keys)
+                )
+            }
+            Sink::Groups(fold) => {
+                let aggs: Vec<&str> = fold.aggs.iter().map(|a| a.sql.as_str()).collect();
+                write!(
+                    f,
+                    "  groups by ({}) fold {}",
+                    names(&fold.group_by),
+                    aggs.join(", ")
+                )
+            }
+        }
+    }
 }
 
-/// One joined table held for the length of a maintenance pass: a single
-/// scan, indexed on the column its step's first condition probes.
-struct JoinTable {
-    rows: Vec<Row>,
-    index: Option<BTreeMap<IndexKey, Vec<usize>>>,
+/// The one place view rows are written: `stored` is the row as the view
+/// table holds it — the before image an abort re-inserts and redo must find
+/// by image, never a row folded in memory — and `new` what takes its place.
+/// Returns where `new` went.
+fn write(
+    db: &Database,
+    txn: &mut Transaction,
+    meta: &TableMeta,
+    now: i64,
+    stored: Option<(RecordId, Row)>,
+    new: Option<Row>,
+) -> EngineResult<Option<RecordId>> {
+    Ok(match (stored, new) {
+        (Some((rid, old)), Some(new)) => {
+            Some(db.update_row(txn, meta, rid, old, new, now, false, false)?)
+        }
+        (Some((rid, old)), None) => {
+            db.delete_row(txn, meta, rid, old, now, false)?;
+            None
+        }
+        (None, Some(new)) => Some(db.insert_row(txn, meta, new, now, false, false)?),
+        (None, None) => None,
+    })
 }
 
-/// The order in which a delta join seeded at table `seed` brings in the
-/// other tables: a table some join condition links to the joined set comes
+/// The view row of a `Rows` sink for one delta row.
+fn project(projection: &[usize], values: &[Value]) -> Row {
+    Row::new(projection.iter().map(|&p| values[p].clone()).collect())
+}
+
+/// Lexicographic `Value::total_cmp` order over whole rows.
+fn cmp_rows(a: &Row, b: &Row) -> std::cmp::Ordering {
+    let pairs = a.values().iter().zip(b.values());
+    pairs
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|o| o.is_ne())
+        .unwrap_or(a.len().cmp(&b.len()))
+}
+
+/// The order in which a delta join seeded at input `seed` brings in the
+/// other inputs: one some join condition links to the joined set comes
 /// before one that none reaches yet (that one is a cross product whenever it
 /// is taken). Every condition is checked exactly once, when the second of
-/// its two tables arrives, so the result is the same set of combinations as
+/// its two inputs arrives, so the result is the same set of combinations as
 /// joining in definition order.
-fn join_plan(
-    def: &SpjView,
-    tables: &[(String, usize, Schema)],
-    seed: usize,
-) -> EngineResult<Vec<JoinStep>> {
-    let n = tables.len();
+fn join_plan(joins: &[JoinCond], inputs: &[Input], seed: usize) -> EngineResult<Vec<JoinStep>> {
+    let n = inputs.len();
     let mut placed = vec![false; n];
     placed[seed] = true;
     let mut plan = Vec::with_capacity(n - 1);
     while plan.len() + 1 < n {
         let mut pick: Option<JoinStep> = None;
         for slot in (0..n).filter(|&s| !placed[s]) {
-            let conds = conds_into(def, tables, slot, &placed)?;
+            let conds = conds_into(joins, inputs, slot, &placed)?;
             let linked = !conds.is_empty();
             if linked || pick.is_none() {
                 pick = Some(JoinStep { slot, conds });
@@ -567,37 +1111,37 @@ fn join_plan(
     Ok(plan)
 }
 
-/// The join conditions between table `slot` and the tables already `placed`,
-/// as (column of `slot`, placed slot, its column).
+/// The join conditions between input `slot` and the inputs already
+/// `placed`, as (column of `slot`, placed slot, its column).
 fn conds_into(
-    def: &SpjView,
-    tables: &[(String, usize, Schema)],
+    joins: &[JoinCond],
+    inputs: &[Input],
     slot: usize,
     placed: &[bool],
 ) -> EngineResult<Vec<(usize, usize, usize)>> {
-    let (name, _, schema) = &tables[slot];
-    let column = |schema: &Schema, t: &str, c: &str| {
-        schema
-            .index_of(c)
-            .ok_or_else(|| EngineError::Invalid(format!("join column {t}.{c} does not exist")))
+    let this = &inputs[slot];
+    let column = |input: &Input, c: &str| {
+        input.schema.index_of(c).ok_or_else(|| {
+            EngineError::Invalid(format!("join column {}.{c} does not exist", input.table))
+        })
     };
     let mut conds = Vec::new();
-    for j in &def.joins {
-        let (this_col, other_table, other_col) = if j.left_table == *name {
+    for j in joins {
+        let (this_col, other_table, other_col) = if j.left_table == this.table {
             (&j.left_col, &j.right_table, &j.right_col)
-        } else if j.right_table == *name {
+        } else if j.right_table == this.table {
             (&j.right_col, &j.left_table, &j.left_col)
         } else {
             continue;
         };
-        let Some(other) = tables.iter().position(|(t, _, _)| t == other_table) else {
+        let Some(other) = inputs.iter().position(|i| i.table == *other_table) else {
             continue;
         };
         if placed[other] {
             conds.push((
-                column(schema, name, this_col)?,
+                column(this, this_col)?,
                 other,
-                column(&tables[other].2, other_table, other_col)?,
+                column(&inputs[other], other_col)?,
             ));
         }
     }
@@ -621,8 +1165,50 @@ mod tests {
     use super::*;
     use delta_engine::db::open_temp;
     use delta_sql::parser::parse_expression;
+    use std::sync::Arc;
 
-    fn setup() -> std::sync::Arc<Database> {
+    /// Compile and materialize.
+    fn materialize(db: &Arc<Database>, def: impl Into<ViewDef>) -> View {
+        let v = View::compile(db, def).unwrap();
+        let mut txn = db.begin();
+        v.refresh_full(db, &mut txn).unwrap();
+        db.commit(txn).unwrap();
+        v
+    }
+
+    /// One committed pass of the driver.
+    fn apply(v: &View, db: &Database, table: &str, stream: &[(i64, &Row)]) -> u64 {
+        let mut txn = db.begin();
+        let n = v.apply_stream(db, &mut txn, table, stream).unwrap();
+        db.commit(txn).unwrap();
+        n
+    }
+
+    /// The view table as it is stored, hidden columns included, sorted.
+    fn stored(db: &Database, view: &str) -> Vec<Vec<u8>> {
+        let mut rows: Vec<Vec<u8>> = db
+            .scan_table(view)
+            .unwrap()
+            .into_iter()
+            .map(|(_, r)| r.to_bytes())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Incremental maintenance left `v` exactly as a rebuild over the same
+    /// base does: verified against the recomputation, then byte for byte
+    /// (hidden columns included) against its own `refresh_full`.
+    fn assert_equals_rebuild(v: &View, db: &Database) {
+        assert!(v.verify_against_recompute(db).unwrap(), "{v}");
+        let incremental = stored(db, v.name());
+        let mut txn = db.begin();
+        v.refresh_full(db, &mut txn).unwrap();
+        db.commit(txn).unwrap();
+        assert_eq!(incremental, stored(db, v.name()), "{v}");
+    }
+
+    fn parts_and_suppliers() -> Arc<Database> {
         let db = open_temp("view").unwrap();
         let mut s = db.session();
         s.execute("CREATE TABLE parts (id INT PRIMARY KEY, name VARCHAR, qty INT)")
@@ -638,7 +1224,7 @@ mod tests {
         db
     }
 
-    fn view_def() -> SpjView {
+    fn west_parts() -> SpjView {
         SpjView {
             name: "west_parts".into(),
             tables: vec!["parts".into(), "suppliers".into()],
@@ -653,45 +1239,35 @@ mod tests {
         }
     }
 
-    fn materialize(db: &std::sync::Arc<Database>) -> MaterializedView {
-        let v = MaterializedView::create(db, view_def()).unwrap();
-        let mut txn = db.begin();
-        v.refresh_full(db, &mut txn).unwrap();
-        db.commit(txn).unwrap();
-        v
-    }
-
-    fn view_rows(db: &Database) -> Vec<Vec<Value>> {
-        let mut rows: Vec<Vec<Value>> = db
-            .scan_table("west_parts")
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r.into_values())
-            .collect();
-        rows.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[2].total_cmp(&b[2])));
-        rows
+    fn supplier(sid: i64, part: i64, region: &str) -> Row {
+        Row::new(vec![
+            Value::Int(sid),
+            Value::Int(part),
+            Value::Str(region.into()),
+        ])
     }
 
     #[test]
     fn full_refresh_joins_filters_projects() {
-        let db = setup();
-        materialize(&db);
-        let rows = view_rows(&db);
+        let db = parts_and_suppliers();
+        let v = materialize(&db, west_parts());
+        let rows = v.visible_rows(&db).unwrap();
         // west suppliers joined to existing parts: (1,west,sid 10), (2,west,sid 12).
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], Value::Int(1));
-        assert_eq!(rows[0][1], Value::Str("bolt".into()));
-        assert_eq!(rows[1][0], Value::Int(2));
+        assert_eq!(rows[0].values()[0], Value::Int(1));
+        assert_eq!(rows[0].values()[1], Value::Str("bolt".into()));
+        assert_eq!(rows[1].values()[0], Value::Int(2));
         // Dangling supplier (part 9) joined nothing; east filtered out.
+        assert!(v.verify_against_recompute(&db).unwrap());
     }
 
     #[test]
     fn rejects_non_key_preserving_projection() {
-        let db = setup();
-        let mut def = view_def();
+        let db = parts_and_suppliers();
+        let mut def = west_parts();
         def.projection
             .retain(|(t, c)| !(t == "suppliers" && c == "sid"));
-        match MaterializedView::create(&db, def) {
+        match View::compile(&db, def) {
             Err(e) => assert!(e.to_string().contains("key-preserving"), "{e}"),
             Ok(_) => panic!("expected rejection"),
         }
@@ -699,139 +1275,82 @@ mod tests {
 
     #[test]
     fn rejects_unknown_columns() {
-        let db = setup();
-        let mut def = view_def();
+        let db = parts_and_suppliers();
+        let mut def = west_parts();
         def.selection = Some(parse_expression("nonexistent = 1").unwrap());
-        assert!(MaterializedView::create(&db, def).is_err());
-        let mut def = view_def();
+        assert!(View::compile(&db, def).is_err());
+        let mut def = west_parts();
         def.joins[0].right_col = "bogus".into();
-        assert!(MaterializedView::create(&db, def).is_err());
+        assert!(View::compile(&db, def).is_err());
     }
 
     #[test]
-    fn incremental_insert_matches_full_recompute() {
-        let db = setup();
-        let v = materialize(&db);
-        // New west supplier for part 3.
-        let new_row = Row::new(vec![
-            Value::Int(14),
-            Value::Int(3),
-            Value::Str("west".into()),
-        ]);
+    fn rejects_bad_aggregate_definitions() {
+        let db = parts_and_suppliers();
+        let def = |group_by: Vec<String>, aggregates| AggViewDef {
+            name: "x".into(),
+            table: "parts".into(),
+            group_by,
+            aggregates,
+            selection: None,
+        };
+        let sum_star = AggSpec {
+            func: AggFunc::Sum,
+            column: None,
+        };
+        assert!(View::compile(&db, def(vec!["nope".into()], vec![AggSpec::count_star()])).is_err());
+        assert!(View::compile(&db, def(vec![], vec![])).is_err());
+        assert!(View::compile(&db, def(vec![], vec![sum_star])).is_err());
+    }
+
+    #[test]
+    fn existing_table_with_other_columns_is_not_taken_for_the_view() {
+        let db = parts_and_suppliers();
+        let mut def = west_parts();
+        def.name = "parts".into();
+        let err = View::compile(&db, def).err().unwrap();
+        assert!(err.to_string().contains("other columns"), "{err}");
+    }
+
+    #[test]
+    fn rows_sink_follows_inserts_deletes_and_selection_transitions() {
+        let db = parts_and_suppliers();
+        let v = materialize(&db, west_parts());
         let mut s = db.session();
+        // New west supplier for part 3.
         s.execute("INSERT INTO suppliers VALUES (14, 3, 'west')")
             .unwrap();
-        let mut txn = db.begin();
-        let n = v
-            .on_base_insert(&db, &mut txn, "suppliers", std::slice::from_ref(&new_row))
+        assert_eq!(
+            apply(&v, &db, "suppliers", &[(1, &supplier(14, 3, "west"))]),
+            1
+        );
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 3);
+        // Supplier 10 (part 1, west) leaves: exactly its view row goes.
+        s.execute("DELETE FROM suppliers WHERE sid = 10").unwrap();
+        assert_eq!(
+            apply(&v, &db, "suppliers", &[(-1, &supplier(10, 1, "west"))]),
+            1
+        );
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 2);
+        // Supplier 11 moves east → west (the view gains a row) and out again.
+        s.execute("UPDATE suppliers SET region = 'west' WHERE sid = 11")
             .unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(view_rows(&db).len(), 3);
-    }
-
-    #[test]
-    fn incremental_delete_removes_exactly_matching_view_rows() {
-        let db = setup();
-        let v = materialize(&db);
-        // Delete supplier 10 (part 1, west). Supplier row: (10, 1, 'west').
-        let old = Row::new(vec![
-            Value::Int(10),
-            Value::Int(1),
-            Value::Str("west".into()),
-        ]);
-        db.session()
-            .execute("DELETE FROM suppliers WHERE sid = 10")
+        let (east, west, north) = (
+            supplier(11, 1, "east"),
+            supplier(11, 1, "west"),
+            supplier(11, 1, "north"),
+        );
+        apply(&v, &db, "suppliers", &[(-1, &east), (1, &west)]);
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 3);
+        s.execute("UPDATE suppliers SET region = 'north' WHERE sid = 11")
             .unwrap();
-        let mut txn = db.begin();
-        let n = v
-            .on_base_delete(&db, &mut txn, "suppliers", std::slice::from_ref(&old))
-            .unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(n, 1);
-        let rows = view_rows(&db);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], Value::Int(2));
-    }
-
-    #[test]
-    fn incremental_update_handles_selection_transitions() {
-        let db = setup();
-        let v = materialize(&db);
-        // Supplier 11 moves east → west: the view gains a row.
-        let old = Row::new(vec![
-            Value::Int(11),
-            Value::Int(1),
-            Value::Str("east".into()),
-        ]);
-        let new = Row::new(vec![
-            Value::Int(11),
-            Value::Int(1),
-            Value::Str("west".into()),
-        ]);
-        db.session()
-            .execute("UPDATE suppliers SET region = 'west' WHERE sid = 11")
-            .unwrap();
-        let mut txn = db.begin();
-        v.on_base_update(
-            &db,
-            &mut txn,
-            "suppliers",
-            std::slice::from_ref(&old),
-            std::slice::from_ref(&new),
-        )
-        .unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(view_rows(&db).len(), 3);
-        // And back out again.
-        let back = Row::new(vec![
-            Value::Int(11),
-            Value::Int(1),
-            Value::Str("north".into()),
-        ]);
-        db.session()
-            .execute("UPDATE suppliers SET region = 'north' WHERE sid = 11")
-            .unwrap();
-        let mut txn = db.begin();
-        v.on_base_update(&db, &mut txn, "suppliers", &[new], &[back])
-            .unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(view_rows(&db).len(), 2);
-    }
-
-    #[test]
-    fn incremental_equals_full_recompute_after_mixed_changes() {
-        let db = setup();
-        let v = materialize(&db);
-        let mut s = db.session();
-
-        // Mixed base changes, maintained incrementally.
-        let ins = Row::new(vec![
-            Value::Int(20),
-            Value::Int(3),
-            Value::Str("west".into()),
-        ]);
-        s.execute("INSERT INTO suppliers VALUES (20, 3, 'west')")
-            .unwrap();
-        let mut txn = db.begin();
-        v.on_base_insert(&db, &mut txn, "suppliers", std::slice::from_ref(&ins))
-            .unwrap();
-        db.commit(txn).unwrap();
-
-        let old_part = Row::new(vec![Value::Int(2), Value::Str("nut".into()), Value::Int(0)]);
+        apply(&v, &db, "suppliers", &[(-1, &west), (1, &north)]);
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 2);
+        // The other input: part 2 leaves and takes supplier 12's row along.
+        let nut = Row::new(vec![Value::Int(2), Value::Str("nut".into()), Value::Int(0)]);
         s.execute("DELETE FROM parts WHERE id = 2").unwrap();
-        let mut txn = db.begin();
-        v.on_base_delete(&db, &mut txn, "parts", std::slice::from_ref(&old_part))
-            .unwrap();
-        db.commit(txn).unwrap();
-
-        let incremental = view_rows(&db);
-
-        // Rebuild from scratch and compare.
-        let mut txn = db.begin();
-        v.refresh_full(&db, &mut txn).unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(incremental, view_rows(&db));
+        assert_eq!(apply(&v, &db, "parts", &[(-1, &nut)]), 1);
+        assert_equals_rebuild(&v, &db);
     }
 
     #[test]
@@ -839,7 +1358,7 @@ mod tests {
         // regions ⋈ suppliers ⋈ parts, deltas on `suppliers` (the middle of
         // the chain, so the join fans out to both sides), with a key
         // deleted and re-inserted inside one stream.
-        let db = setup();
+        let db = parts_and_suppliers();
         let mut s = db.session();
         s.execute("CREATE TABLE regions (name VARCHAR PRIMARY KEY, zone INT)")
             .unwrap();
@@ -860,18 +1379,11 @@ mod tests {
                 ("parts".into(), "qty".into()),
             ],
         };
-        let v = MaterializedView::create(&db, def).unwrap();
+        let v = View::compile(&db, def).unwrap();
         let mut txn = db.begin();
         assert_eq!(v.refresh_full(&db, &mut txn).unwrap(), 2);
         db.commit(txn).unwrap();
 
-        let sup = |sid: i64, part: i64, region: &str| {
-            Row::new(vec![
-                Value::Int(sid),
-                Value::Int(part),
-                Value::Str(region.into()),
-            ])
-        };
         s.execute("DELETE FROM suppliers WHERE sid = 10").unwrap();
         s.execute(
             "INSERT INTO suppliers VALUES (10, 3, 'north'), (15, 2, 'west'), (16, 1, 'south')",
@@ -879,9 +1391,9 @@ mod tests {
         .unwrap();
         s.execute("UPDATE suppliers SET region = 'west' WHERE sid = 11")
             .unwrap();
-        let (d10, i10) = (sup(10, 1, "west"), sup(10, 3, "north"));
-        let (i15, i16) = (sup(15, 2, "west"), sup(16, 1, "south"));
-        let (b11, a11) = (sup(11, 1, "east"), sup(11, 1, "west"));
+        let (d10, i10) = (supplier(10, 1, "west"), supplier(10, 3, "north"));
+        let (i15, i16) = (supplier(15, 2, "west"), supplier(16, 1, "south"));
+        let (b11, a11) = (supplier(11, 1, "east"), supplier(11, 1, "west"));
         let stream = [
             (-1, &d10),
             (1, &i10),
@@ -890,32 +1402,15 @@ mod tests {
             (-1, &b11),
             (1, &a11),
         ];
-        let mut txn = db.begin();
         // 10 leaves; 10, 15 and 11 arrive; 16's region does not exist.
-        assert_eq!(
-            v.apply_stream(&db, &mut txn, "suppliers", &stream).unwrap(),
-            4
-        );
-        db.commit(txn).unwrap();
-
-        let sorted = |mut rows: Vec<Row>| {
-            rows.sort_by(|a, b| a.values()[1].total_cmp(&b.values()[1]));
-            rows
-        };
-        let incremental = sorted(
-            db.scan_table("chain")
-                .unwrap()
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect(),
-        );
-        assert_eq!(incremental, sorted(v.compute(&db, None).unwrap()));
-        assert_eq!(incremental.len(), 4);
+        assert_eq!(apply(&v, &db, "suppliers", &stream), 4);
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 4);
+        assert_equals_rebuild(&v, &db);
     }
 
     #[test]
     fn single_table_view_without_joins() {
-        let db = setup();
+        let db = parts_and_suppliers();
         let def = SpjView {
             name: "stocked".into(),
             tables: vec!["parts".into()],
@@ -926,10 +1421,285 @@ mod tests {
                 ("parts".into(), "qty".into()),
             ],
         };
-        let v = MaterializedView::create(&db, def).unwrap();
+        let v = View::compile(&db, def).unwrap();
         let mut txn = db.begin();
         let n = v.refresh_full(&db, &mut txn).unwrap();
         db.commit(txn).unwrap();
         assert_eq!(n, 2, "parts with qty > 0");
+    }
+
+    fn sales_db(label: &str, rows: &str) -> Arc<Database> {
+        let db = open_temp(label).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE sales (id INT PRIMARY KEY, region VARCHAR, amount INT)")
+            .unwrap();
+        s.execute(&format!("INSERT INTO sales VALUES {rows}"))
+            .unwrap();
+        db
+    }
+
+    fn by_region(aggregates: Vec<AggSpec>) -> AggViewDef {
+        AggViewDef {
+            name: "sales_by_region".into(),
+            table: "sales".into(),
+            group_by: vec!["region".into()],
+            aggregates,
+            selection: None,
+        }
+    }
+
+    /// west: 100, 50; east: 70 — under every aggregate kind.
+    fn sales() -> (Arc<Database>, View) {
+        let db = sales_db(
+            "aggview",
+            "(1, 'west', 100), (2, 'west', 50), (3, 'east', 70)",
+        );
+        let def = by_region(vec![
+            AggSpec::count_star(),
+            AggSpec::of(AggFunc::Sum, "amount"),
+            AggSpec::of(AggFunc::Avg, "amount"),
+            AggSpec::of(AggFunc::Min, "amount"),
+            AggSpec::of(AggFunc::Max, "amount"),
+        ]);
+        let v = materialize(&db, def);
+        (db, v)
+    }
+
+    fn sale(id: i64, region: &str, amount: i64) -> Row {
+        Row::new(vec![
+            Value::Int(id),
+            Value::Str(region.into()),
+            Value::Int(amount),
+        ])
+    }
+
+    #[test]
+    fn full_refresh_matches_sql_recompute() {
+        let (db, v) = sales();
+        assert!(v.verify_against_recompute(&db).unwrap());
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows.len(), 2);
+        // east: count 1, sum 70; west: count 2, sum 150, avg 75, min 50, max 100.
+        assert_eq!(rows[0].values()[1], Value::Int(1));
+        assert_eq!(rows[1].values()[2], Value::Int(150));
+        assert_eq!(rows[1].values()[3], Value::Double(75.0));
+        assert_eq!(rows[1].values()[4], Value::Int(50));
+        assert_eq!(rows[1].values()[5], Value::Int(100));
+    }
+
+    #[test]
+    fn groups_sink_creates_updates_moves_and_removes_groups() {
+        let (db, v) = sales();
+        let mut s = db.session();
+        s.execute("INSERT INTO sales VALUES (4, 'west', 10), (5, 'north', 5)")
+            .unwrap();
+        let stream = [(1, &sale(4, "west", 10)), (1, &sale(5, "north", 5))];
+        assert_eq!(apply(&v, &db, "sales", &stream), 2);
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 3, "north appeared");
+        assert!(v.verify_against_recompute(&db).unwrap());
+        // Row 2 moves west → east.
+        s.execute("UPDATE sales SET region = 'east', amount = 80 WHERE id = 2")
+            .unwrap();
+        let stream = [(-1, &sale(2, "west", 50)), (1, &sale(2, "east", 80))];
+        apply(&v, &db, "sales", &stream);
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows[0].values()[1], Value::Int(2), "east count");
+        assert_eq!(rows[2].values()[1], Value::Int(2), "west count");
+        // north's only row leaves, and the group with it.
+        s.execute("DELETE FROM sales WHERE id = 5").unwrap();
+        apply(&v, &db, "sales", &[(-1, &sale(5, "north", 5))]);
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 2, "north gone");
+        assert_equals_rebuild(&v, &db);
+    }
+
+    #[test]
+    fn deleting_the_extreme_rescans_min_max() {
+        let (db, v) = sales();
+        // Delete west's max (100): max must become 50 via the base rescan.
+        db.session()
+            .execute("DELETE FROM sales WHERE id = 1")
+            .unwrap();
+        apply(&v, &db, "sales", &[(-1, &sale(1, "west", 100))]);
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows[1].values()[4], Value::Int(50), "min");
+        assert_eq!(rows[1].values()[5], Value::Int(50), "max found again");
+        assert_equals_rebuild(&v, &db);
+    }
+
+    #[test]
+    fn selection_filters_base_rows() {
+        let db = sales_db("aggview-sel", "(1, 'west', 100), (2, 'west', 5)");
+        let mut def = by_region(vec![AggSpec::count_star()]);
+        def.selection = Some(parse_expression("amount >= 50").unwrap());
+        let v = materialize(&db, def);
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows[0].values()[1], Value::Int(1), "small sale filtered");
+        // An insert below the threshold is a no-op for the view.
+        assert_eq!(apply(&v, &db, "sales", &[(1, &sale(3, "west", 1))]), 0);
+        assert!(v.verify_against_recompute(&db).unwrap());
+    }
+
+    #[test]
+    fn global_summary_without_group_by() {
+        let (db, _) = sales();
+        let def = AggViewDef {
+            name: "totals".into(),
+            table: "sales".into(),
+            group_by: vec![],
+            aggregates: vec![AggSpec::count_star(), AggSpec::of(AggFunc::Sum, "amount")],
+            selection: None,
+        };
+        let v = materialize(&db, def);
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].values()[0], Value::Int(3));
+        assert_eq!(rows[0].values()[1], Value::Int(220));
+        assert!(v.verify_against_recompute(&db).unwrap());
+        // Summarising nothing, the view holds no row — and verifies.
+        let mut s = db.session();
+        s.execute("DELETE FROM sales").unwrap();
+        let gone = [
+            sale(1, "west", 100),
+            sale(2, "west", 50),
+            sale(3, "east", 70),
+        ];
+        let stream: Vec<(i64, &Row)> = gone.iter().map(|r| (-1, r)).collect();
+        apply(&v, &db, "sales", &stream);
+        assert!(v.visible_rows(&db).unwrap().is_empty());
+        assert!(v.verify_against_recompute(&db).unwrap());
+    }
+
+    #[test]
+    fn null_amounts_are_invisible_to_aggregates_but_count_star() {
+        let db = sales_db("aggview-null", "(1, 'west', NULL), (2, 'west', 10)");
+        let v = materialize(
+            &db,
+            by_region(vec![
+                AggSpec::count_star(),
+                AggSpec::of(AggFunc::Count, "amount"),
+                AggSpec::of(AggFunc::Sum, "amount"),
+            ]),
+        );
+        let rows = v.visible_rows(&db).unwrap();
+        assert_eq!(rows[0].values()[1], Value::Int(2), "COUNT(*)");
+        assert_eq!(rows[0].values()[2], Value::Int(1), "COUNT(amount)");
+        assert_eq!(rows[0].values()[3], Value::Int(10));
+        assert!(v.verify_against_recompute(&db).unwrap());
+    }
+
+    #[test]
+    fn aborting_after_a_group_died_restores_the_stored_row() {
+        // The write-back must hand `delete_row` the stored row as the before
+        // image; with the folded (`__rows = 0`) row an abort would bring
+        // back a zero-count group.
+        let (db, v) = sales();
+        let before = stored(&db, "sales_by_region");
+        let last_of_east = sale(3, "east", 70);
+        let mut txn = db.begin();
+        v.apply_stream(&db, &mut txn, "sales", &[(-1, &last_of_east)])
+            .unwrap();
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 1);
+        db.abort(txn).unwrap();
+        assert_eq!(stored(&db, "sales_by_region"), before);
+    }
+
+    #[test]
+    fn group_that_dies_mid_batch_restarts_from_a_fresh_row() {
+        // east (one row, 70) dies and is reborn inside one stream: the
+        // reborn group's state must be that of a group born then — no
+        // residue in the hidden sums — as a rebuild leaves it.
+        let (db, v) = sales();
+        let mut s = db.session();
+        s.execute("DELETE FROM sales WHERE id = 3").unwrap();
+        s.execute("INSERT INTO sales VALUES (4, 'east', 9)")
+            .unwrap();
+        let (dead, reborn) = (sale(3, "east", 70), sale(4, "east", 9));
+        apply(&v, &db, "sales", &[(-1, &dead), (1, &reborn)]);
+        assert_equals_rebuild(&v, &db);
+    }
+
+    #[test]
+    fn batched_fold_matches_a_rebuild() {
+        // One stream kills west's max, moves a row into east, empties east
+        // again, and births a fresh group: group births, group deaths and
+        // a MIN/MAX rescan, each touched group written once.
+        let (db, v) = sales();
+        let mut s = db.session();
+        for sql in [
+            "DELETE FROM sales WHERE id = 1",
+            "UPDATE sales SET region = 'east', amount = 80 WHERE id = 2",
+            "DELETE FROM sales WHERE id = 3",
+            "DELETE FROM sales WHERE id = 2",
+            "INSERT INTO sales VALUES (4, 'north', 5), (6, 'west', 20), (7, 'west', 60)",
+        ] {
+            s.execute(sql).unwrap();
+        }
+        let rows = [
+            (-1, sale(1, "west", 100)),
+            (-1, sale(2, "west", 50)),
+            (1, sale(2, "east", 80)),
+            (-1, sale(3, "east", 70)),
+            (-1, sale(2, "east", 80)),
+            (1, sale(4, "north", 5)),
+            (1, sale(6, "west", 20)),
+            (1, sale(7, "west", 60)),
+        ];
+        let stream: Vec<(i64, &Row)> = rows.iter().map(|(sign, r)| (*sign, r)).collect();
+        let mut txn = db.begin();
+        assert_eq!(v.apply_stream(&db, &mut txn, "sales", &stream).unwrap(), 8);
+        // west updated, east deleted, north inserted.
+        assert_eq!(txn.change_count(), 3);
+        db.commit(txn).unwrap();
+        assert_eq!(v.visible_rows(&db).unwrap().len(), 2);
+        assert_equals_rebuild(&v, &db);
+    }
+
+    #[test]
+    fn wrong_arity_image_is_a_typed_error_for_both_sinks() {
+        let (db, v) = sales();
+        let short = Row::new(vec![Value::Int(9), Value::Str("west".into())]);
+        let mut txn = db.begin();
+        let err = v
+            .apply_stream(
+                &db,
+                &mut txn,
+                "sales",
+                &[(1, &sale(8, "west", 1)), (-1, &short)],
+            )
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Invalid(_)), "{err}");
+        db.abort(txn).unwrap();
+        assert!(v.verify_against_recompute(&db).unwrap());
+
+        let db = parts_and_suppliers();
+        let v = materialize(&db, west_parts());
+        let mut txn = db.begin();
+        let err = v
+            .apply_stream(&db, &mut txn, "suppliers", &[(-1, &short)])
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Invalid(_)), "{err}");
+        db.abort(txn).unwrap();
+    }
+
+    #[test]
+    fn display_prints_the_plan_of_either_definition() {
+        let db = parts_and_suppliers();
+        let v = View::compile(&db, west_parts()).unwrap();
+        assert_eq!(
+            v.to_string(),
+            "view west_parts\n  \
+             delta parts ⋈ suppliers on suppliers_part_id = parts_id\n  \
+             delta suppliers ⋈ parts on parts_id = suppliers_part_id\n  \
+             select (suppliers_region = 'west')\n  \
+             rows (parts_id, parts_name, suppliers_sid, suppliers_region) \
+             keyed by (parts_id, suppliers_sid)"
+        );
+        let (_, v) = sales();
+        assert_eq!(
+            v.to_string(),
+            "view sales_by_region\n  \
+             delta sales\n  \
+             groups by (region) fold COUNT(*), SUM(amount), AVG(amount), MIN(amount), MAX(amount)"
+        );
     }
 }

@@ -13,9 +13,12 @@
 
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::open_temp;
+use delta_engine::LogRecord;
+use delta_sql::ast::AggFunc;
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_warehouse::{
-    audit_and_repair, AuditConfig, MirrorConfig, Pipeline, RetryPolicy, Warehouse,
+    audit_and_repair, AggSpec, AggViewDef, AuditConfig, JoinCond, MirrorConfig, Pipeline,
+    RetryPolicy, SpjView, Warehouse,
 };
 
 const TABLE: &str = "accounts";
@@ -237,6 +240,173 @@ fn audit_detects_and_repairs_silent_divergence() {
         1usize,
         "side traffic applied"
     );
+}
+
+#[test]
+fn audit_heals_a_mirror_that_has_views() {
+    // The mirror is corrupted behind the views' back, so the views still
+    // summarise the rows it held before. The repair's before images are the
+    // diverged rows: folded into stale views they leave every COUNT/SUM
+    // wrong, and the phantom's `-row` asks a group for a row it never
+    // counted — the repair batch would be quarantined and the mirror stay
+    // diverged.
+    const N: i64 = 300;
+    let acct = |id: i64, v: i64| ValueDeltaRecord {
+        op: DeltaOp::Insert,
+        txn: 0,
+        row: Row::new(vec![
+            Value::Int(id),
+            Value::Int(v),
+            Value::Str(format!("g{}", id % 5)),
+        ]),
+    };
+    let with_op = |op: DeltaOp, mut rec: ValueDeltaRecord| {
+        rec.op = op;
+        rec
+    };
+    let side_row = |id: i64| ValueDeltaRecord {
+        op: DeltaOp::Insert,
+        txn: 0,
+        row: Row::new(vec![Value::Int(id), Value::Int(id + 1)]),
+    };
+    let source = open_temp("audit-views-src").unwrap();
+    let mut s = source.session();
+    s.execute(&format!(
+        "CREATE TABLE {TABLE} (id INT PRIMARY KEY, v INT, note VARCHAR)"
+    ))
+    .unwrap();
+    let mut wh = Warehouse::new(open_temp("audit-views-wh").unwrap());
+    wh.add_mirror(MirrorConfig::full(TABLE, schema())).unwrap();
+    wh.add_mirror(MirrorConfig::full(SIDE, side_schema()))
+        .unwrap();
+    wh.add_view(SpjView {
+        name: "acct_side".into(),
+        tables: vec![TABLE.into(), SIDE.into()],
+        joins: vec![JoinCond::new(TABLE, "id", SIDE, "id")],
+        selection: None,
+        projection: vec![
+            (TABLE.into(), "id".into()),
+            (SIDE.into(), "id".into()),
+            (TABLE.into(), "v".into()),
+        ],
+    })
+    .unwrap();
+    let agg = |name: &str, group_by: &[&str], aggregates: Vec<AggSpec>| AggViewDef {
+        name: name.into(),
+        table: TABLE.into(),
+        group_by: group_by.iter().map(|g| g.to_string()).collect(),
+        aggregates,
+        selection: None,
+    };
+    let count_sum = || vec![AggSpec::count_star(), AggSpec::of(AggFunc::Sum, "v")];
+    let min_max = vec![
+        AggSpec::of(AggFunc::Min, "v"),
+        AggSpec::of(AggFunc::Max, "v"),
+    ];
+    wh.add_agg_view(agg("by_note", &["note"], count_sum()))
+        .unwrap();
+    wh.add_agg_view(agg("totals", &[], count_sum())).unwrap();
+    wh.add_agg_view(agg("extremes", &["note"], min_max))
+        .unwrap();
+    let views = ["acct_side", "by_note", "totals", "extremes"];
+    let assert_views_fresh = |wh: &Warehouse, when: &str| {
+        for name in views {
+            let view = wh.view(name).unwrap();
+            assert!(
+                view.verify_against_recompute(wh.db()).unwrap(),
+                "'{name}' differs from its recomputation {when}"
+            );
+        }
+    };
+
+    let pipe = Pipeline::open(qpath("views"))
+        .unwrap()
+        .with_retry(RetryPolicy::quick(2))
+        .unwrap();
+    let mut vd = ValueDelta::new(TABLE, schema());
+    for id in 0..N {
+        s.execute(&format!(
+            "INSERT INTO {TABLE} VALUES ({id}, {}, 'g{}')",
+            id * 7,
+            id % 5
+        ))
+        .unwrap();
+        vd.records.push(acct(id, id * 7));
+    }
+    pipe.publish(&DeltaBatch::Value(vd)).unwrap();
+    let mut side = ValueDelta::new(SIDE, side_schema());
+    side.records
+        .extend([1, 5, 7, 90001].into_iter().map(side_row));
+    pipe.publish(&DeltaBatch::Value(side)).unwrap();
+    drain(&pipe, &wh);
+    assert_views_fresh(&wh, "after the seed");
+
+    // The stray UPDATE (on a group's maximum), the lost row, the phantom.
+    let mut ws = wh.db().session();
+    ws.execute(&format!("UPDATE {TABLE} SET v = 5 WHERE id = {}", N - 1))
+        .unwrap();
+    ws.execute(&format!("UPDATE {TABLE} SET v = 999999 WHERE id = 5"))
+        .unwrap();
+    ws.execute(&format!("DELETE FROM {TABLE} WHERE id = 7"))
+        .unwrap();
+    ws.execute(&format!("INSERT INTO {TABLE} VALUES (90001, 1, 'phantom')"))
+        .unwrap();
+
+    let report = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default()).unwrap();
+    assert!(report.diverged());
+    assert!(report.converged(), "post-repair digests agree");
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE), "byte-equal");
+    assert!(pipe.dlq_entries().unwrap().is_empty(), "repair applied");
+    assert_eq!(report.tables[0].views_rebuilt, 4, "every view was stale");
+    assert_views_fresh(&wh, "after the repair");
+
+    // Rebuilding writes each view row once (row 1 held its group's minimum).
+    ws.execute(&format!("DELETE FROM {TABLE} WHERE id = 1"))
+        .unwrap();
+    let from = wh.db().wal().next_lsn();
+    assert_eq!(wh.reconcile_views(TABLE).unwrap(), 4);
+    let inserts = |table: &str| {
+        let log = wh.db().wal().read_from(from).unwrap();
+        log.iter()
+            .filter(|(_, rec)| {
+                matches!(rec, LogRecord::Insert { .. }) && rec.table() == Some(table)
+            })
+            .count()
+    };
+    assert_eq!((inserts("by_note"), inserts("totals")), (5, 1));
+    assert_eq!(wh.reconcile_views(TABLE).unwrap(), 0, "nothing left to do");
+    let again = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default()).unwrap();
+    assert!(again.converged());
+    assert_views_fresh(&wh, "after the second repair");
+
+    // Live deltas after the audit fold into the healed views.
+    for sql in [
+        format!("UPDATE {TABLE} SET v = 1, note = 'g0' WHERE id = 5"),
+        format!("DELETE FROM {TABLE} WHERE id = {}", N - 1),
+        format!("INSERT INTO {TABLE} VALUES ({N}, 3, 'g9')"),
+    ] {
+        s.execute(&sql).unwrap();
+    }
+    let mut live = ValueDelta::new(TABLE, schema());
+    live.records.extend([
+        with_op(DeltaOp::UpdateBefore, acct(5, 35)),
+        ValueDeltaRecord {
+            op: DeltaOp::UpdateAfter,
+            txn: 0,
+            row: Row::new(vec![Value::Int(5), Value::Int(1), Value::Str("g0".into())]),
+        },
+        with_op(DeltaOp::Delete, acct(N - 1, (N - 1) * 7)),
+        ValueDeltaRecord {
+            op: DeltaOp::Insert,
+            txn: 0,
+            row: Row::new(vec![Value::Int(N), Value::Int(3), Value::Str("g9".into())]),
+        },
+    ]);
+    pipe.publish(&DeltaBatch::Value(live)).unwrap();
+    drain(&pipe, &wh);
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE), "live sync");
+    assert_views_fresh(&wh, "after live traffic");
+    assert!(pipe.dlq_entries().unwrap().is_empty());
 }
 
 #[test]

@@ -18,8 +18,7 @@ use delta_sql::ast::AggFunc;
 use delta_storage::fault::{FaultInjector, FaultPlan};
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_warehouse::{
-    AggSpec, AggViewDef, AggregateView, MirrorConfig, Pipeline, SyncReport, ValueDeltaApplier,
-    Warehouse,
+    AggSpec, AggViewDef, MirrorConfig, Pipeline, SyncReport, ValueDeltaApplier, View, Warehouse,
 };
 
 fn schema() -> Schema {
@@ -77,7 +76,7 @@ fn batch(records: Vec<ValueDeltaRecord>) -> ValueDelta {
 
 /// (count, sum) from the global summary row.
 fn totals(wh: &Warehouse) -> (Value, Value) {
-    let view = wh.agg_view("t_totals").unwrap();
+    let view = wh.view("t_totals").unwrap();
     let rows = view.visible_rows(wh.db()).unwrap();
     assert_eq!(rows.len(), 1, "global summary is a single row");
     (rows[0].values()[0].clone(), rows[0].values()[1].clone())
@@ -171,7 +170,7 @@ fn redelivered_run_after_crash_between_commit_and_ack_converges() {
         .unwrap();
     assert_eq!(v1.values()[1], Value::Int(110));
     assert_eq!(totals(&wh), (Value::Int(3), Value::Int(180)));
-    let view = wh.agg_view("t_totals").unwrap();
+    let view = wh.view("t_totals").unwrap();
     assert!(
         view.verify_against_recompute(wh.db()).unwrap(),
         "summary table must match a from-scratch recompute after redelivery"
@@ -226,7 +225,7 @@ fn partially_acked_run_redelivers_only_the_unacked_suffix() {
 
     assert_eq!(sorted_ids(&wh), vec![Value::Int(1), Value::Int(2)]);
     assert_eq!(totals(&wh), (Value::Int(2), Value::Int(7)));
-    let view = wh.agg_view("t_totals").unwrap();
+    let view = wh.view("t_totals").unwrap();
     assert!(view.verify_against_recompute(wh.db()).unwrap());
     assert_eq!(pipe.queue().pending(), 0);
 }
@@ -324,7 +323,7 @@ fn assert_churn_applied(wh: &Warehouse) {
     );
     assert_eq!(totals(wh), (Value::Int(4), Value::Int(100)));
     for name in ["t_totals", "t_by_v"] {
-        let view = wh.agg_view(name).unwrap();
+        let view = wh.view(name).unwrap();
         assert!(view.verify_against_recompute(wh.db()).unwrap(), "{name}");
     }
 }
@@ -422,7 +421,7 @@ fn reopening_after_a_committed_group_emptying_run_finds_no_phantom_group() {
     // Recovery alone, without the refresh `add_agg_view` would run.
     let db = Database::open(DbOptions::new(dir.join("wh"))).unwrap();
     assert_eq!(db.row_count("t").unwrap(), 4, "the log was replayed");
-    let view = AggregateView::create(&db, by_value_view()).unwrap();
+    let view = View::compile(&db, by_value_view()).unwrap();
     let groups: Vec<Value> = view
         .visible_rows(&db)
         .unwrap()

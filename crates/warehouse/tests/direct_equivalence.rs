@@ -167,7 +167,7 @@ impl Twin {
         // summary with nothing to summarize holds no row, where SQL answers
         // with one row of COUNT 0: nothing to compare then.
         for name in ["by_grp", "big_totals"] {
-            let view = self.direct.agg_view(name).unwrap();
+            let view = self.direct.view(name).unwrap();
             let rows = view.visible_rows(self.direct.db()).unwrap();
             assert!(
                 (name == "big_totals" && rows.is_empty())
@@ -393,7 +393,7 @@ fn group_emptied_and_recreated_within_one_run() {
     let b = items(vec![(I, item(12, 2, 4)), (I, item(13, 2, 44))]);
     let r = t.apply(&[&a, &b]).unwrap();
     assert_eq!((r.statements, r.rows_affected), (5, 6));
-    let by_grp = t.direct.agg_view("by_grp").unwrap();
+    let by_grp = t.direct.view("by_grp").unwrap();
     let rows = by_grp.visible_rows(t.direct.db()).unwrap();
     let g2 = rows
         .iter()
@@ -418,7 +418,7 @@ fn min_max_extremes_removed_and_replaced() {
         (D, item(14, 0, 20)),
     ]);
     t.apply(&[&run]).unwrap();
-    let by_grp = t.direct.agg_view("by_grp").unwrap();
+    let by_grp = t.direct.view("by_grp").unwrap();
     let rows = by_grp.visible_rows(t.direct.db()).unwrap();
     let g0 = rows
         .iter()
@@ -623,10 +623,9 @@ fn generated_run(ops: &[(u8, u8, u8, i64, u8)], cuts: &[u8]) -> Vec<ValueDelta> 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48,
-        .. ProptestConfig::default()
-    })]
+    // The default case count: 256, or `PROPTEST_CASES` (CI's `view-oracle`
+    // job raises it).
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn generated_runs_leave_both_warehouses_byte_equal(

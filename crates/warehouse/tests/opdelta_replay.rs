@@ -18,7 +18,7 @@ use delta_engine::db::{open_temp, Database};
 use delta_engine::{exec, EngineError, EngineResult, LogRecord, TableOptions};
 use delta_sql::ast::{AggFunc, Statement};
 use delta_sql::parser::{parse_expression, parse_statement};
-use delta_storage::{Column, DataType, Row, Schema, Value};
+use delta_storage::{Column, DataType, Schema};
 use delta_warehouse::{
     AggSpec, AggViewDef, AppliedMark, JoinCond, MirrorConfig, OpDeltaApplier, SpjView, Warehouse,
 };
@@ -204,23 +204,6 @@ fn source_txn(
     (od, Ok(()))
 }
 
-/// `item_owner` recomputed from the mirrors by a nested loop.
-fn join_recomputed(db: &Database) -> Vec<Vec<u8>> {
-    let owners = db.scan_table("owners").unwrap();
-    let mut rows = Vec::new();
-    for (_, item) in db.scan_table("items").unwrap() {
-        for (_, owner) in &owners {
-            let (i, o) = (item.values(), owner.values());
-            if i[0].sql_eq(&o[1]) == Some(true) && o[2] != Value::Str("void".into()) {
-                let joined = vec![i[0].clone(), o[0].clone(), i[2].clone(), o[2].clone()];
-                rows.push(Row::new(joined).to_bytes());
-            }
-        }
-    }
-    rows.sort();
-    rows
-}
-
 /// Mirrors equal the source, every view equals its recomputation, and no
 /// capture table exists.
 fn assert_converged(src: &Database, wh: &Warehouse, after: &str) {
@@ -228,13 +211,8 @@ fn assert_converged(src: &Database, wh: &Warehouse, after: &str) {
     for t in ["items", "owners"] {
         assert_eq!(sorted_rows(db, t), sorted_rows(src, t), "{t} after {after}");
     }
-    assert_eq!(
-        sorted_rows(db, "item_owner"),
-        join_recomputed(db),
-        "item_owner after {after}"
-    );
-    for name in ["by_grp", "extremes"] {
-        let view = wh.agg_view(name).unwrap();
+    for name in ["item_owner", "by_grp", "extremes"] {
+        let view = wh.view(name).unwrap();
         assert!(
             view.verify_against_recompute(db).unwrap(),
             "'{name}' is stale after {after}"
@@ -448,10 +426,9 @@ fn view_less_mirror_beside_a_viewed_one_logs_one_record_per_row() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 40,
-        .. ProptestConfig::default()
-    })]
+    // The default case count: 256, or `PROPTEST_CASES` (CI's `view-oracle`
+    // job raises it).
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn generated_transactions_converge_after_every_replay(

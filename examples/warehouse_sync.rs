@@ -137,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The summary stayed consistent through every delta, and matches a
     // from-scratch SQL recompute.
-    let summary = warehouse.agg_view("open_order_stats").expect("registered");
+    let summary = warehouse.view("open_order_stats").expect("registered");
     assert!(summary.verify_against_recompute(warehouse.db())?);
     let stats_rows = summary.visible_rows(warehouse.db())?;
     println!(

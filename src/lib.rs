@@ -17,7 +17,8 @@
 //!   capture, reconciliation, and the self-maintainability analyser;
 //! * [`transport`] — file/queue transports and the virtual-time network
 //!   simulator;
-//! * [`warehouse`] — SPJ materialized views and the two maintenance
+//! * [`warehouse`] — mirrors, materialized views (SPJ and aggregate
+//!   definitions, one maintenance engine) and the two maintenance
 //!   strategies (batch value-delta vs concurrent Op-Delta).
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour and `DESIGN.md` for

@@ -272,6 +272,10 @@ fn views_stay_consistent_across_both_appliers_end_to_end() {
         vec![Row::new(vec![Value::Int(3), Value::Int(30)])],
         "only order 3 is open at the end"
     );
+    for wh in [&wh_op, &wh_val] {
+        let view = wh.view("open_orders").unwrap();
+        assert!(view.verify_against_recompute(wh.db()).unwrap(), "{view}");
+    }
     // A second useless join: ensure joins in multi-table views work e2e too.
     let wh2_db = Database::open(DbOptions::new(dir.join("wh2"))).unwrap();
     let mut wh2 = Warehouse::new(wh2_db);
@@ -303,6 +307,8 @@ fn views_stay_consistent_across_both_appliers_end_to_end() {
     OpDeltaApplier::apply_all(&wh2, &ods).unwrap();
     let tiers = sorted(wh2.db(), "order_tiers");
     assert_eq!(tiers.len(), 2, "orders 1 (a/gold) and 3 (c/silver) joined");
+    let view = wh2.view("order_tiers").unwrap();
+    assert!(view.verify_against_recompute(wh2.db()).unwrap(), "{view}");
 }
 
 #[test]
@@ -356,7 +362,7 @@ fn aggregate_views_maintained_by_both_appliers() {
     ValueDeltaApplier::apply(&wh_val, &vd).unwrap();
 
     for wh in [&wh_op, &wh_val] {
-        let v = wh.agg_view("revenue_by_customer").unwrap();
+        let v = wh.view("revenue_by_customer").unwrap();
         assert!(
             v.verify_against_recompute(wh.db()).unwrap(),
             "incremental summary must equal SQL recompute"
@@ -370,12 +376,12 @@ fn aggregate_views_maintained_by_both_appliers() {
     }
     assert_eq!(
         wh_op
-            .agg_view("revenue_by_customer")
+            .view("revenue_by_customer")
             .unwrap()
             .visible_rows(wh_op.db())
             .unwrap(),
         wh_val
-            .agg_view("revenue_by_customer")
+            .view("revenue_by_customer")
             .unwrap()
             .visible_rows(wh_val.db())
             .unwrap(),

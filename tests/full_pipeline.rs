@@ -96,7 +96,7 @@ fn collector_pipeline_runs_multiple_rounds() {
         pipe.sync(&wh).unwrap();
 
         // The summary is exact after every round.
-        let v = wh.agg_view("stock").unwrap();
+        let v = wh.view("stock").unwrap();
         assert!(
             v.verify_against_recompute(wh.db()).unwrap(),
             "round {round}"

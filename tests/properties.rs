@@ -5,7 +5,9 @@
 //! * trigger capture → value-delta apply ≡ source,
 //! * archive-log extraction ≡ trigger extraction (same state changes),
 //! * snapshot differential applied to the old snapshot ≡ new snapshot,
-//!   for both diff algorithms and any window size.
+//!   for both diff algorithms and any window size,
+//! * a view maintained through `View::apply_stream` ≡ the same view rebuilt
+//!   from scratch, whichever its sink.
 
 use proptest::prelude::*;
 
@@ -15,9 +17,13 @@ use deltaforge::core::opdelta::{collect_from_table, OpDeltaCapture, OpLogSink};
 use deltaforge::core::snapshot::{diff_snapshots, take_snapshot, DiffAlgorithm};
 use deltaforge::core::trigger_extract::TriggerExtractor;
 use deltaforge::engine::db::{Database, DbOptions};
-use deltaforge::storage::{Column, DataType, Row, Schema};
+use deltaforge::engine::{exec, EngineError};
+use deltaforge::sql::ast::AggFunc;
+use deltaforge::sql::parser::{parse_expression, parse_statement};
+use deltaforge::storage::{Column, DataType, Row, Schema, Value};
 use deltaforge::warehouse::{
-    AggSpec, AggViewDef, MirrorConfig, OpDeltaApplier, ValueDeltaApplier, Warehouse,
+    AggSpec, AggViewDef, JoinCond, MirrorConfig, OpDeltaApplier, SpjView, ValueDeltaApplier, View,
+    ViewDef, Warehouse,
 };
 
 /// One abstract workload step; ids are folded into a small space so inserts,
@@ -159,6 +165,236 @@ fn drive(mut run: impl FnMut(&str) -> Result<(), String>, workload: &[Step]) {
     }
 }
 
+/// The views of the driver property: an SPJ join with a selection, a
+/// single-input SPJ view, and aggregate views with every aggregate kind over
+/// a nullable argument, a selection, and a global summary.
+fn driver_views() -> Vec<ViewDef> {
+    let agg = |name: &str, group_by: &[&str], aggregates, selection: Option<&str>| {
+        ViewDef::from(AggViewDef {
+            name: name.into(),
+            table: "parts".into(),
+            group_by: group_by.iter().map(|g| g.to_string()).collect(),
+            aggregates,
+            selection: selection.map(|s| parse_expression(s).unwrap()),
+        })
+    };
+    let every_kind = vec![
+        AggSpec::count_star(),
+        AggSpec::of(AggFunc::Count, "val"),
+        AggSpec::of(AggFunc::Sum, "val"),
+        AggSpec::of(AggFunc::Avg, "val"),
+        AggSpec::of(AggFunc::Min, "val"),
+        AggSpec::of(AggFunc::Max, "val"),
+    ];
+    let extremes = vec![
+        AggSpec::of(AggFunc::Min, "val"),
+        AggSpec::of(AggFunc::Max, "id"),
+    ];
+    let totals = vec![AggSpec::count_star(), AggSpec::of(AggFunc::Sum, "val")];
+    vec![
+        SpjView {
+            name: "part_bins".into(),
+            tables: vec!["parts".into(), "bins".into()],
+            joins: vec![JoinCond::new("parts", "id", "bins", "part_id")],
+            selection: Some(parse_expression("bins_zone <> 3").unwrap()),
+            projection: vec![
+                ("parts".into(), "id".into()),
+                ("bins".into(), "bid".into()),
+                ("parts".into(), "val".into()),
+                ("bins".into(), "zone".into()),
+            ],
+        }
+        .into(),
+        SpjView {
+            name: "stocked".into(),
+            tables: vec!["parts".into()],
+            joins: vec![],
+            selection: Some(parse_expression("parts_val > 0").unwrap()),
+            projection: vec![
+                ("parts".into(), "id".into()),
+                ("parts".into(), "txt".into()),
+            ],
+        }
+        .into(),
+        agg("by_txt", &["txt"], every_kind, None),
+        agg(
+            "big_extremes",
+            &["txt"],
+            extremes,
+            Some("val >= 10 OR id < 4"),
+        ),
+        agg("totals", &[], totals, None),
+    ]
+}
+
+/// One statement of a driver step. Ids fold into 0..12 and groups into three
+/// `txt` values, so keys are deleted and re-inserted and groups die and are
+/// reborn within one stream; `Rekey` changes the key itself.
+#[derive(Debug, Clone)]
+enum ViewOp {
+    Insert { id: i64, val: Option<i64>, grp: u8 },
+    Update { id: i64, val: Option<i64>, grp: u8 },
+    Rekey { id: i64, to: i64 },
+    Delete { id: i64 },
+    DeleteGroup { grp: u8 },
+    Bin { bid: i64, part: i64, zone: i64 },
+    MoveBin { bid: i64, part: i64 },
+    DropBins { part: i64 },
+}
+
+impl ViewOp {
+    fn table(&self) -> &'static str {
+        match self {
+            ViewOp::Bin { .. } | ViewOp::MoveBin { .. } | ViewOp::DropBins { .. } => "bins",
+            _ => "parts",
+        }
+    }
+
+    fn sql(&self) -> String {
+        let lit = |v: &Option<i64>| v.map_or("NULL".to_string(), |v| v.to_string());
+        match self {
+            ViewOp::Insert { id, val, grp } => {
+                format!("INSERT INTO parts VALUES ({id}, {}, 'g{grp}')", lit(val))
+            }
+            ViewOp::Update { id, val, grp } => {
+                format!(
+                    "UPDATE parts SET val = {}, txt = 'g{grp}' WHERE id = {id}",
+                    lit(val)
+                )
+            }
+            ViewOp::Rekey { id, to } => format!("UPDATE parts SET id = {to} WHERE id = {id}"),
+            ViewOp::Delete { id } => format!("DELETE FROM parts WHERE id = {id}"),
+            ViewOp::DeleteGroup { grp } => format!("DELETE FROM parts WHERE txt = 'g{grp}'"),
+            ViewOp::Bin { bid, part, zone } => {
+                format!("INSERT INTO bins VALUES ({bid}, {part}, {zone})")
+            }
+            ViewOp::MoveBin { bid, part } => {
+                format!("UPDATE bins SET part_id = {part} WHERE bid = {bid}")
+            }
+            ViewOp::DropBins { part } => format!("DELETE FROM bins WHERE part_id = {part}"),
+        }
+    }
+}
+
+fn arb_view_op() -> impl Strategy<Value = ViewOp> {
+    let id = 0i64..12;
+    let val = || prop_oneof![1 => Just(None), 5 => (-5i64..40).prop_map(Some)];
+    prop_oneof![
+        4 => (id.clone(), val(), 0u8..3).prop_map(|(id, val, grp)| ViewOp::Insert { id, val, grp }),
+        3 => (id.clone(), val(), 0u8..3).prop_map(|(id, val, grp)| ViewOp::Update { id, val, grp }),
+        2 => (id.clone(), id.clone()).prop_map(|(id, to)| ViewOp::Rekey { id, to }),
+        3 => id.clone().prop_map(|id| ViewOp::Delete { id }),
+        1 => (0u8..3).prop_map(|grp| ViewOp::DeleteGroup { grp }),
+        3 => (0i64..8, id.clone(), 1i64..4).prop_map(|(bid, part, zone)| ViewOp::Bin { bid, part, zone }),
+        1 => (0i64..8, id.clone()).prop_map(|(bid, part)| ViewOp::MoveBin { bid, part }),
+        1 => id.prop_map(|part| ViewOp::DropBins { part }),
+    ]
+}
+
+/// Every view table as sorted encoded rows, hidden columns included.
+fn view_tables(db: &Database, views: &[View]) -> Vec<(String, Vec<Vec<u8>>)> {
+    let dump = |v: &View| {
+        let rows = db.scan_table(v.name()).unwrap();
+        let mut rows: Vec<Vec<u8>> = rows.into_iter().map(|(_, r)| r.to_bytes()).collect();
+        rows.sort();
+        (v.name().to_string(), rows)
+    };
+    views.iter().map(dump).collect()
+}
+
+proptest! {
+    // The default case count: 256, or `PROPTEST_CASES` (CI's `view-oracle`
+    // job raises it).
+    #![proptest_config(ProptestConfig::default())]
+
+    /// One oracle for both sinks. Each step is one transaction on the
+    /// maintained database: statements on one table, then one pass of the
+    /// driver per view over the transaction's own redo tail — the shape of
+    /// a direct-apply run. A twin database runs the same statements and only
+    /// ever rebuilds its views. After every step the maintained view tables
+    /// equal the twin's byte for byte and pass their own recompute check. A
+    /// step marked `torn` gets an image of the wrong arity spliced into the
+    /// middle of its stream: the driver must refuse it with a typed error,
+    /// and `Database::abort` must leave every table as the step found it.
+    #[test]
+    fn view_driver_equals_a_rebuild_for_both_sinks(
+        steps in prop::collection::vec(
+            (prop::collection::vec(arb_view_op(), 1..7), 0u8..8),
+            1..8,
+        ),
+    ) {
+        let dir = scratch("viewdrv");
+        let open_with_views = |name: &str| {
+            let db = open(&dir.join(name), false);
+            create_parts(&db);
+            let mut s = db.session();
+            s.execute("CREATE TABLE bins (bid INT PRIMARY KEY, part_id INT, zone INT)").unwrap();
+            s.execute("INSERT INTO parts VALUES (1, 10, 'g0'), (2, 50, 'g0'), (3, NULL, 'g1'), (4, 0, 'g2')").unwrap();
+            s.execute("INSERT INTO bins VALUES (0, 1, 1), (1, 1, 3), (2, 9, 2)").unwrap();
+            let views: Vec<View> =
+                driver_views().into_iter().map(|def| View::compile(&db, def).unwrap()).collect();
+            (db, views)
+        };
+        let rebuild = |db: &Database, views: &[View]| {
+            let mut txn = db.begin();
+            for v in views {
+                v.refresh_full(db, &mut txn).unwrap();
+            }
+            db.commit(txn).unwrap();
+        };
+        let (db, views) = open_with_views("maintained");
+        let (twin, twin_views) = open_with_views("twin");
+        rebuild(&db, &views);
+        rebuild(&twin, &twin_views);
+
+        for (ops, torn) in &steps {
+            // A stream is the changes of one table; the other stands still.
+            let table = ops[0].table();
+            let ops: Vec<&ViewOp> = ops.iter().filter(|op| op.table() == table).collect();
+            let before = (sorted_state(&db), view_tables(&db, &views));
+            let mut txn = db.begin();
+            let mut applied = Vec::new();
+            for op in ops {
+                let stmt = parse_statement(&op.sql()).unwrap();
+                // A duplicate key fails the statement, not the step: the
+                // executor undoes its partial work, and the twin skips it.
+                if exec::execute(&db, &mut txn, &stmt).is_ok() {
+                    applied.push(op);
+                }
+            }
+            let images: Vec<(i64, Row)> =
+                txn.images_since(0, table).map(|(sign, row)| (sign, row.clone())).collect();
+            let mut stream: Vec<(i64, &Row)> = images.iter().map(|(sign, row)| (*sign, row)).collect();
+            let short = Row::new(vec![Value::Int(1)]);
+            let torn = *torn == 0 && !stream.is_empty();
+            if torn {
+                stream.insert(stream.len() / 2, (1, &short));
+            }
+            let mut outcome = Ok(0);
+            for v in &views {
+                outcome = outcome.and_then(|n| Ok(n + v.apply_stream(&db, &mut txn, table, &stream)?));
+            }
+            if torn {
+                prop_assert!(matches!(outcome, Err(EngineError::Invalid(_))), "{outcome:?}");
+                db.abort(txn).unwrap();
+                prop_assert_eq!(&(sorted_state(&db), view_tables(&db, &views)), &before);
+            } else {
+                prop_assert!(outcome.is_ok(), "{outcome:?}");
+                db.commit(txn).unwrap();
+                let mut s = twin.session();
+                for op in applied {
+                    s.execute(&op.sql()).unwrap();
+                }
+                rebuild(&twin, &twin_views);
+            }
+            prop_assert_eq!(view_tables(&db, &views), view_tables(&twin, &twin_views));
+            for v in &views {
+                prop_assert!(v.verify_against_recompute(&db).unwrap(), "{}", v);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -228,7 +464,7 @@ proptest! {
             selection: None,
         }).unwrap();
         ValueDeltaApplier::apply(&wh, &vd).unwrap();
-        let v = wh.agg_view("summary").unwrap();
+        let v = wh.view("summary").unwrap();
         prop_assert!(
             v.verify_against_recompute(wh.db()).unwrap(),
             "incrementally maintained summary diverged from recompute"
