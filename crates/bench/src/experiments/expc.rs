@@ -102,18 +102,18 @@ pub fn run(scale: &Scale) -> TableReport {
         fmt_duration(op_stats.max_latency),
     ]);
 
+    // Rates, not counts: the two maintenance windows differ in length, so
+    // a count of completed queries mostly measures the window.
+    let per_second = |completed: u64, window: std::time::Duration| {
+        completed as f64 / window.as_secs_f64().max(1e-9)
+    };
     report.check(
-        "readers complete far more queries under Op-Delta maintenance",
-        op_stats.completed > value_stats.completed * 2,
+        "readers complete more queries per second of maintenance under Op-Delta",
+        per_second(op_stats.completed, t_op) > per_second(value_stats.completed, t_value),
     );
     report.check(
         "Op-Delta maintenance never starves a reader past the lock budget",
         op_stats.timeouts == 0,
-    );
-    report.check(
-        "per-query throughput: value batch starves readers during the outage",
-        (value_stats.completed as f64 / t_value.as_secs_f64())
-            < (op_stats.completed as f64 / t_op.as_secs_f64()),
     );
     report
 }

@@ -89,8 +89,11 @@ impl LogExtractor {
             }
             let Some(txn) = rec.txn() else { continue };
             if !committed.contains(&txn) {
-                // In-flight at the end of the log: leave it for next time by
-                // not advancing the watermark past the earliest such record.
+                // No Commit in the log: a torn tail's `Begin…` fragment.
+                // The watermark still passes it (`max_lsn` above covers
+                // every record) and that is right — a commit batch reaches
+                // the WAL whole (`LogManager::append_batch`), so a fragment
+                // without its Commit can never commit later.
                 continue;
             }
             let entry = per_table.entry(table.clone()).or_insert_with(|| {
@@ -485,6 +488,63 @@ mod tests {
         let deltas = x.extract(&db).unwrap();
         assert_eq!(deltas[0].len(), 1);
         assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(2));
+    }
+
+    #[test]
+    fn torn_tail_fragment_is_skipped_and_the_watermark_passes_it() {
+        use delta_engine::txn::TxnId;
+        use delta_engine::wal::encode_record;
+        use delta_storage::Row;
+        use std::io::Write;
+
+        let db = setup("torn");
+        db.session()
+            .execute("INSERT INTO parts VALUES (1, 'a')")
+            .unwrap();
+        let dir = db.options().dir.clone();
+        let torn_lsn = db.wal().next_lsn();
+        let segment = db.wal().resident_segments().unwrap().pop().unwrap();
+        drop(db);
+        // A crash tore a commit batch after its second record: the resident
+        // segment ends in `Begin, Insert` with no `Commit`.
+        let txn = TxnId(9_000);
+        let mut tail = encode_record(torn_lsn, &LogRecord::Begin { txn });
+        tail.extend(encode_record(
+            torn_lsn + 1,
+            &LogRecord::Insert {
+                txn,
+                table: "parts".into(),
+                row: Row::new(vec![Value::Int(2), Value::Str("torn".into())]),
+            },
+        ));
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&segment)
+            .unwrap()
+            .write_all(&tail)
+            .unwrap();
+
+        let db = Database::open(DbOptions::new(dir).archive(true)).unwrap();
+        let mut x = LogExtractor::new();
+        let deltas = x.extract(&db).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].len(), 1, "only the committed insert");
+        assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(1));
+        assert_eq!(
+            x.watermark,
+            torn_lsn + 1,
+            "the watermark passes the fragment"
+        );
+
+        // The next committed transaction is extracted exactly once.
+        db.session()
+            .execute("INSERT INTO parts VALUES (3, 'c')")
+            .unwrap();
+        let deltas = x.extract(&db).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].len(), 1);
+        assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(3));
+        assert!(x.extract(&db).unwrap().is_empty());
     }
 
     #[test]

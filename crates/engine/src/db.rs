@@ -37,6 +37,9 @@ pub enum SyncMode {
     Fsync,
 }
 
+/// Maximum trigger nesting depth.
+const TRIGGER_MAX_DEPTH: usize = 8;
+
 /// Database configuration.
 #[derive(Debug, Clone)]
 pub struct DbOptions {
@@ -53,10 +56,6 @@ pub struct DbOptions {
     pub wal_segment_bytes: u64,
     /// Keep closed WAL segments (input to log-based extraction, §3 method 4).
     pub archive_mode: bool,
-    /// Group-commit the WAL: concurrent committers share write+sync rounds
-    /// via a leader/follower protocol. Off reproduces the serial
-    /// one-sync-per-commit baseline (see `WalStats`).
-    pub wal_group_commit: bool,
     /// Lock wait budget before a timeout error (deadlock resolution).
     pub lock_timeout: Duration,
     /// Use an index only when the estimated matching fraction is below this
@@ -64,8 +63,6 @@ pub struct DbOptions {
     pub index_scan_threshold: f64,
     /// Product/version tag stamped into Export dumps and enforced by Import.
     pub product: ProductTag,
-    /// Maximum trigger nesting depth.
-    pub trigger_max_depth: usize,
     /// Armed fault-injection plan threaded into every disk file and the WAL
     /// writer (deterministic torture testing). `None` in production.
     pub faults: Option<Arc<FaultInjector>>,
@@ -75,23 +72,11 @@ pub struct DbOptions {
     /// `StorageError::DiskFull` that leaves on-disk state recoverable.
     /// `None` means unlimited.
     pub disk_budget: Option<Arc<DiskBudget>>,
-    /// Replay the durable WAL onto the heaps at open, bringing them to the
-    /// exact committed state after a crash. On by default; harnesses that
-    /// want to inspect the raw post-crash heap can turn it off.
-    pub recover_on_open: bool,
     /// Codec for the commit-ship-apply path: snapshot dumps, shipped delta
     /// batches, and archived WAL segments (compressed at checkpoint).
     /// Readers sniff formats, so either setting decodes files written under
     /// the other.
     pub delta_codec: DeltaCodec,
-    /// Rows per CRC-framed block in columnar snapshot files and delta
-    /// batches.
-    pub codec_block_rows: usize,
-    /// Apply workers for the warehouse-side parallel sync scheduler:
-    /// value-delta groups for different table partitions apply concurrently
-    /// on up to this many threads. `0` picks the machine's available
-    /// parallelism; `1` reproduces the serial apply loop exactly.
-    pub sync_workers: usize,
 }
 
 impl DbOptions {
@@ -104,17 +89,12 @@ impl DbOptions {
             wal_sync: SyncMode::None,
             wal_segment_bytes: 1 << 20,
             archive_mode: false,
-            wal_group_commit: true,
             lock_timeout: Duration::from_secs(5),
             index_scan_threshold: 0.2,
             product: ProductTag::new("cotsdb", 1),
-            trigger_max_depth: 8,
             faults: None,
             disk_budget: None,
-            recover_on_open: true,
             delta_codec: DeltaCodec::default(),
-            codec_block_rows: delta_storage::colbatch::DEFAULT_BLOCK_ROWS,
-            sync_workers: 0,
         }
     }
 
@@ -127,12 +107,6 @@ impl DbOptions {
     /// Builder-style WAL sync mode.
     pub fn sync(mut self, mode: SyncMode) -> DbOptions {
         self.wal_sync = mode;
-        self
-    }
-
-    /// Builder-style toggle for WAL group commit.
-    pub fn group_commit(mut self, on: bool) -> DbOptions {
-        self.wal_group_commit = on;
         self
     }
 
@@ -152,30 +126,6 @@ impl DbOptions {
     /// testing; also usable as a hard cap in production).
     pub fn disk_budget(mut self, budget: Arc<DiskBudget>) -> DbOptions {
         self.disk_budget = Some(budget);
-        self
-    }
-
-    /// Builder-style toggle for WAL replay at open.
-    pub fn recover(mut self, on: bool) -> DbOptions {
-        self.recover_on_open = on;
-        self
-    }
-
-    /// Builder-style ship-path codec.
-    pub fn codec(mut self, codec: DeltaCodec) -> DbOptions {
-        self.delta_codec = codec;
-        self
-    }
-
-    /// Builder-style columnar block size (rows per CRC-framed block).
-    pub fn codec_block_rows(mut self, rows: usize) -> DbOptions {
-        self.codec_block_rows = rows.max(1);
-        self
-    }
-
-    /// Builder-style warehouse sync worker count (`0` = auto).
-    pub fn sync_workers(mut self, workers: usize) -> DbOptions {
-        self.sync_workers = workers;
         self
     }
 }
@@ -212,7 +162,6 @@ impl Database {
             opts.wal_segment_bytes,
             opts.wal_sync,
             opts.archive_mode,
-            opts.wal_group_commit,
             opts.faults.clone(),
             opts.disk_budget.clone(),
         )?;
@@ -247,10 +196,7 @@ impl Database {
         }
         // Crash recovery: replay the resident durable WAL so the heaps hold
         // exactly the committed state, no matter what a crash interrupted.
-        if db.opts.recover_on_open {
-            let rec_ts = db.recover_from_wal()?;
-            max_ts = max_ts.max(rec_ts);
-        }
+        max_ts = max_ts.max(db.recover_from_wal()?);
         db.clock.store(max_ts + 1, Ordering::SeqCst);
         Ok(db)
     }
@@ -854,8 +800,8 @@ impl Database {
         if matching.is_empty() {
             return Ok(());
         }
-        if txn.trigger_depth >= self.opts.trigger_max_depth {
-            return Err(EngineError::TriggerDepth(self.opts.trigger_max_depth));
+        if txn.trigger_depth >= TRIGGER_MAX_DEPTH {
+            return Err(EngineError::TriggerDepth(TRIGGER_MAX_DEPTH));
         }
         txn.trigger_depth += 1;
         let result = (|| {

@@ -157,7 +157,7 @@ pub fn columnar_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
         let mut sink = colbatch::RowSink::create(
             path.as_ref(),
             colbatch::SnapshotFormat::Columnar,
-            db.options().codec_block_rows,
+            colbatch::DEFAULT_BLOCK_ROWS,
         )?;
         let heap = db.heap(table)?;
         let mut n = 0u64;

@@ -373,8 +373,8 @@ pub struct WalStats {
     pub batches: u64,
     /// Individual log records appended.
     pub entries: u64,
-    /// Write rounds: each covers one drained group (or one batch in serial
-    /// mode) with a single write+sync.
+    /// Write rounds: each covers one drained group with a single
+    /// write+sync.
     pub groups: u64,
     /// `sync_data` calls issued (only in [`SyncMode::Fsync`]).
     pub fsyncs: u64,
@@ -438,10 +438,6 @@ pub struct LogManager {
     segment_capacity: u64,
     sync_mode: SyncMode,
     archive_mode: bool,
-    /// Group commit on: concurrent committers share write+sync rounds.
-    /// Off: every batch pays its own write+sync inside one critical section
-    /// (the pre-group-commit baseline, kept measurable).
-    group_commit: bool,
     seq: Mutex<GroupState>,
     /// Followers park here until the leader publishes their LSN as durable.
     commit_cv: Condvar,
@@ -501,7 +497,6 @@ impl LogManager {
         segment_capacity: u64,
         sync_mode: SyncMode,
         archive_mode: bool,
-        group_commit: bool,
         faults: Option<Arc<FaultInjector>>,
         budget: Option<Arc<DiskBudget>>,
     ) -> EngineResult<LogManager> {
@@ -565,7 +560,6 @@ impl LogManager {
             segment_capacity,
             sync_mode,
             archive_mode,
-            group_commit,
             seq: Mutex::new(GroupState {
                 next_lsn,
                 durable_lsn: next_lsn - 1,
@@ -643,48 +637,12 @@ impl LogManager {
         for rec in records {
             fixups.push(encode_entry_open(rec, &mut buf));
         }
-        let range = if self.group_commit {
-            self.append_grouped(buf, &fixups)?
-        } else {
-            self.append_serial(buf, &fixups)?
-        };
+        let range = self.append_grouped(buf, &fixups)?;
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .entries
             .fetch_add(records.len() as u64, Ordering::Relaxed);
         Ok(range)
-    }
-
-    /// Baseline append: seal, write and sync one batch inside a single
-    /// sequencer critical section — exactly one sync per commit. This is the
-    /// pre-group-commit behavior, kept selectable so the amortization is
-    /// measurable against it.
-    fn append_serial(&self, mut buf: Vec<u8>, fixups: &[FrameFixup]) -> EngineResult<(Lsn, Lsn)> {
-        // lint: allow(lock_hygiene) -- serial mode deliberately holds the
-        // sequencer lock across the group write: the whole point of this
-        // baseline path is that seal+write+sync form one critical section.
-        let mut seq = self.seq.lock();
-        if seq.poisoned {
-            return Err(wal_poisoned());
-        }
-        let first = seq.next_lsn;
-        seal_entries(&mut buf, fixups, first);
-        let last = first + fixups.len() as u64 - 1;
-        seq.next_lsn = last + 1;
-        let mut group = vec![PendingBatch {
-            bytes: buf,
-            last_lsn: last,
-        }];
-        match self.write_group(&mut group) {
-            Ok(()) => {
-                seq.durable_lsn = seq.durable_lsn.max(last);
-                Ok((first, last))
-            }
-            Err(e) => {
-                seq.poisoned = true;
-                Err(e)
-            }
-        }
     }
 
     /// Group-commit append: a short sequencer critical section assigns the
@@ -1216,21 +1174,6 @@ mod tests {
             4096,
             SyncMode::Flush,
             archive,
-            true,
-            None,
-            None,
-        )
-        .unwrap()
-    }
-
-    fn open_serial(dir: &Path) -> LogManager {
-        LogManager::open(
-            dir.join("wal"),
-            dir.join("archive"),
-            4096,
-            SyncMode::Flush,
-            false,
-            false,
             None,
             None,
         )
@@ -1456,22 +1399,6 @@ mod tests {
         }
         let wal = open(&dir, true);
         assert_eq!(wal.next_lsn(), 6);
-    }
-
-    #[test]
-    fn serial_mode_appends_and_reads_back() {
-        let dir = tmp("serial");
-        let wal = open_serial(&dir);
-        for t in 0..10 {
-            wal.append_batch(&txn_batch(t, 3)).unwrap();
-        }
-        let recs = wal.read_from(1).unwrap();
-        assert_eq!(recs.len(), 50);
-        let stats = wal.stats();
-        assert_eq!(stats.batches, 10);
-        assert_eq!(stats.entries, 50);
-        assert_eq!(stats.groups, 10, "serial mode: one write round per batch");
-        assert_eq!(stats.max_group_batches, 1);
     }
 
     #[test]

@@ -42,7 +42,6 @@ fn concurrent_commits_stay_contiguous_dense_and_replayable() {
     let d = dir("atomic");
     let mut opts = DbOptions::new(&d);
     opts.wal_sync = SyncMode::Flush;
-    opts.wal_group_commit = true;
     let db = Database::open(opts).unwrap();
     for t in 0..THREADS {
         db.session()
@@ -136,29 +135,6 @@ fn concurrent_commits_stay_contiguous_dense_and_replayable() {
 }
 
 #[test]
-fn serial_wal_mode_produces_the_same_log_shape() {
-    let d = dir("serial");
-    let mut opts = DbOptions::new(&d);
-    opts.wal_group_commit = false;
-    let db = Database::open(opts).unwrap();
-    let mut s = db.session();
-    s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        .unwrap();
-    for i in 0..10 {
-        s.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
-            .unwrap();
-    }
-    let records = db.wal().read_from(1).unwrap();
-    for (i, (lsn, _)) in records.iter().enumerate() {
-        assert_eq!(*lsn, (i + 1) as u64);
-    }
-    let stats = db.wal().stats();
-    assert_eq!(stats.groups, stats.batches, "serial mode never groups");
-    assert_eq!(stats.max_group_batches, 1);
-    destroy(&d);
-}
-
-#[test]
 fn abort_undoes_incrementally_without_scanning_the_heap() {
     let d = dir("abort-noscan");
     let db = Database::open(DbOptions::new(&d)).unwrap();
@@ -222,7 +198,6 @@ fn recovery_equals_concurrent_state_under_fsync_grouping() {
     let d = dir("fsync-replay");
     let mut opts = DbOptions::new(&d);
     opts.wal_sync = SyncMode::Fsync;
-    opts.wal_group_commit = true;
     let db = Database::open(opts).unwrap();
     for t in 0..THREADS {
         db.session()

@@ -656,16 +656,9 @@ impl BufferPool {
                 }
             }
         }
-        if first_err.is_none() {
-            invariant!(
-                inner
-                    .frames
-                    .iter()
-                    .flatten()
-                    .all(|fr| !(fr.dirty && targeted(&fr.id))),
-                "flush left a dirty page behind"
-            );
-        }
+        // No "nothing dirty remains" check here: a writer may have re-dirtied
+        // a target page while its snapshot was being written off-lock, and
+        // that page rightly stays dirty for the next flush.
         drop(inner);
         match first_err {
             Some(e) => Err(e),

@@ -202,7 +202,7 @@ mod tests {
         for i in 0..10u8 {
             q.enqueue(&[i; 100]).unwrap();
         }
-        let run = q.dequeue_up_to(6).unwrap();
+        let run = q.take(6);
         q.ack(run.last().unwrap().0).unwrap();
         let before = q.spool_bytes();
         let stats = q.compact().unwrap();
@@ -212,7 +212,7 @@ mod tests {
         assert!(q.spool_bytes() < before);
         assert_eq!(q.total(), 10, "indices stay absolute");
         // The unacked suffix still delivers under its original indices.
-        let rest = q.dequeue_up_to(100).unwrap();
+        let rest = q.take(100);
         assert_eq!(rest.len(), 4);
         for (want, (idx, payload)) in rest.iter().enumerate() {
             assert_eq!(*idx, 6 + want as u64);
@@ -230,7 +230,7 @@ mod tests {
             for i in 0..8u8 {
                 q.enqueue(&[i]).unwrap();
             }
-            let run = q.dequeue_up_to(5).unwrap();
+            let run = q.take(5);
             q.ack(run.last().unwrap().0).unwrap();
             q.compact().unwrap();
             q.enqueue(&[8]).unwrap(); // appends after the header work
@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(q.compacted_base(), 5);
         assert_eq!(q.total(), 9);
         assert_eq!(q.acked(), 5);
-        let run = q.dequeue_up_to(100).unwrap();
+        let run = q.take(100);
         let ids: Vec<u64> = run.iter().map(|(i, _)| *i).collect();
         assert_eq!(ids, vec![5, 6, 7, 8]);
         for (idx, payload) in run {
@@ -264,7 +264,7 @@ mod tests {
         assert!(!compact_tmp_path(&path).exists(), "stale tmp cleaned up");
         assert_eq!(q.total(), 4, "original spool intact");
         assert_eq!(q.acked(), 2);
-        let run = q.dequeue_up_to(100).unwrap();
+        let run = q.take(100);
         assert_eq!(run.len(), 2);
         assert_eq!(run[0], (2, vec![2u8]));
     }
@@ -292,7 +292,7 @@ mod tests {
         let audit_bytes = fs::read(&audit_path).unwrap();
         let dlq_bytes = fs::read(&dlq_path).unwrap();
 
-        let run = q.dequeue_up_to(4).unwrap();
+        let run = q.take(4);
         q.ack(run.last().unwrap().0).unwrap();
         q.compact().unwrap();
 
@@ -319,13 +319,13 @@ mod tests {
         let err = q.enqueue(&[9u8; 100]).unwrap_err();
         assert!(matches!(err, StorageError::DiskFull { .. }));
         // Consumer catches up; compaction reclaims the acked prefix.
-        let run = q.dequeue_up_to(3).unwrap();
+        let run = q.take(3);
         q.ack(run.last().unwrap().0).unwrap();
         let stats = q.compact().unwrap();
         assert_eq!(stats.frames_dropped, 3);
         // Pressure lifted: the append that failed now fits.
         q.enqueue(&[9u8; 100]).unwrap();
-        let rest = q.dequeue_up_to(100).unwrap();
+        let rest = q.take(100);
         let ids: Vec<u64> = rest.iter().map(|(i, _)| *i).collect();
         assert_eq!(ids, vec![3, 4]);
     }
@@ -337,12 +337,12 @@ mod tests {
         for i in 0..5u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let run = q.dequeue_up_to(3).unwrap();
+        let run = q.take(3);
         q.ack(run.last().unwrap().0).unwrap();
         q.compact().unwrap();
         // A lost-ack rewind targeting compacted history clamps to the base.
         q.rewind_to(0);
-        let run = q.dequeue_up_to(100).unwrap();
+        let run = q.take(100);
         assert_eq!(run[0].0, 3, "delivery restarts at the compaction base");
         assert_eq!(run.len(), 2);
     }

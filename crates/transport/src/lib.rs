@@ -27,4 +27,4 @@ pub use netsim::{
     LinkProfile, NetFault, NetFaultPlan, NetFaultSim, NetFaultStats, SimulatedConnection,
     TransferStats, VirtualClock,
 };
-pub use queue::{FaultyQueue, PersistentQueue, SpoolPressure, PRESSURE_NEAR_BYTES};
+pub use queue::{PersistentQueue, SpoolPressure, PRESSURE_NEAR_BYTES};

@@ -24,7 +24,7 @@ use delta_storage::pressure::{Admission, DiskBudget};
 use delta_storage::{invariant, StorageError, StorageResult};
 
 use crate::compact;
-use crate::netsim::{NetFault, NetFaultSim, NetFaultStats};
+use crate::netsim::{NetFault, NetFaultSim};
 
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -190,12 +190,6 @@ impl PersistentQueue {
         self
     }
 
-    /// [`PersistentQueue::with_spool_budget`] for queues owned by a larger
-    /// structure (a pipeline) that cannot rebuild them in place.
-    pub fn set_spool_budget(&mut self, budget: Arc<DiskBudget>) {
-        self.budget = Some(budget);
-    }
-
     /// Bytes the budget would still admit for the spool (`None` = no budget
     /// armed / unconstrained).
     pub fn spool_headroom(&self) -> Option<u64> {
@@ -312,30 +306,20 @@ impl PersistentQueue {
 
     /// Next undelivered message as `(index, payload)`, or `None` when drained.
     /// Delivery alone does not acknowledge: call [`PersistentQueue::ack`].
+    /// Owns its payload — consumers on the hot path use
+    /// [`PersistentQueue::dequeue_run`], which this wraps.
     pub fn dequeue(&self) -> StorageResult<Option<(u64, Vec<u8>)>> {
-        let mut batch = self.dequeue_up_to(1)?;
-        Ok(batch.pop())
-    }
-
-    /// Up to `max` undelivered messages as `(index, payload)` pairs, in
-    /// index order. Delivery alone does not acknowledge; an empty vec means
-    /// the queue is drained. Allocates one `Vec` per message — consumers on
-    /// the hot path should prefer [`PersistentQueue::dequeue_run`], which
-    /// this wraps.
-    pub fn dequeue_up_to(&self, max: u64) -> StorageResult<Vec<(u64, Vec<u8>)>> {
         let mut arena = Vec::new();
-        let frames = self.dequeue_run(max, &mut arena)?;
-        Ok(frames
-            .into_iter()
-            .map(|(idx, range)| (idx, arena[range].to_vec()))
-            .collect())
+        let mut run = self.dequeue_run(1, &mut arena)?;
+        Ok(run.pop().map(|(idx, range)| (idx, arena[range].to_vec())))
     }
 
-    /// Zero-copy batched dequeue: reads the whole undelivered run with one
-    /// spool open+seek+read into the caller's `arena` (cleared first, its
-    /// capacity reused across calls) and returns `(index, payload range)`
-    /// pairs borrowing from it. Checksums are verified per frame. Delivery
-    /// alone does not acknowledge; an empty vec means the queue is drained.
+    /// Up to `max` undelivered messages in index order, zero-copy: reads
+    /// the whole undelivered run with one spool open+seek+read into the
+    /// caller's `arena` (cleared first, its capacity reused across calls)
+    /// and returns `(index, payload range)` pairs borrowing from it.
+    /// Checksums are verified per frame. Delivery alone does not
+    /// acknowledge; an empty vec means the queue is drained.
     pub fn dequeue_run(
         &self,
         max: u64,
@@ -470,8 +454,9 @@ impl PersistentQueue {
         self.inner.lock().spool_len
     }
 
-    /// Like [`PersistentQueue::dequeue_up_to`], but each message's fate is
-    /// drawn from `sim`'s seeded fault plan:
+    /// [`PersistentQueue::dequeue_run`] over a faulty link: the run is
+    /// read into the caller's `arena` the same way, then each message's
+    /// fate is drawn from `sim`'s seeded fault plan:
     ///
     /// * **Drop** — the message is lost in flight; the run is truncated there
     ///   and the cursor rewound, so the next round retransmits from the gap.
@@ -485,25 +470,6 @@ impl PersistentQueue {
     /// The spool stays intact: every enqueued message is still delivered at
     /// least once, possibly more than once and out of index order, so
     /// consumers must restore order and deduplicate by sequence id.
-    pub fn dequeue_up_to_with_faults(
-        &self,
-        max: u64,
-        sim: &mut NetFaultSim,
-    ) -> StorageResult<Vec<(u64, Vec<u8>)>> {
-        let mut arena = Vec::new();
-        let frames = self.dequeue_run_with_faults(max, sim, &mut arena)?;
-        Ok(frames
-            .into_iter()
-            .map(|(idx, range)| (idx, arena[range].to_vec()))
-            .collect())
-    }
-
-    /// Arena-reusing twin of
-    /// [`PersistentQueue::dequeue_up_to_with_faults`]: the run is read with
-    /// one seek into the caller's `arena` (see
-    /// [`PersistentQueue::dequeue_run`]) and the fault plan is applied to
-    /// the `(index, payload range)` pairs, so prefetch-style consumers pay
-    /// no per-message allocation even on the faulted path.
     pub fn dequeue_run_with_faults(
         &self,
         max: u64,
@@ -562,32 +528,22 @@ impl PersistentQueue {
     }
 }
 
-/// A delivery-side fault adapter: wraps a [`PersistentQueue`]'s batched
-/// dequeue with a seeded [`NetFaultSim`], so a drained run exhibits loss
-/// (run truncated and redelivered next round), duplication, reordering, and
-/// lost-ack redelivery — while the spool itself stays intact. The queue's
-/// at-least-once guarantee is preserved: every enqueued message is still
-/// delivered at least once, possibly more than once and out of index order,
-/// so consumers must restore order and deduplicate by sequence id.
-pub struct FaultyQueue<'a> {
-    queue: &'a PersistentQueue,
-    sim: NetFaultSim,
+/// Test helper: copy a run's payloads out of its arena.
+#[cfg(test)]
+fn owned(run: Vec<(u64, std::ops::Range<usize>)>, arena: &[u8]) -> Vec<(u64, Vec<u8>)> {
+    run.into_iter()
+        .map(|(idx, range)| (idx, arena[range].to_vec()))
+        .collect()
 }
 
-impl<'a> FaultyQueue<'a> {
-    pub fn new(queue: &'a PersistentQueue, sim: NetFaultSim) -> FaultyQueue<'a> {
-        FaultyQueue { queue, sim }
-    }
-
-    /// Fate counters drawn so far.
-    pub fn stats(&self) -> NetFaultStats {
-        self.sim.stats()
-    }
-
-    /// Dequeue a run through the seeded fault plan — see
-    /// [`PersistentQueue::dequeue_up_to_with_faults`].
-    pub fn dequeue_up_to(&mut self, max: u64) -> StorageResult<Vec<(u64, Vec<u8>)>> {
-        self.queue.dequeue_up_to_with_faults(max, &mut self.sim)
+#[cfg(test)]
+impl PersistentQueue {
+    /// Test helper shared with `compact.rs`: one `dequeue_run` as owned
+    /// `(index, payload)` pairs.
+    pub(crate) fn take(&self, max: u64) -> Vec<(u64, Vec<u8>)> {
+        let mut arena = Vec::new();
+        let run = self.dequeue_run(max, &mut arena).unwrap();
+        owned(run, &arena)
     }
 }
 
@@ -606,6 +562,13 @@ mod tests {
         let _ = std::fs::remove_file(&p);
         let _ = std::fs::remove_file(PersistentQueue::ack_file(&p));
         p
+    }
+
+    /// One `dequeue_run_with_faults` as owned `(index, payload)` pairs.
+    fn take_faulty(q: &PersistentQueue, max: u64, sim: &mut NetFaultSim) -> Vec<(u64, Vec<u8>)> {
+        let mut arena = Vec::new();
+        let run = q.dequeue_run_with_faults(max, sim, &mut arena).unwrap();
+        owned(run, &arena)
     }
 
     #[test]
@@ -714,23 +677,23 @@ mod tests {
     }
 
     #[test]
-    fn dequeue_up_to_returns_a_run_in_order() {
+    fn dequeue_run_returns_a_run_in_order() {
         let q = PersistentQueue::open(qpath("batch.q")).unwrap();
         for i in 0..7u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let run = q.dequeue_up_to(4).unwrap();
+        let run = q.take(4);
         assert_eq!(run.len(), 4);
         for (want, (idx, payload)) in run.iter().enumerate() {
             assert_eq!(*idx, want as u64);
             assert_eq!(payload, &vec![want as u8]);
         }
         // Remaining messages still deliverable; over-asking clamps.
-        let rest = q.dequeue_up_to(100).unwrap();
+        let rest = q.take(100);
         assert_eq!(rest.len(), 3);
         assert_eq!(rest[0].0, 4);
-        assert!(q.dequeue_up_to(5).unwrap().is_empty());
-        assert_eq!(q.dequeue_up_to(0).unwrap().len(), 0);
+        assert!(q.take(5).is_empty());
+        assert_eq!(q.take(0).len(), 0);
     }
 
     #[test]
@@ -739,10 +702,10 @@ mod tests {
         for i in 0..4u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let run = q.dequeue_up_to(3).unwrap();
+        let run = q.take(3);
         q.ack(run[0].0).unwrap(); // ack only the first
         q.rewind_to_acked();
-        let again = q.dequeue_up_to(10).unwrap();
+        let again = q.take(10);
         assert_eq!(again.len(), 3, "unacked messages redeliver");
         assert_eq!(again[0].0, 1);
         assert_eq!(again[0].1, vec![1u8]);
@@ -754,62 +717,62 @@ mod tests {
         for i in 0..3u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let run = q.dequeue_up_to(10).unwrap();
+        let run = q.take(10);
         q.ack(run.last().unwrap().0).unwrap();
         assert_eq!(q.acked(), 3);
         // Lost-ack simulation: the sender never saw the acks and retransmits.
         q.rewind_to(0);
-        let again = q.dequeue_up_to(10).unwrap();
+        let again = q.take(10);
         assert_eq!(again.len(), 3, "acked messages redeliver after rewind_to");
         assert_eq!(again[0], (0, vec![0u8]));
         assert_eq!(q.acked(), 3, "the durable watermark is untouched");
     }
 
     #[test]
-    fn faulty_queue_clean_plan_is_transparent() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+    fn faulted_dequeue_clean_plan_is_transparent() {
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("fclean.q")).unwrap();
         for i in 0..6u8 {
             q.enqueue(&[i]).unwrap();
         }
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(NetFaultPlan::clean(1)));
-        let run = fq.dequeue_up_to(10).unwrap();
+        let mut sim = NetFaultSim::new(NetFaultPlan::clean(1));
+        let run = take_faulty(&q, 10, &mut sim);
         assert_eq!(run.len(), 6);
         for (want, (idx, payload)) in run.iter().enumerate() {
             assert_eq!(*idx, want as u64);
             assert_eq!(payload, &vec![want as u8]);
         }
-        assert_eq!(fq.stats().delivered, 6);
+        assert_eq!(sim.stats().delivered, 6);
     }
 
     #[test]
-    fn faulty_queue_loss_truncates_and_redelivers() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+    fn faulted_dequeue_loss_truncates_and_redelivers() {
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("floss.q")).unwrap();
         for i in 0..4u8 {
             q.enqueue(&[i]).unwrap();
         }
         let mut plan = NetFaultPlan::clean(7);
         plan.loss_pct = 100;
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(plan));
-        assert!(fq.dequeue_up_to(10).unwrap().is_empty());
+        let mut sim = NetFaultSim::new(plan);
+        assert!(take_faulty(&q, 10, &mut sim).is_empty());
         assert_eq!(q.pending(), 4, "lost messages stay pending for retransmit");
         // A clean consumer still gets everything.
-        let run = q.dequeue_up_to(10).unwrap();
+        let run = q.take(10);
         assert_eq!(run.len(), 4);
     }
 
     #[test]
-    fn faulty_queue_duplicates_every_message() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+    fn faulted_dequeue_duplicates_every_message() {
+        use crate::netsim::NetFaultPlan;
         let q = PersistentQueue::open(qpath("fdup.q")).unwrap();
         for i in 0..3u8 {
             q.enqueue(&[i]).unwrap();
         }
         let mut plan = NetFaultPlan::clean(9);
         plan.dup_pct = 100;
-        let mut fq = FaultyQueue::new(&q, NetFaultSim::new(plan));
-        let run = fq.dequeue_up_to(10).unwrap();
+        let mut sim = NetFaultSim::new(plan);
+        let run = take_faulty(&q, 10, &mut sim);
         assert_eq!(run.len(), 6);
         for i in 0..3u64 {
             assert_eq!(run[2 * i as usize].0, i);
@@ -818,19 +781,19 @@ mod tests {
     }
 
     #[test]
-    fn faulty_queue_is_at_least_once_and_deterministic() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
+    fn faulted_dequeue_is_at_least_once_and_deterministic() {
+        use crate::netsim::NetFaultPlan;
         use std::collections::BTreeSet;
         let deliver = |label: &str| -> Vec<u64> {
             let q = PersistentQueue::open(qpath(label)).unwrap();
             for i in 0..20u8 {
                 q.enqueue(&[i]).unwrap();
             }
-            let mut fq = FaultyQueue::new(&q, NetFaultSim::new(NetFaultPlan::lossy(42)));
+            let mut sim = NetFaultSim::new(NetFaultPlan::lossy(42));
             let mut order = Vec::new();
             let mut seen = BTreeSet::new();
             for _ in 0..200 {
-                let run = fq.dequeue_up_to(5).unwrap();
+                let run = take_faulty(&q, 5, &mut sim);
                 for (idx, payload) in run {
                     assert_eq!(payload, vec![idx as u8], "payload matches its id");
                     order.push(idx);
@@ -872,48 +835,6 @@ mod tests {
             "equal-sized runs reuse the arena allocation"
         );
         assert!(q.dequeue_run(4, &mut arena).unwrap().is_empty());
-    }
-
-    #[test]
-    fn faulted_arena_dequeue_matches_the_owned_path() {
-        use crate::netsim::{NetFaultPlan, NetFaultSim};
-        let build = |label: &str| {
-            let q = PersistentQueue::open(qpath(label)).unwrap();
-            for i in 0..16u8 {
-                q.enqueue(&[i; 32]).unwrap();
-            }
-            q
-        };
-        let owned = {
-            let q = build("farena-a.q");
-            let mut sim = NetFaultSim::new(NetFaultPlan::lossy(31));
-            let mut out = Vec::new();
-            for _ in 0..50 {
-                out.extend(q.dequeue_up_to_with_faults(5, &mut sim).unwrap());
-                if q.pending() == 0 {
-                    break;
-                }
-            }
-            out
-        };
-        let ranged = {
-            let q = build("farena-b.q");
-            let mut sim = NetFaultSim::new(NetFaultPlan::lossy(31));
-            let mut arena = Vec::new();
-            let mut out = Vec::new();
-            for _ in 0..50 {
-                let run = q.dequeue_run_with_faults(5, &mut sim, &mut arena).unwrap();
-                out.extend(
-                    run.into_iter()
-                        .map(|(idx, range)| (idx, arena[range].to_vec())),
-                );
-                if q.pending() == 0 {
-                    break;
-                }
-            }
-            out
-        };
-        assert_eq!(owned, ranged, "same seed, same faulted delivery sequence");
     }
 
     #[test]
@@ -976,7 +897,7 @@ mod tests {
         // (crediting its bytes) and then writes a whole frame.
         budget.set_global(None);
         q.enqueue(&[3u8; 100]).unwrap();
-        let run = q.dequeue_up_to(10).unwrap();
+        let run = q.take(10);
         assert_eq!(run.len(), 2);
         assert_eq!(run[1].1, vec![3u8; 100]);
         drop(q);
@@ -1003,7 +924,7 @@ mod tests {
         let first = q.enqueue_all(&batch).unwrap();
         assert_eq!(first, 0);
         assert_eq!(q.total(), 3);
-        let run = q.dequeue_up_to(10).unwrap();
+        let run = q.take(10);
         assert_eq!(run[2], (2, b"c".to_vec()));
         // An empty batch is a no-op that reports the next index.
         assert_eq!(q.enqueue_all(&[]).unwrap(), 3);

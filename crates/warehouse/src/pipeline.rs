@@ -9,7 +9,7 @@
 //! idempotently only if the operator chooses to re-drain — the report makes
 //! redeliveries visible).
 //!
-//! `sync` drains the queue in *runs* of up to [`Pipeline::batch_size`]
+//! `sync` drains the queue in *runs* of up to [`Pipeline::with_batch_size`]
 //! payloads. Consecutive value-delta batches for the same table share one
 //! warehouse transaction (one maintenance outage instead of one per batch),
 //! and the whole group is acknowledged only after that transaction commits.
@@ -53,8 +53,7 @@ pub struct SyncReport {
     pub quarantined: u64,
     /// Aggregated apply statistics.
     pub apply: ApplyReport,
-    /// Nanoseconds the background stage spent dequeuing and decoding runs
-    /// (overlapped with apply, so it can exceed the stall it caused).
+    /// Nanoseconds spent dequeuing and decoding runs.
     pub decode_nanos: u64,
     /// Nanoseconds of wall time spent in the apply stage (grouping,
     /// scheduling, and waiting for worker transactions).
@@ -184,11 +183,8 @@ pub struct Pipeline {
     /// Wire encoding for published batches. The consumer side sniffs the
     /// format per payload, so mixed-codec queues drain fine.
     codec: DeltaCodec,
-    codec_block_rows: usize,
-    /// Apply workers for `sync`; `None` defers to
-    /// [`DbOptions::sync_workers`](delta_engine::db::DbOptions) on the
-    /// warehouse database.
-    pub(crate) sync_workers: Option<usize>,
+    /// Apply workers for `sync`; 0 means available parallelism.
+    pub(crate) sync_workers: usize,
     /// Per-wave deadline for the stall watchdog (see [`crate::watchdog`]);
     /// `None` waits forever (the historical behaviour).
     pub(crate) stage_deadline: Option<Duration>,
@@ -214,8 +210,7 @@ impl Pipeline {
             net_faults: None,
             jitter_state: Mutex::new(0),
             codec: DeltaCodec::default(),
-            codec_block_rows: DEFAULT_BLOCK_ROWS,
-            sync_workers: None,
+            sync_workers: 0,
             stage_deadline: None,
             stall_injector: None,
         })
@@ -226,7 +221,7 @@ impl Pipeline {
     /// [`DiskFull`](delta_storage::StorageError::DiskFull) error, which
     /// [`Pipeline::ship`] turns into graceful degradation instead of loss.
     pub fn with_queue_budget(mut self, budget: std::sync::Arc<delta_storage::DiskBudget>) -> Pipeline {
-        self.queue.set_spool_budget(budget);
+        self.queue = self.queue.with_spool_budget(budget);
         self
     }
 
@@ -249,11 +244,11 @@ impl Pipeline {
     }
 
     /// Set how many workers `sync` may use to apply delta groups for
-    /// *different* tables concurrently (0 = available parallelism, 1 =
-    /// reproduce the serial apply loop exactly). Overrides the warehouse's
-    /// [`DbOptions::sync_workers`](delta_engine::db::DbOptions) default.
+    /// *different* tables concurrently (0, the default = available
+    /// parallelism; 1 = apply every group on the calling thread, in
+    /// sequence order, spawning nothing).
     pub fn with_sync_workers(mut self, workers: usize) -> Pipeline {
-        self.sync_workers = Some(workers);
+        self.sync_workers = workers;
         self
     }
 
@@ -263,12 +258,6 @@ impl Pipeline {
     /// codec drains unchanged after switching.
     pub fn with_codec(mut self, codec: DeltaCodec) -> Pipeline {
         self.codec = codec;
-        self
-    }
-
-    /// Rows per columnar block in published batches (min 1).
-    pub fn with_codec_block_rows(mut self, rows: usize) -> Pipeline {
-        self.codec_block_rows = rows.max(1);
         self
     }
 
@@ -304,11 +293,6 @@ impl Pipeline {
         self
     }
 
-    /// The configured dequeue run size.
-    pub fn batch_size(&self) -> u64 {
-        self.batch_size
-    }
-
     /// Hit/miss counters of the SQL parse cache.
     pub fn stmt_cache_stats(&self) -> CacheStats {
         self.stmt_cache.stats()
@@ -328,7 +312,7 @@ impl Pipeline {
     /// pipeline's wire codec.
     pub fn publish(&self, batch: &DeltaBatch) -> EngineResult<u64> {
         self.queue
-            .enqueue(&batch.to_bytes_with(self.codec, self.codec_block_rows))
+            .enqueue(&batch.to_bytes_with(self.codec, DEFAULT_BLOCK_ROWS))
             .map_err(EngineError::Storage)
     }
 
@@ -373,7 +357,7 @@ impl Pipeline {
     pub fn collect_op_log(&self, db: &Database, log_table: &str) -> EngineResult<u64> {
         let frames: Vec<Vec<u8>> = collect_from_table(db, log_table)?
             .into_iter()
-            .map(|od| DeltaBatch::Op(od).to_bytes_with(self.codec, self.codec_block_rows))
+            .map(|od| DeltaBatch::Op(od).to_bytes_with(self.codec, DEFAULT_BLOCK_ROWS))
             .collect();
         if frames.is_empty() {
             return Ok(0);
@@ -479,9 +463,7 @@ impl Pipeline {
             .outcome
             .deltas
             .iter()
-            .map(|vd| {
-                DeltaBatch::Value(vd.clone()).to_bytes_with(self.codec, self.codec_block_rows)
-            })
+            .map(|vd| DeltaBatch::Value(vd.clone()).to_bytes_with(self.codec, DEFAULT_BLOCK_ROWS))
             .collect();
         if frames.is_empty() {
             return Ok(0);
@@ -492,17 +474,16 @@ impl Pipeline {
         Ok(frames.len() as u64)
     }
 
-    /// Drain the queue into the warehouse through the staged apply
-    /// scheduler (see [`crate::sched`]): a background stage dequeues and
-    /// decodes the next run while the current one applies, value-delta
-    /// groups for unrelated tables apply concurrently on up to
-    /// [`Pipeline::with_sync_workers`] workers (Op-Delta batches are full
-    /// barriers), and view maintenance runs once per value-delta run (once
-    /// per replayed Op-Delta statement). Consecutive value-delta batches for
-    /// one table share a single warehouse transaction, applied by key
-    /// through the engine's row primitives
-    /// ([`crate::direct::DirectValueApplier`]) rather than as SQL
-    /// statements; Op-Deltas replay one warehouse transaction each.
+    /// Drain the queue into the warehouse through the apply scheduler (see
+    /// [`crate::sched`]): the calling thread dequeues and decodes one run
+    /// at a time, value-delta groups for unrelated tables apply
+    /// concurrently on up to [`Pipeline::with_sync_workers`] workers
+    /// (Op-Delta batches are full barriers), and view maintenance runs once
+    /// per value-delta run (once per replayed Op-Delta statement).
+    /// Consecutive value-delta batches for one table share a single
+    /// warehouse transaction, applied by key through the engine's row
+    /// primitives ([`crate::direct::DirectValueApplier`]) rather than as
+    /// SQL statements; Op-Deltas replay one warehouse transaction each.
     ///
     /// The queue ack and the warehouse's applied-sequence watermark only
     /// ever advance over the contiguous completed prefix of the sequence,
@@ -510,8 +491,8 @@ impl Pipeline {
     /// exactly-once-observable: batches recorded as applied (lost acks,
     /// crash between commit and ack, duplicated delivery) are skipped, and
     /// out-of-order delivery is restored by sequence id before applying.
-    /// With one worker the apply order, transactions, and watermark
-    /// advancement are identical to the historical serial loop.
+    /// With one worker groups apply and commit in sequence order and every
+    /// commit advances the watermark itself.
     ///
     /// Without a [`RetryPolicy`], any apply failure rewinds the dequeue
     /// cursor so the unacknowledged suffix is redelivered by the next
@@ -568,11 +549,13 @@ impl Pipeline {
             None => return Ok(Vec::new()),
         };
         dlq.rewind_to(0);
+        let mut arena = Vec::new();
         let frames = dlq
-            .dequeue_up_to(dlq.total())
+            .dequeue_run(dlq.total(), &mut arena)
             .map_err(EngineError::Storage)?;
         let mut out = Vec::with_capacity(frames.len());
-        for (_, frame) in frames {
+        for (_, range) in frames {
+            let frame = &arena[range];
             let (Some(idx_bytes), Some(len_bytes)) = (frame.get(0..8), frame.get(8..12)) else {
                 return Err(EngineError::Storage(delta_storage::StorageError::Corrupt(
                     "dead-letter frame shorter than its header".into(),
@@ -1224,11 +1207,12 @@ mod tests {
 
     #[test]
     fn failed_apply_rewinds_for_redelivery() {
-        let wh = warehouse("pipe7");
-        let pipe = Pipeline::open(qpath("pipe7")).unwrap();
+        let mut wh = warehouse("pipe7");
+        // One batch per run: the failure lands in the second of three runs.
+        let pipe = Pipeline::open(qpath("pipe7")).unwrap().with_batch_size(1);
         pipe.publish(&DeltaBatch::Value(insert_vd(1, 1))).unwrap();
-        // Second batch targets a missing mirror: the first group commits
-        // and acks, the second fails and rewinds.
+        // Second batch targets a missing mirror: the first run commits and
+        // acks, the second fails and rewinds, the third is never dequeued.
         let mut bad = ValueDelta::new("missing", schema());
         bad.records.push(ValueDeltaRecord {
             op: DeltaOp::Insert,
@@ -1236,12 +1220,30 @@ mod tests {
             row: Row::new(vec![Value::Int(9), Value::Int(9)]),
         });
         pipe.publish(&DeltaBatch::Value(bad)).unwrap();
+        pipe.publish(&DeltaBatch::Value(insert_vd(2, 2))).unwrap();
         assert!(pipe.sync(&wh).is_err());
         assert_eq!(pipe.queue().acked(), 1);
         assert_eq!(
             pipe.queue().pending(),
-            1,
-            "failed batch rewound and still deliverable"
+            2,
+            "failed batch and its successor rewound and still deliverable"
         );
+        assert_eq!(
+            wh.db().row_count("t").unwrap(),
+            1,
+            "nothing applied past the failure"
+        );
+
+        // With the mirror in place the next sync redelivers both, in order.
+        wh.add_mirror(MirrorConfig::full("missing", schema()))
+            .unwrap();
+        let second = pipe.sync(&wh).unwrap();
+        assert_eq!(second.batches, 2);
+        assert_eq!(second.deduped, 0);
+        assert_eq!(pipe.queue().acked(), 3);
+        assert_eq!(pipe.queue().pending(), 0);
+        assert_eq!(wh.applied_watermark().unwrap(), Some(2));
+        assert_eq!(wh.db().row_count("missing").unwrap(), 1);
+        assert_eq!(wh.db().row_count("t").unwrap(), 2);
     }
 }

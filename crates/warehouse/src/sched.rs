@@ -1,21 +1,21 @@
-//! The staged, parallel apply scheduler behind [`Pipeline::sync`].
+//! The parallel apply scheduler behind [`Pipeline::sync`].
 //!
-//! Integration at the warehouse used to be a single thread: dequeue a run,
-//! decode it, apply group after group, ack. This module splits that loop
-//! into three stages:
+//! `sync` is one loop on the calling thread: dequeue a run into one reused
+//! arena, decode its frames, classify them by sequence id, apply, ack the
+//! completed prefix, repeat until the queue is drained. Decode is inline —
+//! there is no second thread touching the queue cursor, so a rewind has
+//! nothing to race. Two things happen inside the apply step:
 //!
-//! 1. **Decode-ahead** — a background thread dequeues and decodes run
-//!    `N + 1` while run `N` applies, recycling the dequeue arena between
-//!    runs so the hot path stops reallocating.
-//! 2. **Table-partitioned apply** — each run's delta groups are scheduled
+//! 1. **Table-partitioned apply** — each run's delta groups are scheduled
 //!    in *waves*. Consecutive value-delta groups form one wave whose groups
 //!    are partitioned into concurrency classes
 //!    ([`Warehouse::apply_classes`]: tables read by a common view share a
 //!    class); classes apply concurrently on a pool of workers
 //!    spawned once per sync, while groups within a class keep
 //!    queue-sequence order. An Op-Delta group is a wave of its own — a
-//!    full barrier — because replayed SQL may touch any table.
-//! 3. **Direct value apply, views once per run** — a value-delta group
+//!    full barrier — because replayed SQL may touch any table. With one
+//!    worker there is no pool and `sync` spawns no thread.
+//! 2. **Direct value apply, views once per run** — a value-delta group
 //!    applies through the engine's row primitives and hands its row images
 //!    to the views in one stream per run
 //!    ([`crate::direct::DirectValueApplier`]); an Op-Delta's images are
@@ -55,109 +55,12 @@ use crate::apply::{AppliedMark, ApplyReport, OpDeltaApplier, Warehouse};
 use crate::direct::DirectValueApplier;
 use crate::pipeline::{Pipeline, SyncReport};
 
-/// One dequeued frame after background decode: sequence id, payload range
-/// into the run arena, and the decode result.
+/// One dequeued frame after decode: sequence id, payload range into the
+/// run arena, and the decode result.
 type DecodedFrame = (u64, Range<usize>, Result<DeltaBatch, StorageError>);
 
 /// One deliverable batch: sequence id, payload range, decoded batch.
 type RunBatch = (u64, Range<usize>, DeltaBatch);
-
-/// One dequeued-and-decoded run handed from the decode stage to the apply
-/// stage.
-struct DecodedRun {
-    /// Backing bytes for every payload in the run (one spool read).
-    arena: Vec<u8>,
-    /// Frames in delivery order.
-    frames: Vec<DecodedFrame>,
-    /// Time the decode stage spent dequeuing and decoding this run.
-    decode_nanos: u64,
-}
-
-/// Main-thread handle to the background decode stage. The protocol is
-/// lockstep one-ahead: sending an arena *is* the request for the next run
-/// (which recycles the buffer), and at most one response is ever
-/// outstanding, so the main thread can always drain the stage before
-/// touching the queue cursor.
-struct Prefetch {
-    req: mpsc::Sender<Vec<u8>>,
-    res: mpsc::Receiver<EngineResult<DecodedRun>>,
-    outstanding: bool,
-}
-
-impl Prefetch {
-    /// Request the next run, recycling `arena` as its backing buffer.
-    fn request(&mut self, arena: Vec<u8>) {
-        // A failed send means the decode thread is gone; `next` will
-        // surface the disconnect as an error.
-        if self.req.send(arena).is_ok() {
-            self.outstanding = true;
-        }
-    }
-
-    /// Receive the outstanding run.
-    fn next(&mut self) -> EngineResult<DecodedRun> {
-        if !self.outstanding {
-            return Err(EngineError::Invalid(
-                "decode stage has no outstanding run".into(),
-            ));
-        }
-        self.outstanding = false;
-        match self.res.recv() {
-            Ok(run) => run,
-            Err(_) => Err(EngineError::Invalid("decode stage disconnected".into())),
-        }
-    }
-
-    /// Drain and discard the outstanding run, if any. Must run before any
-    /// queue rewind on an error path: it guarantees the decode stage is
-    /// idle, so the cursor cannot move underneath the rewind.
-    fn cancel(&mut self) {
-        if self.outstanding {
-            let _ = self.res.recv();
-            self.outstanding = false;
-        }
-    }
-}
-
-/// Decode-stage loop: for each arena received, dequeue one run into it and
-/// decode every frame. Ends when the request channel closes.
-fn decode_stage(
-    pipe: &Pipeline,
-    req: mpsc::Receiver<Vec<u8>>,
-    res: mpsc::Sender<EngineResult<DecodedRun>>,
-) {
-    for mut arena in req {
-        let started = Instant::now();
-        let dequeued = match &pipe.net_faults {
-            Some(sim) => {
-                pipe.queue
-                    .dequeue_run_with_faults(pipe.batch_size, &mut sim.lock(), &mut arena)
-            }
-            None => pipe.queue.dequeue_run(pipe.batch_size, &mut arena),
-        };
-        let outcome = match dequeued {
-            Ok(frames) => {
-                let frames = frames
-                    .into_iter()
-                    .map(|(idx, range)| {
-                        let decoded =
-                            DeltaBatch::from_bytes_cached(&arena[range.clone()], &pipe.stmt_cache);
-                        (idx, range, decoded)
-                    })
-                    .collect();
-                Ok(DecodedRun {
-                    arena,
-                    frames,
-                    decode_nanos: started.elapsed().as_nanos() as u64,
-                })
-            }
-            Err(e) => Err(EngineError::Storage(e)),
-        };
-        if res.send(outcome).is_err() {
-            return;
-        }
-    }
-}
 
 /// How far one unique sequence id of a run has progressed.
 #[derive(Clone, Copy)]
@@ -294,27 +197,24 @@ fn apply_worker(
     }
 }
 
-/// The worker count `sync` runs with: the pipeline override, else the
-/// database option, with 0 meaning available parallelism.
-fn resolved_workers(pipe: &Pipeline, wh: &Warehouse) -> usize {
-    let configured = pipe
-        .sync_workers
-        .unwrap_or_else(|| wh.db().options().sync_workers);
-    if configured == 0 {
+/// The worker count `sync` runs with: [`Pipeline::with_sync_workers`],
+/// with 0 (the default) meaning available parallelism.
+fn resolved_workers(pipe: &Pipeline) -> usize {
+    if pipe.sync_workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     } else {
-        configured
+        pipe.sync_workers
     }
 }
 
 /// Drain the pipeline's queue into the warehouse. See the module docs for
-/// the staging; see [`Pipeline::sync`] for the contract.
+/// the loop; see [`Pipeline::sync`] for the contract.
 pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncReport> {
     let mut report = SyncReport::default();
     wh.ensure_applied_watermark()?;
-    let workers = resolved_workers(pipe, wh);
+    let workers = resolved_workers(pipe);
     let classes = if workers > 1 {
         // A crashed parallel sync may have left committed ranges behind;
         // fold whatever prefix already closed before dedupe reads it.
@@ -324,14 +224,6 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
         HashMap::new()
     };
     std::thread::scope(|scope| {
-        let (req_tx, req_rx) = mpsc::channel::<Vec<u8>>();
-        let (res_tx, res_rx) = mpsc::channel::<EngineResult<DecodedRun>>();
-        scope.spawn(move || decode_stage(pipe, req_rx, res_tx));
-        let mut prefetch = Prefetch {
-            req: req_tx,
-            res: res_rx,
-            outstanding: false,
-        };
         let pool = if workers > 1 {
             let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
             let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<(usize, GroupOutcome)>)>();
@@ -355,28 +247,42 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
         } else {
             None
         };
-        prefetch.request(Vec::new());
-        // Two arenas ping-pong between the stages: the one backing the run
-        // being applied, and the spare recycled into the next request.
-        let mut spare = Vec::new();
+        // One arena backs every run of the drain: a run's apply hands it
+        // back, and the next spool read reuses its capacity.
+        let mut arena = Vec::new();
         loop {
-            let run = prefetch.next()?;
-            if run.frames.is_empty() {
+            let started = Instant::now();
+            let dequeued = match &pipe.net_faults {
+                Some(sim) => {
+                    pipe.queue
+                        .dequeue_run_with_faults(pipe.batch_size, &mut sim.lock(), &mut arena)
+                }
+                None => pipe.queue.dequeue_run(pipe.batch_size, &mut arena),
+            };
+            let frames: Vec<DecodedFrame> = dequeued
+                .map_err(EngineError::Storage)?
+                .into_iter()
+                .map(|(idx, range)| {
+                    let decoded =
+                        DeltaBatch::from_bytes_cached(&arena[range.clone()], &pipe.stmt_cache);
+                    (idx, range, decoded)
+                })
+                .collect();
+            if frames.is_empty() {
                 break;
             }
-            report.decode_nanos += run.decode_nanos;
+            report.decode_nanos += started.elapsed().as_nanos() as u64;
             match sync_one_run(
                 pipe,
                 wh,
-                run,
+                arena,
+                frames,
                 workers,
                 &classes,
                 pool.as_ref(),
-                &mut prefetch,
-                &mut spare,
                 &mut report,
             )? {
-                Some(arena) => spare = arena,
+                Some(recycled) => arena = recycled,
                 // A stalled wave ended the drain: the cursor has been
                 // rewound to the ack so the next sync redelivers, and the
                 // scope join below waits out any late worker (its commits
@@ -391,25 +297,21 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
     })
 }
 
-/// Apply one decoded run and return its arena for recycling (`None` ends
-/// the sync early: the stall watchdog abandoned a wave). On a fail-stop
-/// error the decode stage is drained, the completed prefix is acked, the
-/// cursor rewinds to the ack, and the error surfaces.
+/// Apply one decoded run and return its arena for reuse (`None` ends the
+/// sync early: the stall watchdog abandoned a wave). On a fail-stop error
+/// the completed prefix is acked, the cursor rewinds to the ack, and the
+/// error surfaces.
 #[allow(clippy::too_many_arguments)]
 fn sync_one_run(
     pipe: &Pipeline,
     wh: &Warehouse,
-    run: DecodedRun,
+    arena: Vec<u8>,
+    mut frames: Vec<DecodedFrame>,
     workers: usize,
     classes: &HashMap<String, usize>,
     pool: Option<&WorkerPool>,
-    prefetch: &mut Prefetch,
-    spare_arena: &mut Vec<u8>,
     report: &mut SyncReport,
 ) -> EngineResult<Option<Vec<u8>>> {
-    let DecodedRun {
-        arena, mut frames, ..
-    } = run;
     // Restore sequence order (reordered delivery), then classify every
     // unique sequence id: already applied (stale), poison at decode, or
     // deliverable.
@@ -479,10 +381,6 @@ fn sync_one_run(
             entries.truncate(gap);
             batches.truncate(keep_batches);
         }
-        // Sequence accounting is settled and the cursor is final: overlap
-        // the next run's dequeue + decode with this run's apply stage,
-        // recycling the spare arena as its backing buffer.
-        prefetch.request(std::mem::take(spare_arena));
     }
 
     let groups = build_groups(&batches);
@@ -534,8 +432,7 @@ fn sync_one_run(
     }
     report.ack_nanos += ack_started.elapsed().as_nanos() as u64;
 
-    // Surface the earliest fail-stop error, if any, after draining the
-    // decode stage so the rewind cannot race its dequeue.
+    // Surface the earliest fail-stop error, if any.
     let mut failure = decode_failure;
     if failure.is_none() {
         let mut first: Option<(u64, usize)> = None;
@@ -554,7 +451,6 @@ fn sync_one_run(
     }
     match failure {
         Some(e) => {
-            prefetch.cancel();
             pipe.queue.rewind_to_acked();
             Err(e)
         }
@@ -564,11 +460,10 @@ fn sync_one_run(
         // (late commits from the stuck worker dedupe against the
         // watermark ranges it recorded).
         None if report.stalls > stalls_before => {
-            prefetch.cancel();
             pipe.queue.rewind_to_acked();
             Ok(None)
         }
-        // Recover the arena for recycling when the workers have already
+        // Recover the arena for reuse when the workers have already
         // dropped their handles (they have: every class result was
         // collected; the unwrap only races a worker's final drop).
         None => Ok(Some(

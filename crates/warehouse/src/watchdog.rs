@@ -1,4 +1,4 @@
-//! Stall watchdog for the staged apply scheduler.
+//! Stall watchdog for the parallel apply scheduler.
 //!
 //! A warehouse apply worker can wedge — a lock convoy, a pathological
 //! plan, a filesystem hiccup. Without a deadline the whole sync waits on
