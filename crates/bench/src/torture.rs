@@ -32,6 +32,7 @@ use std::time::Duration;
 use delta_core::logextract::ResilientLogExtractor;
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
+use delta_engine::wal::{read_segment, Lsn};
 use delta_engine::EngineResult;
 use delta_storage::fault::{splitmix64, FaultInjector, FaultPlan};
 use delta_storage::{DiskBudget, Row, Value};
@@ -232,13 +233,22 @@ fn table_state(db: &Database, ctx: &str) -> Result<BTreeMap<i64, Vec<u8>>, Strin
     Ok(out)
 }
 
-/// Flip one mid-file byte of a random archived redo segment. Returns whether
-/// a segment was actually damaged.
-fn corrupt_archived_segment(db: &Database, rng: &mut u64) -> Result<bool, String> {
-    let segments = db
+/// Flip one mid-file byte of a random archived redo segment the extractor
+/// still has to read — one holding a record past `watermark`. (The log
+/// reader never reopens a consumed segment, so damage there would go
+/// unnoticed and leave the degradation path unexercised.) Returns whether a
+/// segment was actually damaged.
+fn corrupt_archived_segment(db: &Database, watermark: Lsn, rng: &mut u64) -> Result<bool, String> {
+    let mut segments = db
         .wal()
         .archived_segments()
         .map_err(|e| format!("listing archived segments: {e}"))?;
+    segments.retain(|p| {
+        let last = read_segment(p)
+            .ok()
+            .and_then(|recs| recs.last().map(|r| r.0));
+        last.is_some_and(|lsn| lsn > watermark)
+    });
     if segments.is_empty() {
         return Ok(false);
     }
@@ -603,7 +613,9 @@ impl Driver {
             }
             if chaos.is_multiple_of(5) {
                 let mut crng = chaos;
-                if corrupt_archived_segment(&db, &mut crng).map_err(|e| self.fail(cycle, e))? {
+                if corrupt_archived_segment(&db, extractor.watermark(), &mut crng)
+                    .map_err(|e| self.fail(cycle, e))?
+                {
                     self.stats.segment_corruptions += 1;
                 }
             }

@@ -24,6 +24,13 @@ fn twenty_seeded_cycles_converge() {
         "the fault plan never fired: {}",
         stats.summary()
     );
+    // This seed damages an archived segment the extractor still has to
+    // read: the round must have gone quarantine → snapshot diff.
+    assert!(
+        stats.segment_corruptions > 0 && stats.degraded_extracts > 0,
+        "no extraction ever degraded: {}",
+        stats.summary()
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //!   source table, not transform it (transformations need the value-delta
 //!   form this extractor produces).
 
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::PathBuf;
 
 use delta_engine::db::Database;
@@ -69,69 +69,51 @@ impl LogExtractor {
                     .into(),
             ));
         }
-        let records = db.wal().read_from(self.watermark + 1)?;
-        let committed: std::collections::HashSet<_> = records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        let mut per_table: HashMap<String, ValueDelta> = HashMap::new();
-        let mut max_lsn = self.watermark;
-        for (lsn, rec) in &records {
-            max_lsn = max_lsn.max(*lsn);
-            let Some(table) = rec.table().map(|t| t.to_string()) else {
-                continue;
-            };
-            if !self.wants(&table) {
-                continue;
-            }
-            let Some(txn) = rec.txn() else { continue };
-            if !committed.contains(&txn) {
-                // No Commit in the log: a torn tail's `Begin…` fragment.
-                // The watermark still passes it (`max_lsn` above covers
-                // every record) and that is right — a commit batch reaches
-                // the WAL whole (`LogManager::append_batch`), so a fragment
-                // without its Commit can never commit later.
-                continue;
-            }
-            let entry = per_table.entry(table.clone()).or_insert_with(|| {
-                let schema = db
-                    .table(&table)
-                    .map(|m| m.schema.clone())
-                    .unwrap_or_else(|_| delta_storage::Schema::new(vec![]).unwrap());
-                ValueDelta::new(table.clone(), schema)
-            });
-            match rec {
-                LogRecord::Insert { row, .. } => entry.records.push(ValueDeltaRecord {
-                    op: DeltaOp::Insert,
-                    txn: txn.0,
-                    row: row.clone(),
-                }),
-                LogRecord::Delete { before, .. } => entry.records.push(ValueDeltaRecord {
-                    op: DeltaOp::Delete,
-                    txn: txn.0,
-                    row: before.clone(),
-                }),
-                LogRecord::Update { before, after, .. } => {
-                    entry.records.push(ValueDeltaRecord {
-                        op: DeltaOp::UpdateBefore,
+        // Per table, in name order. What is committed, and how far the
+        // watermark may move (past a torn tail's `Begin …` fragment too — a
+        // commit batch reaches the WAL whole, so a fragment can never commit
+        // later), are the log reader's call, not this function's.
+        let mut per_table: BTreeMap<String, ValueDelta> = BTreeMap::new();
+        let high = db.wal().read_committed(self.watermark + 1, |unit| {
+            for (_, rec) in unit {
+                if let LogRecord::DropTable { name } = rec {
+                    // Nothing mirrors a dropped table: its earlier rows go,
+                    // and a later namesake starts from its own `CreateTable`.
+                    per_table.remove(name);
+                }
+                let (Some(table), Some(txn)) = (rec.table(), rec.txn()) else {
+                    continue;
+                };
+                if !self.wants(table) {
+                    continue;
+                }
+                let delta = match per_table.entry(table.to_string()) {
+                    Entry::Occupied(known) => known.into_mut(),
+                    // A table dropped since has no schema to ship rows under.
+                    Entry::Vacant(new) => match db.table(table) {
+                        Ok(meta) => new.insert(ValueDelta::new(table, meta.schema.clone())),
+                        Err(_) => continue,
+                    },
+                };
+                let images = rec.images();
+                let update = images.iter().all(Option::is_some);
+                for (sign, row) in images.into_iter().flatten() {
+                    delta.records.push(ValueDeltaRecord {
+                        op: match (update, sign < 0) {
+                            (false, false) => DeltaOp::Insert,
+                            (false, true) => DeltaOp::Delete,
+                            (true, true) => DeltaOp::UpdateBefore,
+                            (true, false) => DeltaOp::UpdateAfter,
+                        },
                         txn: txn.0,
-                        row: before.clone(),
-                    });
-                    entry.records.push(ValueDeltaRecord {
-                        op: DeltaOp::UpdateAfter,
-                        txn: txn.0,
-                        row: after.clone(),
+                        row: row.clone(),
                     });
                 }
-                _ => {}
             }
-        }
-        let mut out: Vec<ValueDelta> = per_table.into_values().filter(|v| !v.is_empty()).collect();
-        out.sort_by(|a, b| a.table.cmp(&b.table));
-        Ok((out, max_lsn))
+            Ok(())
+        })?;
+        let deltas = per_table.into_values().filter(|v| !v.is_empty()).collect();
+        Ok((deltas, self.watermark.max(high)))
     }
 
     /// Paths of archived segments ready to ship (the file-level transport of
@@ -261,7 +243,7 @@ impl ResilientLogExtractor {
         }
         match self.inner.peek(db) {
             Ok((deltas, new_watermark)) => {
-                let staged = self.stage_baselines(db)?;
+                let staged = self.stage_baselines(db, &deltas)?;
                 Ok(StagedExtract {
                     outcome: ResilientExtract {
                         deltas,
@@ -273,10 +255,17 @@ impl ResilientLogExtractor {
                 })
             }
             Err(EngineError::Storage(delta_storage::StorageError::Corrupt(_))) => {
-                let mut out = ResilientExtract::default();
-                self.quarantine_corrupt_segments(db, &mut out)?;
+                // Quarantine is repair, not extraction state: it happens at
+                // stage time and is not rolled back by `abort`.
+                let (_, quarantined_segments) = db.wal().quarantine_corrupt_archived()?;
                 self.diff_owed = true;
-                self.stage_diff(db, out)
+                self.stage_diff(
+                    db,
+                    ResilientExtract {
+                        quarantined_segments,
+                        ..Default::default()
+                    },
+                )
             }
             Err(e) => Err(e),
         }
@@ -322,11 +311,17 @@ impl ResilientLogExtractor {
         self.baseline_dir.join(format!("{table}.baseline.staged"))
     }
 
-    /// Snapshot every tracked table into its `.baseline.staged` sibling,
-    /// cleaning up on failure so aborted stages leave no debris.
-    fn stage_baselines(&self, db: &Database) -> EngineResult<Vec<(PathBuf, PathBuf)>> {
-        let mut staged = Vec::with_capacity(self.tables.len());
-        for t in &self.tables {
+    /// Snapshot every table the round changed into its `.baseline.staged`
+    /// sibling, cleaning up on failure so aborted stages leave no debris. A
+    /// table with no record in the round is not re-snapshotted: its state at
+    /// the new watermark is, by definition, the baseline already on disk.
+    fn stage_baselines(
+        &self,
+        db: &Database,
+        changed: &[ValueDelta],
+    ) -> EngineResult<Vec<(PathBuf, PathBuf)>> {
+        let mut staged = Vec::with_capacity(changed.len());
+        for t in changed.iter().map(|delta| &delta.table) {
             let s = self.staged_baseline_path(t);
             if let Err(e) = crate::snapshot::take_snapshot(db, t, &s) {
                 for (p, _) in &staged {
@@ -337,26 +332,6 @@ impl ResilientLogExtractor {
             staged.push((s, self.baseline_path(t)));
         }
         Ok(staged)
-    }
-
-    /// Move unreadable archived segments aside so later rounds don't trip
-    /// over the same bytes. (A corrupt *resident* segment belongs to the
-    /// engine's recovery path and is left alone; we degrade around it.)
-    /// Quarantine is repair, not extraction state — it happens at stage
-    /// time and is not rolled back by `abort`.
-    fn quarantine_corrupt_segments(
-        &self,
-        db: &Database,
-        out: &mut ResilientExtract,
-    ) -> EngineResult<()> {
-        for p in db.wal().archived_segments()? {
-            if delta_engine::wal::read_segment(&p).is_err() {
-                let quarantined = p.with_extension("wal.corrupt");
-                std::fs::rename(&p, &quarantined)?;
-                out.quarantined_segments.push(quarantined);
-            }
-        }
-        Ok(())
     }
 
     /// The snapshot-diff body shared by degradation and coalescing: stage a
@@ -395,7 +370,7 @@ impl ResilientLogExtractor {
                 t,
                 &meta.schema,
                 &key_cols,
-                &self.baseline_path(t),
+                self.baseline_path(t),
                 &current,
                 crate::snapshot::DiffAlgorithm::SortMerge { run_size: 1024 },
             );
@@ -490,13 +465,61 @@ mod tests {
         assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(2));
     }
 
-    #[test]
-    fn torn_tail_fragment_is_skipped_and_the_watermark_passes_it() {
+    /// Append one torn `Begin, Insert` fragment per id to `segment` (a crash
+    /// tore each commit batch after its second record); fragment `i` tries to
+    /// insert row `(100 + i, 'torn')`.
+    fn append_torn_fragments(segment: &std::path::Path, mut lsn: Lsn, ids: &[u64]) {
         use delta_engine::txn::TxnId;
         use delta_engine::wal::encode_record;
         use delta_storage::Row;
         use std::io::Write;
 
+        let mut tail = Vec::new();
+        for (i, id) in ids.iter().enumerate() {
+            let txn = TxnId(*id);
+            tail.extend(encode_record(lsn, &LogRecord::Begin { txn }));
+            tail.extend(encode_record(
+                lsn + 1,
+                &LogRecord::Insert {
+                    txn,
+                    table: "parts".into(),
+                    row: Row::new(vec![Value::Int(100 + i as i64), Value::Str("torn".into())]),
+                },
+            ));
+            lsn += 2;
+        }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(segment)
+            .unwrap()
+            .write_all(&tail)
+            .unwrap();
+    }
+
+    /// The id of the one transaction committed so far.
+    fn committed_txn_id(db: &Database) -> u64 {
+        let log = db.wal().read_from(1).unwrap();
+        let ids: Vec<u64> = log
+            .iter()
+            .filter_map(|(_, r)| match r {
+                LogRecord::Commit { txn } => Some(txn.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids.len(), 1);
+        ids[0]
+    }
+
+    fn ids_of(delta: &ValueDelta) -> Vec<Value> {
+        delta
+            .records
+            .iter()
+            .map(|r| r.row.values()[0].clone())
+            .collect()
+    }
+
+    #[test]
+    fn torn_tail_fragment_is_skipped_and_the_watermark_passes_it() {
         let db = setup("torn");
         db.session()
             .execute("INSERT INTO parts VALUES (1, 'a')")
@@ -504,32 +527,18 @@ mod tests {
         let dir = db.options().dir.clone();
         let torn_lsn = db.wal().next_lsn();
         let segment = db.wal().resident_segments().unwrap().pop().unwrap();
+        // The fragment carries the id of the transaction committed just
+        // before it, in the same resident log: transaction ids restart at
+        // every open, so nothing makes a torn batch's id unique.
+        let collides = committed_txn_id(&db);
         drop(db);
-        // A crash tore a commit batch after its second record: the resident
-        // segment ends in `Begin, Insert` with no `Commit`.
-        let txn = TxnId(9_000);
-        let mut tail = encode_record(torn_lsn, &LogRecord::Begin { txn });
-        tail.extend(encode_record(
-            torn_lsn + 1,
-            &LogRecord::Insert {
-                txn,
-                table: "parts".into(),
-                row: Row::new(vec![Value::Int(2), Value::Str("torn".into())]),
-            },
-        ));
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(&segment)
-            .unwrap()
-            .write_all(&tail)
-            .unwrap();
+        append_torn_fragments(&segment, torn_lsn, &[collides]);
 
         let db = Database::open(DbOptions::new(dir).archive(true)).unwrap();
         let mut x = LogExtractor::new();
         let deltas = x.extract(&db).unwrap();
         assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].len(), 1, "only the committed insert");
-        assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(1));
+        assert_eq!(ids_of(&deltas[0]), [Value::Int(1)], "only the commit");
         assert_eq!(
             x.watermark,
             torn_lsn + 1,
@@ -542,9 +551,71 @@ mod tests {
             .unwrap();
         let deltas = x.extract(&db).unwrap();
         assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].len(), 1);
-        assert_eq!(deltas[0].records[0].row.values()[0], Value::Int(3));
+        assert_eq!(ids_of(&deltas[0]), [Value::Int(3)]);
         assert!(x.extract(&db).unwrap().is_empty());
+    }
+
+    #[test]
+    fn torn_fragment_sharing_its_id_with_a_later_commit_is_still_skipped() {
+        let db = setup("torn-later");
+        db.session()
+            .execute("INSERT INTO parts VALUES (1, 'a')")
+            .unwrap();
+        let dir = db.options().dir.clone();
+        let torn_lsn = db.wal().next_lsn();
+        let segment = db.wal().resident_segments().unwrap().pop().unwrap();
+        drop(db);
+        // Fragments under ids 1..=4: whichever id the first transaction
+        // after the reopen draws, one torn fragment already carries it, and
+        // both sit in the same extraction window.
+        append_torn_fragments(&segment, torn_lsn, &[1, 2, 3, 4]);
+
+        let db = Database::open(DbOptions::new(dir).archive(true)).unwrap();
+        db.session()
+            .execute("INSERT INTO parts VALUES (3, 'c')")
+            .unwrap();
+        let later = db.wal().read_from(torn_lsn).unwrap();
+        assert!(
+            later
+                .iter()
+                .any(|(_, r)| matches!(r, LogRecord::Commit { txn } if (1..=4).contains(&txn.0))),
+            "the test needs the id to collide: {later:?}"
+        );
+        let mut x = LogExtractor::new();
+        let deltas = x.extract(&db).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(ids_of(&deltas[0]), [Value::Int(1), Value::Int(3)]);
+        assert_eq!(x.watermark, db.wal().next_lsn() - 1);
+    }
+
+    #[test]
+    fn records_of_a_dropped_table_are_skipped() {
+        let db = setup("dropped");
+        let mut s = db.session();
+        s.execute("CREATE TABLE gone (id INT PRIMARY KEY)").unwrap();
+        s.execute("INSERT INTO gone VALUES (1)").unwrap();
+        s.execute("INSERT INTO parts VALUES (1, 'a')").unwrap();
+        db.drop_table("gone").unwrap();
+        let mut x = LogExtractor::new();
+        let deltas = x.extract(&db).unwrap();
+        assert_eq!(deltas.len(), 1, "nothing ships for the dropped table");
+        assert_eq!(deltas[0].table, "parts");
+        assert_eq!(x.watermark, db.wal().next_lsn() - 1);
+
+        // A namesake created afterwards starts from its own rows, under its
+        // own schema — not from the rows its predecessor logged.
+        s.execute("CREATE TABLE again (id INT PRIMARY KEY)")
+            .unwrap();
+        s.execute("INSERT INTO again VALUES (7)").unwrap();
+        db.drop_table("again").unwrap();
+        s.execute("CREATE TABLE again (id INT PRIMARY KEY, note VARCHAR)")
+            .unwrap();
+        s.execute("INSERT INTO again VALUES (8, 'new')").unwrap();
+        let deltas = x.extract(&db).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].table, "again");
+        assert_eq!(ids_of(&deltas[0]), [Value::Int(8)]);
+        assert_eq!(deltas[0].records[0].row.values().len(), 2);
     }
 
     #[test]
@@ -618,11 +689,7 @@ mod tests {
             .unwrap();
         let archived = LogExtractor::shippable_segments(&db).unwrap();
         assert!(!archived.is_empty());
-        let victim = &archived[0];
-        let mut bytes = std::fs::read(victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(victim, &bytes).unwrap();
+        flip_middle_byte(&archived[0]);
 
         // The plain extractor wedges on the corrupt segment...
         assert!(LogExtractor::new().extract(&db).is_err());
@@ -750,11 +817,7 @@ mod tests {
                 .unwrap();
         }
         db.checkpoint().unwrap();
-        let victim = &LogExtractor::shippable_segments(&db).unwrap()[0];
-        let mut bytes = std::fs::read(victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(victim, &bytes).unwrap();
+        flip_middle_byte(&LogExtractor::shippable_segments(&db).unwrap()[0]);
 
         // Stage: corruption is quarantined, diff staged — then the publish
         // "fails" and the round aborts. The quarantine is not rolled back,
@@ -778,6 +841,141 @@ mod tests {
         assert!(!next.coalesced);
         assert_eq!(next.outcome.deltas[0].len(), 1);
         x.commit(next).unwrap();
+    }
+
+    fn flip_middle_byte(path: &std::path::Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn reopen_survives_a_corrupt_archive_and_the_next_stage_degrades() {
+        let db = setup("reopen-corrupt");
+        let dir = db.options().dir.clone();
+        let mut x = ResilientLogExtractor::new(baseline_dir("reopen-corrupt"), &["parts"]).unwrap();
+        x.prime(&db).unwrap();
+        let mut s = db.session();
+        for i in 0..30 {
+            s.execute(&format!("INSERT INTO parts VALUES ({i}, 'v{i}')"))
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        s.execute("INSERT INTO parts VALUES (100, 'after')")
+            .unwrap();
+        let next_lsn = db.wal().next_lsn();
+        flip_middle_byte(&LogExtractor::shippable_segments(&db).unwrap()[0]);
+        drop(s);
+        drop(db);
+
+        // Open reads the resident log and `lsn.hint`; the archive is the
+        // extractor's to judge, never a reason not to boot.
+        let db = Database::open(DbOptions::new(dir).archive(true)).unwrap();
+        assert_eq!(db.wal().next_lsn(), next_lsn);
+        assert_eq!(db.row_count("parts").unwrap(), 31);
+
+        let round = x.extract(&db).unwrap();
+        assert_eq!(round.degraded, vec!["parts".to_string()]);
+        assert_eq!(round.quarantined_segments.len(), 1);
+        assert_eq!(round.deltas[0].len(), 31, "every insert, via the diff");
+        db.session()
+            .execute("INSERT INTO parts VALUES (101, 'healed')")
+            .unwrap();
+        let round = x.extract(&db).unwrap();
+        assert!(round.degraded.is_empty(), "back on the log");
+        assert_eq!(ids_of(&round.deltas[0]), [Value::Int(101)]);
+    }
+
+    #[test]
+    fn a_consumed_segment_is_never_read_again() {
+        // Damage, then loss, of an archived segment wholly below the
+        // watermark: the next round neither notices nor degrades, because
+        // it never opens the file.
+        for delete in [false, true] {
+            let label = if delete {
+                "consumed-rm"
+            } else {
+                "consumed-flip"
+            };
+            let db = setup(label);
+            let mut x = ResilientLogExtractor::new(baseline_dir(label), &["parts"]).unwrap();
+            x.prime(&db).unwrap();
+            let mut s = db.session();
+            for round in 0..3 {
+                for i in 0..10 {
+                    let id = round * 10 + i;
+                    s.execute(&format!("INSERT INTO parts VALUES ({id}, 'v')"))
+                        .unwrap();
+                }
+                db.checkpoint().unwrap();
+                let out = x.extract(&db).unwrap();
+                assert!(out.degraded.is_empty());
+                assert_eq!(out.deltas[0].len(), 10);
+            }
+            let archived = LogExtractor::shippable_segments(&db).unwrap();
+            assert!(archived.len() >= 3);
+            if delete {
+                std::fs::remove_file(&archived[0]).unwrap();
+            } else {
+                flip_middle_byte(&archived[0]);
+            }
+
+            s.execute("INSERT INTO parts VALUES (1000, 'new')").unwrap();
+            let staged = x.stage(&db).unwrap();
+            assert!(!staged.coalesced, "{label}: still on the log path");
+            assert!(staged.outcome.degraded.is_empty());
+            assert!(staged.outcome.quarantined_segments.is_empty());
+            assert_eq!(ids_of(&staged.outcome.deltas[0]), [Value::Int(1000)]);
+            x.commit(staged).unwrap();
+            assert_eq!(
+                LogExtractor::shippable_segments(&db).unwrap().len(),
+                archived.len() - delete as usize,
+                "{label}: nothing was quarantined"
+            );
+        }
+    }
+
+    #[test]
+    fn only_tables_the_round_changed_get_a_new_baseline() {
+        let db = setup("two-baselines");
+        let mut s = db.session();
+        s.execute("CREATE TABLE orders (id INT PRIMARY KEY)")
+            .unwrap();
+        let dir = baseline_dir("two-baselines");
+        let mut x = ResilientLogExtractor::new(&dir, &["orders", "parts"]).unwrap();
+        x.prime(&db).unwrap();
+        s.execute("INSERT INTO orders VALUES (1)").unwrap();
+        s.execute("INSERT INTO parts VALUES (0, 'z')").unwrap();
+        assert_eq!(x.extract(&db).unwrap().deltas.len(), 2);
+        let stamp = |t: &str| {
+            let path = dir.join(format!("{t}.baseline"));
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (modified, std::fs::read(&path).unwrap())
+        };
+        let (orders_before, parts_before) = (stamp("orders"), stamp("parts"));
+
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        s.execute("INSERT INTO parts VALUES (1, 'a')").unwrap();
+        let staged = x.stage(&db).unwrap();
+        assert!(!staged.coalesced);
+        assert!(!dir.join("orders.baseline.staged").exists());
+        assert!(dir.join("parts.baseline.staged").exists());
+        x.commit(staged).unwrap();
+        assert_eq!(stamp("orders"), orders_before, "untouched table, same file");
+        assert_ne!(
+            stamp("parts").1,
+            parts_before.1,
+            "changed table, new baseline"
+        );
+
+        // The baseline left alone is still the right one to diff against.
+        s.execute("INSERT INTO orders VALUES (2)").unwrap();
+        let diff = x.stage_coalesced(&db).unwrap();
+        assert_eq!(diff.outcome.deltas.len(), 1);
+        assert_eq!(diff.outcome.deltas[0].table, "orders");
+        assert_eq!(ids_of(&diff.outcome.deltas[0]), [Value::Int(2)]);
+        x.abort(diff);
     }
 
     #[test]

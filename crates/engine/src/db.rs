@@ -23,8 +23,8 @@ use crate::index::{Index, IndexDef, IndexManager};
 use crate::lock::{LockManager, LockMode};
 use crate::session::Session;
 use crate::trigger::{TriggerDef, TriggerEvent, TriggerManager};
-use crate::txn::{Transaction, TxnId, TxnManager, UndoEntry};
-use crate::wal::{read_segment, LogManager, LogRecord, Lsn};
+use crate::txn::{Transaction, TxnManager, UndoEntry};
+use crate::wal::{committed_units, LogManager, LogRecord, Lsn};
 
 /// WAL durability level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -892,124 +892,80 @@ impl Database {
     /// Tables without a single-column primary key fall back to image-matched
     /// sequential replay with idempotence guards.
     ///
-    /// Mid-file WAL corruption surfaces as a typed `Corrupt` error from
-    /// `read_segment` — recovery fails loudly rather than guessing. Returns
-    /// the largest row timestamp seen in committed images (clock restore).
+    /// Mid-file WAL corruption surfaces as a typed `Corrupt` error from the
+    /// log reader — recovery fails loudly rather than guessing. What counts
+    /// as committed is the reader's call ([`committed_units`], by position),
+    /// so a torn batch is never replayed whatever transaction id it carries.
+    /// Returns the largest row timestamp seen in committed images (clock
+    /// restore).
     fn recover_from_wal(&self) -> EngineResult<i64> {
-        use std::collections::{HashMap, HashSet};
-        let mut records: Vec<(Lsn, LogRecord)> = Vec::new();
-        for p in self.wal.resident_segments()? {
-            records.extend(read_segment(&p)?);
-        }
-        records.sort_by_key(|(lsn, _)| *lsn);
-        if records.is_empty() {
-            return Ok(0);
-        }
-        let committed: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-
         // Resolve the final committed image per (table, key). DDL applies
         // inline (it is autonomous and usually already in the catalog) and
         // resets any pending state for the table it touches.
         let mut max_ts = 0i64;
         let mut keyed: HashMap<String, HashMap<String, (Value, Option<Row>)>> = HashMap::new();
         let mut unkeyed: HashMap<String, Vec<LogRecord>> = HashMap::new();
-        let note_ts = |row: &Row, max_ts: &mut i64| {
-            for v in row.values() {
-                if let Value::Timestamp(t) = v {
-                    *max_ts = (*max_ts).max(*t);
-                }
-            }
-        };
-        for (_, rec) in &records {
-            match rec {
-                LogRecord::CreateTable {
-                    name,
-                    schema,
-                    options,
-                } => {
-                    keyed.remove(name);
-                    unkeyed.remove(name);
-                    if !self.catalog.contains(name) {
-                        let schema = Schema::from_catalog_string(schema)?;
-                        let auto_timestamp =
-                            options.strip_prefix("auto_ts=").map(|s| s.to_string());
-                        self.create_table(name, schema, TableOptions { auto_timestamp })?;
-                    }
-                }
-                LogRecord::DropTable { name } => {
-                    keyed.remove(name);
-                    unkeyed.remove(name);
-                    if self.catalog.contains(name) {
-                        self.drop_table(name)?;
-                    }
-                }
-                LogRecord::Insert { txn, table, row } if committed.contains(txn) => {
-                    if !self.catalog.contains(table) {
-                        continue;
-                    }
-                    note_ts(row, &mut max_ts);
-                    let meta = self.table(table)?;
-                    match single_pk_pos(&meta) {
-                        Some(pk) => {
-                            let key = row.values()[pk].clone();
-                            keyed
-                                .entry(table.clone())
-                                .or_default()
-                                .insert(key.to_string(), (key, Some(row.clone())));
+        self.wal.read_committed(self.wal.resident_start(), |unit| {
+            for (_, rec) in unit {
+                match rec {
+                    LogRecord::CreateTable {
+                        name,
+                        schema,
+                        options,
+                    } => {
+                        keyed.remove(name);
+                        unkeyed.remove(name);
+                        if !self.catalog.contains(name) {
+                            let schema = Schema::from_catalog_string(schema)?;
+                            let auto_timestamp =
+                                options.strip_prefix("auto_ts=").map(|s| s.to_string());
+                            self.create_table(name, schema, TableOptions { auto_timestamp })?;
                         }
-                        None => unkeyed.entry(table.clone()).or_default().push(rec.clone()),
                     }
-                }
-                LogRecord::Delete { txn, table, before } if committed.contains(txn) => {
-                    if !self.catalog.contains(table) {
-                        continue;
-                    }
-                    let meta = self.table(table)?;
-                    match single_pk_pos(&meta) {
-                        Some(pk) => {
-                            let key = before.values()[pk].clone();
-                            keyed
-                                .entry(table.clone())
-                                .or_default()
-                                .insert(key.to_string(), (key, None));
+                    LogRecord::DropTable { name } => {
+                        keyed.remove(name);
+                        unkeyed.remove(name);
+                        if self.catalog.contains(name) {
+                            self.drop_table(name)?;
                         }
-                        None => unkeyed.entry(table.clone()).or_default().push(rec.clone()),
                     }
-                }
-                LogRecord::Update {
-                    txn,
-                    table,
-                    before,
-                    after,
-                } if committed.contains(txn) => {
-                    if !self.catalog.contains(table) {
-                        continue;
-                    }
-                    note_ts(after, &mut max_ts);
-                    let meta = self.table(table)?;
-                    match single_pk_pos(&meta) {
-                        Some(pk) => {
-                            let old_key = before.values()[pk].clone();
-                            let new_key = after.values()[pk].clone();
-                            let finals = keyed.entry(table.clone()).or_default();
-                            if old_key.to_string() != new_key.to_string() {
-                                // Primary-key update: the old key vanishes.
-                                finals.insert(old_key.to_string(), (old_key, None));
+                    _ => {
+                        // A row record of a table still cataloged: `-1`
+                        // images vacate their key, `+1` images claim theirs,
+                        // in order — so a key-changing update leaves the old
+                        // key absent.
+                        let Some(table) = rec.table().filter(|t| self.catalog.contains(t)) else {
+                            continue;
+                        };
+                        let pk = single_pk_pos(self.table(table)?.as_ref());
+                        for (sign, row) in rec.images().into_iter().flatten() {
+                            if sign > 0 {
+                                for v in row.values() {
+                                    if let Value::Timestamp(t) = v {
+                                        max_ts = max_ts.max(*t);
+                                    }
+                                }
                             }
-                            finals.insert(new_key.to_string(), (new_key, Some(after.clone())));
+                            if let Some(pk) = pk {
+                                let key = row.values()[pk].clone();
+                                let image = (sign > 0).then(|| row.clone());
+                                keyed
+                                    .entry(table.to_string())
+                                    .or_default()
+                                    .insert(key.to_string(), (key, image));
+                            }
                         }
-                        None => unkeyed.entry(table.clone()).or_default().push(rec.clone()),
+                        if pk.is_none() {
+                            unkeyed
+                                .entry(table.to_string())
+                                .or_default()
+                                .push(rec.clone());
+                        }
                     }
                 }
-                _ => {}
             }
-        }
+            Ok(())
+        })?;
         if keyed.is_empty() && unkeyed.is_empty() {
             return Ok(max_ts);
         }
@@ -1035,11 +991,8 @@ impl Database {
     fn apply_recovery(
         &self,
         txn: &mut Transaction,
-        keyed: &std::collections::HashMap<
-            String,
-            std::collections::HashMap<String, (Value, Option<Row>)>,
-        >,
-        unkeyed: &std::collections::HashMap<String, Vec<LogRecord>>,
+        keyed: &HashMap<String, HashMap<String, (Value, Option<Row>)>>,
+        unkeyed: &HashMap<String, Vec<LogRecord>>,
     ) -> EngineResult<()> {
         for (table, finals) in keyed {
             if !self.catalog.contains(table) {
@@ -1122,21 +1075,15 @@ impl Database {
     /// this database — the "ship the archive logs to another similar
     /// database and apply them using the recovery manager" tool of §3.
     ///
-    /// Records of transactions without a `Commit` in `records` are ignored.
-    /// Rows are located by primary key when available, else by full-image
-    /// match. Triggers do not fire and timestamps are preserved.
+    /// Only committed units of `records` are applied ([`committed_units`]:
+    /// by position, so a torn `Begin …` fragment is ignored even when its
+    /// transaction id also belongs to a committed batch); pass whole
+    /// segments. Rows are located by primary key when available, else by
+    /// full-image match. Triggers do not fire and timestamps are preserved.
     pub fn apply_log_records(&self, records: &[(Lsn, LogRecord)]) -> EngineResult<u64> {
-        use std::collections::HashSet;
-        let committed: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
         let mut applied = 0u64;
         let mut txn = self.begin();
-        for (_, rec) in records {
+        for (_, rec) in committed_units(records).flatten() {
             match rec {
                 LogRecord::CreateTable {
                     name,
@@ -1150,17 +1097,13 @@ impl Database {
                 LogRecord::DropTable { name } if self.catalog.contains(name) => {
                     self.drop_table(name)?;
                 }
-                LogRecord::Insert { txn: t, table, row } if committed.contains(t) => {
+                LogRecord::Insert { table, row, .. } => {
                     let meta = self.table(table)?;
                     self.lock_table(&mut txn, table, LockMode::Exclusive)?;
                     self.insert_row(&mut txn, &meta, row.clone(), 0, false, false)?;
                     applied += 1;
                 }
-                LogRecord::Delete {
-                    txn: t,
-                    table,
-                    before,
-                } if committed.contains(t) => {
+                LogRecord::Delete { table, before, .. } => {
                     let meta = self.table(table)?;
                     self.lock_table(&mut txn, table, LockMode::Exclusive)?;
                     if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
@@ -1169,11 +1112,11 @@ impl Database {
                     }
                 }
                 LogRecord::Update {
-                    txn: t,
                     table,
                     before,
                     after,
-                } if committed.contains(t) => {
+                    ..
+                } => {
                     let meta = self.table(table)?;
                     self.lock_table(&mut txn, table, LockMode::Exclusive)?;
                     if let Some((rid, old)) = self.locate_by_image(&meta, before)? {

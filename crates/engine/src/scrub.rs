@@ -8,8 +8,8 @@
 //!
 //! Corrupt units are quarantined without destroying evidence: heap pages go
 //! into the heap's `.quarantine` sidecar; unreadable archived segments are
-//! renamed `*.wal.corrupt` — the same convention the resilient log
-//! extractor uses — so recovery never trips over them again. The
+//! renamed `*.wal.corrupt` — the same `LogManager` walk the resilient log
+//! extractor runs — so no reader trips over them again. The
 //! [`ScrubReport`] names the affected tables, which is exactly the input
 //! the anti-entropy auditor needs to run a *targeted* audit instead of a
 //! full sweep (a corrupt archived segment could have carried any table's
@@ -20,7 +20,6 @@ use std::path::PathBuf;
 use delta_storage::scrub::{quarantine_pages, scrub_page_file};
 
 use crate::db::Database;
-use crate::wal::read_segment;
 use crate::EngineResult;
 
 /// What one [`scrub_database`] pass found and did.
@@ -73,18 +72,10 @@ pub fn scrub_database(db: &Database) -> EngineResult<ScrubReport> {
             report.tables_affected.push(table);
         }
     }
-    for seg in db.wal().archived_segments()? {
-        match read_segment(&seg) {
-            Ok(_) => report.wal_segments_scanned += 1,
-            Err(_) => {
-                report.wal_segments_scanned += 1;
-                report.wal_segments_corrupt += 1;
-                let quarantined = seg.with_extension("wal.corrupt");
-                std::fs::rename(&seg, &quarantined)?;
-                report.quarantined.push(quarantined);
-            }
-        }
-    }
+    let (scanned, quarantined) = db.wal().quarantine_corrupt_archived()?;
+    report.wal_segments_scanned += scanned as u64;
+    report.wal_segments_corrupt += quarantined.len() as u64;
+    report.quarantined.extend(quarantined);
     if report.wal_segments_corrupt > 0 {
         // A segment's records could have touched any table; implicate all.
         report.tables_affected = db.table_names();

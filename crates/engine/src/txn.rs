@@ -75,15 +75,7 @@ impl Transaction {
 
     /// Number of row-level changes buffered so far.
     pub fn change_count(&self) -> usize {
-        self.wal_buffer
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    LogRecord::Insert { .. } | LogRecord::Delete { .. } | LogRecord::Update { .. }
-                )
-            })
-            .count()
+        self.wal_buffer.iter().filter(|r| r.is_row_change()).count()
     }
 
     /// The current end of the redo tail; row changes made from here on are
@@ -105,16 +97,7 @@ impl Transaction {
         let tail = self.wal_buffer.get(mark..).unwrap_or_default();
         tail.iter()
             .filter(move |rec| rec.table() == Some(table))
-            .flat_map(|rec| {
-                let (left, entered) = match rec {
-                    LogRecord::Insert { row, .. } => (None, Some(row)),
-                    LogRecord::Delete { before, .. } => (Some(before), None),
-                    LogRecord::Update { before, after, .. } => (Some(before), Some(after)),
-                    _ => (None, None),
-                };
-                let left = left.map(|row| (-1, row));
-                left.into_iter().chain(entered.map(|row| (1, row)))
-            })
+            .flat_map(|rec| rec.images().into_iter().flatten())
     }
 }
 

@@ -27,6 +27,8 @@
 //! happen in the same critical section), which torn-tail recovery depends
 //! on: truncation may only ever lose the highest-LSN suffix.
 
+use std::collections::HashMap;
+use std::ffi::OsString;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -105,6 +107,62 @@ impl LogRecord {
             _ => None,
         }
     }
+
+    /// Whether this is a row-level change (insert, delete or update).
+    pub fn is_row_change(&self) -> bool {
+        self.images().iter().any(Option::is_some)
+    }
+
+    /// The signed stored images this record carries, in order: `-1` the row
+    /// that left the table (`before`), `+1` the row that entered it (`row`,
+    /// `after`). The one translation from redo records to images — the view
+    /// fold over an open transaction's tail and log extraction over the
+    /// committed tail are both written over it.
+    pub fn images(&self) -> [Option<(i64, &Row)>; 2] {
+        let (left, entered) = match self {
+            LogRecord::Insert { row, .. } => (None, Some(row)),
+            LogRecord::Delete { before, .. } => (Some(before), None),
+            LogRecord::Update { before, after, .. } => (Some(before), Some(after)),
+            _ => (None, None),
+        };
+        [left.map(|row| (-1, row)), entered.map(|row| (1, row))]
+    }
+}
+
+/// The one definition of "committed": split `records` (log order) into
+/// committed units *by position*, never by transaction id — ids restart at
+/// every open, positions do not. A `Begin … Commit` run with only row
+/// records between is one unit; an administrative record (DDL, checkpoint)
+/// is a unit alone; a `Begin …` fragment that meets the next `Begin`, an
+/// administrative record or the end before any `Commit` is a torn batch and
+/// is dropped, as is any row record or `Commit` outside a `Begin`.
+///
+/// Sound over a whole segment or any run of whole segments: a commit batch
+/// reaches the log as one contiguous write and a segment only rotates
+/// between groups, so a batch never interleaves with another and never
+/// straddles a segment.
+pub fn committed_units(records: &[(Lsn, LogRecord)]) -> impl Iterator<Item = &[(Lsn, LogRecord)]> {
+    let mut rest = records;
+    std::iter::from_fn(move || loop {
+        let (first, tail) = rest.split_first()?;
+        // How many records the unit starting here holds, if one does. (A
+        // fragment is dropped `Begin` first; its rows then fall as strays.)
+        let len = match first.1 {
+            LogRecord::Begin { .. } => {
+                let body = tail.iter().take_while(|(_, r)| r.is_row_change()).count();
+                matches!(tail.get(body), Some((_, LogRecord::Commit { .. }))).then_some(body + 2)
+            }
+            LogRecord::CreateTable { .. } | LogRecord::DropTable { .. } | LogRecord::Checkpoint => {
+                Some(1)
+            }
+            _ => None,
+        };
+        let (unit, after) = rest.split_at(len.unwrap_or(1));
+        rest = after;
+        if len.is_some() {
+            return Some(unit);
+        }
+    })
 }
 
 const T_BEGIN: u8 = 1;
@@ -272,11 +330,6 @@ pub fn encode_record(lsn: Lsn, rec: &LogRecord) -> Vec<u8> {
 /// bad checksum, trailing garbage — surfaces as a typed
 /// [`StorageError::Corrupt`], never a panic.
 pub fn decode_record(buf: &mut &[u8]) -> StorageResult<(Lsn, LogRecord)> {
-    decode_entry(buf)
-}
-
-/// Decode one entry from the front of `buf`; returns `(lsn, record)`.
-fn decode_entry(buf: &mut &[u8]) -> StorageResult<(Lsn, LogRecord)> {
     if buf.remaining() < 4 {
         return Err(StorageError::Corrupt("wal frame truncated".into()));
     }
@@ -452,6 +505,11 @@ pub struct LogManager {
     /// hint ask it for space first. Exhaustion mid-group acts like a torn
     /// write (typed error, tail truncated at reopen).
     budget: Option<Arc<DiskBudget>>,
+    /// First LSN of every segment read so far (see [`stream_committed`]).
+    first_lsns: SegmentFirsts,
+    /// First LSN held by the segments resident at open: where redo recovery
+    /// starts (the next LSN when they held nothing).
+    resident_start: Lsn,
 }
 
 struct WalInner {
@@ -489,8 +547,8 @@ fn batch_is_bracketed(records: &[LogRecord]) -> bool {
 }
 
 impl LogManager {
-    /// Open the log in `wal_dir` (created if needed). Existing segments are
-    /// scanned to restore the LSN counter and closed-segment list.
+    /// Open the log in `wal_dir` (created if needed). The resident segments
+    /// are scanned to restore the LSN counter and closed-segment list.
     pub fn open(
         wal_dir: impl AsRef<Path>,
         archive_dir: impl AsRef<Path>,
@@ -505,8 +563,7 @@ impl LogManager {
         fs::create_dir_all(&wal_dir)?;
         fs::create_dir_all(&archive_dir)?;
 
-        let mut segments = list_segment_files(&wal_dir)?;
-        segments.sort();
+        let segments = list_segment_files(&wal_dir)?;
         // LSN high-water hint, persisted at checkpoint: segment scans alone
         // cannot recover the next LSN when archived history has been moved,
         // quarantined, or deleted — and re-issuing an already-used LSN would
@@ -515,28 +572,30 @@ impl LogManager {
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(0);
-        let (active_index, mut next_lsn) = match segments.last() {
-            Some(last) => {
-                // Recover the next LSN by reading every resident segment.
-                let mut max_lsn = 0;
-                for p in &segments {
-                    for (lsn, _) in read_segment(p)? {
-                        max_lsn = max_lsn.max(lsn);
-                    }
-                }
-                // Also account for archived segments (their LSNs are lower by
-                // construction, but be safe if someone moved files around).
-                for p in list_segment_files(&archive_dir)? {
-                    for (lsn, _) in read_segment(&p)? {
-                        max_lsn = max_lsn.max(lsn);
-                    }
-                }
-                let last_index: u64 = segment_index_of(last)?;
-                (last_index, max_lsn + 1)
-            }
-            None => (1, 1),
+        // The next LSN comes from the resident segments and the hint. Damage
+        // in a resident segment fails the open (recovery refuses to guess);
+        // the archive is consulted newest-first for one readable segment and
+        // never fails it — an unreadable archived segment is the extractor's
+        // to quarantine, not a reason to refuse to boot.
+        let first_lsns = SegmentFirsts::default();
+        let skip = |_: &[(Lsn, LogRecord)]| Ok(());
+        let resident_high = stream_committed(&first_lsns, &segments, 1, Lsn::MAX, skip)?;
+        let archived_high = list_segment_files(&archive_dir)?
+            .iter()
+            .rev()
+            .find_map(|p| {
+                stream_committed(&first_lsns, std::slice::from_ref(p), 1, Lsn::MAX, skip).ok()
+            })
+            .unwrap_or(0);
+        let next_lsn = (resident_high.max(archived_high) + 1).max(hint);
+        let resident_start = segments
+            .iter()
+            .find_map(|p| first_lsns.lock().get(p.file_name()?).copied())
+            .unwrap_or(next_lsn);
+        let active_index = match segments.last() {
+            Some(last) => segment_index_of(last)?,
+            None => 1,
         };
-        next_lsn = next_lsn.max(hint).max(1);
         let active_path = wal_dir.join(segment_name(active_index));
         // A crash mid-append can leave a torn entry at the active segment's
         // tail; truncate it away so new appends continue a valid stream.
@@ -580,6 +639,8 @@ impl LogManager {
             counters: WalCounters::default(),
             faults,
             budget,
+            first_lsns,
+            resident_start,
         })
     }
 
@@ -958,9 +1019,7 @@ impl LogManager {
 
     /// Paths of archived segments, in order.
     pub fn archived_segments(&self) -> EngineResult<Vec<PathBuf>> {
-        let mut v = list_segment_files(&self.archive_dir)?;
-        v.sort();
-        Ok(v)
+        list_segment_files(&self.archive_dir)
     }
 
     /// Compress archived segments in place (LZ blocks behind
@@ -1021,31 +1080,132 @@ impl LogManager {
         // Flush so readers see everything appended so far.
         // lint: allow(lock_hygiene) -- one-shot flush of the guarded writer.
         self.inner.lock().writer.out.flush()?;
-        let mut v = list_segment_files(&self.wal_dir)?;
-        v.sort();
-        Ok(v)
+        list_segment_files(&self.wal_dir)
     }
 
-    /// Read every record (archived + resident) with LSN at least `from_lsn`,
-    /// in LSN order.
+    /// The one reader of the committed log. Visits, in log order, every
+    /// committed unit (see [`committed_units`]) whose records lie in
+    /// `from_lsn ..=` the LSN durable when the call began — so what a visitor
+    /// itself appends is never read back — and returns the highest LSN read,
+    /// dropped fragments included (`0` when there was nothing to read): a
+    /// consumer's watermark passes a torn batch, which can never commit
+    /// later. Segments wholly below `from_lsn` are not opened (see
+    /// [`stream_committed`]); a damaged segment that *is* needed surfaces as
+    /// typed corruption.
+    pub fn read_committed(
+        &self,
+        from_lsn: Lsn,
+        visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
+    ) -> EngineResult<Lsn> {
+        let end = self.durable_lsn();
+        if from_lsn > end {
+            return Ok(0);
+        }
+        let segments = {
+            // lint: allow(lock_hygiene) -- both directories are listed under
+            // the writer lock so a checkpoint cannot move a segment from one
+            // to the other between the two listings (it would be in neither).
+            let mut inner = self.inner.lock();
+            inner.writer.out.flush()?;
+            let mut all = list_segment_files(&self.archive_dir)?;
+            all.extend(list_segment_files(&self.wal_dir)?);
+            all
+        };
+        stream_committed(&self.first_lsns, &segments, from_lsn, end, visit)
+    }
+
+    /// [`read_committed`](LogManager::read_committed) collected: the records
+    /// of every committed unit from `from_lsn` on, in LSN order.
     pub fn read_from(&self, from_lsn: Lsn) -> EngineResult<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
-        let mut paths = self.archived_segments()?;
-        paths.extend(self.resident_segments()?);
-        for p in paths {
-            for (lsn, rec) in read_segment(&p)? {
-                if lsn >= from_lsn {
-                    out.push((lsn, rec));
-                }
-            }
-        }
-        out.sort_by_key(|(lsn, _)| *lsn);
-        invariant!(
-            out.windows(2).all(|w| w[1].0 == w[0].0 + 1),
-            "WAL read_from({from_lsn}) returned a non-dense LSN sequence"
-        );
+        self.read_committed(from_lsn, |unit| {
+            out.extend_from_slice(unit);
+            Ok(())
+        })?;
         Ok(out)
     }
+
+    /// Where redo recovery starts reading: the first LSN the segments
+    /// resident at open held.
+    pub fn resident_start(&self) -> Lsn {
+        self.resident_start
+    }
+
+    /// Move every unreadable archived segment aside (renamed `*.wal.corrupt`,
+    /// evidence kept) so no reader trips over the same bytes again. Returns
+    /// how many archived segments were read and where the corrupt ones went.
+    /// A corrupt *resident* segment belongs to recovery and is left alone.
+    pub fn quarantine_corrupt_archived(&self) -> EngineResult<(usize, Vec<PathBuf>)> {
+        let archived = self.archived_segments()?;
+        let mut quarantined = Vec::new();
+        for p in &archived {
+            if read_segment(p).is_err() {
+                let aside = p.with_extension("wal.corrupt");
+                fs::rename(p, &aside)?;
+                quarantined.push(aside);
+            }
+        }
+        Ok((archived.len(), quarantined))
+    }
+}
+
+/// First LSN per segment file name, filled as segments are read. A segment
+/// keeps its name and its first record for life (archiving renames the
+/// directory, compression rewrites in place), so an entry never goes stale;
+/// entries for files since removed are simply never looked up.
+type SegmentFirsts = Mutex<HashMap<OsString, Lsn>>;
+
+/// The body of the one reader: stream `segments` (oldest first) and hand
+/// `visit` every committed unit with records in `from_lsn..=end_lsn`; returns
+/// the highest LSN read in that range.
+///
+/// Reading starts at the newest segment known to begin at or below
+/// `from_lsn` — every segment listed before it is older still and is never
+/// opened, whether it is intact, corrupt, or (pruned, quarantined) no longer
+/// listed at all. Segments are decoded one at a time; nothing is collected
+/// and nothing is sorted.
+fn stream_committed(
+    first_lsns: &SegmentFirsts,
+    segments: &[PathBuf],
+    from_lsn: Lsn,
+    end_lsn: Lsn,
+    mut visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
+) -> EngineResult<Lsn> {
+    let start = {
+        let known = first_lsns.lock();
+        segments.iter().rposition(|p| {
+            let first = p.file_name().and_then(|name| known.get(name));
+            first.is_some_and(|first| *first <= from_lsn)
+        })
+    };
+    let mut high = 0;
+    // (segment index, last LSN) of the previous non-empty segment.
+    let mut prev: Option<(u64, Lsn)> = None;
+    for path in segments.get(start.unwrap_or(0)..).unwrap_or_default() {
+        let records = read_segment(path)?;
+        let (Some((first, _)), Some((last, _)), Some(name)) =
+            (records.first(), records.last(), path.file_name())
+        else {
+            continue;
+        };
+        first_lsns.lock().insert(name.to_os_string(), *first);
+        let index = segment_index_of(path)?;
+        invariant!(
+            records.windows(2).all(|w| w[1].0 == w[0].0 + 1)
+                && prev.is_none_or(|(i, l)| *first == l + 1 || index != i + 1),
+            "WAL segment {index} is not LSN-dense ({first}..={last} after {prev:?}): \
+             gaps are legal only where a segment is missing"
+        );
+        prev = Some((index, *last));
+        let lo = records.partition_point(|(lsn, _)| *lsn < from_lsn);
+        let hi = records.partition_point(|(lsn, _)| *lsn <= end_lsn);
+        let wanted = records.get(lo..hi).unwrap_or_default();
+        for unit in committed_units(wanted) {
+            visit(unit)?;
+        }
+        high = wanted.last().map_or(high, |(lsn, _)| *lsn);
+    }
+    Ok(high)
 }
 
 fn segment_index_of(path: &Path) -> EngineResult<u64> {
@@ -1058,6 +1218,7 @@ fn segment_index_of(path: &Path) -> EngineResult<u64> {
         .ok_or_else(|| EngineError::Invalid(format!("bad segment name {stem}")))
 }
 
+/// The segment files of `dir` in index (= LSN) order.
 fn list_segment_files(dir: &Path) -> EngineResult<Vec<PathBuf>> {
     let mut out = Vec::new();
     if !dir.exists() {
@@ -1069,6 +1230,7 @@ fn list_segment_files(dir: &Path) -> EngineResult<Vec<PathBuf>> {
             out.push(p);
         }
     }
+    out.sort();
     Ok(out)
 }
 
@@ -1091,7 +1253,7 @@ pub fn read_segment(path: &Path) -> EngineResult<Vec<(Lsn, LogRecord)>> {
     let mut out = Vec::new();
     while !buf.is_empty() {
         let before = buf;
-        match decode_entry(&mut buf) {
+        match decode_record(&mut buf) {
             Ok((lsn, rec)) => out.push((lsn, rec)),
             Err(e) => {
                 // Check whether anything decodable follows the bad bytes; if
@@ -1113,7 +1275,7 @@ fn valid_prefix_len(path: &Path) -> EngineResult<u64> {
     let mut buf = &bytes[..];
     loop {
         let remaining_before = buf.len();
-        if decode_entry(&mut buf).is_err() {
+        if decode_record(&mut buf).is_err() {
             return Ok((bytes.len() - remaining_before) as u64);
         }
         if buf.is_empty() {
@@ -1127,7 +1289,7 @@ fn valid_prefix_len(path: &Path) -> EngineResult<u64> {
 fn rest_contains_valid_entry(bytes: &[u8]) -> bool {
     for start in 1..bytes.len().saturating_sub(12) {
         let mut probe = &bytes[start..];
-        if decode_entry(&mut probe).is_ok() {
+        if decode_record(&mut probe).is_ok() {
             return true;
         }
     }
@@ -1215,7 +1377,7 @@ mod tests {
         }
         let mut cursor = &buf[..];
         for (i, r) in recs.iter().enumerate() {
-            let (lsn, back) = decode_entry(&mut cursor).unwrap();
+            let (lsn, back) = decode_record(&mut cursor).unwrap();
             assert_eq!(lsn, i as u64 + 1);
             assert_eq!(&back, r);
         }
@@ -1227,7 +1389,7 @@ mod tests {
         let mut buf = encode_record(1, &LogRecord::Checkpoint);
         let n = buf.len();
         buf[n - 9] ^= 1; // flip a bit in the body
-        assert!(decode_entry(&mut &buf[..]).is_err());
+        assert!(decode_record(&mut &buf[..]).is_err());
     }
 
     #[test]
@@ -1399,6 +1561,55 @@ mod tests {
         }
         let wal = open(&dir, true);
         assert_eq!(wal.next_lsn(), 6);
+    }
+
+    #[test]
+    fn reader_opens_no_segment_below_its_start() {
+        let dir = tmp("skip");
+        let wal = open(&dir, true);
+        let mut firsts = Vec::new();
+        for t in 1..=4 {
+            firsts.push(wal.append_batch(&txn_batch(t, 3)).unwrap().0);
+            wal.switch_segment().unwrap();
+            wal.recycle_closed_segments().unwrap();
+        }
+        wal.append_batch(&txn_batch(5, 3)).unwrap();
+        assert_eq!(wal.read_from(1).unwrap().len(), 25);
+        // Lose the second archived segment: the hole it leaves is legal (the
+        // dense-LSN invariant allows a jump where an index is missing).
+        let archived = wal.archived_segments().unwrap();
+        assert_eq!(archived.len(), 4);
+        std::fs::remove_file(&archived[1]).unwrap();
+        assert_eq!(wal.read_from(1).unwrap().len(), 20);
+        // Vandalize the oldest. A read that starts in the third segment
+        // touches neither...
+        let mut bytes = std::fs::read(&archived[0]).unwrap();
+        bytes[20] ^= 0xFF;
+        std::fs::write(&archived[0], &bytes).unwrap();
+        assert_eq!(wal.read_from(firsts[2]).unwrap().len(), 15);
+        // ...one that needs the damaged segment says so...
+        assert!(wal.read_from(1).is_err());
+        // ...until the one quarantine walk moves it aside.
+        let (scanned, quarantined) = wal.quarantine_corrupt_archived().unwrap();
+        assert_eq!((scanned, quarantined.len()), (3, 1));
+        assert_eq!(wal.read_from(1).unwrap().len(), 15);
+    }
+
+    #[test]
+    fn reader_never_reads_back_what_its_visitor_appends() {
+        let dir = tmp("visitor-appends");
+        let wal = open(&dir, false);
+        wal.append_batch(&txn_batch(1, 1)).unwrap();
+        wal.append_batch(&[LogRecord::Checkpoint]).unwrap();
+        let mut units = 0;
+        let high = wal
+            .read_committed(1, |_| {
+                units += 1;
+                wal.append_batch(&[LogRecord::Checkpoint]).map(drop)
+            })
+            .unwrap();
+        assert_eq!((units, high), (2, 4));
+        assert_eq!(wal.read_from(high + 1).unwrap().len(), 2);
     }
 
     #[test]

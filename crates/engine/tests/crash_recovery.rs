@@ -126,3 +126,109 @@ fn recovery_survives_repeated_injected_crashes() {
     }
     assert!(next_id >= 6, "some commits must have succeeded");
 }
+
+/// Append one torn `Begin, Insert` fragment per id to `segment` (a crash tore
+/// each commit batch after its second record); fragment `i` tries to insert
+/// row `(100 + i, 'torn')`.
+fn append_torn_fragments(segment: &std::path::Path, mut lsn: u64, ids: &[u64]) {
+    use delta_engine::txn::TxnId;
+    use delta_engine::wal::{encode_record, LogRecord};
+    use delta_storage::{Row, Value};
+    use std::io::Write;
+
+    let mut tail = Vec::new();
+    for (i, id) in ids.iter().enumerate() {
+        let txn = TxnId(*id);
+        tail.extend(encode_record(lsn, &LogRecord::Begin { txn }));
+        tail.extend(encode_record(
+            lsn + 1,
+            &LogRecord::Insert {
+                txn,
+                table: "t".into(),
+                row: Row::new(vec![Value::Int(100 + i as i64), Value::Str("torn".into())]),
+            },
+        ));
+        lsn += 2;
+    }
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(segment)
+        .unwrap()
+        .write_all(&tail)
+        .unwrap();
+}
+
+/// A source whose resident log holds one committed insert `(1, 'a')`, then
+/// torn fragments under that transaction's own id and under ids 1..=4 (so
+/// whichever id the first transaction after a reopen draws, a fragment
+/// already carries it), then — after a reopen — a committed insert
+/// `(3, 'c')`. Transaction ids restart at every open; "committed" must not
+/// be decided by id.
+fn source_with_colliding_fragments(label: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    use delta_engine::wal::LogRecord;
+
+    let d = dir(label);
+    let db = Database::open(DbOptions::new(&d)).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE TABLE t (id INT PRIMARY KEY, pad VARCHAR)")
+        .unwrap();
+    s.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
+    let committed = db
+        .wal()
+        .read_from(1)
+        .unwrap()
+        .iter()
+        .find_map(|(_, r)| match r {
+            LogRecord::Commit { txn } => Some(txn.0),
+            _ => None,
+        })
+        .unwrap();
+    let torn_lsn = db.wal().next_lsn();
+    let segment = db.wal().resident_segments().unwrap().pop().unwrap();
+    drop(s);
+    drop(db);
+    append_torn_fragments(&segment, torn_lsn, &[committed, 1, 2, 3, 4]);
+    (d, segment)
+}
+
+#[test]
+fn recovery_never_replays_a_torn_fragment_whatever_its_id() {
+    let (d, _) = source_with_colliding_fragments("collide-recover");
+    // (a) the fragment's id equals a transaction committed earlier in the
+    // same resident log.
+    let db = Database::open(DbOptions::new(&d).sync(SyncMode::Flush)).unwrap();
+    assert_eq!(state(&db), BTreeMap::from([(1, "'a'".to_string())]));
+    // (b) the fragment's id equals a transaction that commits after the
+    // reopen; the next recovery sees both in one window.
+    db.session()
+        .execute("INSERT INTO t VALUES (3, 'c')")
+        .unwrap();
+    let _leaked = std::mem::ManuallyDrop::new(db);
+    let db = Database::open(DbOptions::new(&d)).unwrap();
+    assert_eq!(
+        state(&db),
+        BTreeMap::from([(1, "'a'".to_string()), (3, "'c'".to_string())])
+    );
+}
+
+#[test]
+fn a_standby_never_applies_a_torn_fragment_whatever_its_id() {
+    use delta_engine::wal::{read_segment, LogRecord};
+
+    let (d, segment) = source_with_colliding_fragments("collide-ship");
+    let db = Database::open(DbOptions::new(&d).sync(SyncMode::Flush)).unwrap();
+    db.session()
+        .execute("INSERT INTO t VALUES (3, 'c')")
+        .unwrap();
+    // Ship the raw segment, fragments and all, as log shipping does.
+    let shipped = read_segment(&segment).unwrap();
+    let begins = |recs: &[(u64, LogRecord)]| {
+        let begin = |r: &&(u64, LogRecord)| matches!(r.1, LogRecord::Begin { .. });
+        recs.iter().filter(begin).count()
+    };
+    assert_eq!(begins(&shipped), 7, "two commits and five torn fragments");
+    let standby = Database::open(DbOptions::new(dir("collide-standby"))).unwrap();
+    assert_eq!(standby.apply_log_records(&shipped).unwrap(), 2);
+    assert_eq!(state(&standby), state(&db));
+    assert_eq!(state(&standby).len(), 2);
+}

@@ -98,6 +98,7 @@ pub const PANIC_FREE_FILES: &[&str] = &[
     "crates/warehouse/src/direct.rs",
     "crates/warehouse/src/apply.rs",
     "crates/warehouse/src/view.rs",
+    "crates/core/src/logextract.rs",
 ];
 
 /// Path prefixes whose every file is panic-free scoped. `crates/lint/src`
