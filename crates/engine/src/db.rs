@@ -14,7 +14,8 @@ use delta_storage::codec::export::ProductTag;
 use delta_storage::fault::FaultInjector;
 use delta_storage::pressure::DiskBudget;
 use delta_storage::{
-    BufferPool, BufferPoolStats, DeltaCodec, DiskFile, HeapFile, RecordId, Row, Schema, Value,
+    invariant, BufferPool, BufferPoolStats, DeltaCodec, DiskFile, HeapFile, RecordId, Row, Schema,
+    Value,
 };
 
 use crate::catalog::{Catalog, TableMeta, TableOptions};
@@ -281,12 +282,15 @@ impl Database {
         let pk = meta.schema.primary_key_indices();
         if pk.len() == 1 {
             let col = &meta.schema.columns()[pk[0]].name;
-            self.indexes.create(IndexDef {
-                name: format!("pk_{}", meta.name),
-                table: meta.name.clone(),
-                column: col.clone(),
-                unique: true,
-            })?;
+            self.indexes.create(
+                IndexDef {
+                    name: format!("pk_{}", meta.name),
+                    table: meta.name.clone(),
+                    column: col.clone(),
+                    unique: true,
+                },
+                pk[0],
+            )?;
         }
         // Composite primary keys are cataloged but not index-enforced; the
         // engine's workloads (and the paper's) use single-column keys.
@@ -309,12 +313,26 @@ impl Database {
             let mut parts = line.split('\t');
             match (parts.next(), parts.next(), parts.next(), parts.next()) {
                 (Some(name), Some(table), Some(column), Some(unique)) => {
-                    self.indexes.create(IndexDef {
-                        name: name.into(),
-                        table: table.into(),
-                        column: column.into(),
-                        unique: unique == "1",
-                    })?;
+                    // `drop_table` persists the catalog before this file, so
+                    // a crash between the two leaves a line for a table that
+                    // is gone: skip it (the next save drops it).
+                    let Some(pos) = self
+                        .catalog
+                        .get(table)
+                        .ok()
+                        .and_then(|meta| meta.schema.index_of(column))
+                    else {
+                        continue;
+                    };
+                    self.indexes.create(
+                        IndexDef {
+                            name: name.into(),
+                            table: table.into(),
+                            column: column.into(),
+                            unique: unique == "1",
+                        },
+                        pos,
+                    )?;
                 }
                 _ => {
                     return Err(EngineError::Invalid(format!(
@@ -329,7 +347,7 @@ impl Database {
     fn save_secondary_index_defs(&self) -> EngineResult<()> {
         let mut out = String::new();
         for name in self.catalog.names() {
-            for idx in self.indexes.for_table(&name) {
+            for idx in self.indexes.for_table(&name).iter() {
                 if !idx.def.name.starts_with("pk_") {
                     out.push_str(&format!(
                         "{}\t{}\t{}\t{}\n",
@@ -416,12 +434,15 @@ impl Database {
             .schema
             .index_of(column)
             .ok_or_else(|| EngineError::NoSuchObject(format!("{table}.{column}")))?;
-        let idx = self.indexes.create(IndexDef {
-            name: name.into(),
-            table: table.into(),
-            column: column.into(),
-            unique,
-        })?;
+        let idx = self.indexes.create(
+            IndexDef {
+                name: name.into(),
+                table: table.into(),
+                column: column.into(),
+                unique,
+            },
+            col_idx,
+        )?;
         let heap = self.heap(table)?;
         let mut failure = None;
         heap.for_each(|rid, bytes| {
@@ -453,15 +474,10 @@ impl Database {
     /// Rebuild every index of `table` by scanning its heap. Returns the
     /// largest Timestamp value seen in the table (clock restoration).
     pub fn rebuild_indexes_for(&self, table: &str) -> EngineResult<i64> {
-        let meta = self.catalog.get(table)?;
         let idxs = self.indexes.for_table(table);
-        for i in &idxs {
+        for i in idxs.iter() {
             i.clear();
         }
-        let positions: Vec<usize> = idxs
-            .iter()
-            .map(|i| meta.schema.index_of(&i.def.column).unwrap_or(usize::MAX))
-            .collect();
         let heap = self.heap(table)?;
         let mut max_ts = 0i64;
         let mut failure: Option<EngineError> = None;
@@ -472,15 +488,17 @@ impl Database {
                     max_ts = max_ts.max(*t);
                 }
             }
-            for (i, pos) in idxs.iter().zip(&positions) {
-                if *pos != usize::MAX {
-                    if let Err(e) = i.insert(&row.values()[*pos], rid) {
-                        failure.get_or_insert(e);
-                    }
+            for i in idxs.iter() {
+                if let Err(e) = i.insert(&row.values()[i.column_pos()], rid) {
+                    failure.get_or_insert(e);
                 }
             }
             Ok(())
         })?;
+        invariant!(
+            idxs.iter().all(|i| i.len_matches_recount()),
+            "an index of {table} miscounts its entries after a rebuild"
+        );
         match failure {
             Some(e) => Err(e),
             None => Ok(max_ts),
@@ -546,13 +564,9 @@ impl Database {
                     let heap = self.heap(table)?;
                     let image = heap.get(rid)?;
                     heap.delete(rid)?;
-                    let unhooked = image.as_deref().map(|bytes| {
-                        Row::from_bytes(bytes)
-                            .map_err(EngineError::Storage)
-                            .and_then(|row| self.unhook_index_keys(table, &row, rid))
-                    });
-                    if !matches!(unhooked, Some(Ok(()))) {
-                        note(&mut rebuild, table);
+                    match image.as_deref().map(Row::from_bytes) {
+                        Some(Ok(row)) => self.unhook_index_keys(table, &row, rid),
+                        _ => note(&mut rebuild, table),
                     }
                 }
                 UndoEntry::Delete { table, rid, before } => {
@@ -583,8 +597,10 @@ impl Database {
                             EngineError::Invalid(format!("undo: no row at {rid:?} in {table}"))
                         })
                         .and_then(|bytes| Row::from_bytes(bytes).map_err(EngineError::Storage))
-                        .and_then(|row| self.unhook_index_keys(table, &row, rid))
-                        .and_then(|()| self.hook_index_keys(table, before, now));
+                        .and_then(|row| {
+                            self.unhook_index_keys(table, &row, rid);
+                            self.hook_index_keys(table, before, now)
+                        });
                     if fixed.is_err() {
                         note(&mut rebuild, table);
                     }
@@ -601,27 +617,16 @@ impl Database {
     }
 
     /// Remove every index entry of `table` keyed by `row`'s columns at `rid`.
-    fn unhook_index_keys(&self, table: &str, row: &Row, rid: RecordId) -> EngineResult<()> {
-        let meta = self.catalog.get(table)?;
-        for idx in self.indexes.for_table(table) {
-            let pos = meta
-                .schema
-                .index_of(&idx.def.column)
-                .ok_or_else(|| EngineError::NoSuchObject(format!("{table}.{}", idx.def.column)))?;
-            idx.remove(&row.values()[pos], rid);
+    fn unhook_index_keys(&self, table: &str, row: &Row, rid: RecordId) {
+        for idx in self.indexes.for_table(table).iter() {
+            idx.remove(&row.values()[idx.column_pos()], rid);
         }
-        Ok(())
     }
 
     /// Insert every index entry of `table` keyed by `row`'s columns at `rid`.
     fn hook_index_keys(&self, table: &str, row: &Row, rid: RecordId) -> EngineResult<()> {
-        let meta = self.catalog.get(table)?;
-        for idx in self.indexes.for_table(table) {
-            let pos = meta
-                .schema
-                .index_of(&idx.def.column)
-                .ok_or_else(|| EngineError::NoSuchObject(format!("{table}.{}", idx.def.column)))?;
-            idx.insert(&row.values()[pos], rid)?;
+        for idx in self.indexes.for_table(table).iter() {
+            idx.insert(&row.values()[idx.column_pos()], rid)?;
         }
         Ok(())
     }
@@ -649,29 +654,23 @@ impl Database {
                 row.set(i, Value::Timestamp(now_micros));
             }
         }
-        // Primary-key pre-check (X lock held, so no race).
-        let pk_cols = meta.schema.primary_key_indices();
-        if pk_cols.len() == 1 {
-            if let Some(idx) = self
-                .indexes
-                .for_table(&meta.name)
-                .into_iter()
-                .find(|i| i.def.unique)
-            {
-                let key = &row.values()[meta.schema.index_of(&idx.def.column).unwrap()];
-                if !key.is_null() && !idx.lookup(key).is_empty() {
-                    return Err(EngineError::DuplicateKey {
-                        table: meta.name.clone(),
-                        key: key.to_string(),
-                    });
-                }
+        // Every unique index is checked before the heap is touched (X lock
+        // held, so no race): a rejection after the heap insert would leave
+        // the row behind with no undo entry and no WAL record.
+        let idxs = self.indexes.for_table(&meta.name);
+        for idx in idxs.iter().filter(|i| i.def.unique) {
+            let key = &row.values()[idx.column_pos()];
+            if !idx.lookup(key).is_empty() {
+                return Err(EngineError::DuplicateKey {
+                    table: meta.name.clone(),
+                    key: key.to_string(),
+                });
             }
         }
         let heap = self.heap(&meta.name)?;
         let rid = heap.insert(&row.to_bytes())?;
-        for idx in self.indexes.for_table(&meta.name) {
-            let pos = meta.schema.index_of(&idx.def.column).unwrap();
-            idx.insert(&row.values()[pos], rid)?;
+        for idx in idxs.iter() {
+            idx.insert(&row.values()[idx.column_pos()], rid)?;
         }
         txn.undo.push(UndoEntry::Insert {
             table: meta.name.clone(),
@@ -714,13 +713,11 @@ impl Database {
             }
         }
         // Unique-key check when the key changed.
-        for idx in self.indexes.for_table(&meta.name) {
-            if !idx.def.unique {
-                continue;
-            }
-            let pos = meta.schema.index_of(&idx.def.column).unwrap();
+        let idxs = self.indexes.for_table(&meta.name);
+        for idx in idxs.iter().filter(|i| i.def.unique) {
+            let pos = idx.column_pos();
             let (ov, nv) = (&old.values()[pos], &new.values()[pos]);
-            if ov.sql_eq(nv) != Some(true) && !nv.is_null() && !idx.lookup(nv).is_empty() {
+            if ov.sql_eq(nv) != Some(true) && !idx.lookup(nv).is_empty() {
                 return Err(EngineError::DuplicateKey {
                     table: meta.name.clone(),
                     key: nv.to_string(),
@@ -729,8 +726,8 @@ impl Database {
         }
         let heap = self.heap(&meta.name)?;
         let new_rid = heap.update(rid, &new.to_bytes())?;
-        for idx in self.indexes.for_table(&meta.name) {
-            let pos = meta.schema.index_of(&idx.def.column).unwrap();
+        for idx in idxs.iter() {
+            let pos = idx.column_pos();
             idx.remove(&old.values()[pos], rid);
             idx.insert(&new.values()[pos], new_rid)?;
         }
@@ -769,9 +766,8 @@ impl Database {
     ) -> EngineResult<()> {
         let heap = self.heap(&meta.name)?;
         heap.delete(rid)?;
-        for idx in self.indexes.for_table(&meta.name) {
-            let pos = meta.schema.index_of(&idx.def.column).unwrap();
-            idx.remove(&old.values()[pos], rid);
+        for idx in self.indexes.for_table(&meta.name).iter() {
+            idx.remove(&old.values()[idx.column_pos()], rid);
         }
         txn.undo.push(UndoEntry::Delete {
             table: meta.name.clone(),
@@ -861,6 +857,13 @@ impl Database {
     /// segment and recycle closed ones (archiving them if archive mode is
     /// on). Returns the number of segments recycled.
     pub fn checkpoint(&self) -> EngineResult<usize> {
+        invariant!(
+            self.catalog.names().iter().all(|t| {
+                let idxs = self.indexes.for_table(t);
+                idxs.iter().all(|i| i.len_matches_recount())
+            }),
+            "an index miscounts its entries at checkpoint"
+        );
         self.pool.flush_and_sync_all()?;
         self.wal.append_batch(&[LogRecord::Checkpoint])?;
         self.wal.switch_segment()?;
@@ -1056,16 +1059,31 @@ impl Database {
         meta: &TableMeta,
         key: &Value,
     ) -> EngineResult<Option<(RecordId, Row)>> {
-        if let Some(idx) = self
-            .indexes
-            .for_table(&meta.name)
-            .into_iter()
-            .find(|i| i.def.unique)
-        {
-            for rid in idx.lookup(key) {
-                if let Some(bytes) = self.heap(&meta.name)?.get(rid)? {
-                    return Ok(Some((rid, Row::from_bytes(&bytes)?)));
-                }
+        match self.pk_index(meta) {
+            Some(idx) => self.fetch_by_key(meta, &idx, key),
+            None => Ok(None),
+        }
+    }
+
+    /// The unique index over `meta`'s single-column primary key, if any.
+    fn pk_index(&self, meta: &TableMeta) -> Option<Arc<Index>> {
+        let pk = single_pk_pos(meta)?;
+        let idxs = self.indexes.for_table(&meta.name);
+        let idx = idxs.iter().find(|i| i.def.unique && i.column_pos() == pk)?;
+        Some(idx.clone())
+    }
+
+    /// The live row `idx` holds under `key`.
+    fn fetch_by_key(
+        &self,
+        meta: &TableMeta,
+        idx: &Index,
+        key: &Value,
+    ) -> EngineResult<Option<(RecordId, Row)>> {
+        let heap = self.heap(&meta.name)?;
+        for rid in idx.lookup(key) {
+            if let Some(bytes) = heap.get(rid)? {
+                return Ok(Some((rid, Row::from_bytes(&bytes)?)));
             }
         }
         Ok(None)
@@ -1138,23 +1156,8 @@ impl Database {
         meta: &TableMeta,
         image: &Row,
     ) -> EngineResult<Option<(RecordId, Row)>> {
-        let pk = meta.schema.primary_key_indices();
-        if pk.len() == 1 {
-            if let Some(idx) = self
-                .indexes
-                .for_table(&meta.name)
-                .into_iter()
-                .find(|i| i.def.unique)
-            {
-                let key = &image.values()[meta.schema.index_of(&idx.def.column).unwrap()];
-                for rid in idx.lookup(key) {
-                    if let Some(bytes) = self.heap(&meta.name)?.get(rid)? {
-                        let row = Row::from_bytes(&bytes)?;
-                        return Ok(Some((rid, row)));
-                    }
-                }
-                return Ok(None);
-            }
+        if let Some(idx) = self.pk_index(meta) {
+            return self.fetch_by_key(meta, &idx, &image.values()[idx.column_pos()]);
         }
         for (rid, row) in self.scan_table(&meta.name)? {
             if row == *image {

@@ -1,6 +1,7 @@
 //! Statement execution: DML/query dispatch and access-path selection.
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use delta_sql::ast::{BinOp, Expr, OrderKey, SelectItem, Statement};
 use delta_sql::eval::{EvalContext, NoRow, SchemaRow};
@@ -9,6 +10,7 @@ use delta_storage::{RecordId, Row, Value};
 use crate::catalog::TableMeta;
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
+use crate::index::Index;
 use crate::lock::LockMode;
 use crate::txn::Transaction;
 
@@ -203,6 +205,19 @@ fn build_insert_row(
     }
 }
 
+/// An access path resolved to what running it needs: the index itself and
+/// the bounds the choice was made on, so a statement derives both once.
+/// [`AccessPath`] is its public description.
+enum Plan {
+    SeqScan,
+    IndexRange {
+        index: Arc<Index>,
+        lo: Bound<Value>,
+        hi: Bound<Value>,
+        estimated_fraction: f64,
+    },
+}
+
 /// Rows of `meta` matching `predicate`, via the chosen access path.
 pub fn matching_rows(
     db: &Database,
@@ -210,22 +225,13 @@ pub fn matching_rows(
     predicate: Option<&Expr>,
     now: i64,
 ) -> EngineResult<Vec<(RecordId, Row)>> {
-    let path = choose_access_path(db, meta, predicate);
-    let candidates: Vec<(RecordId, Row)> = match &path {
-        AccessPath::SeqScan => db.scan_table(&meta.name)?,
-        AccessPath::IndexRange { index, .. } => {
-            let idx = db
-                .indexes()
-                .get(index)
-                .ok_or_else(|| EngineError::NoSuchObject(index.clone()))?;
-            let (lo, hi) = bounds_for(
-                predicate.expect("index path requires predicate"),
-                &idx.def.column,
-            )
-            .expect("index path requires bounds");
+    let candidates: Vec<(RecordId, Row)> = match plan_access(db, meta, predicate) {
+        Plan::SeqScan => db.scan_table(&meta.name)?,
+        Plan::IndexRange { index, lo, hi, .. } => {
+            let rids = index.range(as_ref_bound(&lo), as_ref_bound(&hi));
             let heap = db.heap(&meta.name)?;
-            let mut out = Vec::new();
-            for rid in idx.range(as_ref_bound(&lo), as_ref_bound(&hi)) {
+            let mut out = Vec::with_capacity(rids.len());
+            for rid in rids {
                 if let Some(bytes) = heap.get(rid)? {
                     out.push((rid, Row::from_bytes(&bytes)?));
                 }
@@ -255,27 +261,49 @@ pub fn matching_rows(
 /// selectivity threshold of §3.1.1 ("indices may not be used ... if the
 /// deltas form a significant portion of the table").
 pub fn choose_access_path(db: &Database, meta: &TableMeta, predicate: Option<&Expr>) -> AccessPath {
+    match plan_access(db, meta, predicate) {
+        Plan::SeqScan => AccessPath::SeqScan,
+        Plan::IndexRange {
+            index,
+            estimated_fraction,
+            ..
+        } => AccessPath::IndexRange {
+            index: index.def.name.clone(),
+            estimated_fraction,
+        },
+    }
+}
+
+fn plan_access(db: &Database, meta: &TableMeta, predicate: Option<&Expr>) -> Plan {
     let Some(pred) = predicate else {
-        return AccessPath::SeqScan;
+        return Plan::SeqScan;
     };
-    for idx in db.indexes().for_table(&meta.name) {
-        let Some((lo, hi)) = bounds_for(pred, &idx.def.column) else {
+    let threshold = db.options().index_scan_threshold;
+    for index in db.indexes().for_table(&meta.name).iter() {
+        let Some((lo, hi)) = bounds_for(pred, &index.def.column) else {
             continue;
         };
         if matches!(lo, Bound::Unbounded) && matches!(hi, Bound::Unbounded) {
             continue;
         }
-        let total = idx.len().max(1);
-        let matched = idx.count_range(as_ref_bound(&lo), as_ref_bound(&hi));
-        let fraction = matched as f64 / total as f64;
-        if fraction <= db.options().index_scan_threshold {
-            return AccessPath::IndexRange {
-                index: idx.def.name.clone(),
-                estimated_fraction: fraction,
+        let total = index.len().max(1);
+        // A range that will be refused costs no more to estimate than one
+        // that is accepted: any count past `threshold × total` is refused
+        // whatever its size. The `+ 1` keeps the comparison below exact when
+        // the product lands a rounding error under a whole number.
+        let limit = ((threshold * total as f64) as usize).saturating_add(1);
+        let matched = index.count_range(as_ref_bound(&lo), as_ref_bound(&hi), limit);
+        let estimated_fraction = matched as f64 / total as f64;
+        if estimated_fraction <= threshold {
+            return Plan::IndexRange {
+                index: index.clone(),
+                lo,
+                hi,
+                estimated_fraction,
             };
         }
     }
-    AccessPath::SeqScan
+    Plan::SeqScan
 }
 
 fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {

@@ -12,6 +12,7 @@
 //! table"* — we reproduce that with a selectivity threshold.
 
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -50,19 +51,36 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
+/// The ordered map and the number of `(key, rid)` pairs in it, kept under
+/// one lock so the count can never be read apart from the map it counts.
+#[derive(Default)]
+struct Entries {
+    map: BTreeMap<IndexKey, BTreeSet<RecordId>>,
+    len: usize,
+}
+
 /// One in-memory ordered index.
 pub struct Index {
     pub def: IndexDef,
-    map: RwLock<BTreeMap<IndexKey, BTreeSet<RecordId>>>,
+    /// Position of `def.column` in the table's schema.
+    column_pos: usize,
+    entries: RwLock<Entries>,
 }
 
 impl Index {
-    /// Create an empty index from its definition.
-    pub fn new(def: IndexDef) -> Index {
+    /// Create an empty index from its definition; `column_pos` is where
+    /// `def.column` sits in the table's schema.
+    pub fn new(def: IndexDef, column_pos: usize) -> Index {
         Index {
             def,
-            map: RwLock::new(BTreeMap::new()),
+            column_pos,
+            entries: RwLock::new(Entries::default()),
         }
+    }
+
+    /// Position of the indexed column in the table's schema.
+    pub fn column_pos(&self) -> usize {
+        self.column_pos
     }
 
     /// Insert `(key, rid)`. NULL keys are not indexed (SQL semantics).
@@ -71,7 +89,8 @@ impl Index {
         if key.is_null() {
             return Ok(());
         }
-        let mut map = self.map.write();
+        let mut guard = self.entries.write();
+        let Entries { map, len } = &mut *guard;
         let entry = map.entry(IndexKey(key.clone())).or_default();
         if self.def.unique && !entry.is_empty() && !entry.contains(&rid) {
             return Err(EngineError::DuplicateKey {
@@ -79,7 +98,9 @@ impl Index {
                 key: key.to_string(),
             });
         }
-        entry.insert(rid);
+        if entry.insert(rid) {
+            *len += 1;
+        }
         Ok(())
     }
 
@@ -88,11 +109,14 @@ impl Index {
         if key.is_null() {
             return;
         }
-        let mut map = self.map.write();
-        if let Some(set) = map.get_mut(&IndexKey(key.clone())) {
-            set.remove(&rid);
-            if set.is_empty() {
-                map.remove(&IndexKey(key.clone()));
+        let mut guard = self.entries.write();
+        let Entries { map, len } = &mut *guard;
+        if let Entry::Occupied(mut slot) = map.entry(IndexKey(key.clone())) {
+            if slot.get_mut().remove(&rid) {
+                *len -= 1;
+            }
+            if slot.get().is_empty() {
+                slot.remove();
             }
         }
     }
@@ -102,49 +126,89 @@ impl Index {
         if key.is_null() {
             return Vec::new();
         }
-        self.map
+        self.entries
             .read()
+            .map
             .get(&IndexKey(key.clone()))
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
     }
 
-    /// Record ids within the bounds, in key order.
+    /// Record ids within the bounds, in key order. An equality (both bounds
+    /// including one key) is a point probe, not a range walk.
     pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RecordId> {
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
-        self.map
+        if let (Bound::Included(a), Bound::Included(b)) = (lo, hi) {
+            if a.total_cmp(b) == Ordering::Equal {
+                return self.lookup(a);
+            }
+        }
+        let Some(bounds) = key_range(lo, hi) else {
+            return Vec::new();
+        };
+        self.entries
             .read()
-            .range((lo, hi))
+            .map
+            .range(bounds)
             .flat_map(|(_, set)| set.iter().copied())
             .collect()
     }
 
-    /// Number of record ids within the bounds (selectivity estimation).
-    pub fn count_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> usize {
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
-        self.map
-            .read()
-            .range((lo, hi))
-            .map(|(_, set)| set.len())
-            .sum()
+    /// Number of record ids within the bounds, counted until it exceeds
+    /// `limit` (selectivity estimation: a caller that will refuse the index
+    /// past `limit` matches pays for `limit + 1` keys, not for the range).
+    /// The result is exact whenever it is `<= limit`; `usize::MAX` counts
+    /// the whole range.
+    pub fn count_range(&self, lo: Bound<&Value>, hi: Bound<&Value>, limit: usize) -> usize {
+        let Some(bounds) = key_range(lo, hi) else {
+            return 0;
+        };
+        let mut n = 0usize;
+        for (_, set) in self.entries.read().map.range(bounds) {
+            n += set.len();
+            if n > limit {
+                break;
+            }
+        }
+        n
     }
 
     /// Total indexed entries.
     pub fn len(&self) -> usize {
-        self.map.read().values().map(|s| s.len()).sum()
+        self.entries.read().len
+    }
+
+    /// Whether [`Index::len`] equals a recount of the map, taken under one
+    /// lock (the statistics invariant; O(entries), for checks and tests).
+    pub fn len_matches_recount(&self) -> bool {
+        let guard = self.entries.read();
+        guard.len == guard.map.values().map(BTreeSet::len).sum::<usize>()
     }
 
     /// Whether the index holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.len() == 0
     }
 
     /// Drop all entries (table truncation / rebuild).
     pub fn clear(&self) {
-        self.map.write().clear();
+        *self.entries.write() = Entries::default();
     }
+}
+
+/// The bounds as map keys, or `None` when no key can lie between them
+/// (`x > 5 AND x < 3`) — `BTreeMap::range` panics on such a pair.
+fn key_range(lo: Bound<&Value>, hi: Bound<&Value>) -> Option<(Bound<IndexKey>, Bound<IndexKey>)> {
+    if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
+        (lo, hi)
+    {
+        let both_included = matches!((lo, hi), (Bound::Included(_), Bound::Included(_)));
+        match a.total_cmp(b) {
+            Ordering::Greater => return None,
+            Ordering::Equal if !both_included => return None,
+            _ => {}
+        }
+    }
+    Some((map_bound(lo), map_bound(hi)))
 }
 
 fn map_bound(b: Bound<&Value>) -> Bound<IndexKey> {
@@ -155,10 +219,37 @@ fn map_bound(b: Bound<&Value>) -> Bound<IndexKey> {
     }
 }
 
+/// The registry's two views of one set of indexes: by name, and per table as
+/// a shared slice sorted by index name, which is what every row primitive
+/// and the access-path choice iterate. The slices are rebuilt when an index
+/// is created or dropped, never per statement.
+#[derive(Default)]
+struct Registry {
+    by_name: HashMap<String, Arc<Index>>,
+    by_table: HashMap<String, Arc<[Arc<Index>]>>,
+}
+
+impl Registry {
+    fn rebuild_table(&mut self, table: &str) {
+        let mut v: Vec<_> = self
+            .by_name
+            .values()
+            .filter(|i| i.def.table == table)
+            .cloned()
+            .collect();
+        if v.is_empty() {
+            self.by_table.remove(table);
+        } else {
+            v.sort_by(|a, b| a.def.name.cmp(&b.def.name));
+            self.by_table.insert(table.to_string(), v.into());
+        }
+    }
+}
+
 /// Registry of all indexes in a database.
 #[derive(Default)]
 pub struct IndexManager {
-    by_name: RwLock<HashMap<String, Arc<Index>>>,
+    registry: RwLock<Registry>,
 }
 
 impl IndexManager {
@@ -167,60 +258,55 @@ impl IndexManager {
         IndexManager::default()
     }
 
-    /// Register a new (empty) index.
-    pub fn create(&self, def: IndexDef) -> EngineResult<Arc<Index>> {
-        let mut map = self.by_name.write();
-        if map.contains_key(&def.name) {
+    /// Register a new (empty) index; `column_pos` is the position of
+    /// `def.column` in the table's schema.
+    pub fn create(&self, def: IndexDef, column_pos: usize) -> EngineResult<Arc<Index>> {
+        let mut reg = self.registry.write();
+        if reg.by_name.contains_key(&def.name) {
             return Err(EngineError::AlreadyExists(def.name));
         }
-        let idx = Arc::new(Index::new(def.clone()));
-        map.insert(def.name, idx.clone());
+        let idx = Arc::new(Index::new(def, column_pos));
+        reg.by_name.insert(idx.def.name.clone(), idx.clone());
+        reg.rebuild_table(&idx.def.table);
         Ok(idx)
     }
 
     /// Remove an index by name.
     pub fn drop(&self, name: &str) -> EngineResult<()> {
-        self.by_name
-            .write()
+        let mut reg = self.registry.write();
+        let idx = reg
+            .by_name
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| EngineError::NoSuchObject(name.to_string()))
+            .ok_or_else(|| EngineError::NoSuchObject(name.to_string()))?;
+        reg.rebuild_table(&idx.def.table);
+        Ok(())
     }
 
     /// Remove every index on `table` (DROP TABLE).
     pub fn drop_for_table(&self, table: &str) {
-        self.by_name.write().retain(|_, idx| idx.def.table != table);
+        let mut reg = self.registry.write();
+        reg.by_name.retain(|_, idx| idx.def.table != table);
+        reg.by_table.remove(table);
     }
 
     /// Look up an index by name.
     pub fn get(&self, name: &str) -> Option<Arc<Index>> {
-        self.by_name.read().get(name).cloned()
+        self.registry.read().by_name.get(name).cloned()
     }
 
-    /// Every index on `table`.
-    pub fn for_table(&self, table: &str) -> Vec<Arc<Index>> {
-        let mut v: Vec<_> = self
-            .by_name
-            .read()
-            .values()
-            .filter(|i| i.def.table == table)
-            .cloned()
-            .collect();
-        v.sort_by(|a, b| a.def.name.cmp(&b.def.name));
-        v
+    /// Every index on `table`, sorted by index name.
+    pub fn for_table(&self, table: &str) -> Arc<[Arc<Index>]> {
+        match self.registry.read().by_table.get(table) {
+            Some(slice) => slice.clone(),
+            None => Arc::new([]),
+        }
     }
 
     /// The index on `(table, column)` if one exists (prefers unique).
     pub fn on_column(&self, table: &str, column: &str) -> Option<Arc<Index>> {
-        let mut candidates: Vec<_> = self
-            .by_name
-            .read()
-            .values()
-            .filter(|i| i.def.table == table && i.def.column == column)
-            .cloned()
-            .collect();
-        candidates.sort_by_key(|i| !i.def.unique); // unique first
-        candidates.into_iter().next()
+        let idxs = self.for_table(table);
+        let on = || idxs.iter().filter(|i| i.def.column == column);
+        on().find(|i| i.def.unique).or_else(|| on().next()).cloned()
     }
 }
 
@@ -233,12 +319,15 @@ mod tests {
     }
 
     fn idx(unique: bool) -> Index {
-        Index::new(IndexDef {
-            name: "i".into(),
-            table: "t".into(),
-            column: "c".into(),
-            unique,
-        })
+        Index::new(
+            IndexDef {
+                name: "i".into(),
+                table: "t".into(),
+                column: "c".into(),
+                unique,
+            },
+            0,
+        )
     }
 
     #[test]
@@ -286,10 +375,52 @@ mod tests {
         );
         assert_eq!(got, vec![rid(3), rid(4), rid(5), rid(6)]);
         assert_eq!(
-            i.count_range(Bound::Excluded(&Value::Int(8)), Bound::Unbounded),
+            i.count_range(
+                Bound::Excluded(&Value::Int(8)),
+                Bound::Unbounded,
+                usize::MAX
+            ),
             1
         );
-        assert_eq!(i.count_range(Bound::Unbounded, Bound::Unbounded), 10);
+        assert_eq!(
+            i.count_range(Bound::Unbounded, Bound::Unbounded, usize::MAX),
+            10
+        );
+    }
+
+    #[test]
+    fn bounded_count_stops_one_past_the_limit() {
+        let i = idx(true);
+        for n in 0..1000 {
+            i.insert(&Value::Int(n), rid(n as u32)).unwrap();
+        }
+        // Exact at or below the limit, limit + 1 (distinct keys) beyond it.
+        let lo = Bound::Included(&Value::Int(10));
+        assert_eq!(i.count_range(lo, Bound::Excluded(&Value::Int(15)), 5), 5);
+        assert_eq!(i.count_range(lo, Bound::Unbounded, 5), 6);
+        assert_eq!(i.count_range(Bound::Unbounded, Bound::Unbounded, 0), 1);
+    }
+
+    #[test]
+    fn inverted_and_empty_bounds_match_nothing() {
+        let i = idx(false);
+        for n in 0..10 {
+            i.insert(&Value::Int(n), rid(n as u32)).unwrap();
+        }
+        let (three, five) = (Value::Int(3), Value::Int(5));
+        for (lo, hi) in [
+            (Bound::Excluded(&five), Bound::Excluded(&three)),
+            (Bound::Included(&five), Bound::Included(&three)),
+            (Bound::Excluded(&five), Bound::Excluded(&five)),
+            (Bound::Included(&five), Bound::Excluded(&five)),
+        ] {
+            assert!(i.range(lo, hi).is_empty());
+            assert_eq!(i.count_range(lo, hi, usize::MAX), 0);
+        }
+        assert_eq!(
+            i.range(Bound::Included(&five), Bound::Included(&five)),
+            vec![rid(5)]
+        );
     }
 
     #[test]
@@ -305,22 +436,36 @@ mod tests {
     #[test]
     fn manager_registration_and_lookup() {
         let m = IndexManager::new();
-        m.create(IndexDef {
-            name: "pk_t".into(),
-            table: "t".into(),
-            column: "id".into(),
-            unique: true,
-        })
+        // Registered out of name order; the per-table slice is sorted.
+        m.create(
+            IndexDef {
+                name: "ts_t".into(),
+                table: "t".into(),
+                column: "ts".into(),
+                unique: false,
+            },
+            1,
+        )
         .unwrap();
-        m.create(IndexDef {
-            name: "ts_t".into(),
-            table: "t".into(),
-            column: "ts".into(),
-            unique: false,
-        })
+        m.create(
+            IndexDef {
+                name: "pk_t".into(),
+                table: "t".into(),
+                column: "id".into(),
+                unique: true,
+            },
+            0,
+        )
         .unwrap();
         assert!(m.get("pk_t").is_some());
-        assert_eq!(m.for_table("t").len(), 2);
+        let names: Vec<_> = m
+            .for_table("t")
+            .iter()
+            .map(|i| (i.def.name.clone(), i.column_pos()))
+            .collect();
+        assert_eq!(names, [("pk_t".to_string(), 0), ("ts_t".to_string(), 1)]);
+        m.drop("pk_t").unwrap();
+        assert_eq!(m.for_table("t").len(), 1);
         assert_eq!(m.on_column("t", "ts").unwrap().def.name, "ts_t");
         assert!(m.on_column("t", "nope").is_none());
         m.drop_for_table("t");
@@ -336,8 +481,8 @@ mod tests {
             column: "c".into(),
             unique: false,
         };
-        m.create(def.clone()).unwrap();
-        assert!(m.create(def).is_err());
+        m.create(def.clone(), 0).unwrap();
+        assert!(m.create(def, 0).is_err());
     }
 
     #[test]
@@ -346,5 +491,6 @@ mod tests {
         i.insert(&Value::Int(1), rid(1)).unwrap();
         i.clear();
         assert!(i.is_empty());
+        assert_eq!(i.len(), 0);
     }
 }

@@ -235,20 +235,14 @@ pub fn loader_load(
         let heap = db.heap(table)?;
         if mode == LoadMode::Replace {
             heap.truncate()?;
-            for idx in db.indexes().for_table(table) {
+            for idx in db.indexes().for_table(table).iter() {
                 idx.clear();
             }
         }
         // Pre-validate primary-key uniqueness (against existing rows and
         // within the load file) so a failed load cannot half-apply.
-        let unique_idx = db
-            .indexes()
-            .for_table(table)
-            .into_iter()
-            .find(|i| i.def.unique);
-        let key_pos = unique_idx
-            .as_ref()
-            .map(|i| meta.schema.index_of(&i.def.column).unwrap());
+        let indexes = db.indexes().for_table(table);
+        let unique_idx = indexes.iter().find(|i| i.def.unique);
         let mut fresh_keys: HashSet<String> = HashSet::new();
 
         let mut input = BufReader::new(File::open(path.as_ref())?);
@@ -256,8 +250,8 @@ pub fn loader_load(
         let mut validated = Vec::with_capacity(rows.len());
         for row in rows {
             let row = meta.schema.validate(&row)?;
-            if let (Some(idx), Some(pos)) = (&unique_idx, key_pos) {
-                let key = &row.values()[pos];
+            if let Some(idx) = unique_idx {
+                let key = &row.values()[idx.column_pos()];
                 if !key.is_null() {
                     let k = key.to_string();
                     if !fresh_keys.insert(k) || !idx.lookup(key).is_empty() {
@@ -274,15 +268,6 @@ pub fn loader_load(
         // Pack pages locally and write them directly to the end of the file,
         // building index entries from the stream as each page lands (as
         // direct-path loaders do — no post-pass over the loaded data).
-        let indexes: Vec<_> = db
-            .indexes()
-            .for_table(table)
-            .into_iter()
-            .map(|idx| {
-                let pos = meta.schema.index_of(&idx.def.column).expect("index column");
-                (idx, pos)
-            })
-            .collect();
         let file = db.pool().file(meta.file_id)?;
         let mut page = SlottedPage::new();
         let mut loaded = 0u64;
@@ -294,8 +279,8 @@ pub fn loader_load(
                 file.write_page(page_no, page.as_bytes())?;
                 for (slot, row_idx) in pending.drain(..) {
                     let rid = delta_storage::RecordId::new(page_no, slot);
-                    for (idx, pos) in &indexes {
-                        idx.insert(&validated[row_idx].values()[*pos], rid)?;
+                    for idx in indexes.iter() {
+                        idx.insert(&validated[row_idx].values()[idx.column_pos()], rid)?;
                     }
                 }
                 *page = SlottedPage::new();

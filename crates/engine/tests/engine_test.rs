@@ -648,6 +648,37 @@ fn drop_table_removes_everything() {
 }
 
 #[test]
+fn orphan_index_definition_does_not_block_reopen() {
+    // `drop_table` persists the catalog before `indexes.meta`; a crash
+    // between the two leaves a line naming a table that is gone.
+    let dir = temp_dir("orphanidx");
+    {
+        let db = Database::open(DbOptions::new(&dir)).unwrap();
+        let mut s = db.session();
+        create_parts(&mut s);
+        seed_parts(&mut s, 5);
+        db.create_index("ts_idx", "parts", "last_modified", false)
+            .unwrap();
+        db.pool().flush_and_sync_all().unwrap();
+    }
+    let meta = dir.join("indexes.meta");
+    let mut defs = std::fs::read_to_string(&meta).unwrap();
+    defs.push_str("gone_idx\tgone\tc\t0\nbad_col\tparts\tno_such_column\t0\n");
+    std::fs::write(&meta, defs).unwrap();
+
+    let db = Database::open(DbOptions::new(&dir)).unwrap();
+    assert_eq!(db.indexes().get("ts_idx").unwrap().len(), 5);
+    assert!(db.indexes().get("gone_idx").is_none());
+    assert!(db.indexes().get("bad_col").is_none());
+    // The next save forgets the orphans.
+    db.create_index("qty_idx", "parts", "qty", false).unwrap();
+    let defs = std::fs::read_to_string(&meta).unwrap();
+    assert!(defs.contains("ts_idx") && defs.contains("qty_idx"));
+    assert!(!defs.contains("gone_idx") && !defs.contains("bad_col"));
+    destroy(dir);
+}
+
+#[test]
 fn now_in_statements_uses_engine_clock() {
     let db = open("now");
     let mut s = db.session();
