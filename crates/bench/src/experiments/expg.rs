@@ -14,15 +14,13 @@
 //! * [`sync_batched`] measures the warehouse side: `Pipeline::sync`
 //!   draining the same queue contents with a dequeue run of 1 (the
 //!   unbatched protocol) vs the default 64. Batching folds consecutive
-//!   same-table value deltas into one maintenance outage and lets the
-//!   parse/rewrite caches absorb repeated Op-Delta SQL.
+//!   same-table value deltas into one maintenance outage.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use delta_core::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
-use delta_sql::parser::parse_statement;
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_warehouse::mirror::MirrorConfig;
 use delta_warehouse::pipeline::{Pipeline, DEFAULT_SYNC_BATCH};
@@ -179,7 +177,7 @@ fn sync_warehouse(b: &SourceBuilder) -> Warehouse {
 }
 
 /// Publish `value_batches` single-row value deltas followed by
-/// `op_batches` identical-text Op-Delta updates.
+/// `op_batches` single-statement Op-Delta updates.
 fn publish_workload(pipe: &Pipeline, value_batches: usize, op_batches: usize) {
     for i in 0..value_batches {
         let mut vd = ValueDelta::new("t", sync_schema());
@@ -196,7 +194,7 @@ fn publish_workload(pipe: &Pipeline, value_batches: usize, op_batches: usize) {
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: i as u64 + 1,
-                statement: parse_statement("UPDATE t SET v = v + 1 WHERE id = 0").unwrap(),
+                sql: "UPDATE t SET v = v + 1 WHERE id = 0".into(),
                 before_image: None,
             }],
         }))
@@ -209,21 +207,19 @@ pub fn sync_batched(scale: &Scale) -> TableReport {
     let mut report = TableReport::new(
         "GS",
         "Experiment G-sync: batched pipeline sync vs one ack per batch",
-        "dequeue runs fold consecutive value deltas into one warehouse transaction and warm the parse/rewrite caches: fewer transactions and higher batches/sec at run size 64 than at 1",
+        "dequeue runs fold consecutive value deltas into one warehouse transaction: fewer transactions and higher batches/sec at run size 64 than at 1",
         &[
             "run size",
             "batches",
             "sync time",
             "batches/sec",
             "warehouse txns",
-            "parse hits",
-            "rewrite hits",
         ],
     );
     let value_batches = scale.rows(200);
     let op_batches = scale.rows(200);
     report.note(format!(
-        "{value_batches} single-row value-delta batches then {op_batches} identical-text Op-Delta updates, same queue contents for both run sizes"
+        "{value_batches} single-row value-delta batches then {op_batches} single-statement Op-Delta updates, same queue contents for both run sizes"
     ));
     let b = SourceBuilder::new("expg-sync");
     let mut run = |run_size: u64| -> (f64, u64) {
@@ -242,8 +238,6 @@ pub fn sync_batched(scale: &Scale) -> TableReport {
             fmt_duration(elapsed),
             format!("{bps:.0}"),
             sync.apply.transactions.to_string(),
-            pipe.stmt_cache_stats().hits.to_string(),
-            pipe.rewrite_cache_stats().hits.to_string(),
         ]);
         (bps, sync.apply.transactions)
     };

@@ -6,10 +6,9 @@
 //! join view, plus periodic Op-Delta barriers — is drained into a fresh
 //! warehouse at 1, 2, and 8 apply workers. Each cell reports end-to-end
 //! throughput plus the scheduler's per-stage split (decode / apply / ack
-//! nanos), worker occupancy (busy worker time over apply wall-clock x
-//! workers), and the statement / rewrite cache hit rates. The acceptance
-//! property rides along: every worker count must leave the warehouse in
-//! exactly the state the serial drain produces.
+//! nanos) and worker occupancy (busy worker time over apply wall-clock x
+//! workers). The acceptance property rides along: every worker count must
+//! leave the warehouse in exactly the state the serial drain produces.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,7 +16,6 @@ use std::time::Instant;
 use delta_core::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
 use delta_sql::ast::AggFunc;
-use delta_sql::parser::parse_statement;
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_warehouse::{AggSpec, AggViewDef, JoinCond, MirrorConfig, Pipeline, SpjView, Warehouse};
 
@@ -130,16 +128,13 @@ fn publish_stream(pipe: &Pipeline, rounds: usize) -> u64 {
             published += 1;
         }
         if round % 8 == 7 {
-            // The barrier SQL cycles through four texts so repeated
-            // barriers exercise the statement and rewrite caches.
             let g = (round / 8) % 4;
             pipe.publish(&DeltaBatch::Op(OpDelta {
                 txn: round as u64,
                 ops: vec![OpLogRecord {
                     seq: round as u64,
                     txn: round as u64,
-                    statement: parse_statement(&format!("UPDATE t3 SET v = {g} WHERE g = {g}"))
-                        .expect("op sql"),
+                    sql: format!("UPDATE t3 SET v = {g} WHERE g = {g}"),
                     before_image: None,
                 }],
             }))
@@ -193,8 +188,6 @@ pub fn run(scale: &Scale) -> TableReport {
             "apply",
             "ack",
             "occupancy",
-            "stmt cache",
-            "rewrite cache",
             "time",
         ],
     );
@@ -219,18 +212,8 @@ pub fn run(scale: &Scale) -> TableReport {
         let sync = pipe.sync(&wh).expect("sync");
         let elapsed = started.elapsed();
         assert_eq!(sync.batches, total, "every published batch applied");
-        let stmt = pipe.stmt_cache_stats();
-        let rewrite = pipe.rewrite_cache_stats();
         let apply_wall = sync.apply_nanos.max(1) as f64;
         let occupancy = sync.worker_busy_nanos as f64 / (apply_wall * workers as f64);
-        let hit_rate = |hits: u64, misses: u64| -> String {
-            let total = hits + misses;
-            if total == 0 {
-                "-".into()
-            } else {
-                format!("{:.2} ({hits}/{total})", hits as f64 / total as f64)
-            }
-        };
         report.push_row(vec![
             workers.to_string(),
             format!(
@@ -241,8 +224,6 @@ pub fn run(scale: &Scale) -> TableReport {
             format!("{:.1} ms", sync.apply_nanos as f64 / 1e6),
             format!("{:.1} ms", sync.ack_nanos as f64 / 1e6),
             format!("{occupancy:.2}"),
-            hit_rate(stmt.hits, stmt.misses),
-            hit_rate(rewrite.hits, rewrite.misses),
             fmt_duration(elapsed),
         ]);
         cells.push((

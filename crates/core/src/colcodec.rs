@@ -25,13 +25,10 @@
 //! Decoders are panic-free: every length is bounds-checked and every failure
 //! is a typed [`StorageError::Corrupt`].
 
-use delta_sql::ast::Statement;
-use delta_sql::parser::parse_statement;
 use delta_storage::colbatch as cb;
 use delta_storage::{Row, Schema, StorageError, StorageResult, Value};
 
 use crate::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
-use crate::stmtcache::StatementCache;
 
 const KIND_VALUE: u8 = 1;
 const KIND_OP: u8 = 2;
@@ -169,12 +166,11 @@ fn encode_op_body(o: &OpDelta, block_rows: usize, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
     cb::put_uvarint(&mut payload, o.txn);
     cb::put_uvarint(&mut payload, o.ops.len() as u64);
-    let mut prev_sql = String::new();
+    let mut prev_sql = "";
     for op in &o.ops {
         cb::put_uvarint(&mut payload, op.seq);
-        let sql = op.statement.to_string();
-        put_front_str(&mut payload, &prev_sql, &sql);
-        prev_sql = sql;
+        put_front_str(&mut payload, prev_sql, &op.sql);
+        prev_sql = &op.sql;
         match &op.before_image {
             None => payload.push(0),
             Some(bi) => {
@@ -189,10 +185,7 @@ fn encode_op_body(o: &OpDelta, block_rows: usize, out: &mut Vec<u8>) {
     cb::put_block(out, &payload);
 }
 
-fn decode_op_body(
-    mut buf: &[u8],
-    parse: &dyn Fn(&str) -> StorageResult<Statement>,
-) -> StorageResult<OpDelta> {
+fn decode_op_body(mut buf: &[u8]) -> StorageResult<OpDelta> {
     let mut payload = cb::get_block(&mut buf)?;
     if !buf.is_empty() {
         return Err(corrupt("trailing bytes after op delta"));
@@ -203,13 +196,11 @@ fn decode_op_body(
     if nops > buf.len() + 1 {
         return Err(corrupt("op count exceeds remaining input"));
     }
-    let mut ops = Vec::with_capacity(nops);
-    let mut prev_sql = String::new();
+    let mut ops: Vec<OpLogRecord> = Vec::with_capacity(nops);
     for _ in 0..nops {
         let seq = cb::get_uvarint(buf)?;
-        let sql = get_front_str(buf, &prev_sql)?;
-        let statement = parse(&sql)?;
-        prev_sql = sql;
+        let prev_sql = ops.last().map_or("", |op| op.sql.as_str());
+        let sql = get_front_str(buf, prev_sql)?;
         let before_image = match cb::take(buf, 1)? {
             [0] => None,
             [1] => {
@@ -221,7 +212,7 @@ fn decode_op_body(
         ops.push(OpLogRecord {
             seq,
             txn,
-            statement,
+            sql,
             before_image,
         });
     }
@@ -248,10 +239,9 @@ pub fn encode_batch(batch: &DeltaBatch, block_rows: usize) -> Vec<u8> {
     out
 }
 
-fn decode_batch_with(
-    bytes: &[u8],
-    parse: &dyn Fn(&str) -> StorageResult<Statement>,
-) -> StorageResult<DeltaBatch> {
+/// Decode a columnar envelope produced by [`encode_batch`]. Framing, CRCs
+/// and UTF-8 are checked; Op-Delta statements stay text.
+pub fn decode_batch(bytes: &[u8]) -> StorageResult<DeltaBatch> {
     let mut buf = bytes;
     let magic = cb::take(&mut buf, 4)?;
     if magic != cb::BATCH_MAGIC {
@@ -259,22 +249,9 @@ fn decode_batch_with(
     }
     match cb::take(&mut buf, 1)? {
         [KIND_VALUE] => Ok(DeltaBatch::Value(decode_value_body(buf)?)),
-        [KIND_OP] => Ok(DeltaBatch::Op(decode_op_body(buf, parse)?)),
+        [KIND_OP] => Ok(DeltaBatch::Op(decode_op_body(buf)?)),
         _ => Err(corrupt("unknown batch kind")),
     }
-}
-
-/// Decode a columnar envelope produced by [`encode_batch`].
-pub fn decode_batch(bytes: &[u8]) -> StorageResult<DeltaBatch> {
-    decode_batch_with(bytes, &|sql| {
-        parse_statement(sql).map_err(|e| StorageError::Corrupt(format!("op-delta SQL: {e}")))
-    })
-}
-
-/// Decode a columnar envelope, resolving Op-Delta statements through `cache`
-/// (the warehouse apply hot path).
-pub fn decode_batch_cached(bytes: &[u8], cache: &StatementCache) -> StorageResult<DeltaBatch> {
-    decode_batch_with(bytes, &|sql| cache.get_or_parse(sql))
 }
 
 #[cfg(test)]
@@ -338,19 +315,19 @@ mod tests {
                 OpLogRecord {
                     seq: 100,
                     txn: 9,
-                    statement: parse_statement("UPDATE parts SET grp = 1 WHERE id < 50").unwrap(),
+                    sql: "UPDATE parts SET grp = 1 WHERE id < 50".into(),
                     before_image: Some(uniform_delta(40)),
                 },
                 OpLogRecord {
                     seq: 101,
                     txn: 9,
-                    statement: parse_statement("UPDATE parts SET grp = 2 WHERE id < 90").unwrap(),
+                    sql: "UPDATE parts SET grp = 2 WHERE id < 90".into(),
                     before_image: None,
                 },
                 OpLogRecord {
                     seq: 102,
                     txn: 9,
-                    statement: parse_statement("DELETE FROM parts WHERE id = 7").unwrap(),
+                    sql: "DELETE FROM parts WHERE id = 7".into(),
                     before_image: None,
                 },
             ],
@@ -358,8 +335,6 @@ mod tests {
         let batch = DeltaBatch::Op(od);
         let bytes = encode_batch(&batch, 64);
         assert_eq!(decode_batch(&bytes).unwrap(), batch);
-        let cache = StatementCache::new();
-        assert_eq!(decode_batch_cached(&bytes, &cache).unwrap(), batch);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod reconcile;
 pub mod selfmaint;
 /// Method 1: snapshot differencing.
 pub mod snapshot;
-/// Bounded SQL parse cache for the warehouse apply hot path.
+/// `CacheStats`, the counter struct the frozen dwbench harness names.
 pub mod stmtcache;
 /// Method 2: timestamp-column scans.
 pub mod timestamp;
@@ -66,5 +66,5 @@ pub use logextract::{LogExtractor, ResilientExtract, ResilientLogExtractor, Stag
 pub use model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 pub use opdelta::{OpDeltaCapture, OpLogSink};
 pub use selfmaint::{MaintRequirement, SelfMaintAnalyzer, WarehouseProfile};
-pub use stmtcache::{CacheStats, StatementCache};
+pub use stmtcache::CacheStats;
 pub use transform::{ColumnTransform, DeltaTransform};

@@ -17,8 +17,6 @@
 
 use std::fmt;
 
-use delta_sql::ast::Statement;
-use delta_sql::parser::parse_statement;
 use delta_storage::codec::ascii;
 use delta_storage::colbatch::{self, DeltaCodec};
 use delta_storage::{Row, Schema, StorageError, StorageResult};
@@ -238,18 +236,15 @@ pub struct OpLogRecord {
     pub seq: u64,
     /// Source transaction id — Op-Delta's preserved transaction boundary.
     pub txn: u64,
-    /// The operation, with `NOW()` frozen at capture time.
-    pub statement: Statement,
+    /// The operation as SQL text (the ~70-byte operation of §4.1), exactly
+    /// as the capture printed it with `NOW()` frozen. This is the one form
+    /// an operation has between the source session and the warehouse: the
+    /// op log, the envelopes and the spool carry it untouched, and the
+    /// applier that executes it is the one that parses it.
+    pub sql: String,
     /// Partial before-image (the hybrid of §4.1), present only when the
     /// self-maintainability analysis required it.
     pub before_image: Option<ValueDelta>,
-}
-
-impl OpLogRecord {
-    /// The statement's wire text (the ~70-byte operation of §4.1).
-    pub fn statement_text(&self) -> String {
-        self.statement.to_string()
-    }
 }
 
 /// An Op-Delta: one source transaction's ordered operations.
@@ -265,16 +260,13 @@ impl OpDelta {
         self.to_text().len()
     }
 
-    /// Serialize to the text envelope. Statements are canonical SQL;
-    /// before-images are nested value-delta envelopes, indented with `>`.
+    /// Serialize to the text envelope. Statements are the captured SQL,
+    /// escaped onto one line; before-images are nested value-delta
+    /// envelopes, indented with `>`.
     pub fn to_text(&self) -> String {
         let mut out = format!("OP-DELTA\t{}\t{}\n", self.txn, self.ops.len());
         for op in &self.ops {
-            out.push_str(&format!(
-                "STMT\t{}\t{}\n",
-                op.seq,
-                escape_line(&op.statement.to_string())
-            ));
+            out.push_str(&format!("STMT\t{}\t{}\n", op.seq, escape_line(&op.sql)));
             if let Some(bi) = &op.before_image {
                 for line in bi.to_text().lines() {
                     out.push_str("> ");
@@ -286,26 +278,8 @@ impl OpDelta {
         out
     }
 
-    /// Parse the text envelope.
+    /// Parse the text envelope. Framing only: the statements stay text.
     pub fn from_text(text: &str) -> StorageResult<OpDelta> {
-        OpDelta::from_text_with(text, &|sql| {
-            parse_statement(sql).map_err(|e| StorageError::Corrupt(format!("op-delta SQL: {e}")))
-        })
-    }
-
-    /// Parse the text envelope, resolving statements through `cache` so
-    /// repeated SQL across batches parses once (the apply hot path).
-    pub fn from_text_cached(
-        text: &str,
-        cache: &crate::stmtcache::StatementCache,
-    ) -> StorageResult<OpDelta> {
-        OpDelta::from_text_with(text, &|sql| cache.get_or_parse(sql))
-    }
-
-    fn from_text_with(
-        text: &str,
-        parse: &dyn Fn(&str) -> StorageResult<Statement>,
-    ) -> StorageResult<OpDelta> {
         let mut lines = text.lines().peekable();
         let header = lines
             .next()
@@ -337,7 +311,7 @@ impl OpDelta {
             let seq: u64 = seq_s
                 .parse()
                 .map_err(|_| StorageError::Corrupt("bad STMT seq".into()))?;
-            let statement = parse(&unescape_line(sql)?)?;
+            let sql = unescape_line(sql)?;
             // Gather an optional nested before-image block.
             let mut bi_text = String::new();
             while let Some(next) = lines.peek() {
@@ -357,7 +331,7 @@ impl OpDelta {
             ops.push(OpLogRecord {
                 seq,
                 txn,
-                statement,
+                sql,
                 before_image,
             });
         }
@@ -401,7 +375,8 @@ impl DeltaBatch {
 
     /// Parse shipped bytes: columnar envelopes (lead byte `0xFF`, never valid
     /// UTF-8) are dispatched by magic; anything else is the legacy text
-    /// envelope, so pre-codec queue spools decode unchanged.
+    /// envelope, so pre-codec queue spools decode unchanged. Decoding checks
+    /// framing and CRCs; Op-Delta statements are not parsed here.
     pub fn from_bytes(bytes: &[u8]) -> StorageResult<DeltaBatch> {
         if colbatch::is_columnar_batch(bytes) {
             return crate::colcodec::decode_batch(bytes);
@@ -412,26 +387,6 @@ impl DeltaBatch {
             Ok(DeltaBatch::Value(ValueDelta::from_text(text)?))
         } else if text.starts_with("OP-DELTA") {
             Ok(DeltaBatch::Op(OpDelta::from_text(text)?))
-        } else {
-            Err(StorageError::Corrupt("unknown delta envelope".into()))
-        }
-    }
-
-    /// Parse shipped bytes, resolving Op-Delta statements through `cache`
-    /// (value deltas carry no SQL and decode identically either way).
-    pub fn from_bytes_cached(
-        bytes: &[u8],
-        cache: &crate::stmtcache::StatementCache,
-    ) -> StorageResult<DeltaBatch> {
-        if colbatch::is_columnar_batch(bytes) {
-            return crate::colcodec::decode_batch_cached(bytes, cache);
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| StorageError::Corrupt("delta batch not UTF-8".into()))?;
-        if text.starts_with("VALUE-DELTA") {
-            Ok(DeltaBatch::Value(ValueDelta::from_text(text)?))
-        } else if text.starts_with("OP-DELTA") {
-            Ok(DeltaBatch::Op(OpDelta::from_text_cached(text, cache)?))
         } else {
             Err(StorageError::Corrupt("unknown delta envelope".into()))
         }
@@ -533,16 +488,13 @@ mod tests {
         let op1 = OpLogRecord {
             seq: 10,
             txn: 7,
-            statement: parse_statement(
-                "UPDATE parts SET name = 'revised' WHERE id > 100 AND name <> 'x'",
-            )
-            .unwrap(),
+            sql: "UPDATE parts SET name = 'revised' WHERE id > 100 AND name <> 'x'".into(),
             before_image: None,
         };
         let op2 = OpLogRecord {
             seq: 11,
             txn: 7,
-            statement: parse_statement("DELETE FROM parts WHERE id = 1").unwrap(),
+            sql: "DELETE FROM parts WHERE id = 1".into(),
             before_image: Some(sample_value_delta()),
         };
         let od = OpDelta {
@@ -558,16 +510,13 @@ mod tests {
         // The §4.1 motivating example: a predicate update touching thousands
         // of rows is ~70 bytes as an Op-Delta but thousands of records as a
         // value delta.
-        let stmt = parse_statement(
-            "UPDATE PARTS SET status = 'revised' WHERE last_modified_date > 19991115",
-        )
-        .unwrap();
         let od = OpDelta {
             txn: 1,
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 1,
-                statement: stmt,
+                sql: "UPDATE PARTS SET status = 'revised' WHERE last_modified_date > 19991115"
+                    .into(),
                 before_image: None,
             }],
         };
@@ -606,7 +555,7 @@ mod tests {
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 2,
-                statement: parse_statement("DELETE FROM t WHERE a = 1").unwrap(),
+                sql: "DELETE FROM t WHERE a = 1".into(),
                 before_image: None,
             }],
         });
@@ -620,30 +569,42 @@ mod tests {
 
     #[test]
     fn statement_with_embedded_newline_stays_single_line() {
-        // A string literal containing a newline must not break the
-        // line-oriented envelope.
-        let stmt = parse_statement("INSERT INTO t (a) VALUES ('two\nlines')");
-        // The lexer accepts the raw newline inside quotes...
-        let stmt = stmt.unwrap();
+        // A string literal containing a newline (the lexer accepts one
+        // inside quotes, and the canonical printer emits it raw) must not
+        // break the line-oriented envelope, and neither must a tab or a
+        // backslash in the text.
         let od = OpDelta {
             txn: 1,
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 1,
-                statement: stmt.clone(),
+                sql: "INSERT INTO t (a) VALUES ('two\nlines\tand a \\ backslash')".into(),
                 before_image: None,
             }],
         };
-        // ...but the envelope must still round-trip.
-        match OpDelta::from_text(&od.to_text()) {
-            Ok(back) => assert_eq!(back.ops[0].statement, stmt),
-            Err(_) => {
-                // Acceptable alternative: the envelope detects it cannot
-                // represent the statement. But silent corruption is not.
-                // (The current canonical printer emits the raw newline, so
-                // this arm documents the failure mode if it regresses.)
-                panic!("op-delta envelope corrupted a multi-line statement");
-            }
+        let text = od.to_text();
+        assert_eq!(text.lines().count(), 2, "header + one STMT line");
+        assert_eq!(OpDelta::from_text(&text).unwrap(), od);
+    }
+
+    #[test]
+    fn text_that_is_not_sql_crosses_both_envelopes() {
+        // Decode validates framing, not SQL: the executor that runs an
+        // operation is the one that parses it, so a poison row reaches the
+        // warehouse (and its dead-letter queue) instead of wedging the
+        // source-side hand-off.
+        let od = DeltaBatch::Op(OpDelta {
+            txn: 1,
+            ops: vec![OpLogRecord {
+                seq: 1,
+                txn: 1,
+                sql: "NOT SQL AT ALL".into(),
+                before_image: None,
+            }],
+        });
+        for codec in [DeltaCodec::Raw, DeltaCodec::Columnar] {
+            let bytes = od.to_bytes_with(codec, 1024);
+            assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), od);
         }
     }
 }

@@ -21,16 +21,24 @@
 //! * [`OpLogSink::File`] — the log record is appended to a flat file
 //!   (cheaper, but not transactional: a rollback leaves the record behind,
 //!   so the wrapper appends an explicit rollback marker the collector honors).
+//!
+//! The capture prints each operation to SQL text once, and that text is what
+//! travels: the collectors regroup log records into [`OpDelta`]s without
+//! parsing it (the warehouse applier that executes an operation is the one
+//! that parses it), so a log row that is not SQL is shipped and fails its
+//! apply there — into the dead-letter queue — instead of failing every
+//! collect from then on.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 use delta_engine::db::Database;
+use delta_engine::lock::LockMode;
 use delta_engine::{EngineError, EngineResult, QueryResult, Session};
-use delta_sql::ast::{Expr, SelectItem, Statement};
+use delta_sql::ast::{BinOp, Expr, SelectItem, Statement};
 use delta_sql::parser::parse_statement;
-use delta_storage::{Column, DataType, Schema, StorageError, Value};
+use delta_storage::{Column, DataType, Schema, StorageError, StorageResult, Value};
 
 use crate::model::{
     escape_line, unescape_line, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord,
@@ -53,14 +61,13 @@ pub enum OpLogSink {
 /// Payloads longer than [`CHUNK_BYTES`] are split across consecutive chunk
 /// rows (classic LOB chunking) so a 10,000-row INSERT statement — whose text
 /// exceeds a heap page — still logs transactionally.
-pub fn op_log_schema() -> Schema {
+pub fn op_log_schema() -> StorageResult<Schema> {
     Schema::new(vec![
         Column::new("seq", DataType::Int).not_null(),
         Column::new("chunk", DataType::Int).not_null(),
         Column::new("txn", DataType::Int).not_null(),
         Column::new("payload", DataType::Varchar).not_null(),
     ])
-    .expect("static schema")
 }
 
 /// Maximum payload bytes per op-log chunk row (comfortably within a page).
@@ -83,12 +90,17 @@ fn chunk_payload(payload: &str) -> Vec<&str> {
     out
 }
 
+/// An opened [`OpLogSink`]: the table's name, or the file's writer.
+enum OpenSink {
+    Table(String),
+    File(BufWriter<File>),
+}
+
 /// The Op-Delta capture wrapper around a session.
 pub struct OpDeltaCapture {
     session: Session,
-    sink: OpLogSink,
+    sink: OpenSink,
     analyzer: Option<SelfMaintAnalyzer>,
-    file: Option<BufWriter<File>>,
     next_seq: u64,
     next_txn: u64,
     /// Capture transaction id for the currently open BEGIN…COMMIT run.
@@ -101,15 +113,15 @@ impl OpDeltaCapture {
     /// Wrap `session`, logging to `sink`. For a table sink the op-log table
     /// is created if missing; for a file sink the file is opened for append.
     pub fn new(session: Session, sink: OpLogSink) -> EngineResult<OpDeltaCapture> {
-        let file = match &sink {
+        let sink = match sink {
             OpLogSink::Table(name) => {
                 let db = session.database();
-                if db.table(name).is_err() {
-                    db.create_table(name, op_log_schema(), Default::default())?;
+                if db.table(&name).is_err() {
+                    db.create_table(&name, op_log_schema()?, Default::default())?;
                 }
-                None
+                OpenSink::Table(name)
             }
-            OpLogSink::File(path) => Some(BufWriter::new(
+            OpLogSink::File(path) => OpenSink::File(BufWriter::new(
                 OpenOptions::new().create(true).append(true).open(path)?,
             )),
         };
@@ -117,7 +129,6 @@ impl OpDeltaCapture {
             session,
             sink,
             analyzer: None,
-            file,
             next_seq: 1,
             next_txn: 1,
             current_txn: None,
@@ -198,13 +209,18 @@ impl OpDeltaCapture {
         let autocommit = !self.session.in_txn();
         if autocommit {
             self.session.execute_stmt(&Statement::Begin)?;
-            self.current_txn = Some(self.alloc_txn());
-        } else if self.current_txn.is_none() {
-            // The wrapped session arrived with a transaction already open
-            // (begun before the wrapper existed): adopt it.
-            self.current_txn = Some(self.alloc_txn());
         }
-        let capture_txn = self.current_txn.expect("txn allocated above");
+        let capture_txn = match self.current_txn {
+            Some(txn) if !autocommit => txn,
+            // An autocommit statement gets a transaction of its own; a
+            // session that arrived with one already open (begun before the
+            // wrapper existed) has it adopted.
+            _ => {
+                let txn = self.alloc_txn();
+                self.current_txn = Some(txn);
+                txn
+            }
+        };
 
         let result = (|| {
             // 1. Read the partial before-image if the hybrid is required —
@@ -272,6 +288,8 @@ impl OpDeltaCapture {
         Ok(vd)
     }
 
+    /// Print the operation — the one time it becomes text — and append it
+    /// to the sink with its before image beside it.
     fn write_log_record(
         &mut self,
         seq: u64,
@@ -279,13 +297,14 @@ impl OpDeltaCapture {
         stmt: &Statement,
         before_image: Option<&ValueDelta>,
     ) -> EngineResult<()> {
+        let stmt_field = escape_line(&stmt.to_string());
         let bi_field = match before_image {
             Some(bi) => escape_line(&bi.to_text()),
             None => "-".to_string(),
         };
-        match &self.sink {
-            OpLogSink::Table(name) => {
-                let payload = format!("{}\t{bi_field}", escape_line(&stmt.to_string()));
+        match &mut self.sink {
+            OpenSink::Table(name) => {
+                let payload = format!("{stmt_field}\t{bi_field}");
                 for (chunk, part) in chunk_payload(&payload).into_iter().enumerate() {
                     let insert = Statement::Insert {
                         table: name.clone(),
@@ -300,13 +319,8 @@ impl OpDeltaCapture {
                     self.session.execute_stmt(&insert)?;
                 }
             }
-            OpLogSink::File(_) => {
-                let out = self.file.as_mut().expect("file sink has a writer");
-                writeln!(
-                    out,
-                    "S\t{seq}\t{txn}\t{}\t{bi_field}",
-                    escape_line(&stmt.to_string())
-                )?;
+            OpenSink::File(out) => {
+                writeln!(out, "S\t{seq}\t{txn}\t{stmt_field}\t{bi_field}")?;
                 out.flush()?;
             }
         }
@@ -314,12 +328,12 @@ impl OpDeltaCapture {
     }
 
     fn append_rollback_marker(&mut self, txn: u64) -> EngineResult<()> {
-        if let Some(out) = self.file.as_mut() {
+        // A table sink needs no marker: the log inserts rolled back with
+        // the user transaction.
+        if let OpenSink::File(out) = &mut self.sink {
             writeln!(out, "R\t0\t{txn}\t-\t-")?;
             out.flush()?;
         }
-        // Table sink needs no marker: the log inserts rolled back with the
-        // user transaction.
         Ok(())
     }
 
@@ -329,12 +343,40 @@ impl OpDeltaCapture {
     }
 }
 
+/// Decode one log record from its two escaped payload fields — the one
+/// decoder both sinks' collectors share. The statement stays text.
+fn decode_record(
+    seq: u64,
+    txn: u64,
+    stmt_field: &str,
+    bi_field: &str,
+) -> StorageResult<OpLogRecord> {
+    Ok(OpLogRecord {
+        seq,
+        txn,
+        sql: unescape_line(stmt_field)?,
+        before_image: match bi_field {
+            "-" => None,
+            bi => Some(ValueDelta::from_text(&unescape_line(bi)?)?),
+        },
+    })
+}
+
 /// Collect captured Op-Deltas from a table sink, grouped by capture
 /// transaction, ordered by first sequence number.
+///
+/// The log is read under a Shared table lock: a capture transaction that
+/// has logged an operation but not yet committed is waited out (or the
+/// collect fails with the typed lock timeout and the caller's next round
+/// retries), so only committed operations are ever returned.
 pub fn collect_from_table(db: &Database, log_table: &str) -> EngineResult<Vec<OpDelta>> {
+    let rows = db.in_txn(|txn| {
+        db.lock_table(txn, log_table, LockMode::Shared)?;
+        db.scan_table(log_table)
+    })?;
     // Reassemble chunked payloads: (seq -> (txn, [(chunk, part)])).
     let mut by_seq: std::collections::BTreeMap<u64, (u64, Vec<(i64, String)>)> = Default::default();
-    for (_, row) in db.scan_table(log_table)? {
+    for (_, row) in rows {
         let seq = row.values()[0].as_int()? as u64;
         let chunk = row.values()[1].as_int()?;
         let txn = row.values()[2].as_int()? as u64;
@@ -360,42 +402,44 @@ pub fn collect_from_table(db: &Database, log_table: &str) -> EngineResult<Vec<Op
         let (stmt_field, bi_field) = payload.split_once('\t').ok_or_else(|| {
             EngineError::Invalid(format!("op-log record {seq} has a malformed payload"))
         })?;
-        let statement = parse_statement(&unescape_line(stmt_field).map_err(EngineError::Storage)?)?;
-        let before_image = if bi_field == "-" {
-            None
-        } else {
-            Some(
-                ValueDelta::from_text(&unescape_line(bi_field).map_err(EngineError::Storage)?)
-                    .map_err(EngineError::Storage)?,
-            )
-        };
-        records.push(OpLogRecord {
-            seq,
-            txn,
-            statement,
-            before_image,
-        });
+        records.push(decode_record(seq, txn, stmt_field, bi_field)?);
     }
     Ok(group_records(records, &Default::default()))
 }
 
-/// Delete all records from a table sink (after successful shipping).
+/// Delete the log records a hand-off shipped — those with `seq <=
+/// through_seq`, the highest sequence number it collected — leaving any
+/// operation captured since for the next round.
+pub fn clear_shipped(db: &Database, log_table: &str, through_seq: u64) -> EngineResult<u64> {
+    delete_records(
+        db,
+        log_table,
+        Some(Expr::Binary {
+            left: Box::new(Expr::Column("seq".into())),
+            op: BinOp::Le,
+            right: Box::new(Expr::Literal(Value::Int(through_seq as i64))),
+        }),
+    )
+}
+
+/// Delete *every* record from a table sink.
+///
+/// Quiesce contract: this is only safe after a [`collect_from_table`] when
+/// no capture can have committed in between (the capturing session is the
+/// caller's own, or is stopped) — an operation logged after the collect is
+/// deleted here unshipped. A hand-off that runs beside live capture clears
+/// with [`clear_shipped`], as delta-warehouse's `Pipeline::collect_op_log`
+/// does.
 pub fn clear_table(db: &Database, log_table: &str) -> EngineResult<u64> {
-    let mut txn = db.begin();
+    delete_records(db, log_table, None)
+}
+
+fn delete_records(db: &Database, log_table: &str, predicate: Option<Expr>) -> EngineResult<u64> {
     let stmt = Statement::Delete {
         table: log_table.into(),
-        predicate: None,
+        predicate,
     };
-    match delta_engine::exec::execute(db, &mut txn, &stmt) {
-        Ok(q) => {
-            db.commit(txn)?;
-            Ok(q.affected)
-        }
-        Err(e) => {
-            db.abort(txn)?;
-            Err(e)
-        }
-    }
+    db.in_txn(|txn| Ok(delta_engine::exec::execute(db, txn, &stmt)?.affected))
 }
 
 /// Collect captured Op-Deltas from a file sink. Transactions with a rollback
@@ -430,19 +474,7 @@ pub fn collect_from_file(path: impl Into<PathBuf>) -> Result<Vec<OpDelta>, Stora
                 let seq: u64 = seq
                     .parse()
                     .map_err(|_| StorageError::Corrupt("bad op-log seq".into()))?;
-                let statement = parse_statement(&unescape_line(stmt)?)
-                    .map_err(|e| StorageError::Corrupt(format!("op-log SQL: {e}")))?;
-                let before_image = if bi == "-" {
-                    None
-                } else {
-                    Some(ValueDelta::from_text(&unescape_line(bi)?)?)
-                };
-                records.push(OpLogRecord {
-                    seq,
-                    txn,
-                    statement,
-                    before_image,
-                });
+                records.push(decode_record(seq, txn, stmt, bi)?);
             }
             other => {
                 return Err(StorageError::Corrupt(format!(
@@ -512,8 +544,8 @@ mod tests {
         assert_eq!(ods.len(), 2, "one autocommit txn + one explicit txn");
         assert_eq!(ods[0].ops.len(), 1);
         assert_eq!(ods[1].ops.len(), 2, "BEGIN..COMMIT grouped");
-        assert!(matches!(ods[1].ops[0].statement, Statement::Update { .. }));
-        assert!(matches!(ods[1].ops[1].statement, Statement::Delete { .. }));
+        assert!(ods[1].ops[0].sql.starts_with("UPDATE parts SET qty = 9"));
+        assert!(ods[1].ops[1].sql.starts_with("DELETE FROM parts"));
         // The operations really executed too.
         assert_eq!(db.row_count("parts").unwrap(), 21 - 4);
     }
@@ -563,12 +595,7 @@ mod tests {
 
         let ods = collect_from_file(&path).unwrap();
         assert_eq!(ods.len(), 1, "rolled-back txn dropped by the marker");
-        match &ods[0].ops[0].statement {
-            Statement::Insert { rows, .. } => {
-                assert_eq!(rows[0][1], Expr::Literal(Value::Str("kept".into())));
-            }
-            other => panic!("unexpected: {other}"),
-        }
+        assert_eq!(ods[0].ops[0].sql, "INSERT INTO parts VALUES (1, 'kept', 0)");
     }
 
     #[test]
@@ -588,8 +615,7 @@ mod tests {
             .unwrap();
         let db = cap.database().clone();
         let ods = collect_from_table(&db, "op_log").unwrap();
-        let stmt = &ods[0].ops[0].statement;
-        match stmt {
+        match parse_statement(&ods[0].ops[0].sql).unwrap() {
             Statement::Update { predicate, .. } => {
                 assert!(
                     !predicate.as_ref().unwrap().contains_now(),
@@ -690,7 +716,7 @@ mod tests {
         for od in collect_from_table(&db, "op_log").unwrap() {
             rs.execute("BEGIN").unwrap();
             for op in &od.ops {
-                rs.execute_stmt(&op.statement).unwrap();
+                rs.execute(&op.sql).unwrap();
             }
             rs.execute("COMMIT").unwrap();
         }
@@ -737,7 +763,7 @@ mod tests {
         );
         let ods = collect_from_table(&db, "op_log").unwrap();
         assert_eq!(ods.len(), 1);
-        match &ods[0].ops[0].statement {
+        match parse_statement(&ods[0].ops[0].sql).unwrap() {
             Statement::Insert { rows, .. } => assert_eq!(rows.len(), 2000),
             other => panic!("unexpected: {other}"),
         }
@@ -758,6 +784,20 @@ mod tests {
         let ods = collect_from_table(&db2, "op_log").unwrap();
         assert_eq!(ods.len(), 1, "adopted txn groups both writes");
         assert_eq!(ods[0].ops.len(), 2);
+    }
+
+    #[test]
+    fn clear_shipped_leaves_later_captures() {
+        let mut cap = setup(OpLogSink::Table("op_log".into()));
+        cap.execute("INSERT INTO parts VALUES (100, 'x', 0)")
+            .unwrap();
+        cap.execute("INSERT INTO parts VALUES (101, 'y', 0)")
+            .unwrap();
+        let db = cap.database().clone();
+        assert_eq!(clear_shipped(&db, "op_log", 1).unwrap(), 1);
+        let left = collect_from_table(&db, "op_log").unwrap();
+        assert_eq!(left.len(), 1);
+        assert_eq!(left[0].ops[0].seq, 2);
     }
 
     #[test]

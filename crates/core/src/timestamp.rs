@@ -126,27 +126,16 @@ impl TimestampExtractor {
         }
         let target_meta = db.table(target)?;
         let rows = self.matching(db, since)?;
-        let mut txn = db.begin();
-        db.lock_table(&mut txn, target, LockMode::Exclusive)?;
-        let now = db.now_micros();
-        let result = (|| {
+        db.in_txn(|txn| {
+            db.lock_table(txn, target, LockMode::Exclusive)?;
+            let now = db.now_micros();
             let mut n = 0u64;
             for row in rows {
-                db.insert_row(&mut txn, &target_meta, row, now, false, false)?;
+                db.insert_row(txn, &target_meta, row, now, false, false)?;
                 n += 1;
             }
             Ok(n)
-        })();
-        match result {
-            Ok(n) => {
-                db.commit(txn)?;
-                Ok(n)
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })
     }
 
     /// **Table output + Export**: table output, then the Export utility on

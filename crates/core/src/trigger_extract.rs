@@ -77,11 +77,10 @@ impl TriggerExtractor {
     /// Read the captured deltas **without** clearing them.
     pub fn peek(&self, db: &Database) -> EngineResult<ValueDelta> {
         let src = db.table(&self.source_table)?;
-        let mut txn = db.begin();
-        db.lock_table(&mut txn, &self.delta_table, LockMode::Shared)?;
-        let result = self.read_delta_rows(db, &src.schema);
-        db.commit(txn)?;
-        result
+        db.in_txn(|txn| {
+            db.lock_table(txn, &self.delta_table, LockMode::Shared)?;
+            self.read_delta_rows(db, &src.schema)
+        })
     }
 
     /// Drain: read the captured deltas and clear the delta table, atomically
@@ -89,26 +88,15 @@ impl TriggerExtractor {
     pub fn drain(&self, db: &Database) -> EngineResult<ValueDelta> {
         let src = db.table(&self.source_table)?;
         let delta_meta = db.table(&self.delta_table)?;
-        let mut txn = db.begin();
-        db.lock_table(&mut txn, &self.delta_table, LockMode::Exclusive)?;
-        let result = (|| {
+        db.in_txn(|txn| {
+            db.lock_table(txn, &self.delta_table, LockMode::Exclusive)?;
             let vd = self.read_delta_rows(db, &src.schema)?;
             let now = db.now_micros();
             for (rid, row) in db.scan_table(&self.delta_table)? {
-                db.delete_row(&mut txn, &delta_meta, rid, row, now, false)?;
+                db.delete_row(txn, &delta_meta, rid, row, now, false)?;
             }
             Ok(vd)
-        })();
-        match result {
-            Ok(vd) => {
-                db.commit(txn)?;
-                Ok(vd)
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Export the (un-drained) delta table with the Export utility — the

@@ -79,10 +79,52 @@ fn legacy_op_delta_envelope_decodes_unchanged() {
     assert_eq!(bi.records.len(), 1);
     assert_eq!(bi.records[0].op, DeltaOp::UpdateBefore);
     assert!(od.ops[1].before_image.is_none());
-    assert_eq!(
-        od.ops[1].statement.to_string(),
-        "DELETE FROM parts WHERE (id = 1)"
-    );
+    // The statement is carried as the text that was shipped, unparsed.
+    assert_eq!(od.ops[1].sql, "DELETE FROM parts WHERE id = 1");
+    // Re-encoding at Raw reproduces the fixture bytes exactly.
+    let reencoded = DeltaBatch::Op(od).to_bytes_with(DeltaCodec::Raw, 1024);
+    assert_eq!(reencoded, OP_DELTA_FIXTURE.as_bytes());
+}
+
+/// Encoded Op-Delta frames as the parent of PR 20 produced them, when a
+/// record held a parsed statement that every encode printed and every decode
+/// re-parsed: `<name> <columnar|raw> <hex>` per line — a single plain
+/// operation, four statements with shared prefixes (one with an embedded
+/// newline and a backslash, one multi-byte), and a hybrid with a before
+/// image. A record now carries the text itself; the bytes may not change.
+const OP_FRAMES_FIXTURE: &str = include_str!("fixtures/opdelta_frames.hex");
+
+#[test]
+fn op_delta_frames_round_trip_byte_identically() {
+    let mut seen = 0;
+    for line in OP_FRAMES_FIXTURE.lines() {
+        let mut fields = line.split(' ');
+        let (Some(name), Some(codec), Some(hex)) = (fields.next(), fields.next(), fields.next())
+        else {
+            panic!("bad fixture line '{line}'");
+        };
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let codec = match codec {
+            "columnar" => DeltaCodec::Columnar,
+            "raw" => DeltaCodec::Raw,
+            other => panic!("unknown codec '{other}'"),
+        };
+        let batch = DeltaBatch::from_bytes(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let DeltaBatch::Op(od) = &batch else {
+            panic!("{name} is an op delta");
+        };
+        assert_eq!(od.ops[0].before_image.is_some(), name == "hybrid");
+        assert_eq!(
+            batch.to_bytes_with(codec, delta_storage::colbatch::DEFAULT_BLOCK_ROWS),
+            bytes,
+            "{name} re-encoded differently"
+        );
+        seen += 1;
+    }
+    assert_eq!(seen, 6, "three frames under two envelopes");
 }
 
 #[test]

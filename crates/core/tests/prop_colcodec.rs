@@ -106,20 +106,31 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
     ]
 }
 
+/// What an op-log record carries: usually a statement as the capture prints
+/// it, sometimes text that is not SQL at all — the envelopes carry either
+/// untouched (tabs, newlines, backslashes and multi-byte characters included).
+fn arb_sql() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_statement().prop_map(|s| s.to_string()),
+        arb_statement().prop_map(|s| s.to_string()),
+        "[ -~\\n\\t\\r\\\\é中🚀]{0,48}",
+    ]
+}
+
 fn arb_op_delta() -> impl Strategy<Value = OpDelta> {
     (
         1u64..1000,
-        prop::collection::vec((arb_statement(), prop::option::of(arb_value_delta())), 1..5),
+        prop::collection::vec((arb_sql(), prop::option::of(arb_value_delta())), 1..5),
     )
         .prop_map(|(txn, ops)| OpDelta {
             txn,
             ops: ops
                 .into_iter()
                 .enumerate()
-                .map(|(i, (statement, before_image))| OpLogRecord {
+                .map(|(i, (sql, before_image))| OpLogRecord {
                     seq: i as u64 + 1,
                     txn,
-                    statement,
+                    sql,
                     before_image,
                 })
                 .collect(),

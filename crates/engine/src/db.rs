@@ -526,6 +526,28 @@ impl Database {
         Ok(())
     }
 
+    /// Run `body` as one transaction: committed when it returns `Ok`,
+    /// aborted (every row change undone, every lock released) when it
+    /// returns `Err`. [`Transaction`] has no `Drop`, so a `?` between a
+    /// bare `begin` and `commit` leaks the locks and the half-applied rows;
+    /// this is the way to hold a transaction across fallible work.
+    pub fn in_txn<T>(
+        &self,
+        body: impl FnOnce(&mut Transaction) -> EngineResult<T>,
+    ) -> EngineResult<T> {
+        let mut txn = self.begin();
+        match body(&mut txn) {
+            Ok(out) => {
+                self.commit(txn)?;
+                Ok(out)
+            }
+            Err(e) => {
+                self.abort(txn)?;
+                Err(e)
+            }
+        }
+    }
+
     /// Commit: publish the transaction's redo atomically, then release locks.
     /// Returns the LSN range written (or `None` for a read-only transaction).
     pub fn commit(&self, mut txn: Transaction) -> EngineResult<Option<(Lsn, Lsn)>> {
@@ -1098,55 +1120,62 @@ impl Database {
     /// transaction id also belongs to a committed batch); pass whole
     /// segments. Rows are located by primary key when available, else by
     /// full-image match. Triggers do not fire and timestamps are preserved.
+    ///
+    /// The row changes are one transaction: when a record fails — applying
+    /// a segment a second time hits `DuplicateKey`; file transport is
+    /// at-least-once — every row already applied is undone and every lock
+    /// released before the error returns. (Replayed DDL is not
+    /// transactional and stays.)
     pub fn apply_log_records(&self, records: &[(Lsn, LogRecord)]) -> EngineResult<u64> {
-        let mut applied = 0u64;
-        let mut txn = self.begin();
-        for (_, rec) in committed_units(records).flatten() {
-            match rec {
-                LogRecord::CreateTable {
-                    name,
-                    schema,
-                    options,
-                } if !self.catalog.contains(name) => {
-                    let schema = Schema::from_catalog_string(schema)?;
-                    let auto_timestamp = options.strip_prefix("auto_ts=").map(|s| s.to_string());
-                    self.create_table(name, schema, TableOptions { auto_timestamp })?;
-                }
-                LogRecord::DropTable { name } if self.catalog.contains(name) => {
-                    self.drop_table(name)?;
-                }
-                LogRecord::Insert { table, row, .. } => {
-                    let meta = self.table(table)?;
-                    self.lock_table(&mut txn, table, LockMode::Exclusive)?;
-                    self.insert_row(&mut txn, &meta, row.clone(), 0, false, false)?;
-                    applied += 1;
-                }
-                LogRecord::Delete { table, before, .. } => {
-                    let meta = self.table(table)?;
-                    self.lock_table(&mut txn, table, LockMode::Exclusive)?;
-                    if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                        self.delete_row(&mut txn, &meta, rid, old, 0, false)?;
+        self.in_txn(|txn| {
+            let mut applied = 0u64;
+            for (_, rec) in committed_units(records).flatten() {
+                match rec {
+                    LogRecord::CreateTable {
+                        name,
+                        schema,
+                        options,
+                    } if !self.catalog.contains(name) => {
+                        let schema = Schema::from_catalog_string(schema)?;
+                        let auto_timestamp =
+                            options.strip_prefix("auto_ts=").map(|s| s.to_string());
+                        self.create_table(name, schema, TableOptions { auto_timestamp })?;
+                    }
+                    LogRecord::DropTable { name } if self.catalog.contains(name) => {
+                        self.drop_table(name)?;
+                    }
+                    LogRecord::Insert { table, row, .. } => {
+                        let meta = self.table(table)?;
+                        self.lock_table(txn, table, LockMode::Exclusive)?;
+                        self.insert_row(txn, &meta, row.clone(), 0, false, false)?;
                         applied += 1;
                     }
-                }
-                LogRecord::Update {
-                    table,
-                    before,
-                    after,
-                    ..
-                } => {
-                    let meta = self.table(table)?;
-                    self.lock_table(&mut txn, table, LockMode::Exclusive)?;
-                    if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                        self.update_row(&mut txn, &meta, rid, old, after.clone(), 0, false, false)?;
-                        applied += 1;
+                    LogRecord::Delete { table, before, .. } => {
+                        let meta = self.table(table)?;
+                        self.lock_table(txn, table, LockMode::Exclusive)?;
+                        if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
+                            self.delete_row(txn, &meta, rid, old, 0, false)?;
+                            applied += 1;
+                        }
                     }
+                    LogRecord::Update {
+                        table,
+                        before,
+                        after,
+                        ..
+                    } => {
+                        let meta = self.table(table)?;
+                        self.lock_table(txn, table, LockMode::Exclusive)?;
+                        if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
+                            self.update_row(txn, &meta, rid, old, after.clone(), 0, false, false)?;
+                            applied += 1;
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        self.commit(txn)?;
-        Ok(applied)
+            Ok(applied)
+        })
     }
 
     /// Find a row by image: primary-key lookup when possible, else full scan

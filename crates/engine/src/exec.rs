@@ -225,36 +225,54 @@ pub fn matching_rows(
     predicate: Option<&Expr>,
     now: i64,
 ) -> EngineResult<Vec<(RecordId, Row)>> {
-    let candidates: Vec<(RecordId, Row)> = match plan_access(db, meta, predicate) {
-        Plan::SeqScan => db.scan_table(&meta.name)?,
-        Plan::IndexRange { index, lo, hi, .. } => {
-            let rids = index.range(as_ref_bound(&lo), as_ref_bound(&hi));
-            let heap = db.heap(&meta.name)?;
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                if let Some(bytes) = heap.get(rid)? {
-                    out.push((rid, Row::from_bytes(&bytes)?));
-                }
-            }
-            out
-        }
+    let matches = |row: &Row| -> EngineResult<bool> {
+        let Some(p) = predicate else {
+            return Ok(true);
+        };
+        let resolver = SchemaRow {
+            schema: &meta.schema,
+            row,
+        };
+        Ok(EvalContext::new(&resolver, now).matches(p)?)
     };
-    match predicate {
-        None => Ok(candidates),
-        Some(p) => {
-            let mut out = Vec::with_capacity(candidates.len());
-            for (rid, row) in candidates {
-                let resolver = SchemaRow {
-                    schema: &meta.schema,
-                    row: &row,
-                };
-                if EvalContext::new(&resolver, now).matches(p)? {
-                    out.push((rid, row));
+    let heap = db.heap(&meta.name)?;
+    let mut out = Vec::new();
+    match plan_access(db, meta, predicate) {
+        // Filter while scanning: a row that fails the predicate is freed as
+        // soon as it is decoded, so its allocations recycle hot and only
+        // the matches are ever held. Materialising the table first made a
+        // set-oriented statement cost three allocations per *table* row,
+        // which swings 2-3x with the state of the process heap (DESIGN.md
+        // §20.6).
+        Plan::SeqScan => {
+            let mut failure = None;
+            heap.for_each(|rid, bytes| {
+                if failure.is_none() {
+                    let row = Row::from_bytes(bytes)?;
+                    match matches(&row) {
+                        Ok(true) => out.push((rid, row)),
+                        Ok(false) => {}
+                        Err(e) => failure = Some(e),
+                    }
+                }
+                Ok(())
+            })?;
+            if let Some(e) = failure {
+                return Err(e);
+            }
+        }
+        Plan::IndexRange { index, lo, hi, .. } => {
+            for rid in index.range(as_ref_bound(&lo), as_ref_bound(&hi)) {
+                if let Some(bytes) = heap.get(rid)? {
+                    let row = Row::from_bytes(&bytes)?;
+                    if matches(&row)? {
+                        out.push((rid, row));
+                    }
                 }
             }
-            Ok(out)
         }
     }
+    Ok(out)
 }
 
 /// Pick seq-scan vs index-range for `predicate` on `meta`, applying the

@@ -131,20 +131,8 @@ impl Session {
             }
             dml => match self.txn.as_mut() {
                 Some(txn) => exec::execute(&self.db, txn, dml),
-                None => {
-                    // Autocommit: run in a fresh transaction; abort on error.
-                    let mut txn = self.db.begin();
-                    match exec::execute(&self.db, &mut txn, dml) {
-                        Ok(r) => {
-                            self.db.commit(txn)?;
-                            Ok(r)
-                        }
-                        Err(e) => {
-                            self.db.abort(txn)?;
-                            Err(e)
-                        }
-                    }
-                }
+                // Autocommit: a fresh transaction per statement.
+                None => self.db.in_txn(|txn| exec::execute(&self.db, txn, dml)),
             },
         }
     }

@@ -73,34 +73,24 @@ pub fn import_table(db: &Database, table: &str, path: impl AsRef<Path>) -> Engin
     loop {
         // One transaction per batch; each batch flushes its pages — the
         // Import utility's characteristic extra I/O.
-        let mut txn = db.begin();
-        db.lock_table(&mut txn, table, LockMode::Exclusive)?;
-        let mut in_batch = 0usize;
-        let batch_result = (|| {
+        let in_batch = db.in_txn(|txn| {
+            db.lock_table(txn, table, LockMode::Exclusive)?;
+            let mut in_batch = 0usize;
             while in_batch < IMPORT_BATCH {
                 match reader.next_row()? {
                     Some(row) => {
-                        db.insert_row(&mut txn, &meta, row, 0, false, false)?;
+                        db.insert_row(txn, &meta, row, 0, false, false)?;
                         in_batch += 1;
                     }
                     None => break,
                 }
             }
-            Ok::<(), EngineError>(())
-        })();
-        match batch_result {
-            Ok(()) => {
-                db.commit(txn)?;
-                db.pool().flush(Some(meta.file_id))?;
-                imported += in_batch as u64;
-                if in_batch < IMPORT_BATCH {
-                    break;
-                }
-            }
-            Err(e) => {
-                db.abort(txn)?;
-                return Err(e);
-            }
+            Ok(in_batch)
+        })?;
+        db.pool().flush(Some(meta.file_id))?;
+        imported += in_batch as u64;
+        if in_batch < IMPORT_BATCH {
+            break;
         }
     }
     Ok(imported)

@@ -727,3 +727,24 @@ fn multi_row_insert_is_one_transaction() {
         .unwrap();
     assert_eq!(r.affected, 3);
 }
+
+#[test]
+fn predicate_that_fails_mid_scan_fails_the_statement() {
+    // A sequential scan filters as it goes; an evaluation error on one row
+    // is still the statement's error, whichever rows matched before it.
+    let db = open("scan-eval-error");
+    let mut s = db.session();
+    create_parts(&mut s);
+    seed_parts(&mut s, 20);
+    let err = s
+        .execute("UPDATE parts SET qty = 0 WHERE 100 / (qty - 5) > 0")
+        .unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    let touched = s.execute("SELECT * FROM parts WHERE qty = 0").unwrap();
+    assert_eq!(touched.rows.len(), 2, "only the two seeded with qty 0");
+    // Without the failing rows the same shape goes through.
+    let ok = s
+        .execute("UPDATE parts SET qty = 0 WHERE qty > 5 AND 100 / (qty - 5) > 0")
+        .unwrap();
+    assert_eq!(ok.affected, 8);
+}

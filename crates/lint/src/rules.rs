@@ -100,6 +100,7 @@ pub const PANIC_FREE_FILES: &[&str] = &[
     "crates/warehouse/src/view.rs",
     "crates/core/src/logextract.rs",
     "crates/engine/src/index.rs",
+    "crates/core/src/opdelta.rs",
 ];
 
 /// Path prefixes whose every file is panic-free scoped. `crates/lint/src`

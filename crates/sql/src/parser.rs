@@ -104,7 +104,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
+    fn expect_token(&mut self, t: &Token) -> Result<(), ParseError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -155,9 +155,9 @@ impl Parser {
             let name = self.identifier()?;
             self.expect_kw("ON")?;
             let table = self.identifier()?;
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let column = self.identifier()?;
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Statement::CreateIndex {
                 name,
                 table,
@@ -205,7 +205,7 @@ impl Parser {
 
     fn create_table(&mut self) -> Result<Statement, ParseError> {
         let name = self.identifier()?;
-        self.expect(&Token::LParen)?;
+        self.expect_token(&Token::LParen)?;
         let mut columns = Vec::new();
         loop {
             let col_name = self.identifier()?;
@@ -218,7 +218,7 @@ impl Parser {
                     Some(Token::Int(_)) => {}
                     _ => return Err(ParseError::new("expected length after '('")),
                 }
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
             }
             let mut def = ColumnDef {
                 name: col_name,
@@ -243,7 +243,7 @@ impl Parser {
                 break;
             }
         }
-        self.expect(&Token::RParen)?;
+        self.expect_token(&Token::RParen)?;
         Ok(Statement::CreateTable { name, columns })
     }
 
@@ -254,7 +254,7 @@ impl Parser {
             while self.eat(&Token::Comma) {
                 cols.push(self.identifier()?);
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             Some(cols)
         } else {
             None
@@ -262,12 +262,12 @@ impl Parser {
         self.expect_kw("VALUES")?;
         let mut rows = Vec::new();
         loop {
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let mut row = vec![self.expr(0)?];
             while self.eat(&Token::Comma) {
                 row.push(self.expr(0)?);
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             rows.push(row);
             if !self.eat(&Token::Comma) {
                 break;
@@ -286,7 +286,7 @@ impl Parser {
         let mut sets = Vec::new();
         loop {
             let col = self.identifier()?;
-            self.expect(&Token::Eq)?;
+            self.expect_token(&Token::Eq)?;
             let e = self.expr(0)?;
             sets.push((col, e));
             if !self.eat(&Token::Comma) {
@@ -480,7 +480,7 @@ impl Parser {
             Some(Token::Str(s)) => Ok(Expr::Literal(Value::Str(s))),
             Some(Token::LParen) => {
                 let e = self.expr(0)?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
             Some(Token::Ident(s)) => {
@@ -494,16 +494,14 @@ impl Parser {
                     return Ok(Expr::Literal(Value::Bool(false)));
                 }
                 if s.eq_ignore_ascii_case("NOW") && self.eat(&Token::LParen) {
-                    self.expect(&Token::RParen)?;
+                    self.expect_token(&Token::RParen)?;
                     return Ok(Expr::Now);
                 }
                 if s.eq_ignore_ascii_case("TIMESTAMP") {
                     // Typed literal: TIMESTAMP <integer> (optionally negative).
                     let neg = self.eat(&Token::Minus);
-                    if let Some(Token::Int(_)) = self.peek() {
-                        let Some(Token::Int(i)) = self.next() else {
-                            unreachable!()
-                        };
+                    if let Some(&Token::Int(i)) = self.peek() {
+                        self.next();
                         return Ok(Expr::Literal(Value::Timestamp(if neg {
                             i.wrapping_neg()
                         } else {
@@ -535,7 +533,7 @@ impl Parser {
                         } else {
                             Some(Box::new(self.expr(0)?))
                         };
-                        self.expect(&Token::RParen)?;
+                        self.expect_token(&Token::RParen)?;
                         return Ok(Expr::Aggregate { func, arg });
                     }
                 }

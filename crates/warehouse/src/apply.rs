@@ -32,19 +32,17 @@
 //! once per run, without SQL in between.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use delta_core::model::{DeltaOp, OpDelta, ValueDelta};
-use delta_core::stmtcache::{CacheStats, CACHE_CAPACITY};
 use delta_engine::db::Database;
 use delta_engine::exec;
 use delta_engine::lock::LockMode;
 use delta_engine::txn::Transaction;
 use delta_engine::{EngineError, EngineResult, TableOptions};
 use delta_sql::ast::{BinOp, Expr, Statement};
+use delta_sql::parser::parse_statement;
 use delta_storage::{Column, DataType, Row, Schema, Value};
-use parking_lot::Mutex;
 
 use crate::mirror::MirrorConfig;
 use crate::view::{AggViewDef, SpjView, View, ViewDef};
@@ -69,55 +67,6 @@ impl ApplyReport {
         self.statements += other.statements;
         self.rows_affected += other.rows_affected;
         self.view_rows_touched += other.view_rows_touched;
-    }
-}
-
-/// A cache of mirror rewrites keyed by the statement's canonical SQL text.
-///
-/// Op-Delta replay rewrites every captured statement against the mirror's
-/// projection before executing it. The rewrite is a pure function of the
-/// statement text (the mirror config is fixed per warehouse), so repeated
-/// statements — replays, re-drains, retry loops — can skip the rewrite.
-/// Hybrid ops carrying a before image bypass this cache entirely: their
-/// expansion depends on the warehouse clock and current mirror state. The
-/// key carries the statement's literals, so the map is bounded like the
-/// parse cache beside it: cleared wholesale at [`CACHE_CAPACITY`] entries.
-#[derive(Default)]
-pub struct RewriteCache {
-    map: Mutex<HashMap<String, Option<Statement>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl RewriteCache {
-    /// An empty cache.
-    pub fn new() -> RewriteCache {
-        RewriteCache::default()
-    }
-
-    /// The mirror rewrite of `stmt`, cached by its SQL text.
-    fn rewrite(&self, cfg: &MirrorConfig, stmt: &Statement) -> EngineResult<Option<Statement>> {
-        let key = stmt.to_string();
-        if let Some(cached) = self.map.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached.clone());
-        }
-        let rewritten = cfg.rewrite(stmt)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock();
-        if map.len() >= CACHE_CAPACITY {
-            map.clear();
-        }
-        map.insert(key, rewritten.clone());
-        Ok(rewritten)
-    }
-
-    /// Snapshot of the hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -185,7 +134,7 @@ impl Warehouse {
             )));
         }
         let view = View::compile(&self.db, def)?;
-        self.in_txn(|txn| view.refresh_full(&self.db, txn))?;
+        self.db.in_txn(|txn| view.refresh_full(&self.db, txn))?;
         self.views.push(view);
         Ok(())
     }
@@ -200,22 +149,6 @@ impl Warehouse {
         self.view(name)
     }
 
-    /// Run `body` as one transaction: committed when it succeeds, aborted
-    /// (every row change undone, every lock released) when it fails.
-    fn in_txn<T>(&self, body: impl FnOnce(&mut Transaction) -> EngineResult<T>) -> EngineResult<T> {
-        let mut txn = self.db.begin();
-        match body(&mut txn) {
-            Ok(out) => {
-                self.db.commit(txn)?;
-                Ok(out)
-            }
-            Err(e) => {
-                self.db.abort(txn)?;
-                Err(e)
-            }
-        }
-    }
-
     /// Rebuild every view over `table` that does not equal its
     /// recomputation, in one transaction (inputs shared, views exclusive);
     /// returns the number rebuilt. Views fold the changes apply
@@ -225,7 +158,7 @@ impl Warehouse {
     /// folds in like any other delta.
     pub fn reconcile_views(&self, table: &str) -> EngineResult<u64> {
         let db = &self.db;
-        self.in_txn(|txn| {
+        self.db.in_txn(|txn| {
             let mut rebuilt = 0;
             for v in self.views_for(table) {
                 for input in v.inputs() {
@@ -476,7 +409,7 @@ impl Warehouse {
         mark: AppliedMark,
         body: impl FnOnce(&mut Transaction) -> EngineResult<ApplyReport>,
     ) -> EngineResult<ApplyReport> {
-        self.in_txn(|txn| {
+        self.db.in_txn(|txn| {
             self.db.lock_table(txn, table, LockMode::Exclusive)?;
             for v in self.views_for(table) {
                 self.db.lock_table(txn, v.name(), LockMode::Exclusive)?;
@@ -511,7 +444,7 @@ impl Warehouse {
         if folded.is_empty() {
             return Ok(state);
         }
-        self.in_txn(|txn| {
+        self.db.in_txn(|txn| {
             let meta = self.db.table(APPLIED_SEQ_TABLE)?;
             self.db
                 .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
@@ -718,39 +651,39 @@ impl OpDeltaApplier {
     /// Replay one source transaction as one self-contained warehouse
     /// transaction.
     pub fn apply(wh: &Warehouse, od: &OpDelta) -> EngineResult<ApplyReport> {
-        OpDeltaApplier::apply_marked(wh, od, None, AppliedMark::None)
+        OpDeltaApplier::apply_marked(wh, od, AppliedMark::None)
     }
 
-    /// Like [`apply`](OpDeltaApplier::apply), but resolving mirror rewrites
-    /// through `cache` when given, so repeated statement text skips the
-    /// rewrite, and recording `mark` in the warehouse watermark table inside
-    /// the replay transaction (see [`AppliedMark`]).
+    /// Like [`apply`](OpDeltaApplier::apply), but recording `mark` in the
+    /// warehouse watermark table inside the replay transaction (see
+    /// [`AppliedMark`]).
+    ///
+    /// This is where an operation stops being text: each one is parsed
+    /// here, once, immediately before its mirror rewrite and execution. An
+    /// operation that does not parse fails the replay like any other
+    /// statement error — nothing of the transaction stays applied, and
+    /// under a retry policy the batch ends in the dead-letter queue.
     pub fn apply_marked(
         wh: &Warehouse,
         od: &OpDelta,
-        cache: Option<&RewriteCache>,
         mark: AppliedMark,
     ) -> EngineResult<ApplyReport> {
         let db = wh.db();
-        wh.in_txn(|txn| {
+        db.in_txn(|txn| {
             let mut report = ApplyReport {
                 transactions: 1,
                 ..Default::default()
             };
             for op in &od.ops {
-                let table = op
-                    .statement
+                let statement = parse_statement(&op.sql)?;
+                let table = statement
                     .table()
-                    .ok_or_else(|| EngineError::Invalid("op without a table".into()))?
-                    .to_string();
-                let cfg = wh.mirror(&table)?;
+                    .ok_or_else(|| EngineError::Invalid("op without a table".into()))?;
+                let cfg = wh.mirror(table)?;
                 let redo_mark = txn.redo_mark();
                 let statements: Vec<Statement> = match &op.before_image {
-                    Some(bi) => cfg.hybrid_statements(&op.statement, bi, db.peek_clock())?,
-                    None => match cache {
-                        Some(c) => c.rewrite(cfg, &op.statement)?.into_iter().collect(),
-                        None => cfg.rewrite(&op.statement)?.into_iter().collect(),
-                    },
+                    Some(bi) => cfg.hybrid_statements(&statement, bi, db.peek_clock())?,
+                    None => cfg.rewrite(&statement)?.into_iter().collect(),
                 };
                 for stmt in &statements {
                     report.rows_affected += exec::execute(db, txn, stmt)?.affected;
@@ -760,7 +693,7 @@ impl OpDeltaApplier {
                 // delta propagation): each delta joins against the state the
                 // *other* tables had when this statement ran, so the
                 // delta-x-delta term is never double counted.
-                report.view_rows_touched += wh.propagate_since(txn, &table, redo_mark)?;
+                report.view_rows_touched += wh.propagate_since(txn, table, redo_mark)?;
             }
             wh.record_mark(txn, mark)?;
             Ok(report)
@@ -782,7 +715,6 @@ mod tests {
     use super::*;
     use delta_core::model::{OpLogRecord, ValueDeltaRecord};
     use delta_engine::db::open_temp;
-    use delta_sql::parser::parse_statement;
     use delta_storage::{Column, DataType, Schema};
 
     fn source_schema() -> Schema {
@@ -885,7 +817,7 @@ mod tests {
         OpLogRecord {
             seq,
             txn,
-            statement: parse_statement(sql).unwrap(),
+            sql: sql.into(),
             before_image: None,
         }
     }
@@ -999,8 +931,7 @@ mod tests {
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 5,
-                statement: parse_statement("DELETE FROM parts WHERE name = 'n' AND id <> 2")
-                    .unwrap(),
+                sql: "DELETE FROM parts WHERE name = 'n' AND id <> 2".into(),
                 before_image: Some(bi),
             }],
         };
@@ -1012,24 +943,18 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_cache_stays_bounded_while_its_counters_keep_counting() {
+    fn op_that_is_not_sql_fails_the_replay_and_leaves_nothing_behind() {
         let wh = warehouse();
-        let cfg = wh.mirror("parts").unwrap();
-        let path = std::env::temp_dir().join(format!("wh-rewrite-cap-{}.q", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let pipe = crate::Pipeline::open(&path).unwrap();
-        let distinct = CACHE_CAPACITY as u64 + 100;
-        for i in 0..distinct {
-            let stmt = parse_statement(&format!("DELETE FROM parts WHERE id = {i}")).unwrap();
-            pipe.rewrite_cache.rewrite(cfg, &stmt).unwrap();
-            assert!(pipe.rewrite_cache.map.lock().len() <= CACHE_CAPACITY);
-        }
-        // The map was cleared once on the way and re-warmed.
-        assert_eq!(pipe.rewrite_cache.map.lock().len(), 100);
-        let last = parse_statement(&format!("DELETE FROM parts WHERE id = {}", distinct - 1));
-        pipe.rewrite_cache.rewrite(cfg, &last.unwrap()).unwrap();
-        let stats = pipe.rewrite_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, distinct));
+        let od = OpDelta {
+            txn: 1,
+            ops: vec![
+                op("INSERT INTO parts VALUES (1, 'a', 1)", 1, 1),
+                op("NOT SQL AT ALL", 2, 1),
+            ],
+        };
+        let err = OpDeltaApplier::apply(&wh, &od).unwrap_err();
+        assert!(matches!(err, EngineError::Parse(_)), "{err}");
+        assert!(mirror_rows(&wh).is_empty(), "the transaction aborted whole");
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub mod view;
 pub mod watchdog;
 
 pub use apply::{
-    AppliedMark, AppliedState, ApplyReport, OpDeltaApplier, RewriteCache, ValueDeltaApplier,
-    Warehouse,
+    AppliedMark, AppliedState, ApplyReport, OpDeltaApplier, ValueDeltaApplier, Warehouse,
 };
 pub use audit::{audit_and_repair, AuditConfig, AuditReport, TableAudit};
 pub use direct::DirectValueApplier;

@@ -15,16 +15,17 @@
 //! and the whole group is acknowledged only after that transaction commits.
 //! A crash mid-run re-delivers the unacknowledged suffix — the same
 //! at-least-once contract as before, amortized. Op-Delta batches keep their
-//! one-transaction-per-source-transaction semantics but reuse parsed SQL
-//! and mirror rewrites through shared caches.
+//! one-transaction-per-source-transaction semantics; their statements cross
+//! the queue as text and are parsed by the applier that executes them.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use delta_core::extractor::DeltaSource;
 use delta_core::logextract::{ResilientLogExtractor, StagedExtract};
 use delta_core::model::DeltaBatch;
-use delta_core::opdelta::{clear_table, collect_from_table};
-use delta_core::stmtcache::{CacheStats, StatementCache};
+use delta_core::opdelta::{clear_shipped, collect_from_table};
+use delta_core::stmtcache::CacheStats;
 use delta_core::transform::DeltaTransform;
 use delta_engine::db::Database;
 use delta_engine::{EngineError, EngineResult};
@@ -34,7 +35,7 @@ use delta_storage::DeltaCodec;
 use delta_transport::{NetFaultPlan, NetFaultSim, PersistentQueue};
 use parking_lot::Mutex;
 
-use crate::apply::{ApplyReport, RewriteCache, Warehouse};
+use crate::apply::{ApplyReport, Warehouse};
 
 /// What one `sync` call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -161,8 +162,10 @@ fn is_disk_full(e: &EngineError) -> bool {
 pub struct Pipeline {
     pub(crate) queue: PersistentQueue,
     pub(crate) batch_size: u64,
-    pub(crate) stmt_cache: StatementCache,
-    pub(crate) rewrite_cache: RewriteCache,
+    /// Operations replayed by committed Op-Delta applies (each parsed once
+    /// and rewritten or expanded once, where it ran) — what the two
+    /// `*_cache_stats` accessors report as misses.
+    pub(crate) ops_replayed: AtomicU64,
     pub(crate) retry: Option<RetryPolicy>,
     /// Dead-letter queue for quarantined poison batches (`<queue>.dlq`);
     /// opened when a retry policy is configured.
@@ -199,8 +202,7 @@ impl Pipeline {
         Ok(Pipeline {
             queue: PersistentQueue::open(queue_path).map_err(EngineError::Storage)?,
             batch_size: DEFAULT_SYNC_BATCH,
-            stmt_cache: StatementCache::new(),
-            rewrite_cache: RewriteCache::new(),
+            ops_replayed: AtomicU64::new(0),
             retry: None,
             dlq: None,
             dlq_indices: Mutex::new(std::collections::BTreeSet::new()),
@@ -293,14 +295,21 @@ impl Pipeline {
         self
     }
 
-    /// Hit/miss counters of the SQL parse cache.
+    /// Frozen-harness remnant (see [`CacheStats`]): operations parsed by
+    /// committed Op-Delta replays as `misses`, `hits` always 0 — there is
+    /// no parse cache.
     pub fn stmt_cache_stats(&self) -> CacheStats {
-        self.stmt_cache.stats()
+        CacheStats {
+            hits: 0,
+            misses: self.ops_replayed.load(Ordering::Relaxed),
+        }
     }
 
-    /// Hit/miss counters of the mirror rewrite cache.
+    /// Frozen-harness remnant: the same count — every replayed operation
+    /// is also rewritten against its mirror (or, hybrid, expanded from its
+    /// before image) once; there is no rewrite cache.
     pub fn rewrite_cache_stats(&self) -> CacheStats {
-        self.rewrite_cache.stats()
+        self.stmt_cache_stats()
     }
 
     /// The underlying queue (for inspection in tests and examples).
@@ -342,8 +351,16 @@ impl Pipeline {
         Ok(published)
     }
 
-    /// Publish the contents of an Op-Delta log table and clear it (the
-    /// capture-side handoff for `OpDeltaCapture` with a table sink).
+    /// Publish the contents of an Op-Delta log table and clear what was
+    /// published (the capture-side handoff for `OpDeltaCapture` with a
+    /// table sink). Safe beside live capture: the log is read under a
+    /// Shared table lock, so only committed operations ship (an open
+    /// capture transaction is waited out, or the typed lock timeout
+    /// surfaces and the next round retries), and only records up to the
+    /// highest sequence number collected are deleted — an operation
+    /// captured while this call runs stays for the next one. The statements
+    /// are not parsed here: a log row that is not SQL ships like any other
+    /// and fails its apply at the warehouse.
     ///
     /// The publish is all-or-nothing: every captured transaction is
     /// enqueued in one spool append, and the log table is cleared only
@@ -355,13 +372,14 @@ impl Pipeline {
     ///
     /// [`DiskFull`]: delta_storage::StorageError::DiskFull
     pub fn collect_op_log(&self, db: &Database, log_table: &str) -> EngineResult<u64> {
-        let frames: Vec<Vec<u8>> = collect_from_table(db, log_table)?
+        let ods = collect_from_table(db, log_table)?;
+        let Some(shipped_through) = ods.iter().flat_map(|od| &od.ops).map(|op| op.seq).max() else {
+            return Ok(0);
+        };
+        let frames: Vec<Vec<u8>> = ods
             .into_iter()
             .map(|od| DeltaBatch::Op(od).to_bytes_with(self.codec, DEFAULT_BLOCK_ROWS))
             .collect();
-        if frames.is_empty() {
-            return Ok(0);
-        }
         if let Err(e) = self.queue.enqueue_all(&frames) {
             if !e.is_disk_full() {
                 return Err(EngineError::Storage(e));
@@ -371,7 +389,7 @@ impl Pipeline {
                 .enqueue_all(&frames)
                 .map_err(EngineError::Storage)?;
         }
-        clear_table(db, log_table)?;
+        clear_shipped(db, log_table, shipped_through)?;
         Ok(frames.len() as u64)
     }
 
@@ -688,7 +706,6 @@ mod tests {
     use crate::mirror::MirrorConfig;
     use delta_core::model::{DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
     use delta_engine::db::open_temp;
-    use delta_sql::parser::parse_statement;
     use delta_storage::{Column, DataType, Row, Schema, Value};
 
     fn schema() -> Schema {
@@ -736,7 +753,7 @@ mod tests {
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 1,
-                statement: parse_statement("UPDATE t SET v = 99 WHERE id = 1").unwrap(),
+                sql: "UPDATE t SET v = 99 WHERE id = 1".into(),
                 before_image: None,
             }],
         }))
@@ -762,7 +779,7 @@ mod tests {
             ops: vec![OpLogRecord {
                 seq: 1,
                 txn: 1,
-                statement: parse_statement("INSERT INTO missing VALUES (1, 2)").unwrap(),
+                sql: "INSERT INTO missing VALUES (1, 2)".into(),
                 before_image: None,
             }],
         }))
@@ -814,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn op_batches_split_value_runs_and_warm_the_caches() {
+    fn op_batches_split_value_runs() {
         let wh = warehouse("pipe5");
         let pipe = Pipeline::open(qpath("pipe5")).unwrap();
         let update = |id: i64| {
@@ -823,7 +840,7 @@ mod tests {
                 ops: vec![OpLogRecord {
                     seq: 1,
                     txn: id as u64,
-                    statement: parse_statement("UPDATE t SET v = v + 1 WHERE id = 1").unwrap(),
+                    sql: "UPDATE t SET v = v + 1 WHERE id = 1".into(),
                     before_image: None,
                 }],
             })
@@ -838,11 +855,11 @@ mod tests {
         assert_eq!(report.batches, 5);
         assert_eq!(report.runs, 4, "value run + 2 ops + value run");
         assert_eq!(report.apply.transactions, 4);
-        // The identical UPDATE text parsed once and was rewritten once.
+        // Each replayed operation was parsed and rewritten once, where it
+        // ran; identical text earns nothing.
         let parse = pipe.stmt_cache_stats();
-        assert_eq!((parse.hits, parse.misses), (1, 1));
-        let rewrite = pipe.rewrite_cache_stats();
-        assert_eq!((rewrite.hits, rewrite.misses), (1, 1));
+        assert_eq!((parse.hits, parse.misses), (0, 2));
+        assert_eq!(pipe.rewrite_cache_stats(), parse);
         let rows = wh.db().scan_table("t").unwrap();
         let v1 = rows
             .iter()

@@ -263,8 +263,7 @@ pub(crate) fn run_sync(pipe: &Pipeline, wh: &Warehouse) -> EngineResult<SyncRepo
                 .map_err(EngineError::Storage)?
                 .into_iter()
                 .map(|(idx, range)| {
-                    let decoded =
-                        DeltaBatch::from_bytes_cached(&arena[range.clone()], &pipe.stmt_cache);
+                    let decoded = DeltaBatch::from_bytes(&arena[range.clone()]);
                     (idx, range, decoded)
                 })
                 .collect();
@@ -749,9 +748,10 @@ fn apply_with_retry(
                     .collect();
                 DirectValueApplier::apply_run_marked(wh, &vds, mark)
             }
-            DeltaBatch::Op(od) => {
-                OpDeltaApplier::apply_marked(wh, od, Some(&pipe.rewrite_cache), mark)
-            }
+            DeltaBatch::Op(od) => OpDeltaApplier::apply_marked(wh, od, mark).inspect(|_| {
+                pipe.ops_replayed
+                    .fetch_add(od.ops.len() as u64, Ordering::Relaxed);
+            }),
         };
         match result {
             Ok(r) => return Ok(r),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use delta_core::model::{OpDelta, OpLogRecord};
 use delta_engine::db::{open_temp, Database};
 use delta_engine::{exec, EngineError, EngineResult, LogRecord, TableOptions};
-use delta_sql::ast::{AggFunc, Statement};
+use delta_sql::ast::AggFunc;
 use delta_sql::parser::{parse_expression, parse_statement};
 use delta_storage::{Column, DataType, Schema};
 use delta_warehouse::{
@@ -194,7 +194,8 @@ fn source_txn(
     for (n, op) in ops.iter().enumerate() {
         let stmt = parse_statement(&statement(src, *op)).unwrap();
         let outcome = exec::execute(src, &mut txn, &stmt);
-        od.ops.push(op_record(txn_no, n, stmt));
+        // What the capture ships: the statement printed back to text.
+        od.ops.push(op_record(txn_no, n, stmt.to_string()));
         if let Err(e) = outcome {
             src.abort(txn).unwrap();
             return (od, Err(e));
@@ -226,7 +227,7 @@ fn assert_converged(src: &Database, wh: &Warehouse, after: &str) {
 }
 
 fn describe(od: &OpDelta) -> String {
-    let sql: Vec<String> = od.ops.iter().map(|o| o.statement.to_string()).collect();
+    let sql: Vec<&str> = od.ops.iter().map(|o| o.sql.as_str()).collect();
     sql.join("; ")
 }
 
@@ -272,22 +273,22 @@ fn seeded(label: &str) -> (Arc<Database>, Warehouse) {
     (src, wh)
 }
 
-fn op_record(txn: u64, n: usize, statement: Statement) -> OpLogRecord {
+fn op_record(txn: u64, n: usize, sql: String) -> OpLogRecord {
     OpLogRecord {
         seq: txn * 100 + n as u64,
         txn,
-        statement,
+        sql,
         before_image: None,
     }
 }
 
 fn op_delta(txn: u64, sql: &[&str]) -> OpDelta {
-    let parsed = sql.iter().map(|s| parse_statement(s).unwrap());
     OpDelta {
         txn,
-        ops: parsed
+        ops: sql
+            .iter()
             .enumerate()
-            .map(|(n, stmt)| op_record(txn, n, stmt))
+            .map(|(n, s)| op_record(txn, n, s.to_string()))
             .collect(),
     }
 }
@@ -297,7 +298,7 @@ fn op_delta(txn: u64, sql: &[&str]) -> OpDelta {
 fn run_on_source(src: &Database, od: &OpDelta) -> EngineResult<()> {
     let mut txn = src.begin();
     for op in &od.ops {
-        if let Err(e) = exec::execute(src, &mut txn, &op.statement) {
+        if let Err(e) = exec::execute(src, &mut txn, &parse_statement(&op.sql).unwrap()) {
             src.abort(txn)?;
             return Err(e);
         }
@@ -357,9 +358,7 @@ fn replay_logs_only_mirror_view_and_watermark_rows() {
             "DELETE FROM owners WHERE oid >= 3",
         ],
     );
-    let cache = delta_warehouse::RewriteCache::new();
-    let report =
-        OpDeltaApplier::apply_marked(&wh, &od, Some(&cache), AppliedMark::Watermark(7)).unwrap();
+    let report = OpDeltaApplier::apply_marked(&wh, &od, AppliedMark::Watermark(7)).unwrap();
     assert_eq!(wh.applied_watermark().unwrap(), Some(7));
     let tables = logged_row_changes(db, from);
     for table in &tables {

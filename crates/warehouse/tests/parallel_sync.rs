@@ -13,7 +13,6 @@
 use delta_core::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::open_temp;
 use delta_sql::ast::AggFunc;
-use delta_sql::parser::parse_statement;
 use delta_storage::{Column, DataType, Row, Schema, Value};
 use delta_transport::NetFaultPlan;
 use delta_warehouse::{
@@ -159,8 +158,7 @@ fn publish_workload(pipe: &Pipeline, seed: u64, rounds: usize, id_base: i64) -> 
                 ops: vec![OpLogRecord {
                     seq: round as u64,
                     txn: round as u64,
-                    statement: parse_statement(&format!("UPDATE t2 SET v = {round} WHERE g = {g}"))
-                        .unwrap(),
+                    sql: format!("UPDATE t2 SET v = {round} WHERE g = {g}"),
                     before_image: None,
                 }],
             };
@@ -280,7 +278,7 @@ fn parallel_sync_matches_sequential_with_poison_quarantine() {
             ops: vec![OpLogRecord {
                 seq: 1000,
                 txn: 1000,
-                statement: parse_statement("INSERT INTO missing VALUES (1, 2, 3)").unwrap(),
+                sql: "INSERT INTO missing VALUES (1, 2, 3)".into(),
                 before_image: None,
             }],
         }))

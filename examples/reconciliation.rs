@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for od in &ods {
         for op in &od.ops {
-            println!("  txn {}: {}", od.txn, op.statement);
+            println!("  txn {}: {}", od.txn, op.sql);
         }
     }
     assert_eq!(ods.len(), 3);

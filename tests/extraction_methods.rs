@@ -188,9 +188,9 @@ fn op_delta_captures_operations_with_boundaries_and_tiny_volume() {
         "four ops should be a few hundred bytes, got {total_wire}"
     );
     // Both update statements present (state-change capture, like triggers).
-    let sqls: Vec<String> = ods
+    let sqls: Vec<&str> = ods
         .iter()
-        .flat_map(|od| od.ops.iter().map(|o| o.statement.to_string()))
+        .flat_map(|od| od.ops.iter().map(|o| o.sql.as_str()))
         .collect();
     assert!(sqls.iter().any(|s| s.contains("qty = 1")));
     assert!(sqls.iter().any(|s| s.contains("qty = 2")));

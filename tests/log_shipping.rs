@@ -69,6 +69,50 @@ fn archived_segments_ship_and_replay_on_a_standby() {
 }
 
 #[test]
+fn segment_applied_twice_fails_whole_and_leaves_the_standby_usable() {
+    // File transport is at-least-once, so a standby can be handed a segment
+    // it already applied. The second application must fail as a unit: no
+    // row of it stays behind and no lock stays held.
+    let dir = scratch("reapply");
+    let primary = Database::open(DbOptions::new(dir.join("primary")).archive(true)).unwrap();
+    let mut s = primary.session();
+    s.execute("CREATE TABLE events (what VARCHAR)").unwrap(); // no key: a re-insert succeeds
+    s.execute("CREATE TABLE parts (id INT PRIMARY KEY)")
+        .unwrap();
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO events VALUES ('made part 1')")
+        .unwrap();
+    s.execute("INSERT INTO parts VALUES (1)").unwrap();
+    s.execute("COMMIT").unwrap();
+    primary.checkpoint().unwrap();
+    let records: Vec<_> = LogExtractor::shippable_segments(&primary)
+        .unwrap()
+        .iter()
+        .flat_map(|seg| read_segment(seg).unwrap())
+        .collect();
+
+    let mut opts = DbOptions::new(dir.join("standby"));
+    opts.lock_timeout = std::time::Duration::from_millis(200);
+    let standby = Database::open(opts).unwrap();
+    assert_eq!(standby.apply_log_records(&records).unwrap(), 2);
+    let err = standby.apply_log_records(&records).unwrap_err();
+    assert!(err.to_string().contains("duplicate"), "{err}");
+    assert_eq!(
+        standby.row_count("events").unwrap(),
+        1,
+        "the re-insert was undone"
+    );
+    assert_eq!(standby.row_count("parts").unwrap(), 1);
+    // Nothing stayed locked: the next reader and the next writer get in.
+    let mut s = standby.session();
+    for table in ["events", "parts"] {
+        s.execute(&format!("SELECT * FROM {table}")).unwrap();
+    }
+    s.execute("INSERT INTO events VALUES ('after')").unwrap();
+    s.execute("INSERT INTO parts VALUES (2)").unwrap();
+}
+
+#[test]
 fn tampered_shipment_is_rejected_before_apply() {
     let dir = scratch("tamper");
     let primary = Database::open(DbOptions::new(dir.join("primary")).archive(true)).unwrap();
