@@ -107,7 +107,8 @@ fn run_level(b: &SourceBuilder, scale: &Scale, idx: usize, cap: Option<u64>) -> 
         // pair, the coalesced form exactly one.
         let first = (cycle * batch) as i64;
         let mut s = src.session();
-        s.execute(&insert_txn_sql(TABLE, first, batch)).expect("insert");
+        s.execute(&insert_txn_sql(TABLE, first, batch))
+            .expect("insert");
         cell.changed_rows += batch as u64;
         if cycle > 0 {
             s.execute(&update_txn_sql(TABLE, first - batch as i64, batch))

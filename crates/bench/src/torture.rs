@@ -510,7 +510,11 @@ impl Driver {
         cycle: u64,
         chaos: u64,
     ) -> Result<(), String> {
-        let budget = Arc::clone(self.queue_budget.as_ref().expect("pressure mode arms a budget"));
+        let budget = Arc::clone(
+            self.queue_budget
+                .as_ref()
+                .expect("pressure mode arms a budget"),
+        );
         let shrink = (cycle / 2).min(8) as u32;
         let mut brng = chaos ^ 0xB0D6_E7B0;
         let bytes = ((16 * 1024u64) >> shrink).max(64) + splitmix64(&mut brng) % 256;
@@ -648,7 +652,9 @@ impl Driver {
                 let mut srng = chaos ^ 0x57A1_157A_57A1_157A;
                 pipe = pipe
                     .with_queue_budget(Arc::clone(
-                        self.queue_budget.as_ref().expect("pressure mode arms a budget"),
+                        self.queue_budget
+                            .as_ref()
+                            .expect("pressure mode arms a budget"),
                     ))
                     .with_stage_deadline(Duration::from_millis(25))
                     .with_injected_stalls(StallPlan::new(splitmix64(&mut srng), 20, 60));

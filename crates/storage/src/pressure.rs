@@ -323,7 +323,10 @@ mod tests {
         let b = DiskBudget::unlimited().with_quota("spool", 10);
         assert_eq!(b.admit(&p("/data/heap.db"), 1000), Admission::Granted);
         assert_eq!(b.admit(&p("/data/spool.q"), 8), Admission::Granted);
-        assert_eq!(b.admit(&p("/data/spool.q"), 8), Admission::Short { keep: 2 });
+        assert_eq!(
+            b.admit(&p("/data/spool.q"), 8),
+            Admission::Short { keep: 2 }
+        );
         assert_eq!(b.admit(&p("/data/spool.q"), 1), Admission::Denied);
         assert_eq!(b.admit(&p("/data/heap.db"), 1000), Admission::Granted);
     }

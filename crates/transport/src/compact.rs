@@ -46,10 +46,7 @@ pub fn decode_header(bytes: &[u8]) -> Option<u64> {
     if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
         return None;
     }
-    bytes[8..HEADER_LEN]
-        .try_into()
-        .ok()
-        .map(u64::from_le_bytes)
+    bytes[8..HEADER_LEN].try_into().ok().map(u64::from_le_bytes)
 }
 
 /// The staged rewrite a compaction commits via rename. Deleted at open if a

@@ -193,7 +193,9 @@ impl PersistentQueue {
     /// Bytes the budget would still admit for the spool (`None` = no budget
     /// armed / unconstrained).
     pub fn spool_headroom(&self) -> Option<u64> {
-        self.budget.as_ref().and_then(|b| b.remaining(&self.spool_path))
+        self.budget
+            .as_ref()
+            .and_then(|b| b.remaining(&self.spool_path))
     }
 
     /// The producer-side backpressure signal — see [`SpoolPressure`].

@@ -110,8 +110,12 @@ mod tests {
 
     #[test]
     fn different_seeds_pick_different_groups() {
-        let a: Vec<bool> = (0..256).map(|s| StallPlan::new(1, 30, 5).wants_stall(s)).collect();
-        let b: Vec<bool> = (0..256).map(|s| StallPlan::new(2, 30, 5).wants_stall(s)).collect();
+        let a: Vec<bool> = (0..256)
+            .map(|s| StallPlan::new(1, 30, 5).wants_stall(s))
+            .collect();
+        let b: Vec<bool> = (0..256)
+            .map(|s| StallPlan::new(2, 30, 5).wants_stall(s))
+            .collect();
         assert_ne!(a, b);
     }
 

@@ -511,10 +511,15 @@ fn stale_leftover_audit_frame_is_discarded() {
     .finish();
     let audit_q = pipe.audit_queue().unwrap();
     audit_q.enqueue(&leftover.encode()).unwrap();
-    audit_q.enqueue(b"torn garbage from a crashed audit").unwrap();
+    audit_q
+        .enqueue(b"torn garbage from a crashed audit")
+        .unwrap();
 
     let report = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default()).unwrap();
-    assert!(!report.diverged(), "fresh digest exchanged, not the stale one");
+    assert!(
+        !report.diverged(),
+        "fresh digest exchanged, not the stale one"
+    );
     assert!(report.converged());
 }
 
