@@ -17,8 +17,6 @@
 //!   algorithms (the acceptance property: parallelism must not change the
 //!   delta).
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use delta_core::snapshot::{diff_snapshots, diff_snapshots_parallel, DiffAlgorithm};
 use delta_engine::db::{Database, DbOptions, SyncMode};
-use delta_storage::codec::ascii;
+use delta_storage::colbatch::{RowSink, DEFAULT_BLOCK_ROWS};
 use delta_storage::{BufferPool, Column, DataType, DiskFile, FileId, PageId, Row, Schema, Value};
 
 use crate::report::{fmt_duration, TableReport};
@@ -172,11 +170,11 @@ fn snapshot_schema() -> Schema {
 }
 
 fn write_snapshot_file(path: &Path, rows: impl Iterator<Item = Row>) {
-    let mut out = BufWriter::new(File::create(path).expect("snapshot file"));
+    let mut sink = RowSink::create(path, DEFAULT_BLOCK_ROWS).expect("snapshot file");
     for r in rows {
-        writeln!(out, "{}", ascii::format_row(&r)).expect("snapshot row");
+        sink.write_row(&r).expect("snapshot row");
     }
-    out.flush().expect("snapshot flush");
+    sink.finish().expect("snapshot flush");
 }
 
 /// Experiment B: buffer pool scan scaling and parallel snapshot diff.
@@ -245,8 +243,8 @@ pub fn run(scale: &Scale) -> TableReport {
 
     // --- Parallel snapshot diff sweep -------------------------------------
     let n = scale.rows(20_000) as i64;
-    let old_path = b.path("snap-old.txt");
-    let new_path = b.path("snap-new.txt");
+    let old_path = b.path("snap-old.snap");
+    let new_path = b.path("snap-new.snap");
     write_snapshot_file(&old_path, (0..n).map(|id| snapshot_row(id, "")));
     // New snapshot: ~1% deleted, ~2% updated, ~1% appended.
     write_snapshot_file(

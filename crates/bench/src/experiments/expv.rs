@@ -7,15 +7,14 @@
 //! the Op-Delta has the same space efficiency as the value delta."*
 //!
 //! We run identical transactions, capture them both ways, and compare the
-//! bytes each representation puts on the wire (the serialized envelopes the
-//! transports actually ship). Unlike the timing experiments this one is
-//! fully deterministic.
+//! size of each representation's text (`ValueDelta::to_text` /
+//! `OpDelta::to_text`) — the quantity §4.1 compares. The columnar frames the
+//! pipeline actually ships compress value deltas far more than Op-Deltas, so
+//! the insert-parity claim holds for the text only. Unlike the timing
+//! experiments this one is fully deterministic.
 
-use delta_core::model::DeltaBatch;
 use delta_core::opdelta::{collect_from_table, OpDeltaCapture, OpLogSink};
 use delta_core::trigger_extract::TriggerExtractor;
-use delta_storage::colbatch::DEFAULT_BLOCK_ROWS;
-use delta_storage::DeltaCodec;
 
 use crate::experiments::fig2::OpKind;
 use crate::report::TableReport;
@@ -38,7 +37,7 @@ pub fn run(scale: &Scale) -> TableReport {
     );
     let rows = scale.rows(10_000);
     report.note(format!(
-        "bytes are the serialized transport envelopes; source table {rows} rows of 100-byte records"
+        "bytes are the text representation §4.1 compares, not the columnar frames that ship; source table {rows} rows of 100-byte records"
     ));
     let b = SourceBuilder::new("expv");
     let sizes: Vec<usize> = [10usize, 100, 1_000, 10_000]
@@ -61,33 +60,12 @@ pub fn run(scale: &Scale) -> TableReport {
                 OpKind::Delete => delete_txn_sql("parts", 0, n),
             };
             cap.execute(&sql).expect("txn");
-            let value_batch = DeltaBatch::Value(extractor.drain(&db).expect("drain"));
-            let value = value_batch.wire_size();
-            let op_batches: Vec<DeltaBatch> = collect_from_table(&db, "op_log")
+            let value = extractor.drain(&db).expect("drain").wire_size();
+            let op_delta = collect_from_table(&db, "op_log")
                 .expect("collect")
-                .into_iter()
-                .map(DeltaBatch::Op)
-                .collect();
-            let op_delta = op_batches.iter().map(DeltaBatch::wire_size).sum::<usize>();
-            // Per-codec byte counts at the largest transaction (the
-            // `expv_codec` experiment drills into these; recorded here so
-            // V.json carries both codecs' volumes).
-            if n == *sizes.last().expect("non-empty") {
-                let col = value_batch.wire_size_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS);
-                let op_col = op_batches
-                    .iter()
-                    .map(|b| b.wire_size_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS))
-                    .sum::<usize>();
-                report.note(format!(
-                    "codec bytes ({}, n={n}): value delta {} raw -> {} columnar ({:.1}x); Op-Delta {} raw -> {} columnar",
-                    op.label(),
-                    fmt_bytes(value),
-                    fmt_bytes(col),
-                    value as f64 / col.max(1) as f64,
-                    fmt_bytes(op_delta),
-                    fmt_bytes(op_col),
-                ));
-            }
+                .iter()
+                .map(|od| od.wire_size())
+                .sum::<usize>();
             measured.insert((op.label(), n), (value, op_delta));
             report.push_row(vec![
                 op.label().to_string(),

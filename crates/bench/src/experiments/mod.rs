@@ -10,7 +10,6 @@ pub mod expp;
 pub mod expr;
 pub mod expr_pressure;
 pub mod expv;
-pub mod expv_codec;
 pub mod expw;
 pub mod fig2;
 pub mod fig3;
@@ -33,7 +32,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "table4",
         "expw",
         "expv",
-        "expv_codec",
         "expr",
         "expc",
         "expg_group_commit",
@@ -60,7 +58,6 @@ pub fn run(id: &str, scale: &Scale) -> Option<TableReport> {
         "table4" => table4::run(scale),
         "expw" => expw::run(scale),
         "expv" => expv::run(scale),
-        "expv_codec" => expv_codec::run(scale),
         "expr" => expr::run(scale),
         "expc" => expc::run(scale),
         "expg_group_commit" => expg::group_commit(scale),

@@ -1,14 +1,10 @@
-//! Columnar wire codec for [`DeltaBatch`] envelopes.
+//! The wire format of a [`DeltaBatch`]: the one frame every batch ships as.
 //!
-//! The text envelopes in [`crate::model`] spend most of their bytes repeating
-//! structure: every record re-prints its op code, transaction id, and fully
-//! formatted row. This module re-encodes the same batches as CRC-framed
-//! columnar blocks (see [`delta_storage::colbatch`]): op codes and txn ids
-//! become RLE/delta runs, generated keys front-code against their neighbours,
-//! and repeated statement prefixes in an Op-Delta are shared. The envelope
-//! starts with [`cb::BATCH_MAGIC`] (lead byte `0xFF`, never valid UTF-8), so
-//! [`DeltaBatch::from_bytes`] can dispatch between the legacy text format and
-//! this one by sniffing the first bytes — old queue spools keep decoding.
+//! A batch is encoded as CRC-framed columnar blocks (see
+//! [`delta_storage::colbatch`]): op codes and txn ids become RLE/delta runs,
+//! generated keys front-code against their neighbours, and repeated statement
+//! prefixes in an Op-Delta are shared. The frame starts with
+//! [`cb::BATCH_MAGIC`]; bytes without it are typed corruption.
 //!
 //! Layout (all integers varint unless noted):
 //!
@@ -257,7 +253,6 @@ pub fn decode_batch(bytes: &[u8]) -> StorageResult<DeltaBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delta_storage::colbatch::DeltaCodec;
     use delta_storage::{Column, DataType};
 
     fn schema() -> Schema {
@@ -289,21 +284,19 @@ mod tests {
     fn value_delta_round_trips_columnar() {
         let batch = DeltaBatch::Value(uniform_delta(1000));
         let bytes = encode_batch(&batch, 256);
-        assert!(cb::is_columnar_batch(&bytes));
+        assert!(bytes.starts_with(&cb::BATCH_MAGIC));
         assert_eq!(decode_batch(&bytes).unwrap(), batch);
-        // The magic dispatch in DeltaBatch::from_bytes reaches the same path.
-        assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), batch);
     }
 
     #[test]
     fn columnar_beats_text_3x_on_uniform_records() {
-        let batch = DeltaBatch::Value(uniform_delta(1000));
-        let raw = batch.to_bytes().len();
-        let col = encode_batch(&batch, 1024).len();
+        let vd = uniform_delta(1000);
+        let text = vd.wire_size();
+        let col = encode_batch(&DeltaBatch::Value(vd), 1024).len();
         assert!(
-            raw >= col * 3,
-            "raw {raw} vs columnar {col} ({:.1}x)",
-            raw as f64 / col as f64
+            text >= col * 3,
+            "text {text} vs columnar {col} ({:.1}x)",
+            text as f64 / col as f64
         );
     }
 
@@ -335,16 +328,6 @@ mod tests {
         let batch = DeltaBatch::Op(od);
         let bytes = encode_batch(&batch, 64);
         assert_eq!(decode_batch(&bytes).unwrap(), batch);
-    }
-
-    #[test]
-    fn to_bytes_with_dispatches_codecs() {
-        let batch = DeltaBatch::Value(uniform_delta(100));
-        assert_eq!(batch.to_bytes_with(DeltaCodec::Raw, 1024), batch.to_bytes());
-        let col = batch.to_bytes_with(DeltaCodec::Columnar, 1024);
-        assert!(cb::is_columnar_batch(&col));
-        assert_eq!(DeltaBatch::from_bytes(&col).unwrap(), batch);
-        assert_eq!(batch.wire_size_with(DeltaCodec::Columnar, 1024), col.len());
     }
 
     #[test]

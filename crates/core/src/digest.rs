@@ -10,8 +10,8 @@
 //! exactly one leaf.
 //!
 //! Digests are built from streaming scans ([`digest_snapshot`] reuses
-//! [`RowSource`], so it reads both ASCII and columnar snapshots without
-//! materializing the table) or straight from a live table
+//! [`RowSource`], so it reads a snapshot without materializing the table)
+//! or straight from a live table
 //! ([`digest_table`]). Two digests are compared hierarchically
 //! ([`compare_digests`]): equal subtree hashes prune whole key intervals,
 //! so divergence is localized to bounded [`KeyRange`]s after inspecting
@@ -33,7 +33,7 @@ use delta_storage::colbatch::{
     put_uvarint, take, RowSink, RowSource,
 };
 use delta_storage::fault::splitmix64;
-use delta_storage::{Row, Schema, StorageError, StorageResult, Value};
+use delta_storage::{Row, StorageError, StorageResult, Value};
 
 /// Magic prefix of an encoded digest: `0xFF 'C' 'D' version` (the columnar
 /// family's `D` letter, alongside `S`napshot / `B`atch / `W`al-segment).
@@ -333,16 +333,15 @@ impl DigestBuilder {
     }
 }
 
-/// Digest a snapshot file via a streaming [`RowSource`] scan (reads ASCII
-/// and columnar snapshots alike, without materializing the table).
+/// Digest a snapshot file via a streaming [`RowSource`] scan (without
+/// materializing the table).
 pub fn digest_snapshot(
     table: &str,
-    schema: &Schema,
     key_pos: usize,
     path: &Path,
     params: DigestParams,
 ) -> StorageResult<TableDigest> {
-    let mut src = RowSource::open(path, schema)?;
+    let mut src = RowSource::open(path)?;
     let mut builder = DigestBuilder::new(table, key_pos, params);
     while let Some(row) = src.next_row()? {
         builder.add_row(&row)?;
@@ -502,19 +501,17 @@ fn coalesce(buckets: &[i64], span: i64) -> Vec<KeyRange> {
 }
 
 /// Copy the rows of snapshot `src` whose key (column `key_pos`) falls in
-/// any of `ranges` into a new snapshot at `dst`, preserving the source
-/// file's format. Returns the number of rows kept — the scoped input a
-/// range-restricted [`crate::snapshot::diff_snapshots`] repair runs on.
+/// any of `ranges` into a new snapshot at `dst`. Returns the number of rows
+/// kept — the scoped input a range-restricted
+/// [`crate::snapshot::diff_snapshots`] repair runs on.
 pub fn filter_snapshot(
     src: &Path,
-    schema: &Schema,
     key_pos: usize,
     ranges: &[KeyRange],
     dst: &Path,
 ) -> StorageResult<u64> {
-    let mut source = RowSource::open(src, schema)?;
-    let format = source.format();
-    let mut sink = RowSink::create(dst, format, colbatch::DEFAULT_BLOCK_ROWS)?;
+    let mut source = RowSource::open(src)?;
+    let mut sink = RowSink::create(dst, colbatch::DEFAULT_BLOCK_ROWS)?;
     let mut kept = 0u64;
     while let Some(row) = source.next_row()? {
         let key = match row.values().get(key_pos) {
@@ -537,15 +534,6 @@ pub fn filter_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delta_storage::{Column, DataType};
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column::new("id", DataType::Int).primary_key(),
-            Column::new("v", DataType::Varchar),
-        ])
-        .unwrap()
-    }
 
     fn row(id: i64, v: &str) -> Row {
         Row::new(vec![Value::Int(id), Value::Str(v.to_string())])
@@ -633,20 +621,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let src = dir.join("all.snap");
         let dst = dir.join("some.snap");
-        let mut sink = RowSink::create(
-            &src,
-            colbatch::SnapshotFormat::Columnar,
-            colbatch::DEFAULT_BLOCK_ROWS,
-        )
-        .unwrap();
+        let mut sink = RowSink::create(&src, colbatch::DEFAULT_BLOCK_ROWS).unwrap();
         for i in 0..100 {
             sink.write_row(&row(i, "z")).unwrap();
         }
         sink.finish().unwrap();
         let ranges = [KeyRange { lo: 10, hi: 19 }, KeyRange { lo: 90, hi: 99 }];
-        let kept = filter_snapshot(&src, &schema(), 0, &ranges, &dst).unwrap();
+        let kept = filter_snapshot(&src, 0, &ranges, &dst).unwrap();
         assert_eq!(kept, 20);
-        let mut source = RowSource::open(&dst, &schema()).unwrap();
+        let mut source = RowSource::open(&dst).unwrap();
         let mut keys = Vec::new();
         while let Some(r) = source.next_row().unwrap() {
             match r.values()[0] {

@@ -11,14 +11,16 @@
 //!   the operation alone. Its size is (for deletes/updates) independent of
 //!   the number of affected rows — §4.1's central observation.
 //!
-//! Both serialize to a line-oriented text envelope so every transport treats
-//! them uniformly as byte streams, and so the benchmark harness can report
-//! the *message volume* each method ships.
+//! Both ship as one [`DeltaBatch`] frame (the columnar CRC-framed envelope
+//! of [`crate::colcodec`]). Each also prints as the line-oriented text of
+//! §4.1 ([`ValueDelta::to_text`], [`OpDelta::to_text`]): that text is what
+//! `wire_size` measures when experiments compare the two methods' message
+//! volume, and a value delta's text is the op log's before-image field.
 
 use std::fmt;
 
 use delta_storage::codec::ascii;
-use delta_storage::colbatch::{self, DeltaCodec};
+use delta_storage::colbatch::DeltaCodec;
 use delta_storage::{Row, Schema, StorageError, StorageResult};
 
 /// The kind of change a value-delta record describes.
@@ -35,7 +37,7 @@ pub enum DeltaOp {
 }
 
 impl DeltaOp {
-    /// Short code used in delta tables and the text envelope.
+    /// Short code used in delta tables and the text representation.
     pub fn code(self) -> &'static str {
         match self {
             DeltaOp::Insert => "I",
@@ -141,7 +143,8 @@ impl ValueDelta {
         self.records.is_empty()
     }
 
-    /// Approximate shipped size in bytes (used for volume accounting).
+    /// Size of the text representation in bytes — §4.1's message-volume
+    /// measure, not the size of the frame that ships.
     pub fn wire_size(&self) -> usize {
         self.to_text().len()
     }
@@ -152,7 +155,8 @@ impl ValueDelta {
         !self.records.is_empty() && self.records.iter().all(|r| r.txn != 0)
     }
 
-    /// Serialize to the text envelope.
+    /// Serialize to the text representation (also the op log's
+    /// before-image field).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -172,7 +176,7 @@ impl ValueDelta {
         out
     }
 
-    /// Parse the text envelope.
+    /// Parse the text representation.
     pub fn from_text(text: &str) -> StorageResult<ValueDelta> {
         let mut lines = text.lines();
         let header = lines
@@ -255,14 +259,15 @@ pub struct OpDelta {
 }
 
 impl OpDelta {
-    /// Approximate shipped size in bytes.
+    /// Size of the text representation in bytes — §4.1's message-volume
+    /// measure, not the size of the frame that ships.
     pub fn wire_size(&self) -> usize {
         self.to_text().len()
     }
 
-    /// Serialize to the text envelope. Statements are the captured SQL,
-    /// escaped onto one line; before-images are nested value-delta
-    /// envelopes, indented with `>`.
+    /// Print the text representation. Statements are the captured SQL,
+    /// escaped onto one line; before-images are nested value-delta texts,
+    /// indented with `>`.
     pub fn to_text(&self) -> String {
         let mut out = format!("OP-DELTA\t{}\t{}\n", self.txn, self.ops.len());
         for op in &self.ops {
@@ -277,72 +282,6 @@ impl OpDelta {
         }
         out
     }
-
-    /// Parse the text envelope. Framing only: the statements stay text.
-    pub fn from_text(text: &str) -> StorageResult<OpDelta> {
-        let mut lines = text.lines().peekable();
-        let header = lines
-            .next()
-            .ok_or_else(|| StorageError::Corrupt("empty op-delta".into()))?;
-        let mut parts = header.split('\t');
-        match parts.next() {
-            Some("OP-DELTA") => {}
-            _ => return Err(StorageError::Corrupt("not an op-delta envelope".into())),
-        }
-        let txn: u64 = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| StorageError::Corrupt("op-delta missing txn".into()))?;
-        let count: usize = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| StorageError::Corrupt("op-delta missing count".into()))?;
-        let mut ops = Vec::with_capacity(count);
-        while let Some(line) = lines.next() {
-            if line.is_empty() {
-                continue;
-            }
-            let rest = line.strip_prefix("STMT\t").ok_or_else(|| {
-                StorageError::Corrupt(format!("expected STMT line, got '{line}'"))
-            })?;
-            let (seq_s, sql) = rest
-                .split_once('\t')
-                .ok_or_else(|| StorageError::Corrupt("bad STMT line".into()))?;
-            let seq: u64 = seq_s
-                .parse()
-                .map_err(|_| StorageError::Corrupt("bad STMT seq".into()))?;
-            let sql = unescape_line(sql)?;
-            // Gather an optional nested before-image block.
-            let mut bi_text = String::new();
-            while let Some(next) = lines.peek() {
-                if let Some(stripped) = next.strip_prefix("> ") {
-                    bi_text.push_str(stripped);
-                    bi_text.push('\n');
-                    lines.next();
-                } else {
-                    break;
-                }
-            }
-            let before_image = if bi_text.is_empty() {
-                None
-            } else {
-                Some(ValueDelta::from_text(&bi_text)?)
-            };
-            ops.push(OpLogRecord {
-                seq,
-                txn,
-                sql,
-                before_image,
-            });
-        }
-        if ops.len() != count {
-            return Err(StorageError::Corrupt(format!(
-                "op-delta truncated: header said {count}, found {}",
-                ops.len()
-            )));
-        }
-        Ok(OpDelta { txn, ops })
-    }
 }
 
 /// A transport-ready batch of deltas of either representation.
@@ -353,53 +292,19 @@ pub enum DeltaBatch {
 }
 
 impl DeltaBatch {
-    /// Serialize for shipping in the legacy text envelope (equivalent to
-    /// [`DeltaBatch::to_bytes_with`] at [`DeltaCodec::Raw`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            DeltaBatch::Value(v) => v.to_text().into_bytes(),
-            DeltaBatch::Op(o) => o.to_text().into_bytes(),
-        }
+    /// Encode as the columnar frame ([`crate::colcodec::encode_batch`]).
+    /// The codec argument has one value and is ignored: this signature is
+    /// the frozen dwbench harness's, and ROADMAP item 5's benchmark PR
+    /// removes it with [`DeltaCodec`].
+    pub fn to_bytes_with(&self, _codec: DeltaCodec, block_rows: usize) -> Vec<u8> {
+        crate::colcodec::encode_batch(self, block_rows)
     }
 
-    /// Serialize for shipping under `codec`. `block_rows` bounds the rows per
-    /// CRC-framed block in the columnar format (ignored for `Raw`). Either
-    /// output decodes through [`DeltaBatch::from_bytes`], which sniffs the
-    /// leading magic.
-    pub fn to_bytes_with(&self, codec: DeltaCodec, block_rows: usize) -> Vec<u8> {
-        match codec {
-            DeltaCodec::Raw => self.to_bytes(),
-            DeltaCodec::Columnar => crate::colcodec::encode_batch(self, block_rows),
-        }
-    }
-
-    /// Parse shipped bytes: columnar envelopes (lead byte `0xFF`, never valid
-    /// UTF-8) are dispatched by magic; anything else is the legacy text
-    /// envelope, so pre-codec queue spools decode unchanged. Decoding checks
-    /// framing and CRCs; Op-Delta statements are not parsed here.
+    /// Decode a shipped frame. Framing, CRCs and UTF-8 are checked; anything
+    /// that is not a columnar batch is typed corruption. Op-Delta statements
+    /// are not parsed here.
     pub fn from_bytes(bytes: &[u8]) -> StorageResult<DeltaBatch> {
-        if colbatch::is_columnar_batch(bytes) {
-            return crate::colcodec::decode_batch(bytes);
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| StorageError::Corrupt("delta batch not UTF-8".into()))?;
-        if text.starts_with("VALUE-DELTA") {
-            Ok(DeltaBatch::Value(ValueDelta::from_text(text)?))
-        } else if text.starts_with("OP-DELTA") {
-            Ok(DeltaBatch::Op(OpDelta::from_text(text)?))
-        } else {
-            Err(StorageError::Corrupt("unknown delta envelope".into()))
-        }
-    }
-
-    /// Shipped size in bytes (legacy text envelope).
-    pub fn wire_size(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Shipped size in bytes under `codec`.
-    pub fn wire_size_with(&self, codec: DeltaCodec, block_rows: usize) -> usize {
-        self.to_bytes_with(codec, block_rows).len()
+        crate::colcodec::decode_batch(bytes)
     }
 }
 
@@ -484,25 +389,39 @@ mod tests {
     }
 
     #[test]
-    fn op_delta_text_round_trip() {
-        let op1 = OpLogRecord {
-            seq: 10,
+    fn op_delta_text_nests_the_before_image() {
+        let mut bi = ValueDelta::new("parts", schema());
+        bi.records.push(ValueDeltaRecord {
+            op: DeltaOp::Delete,
             txn: 7,
-            sql: "UPDATE parts SET name = 'revised' WHERE id > 100 AND name <> 'x'".into(),
-            before_image: None,
-        };
-        let op2 = OpLogRecord {
-            seq: 11,
-            txn: 7,
-            sql: "DELETE FROM parts WHERE id = 1".into(),
-            before_image: Some(sample_value_delta()),
-        };
+            row: row(1, "gone"),
+        });
         let od = OpDelta {
             txn: 7,
-            ops: vec![op1, op2],
+            ops: vec![
+                OpLogRecord {
+                    seq: 10,
+                    txn: 7,
+                    sql: "UPDATE parts SET name = 'x' WHERE id > 100".into(),
+                    before_image: None,
+                },
+                OpLogRecord {
+                    seq: 11,
+                    txn: 7,
+                    sql: "DELETE FROM parts WHERE id = 1".into(),
+                    before_image: Some(bi),
+                },
+            ],
         };
-        let text = od.to_text();
-        assert_eq!(OpDelta::from_text(&text).unwrap(), od);
+        assert_eq!(
+            od.to_text(),
+            "OP-DELTA\t7\t2\n\
+             STMT\t10\tUPDATE parts SET name = 'x' WHERE id > 100\n\
+             STMT\t11\tDELETE FROM parts WHERE id = 1\n\
+             > VALUE-DELTA\tparts\tid:INT:P,name:VARCHAR\t1\n\
+             > D\t7\t1|gone\n"
+        );
+        assert_eq!(od.wire_size(), od.to_text().len());
     }
 
     #[test]
@@ -548,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_batch_dispatches_both_envelopes() {
+    fn delta_batch_round_trips_both_kinds_and_rejects_text() {
         let vd = DeltaBatch::Value(sample_value_delta());
         let od = DeltaBatch::Op(OpDelta {
             txn: 2,
@@ -560,11 +479,21 @@ mod tests {
             }],
         });
         for batch in [vd, od] {
-            let bytes = batch.to_bytes();
+            let bytes = crate::colcodec::encode_batch(&batch, 1024);
             assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), batch);
-            assert_eq!(batch.wire_size(), bytes.len());
+            let text = match &batch {
+                DeltaBatch::Value(v) => v.to_text(),
+                DeltaBatch::Op(o) => o.to_text(),
+            };
+            assert!(matches!(
+                DeltaBatch::from_bytes(text.as_bytes()),
+                Err(StorageError::Corrupt(_))
+            ));
         }
-        assert!(DeltaBatch::from_bytes(b"garbage").is_err());
+        assert!(matches!(
+            DeltaBatch::from_bytes(b"garbage"),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -584,11 +513,11 @@ mod tests {
         };
         let text = od.to_text();
         assert_eq!(text.lines().count(), 2, "header + one STMT line");
-        assert_eq!(OpDelta::from_text(&text).unwrap(), od);
+        assert!(text.ends_with("('two\\nlines\\tand a \\\\ backslash')\n"));
     }
 
     #[test]
-    fn text_that_is_not_sql_crosses_both_envelopes() {
+    fn text_that_is_not_sql_crosses_the_frame() {
         // Decode validates framing, not SQL: the executor that runs an
         // operation is the one that parses it, so a poison row reaches the
         // warehouse (and its dead-letter queue) instead of wedging the
@@ -602,9 +531,7 @@ mod tests {
                 before_image: None,
             }],
         });
-        for codec in [DeltaCodec::Raw, DeltaCodec::Columnar] {
-            let bytes = od.to_bytes_with(codec, 1024);
-            assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), od);
-        }
+        let bytes = crate::colcodec::encode_batch(&od, 1024);
+        assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), od);
     }
 }

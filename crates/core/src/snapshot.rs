@@ -28,14 +28,11 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use delta_engine::db::Database;
 use delta_engine::EngineResult;
-use delta_storage::codec::ascii;
-use delta_storage::colbatch::{self, RowSink, RowSource, SnapshotFormat};
+use delta_storage::colbatch::{self, RowSink, RowSource};
 use delta_storage::{Row, Schema, StorageError, StorageResult, Value};
 use parking_lot::Mutex;
 
@@ -67,10 +64,8 @@ pub struct DiffStats {
     pub comparisons: u64,
 }
 
-/// Take a snapshot of `table` at `path`, in the format the database's
-/// `delta_codec` option selects (ASCII under `Raw`, columnar CRC-framed
-/// blocks under `Columnar`). Returns row count. Diffing sniffs the format
-/// per file, so snapshots taken under different codecs still diff.
+/// Take a snapshot of `table` at `path` (columnar CRC-framed row blocks, the
+/// one snapshot format). Returns row count.
 pub fn take_snapshot(db: &Database, table: &str, path: impl AsRef<Path>) -> EngineResult<u64> {
     delta_engine::util::snapshot_dump(db, table, path)
 }
@@ -186,11 +181,9 @@ struct RunReader {
 }
 
 impl RunReader {
-    fn open(path: &Path, schema: &Schema, key_cols: &[usize]) -> StorageResult<RunReader> {
-        // RowSource sniffs the file format, so run readers stream-decode
-        // columnar snapshot blocks and legacy ASCII dumps alike.
+    fn open(path: &Path, key_cols: &[usize]) -> StorageResult<RunReader> {
         let mut r = RunReader {
-            src: RowSource::open(path, schema)?,
+            src: RowSource::open(path)?,
             current: None,
             key_cols: key_cols.to_vec(),
         };
@@ -216,7 +209,6 @@ impl RunReader {
 /// sequential sort.
 fn external_sort(
     path: &Path,
-    schema: &Schema,
     key_cols: &[usize],
     run_size: usize,
     workers: usize,
@@ -231,23 +223,18 @@ fn external_sort(
         .and_then(|s| s.to_str())
         .unwrap_or("snapshot");
 
-    // Run files and the merged output inherit the input file's format:
-    // ASCII inputs spill ASCII temps (byte-identical to the historical
-    // behaviour), columnar inputs spill compact columnar temps.
-    let fmt = colbatch::detect_file_format(path)?;
-
     // Phase 1: sorted runs.
     let mut run_paths = Vec::new();
     if workers > 1 {
         let (n_runs, rows_read, rows_written) =
-            parallel_run_generation(path, schema, key_cols, run_size, workers, &dir, stem, fmt)?;
+            parallel_run_generation(path, key_cols, run_size, workers, &dir, stem)?;
         stats.rows_read += rows_read;
         stats.run_rows_written += rows_written;
         run_paths = (0..n_runs)
             .map(|i| dir.join(format!("{stem}.run{i}")))
             .collect();
     } else {
-        let mut src = RowSource::open(path, schema)?;
+        let mut src = RowSource::open(path)?;
         let mut run: Vec<(Vec<Value>, Row)> = Vec::with_capacity(run_size.min(1 << 16));
         let flush_run = |run: &mut Vec<(Vec<Value>, Row)>,
                          run_paths: &mut Vec<PathBuf>,
@@ -258,7 +245,7 @@ fn external_sort(
             }
             run.sort_by(|a, b| cmp_keys(&a.0, &b.0));
             let rp = dir.join(format!("{stem}.run{}", run_paths.len()));
-            let mut w = RowSink::create(&rp, fmt, colbatch::DEFAULT_BLOCK_ROWS)?;
+            let mut w = RowSink::create(&rp, colbatch::DEFAULT_BLOCK_ROWS)?;
             for (_, row) in run.iter() {
                 w.write_row(row)?;
                 stats.run_rows_written += 1;
@@ -283,9 +270,9 @@ fn external_sort(
     {
         let mut readers: Vec<RunReader> = run_paths
             .iter()
-            .map(|p| RunReader::open(p, schema, key_cols))
+            .map(|p| RunReader::open(p, key_cols))
             .collect::<StorageResult<_>>()?;
-        let mut out = RowSink::create(&sorted_path, fmt, colbatch::DEFAULT_BLOCK_ROWS)?;
+        let mut out = RowSink::create(&sorted_path, colbatch::DEFAULT_BLOCK_ROWS)?;
         loop {
             // Pick the reader with the smallest current key.
             let mut best: Option<usize> = None;
@@ -324,30 +311,19 @@ fn worker_panic() -> StorageError {
     StorageError::Corrupt("snapshot diff worker thread panicked".into())
 }
 
-/// One unit of parallel run generation. ASCII inputs ship raw lines so the
-/// (expensive) text parse stays on the workers; columnar inputs ship rows
-/// the feeder's block decoder already produced.
-enum RunChunk {
-    Lines(Vec<String>),
-    Rows(Vec<Row>),
-}
-
-/// Fan run generation out across `workers` threads: the reader chunks the
-/// input, workers parse/sort/write one run per chunk. Returns
+/// Fan run generation out across `workers` threads: the reader decodes the
+/// input into chunks, workers sort/write one run per chunk. Returns
 /// `(runs_written, rows_read, run_rows_written)`. The chunk index names the
 /// run file, so run contents match a sequential pass exactly.
-#[allow(clippy::too_many_arguments)]
 fn parallel_run_generation(
     path: &Path,
-    schema: &Schema,
     key_cols: &[usize],
     run_size: usize,
     workers: usize,
     dir: &Path,
     stem: &str,
-    fmt: SnapshotFormat,
 ) -> StorageResult<(usize, u64, u64)> {
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, RunChunk)>();
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Row>)>();
     let rx = Mutex::new(rx);
     let mut n_runs = 0usize;
     let mut rows_read = 0u64;
@@ -363,23 +339,13 @@ fn parallel_run_generation(
                         let msg = claimed.recv();
                         drop(claimed);
                         let Ok((idx, chunk)) = msg else { break };
-                        let mut run: Vec<(Vec<Value>, Row)> = match chunk {
-                            RunChunk::Lines(lines) => {
-                                let mut run = Vec::with_capacity(lines.len());
-                                for l in &lines {
-                                    let row = ascii::parse_row(l, schema)?;
-                                    run.push((key_of(&row, key_cols), row));
-                                }
-                                run
-                            }
-                            RunChunk::Rows(rows) => rows
-                                .into_iter()
-                                .map(|row| (key_of(&row, key_cols), row))
-                                .collect(),
-                        };
+                        let mut run: Vec<(Vec<Value>, Row)> = chunk
+                            .into_iter()
+                            .map(|row| (key_of(&row, key_cols), row))
+                            .collect();
                         run.sort_by(|a, b| cmp_keys(&a.0, &b.0));
                         let rp = dir.join(format!("{stem}.run{idx}"));
-                        let mut w = RowSink::create(&rp, fmt, colbatch::DEFAULT_BLOCK_ROWS)?;
+                        let mut w = RowSink::create(&rp, colbatch::DEFAULT_BLOCK_ROWS)?;
                         for (_, row) in &run {
                             w.write_row(row)?;
                         }
@@ -394,48 +360,19 @@ fn parallel_run_generation(
         // Feed chunks; a read error stops the feed, and closing the channel
         // lets the workers drain and exit.
         let mut feed = || -> StorageResult<()> {
-            match fmt {
-                SnapshotFormat::Ascii => {
-                    let mut reader = BufReader::new(File::open(path)?);
-                    let mut line = String::new();
-                    let mut chunk: Vec<String> = Vec::with_capacity(run_size.min(1 << 16));
-                    loop {
-                        line.clear();
-                        if reader.read_line(&mut line)? == 0 {
-                            break;
-                        }
-                        let trimmed = line.trim_end_matches(['\n', '\r']);
-                        if trimmed.is_empty() {
-                            continue;
-                        }
-                        rows_read += 1;
-                        chunk.push(trimmed.to_string());
-                        if chunk.len() >= run_size {
-                            let _ = tx.send((n_runs, RunChunk::Lines(std::mem::take(&mut chunk))));
-                            n_runs += 1;
-                        }
-                    }
-                    if !chunk.is_empty() {
-                        let _ = tx.send((n_runs, RunChunk::Lines(std::mem::take(&mut chunk))));
-                        n_runs += 1;
-                    }
+            let mut src = RowSource::open(path)?;
+            let mut chunk: Vec<Row> = Vec::with_capacity(run_size.min(1 << 16));
+            while let Some(row) = src.next_row()? {
+                rows_read += 1;
+                chunk.push(row);
+                if chunk.len() >= run_size {
+                    let _ = tx.send((n_runs, std::mem::take(&mut chunk)));
+                    n_runs += 1;
                 }
-                SnapshotFormat::Columnar => {
-                    let mut src = RowSource::open(path, schema)?;
-                    let mut chunk: Vec<Row> = Vec::with_capacity(run_size.min(1 << 16));
-                    while let Some(row) = src.next_row()? {
-                        rows_read += 1;
-                        chunk.push(row);
-                        if chunk.len() >= run_size {
-                            let _ = tx.send((n_runs, RunChunk::Rows(std::mem::take(&mut chunk))));
-                            n_runs += 1;
-                        }
-                    }
-                    if !chunk.is_empty() {
-                        let _ = tx.send((n_runs, RunChunk::Rows(std::mem::take(&mut chunk))));
-                        n_runs += 1;
-                    }
-                }
+            }
+            if !chunk.is_empty() {
+                let _ = tx.send((n_runs, std::mem::take(&mut chunk)));
+                n_runs += 1;
             }
             Ok(())
         };
@@ -473,13 +410,13 @@ fn sort_merge_diff(
     run_size: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
-    let old_sorted = external_sort(old_path, schema, key_cols, run_size, 1, &mut stats)?;
-    let new_sorted = external_sort(new_path, schema, key_cols, run_size, 1, &mut stats)?;
+    let old_sorted = external_sort(old_path, key_cols, run_size, 1, &mut stats)?;
+    let new_sorted = external_sort(new_path, key_cols, run_size, 1, &mut stats)?;
 
     let mut delta = ValueDelta::new(table, schema.clone());
     {
-        let mut old_r = RunReader::open(&old_sorted, schema, key_cols)?;
-        let mut new_r = RunReader::open(&new_sorted, schema, key_cols)?;
+        let mut old_r = RunReader::open(&old_sorted, key_cols)?;
+        let mut new_r = RunReader::open(&new_sorted, key_cols)?;
         merge_diff_streams(&mut old_r, &mut new_r, &mut delta.records, &mut stats)?;
     }
     let _ = std::fs::remove_file(old_sorted);
@@ -603,10 +540,9 @@ fn key_partition(key: &[Value], parts: usize) -> usize {
 
 /// Split the snapshot at `path` into `parts` files by key hash, preserving
 /// row order within each partition (so a key-sorted input yields key-sorted
-/// partitions). Lines are copied verbatim. Returns the partition paths.
+/// partitions). Returns the partition paths.
 fn partition_by_key(
     path: &Path,
-    schema: &Schema,
     key_cols: &[usize],
     parts: usize,
     tag: &str,
@@ -623,12 +559,11 @@ fn partition_by_key(
         .map(|i| dir.join(format!("{stem}.{tag}-part{i}")))
         .collect();
     let mut guard = TempFiles(paths.clone());
-    let fmt = colbatch::detect_file_format(path)?;
     let mut writers = paths
         .iter()
-        .map(|p| RowSink::create(p, fmt, colbatch::DEFAULT_BLOCK_ROWS))
+        .map(|p| RowSink::create(p, colbatch::DEFAULT_BLOCK_ROWS))
         .collect::<StorageResult<Vec<_>>>()?;
-    let mut src = RowSource::open(path, schema)?;
+    let mut src = RowSource::open(path)?;
     while let Some(row) = src.next_row()? {
         let p = key_partition(&key_of(&row, key_cols), parts);
         writers[p].write_row(&row)?;
@@ -725,21 +660,21 @@ fn parallel_sort_merge(
     workers: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
-    let old_sorted = external_sort(old_path, schema, key_cols, run_size, workers, &mut stats)?;
+    let old_sorted = external_sort(old_path, key_cols, run_size, workers, &mut stats)?;
     let _g_old = TempFiles(vec![old_sorted.clone()]);
-    let new_sorted = external_sort(new_path, schema, key_cols, run_size, workers, &mut stats)?;
+    let new_sorted = external_sort(new_path, key_cols, run_size, workers, &mut stats)?;
     let _g_new = TempFiles(vec![new_sorted.clone()]);
 
-    let old_parts = partition_by_key(&old_sorted, schema, key_cols, workers, "old")?;
+    let old_parts = partition_by_key(&old_sorted, key_cols, workers, "old")?;
     let _g_op = TempFiles(old_parts.clone());
-    let new_parts = partition_by_key(&new_sorted, schema, key_cols, workers, "new")?;
+    let new_parts = partition_by_key(&new_sorted, key_cols, workers, "new")?;
     let _g_np = TempFiles(new_parts.clone());
 
     let (parts, part_stats) = diff_partitions(&old_parts, &new_parts, |o, n| {
         let mut st = DiffStats::default();
         let mut recs = Vec::new();
-        let mut old_r = RunReader::open(o, schema, key_cols)?;
-        let mut new_r = RunReader::open(n, schema, key_cols)?;
+        let mut old_r = RunReader::open(o, key_cols)?;
+        let mut new_r = RunReader::open(n, key_cols)?;
         merge_diff_streams(&mut old_r, &mut new_r, &mut recs, &mut st)?;
         Ok((recs, st))
     })?;
@@ -763,9 +698,9 @@ fn parallel_window(
     window: usize,
     workers: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
-    let old_parts = partition_by_key(old_path, schema, key_cols, workers, "old")?;
+    let old_parts = partition_by_key(old_path, key_cols, workers, "old")?;
     let _g_op = TempFiles(old_parts.clone());
-    let new_parts = partition_by_key(new_path, schema, key_cols, workers, "new")?;
+    let new_parts = partition_by_key(new_path, key_cols, workers, "new")?;
     let _g_np = TempFiles(new_parts.clone());
 
     let (parts, stats) = diff_partitions(&old_parts, &new_parts, |o, n| {
@@ -797,8 +732,8 @@ fn window_diff(
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
     let mut delta = ValueDelta::new(table, schema.clone());
-    let mut old_r = RunReader::open(old_path, schema, key_cols)?;
-    let mut new_r = RunReader::open(new_path, schema, key_cols)?;
+    let mut old_r = RunReader::open(old_path, key_cols)?;
+    let mut new_r = RunReader::open(new_path, key_cols)?;
 
     // Unmatched rows buffered per side, oldest first.
     let mut old_buf: VecDeque<(Vec<Value>, Row)> = VecDeque::new();
@@ -912,15 +847,12 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join(label);
-        let mut out = String::new();
+        let mut sink = RowSink::create(&p, colbatch::DEFAULT_BLOCK_ROWS).unwrap();
         for (id, name) in rows {
-            out.push_str(&ascii::format_row(&Row::new(vec![
-                Value::Int(*id),
-                Value::Str((*name).into()),
-            ])));
-            out.push('\n');
+            sink.write_row(&Row::new(vec![Value::Int(*id), Value::Str((*name).into())]))
+                .unwrap();
         }
-        std::fs::write(&p, out).unwrap();
+        sink.finish().unwrap();
         p
     }
 
@@ -936,8 +868,8 @@ mod tests {
     }
 
     fn check_exact_with(algo: DiffAlgorithm, workers: usize) {
-        let old = write_snapshot("old.txt", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("new.txt", &[(2, "b"), (3, "c2"), (4, "d"), (5, "e")]);
+        let old = write_snapshot("old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
+        let new = write_snapshot("new.snap", &[(2, "b"), (3, "c2"), (4, "d"), (5, "e")]);
         let (vd, stats) =
             diff_snapshots_parallel("t", &schema(), &[0], &old, &new, algo, workers).unwrap();
         let mut got = ops_of(&vd);
@@ -966,8 +898,8 @@ mod tests {
 
     #[test]
     fn identical_snapshots_give_empty_delta() {
-        let old = write_snapshot("same1.txt", &[(1, "a"), (2, "b")]);
-        let new = write_snapshot("same2.txt", &[(1, "a"), (2, "b")]);
+        let old = write_snapshot("same1.snap", &[(1, "a"), (2, "b")]);
+        let new = write_snapshot("same2.snap", &[(1, "a"), (2, "b")]);
         for algo in [
             DiffAlgorithm::SortMerge { run_size: 100 },
             DiffAlgorithm::Window { size: 4 },
@@ -985,7 +917,7 @@ mod tests {
         shuffled.reverse();
         let shuffled_refs: Vec<(i64, &str)> =
             shuffled.iter().map(|(i, s)| (*i, s.as_str())).collect();
-        let old = write_snapshot(&format!("{prefix}-old.txt"), &shuffled_refs);
+        let old = write_snapshot(&format!("{prefix}-old.snap"), &shuffled_refs);
         let new_rows: Vec<(i64, String)> = (0..200)
             .filter(|i| !(i % 2 == 0 && *i < 20))
             .map(|i| {
@@ -997,7 +929,7 @@ mod tests {
             })
             .collect();
         let new_refs: Vec<(i64, &str)> = new_rows.iter().map(|(i, s)| (*i, s.as_str())).collect();
-        let new = write_snapshot(&format!("{prefix}-new.txt"), &new_refs);
+        let new = write_snapshot(&format!("{prefix}-new.snap"), &new_refs);
         (old, new)
     }
 
@@ -1033,8 +965,8 @@ mod tests {
     fn window_degrades_to_delete_insert_beyond_displacement() {
         // With a zero-size window no unmatched row can wait for its partner,
         // so the displaced row 1 cannot be recognized as an update.
-        let old = write_snapshot("w-old.txt", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("w-new.txt", &[(2, "b"), (3, "c"), (4, "d"), (1, "a2")]);
+        let old = write_snapshot("w-old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
+        let new = write_snapshot("w-new.snap", &[(2, "b"), (3, "c"), (4, "d"), (1, "a2")]);
         let (vd, _) = diff_snapshots(
             "t",
             &schema(),
@@ -1056,8 +988,8 @@ mod tests {
 
     #[test]
     fn empty_key_columns_rejected() {
-        let old = write_snapshot("k-old.txt", &[(1, "a")]);
-        let new = write_snapshot("k-new.txt", &[(1, "a")]);
+        let old = write_snapshot("k-old.snap", &[(1, "a")]);
+        let new = write_snapshot("k-new.snap", &[(1, "a")]);
         assert!(diff_snapshots(
             "t",
             &schema(),
@@ -1077,12 +1009,12 @@ mod tests {
             .unwrap();
         s.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
             .unwrap();
-        let p1 = db.options().dir.join("s1.txt");
+        let p1 = db.options().dir.join("s1.snap");
         take_snapshot(&db, "t", &p1).unwrap();
         s.execute("UPDATE t SET name = 'bb' WHERE id = 2").unwrap();
         s.execute("DELETE FROM t WHERE id = 1").unwrap();
         s.execute("INSERT INTO t VALUES (3, 'c')").unwrap();
-        let p2 = db.options().dir.join("s2.txt");
+        let p2 = db.options().dir.join("s2.snap");
         take_snapshot(&db, "t", &p2).unwrap();
         let (vd, _) = diff_snapshots(
             "t",
@@ -1120,8 +1052,8 @@ mod tests {
     fn parallel_window_matches_sequential_sort_merge_exactly() {
         // With ample window per partition the parallel window diff emits the
         // same key-ordered records as the exact sort-merge.
-        let old = write_snapshot("pw-old.txt", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("pw-new.txt", &[(2, "b"), (3, "c2"), (4, "d"), (5, "e")]);
+        let old = write_snapshot("pw-old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
+        let new = write_snapshot("pw-new.snap", &[(2, "b"), (3, "c2"), (4, "d"), (5, "e")]);
         let (seq_vd, _) = diff_snapshots(
             "t",
             &schema(),
@@ -1154,8 +1086,8 @@ mod tests {
 
     #[test]
     fn parallel_identical_snapshots_give_empty_delta() {
-        let old = write_snapshot("psame1.txt", &[(1, "a"), (2, "b")]);
-        let new = write_snapshot("psame2.txt", &[(1, "a"), (2, "b")]);
+        let old = write_snapshot("psame1.snap", &[(1, "a"), (2, "b")]);
+        let new = write_snapshot("psame2.snap", &[(1, "a"), (2, "b")]);
         for algo in [
             DiffAlgorithm::SortMerge { run_size: 100 },
             DiffAlgorithm::Window { size: 4 },
@@ -1172,8 +1104,8 @@ mod tests {
         // delete + insert pair, or as an update when partitioning shrinks
         // its displacement enough — never silently dropped. Unchanged rows
         // must produce nothing.
-        let old = write_snapshot("pd-old.txt", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("pd-new.txt", &[(2, "b"), (3, "c"), (4, "d"), (1, "a2")]);
+        let old = write_snapshot("pd-old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
+        let new = write_snapshot("pd-new.snap", &[(2, "b"), (3, "c"), (4, "d"), (1, "a2")]);
         let (vd, _) = diff_snapshots_parallel(
             "t",
             &schema(),
@@ -1196,8 +1128,8 @@ mod tests {
 
     #[test]
     fn parallel_empty_key_columns_rejected() {
-        let old = write_snapshot("pk-old.txt", &[(1, "a")]);
-        let new = write_snapshot("pk-new.txt", &[(1, "a")]);
+        let old = write_snapshot("pk-old.snap", &[(1, "a")]);
+        let new = write_snapshot("pk-new.snap", &[(1, "a")]);
         assert!(diff_snapshots_parallel(
             "t",
             &schema(),

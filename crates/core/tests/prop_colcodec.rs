@@ -1,16 +1,17 @@
 //! Property tests for the columnar delta-batch wire codec: arbitrary value
 //! and Op-Delta batches must encode/decode input-equal through
-//! [`DeltaBatch::to_bytes_with`]/[`DeltaBatch::from_bytes`], every
+//! [`encode_batch`]/[`DeltaBatch::from_bytes`], every
 //! truncation must fail with a typed error (no panic), and single-bit flips
 //! must never silently decode as a different batch — the same contract the
 //! WAL record codec proves for its frames.
 
 use proptest::prelude::*;
 
+use delta_core::colcodec::encode_batch;
 use delta_core::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 use delta_sql::ast::{BinOp, Expr, Statement};
 use delta_storage::colbatch::DEFAULT_BLOCK_ROWS;
-use delta_storage::{Column, DataType, DeltaCodec, Row, Schema, Value};
+use delta_storage::{Column, DataType, Row, Schema, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -143,7 +144,7 @@ proptest! {
     #[test]
     fn columnar_batches_round_trip(vd in arb_value_delta(), od in arb_op_delta()) {
         for batch in [DeltaBatch::Value(vd), DeltaBatch::Op(od)] {
-            let bytes = batch.to_bytes_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS);
+            let bytes = encode_batch(&batch, DEFAULT_BLOCK_ROWS);
             prop_assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), batch);
         }
     }
@@ -152,14 +153,14 @@ proptest! {
     fn tiny_blocks_round_trip(vd in arb_value_delta()) {
         // A 1-row block size forces the multi-block path and partial blocks.
         let batch = DeltaBatch::Value(vd);
-        let bytes = batch.to_bytes_with(DeltaCodec::Columnar, 1);
+        let bytes = encode_batch(&batch, 1);
         prop_assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), batch);
     }
 
     #[test]
     fn every_truncation_is_a_typed_error(vd in arb_value_delta()) {
         let batch = DeltaBatch::Value(vd);
-        let bytes = batch.to_bytes_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS);
+        let bytes = encode_batch(&batch, DEFAULT_BLOCK_ROWS);
         for cut in 0..bytes.len() {
             prop_assert!(
                 DeltaBatch::from_bytes(&bytes[..cut]).is_err(),
@@ -172,7 +173,7 @@ proptest! {
     #[test]
     fn op_batch_truncations_are_typed_errors(od in arb_op_delta()) {
         let batch = DeltaBatch::Op(od);
-        let bytes = batch.to_bytes_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS);
+        let bytes = encode_batch(&batch, DEFAULT_BLOCK_ROWS);
         // Op batches can be large (nested before images): sample the cuts.
         let step = (bytes.len() / 256).max(1);
         for cut in (0..bytes.len()).step_by(step) {
@@ -187,7 +188,7 @@ proptest! {
     #[test]
     fn every_single_bit_flip_is_detected(vd in arb_value_delta()) {
         let batch = DeltaBatch::Value(vd);
-        let bytes = batch.to_bytes_with(DeltaCodec::Columnar, DEFAULT_BLOCK_ROWS);
+        let bytes = encode_batch(&batch, DEFAULT_BLOCK_ROWS);
         let step = (bytes.len() * 8 / 512).max(1);
         let mut bit = 0;
         while bit < bytes.len() * 8 {
@@ -195,10 +196,7 @@ proptest! {
             dirty[bit / 8] ^= 1 << (bit % 8);
             match DeltaBatch::from_bytes(&dirty) {
                 Err(_) => {}
-                // The only tolerated Ok is content identical to the input
-                // (e.g. the flip landed in the magic and the payload happens
-                // to parse as the legacy text format with equal content —
-                // which a flip makes impossible for these batches).
+                // The only tolerated Ok is content identical to the input.
                 Ok(back) => prop_assert!(
                     back == batch,
                     "bit flip at {bit} silently decoded a different batch"

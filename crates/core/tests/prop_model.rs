@@ -1,10 +1,12 @@
-//! Property tests for the delta envelopes: what ships must parse back
-//! identically, for arbitrary rows and statements — the lossless-wire
-//! property Op-Delta shipping depends on.
+//! Property tests for the delta text representation: a value delta's text
+//! (the op log's before-image field) must parse back identically for
+//! arbitrary rows, and an Op-Delta's text keeps one line per statement
+//! whatever the statement holds. The shipped frame has its own properties
+//! in `prop_colcodec.rs`.
 
 use proptest::prelude::*;
 
-use delta_core::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
+use delta_core::model::{DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 use delta_sql::ast::{BinOp, Expr, Statement};
 use delta_storage::{Column, DataType, Row, Schema, Value};
 
@@ -146,19 +148,15 @@ proptest! {
     }
 
     #[test]
-    fn op_delta_envelope_round_trips(od in arb_op_delta()) {
+    fn op_delta_text_keeps_one_line_per_statement(od in arb_op_delta()) {
         let text = od.to_text();
-        let back = OpDelta::from_text(&text)
-            .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
-        prop_assert_eq!(back, od);
-    }
-
-    #[test]
-    fn batch_round_trips_through_bytes(vd in arb_value_delta(), od in arb_op_delta()) {
-        for batch in [DeltaBatch::Value(vd), DeltaBatch::Op(od)] {
-            let bytes = batch.to_bytes();
-            prop_assert_eq!(DeltaBatch::from_bytes(&bytes).unwrap(), batch);
-        }
+        let want = 1 + od
+            .ops
+            .iter()
+            .map(|op| 1 + op.before_image.as_ref().map_or(0, |bi| 1 + bi.records.len()))
+            .sum::<usize>();
+        prop_assert_eq!(text.lines().count(), want, "{}", text);
+        prop_assert_eq!(od.wire_size(), text.len());
     }
 
     #[test]
@@ -177,7 +175,5 @@ proptest! {
     #[test]
     fn wire_size_is_consistent(vd in arb_value_delta()) {
         prop_assert_eq!(vd.wire_size(), vd.to_text().len());
-        let batch = DeltaBatch::Value(vd);
-        prop_assert_eq!(batch.wire_size(), batch.to_bytes().len());
     }
 }

@@ -73,10 +73,9 @@ pub struct DbOptions {
     /// `StorageError::DiskFull` that leaves on-disk state recoverable.
     /// `None` means unlimited.
     pub disk_budget: Option<Arc<DiskBudget>>,
-    /// Codec for the commit-ship-apply path: snapshot dumps, shipped delta
-    /// batches, and archived WAL segments (compressed at checkpoint).
-    /// Readers sniff formats, so either setting decodes files written under
-    /// the other.
+    /// The one codec there is; nothing reads this field. It stays only
+    /// because the frozen dwbench harness sets it, and ROADMAP item 5's
+    /// benchmark PR removes it with [`DeltaCodec`].
     pub delta_codec: DeltaCodec,
 }
 
@@ -558,7 +557,16 @@ impl Database {
             records.push(LogRecord::Begin { txn: txn.id });
             records.append(&mut txn.wal_buffer);
             records.push(LogRecord::Commit { txn: txn.id });
-            Some(self.wal.append_batch(&records)?)
+            match self.wal.append_batch(&records) {
+                Ok(range) => Some(range),
+                Err(e) => {
+                    // None of the transaction reached the log, so none of it
+                    // may stay: undo its heap and index changes and release
+                    // its locks before reporting the append's error.
+                    self.abort(txn)?;
+                    return Err(e);
+                }
+            }
         };
         self.locks.release_all(txn.id, &txn.locked_tables);
         Ok(result)
@@ -891,9 +899,9 @@ impl Database {
         self.wal.switch_segment()?;
         let recycled = self.wal.recycle_closed_segments()?;
         // Archived segments are the input to log shipping; compress them off
-        // the append path so shipping moves fewer bytes. Idempotent, and
-        // readers sniff the magic, so mixed archives are fine.
-        if self.opts.archive_mode && self.opts.delta_codec == DeltaCodec::Columnar {
+        // the append path so shipping moves fewer bytes. Idempotent: a
+        // segment is archived raw and compressed by the next checkpoint.
+        if self.opts.archive_mode {
             self.wal.compress_archived_segments()?;
         }
         // Recycling may leave part of the LSN history visible only in the

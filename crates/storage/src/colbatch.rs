@@ -13,17 +13,15 @@
 //!   chosen by measured size — plain zigzag varints, delta-of-delta for
 //!   monotone sequences, RLE for constant runs, dictionary + RLE and
 //!   front/back coding for strings, raw tagged cells as the fallback,
-//! * format-sniffing snapshot readers/writers ([`RowSource`]/[`RowSink`])
-//!   that stream either the legacy pipe-delimited ASCII dump or the new
-//!   block format,
+//! * streaming snapshot readers/writers ([`RowSource`]/[`RowSink`]) over
+//!   the one snapshot format, row blocks behind [`SNAP_MAGIC`],
 //! * a dependency-free LZ77-style byte compressor used for WAL archive
 //!   segments, framed per block so corruption is detected per-CRC.
 //!
-//! Every new on-disk format starts with a `0xFF` lead byte, which can never
-//! appear in UTF-8 text, so sniffing the first bytes of a file or queue frame
-//! is unambiguous against every legacy format (ASCII dumps, `VALUE-DELTA` /
-//! `OP-DELTA` text envelopes, binary WAL entries whose first byte is a
-//! big-endian length high byte of a < 16 MiB segment).
+//! Each artifact has one format (DESIGN.md §12). Every magic starts with a
+//! `0xFF` lead byte, which can never appear in UTF-8 text, and a reader
+//! handed anything else — a damaged magic, an empty file, text — fails with
+//! a typed [`StorageError::Corrupt`] instead of guessing at another format.
 //!
 //! Decoders never panic: all lengths are bounds-checked against the remaining
 //! input before use and every failure is a typed [`StorageError::Corrupt`].
@@ -33,21 +31,16 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::codec::ascii;
 use crate::error::{StorageError, StorageResult};
 use crate::record::Row;
-use crate::schema::Schema;
 use crate::value::Value;
 
-/// Which codec the commit-ship-apply path uses for snapshots, delta batches,
-/// and WAL archive segments. `Raw` is the legacy row-at-a-time text format;
-/// `Columnar` is the block format from this module. Readers always sniff, so
-/// either setting decodes files written under the other.
+/// The one wire and snapshot codec. Nothing branches on it: it survives only
+/// because the frozen dwbench harness names it (`DbOptions::delta_codec`,
+/// `Pipeline::with_codec`, `DeltaBatch::to_bytes_with`), and ROADMAP item 5's
+/// benchmark PR removes it with those names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaCodec {
-    /// Legacy formats: ASCII snapshot dumps, text delta envelopes,
-    /// uncompressed WAL segments.
-    Raw,
     /// Columnar CRC-framed blocks (snapshots, batches) and LZ-compressed
     /// segments (WAL archive).
     #[default]
@@ -732,64 +725,14 @@ pub fn decode_rows_block(mut payload: &[u8]) -> StorageResult<Vec<Row>> {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot files: format sniffing, streaming readers and writers.
+// Snapshot files: streaming readers and writers.
 // ---------------------------------------------------------------------------
 
-/// On-disk snapshot/run-file format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// Legacy pipe-delimited ASCII dump (one row per line).
-    Ascii,
-    /// Columnar CRC-framed row blocks behind [`SNAP_MAGIC`].
-    Columnar,
-}
-
-impl SnapshotFormat {
-    /// The format a [`DeltaCodec`] writes snapshots in.
-    pub fn for_codec(codec: DeltaCodec) -> SnapshotFormat {
-        match codec {
-            DeltaCodec::Raw => SnapshotFormat::Ascii,
-            DeltaCodec::Columnar => SnapshotFormat::Columnar,
-        }
-    }
-}
-
-/// Sniff the format of a snapshot/run file from its first bytes. Anything
-/// that does not start with [`SNAP_MAGIC`] (including files shorter than the
-/// magic, and empty files) is the legacy ASCII format.
-pub fn detect_file_format(path: &Path) -> StorageResult<SnapshotFormat> {
-    let mut f = File::open(path).map_err(StorageError::Io)?;
-    let mut head = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match f.read(&mut head[got..]).map_err(StorageError::Io)? {
-            0 => break,
-            n => got += n,
-        }
-    }
-    if got == 4 && head == SNAP_MAGIC {
-        Ok(SnapshotFormat::Columnar)
-    } else {
-        Ok(SnapshotFormat::Ascii)
-    }
-}
-
-/// Streaming row reader over either snapshot format; the format is sniffed
-/// at open so legacy ASCII dumps keep decoding unchanged.
+/// Streaming row reader over a snapshot file ([`SNAP_MAGIC`] then CRC-framed
+/// row blocks), decoding one block at a time.
 pub struct RowSource {
-    mode: SourceMode,
-}
-
-enum SourceMode {
-    Ascii {
-        reader: BufReader<File>,
-        schema: Schema,
-        line: String,
-    },
-    Columnar {
-        reader: BufReader<File>,
-        pending: VecDeque<Row>,
-    },
+    reader: BufReader<File>,
+    pending: VecDeque<Row>,
 }
 
 /// `read_exact`, but distinguishing clean EOF at the first byte (`Ok(false)`)
@@ -811,160 +754,94 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> StorageResult<bool> {
 }
 
 impl RowSource {
-    /// Open `path`, sniffing its format. `schema` is only consulted for the
-    /// ASCII format (whose cells are typed by the schema); columnar blocks
-    /// are self-describing.
-    pub fn open(path: &Path, schema: &Schema) -> StorageResult<RowSource> {
-        let format = detect_file_format(path)?;
+    /// Open `path` and check its magic. A file that does not start with
+    /// [`SNAP_MAGIC`] — empty, damaged or not a snapshot at all — is typed
+    /// corruption.
+    pub fn open(path: &Path) -> StorageResult<RowSource> {
         let mut reader = BufReader::new(File::open(path).map_err(StorageError::Io)?);
-        let mode = match format {
-            SnapshotFormat::Ascii => SourceMode::Ascii {
-                reader,
-                schema: schema.clone(),
-                line: String::new(),
-            },
-            SnapshotFormat::Columnar => {
-                let mut magic = [0u8; 4];
-                read_exact_or_eof(&mut reader, &mut magic)?;
-                SourceMode::Columnar {
-                    reader,
-                    pending: VecDeque::new(),
-                }
-            }
-        };
-        Ok(RowSource { mode })
-    }
-
-    /// The sniffed format of the underlying file.
-    pub fn format(&self) -> SnapshotFormat {
-        match self.mode {
-            SourceMode::Ascii { .. } => SnapshotFormat::Ascii,
-            SourceMode::Columnar { .. } => SnapshotFormat::Columnar,
+        let mut magic = [0u8; 4];
+        if !read_exact_or_eof(&mut reader, &mut magic)? || magic != SNAP_MAGIC {
+            return Err(corrupt("not a snapshot file (bad magic)"));
         }
+        Ok(RowSource {
+            reader,
+            pending: VecDeque::new(),
+        })
     }
 
     /// The next row, or `None` at end of file.
     pub fn next_row(&mut self) -> StorageResult<Option<Row>> {
-        match &mut self.mode {
-            SourceMode::Ascii {
-                reader,
-                schema,
-                line,
-            } => loop {
-                line.clear();
-                let n = std::io::BufRead::read_line(reader, line).map_err(StorageError::Io)?;
-                if n == 0 {
-                    return Ok(None);
-                }
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed.is_empty() {
-                    continue;
-                }
-                return Ok(Some(ascii::parse_row(trimmed, schema)?));
-            },
-            SourceMode::Columnar { reader, pending } => {
-                loop {
-                    if let Some(row) = pending.pop_front() {
-                        return Ok(Some(row));
-                    }
-                    let mut lenb = [0u8; 4];
-                    if !read_exact_or_eof(reader, &mut lenb)? {
-                        return Ok(None);
-                    }
-                    let len = u32::from_le_bytes(lenb) as usize;
-                    if len > MAX_DECODED_LEN {
-                        return Err(corrupt("block length exceeds sanity bound"));
-                    }
-                    let mut payload = vec![0u8; len];
-                    if !read_exact_or_eof(reader, &mut payload)? {
-                        return Err(corrupt("truncated block payload"));
-                    }
-                    let mut crcb = [0u8; 4];
-                    if !read_exact_or_eof(reader, &mut crcb)? {
-                        return Err(corrupt("truncated block CRC"));
-                    }
-                    if crc32(&payload) != u32::from_le_bytes(crcb) {
-                        return Err(corrupt("block CRC mismatch"));
-                    }
-                    pending.extend(decode_rows_block(&payload)?);
-                    // Empty blocks are legal; loop for the next frame.
-                }
+        loop {
+            if let Some(row) = self.pending.pop_front() {
+                return Ok(Some(row));
             }
+            let mut lenb = [0u8; 4];
+            if !read_exact_or_eof(&mut self.reader, &mut lenb)? {
+                return Ok(None);
+            }
+            let len = u32::from_le_bytes(lenb) as usize;
+            if len > MAX_DECODED_LEN {
+                return Err(corrupt("block length exceeds sanity bound"));
+            }
+            let mut payload = vec![0u8; len];
+            if !read_exact_or_eof(&mut self.reader, &mut payload)? {
+                return Err(corrupt("truncated block payload"));
+            }
+            let mut crcb = [0u8; 4];
+            if !read_exact_or_eof(&mut self.reader, &mut crcb)? {
+                return Err(corrupt("truncated block CRC"));
+            }
+            if crc32(&payload) != u32::from_le_bytes(crcb) {
+                return Err(corrupt("block CRC mismatch"));
+            }
+            self.pending.extend(decode_rows_block(&payload)?);
+            // Empty blocks are legal; loop for the next frame.
         }
     }
 }
 
-/// Streaming row writer in either snapshot format.
+/// Streaming row writer of a snapshot file.
 pub struct RowSink {
-    mode: SinkMode,
-}
-
-enum SinkMode {
-    Ascii(BufWriter<File>),
-    Columnar {
-        w: BufWriter<File>,
-        buf: Vec<Row>,
-        block_rows: usize,
-    },
+    w: BufWriter<File>,
+    buf: Vec<Row>,
+    block_rows: usize,
 }
 
 impl RowSink {
-    /// Create `path`, writing in `format`. `block_rows` bounds the rows per
-    /// columnar block (ignored for ASCII).
-    pub fn create(
-        path: &Path,
-        format: SnapshotFormat,
-        block_rows: usize,
-    ) -> StorageResult<RowSink> {
-        let file = File::create(path).map_err(StorageError::Io)?;
-        let mode = match format {
-            SnapshotFormat::Ascii => SinkMode::Ascii(BufWriter::new(file)),
-            SnapshotFormat::Columnar => {
-                let mut w = BufWriter::new(file);
-                w.write_all(&SNAP_MAGIC).map_err(StorageError::Io)?;
-                SinkMode::Columnar {
-                    w,
-                    buf: Vec::new(),
-                    block_rows: block_rows.max(1),
-                }
-            }
-        };
-        Ok(RowSink { mode })
+    /// Create `path` and write the magic. `block_rows` bounds the rows per
+    /// block.
+    pub fn create(path: &Path, block_rows: usize) -> StorageResult<RowSink> {
+        let mut w = BufWriter::new(File::create(path).map_err(StorageError::Io)?);
+        w.write_all(&SNAP_MAGIC).map_err(StorageError::Io)?;
+        Ok(RowSink {
+            w,
+            buf: Vec::new(),
+            block_rows: block_rows.max(1),
+        })
     }
 
     /// Append one row.
     pub fn write_row(&mut self, row: &Row) -> StorageResult<()> {
-        match &mut self.mode {
-            SinkMode::Ascii(w) => {
-                writeln!(w, "{}", ascii::format_row(row)).map_err(StorageError::Io)
-            }
-            SinkMode::Columnar { w, buf, block_rows } => {
-                buf.push(row.clone());
-                if buf.len() >= *block_rows {
-                    let mut framed = Vec::new();
-                    put_block(&mut framed, &encode_rows_block(buf));
-                    buf.clear();
-                    w.write_all(&framed).map_err(StorageError::Io)?;
-                }
-                Ok(())
-            }
+        self.buf.push(row.clone());
+        if self.buf.len() >= self.block_rows {
+            self.write_block()?;
         }
+        Ok(())
+    }
+
+    fn write_block(&mut self) -> StorageResult<()> {
+        let mut framed = Vec::new();
+        put_block(&mut framed, &encode_rows_block(&self.buf));
+        self.buf.clear();
+        self.w.write_all(&framed).map_err(StorageError::Io)
     }
 
     /// Flush any buffered block and the underlying writer.
     pub fn finish(mut self) -> StorageResult<()> {
-        match &mut self.mode {
-            SinkMode::Ascii(w) => w.flush().map_err(StorageError::Io),
-            SinkMode::Columnar { w, buf, .. } => {
-                if !buf.is_empty() {
-                    let mut framed = Vec::new();
-                    put_block(&mut framed, &encode_rows_block(buf));
-                    buf.clear();
-                    w.write_all(&framed).map_err(StorageError::Io)?;
-                }
-                w.flush().map_err(StorageError::Io)
-            }
+        if !self.buf.is_empty() {
+            self.write_block()?;
         }
+        self.w.flush().map_err(StorageError::Io)
     }
 }
 
@@ -1066,11 +943,6 @@ pub fn lz_decompress(mut input: &[u8], expected_len: usize) -> StorageResult<Vec
 /// Whether `bytes` carry a compressed-segment magic.
 pub fn is_compressed_segment(bytes: &[u8]) -> bool {
     bytes.starts_with(&SEG_MAGIC)
-}
-
-/// Whether `bytes` carry a columnar delta-batch magic.
-pub fn is_columnar_batch(bytes: &[u8]) -> bool {
-    bytes.starts_with(&BATCH_MAGIC)
 }
 
 /// Compress a whole WAL segment: [`SEG_MAGIC`] then CRC-framed blocks, each
@@ -1248,51 +1120,40 @@ mod tests {
     }
 
     #[test]
-    fn row_sink_and_source_round_trip_both_formats() {
+    fn row_sink_and_source_round_trip() {
         let dir = std::env::temp_dir().join(format!("colbatch-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let schema = Schema::new(vec![
-            crate::schema::Column::new("id", crate::value::DataType::Int),
-            crate::schema::Column::new("name", crate::value::DataType::Varchar),
-        ])
-        .unwrap();
         let rows: Vec<Row> = (0..2500)
             .map(|i| row(vec![Value::Int(i), Value::Str(format!("name-{i:08}"))]))
             .collect();
-        for format in [SnapshotFormat::Ascii, SnapshotFormat::Columnar] {
-            let path = dir.join(format!("snap-{format:?}"));
-            let mut sink = RowSink::create(&path, format, 100).unwrap();
-            for r in &rows {
-                sink.write_row(r).unwrap();
-            }
-            sink.finish().unwrap();
-            assert_eq!(detect_file_format(&path).unwrap(), format);
-            let mut src = RowSource::open(&path, &schema).unwrap();
-            assert_eq!(src.format(), format);
-            let mut back = Vec::new();
-            while let Some(r) = src.next_row().unwrap() {
-                back.push(r);
-            }
-            assert_eq!(back, rows, "{format:?}");
+        let path = dir.join("snap");
+        let mut sink = RowSink::create(&path, 100).unwrap();
+        for r in &rows {
+            sink.write_row(r).unwrap();
         }
+        sink.finish().unwrap();
+        let mut src = RowSource::open(&path).unwrap();
+        let mut back = Vec::new();
+        while let Some(r) = src.next_row().unwrap() {
+            back.push(r);
+        }
+        assert_eq!(back, rows);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn empty_files_read_as_empty() {
+    fn empty_snapshot_reads_as_empty_and_a_cut_magic_is_corrupt() {
         let dir = std::env::temp_dir().join(format!("colbatch-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let schema = Schema::new(vec![crate::schema::Column::new(
-            "id",
-            crate::value::DataType::Int,
-        )])
-        .unwrap();
-        for format in [SnapshotFormat::Ascii, SnapshotFormat::Columnar] {
-            let path = dir.join(format!("empty-{format:?}"));
-            RowSink::create(&path, format, 8).unwrap().finish().unwrap();
-            let mut src = RowSource::open(&path, &schema).unwrap();
-            assert!(src.next_row().unwrap().is_none());
-        }
+        let path = dir.join("empty");
+        RowSink::create(&path, 8).unwrap().finish().unwrap();
+        let mut src = RowSource::open(&path).unwrap();
+        assert!(src.next_row().unwrap().is_none());
+        std::fs::write(&path, &SNAP_MAGIC[..2]).unwrap();
+        assert!(matches!(
+            RowSource::open(&path),
+            Err(StorageError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -26,6 +26,18 @@ const STABLE_PAGES: usize = 16;
 const WRITERS: usize = 2;
 const READERS: usize = 2;
 
+/// Raises the stop flag when dropped. The churn section runs on the scope's
+/// own thread and holds one, so a panic there still stops the readers and
+/// the prober: the scope then joins them and the test fails instead of
+/// waiting on them forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn sharded_pool_survives_churned_files_under_eviction_pressure() {
     let dir = temp_dir("churn");
@@ -127,6 +139,7 @@ fn sharded_pool_survives_churned_files_under_eviction_pressure() {
 
         // Churn: short-lived files registered, written through the pool
         // (forcing stable pages out), then dropped mid-flight.
+        let _stop = StopOnDrop(&stop);
         for g in 1..=40u32 {
             let fid = FileId(100 + g);
             let path = dir.join(format!("churn-{g}.db"));
@@ -145,7 +158,6 @@ fn sharded_pool_survives_churned_files_under_eviction_pressure() {
             pool.deregister_file(fid);
             let _ = std::fs::remove_file(&path);
         }
-        stop.store(true, Ordering::Relaxed);
     });
 
     // Every stable page still holds its seed record plus only its owner's

@@ -1,6 +1,7 @@
-//! Back-compat fixture for the queue spool format: a frame laid down
-//! byte-for-byte as the pre-codec queue wrote it (`[u32 le len][payload]
-//! [u64 le FNV-1a]`). Old spools must reopen and drain unchanged.
+//! Fixture for the queue spool format, the only format a spool has: a frame
+//! laid down byte for byte as the current queue writes it (`[u32 le len]
+//! [payload][u64 le FNV-1a]`). A spool written by this queue must reopen
+//! and drain unchanged.
 
 use delta_transport::PersistentQueue;
 
@@ -17,14 +18,14 @@ fn spool_fixture() -> Vec<u8> {
 }
 
 #[test]
-fn legacy_spool_bytes_reopen_and_drain_unchanged() {
+fn spool_fixture_bytes_reopen_and_drain_unchanged() {
     let dir = std::env::temp_dir().join(format!(
         "delta-spool-backcompat-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("legacy.q");
+    let path = dir.join("fixture.q");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(PersistentQueue::ack_file(&path));
     std::fs::write(&path, spool_fixture()).unwrap();
@@ -34,11 +35,11 @@ fn legacy_spool_bytes_reopen_and_drain_unchanged() {
     let (idx, payload) = q.dequeue().unwrap().expect("message delivered");
     assert_eq!(idx, 0);
     assert_eq!(payload, PAYLOAD);
-    // The queue keeps appending in the same format after the old frame.
+    // The queue keeps appending in the same format after the fixture frame.
     q.enqueue(b"appended").unwrap();
     let (_, payload) = q.dequeue().unwrap().expect("appended message");
     assert_eq!(payload, b"appended");
-    // And the arena path reads the legacy frame identically.
+    // And the arena path reads the fixture frame identically.
     q.rewind_to(0);
     let mut arena = Vec::new();
     let run = q.dequeue_run(10, &mut arena).unwrap();

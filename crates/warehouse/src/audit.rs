@@ -172,12 +172,8 @@ fn drain(pipe: &Pipeline, wh: &Warehouse, max_rounds: u64) -> EngineResult<u64> 
 
 /// Scan a snapshot once to find the key column's min/max (for digest
 /// bucketing). `None` when the snapshot is empty.
-fn snapshot_key_bounds(
-    path: &Path,
-    schema: &delta_storage::Schema,
-    key_pos: usize,
-) -> EngineResult<Option<(i64, i64)>> {
-    let mut src = RowSource::open(path, schema).map_err(EngineError::Storage)?;
+fn snapshot_key_bounds(path: &Path, key_pos: usize) -> EngineResult<Option<(i64, i64)>> {
+    let mut src = RowSource::open(path).map_err(EngineError::Storage)?;
     let mut bounds: Option<(i64, i64)> = None;
     while let Some(row) = src.next_row().map_err(EngineError::Storage)? {
         let Some(Value::Int(k)) = row.values().get(key_pos) else {
@@ -324,12 +320,12 @@ pub fn audit_and_repair(
         let src_snap = dir.join(format!("{table}.src.snap"));
         take_snapshot(source, table, &src_snap)?;
         report.full_snapshot_bytes += std::fs::metadata(&src_snap)?.len();
-        let params = match snapshot_key_bounds(&src_snap, &schema, key_pos)? {
+        let params = match snapshot_key_bounds(&src_snap, key_pos)? {
             Some((lo, hi)) => DigestParams::for_key_range(lo, hi, cfg.target_leaves),
             None => DigestParams::with_span(1),
         };
-        let src_digest = digest_snapshot(table, &schema, key_pos, &src_snap, params)
-            .map_err(EngineError::Storage)?;
+        let src_digest =
+            digest_snapshot(table, key_pos, &src_snap, params).map_err(EngineError::Storage)?;
 
         // Ship it; the warehouse digests its mirror under the shipped span.
         let (received, digest_bytes) = exchange_digest(pipe, &src_digest)?;
@@ -357,9 +353,9 @@ pub fn audit_and_repair(
             take_snapshot(wh.db(), table, &wh_snap)?;
             let src_scoped = dir.join(format!("{table}.src.scoped"));
             let wh_scoped = dir.join(format!("{table}.wh.scoped"));
-            filter_snapshot(&src_snap, &schema, key_pos, &diff.ranges, &src_scoped)
+            filter_snapshot(&src_snap, key_pos, &diff.ranges, &src_scoped)
                 .map_err(EngineError::Storage)?;
-            filter_snapshot(&wh_snap, &schema, key_pos, &diff.ranges, &wh_scoped)
+            filter_snapshot(&wh_snap, key_pos, &diff.ranges, &wh_scoped)
                 .map_err(EngineError::Storage)?;
             let (repair, _stats) = delta_core::snapshot::diff_snapshots(
                 table,
