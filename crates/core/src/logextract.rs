@@ -13,11 +13,17 @@
 //!   form this extractor produces).
 
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::path::PathBuf;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasher;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 use delta_engine::db::Database;
 use delta_engine::wal::{LogRecord, Lsn};
 use delta_engine::{EngineError, EngineResult};
+use delta_storage::colbatch::{RowSink, RowSource, DEFAULT_BLOCK_ROWS};
+use delta_storage::{Row, StorageError};
 
 use crate::model::{DeltaOp, ValueDelta, ValueDeltaRecord};
 
@@ -63,6 +69,12 @@ impl LogExtractor {
     /// deltas before the advance is safe (staged extraction) peek first and
     /// assign the watermark only after the publish succeeds.
     pub fn peek(&self, db: &Database) -> EngineResult<(Vec<ValueDelta>, Lsn)> {
+        self.peek_tail(db).map(|tail| (tail.deltas, tail.watermark))
+    }
+
+    /// [`LogExtractor::peek`], plus the wanted tables whose `DropTable` lies
+    /// in the tail.
+    fn peek_tail(&self, db: &Database) -> EngineResult<Tail> {
         if !db.wal().archive_mode() {
             return Err(EngineError::Invalid(
                 "log-based extraction requires archive mode (redo segments must not be recycled)"
@@ -74,12 +86,16 @@ impl LogExtractor {
         // commit batch reaches the WAL whole, so a fragment can never commit
         // later), are the log reader's call, not this function's.
         let mut per_table: BTreeMap<String, ValueDelta> = BTreeMap::new();
+        let mut dropped = BTreeSet::new();
         let high = db.wal().read_committed(self.watermark + 1, |unit| {
             for (_, rec) in unit {
                 if let LogRecord::DropTable { name } = rec {
                     // Nothing mirrors a dropped table: its earlier rows go,
                     // and a later namesake starts from its own `CreateTable`.
                     per_table.remove(name);
+                    if self.wants(name) {
+                        dropped.insert(name.clone());
+                    }
                 }
                 let (Some(table), Some(txn)) = (rec.table(), rec.txn()) else {
                     continue;
@@ -112,8 +128,11 @@ impl LogExtractor {
             }
             Ok(())
         })?;
-        let deltas = per_table.into_values().filter(|v| !v.is_empty()).collect();
-        Ok((deltas, self.watermark.max(high)))
+        Ok(Tail {
+            deltas: per_table.into_values().filter(|v| !v.is_empty()).collect(),
+            watermark: self.watermark.max(high),
+            dropped,
+        })
     }
 
     /// Paths of archived segments ready to ship (the file-level transport of
@@ -121,6 +140,146 @@ impl LogExtractor {
     pub fn shippable_segments(db: &Database) -> EngineResult<Vec<PathBuf>> {
         db.wal().archived_segments()
     }
+}
+
+/// One read of the committed log tail.
+struct Tail {
+    deltas: Vec<ValueDelta>,
+    watermark: Lsn,
+    /// Wanted tables with a `DropTable` in the tail; their deltas hold only
+    /// what followed the last drop.
+    dropped: BTreeSet<String>,
+}
+
+/// A signed multiset of stored row images, keyed by their bytes
+/// ([`Row::to_bytes`]). The images sit back to back in one buffer rather
+/// than in one allocation each: a journal lives from one fold to the next
+/// and may hold as many images as its baseline file has rows, and that many
+/// small blocks kept alive among the source's own allocations slowed the
+/// source's statements (DESIGN.md §21.3).
+#[derive(Debug, Default)]
+struct Journal {
+    /// Each distinct image added since the journal was rebuilt, once.
+    bytes: Vec<u8>,
+    /// One per distinct image, in the order first added.
+    images: Vec<Image>,
+    /// Hash of an image's bytes → the last image added with that hash.
+    heads: HashMap<u64, usize>,
+    /// Images whose count is not zero.
+    counted: usize,
+    hasher: RandomState,
+}
+
+#[derive(Debug)]
+struct Image {
+    /// Where its bytes sit in [`Journal::bytes`].
+    span: Range<usize>,
+    /// Zero once its additions cancelled out.
+    n: i64,
+    /// The image added before it with the same hash.
+    next: Option<usize>,
+}
+
+impl Journal {
+    fn find(&self, hash: u64, image: &[u8]) -> Option<usize> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            let entry = self.images.get(i)?;
+            if self.bytes.get(entry.span.clone()) == Some(image) {
+                return Some(i);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    /// Add `n` to the count of `image`.
+    fn add(&mut self, image: &[u8], n: i64) {
+        let hash = self.hasher.hash_one(image);
+        if let Some(entry) = self.find(hash, image).and_then(|i| self.images.get_mut(i)) {
+            let was = entry.n;
+            entry.n += n;
+            self.counted = self.counted + usize::from(entry.n != 0) - usize::from(was != 0);
+            return;
+        }
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(image);
+        let next = self.heads.insert(hash, self.images.len());
+        self.images.push(Image {
+            span: start..self.bytes.len(),
+            n,
+            next,
+        });
+        self.counted += usize::from(n != 0);
+    }
+
+    /// The count of `image`.
+    fn count(&self, image: &[u8]) -> i64 {
+        let hash = self.hasher.hash_one(image);
+        self.find(hash, image)
+            .and_then(|i| self.images.get(i))
+            .map_or(0, |entry| entry.n)
+    }
+
+    /// Add `delta`'s images: `+1` per `Insert` / `UpdateAfter`, `−1` per
+    /// `UpdateBefore` / `Delete`. Cancelled images keep their place until
+    /// they outnumber the counted ones; then the journal is rebuilt from
+    /// the counted ones, so it never takes more than twice their room.
+    fn add_delta(&mut self, delta: &ValueDelta) {
+        let mut image = Vec::new();
+        for r in &delta.records {
+            let n = match r.op {
+                DeltaOp::Insert | DeltaOp::UpdateAfter => 1,
+                DeltaOp::UpdateBefore | DeltaOp::Delete => -1,
+            };
+            image.clear();
+            r.row.encode(&mut image);
+            self.add(&image, n);
+        }
+        if self.images.len() > 2 * self.counted {
+            let old = std::mem::take(self);
+            for (image, n) in old.counts() {
+                self.add(image, n);
+            }
+        }
+    }
+
+    /// Images whose count is not zero.
+    fn len(&self) -> usize {
+        self.counted
+    }
+
+    fn is_empty(&self) -> bool {
+        self.counted == 0
+    }
+
+    /// The images whose count is not zero, with their counts.
+    fn counts(&self) -> impl Iterator<Item = (&[u8], i64)> + '_ {
+        self.images
+            .iter()
+            .filter(|entry| entry.n != 0)
+            .filter_map(|entry| Some((self.bytes.get(entry.span.clone())?, entry.n)))
+    }
+}
+
+/// The committed baseline of one tracked table: the `<table>.baseline` file
+/// and the journal of every committed round since it was written. Their sum
+/// is the table at the watermark.
+#[derive(Debug)]
+struct Baseline {
+    /// Rows in the baseline file.
+    rows: u64,
+    journal: Journal,
+}
+
+/// What committing a staged round does to one tracked table's baseline.
+#[derive(Debug)]
+enum Advance {
+    /// Add the table's images in the round's deltas to the journal.
+    Journal,
+    /// Rename the `.baseline.staged` sibling, holding this many rows, into
+    /// place and clear the journal.
+    Replace(u64),
 }
 
 /// Outcome of one [`ResilientLogExtractor::extract`] round.
@@ -138,11 +297,13 @@ pub struct ResilientExtract {
 }
 
 /// One extraction round staged but not yet committed: the deltas are ready
-/// to publish, the refreshed baselines sit in sibling `*.baseline.staged`
-/// files, and the watermark advance is recorded but not applied. Publish the
-/// deltas, then [`ResilientLogExtractor::commit`] (rename baselines into
-/// place, advance the watermark) or [`ResilientLogExtractor::abort`] (delete
-/// the staged files, leave the extractor untouched so the next round
+/// to publish, and the watermark advance and the baselines' advance are
+/// recorded but not applied. On the log path the baselines advance by the
+/// round's own images; a diff round, or a table whose journal outgrew its
+/// baseline file, has a new baseline file waiting in its `*.baseline.staged`
+/// sibling. Publish the deltas, then [`ResilientLogExtractor::commit`]
+/// (advance watermark and baselines) or [`ResilientLogExtractor::abort`]
+/// (delete the staged files, leave the extractor untouched so the next round
 /// re-extracts the same changes). This is what lets a publish that hits a
 /// disk-full transport budget retry later with zero loss.
 #[derive(Debug)]
@@ -153,23 +314,32 @@ pub struct StagedExtract {
     /// net record per changed row, no transaction context).
     pub coalesced: bool,
     new_watermark: Lsn,
-    /// `(staged, final)` baseline pairs renamed into place at commit.
-    staged: Vec<(PathBuf, PathBuf)>,
+    /// Per tracked table the round moves, what commit does to its baseline.
+    advance: Vec<(String, Advance)>,
 }
 
 /// A [`LogExtractor`] that *degrades instead of wedging*: when the redo log
 /// turns out to be unreadable (a corrupt archived segment), extraction falls
-/// back to per-table snapshot differencing against baselines captured at the
-/// previous extraction point, quarantines the corrupt segment, and
-/// fast-forwards the log watermark past the damage. The delta stream stays
-/// complete — it just temporarily loses transaction context, exactly the
-/// trade-off of the paper's snapshot method (§3.1.2) versus the log method
-/// (§3.1.4).
+/// back to per-table snapshot differencing against the baselines at the
+/// watermark, quarantines the corrupt segment, and fast-forwards the log
+/// watermark past the damage. The delta stream stays complete — it just
+/// temporarily loses transaction context, exactly the trade-off of the
+/// paper's snapshot method (§3.1.2) versus the log method (§3.1.4).
 ///
-/// The caller must quiesce writes to the tracked tables across each
-/// `extract` call (the usual contract for any snapshot-based extractor):
-/// the baseline refreshed after a round must describe the state as of the
-/// advanced watermark.
+/// The baseline of a tracked table at the watermark is its baseline file
+/// ⊕ an in-memory journal: each committed log round adds its own images
+/// (`+1` inserted or after, `−1` deleted or before), so a log round reads
+/// the log tail and nothing else. The file is rewritten only by a diff round
+/// (a fresh snapshot), by a round that drops the table (empty, plus what
+/// followed the drop), or by a round that would leave the journal holding
+/// more entries than the file has rows (one streaming fold of file, journal
+/// and round) — so a journal never outgrows its file, and the file work is
+/// amortised O(1) per journaled row.
+///
+/// The log path needs no quiescing: the journal comes from the same log
+/// records the round ships. A diff round snapshots the tables and reads the
+/// watermark after the snapshot, so writes to the tracked tables must be
+/// quiesced across `stage_coalesced` and across a round that degrades.
 #[derive(Debug)]
 pub struct ResilientLogExtractor {
     inner: LogExtractor,
@@ -182,6 +352,8 @@ pub struct ResilientLogExtractor {
     /// with a silent gap — this flag forces every staged round to the diff
     /// path until one commits.
     diff_owed: bool,
+    /// Per tracked table, filled by `prime`.
+    baselines: BTreeMap<String, Baseline>,
 }
 
 impl ResilientLogExtractor {
@@ -198,6 +370,7 @@ impl ResilientLogExtractor {
             baseline_dir,
             primed: false,
             diff_owed: false,
+            baselines: BTreeMap::new(),
         })
     }
 
@@ -215,9 +388,18 @@ impl ResilientLogExtractor {
     /// (initially 0, i.e. "nothing extracted") refers to — typically right
     /// after the tables are created, before any tracked changes.
     pub fn prime(&mut self, db: &Database) -> EngineResult<()> {
+        let mut baselines = BTreeMap::new();
         for t in &self.tables {
-            crate::snapshot::take_snapshot(db, t, self.baseline_path(t))?;
+            let rows = crate::snapshot::take_snapshot(db, t, self.baseline_path(t))?;
+            baselines.insert(
+                t.clone(),
+                Baseline {
+                    rows,
+                    journal: Journal::default(),
+                },
+            );
         }
+        self.baselines = baselines;
         self.primed = true;
         Ok(())
     }
@@ -233,25 +415,27 @@ impl ResilientLogExtractor {
 
     /// Stage one extraction round without mutating durable extractor state:
     /// compute the deltas (from the log, or via snapshot diff when the log
-    /// is unreadable), refresh baselines into `*.baseline.staged` siblings,
-    /// and record — but do not apply — the watermark advance.
+    /// is unreadable) and record — but do not apply — the watermark advance
+    /// and the baselines' advance. On the log path that is the log tail and
+    /// nothing else, unless a table's journal outgrows its baseline file or
+    /// the round drops a tracked table (see [`ResilientLogExtractor`]).
     pub fn stage(&mut self, db: &Database) -> EngineResult<StagedExtract> {
         if self.diff_owed {
             // A previous round quarantined segments and then aborted; the
             // log now has a silent gap, so the op path would under-extract.
             return self.stage_diff(db, ResilientExtract::default());
         }
-        match self.inner.peek(db) {
-            Ok((deltas, new_watermark)) => {
-                let staged = self.stage_baselines(db, &deltas)?;
+        match self.inner.peek_tail(db) {
+            Ok(tail) => {
+                let advance = self.advance_by_log(&tail)?;
                 Ok(StagedExtract {
                     outcome: ResilientExtract {
-                        deltas,
+                        deltas: tail.deltas,
                         ..Default::default()
                     },
                     coalesced: false,
-                    new_watermark,
-                    staged,
+                    new_watermark: tail.watermark,
+                    advance,
                 })
             }
             Err(EngineError::Storage(delta_storage::StorageError::Corrupt(_))) => {
@@ -282,12 +466,30 @@ impl ResilientLogExtractor {
         self.stage_diff(db, ResilientExtract::default())
     }
 
-    /// Apply a staged round: rename the staged baselines into place and
-    /// advance the watermark. Call only after the round's deltas have been
-    /// durably published.
+    /// Apply a staged round: advance each baseline (add the round's images
+    /// to the journal, or rename a staged baseline file into place and clear
+    /// the journal) and the watermark. Call only after the round's deltas
+    /// have been durably published.
     pub fn commit(&mut self, staged: StagedExtract) -> EngineResult<ResilientExtract> {
-        for (from, to) in &staged.staged {
-            std::fs::rename(from, to)?;
+        for (t, step) in staged.advance {
+            let (from, to) = (self.staged_baseline_path(&t), self.baseline_path(&t));
+            let Some(base) = self.baselines.get_mut(&t) else {
+                continue;
+            };
+            match step {
+                Advance::Journal => {
+                    for delta in staged.outcome.deltas.iter().filter(|d| d.table == t) {
+                        base.journal.add_delta(delta);
+                    }
+                }
+                Advance::Replace(rows) => {
+                    std::fs::rename(from, to)?;
+                    *base = Baseline {
+                        rows,
+                        journal: Journal::default(),
+                    };
+                }
+            }
         }
         self.inner.watermark = staged.new_watermark;
         if staged.coalesced {
@@ -302,42 +504,135 @@ impl ResilientLogExtractor {
     /// the watermark and committed baselines untouched, so the next round
     /// re-extracts the same changes.
     pub fn abort(&self, staged: StagedExtract) {
-        for (from, _) in &staged.staged {
-            let _ = std::fs::remove_file(from);
-        }
+        self.discard(&staged.advance);
+    }
+
+    /// Write tracked `table` as of the watermark — its baseline file ⊕ its
+    /// journal — to `path` as a snapshot file, in one streaming pass.
+    /// Returns the rows written. This is the old side of a diff round.
+    pub fn write_baseline(&self, table: &str, path: impl AsRef<Path>) -> EngineResult<u64> {
+        self.fold(table, false, None, path.as_ref())
     }
 
     fn staged_baseline_path(&self, table: &str) -> PathBuf {
         self.baseline_dir.join(format!("{table}.baseline.staged"))
     }
 
-    /// Snapshot every table the round changed into its `.baseline.staged`
-    /// sibling, cleaning up on failure so aborted stages leave no debris. A
-    /// table with no record in the round is not re-snapshotted: its state at
-    /// the new watermark is, by definition, the baseline already on disk.
-    fn stage_baselines(
-        &self,
-        db: &Database,
-        changed: &[ValueDelta],
-    ) -> EngineResult<Vec<(PathBuf, PathBuf)>> {
-        let mut staged = Vec::with_capacity(changed.len());
-        for t in changed.iter().map(|delta| &delta.table) {
-            let s = self.staged_baseline_path(t);
-            if let Err(e) = crate::snapshot::take_snapshot(db, t, &s) {
-                for (p, _) in &staged {
-                    let _ = std::fs::remove_file(p);
-                }
-                return Err(e);
+    /// Delete the staged baseline files `advance` refers to.
+    fn discard(&self, advance: &[(String, Advance)]) {
+        for (t, step) in advance {
+            if let Advance::Replace(_) = step {
+                let _ = std::fs::remove_file(self.staged_baseline_path(t));
             }
-            staged.push((s, self.baseline_path(t)));
         }
-        Ok(staged)
+    }
+
+    /// How a log round advances each tracked table it moves: by its own
+    /// images, added to the journal at commit — or, when the journal's
+    /// entries plus the round's images could outnumber the baseline file's
+    /// rows, by folding file, journal and round into the `.baseline.staged`
+    /// sibling, so that a journal never holds more entries than its file has
+    /// rows. A table the round drops starts over from an empty baseline
+    /// with the round's post-create images as its journal, staged as a fold
+    /// over nothing: the reset needs a new file anyway, and any journal
+    /// outgrows an empty one. Nothing before `prime`.
+    fn advance_by_log(&self, tail: &Tail) -> EngineResult<Vec<(String, Advance)>> {
+        let mut advance = Vec::new();
+        if !self.primed {
+            return Ok(advance);
+        }
+        for (t, base) in &self.baselines {
+            let dropped = tail.dropped.contains(t);
+            let round = tail.deltas.iter().find(|d| &d.table == t);
+            let images = round.map_or(0, ValueDelta::len);
+            if images == 0 && !dropped {
+                continue;
+            }
+            let step = if dropped || (base.journal.len() + images) as u64 > base.rows {
+                match self.fold(t, dropped, round, &self.staged_baseline_path(t)) {
+                    Ok(rows) => Advance::Replace(rows),
+                    Err(e) => {
+                        self.discard(&advance);
+                        return Err(e);
+                    }
+                }
+            } else {
+                Advance::Journal
+            };
+            advance.push((t.clone(), step));
+        }
+        Ok(advance)
+    }
+
+    /// Stream `table`'s baseline file through its journal and `round` into a
+    /// snapshot file at `out` — or only `round`, over an empty baseline,
+    /// when `from_empty`. A file row is dropped for each `−1` its image
+    /// carries; an image left at `+n` is written `n` times after the file's
+    /// rows, in byte order. Returns the rows written; `out` is removed on
+    /// failure.
+    fn fold(
+        &self,
+        table: &str,
+        from_empty: bool,
+        round: Option<&ValueDelta>,
+        out: &Path,
+    ) -> EngineResult<u64> {
+        let base = self.baselines.get(table).ok_or_else(|| {
+            EngineError::Invalid(format!("{table} has no primed baseline to fold"))
+        })?;
+        let mut net = Journal::default();
+        if !from_empty {
+            for (image, n) in base.journal.counts() {
+                net.add(image, n);
+            }
+        }
+        if let Some(delta) = round {
+            net.add_delta(delta);
+        }
+        let written = (|| -> EngineResult<u64> {
+            let mut sink = RowSink::create(out, DEFAULT_BLOCK_ROWS)?;
+            let mut rows = 0u64;
+            if !from_empty {
+                let mut file = RowSource::open(&self.baseline_path(table))?;
+                let mut image = Vec::new();
+                while let Some(row) = file.next_row()? {
+                    image.clear();
+                    row.encode(&mut image);
+                    if net.count(&image) < 0 {
+                        net.add(&image, 1);
+                        continue;
+                    }
+                    sink.write_row(&row)?;
+                    rows += 1;
+                }
+            }
+            let mut left: Vec<_> = net.counts().collect();
+            left.sort_unstable();
+            for (image, n) in left {
+                if n < 0 {
+                    return Err(EngineError::Storage(StorageError::Corrupt(format!(
+                        "{table}: the journal removes a row its baseline file does not hold"
+                    ))));
+                }
+                let row = Row::from_bytes(image)?;
+                for _ in 0..n {
+                    sink.write_row(&row)?;
+                }
+                rows += n as u64;
+            }
+            sink.finish()?;
+            Ok(rows)
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(out);
+        }
+        written
     }
 
     /// The snapshot-diff body shared by degradation and coalescing: stage a
-    /// fresh snapshot of each table, diff it against the committed baseline,
-    /// and record a watermark advance to the log head (the diffs cover
-    /// everything up to it).
+    /// fresh snapshot of each table, diff it against the baseline at the
+    /// watermark, and record a watermark advance to the log head (the diffs
+    /// cover everything up to it).
     fn stage_diff(
         &mut self,
         db: &Database,
@@ -348,39 +643,20 @@ impl ResilientLogExtractor {
                 "resilient extraction needs prime() to capture baselines before it can diff".into(),
             ));
         }
-        let mut staged = Vec::with_capacity(self.tables.len());
-        let fail = |staged: &[(PathBuf, PathBuf)], e: EngineError| {
-            for (p, _) in staged {
-                let _ = std::fs::remove_file(p);
-            }
-            Err(e)
-        };
+        let mut advance = Vec::with_capacity(self.tables.len());
         for t in &self.tables {
-            let meta = match db.table(t) {
-                Ok(m) => m,
-                Err(e) => return fail(&staged, e),
-            };
-            let key_cols = meta.schema.primary_key_indices();
-            let current = self.staged_baseline_path(t);
-            if let Err(e) = crate::snapshot::take_snapshot(db, t, &current) {
-                return fail(&staged, e);
-            }
-            staged.push((current.clone(), self.baseline_path(t)));
-            let diff = crate::snapshot::diff_snapshots(
-                t,
-                &meta.schema,
-                &key_cols,
-                self.baseline_path(t),
-                &current,
-                crate::snapshot::DiffAlgorithm::SortMerge { run_size: 1024 },
-            );
-            let (vd, _stats) = match diff {
-                Ok(v) => v,
-                Err(e) => return fail(&staged, EngineError::Storage(e)),
-            };
-            out.degraded.push(t.clone());
-            if !vd.is_empty() {
-                out.deltas.push(vd);
+            match self.diff_one(db, t) {
+                Ok((vd, rows)) => {
+                    advance.push((t.clone(), Advance::Replace(rows)));
+                    out.degraded.push(t.clone());
+                    if !vd.is_empty() {
+                        out.deltas.push(vd);
+                    }
+                }
+                Err(e) => {
+                    self.discard(&advance);
+                    return Err(e);
+                }
             }
         }
         // Everything up to the log head is covered by the diffs.
@@ -388,8 +664,46 @@ impl ResilientLogExtractor {
             outcome: out,
             coalesced: true,
             new_watermark: db.wal().next_lsn().saturating_sub(1),
-            staged,
+            advance,
         })
+    }
+
+    /// Diff `table` at the watermark against a fresh snapshot staged in its
+    /// `.baseline.staged` sibling; returns the delta and the snapshot's row
+    /// count, and leaves no file behind on failure. With nothing journaled
+    /// the baseline file is the old side as it is; otherwise the fold of the
+    /// two goes to a `.baseline.folded` scratch file first.
+    fn diff_one(&self, db: &Database, table: &str) -> EngineResult<(ValueDelta, u64)> {
+        let meta = db.table(table)?;
+        let key_cols = meta.schema.primary_key_indices();
+        let folded = self.baseline_dir.join(format!("{table}.baseline.folded"));
+        let journaled = self
+            .baselines
+            .get(table)
+            .is_some_and(|base| !base.journal.is_empty());
+        let old = if journaled {
+            self.write_baseline(table, &folded)?;
+            folded.clone()
+        } else {
+            self.baseline_path(table)
+        };
+        let current = self.staged_baseline_path(table);
+        let diffed = crate::snapshot::take_snapshot(db, table, &current).and_then(|rows| {
+            let (vd, _stats) = crate::snapshot::diff_snapshots(
+                table,
+                &meta.schema,
+                &key_cols,
+                &old,
+                &current,
+                crate::snapshot::DiffAlgorithm::SortMerge { run_size: 1024 },
+            )?;
+            Ok((vd, rows))
+        });
+        let _ = std::fs::remove_file(&folded);
+        if diffed.is_err() {
+            let _ = std::fs::remove_file(&current);
+        }
+        diffed
     }
 }
 
@@ -851,6 +1165,49 @@ mod tests {
     }
 
     #[test]
+    fn a_journal_rebuilt_without_its_cancelled_images_keeps_every_count() {
+        use delta_storage::{Column, DataType, Schema};
+        let schema = Schema::new(vec![Column::new("id", DataType::Int).primary_key()]).unwrap();
+        let delta = |records: &[(DeltaOp, i64)]| {
+            let mut vd = ValueDelta::new("t", schema.clone());
+            for &(op, id) in records {
+                vd.records.push(ValueDeltaRecord {
+                    op,
+                    txn: 1,
+                    row: Row::new(vec![Value::Int(id)]),
+                });
+            }
+            vd
+        };
+        let mut journal = Journal::default();
+        // Four rows left the file, four entered it.
+        let kept: Vec<_> = (0..4)
+            .flat_map(|i| [(DeltaOp::Delete, i), (DeltaOp::Insert, 100 + i)])
+            .collect();
+        journal.add_delta(&delta(&kept));
+        // Twenty rows came and went: cancelled images outnumber counted ones.
+        let churn: Vec<_> = (200..220)
+            .flat_map(|i| [(DeltaOp::Insert, i), (DeltaOp::Delete, i)])
+            .collect();
+        journal.add_delta(&delta(&churn));
+        assert_eq!(journal.images.len(), 8, "rebuilt from the counted images");
+        let mut counts: Vec<(Vec<u8>, i64)> =
+            journal.counts().map(|(b, n)| (b.to_vec(), n)).collect();
+        counts.sort();
+        let mut expected: Vec<(Vec<u8>, i64)> = (0..4)
+            .flat_map(|i| {
+                [
+                    (Row::new(vec![Value::Int(i)]).to_bytes(), -1),
+                    (Row::new(vec![Value::Int(100 + i)]).to_bytes(), 1),
+                ]
+            })
+            .collect();
+        expected.sort();
+        assert_eq!(counts, expected);
+        assert_eq!(journal.len(), 8);
+    }
+
+    #[test]
     fn reopen_survives_a_corrupt_archive_and_the_next_stage_degrades() {
         let db = setup("reopen-corrupt");
         let dir = db.options().dir.clone();
@@ -936,37 +1293,94 @@ mod tests {
         }
     }
 
+    /// Every file under `dir`: name, modification time and bytes.
+    fn stamp_dir(dir: &std::path::Path) -> Vec<(String, std::time::SystemTime, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, modified, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The rows of a snapshot file, sorted.
+    fn sorted_rows(path: &std::path::Path) -> Vec<Vec<u8>> {
+        let mut src = RowSource::open(path).unwrap();
+        let mut rows = Vec::new();
+        while let Some(row) = src.next_row().unwrap() {
+            rows.push(row.to_bytes());
+        }
+        rows.sort();
+        rows
+    }
+
+    /// The tracked table at the watermark, as the extractor's baseline and
+    /// journal describe it, equals a snapshot of the (quiescent) table.
+    fn assert_baseline_is_the_table(x: &ResilientLogExtractor, db: &Database, table: &str) {
+        let (ours, theirs) = (
+            x.baseline_dir.join("check.ours"),
+            x.baseline_dir.join("check.theirs"),
+        );
+        x.write_baseline(table, &ours).unwrap();
+        crate::snapshot::take_snapshot(db, table, &theirs).unwrap();
+        assert_eq!(sorted_rows(&ours), sorted_rows(&theirs), "{table}");
+        std::fs::remove_file(ours).unwrap();
+        std::fs::remove_file(theirs).unwrap();
+    }
+
     #[test]
-    fn only_tables_the_round_changed_get_a_new_baseline() {
-        let db = setup("two-baselines");
+    fn log_rounds_leave_the_baseline_files_alone_until_the_journal_outgrows_them() {
+        let db = setup("journal-bound");
         let mut s = db.session();
         s.execute("CREATE TABLE orders (id INT PRIMARY KEY)")
             .unwrap();
-        let dir = baseline_dir("two-baselines");
+        let dir = baseline_dir("journal-bound");
         let mut x = ResilientLogExtractor::new(&dir, &["orders", "parts"]).unwrap();
         x.prime(&db).unwrap();
+        // Ten inserts against an empty file: the first round already
+        // crosses the bound, so both files are rewritten once.
+        for i in 0..10 {
+            s.execute(&format!("INSERT INTO parts VALUES ({i}, 'v')"))
+                .unwrap();
+        }
         s.execute("INSERT INTO orders VALUES (1)").unwrap();
-        s.execute("INSERT INTO parts VALUES (0, 'z')").unwrap();
-        assert_eq!(x.extract(&db).unwrap().deltas.len(), 2);
-        let stamp = |t: &str| {
-            let path = dir.join(format!("{t}.baseline"));
-            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
-            (modified, std::fs::read(&path).unwrap())
-        };
-        let (orders_before, parts_before) = (stamp("orders"), stamp("parts"));
+        x.extract(&db).unwrap();
+        assert_eq!(sorted_rows(&dir.join("parts.baseline")).len(), 10);
+        assert_eq!(sorted_rows(&dir.join("orders.baseline")).len(), 1);
 
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        s.execute("INSERT INTO parts VALUES (1, 'a')").unwrap();
-        let staged = x.stage(&db).unwrap();
-        assert!(!staged.coalesced);
-        assert!(!dir.join("orders.baseline.staged").exists());
-        assert!(dir.join("parts.baseline.staged").exists());
-        x.commit(staged).unwrap();
-        assert_eq!(stamp("orders"), orders_before, "untouched table, same file");
-        assert_ne!(
-            stamp("parts").1,
-            parts_before.1,
-            "changed table, new baseline"
+        // One row updated per round carries two images (−old, +new): five
+        // rounds journal 10 entries against 10 rows, the sixth would cross.
+        let mut rewrites = Vec::new();
+        for (round, id) in [0, 1, 2, 3, 4, 5, 6, 7, 8].into_iter().enumerate() {
+            let before = stamp_dir(&dir);
+            s.execute(&format!(
+                "UPDATE parts SET name = 'r{round}' WHERE id = {id}"
+            ))
+            .unwrap();
+            let staged = x.stage(&db).unwrap();
+            assert!(!staged.coalesced);
+            x.commit(staged).unwrap();
+            let after = stamp_dir(&dir);
+            if after != before {
+                rewrites.push(round);
+                let changed: Vec<_> = after
+                    .iter()
+                    .filter(|f| !before.contains(f))
+                    .map(|f| f.0.as_str())
+                    .collect();
+                assert_eq!(changed, ["parts.baseline"], "round {round}");
+            }
+            assert_baseline_is_the_table(&x, &db, "parts");
+        }
+        assert_eq!(
+            rewrites,
+            [5],
+            "the fold fires once, when the bound is crossed"
         );
 
         // The baseline left alone is still the right one to diff against.
@@ -976,6 +1390,44 @@ mod tests {
         assert_eq!(diff.outcome.deltas[0].table, "orders");
         assert_eq!(ids_of(&diff.outcome.deltas[0]), [Value::Int(2)]);
         x.abort(diff);
+    }
+
+    #[test]
+    fn a_write_committed_while_stage_snapshots_is_not_lost_by_a_later_diff() {
+        let db = setup("stage-race");
+        let mut x = ResilientLogExtractor::new(baseline_dir("stage-race"), &["parts"]).unwrap();
+        x.prime(&db).unwrap();
+        db.session()
+            .execute("INSERT INTO parts VALUES (1, 'a')")
+            .unwrap();
+        let (held, is_held) = std::sync::mpsc::channel();
+        let writer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut s = db.session();
+                s.execute("BEGIN").unwrap();
+                s.execute("INSERT INTO parts VALUES (2, 'b')").unwrap();
+                held.send(()).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                s.execute("COMMIT").unwrap();
+            })
+        };
+        is_held.recv().unwrap();
+        // Row 2 is not committed, so the round's log tail ends before it. A
+        // stage that snapshotted the table here would wait out the writer's
+        // X lock and take row 2 into a baseline whose watermark does not
+        // cover it — and no later round would ship row 2. (The writer's
+        // sleep only gives such a stage something to wait for; what is
+        // asserted below does not depend on it.)
+        let staged = x.stage(&db).unwrap();
+        let mut shipped: Vec<Value> = staged.outcome.deltas.iter().flat_map(ids_of).collect();
+        x.commit(staged).unwrap();
+        writer.join().unwrap();
+
+        let diff = x.stage_coalesced(&db).unwrap();
+        shipped.extend(diff.outcome.deltas.iter().flat_map(ids_of));
+        x.commit(diff).unwrap();
+        assert_eq!(shipped, [Value::Int(1), Value::Int(2)]);
     }
 
     #[test]

@@ -1037,11 +1037,16 @@ impl LogManager {
     pub fn compress_archived_segments(&self) -> EngineResult<usize> {
         let mut n = 0usize;
         for p in self.archived_segments()? {
+            // The magic alone decides; only a raw segment is read whole.
+            let mut file = File::open(&p)?;
             let mut bytes = Vec::new();
-            File::open(&p)?.read_to_end(&mut bytes)?;
+            (&mut file)
+                .take(colbatch::SEG_MAGIC.len() as u64)
+                .read_to_end(&mut bytes)?;
             if colbatch::is_compressed_segment(&bytes) {
                 continue;
             }
+            file.read_to_end(&mut bytes)?;
             let compressed = colbatch::compress_segment(&bytes);
             let tmp = p.with_extension("wal.tmp");
             if let Some(budget) = &self.budget {

@@ -407,9 +407,11 @@ impl Pipeline {
     ///    move, so the next round re-extracts everything; once pressure
     ///    lifts, the stream resumes with zero loss.
     ///
-    /// The extractor commits (watermark + baselines advance) only after
-    /// its round's batches are durably enqueued, so a round that fails
-    /// half way — including a crash — is simply re-staged.
+    /// The extractor commits (the watermark advances; the baselines advance
+    /// by the round's own images, or to the coalesced round's snapshot) only
+    /// after its round's batches are durably enqueued, so a round that fails
+    /// half way — including a crash — is simply re-staged. The op-form rung
+    /// reads the log tail and no table; only the coalesce rung snapshots.
     pub fn ship(
         &self,
         db: &Database,
