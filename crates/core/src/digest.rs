@@ -24,10 +24,11 @@
 //! [`StorageError::Corrupt`] — never a panic.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use delta_engine::db::Database;
-use delta_engine::{EngineError, EngineResult};
+use delta_engine::EngineResult;
 use delta_storage::colbatch::{
     self, encode_rows_block, get_block, get_ivarint, get_uvarint, put_block, put_ivarint,
     put_uvarint, take, RowSink, RowSource,
@@ -358,9 +359,10 @@ pub fn digest_table(
     params: DigestParams,
 ) -> EngineResult<TableDigest> {
     let mut builder = DigestBuilder::new(table, key_pos, params);
-    for (_, row) in db.scan_table(table)? {
-        builder.add_row(&row).map_err(EngineError::Storage)?;
-    }
+    db.for_each_row(table, |_, row| {
+        builder.add_row(&row)?;
+        Ok(ControlFlow::Continue(()))
+    })?;
     Ok(builder.finish())
 }
 

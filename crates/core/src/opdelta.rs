@@ -31,6 +31,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 use delta_engine::db::Database;
@@ -370,23 +371,23 @@ fn decode_record(
 /// collect fails with the typed lock timeout and the caller's next round
 /// retries), so only committed operations are ever returned.
 pub fn collect_from_table(db: &Database, log_table: &str) -> EngineResult<Vec<OpDelta>> {
-    let rows = db.in_txn(|txn| {
-        db.lock_table(txn, log_table, LockMode::Shared)?;
-        db.scan_table(log_table)
-    })?;
     // Reassemble chunked payloads: (seq -> (txn, [(chunk, part)])).
     let mut by_seq: std::collections::BTreeMap<u64, (u64, Vec<(i64, String)>)> = Default::default();
-    for (_, row) in rows {
-        let seq = row.values()[0].as_int()? as u64;
-        let chunk = row.values()[1].as_int()?;
-        let txn = row.values()[2].as_int()? as u64;
-        let part = row.values()[3].as_str()?.to_string();
-        by_seq
-            .entry(seq)
-            .or_insert((txn, Vec::new()))
-            .1
-            .push((chunk, part));
-    }
+    db.in_txn(|txn| {
+        db.lock_table(txn, log_table, LockMode::Shared)?;
+        db.for_each_row(log_table, |_, row| {
+            let seq = row.values()[0].as_int()? as u64;
+            let chunk = row.values()[1].as_int()?;
+            let txn = row.values()[2].as_int()? as u64;
+            let part = row.values()[3].as_str()?.to_string();
+            by_seq
+                .entry(seq)
+                .or_insert((txn, Vec::new()))
+                .1
+                .push((chunk, part));
+            Ok(ControlFlow::Continue(()))
+        })
+    })?;
     let mut records = Vec::new();
     for (seq, (txn, mut parts)) in by_seq {
         parts.sort_by_key(|(c, _)| *c);

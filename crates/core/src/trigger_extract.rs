@@ -9,6 +9,7 @@
 //! no application changes, and is trivially installed — but the capture cost
 //! lands on the user transactions (Figure 2), which is its downfall.
 
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use delta_engine::db::Database;
@@ -76,27 +77,13 @@ impl TriggerExtractor {
 
     /// Read the captured deltas **without** clearing them.
     pub fn peek(&self, db: &Database) -> EngineResult<ValueDelta> {
-        let src = db.table(&self.source_table)?;
-        db.in_txn(|txn| {
-            db.lock_table(txn, &self.delta_table, LockMode::Shared)?;
-            self.read_delta_rows(db, &src.schema)
-        })
+        self.read(db, false)
     }
 
-    /// Drain: read the captured deltas and clear the delta table, atomically
-    /// with respect to concurrent capture.
+    /// Drain: read the captured deltas and clear the delta table in one
+    /// pass, atomically with respect to concurrent capture.
     pub fn drain(&self, db: &Database) -> EngineResult<ValueDelta> {
-        let src = db.table(&self.source_table)?;
-        let delta_meta = db.table(&self.delta_table)?;
-        db.in_txn(|txn| {
-            db.lock_table(txn, &self.delta_table, LockMode::Exclusive)?;
-            let vd = self.read_delta_rows(db, &src.schema)?;
-            let now = db.now_micros();
-            for (rid, row) in db.scan_table(&self.delta_table)? {
-                db.delete_row(txn, &delta_meta, rid, row, now, false)?;
-            }
-            Ok(vd)
-        })
+        self.read(db, true)
     }
 
     /// Export the (un-drained) delta table with the Export utility — the
@@ -105,16 +92,29 @@ impl TriggerExtractor {
         delta_engine::util::export_table(db, &self.delta_table, path)
     }
 
-    fn read_delta_rows(
-        &self,
-        db: &Database,
-        src_schema: &delta_storage::Schema,
-    ) -> EngineResult<ValueDelta> {
-        let mut vd = ValueDelta::new(&self.source_table, src_schema.clone());
-        for (_, row) in db.scan_table(&self.delta_table)? {
-            vd.records.push(decode_delta_row(&row)?);
-        }
-        Ok(vd)
+    /// Decode every captured row into a delta under a table lock, deleting
+    /// each row once it is decoded if `drain`.
+    fn read(&self, db: &Database, drain: bool) -> EngineResult<ValueDelta> {
+        let src = db.table(&self.source_table)?;
+        let delta_meta = db.table(&self.delta_table)?;
+        let mode = if drain {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        };
+        db.in_txn(|txn| {
+            db.lock_table(txn, &self.delta_table, mode)?;
+            let mut vd = ValueDelta::new(&self.source_table, src.schema.clone());
+            let now = db.now_micros();
+            db.for_each_row(&self.delta_table, |rid, row| {
+                vd.records.push(decode_delta_row(&row)?);
+                if drain {
+                    db.delete_row(txn, &delta_meta, rid, row, now, false)?;
+                }
+                Ok(ControlFlow::Continue(()))
+            })?;
+            Ok(vd)
+        })
     }
 }
 

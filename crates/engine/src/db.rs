@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::fs;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -442,16 +443,11 @@ impl Database {
             },
             col_idx,
         )?;
-        let heap = self.heap(table)?;
-        let mut failure = None;
-        heap.for_each(|rid, bytes| {
-            let row = Row::from_bytes(bytes)?;
-            if let Err(e) = idx.insert(&row.values()[col_idx], rid) {
-                failure.get_or_insert(e);
-            }
-            Ok(())
-        })?;
-        if let Some(e) = failure {
+        let built = self.for_each_row(table, |rid, row| {
+            idx.insert(&row.values()[col_idx], rid)?;
+            Ok(ControlFlow::Continue(()))
+        });
+        if let Err(e) = built {
             self.indexes.drop(name)?;
             return Err(e);
         }
@@ -477,31 +473,23 @@ impl Database {
         for i in idxs.iter() {
             i.clear();
         }
-        let heap = self.heap(table)?;
         let mut max_ts = 0i64;
-        let mut failure: Option<EngineError> = None;
-        heap.for_each(|rid, bytes| {
-            let row = Row::from_bytes(bytes)?;
+        self.for_each_row(table, |rid, row| {
             for v in row.values() {
                 if let Value::Timestamp(t) = v {
                     max_ts = max_ts.max(*t);
                 }
             }
             for i in idxs.iter() {
-                if let Err(e) = i.insert(&row.values()[i.column_pos()], rid) {
-                    failure.get_or_insert(e);
-                }
+                i.insert(&row.values()[i.column_pos()], rid)?;
             }
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })?;
         invariant!(
             idxs.iter().all(|i| i.len_matches_recount()),
             "an index of {table} miscounts its entries after a rebuild"
         );
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(max_ts),
-        }
+        Ok(max_ts)
     }
 
     // ------------------------------------------------------------------
@@ -862,14 +850,25 @@ impl Database {
     // Scans
     // ------------------------------------------------------------------
 
-    /// Full scan of `table` decoding every live row. The caller is expected
-    /// to hold at least a shared lock.
+    /// Visit every live row of `table`, decoded and owned, in storage order
+    /// until `f` returns `Break` or an error. The caller holds at least a
+    /// shared lock; `f` may delete or update the rid it was handed.
+    pub fn for_each_row(
+        &self,
+        table: &str,
+        mut f: impl FnMut(RecordId, Row) -> EngineResult<ControlFlow<()>>,
+    ) -> EngineResult<()> {
+        self.heap(table)?
+            .for_each(|rid, bytes| f(rid, Row::from_bytes(bytes)?))
+    }
+
+    /// Every live row of `table`, collected: kept for tests, examples and
+    /// the dwbench harness. Product code streams with `for_each_row`.
     pub fn scan_table(&self, table: &str) -> EngineResult<Vec<(RecordId, Row)>> {
-        let heap = self.heap(table)?;
         let mut out = Vec::new();
-        heap.for_each(|rid, bytes| {
-            out.push((rid, Row::from_bytes(bytes)?));
-            Ok(())
+        self.for_each_row(table, |rid, row| {
+            out.push((rid, row));
+            Ok(ControlFlow::Continue(()))
         })?;
         Ok(out)
     }
@@ -1186,8 +1185,8 @@ impl Database {
         })
     }
 
-    /// Find a row by image: primary-key lookup when possible, else full scan
-    /// comparing every column.
+    /// Find a row by image: primary-key lookup when possible, else a scan
+    /// comparing every column that stops at the first match.
     pub fn locate_by_image(
         &self,
         meta: &TableMeta,
@@ -1196,12 +1195,15 @@ impl Database {
         if let Some(idx) = self.pk_index(meta) {
             return self.fetch_by_key(meta, &idx, &image.values()[idx.column_pos()]);
         }
-        for (rid, row) in self.scan_table(&meta.name)? {
+        let mut found = None;
+        self.for_each_row(&meta.name, |rid, row| {
             if row == *image {
-                return Ok(Some((rid, row)));
+                found = Some((rid, row));
+                return Ok(ControlFlow::Break(()));
             }
-        }
-        Ok(None)
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(found)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Statement execution: DML/query dispatch and access-path selection.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use delta_sql::ast::{BinOp, Expr, OrderKey, SelectItem, Statement};
@@ -235,7 +235,6 @@ pub fn matching_rows(
         };
         Ok(EvalContext::new(&resolver, now).matches(p)?)
     };
-    let heap = db.heap(&meta.name)?;
     let mut out = Vec::new();
     match plan_access(db, meta, predicate) {
         // Filter while scanning: a row that fails the predicate is freed as
@@ -244,24 +243,14 @@ pub fn matching_rows(
         // set-oriented statement cost three allocations per *table* row,
         // which swings 2-3x with the state of the process heap (DESIGN.md
         // §20.6).
-        Plan::SeqScan => {
-            let mut failure = None;
-            heap.for_each(|rid, bytes| {
-                if failure.is_none() {
-                    let row = Row::from_bytes(bytes)?;
-                    match matches(&row) {
-                        Ok(true) => out.push((rid, row)),
-                        Ok(false) => {}
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                Ok(())
-            })?;
-            if let Some(e) = failure {
-                return Err(e);
+        Plan::SeqScan => db.for_each_row(&meta.name, |rid, row| {
+            if matches(&row)? {
+                out.push((rid, row));
             }
-        }
+            Ok(ControlFlow::Continue(()))
+        })?,
         Plan::IndexRange { index, lo, hi, .. } => {
+            let heap = db.heap(&meta.name)?;
             for rid in index.range(as_ref_bound(&lo), as_ref_bound(&hi)) {
                 if let Some(bytes) = heap.get(rid)? {
                     let row = Row::from_bytes(&bytes)?;

@@ -18,10 +18,11 @@
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use delta_storage::codec::{ascii, export};
-use delta_storage::{colbatch, Row, SlottedPage};
+use delta_storage::{colbatch, SlottedPage};
 
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
@@ -43,21 +44,16 @@ const IMPORT_BATCH: usize = 1024;
 /// number of rows written.
 pub fn export_table(db: &Database, table: &str, path: impl AsRef<Path>) -> EngineResult<u64> {
     let meta = db.table(table)?;
-    let mut txn = db.begin();
-    db.lock_table(&mut txn, table, LockMode::Shared)?;
-    let result = (|| {
+    db.in_txn(|txn| {
+        db.lock_table(txn, table, LockMode::Shared)?;
         let out = BufWriter::new(File::create(path.as_ref())?);
         let mut w = export::ExportWriter::new(out, &db.options().product, &meta.schema)?;
-        let heap = db.heap(table)?;
-        heap.for_each(|_, bytes| {
-            let row = Row::from_bytes(bytes)?;
+        db.for_each_row(table, |_, row| {
             w.write_row(&row)?;
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })?;
         Ok(w.finish()?)
-    })();
-    db.commit(txn)?;
-    result
+    })
 }
 
 /// Import `path` (produced by [`export_table`] of the **same product and
@@ -119,23 +115,18 @@ fn check_schema_match(
 
 /// Dump `table` to `path` as pipe-delimited ASCII. Returns rows written.
 pub fn ascii_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> EngineResult<u64> {
-    let mut txn = db.begin();
-    db.lock_table(&mut txn, table, LockMode::Shared)?;
-    let result = (|| {
+    db.in_txn(|txn| {
+        db.lock_table(txn, table, LockMode::Shared)?;
         let mut out = BufWriter::new(File::create(path.as_ref())?);
-        let heap = db.heap(table)?;
         let mut n = 0u64;
-        heap.for_each(|_, bytes| {
-            let row = Row::from_bytes(bytes)?;
+        db.for_each_row(table, |_, row| {
             writeln!(out, "{}", ascii::format_row(&row))?;
             n += 1;
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })?;
         out.flush()?;
         Ok(n)
-    })();
-    db.commit(txn)?;
-    result
+    })
 }
 
 /// The sibling temp file a snapshot dump stages through before its rename.
@@ -165,10 +156,10 @@ pub fn snapshot_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
         db.lock_table(txn, table, LockMode::Shared)?;
         let mut sink = colbatch::RowSink::create(&tmp, colbatch::DEFAULT_BLOCK_ROWS)?;
         let mut n = 0u64;
-        db.heap(table)?.for_each(|_, bytes| {
-            sink.write_row(&Row::from_bytes(bytes)?)?;
+        db.for_each_row(table, |_, row| {
+            sink.write_row(&row)?;
             n += 1;
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })?;
         sink.finish()?;
         Ok(n)
@@ -286,7 +277,7 @@ mod tests {
     use super::*;
     use crate::db::{open_temp, Database, DbOptions};
     use delta_storage::codec::export::ProductTag;
-    use delta_storage::Value;
+    use delta_storage::{Row, Value};
     use std::sync::Arc;
 
     fn setup(rows: i64) -> (Arc<Database>, std::path::PathBuf) {

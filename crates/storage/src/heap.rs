@@ -6,6 +6,7 @@
 //! page via dead-slot reuse and compaction (a full free-space map is out of
 //! scope — the paper's workloads are insert/scan heavy).
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -128,34 +129,29 @@ impl HeapFile {
     }
 
     /// Visit every live record as `(rid, bytes)`, page at a time, in storage
-    /// order. The callback may not re-enter the heap (pool pages are latched
-    /// for the duration of each page visit).
-    pub fn for_each(
+    /// order, until the callback returns `Break` or an error.
+    ///
+    /// Each page's records are copied out and the callback runs with no page
+    /// latched, so it may re-enter the heap: every record live when the scan
+    /// starts is visited once, and the callback may delete or update the rid
+    /// it was handed. A record the callback inserts, or an update moves to
+    /// another page, may or may not be visited later in the same scan.
+    pub fn for_each<E: From<StorageError>>(
         &self,
-        mut f: impl FnMut(RecordId, &[u8]) -> StorageResult<()>,
-    ) -> StorageResult<()> {
+        mut f: impl FnMut(RecordId, &[u8]) -> Result<ControlFlow<()>, E>,
+    ) -> Result<(), E> {
         let pages = self.page_count()?;
         for page_no in 0..pages {
-            // Copy the page's live records out, then run the callback without
-            // holding the pool lock.
             let records: Vec<(u16, Vec<u8>)> = self.pool.with_page(self.pid(page_no), |p| {
                 p.iter().map(|(s, r)| (s, r.to_vec())).collect()
             })?;
             for (slot, bytes) in records {
-                f(RecordId::new(page_no, slot), &bytes)?;
+                if f(RecordId::new(page_no, slot), &bytes)?.is_break() {
+                    return Ok(());
+                }
             }
         }
         Ok(())
-    }
-
-    /// Collect every live record. Convenience for tests and small tables.
-    pub fn scan_all(&self) -> StorageResult<Vec<(RecordId, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.for_each(|rid, bytes| {
-            out.push((rid, bytes.to_vec()));
-            Ok(())
-        })?;
-        Ok(out)
     }
 
     /// Number of live records (full scan).
@@ -163,7 +159,7 @@ impl HeapFile {
         let mut n = 0;
         self.for_each(|_, _| {
             n += 1;
-            Ok(())
+            Ok::<_, StorageError>(ControlFlow::Continue(()))
         })?;
         Ok(n)
     }
@@ -237,15 +233,55 @@ mod tests {
         for i in 0..100u32 {
             h.insert(&i.to_le_bytes()).unwrap();
         }
-        let all = h.scan_all().unwrap();
-        assert_eq!(all.len(), 100);
-        let decoded: Vec<u32> = all
-            .iter()
-            .map(|(_, b)| u32::from_le_bytes(b[..4].try_into().unwrap()))
-            .collect();
-        let mut sorted = decoded.clone();
-        sorted.sort();
-        assert_eq!(decoded, sorted, "append-only inserts scan in order");
+        let mut decoded = Vec::new();
+        h.for_each(|_, b| {
+            decoded.push(u32::from_le_bytes(b[..4].try_into().unwrap()));
+            Ok::<_, StorageError>(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        assert_eq!(
+            decoded,
+            (0..100).collect::<Vec<_>>(),
+            "append-only inserts scan in order"
+        );
+    }
+
+    #[test]
+    fn scan_stops_at_break() {
+        let h = setup();
+        for i in 0..10u32 {
+            h.insert(&i.to_le_bytes()).unwrap();
+        }
+        let mut seen = 0;
+        h.for_each(|_, _| {
+            seen += 1;
+            Ok::<_, StorageError>(if seen == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        })
+        .unwrap();
+        assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn callback_may_delete_the_rid_it_was_handed() {
+        let h = setup();
+        let rec = [7u8; 300];
+        for _ in 0..100 {
+            h.insert(&rec).unwrap();
+        }
+        assert!(h.page_count().unwrap() > 1);
+        let mut visited = 0;
+        h.for_each(|rid, _| {
+            visited += 1;
+            h.delete(rid)?;
+            Ok::<_, StorageError>(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        assert_eq!(visited, 100, "every row live at the start is visited once");
+        assert_eq!(h.live_count().unwrap(), 0);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! once per run, without SQL in between.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use delta_core::model::{DeltaOp, OpDelta, ValueDelta};
@@ -210,7 +211,7 @@ impl Warehouse {
             return Ok(AppliedState::default());
         }
         let mut state = AppliedState::default();
-        for (_, row) in self.db.scan_table(APPLIED_SEQ_TABLE)? {
+        self.db.for_each_row(APPLIED_SEQ_TABLE, |_, row| {
             let id = row.values()[0].as_int()?;
             let seq = row.values()[1].as_int()? as u64;
             if id == 0 {
@@ -218,7 +219,8 @@ impl Warehouse {
             } else {
                 state.ranges.push(((id - 1) as u64, seq));
             }
-        }
+            Ok(ControlFlow::Continue(()))
+        })?;
         state.ranges.sort_unstable();
         Ok(state)
     }

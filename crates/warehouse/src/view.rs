@@ -31,6 +31,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 use delta_engine::db::Database;
 use delta_engine::exec;
@@ -192,7 +193,7 @@ struct JoinStep {
 /// One joined input held for the length of a maintenance pass: a single
 /// scan, indexed on the column its step's first condition probes.
 struct JoinTable {
-    rows: Vec<(RecordId, Row)>,
+    rows: Vec<Row>,
     index: Option<BTreeMap<IndexKey, Vec<usize>>>,
 }
 
@@ -512,10 +513,10 @@ impl View {
         let plan = &self.plans[seed];
         let mut tables = Vec::with_capacity(plan.len());
         for step in plan {
-            let rows = db.scan_table(&self.inputs[step.slot].table)?;
+            let rows = collect_rows(db, &self.inputs[step.slot].table)?;
             let index = step.conds.first().map(|&(col, _, _)| {
                 let mut map: BTreeMap<IndexKey, Vec<usize>> = BTreeMap::new();
-                for (i, (_, row)) in rows.iter().enumerate() {
+                for (i, row) in rows.iter().enumerate() {
                     if let Some(key) = row.values().get(col).and_then(join_key) {
                         map.entry(key).or_default().push(i);
                     }
@@ -570,7 +571,7 @@ impl View {
                     }
                 };
                 for &i in candidates {
-                    let cand = &table.rows[i].1;
+                    let cand = &table.rows[i];
                     let matches = step
                         .conds
                         .iter()
@@ -597,10 +598,11 @@ impl View {
     /// that carry it, and NULLs form one group.
     fn locate(&self, db: &Database, cols: &[usize]) -> EngineResult<Located> {
         let mut by_key = Located::new();
-        for (rid, row) in db.scan_table(&self.name)? {
+        db.for_each_row(&self.name, |rid, row| {
             let key = cols.iter().map(|&c| IndexKey(row.values()[c].clone()));
             by_key.entry(key.collect()).or_default().push((rid, row));
-        }
+            Ok(ControlFlow::Continue(()))
+        })?;
         Ok(by_key)
     }
 
@@ -757,11 +759,9 @@ impl View {
                             group.row.set(fold.out_pos(i), Value::Null);
                         }
                     }
-                    let base = db.scan_table(table)?;
-                    let mut expanded = Vec::new();
-                    for (_, row) in &base {
-                        expanded.clear();
-                        self.expand(now, seed, (1, row), &tables, &mut expanded)?;
+                    db.for_each_row(table, |_, row| {
+                        let mut expanded = Vec::new();
+                        self.expand(now, seed, (1, &row), &tables, &mut expanded)?;
                         for (_, values) in &expanded {
                             let Some(&g) = slots.get(&fold.key_of(values)) else {
                                 continue;
@@ -771,7 +771,8 @@ impl View {
                                 fold.improve(&mut group.row, i, values);
                             }
                         }
-                    }
+                        Ok(ControlFlow::Continue(()))
+                    })?;
                 }
                 // One write per touched group; a group born and emptied
                 // within the stream leaves no row.
@@ -792,12 +793,13 @@ impl View {
         let meta = db.table(&self.name)?;
         db.lock_table(txn, &self.name, LockMode::Exclusive)?;
         let now = db.now_micros();
-        for stored in db.scan_table(&self.name)? {
-            write(db, txn, &meta, now, Some(stored), None)?;
-        }
+        db.for_each_row(&self.name, |rid, row| {
+            write(db, txn, &meta, now, Some((rid, row)), None)?;
+            Ok(ControlFlow::Continue(()))
+        })?;
         let seed = &self.inputs[0].table;
-        let base = db.scan_table(seed)?;
-        let stream: Vec<(i64, &Row)> = base.iter().map(|(_, row)| (1, row)).collect();
+        let base = collect_rows(db, seed)?;
+        let stream: Vec<(i64, &Row)> = base.iter().map(|row| (1, row)).collect();
         self.apply_stream(db, txn, seed, &stream)
     }
 
@@ -807,15 +809,13 @@ impl View {
             Sink::Rows { projection, .. } => projection.len(),
             Sink::Groups(fold) => fold.rows_pos(),
         };
-        let mut rows: Vec<Row> = db
-            .scan_table(&self.name)?
-            .into_iter()
-            .map(|(_, row)| {
-                let mut values = row.into_values();
-                values.truncate(visible);
-                Row::new(values)
-            })
-            .collect();
+        let mut rows = Vec::new();
+        db.for_each_row(&self.name, |_, row| {
+            let mut values = row.into_values();
+            values.truncate(visible);
+            rows.push(Row::new(values));
+            Ok(ControlFlow::Continue(()))
+        })?;
         rows.sort_by(cmp_rows);
         Ok(rows)
     }
@@ -827,15 +827,16 @@ impl View {
     fn recompute(&self, db: &Database) -> EngineResult<Vec<Row>> {
         let mut rows: Vec<Row> = match &self.sink {
             Sink::Rows { projection, .. } => {
-                let base = db.scan_table(&self.inputs[0].table)?;
                 let tables = self.load_join_tables(db, 0)?;
                 let clock = db.peek_clock();
-                let mut deltas = Vec::new();
-                for (_, row) in &base {
-                    self.expand(clock, 0, (1, row), &tables, &mut deltas)?;
-                }
-                let rows = deltas.iter().map(|(_, values)| project(projection, values));
-                rows.collect()
+                let mut rows = Vec::new();
+                db.for_each_row(&self.inputs[0].table, |_, row| {
+                    let mut deltas = Vec::new();
+                    self.expand(clock, 0, (1, &row), &tables, &mut deltas)?;
+                    rows.extend(deltas.iter().map(|(_, values)| project(projection, values)));
+                    Ok(ControlFlow::Continue(()))
+                })?;
+                rows
             }
             Sink::Groups(fold) => {
                 let stmt = parse_statement(&fold.recompute_sql)?;
@@ -1064,6 +1065,16 @@ fn write(
         (None, Some(new)) => Some(db.insert_row(txn, meta, new, now, false, false)?),
         (None, None) => None,
     })
+}
+
+/// Every live row of `table`, for a pass that needs them all at once.
+fn collect_rows(db: &Database, table: &str) -> EngineResult<Vec<Row>> {
+    let mut rows = Vec::new();
+    db.for_each_row(table, |_, row| {
+        rows.push(row);
+        Ok(ControlFlow::Continue(()))
+    })?;
+    Ok(rows)
 }
 
 /// The view row of a `Rows` sink for one delta row.
