@@ -8,7 +8,7 @@ use delta_core::selfmaint::{SelfMaintAnalyzer, WarehouseProfile};
 use delta_core::snapshot::{diff_snapshots, take_snapshot, DiffAlgorithm};
 use delta_core::timestamp::TimestampExtractor;
 use delta_engine::db::{Database, DbOptions, SyncMode};
-use delta_engine::exec::{choose_access_path, AccessPath};
+use delta_engine::exec::{choose_access_path, AccessPath, INDEX_SCAN_THRESHOLD};
 use delta_sql::parser::parse_expression;
 
 use crate::report::{fmt_duration, fmt_pct, overhead_pct, TableReport};
@@ -76,8 +76,7 @@ pub fn ts_index(scale: &Scale) -> TableReport {
         .create_index("ts_idx", "parts", "last_modified", false)
         .expect("index");
     report.note(format!(
-        "source {rows} rows; engine index threshold {}",
-        indexed.options().index_scan_threshold
+        "source {rows} rows; engine index threshold {INDEX_SCAN_THRESHOLD}"
     ));
     let x = TimestampExtractor::new("parts", "last_modified");
     let mut small_fraction_speedup = None;

@@ -221,17 +221,23 @@ fn decode_op_body(mut buf: &[u8]) -> StorageResult<OpDelta> {
 /// Encode a batch as the columnar envelope. `block_rows` bounds the rows per
 /// CRC-framed block.
 pub fn encode_batch(batch: &DeltaBatch, block_rows: usize) -> Vec<u8> {
-    let mut out = cb::BATCH_MAGIC.to_vec();
     match batch {
-        DeltaBatch::Value(v) => {
-            out.push(KIND_VALUE);
-            encode_value_body(v, block_rows, &mut out);
-        }
+        DeltaBatch::Value(v) => encode_value_batch(v, block_rows),
         DeltaBatch::Op(o) => {
+            let mut out = cb::BATCH_MAGIC.to_vec();
             out.push(KIND_OP);
             encode_op_body(o, block_rows, &mut out);
+            out
         }
     }
+}
+
+/// [`encode_batch`] of `DeltaBatch::Value(v)`, byte for byte, from a
+/// borrowed delta: the ship path encodes staged deltas without cloning them.
+pub fn encode_value_batch(v: &ValueDelta, block_rows: usize) -> Vec<u8> {
+    let mut out = cb::BATCH_MAGIC.to_vec();
+    out.push(KIND_VALUE);
+    encode_value_body(v, block_rows, &mut out);
     out
 }
 
@@ -282,9 +288,11 @@ mod tests {
 
     #[test]
     fn value_delta_round_trips_columnar() {
-        let batch = DeltaBatch::Value(uniform_delta(1000));
+        let vd = uniform_delta(1000);
+        let batch = DeltaBatch::Value(vd.clone());
         let bytes = encode_batch(&batch, 256);
         assert!(bytes.starts_with(&cb::BATCH_MAGIC));
+        assert_eq!(encode_value_batch(&vd, 256), bytes, "borrowed encoder");
         assert_eq!(decode_batch(&bytes).unwrap(), batch);
     }
 

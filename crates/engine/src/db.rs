@@ -60,18 +60,16 @@ pub struct DbOptions {
     pub archive_mode: bool,
     /// Lock wait budget before a timeout error (deadlock resolution).
     pub lock_timeout: Duration,
-    /// Use an index only when the estimated matching fraction is below this
-    /// (reproduces §3.1.1's optimizer remark). 1.0 = always use the index.
-    pub index_scan_threshold: f64,
     /// Product/version tag stamped into Export dumps and enforced by Import.
     pub product: ProductTag,
     /// Armed fault-injection plan threaded into every disk file and the WAL
     /// writer (deterministic torture testing). `None` in production.
     pub faults: Option<Arc<FaultInjector>>,
     /// Armed disk-space budget (byte countdown + per-path quotas) threaded
-    /// into every disk file, the WAL writer, checkpoint archive compression
-    /// and snapshot dumps. Exhaustion surfaces as a typed
-    /// `StorageError::DiskFull` that leaves on-disk state recoverable.
+    /// into every disk file, the WAL writer and snapshot dumps; a checkpoint
+    /// archives segments by rename, which needs no space. Exhaustion
+    /// surfaces as a typed `StorageError::DiskFull` that leaves on-disk state
+    /// recoverable.
     /// `None` means unlimited.
     pub disk_budget: Option<Arc<DiskBudget>>,
     /// The one codec there is; nothing reads this field. It stays only
@@ -91,7 +89,6 @@ impl DbOptions {
             wal_segment_bytes: 1 << 20,
             archive_mode: false,
             lock_timeout: Duration::from_secs(5),
-            index_scan_threshold: 0.2,
             product: ProductTag::new("cotsdb", 1),
             faults: None,
             disk_budget: None,
@@ -897,12 +894,6 @@ impl Database {
         self.wal.append_batch(&[LogRecord::Checkpoint])?;
         self.wal.switch_segment()?;
         let recycled = self.wal.recycle_closed_segments()?;
-        // Archived segments are the input to log shipping; compress them off
-        // the append path so shipping moves fewer bytes. Idempotent: a
-        // segment is archived raw and compressed by the next checkpoint.
-        if self.opts.archive_mode {
-            self.wal.compress_archived_segments()?;
-        }
         // Recycling may leave part of the LSN history visible only in the
         // archive; persist the high-water mark so a reopen that cannot read
         // the archive (shipped, quarantined, deleted) never re-issues LSNs.

@@ -281,11 +281,14 @@ pub fn choose_access_path(db: &Database, meta: &TableMeta, predicate: Option<&Ex
     }
 }
 
+/// Use an index only when the estimated matching fraction is at most this
+/// (reproduces §3.1.1's optimizer remark).
+pub const INDEX_SCAN_THRESHOLD: f64 = 0.2;
+
 fn plan_access(db: &Database, meta: &TableMeta, predicate: Option<&Expr>) -> Plan {
     let Some(pred) = predicate else {
         return Plan::SeqScan;
     };
-    let threshold = db.options().index_scan_threshold;
     for index in db.indexes().for_table(&meta.name).iter() {
         let Some((lo, hi)) = bounds_for(pred, &index.def.column) else {
             continue;
@@ -295,13 +298,13 @@ fn plan_access(db: &Database, meta: &TableMeta, predicate: Option<&Expr>) -> Pla
         }
         let total = index.len().max(1);
         // A range that will be refused costs no more to estimate than one
-        // that is accepted: any count past `threshold × total` is refused
-        // whatever its size. The `+ 1` keeps the comparison below exact when
+        // that is accepted: any count past `INDEX_SCAN_THRESHOLD × total` is
+        // refused whatever its size. The `+ 1` keeps the comparison below exact when
         // the product lands a rounding error under a whole number.
-        let limit = ((threshold * total as f64) as usize).saturating_add(1);
+        let limit = ((INDEX_SCAN_THRESHOLD * total as f64) as usize).saturating_add(1);
         let matched = index.count_range(as_ref_bound(&lo), as_ref_bound(&hi), limit);
         let estimated_fraction = matched as f64 / total as f64;
-        if estimated_fraction <= threshold {
+        if estimated_fraction <= INDEX_SCAN_THRESHOLD {
             return Plan::IndexRange {
                 index: index.clone(),
                 lo,

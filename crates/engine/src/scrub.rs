@@ -3,8 +3,9 @@
 //! Drives the storage scrubber (`delta_storage::scrub`) across everything a
 //! [`Database`] keeps on disk: every table heap (page CRC + structural
 //! check, after flushing dirty pages so the disk images are current) and
-//! every archived WAL segment (re-read end to end through the segment
-//! decoder, which verifies the CRC-framed compressed form too).
+//! every archived WAL segment (re-read end to end by the segment decoder,
+//! which checks every entry's checksum and, because an archived segment
+//! closed after a whole commit group, takes an undecodable tail as damage).
 //!
 //! Corrupt units are quarantined without destroying evidence: heap pages go
 //! into the heap's `.quarantine` sidecar; unreadable archived segments are

@@ -38,7 +38,6 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use parking_lot::{Condvar, Mutex};
 
-use delta_storage::colbatch;
 use delta_storage::fault::{FaultAction, FaultInjector};
 use delta_storage::pressure::{Admission, DiskBudget};
 use delta_storage::{invariant, IoOp, Row, StorageError, StorageResult};
@@ -501,9 +500,10 @@ pub struct LogManager {
     /// Armed fault plan shared with the database's disk files; group writes
     /// and syncs consult it (deterministic torture testing).
     faults: Option<Arc<FaultInjector>>,
-    /// Armed disk budget: group writes, archive compression and the LSN
-    /// hint ask it for space first. Exhaustion mid-group acts like a torn
-    /// write (typed error, tail truncated at reopen).
+    /// Armed disk budget: group writes and the LSN hint ask it for space
+    /// first; deleting a recycled segment credits its bytes back (archiving
+    /// one is a rename and costs nothing). Exhaustion mid-group acts like a
+    /// torn write (typed error, tail truncated at reopen).
     budget: Option<Arc<DiskBudget>>,
     /// First LSN of every segment read so far (see [`stream_committed`]).
     first_lsns: SegmentFirsts,
@@ -579,12 +579,13 @@ impl LogManager {
         // to quarantine, not a reason to refuse to boot.
         let first_lsns = SegmentFirsts::default();
         let skip = |_: &[(Lsn, LogRecord)]| Ok(());
-        let resident_high = stream_committed(&first_lsns, &segments, 1, Lsn::MAX, skip)?;
+        let resident_high = stream_committed(&first_lsns, &segments, 0, 1, Lsn::MAX, skip)?;
         let archived_high = list_segment_files(&archive_dir)?
             .iter()
             .rev()
             .find_map(|p| {
-                stream_committed(&first_lsns, std::slice::from_ref(p), 1, Lsn::MAX, skip).ok()
+                let one = std::slice::from_ref(p);
+                stream_committed(&first_lsns, one, 1, 1, Lsn::MAX, skip).ok()
             })
             .unwrap_or(0);
         let next_lsn = (resident_high.max(archived_high) + 1).max(hint);
@@ -1022,63 +1023,6 @@ impl LogManager {
         list_segment_files(&self.archive_dir)
     }
 
-    /// Compress archived segments in place (LZ blocks behind
-    /// [`colbatch::SEG_MAGIC`], each with its own CRC — see
-    /// [`colbatch::compress_segment`]). Already-compressed segments are
-    /// skipped, so the pass is idempotent; each file is rewritten atomically
-    /// via write-then-rename, keeping its `.wal` name so every existing
-    /// reader and the quarantine path see the same paths. Returns the number
-    /// of segments compressed.
-    ///
-    /// Archived segments are immutable once renamed into the archive, so no
-    /// writer lock is needed; [`read_segment`] sniffs the magic and
-    /// decompresses transparently, surfacing per-block CRC failures as typed
-    /// corruption for the extractor's quarantine path.
-    pub fn compress_archived_segments(&self) -> EngineResult<usize> {
-        let mut n = 0usize;
-        for p in self.archived_segments()? {
-            // The magic alone decides; only a raw segment is read whole.
-            let mut file = File::open(&p)?;
-            let mut bytes = Vec::new();
-            (&mut file)
-                .take(colbatch::SEG_MAGIC.len() as u64)
-                .read_to_end(&mut bytes)?;
-            if colbatch::is_compressed_segment(&bytes) {
-                continue;
-            }
-            file.read_to_end(&mut bytes)?;
-            let compressed = colbatch::compress_segment(&bytes);
-            let tmp = p.with_extension("wal.tmp");
-            if let Some(budget) = &self.budget {
-                // All-or-nothing: the compressed copy coexists with the
-                // original until the rename, so it needs its own space.
-                budget.admit_full(&tmp, compressed.len() as u64)?;
-            }
-            let write_tmp = || -> EngineResult<()> {
-                let mut f = File::create(&tmp)?;
-                f.write_all(&compressed)?;
-                f.sync_all()?;
-                Ok(())
-            };
-            if let Err(e) = write_tmp() {
-                // Never leave a half-written temp behind; credit the space
-                // back since the bytes were not kept.
-                let _ = fs::remove_file(&tmp);
-                if let Some(budget) = &self.budget {
-                    budget.credit(&tmp, compressed.len() as u64);
-                }
-                return Err(e);
-            }
-            fs::rename(&tmp, &p)?;
-            if let Some(budget) = &self.budget {
-                // The uncompressed original is gone; its bytes are free again.
-                budget.credit(&p, bytes.len() as u64);
-            }
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Paths of resident (non-archived) segments, oldest first, including the
     /// active one.
     pub fn resident_segments(&self) -> EngineResult<Vec<PathBuf>> {
@@ -1106,17 +1050,18 @@ impl LogManager {
         if from_lsn > end {
             return Ok(0);
         }
-        let segments = {
+        let (segments, archived) = {
             // lint: allow(lock_hygiene) -- both directories are listed under
             // the writer lock so a checkpoint cannot move a segment from one
             // to the other between the two listings (it would be in neither).
             let mut inner = self.inner.lock();
             inner.writer.out.flush()?;
             let mut all = list_segment_files(&self.archive_dir)?;
+            let archived = all.len();
             all.extend(list_segment_files(&self.wal_dir)?);
-            all
+            (all, archived)
         };
-        stream_committed(&self.first_lsns, &segments, from_lsn, end, visit)
+        stream_committed(&self.first_lsns, &segments, archived, from_lsn, end, visit)
     }
 
     /// [`read_committed`](LogManager::read_committed) collected: the records
@@ -1144,7 +1089,7 @@ impl LogManager {
         let archived = self.archived_segments()?;
         let mut quarantined = Vec::new();
         for p in &archived {
-            if read_segment(p).is_err() {
+            if read_segment_file(p, true).is_err() {
                 let aside = p.with_extension("wal.corrupt");
                 fs::rename(p, &aside)?;
                 quarantined.push(aside);
@@ -1155,14 +1100,15 @@ impl LogManager {
 }
 
 /// First LSN per segment file name, filled as segments are read. A segment
-/// keeps its name and its first record for life (archiving renames the
-/// directory, compression rewrites in place), so an entry never goes stale;
-/// entries for files since removed are simply never looked up.
+/// keeps its name and its bytes for life (archiving only moves it to another
+/// directory), so an entry never goes stale; entries for files since removed
+/// are simply never looked up.
 type SegmentFirsts = Mutex<HashMap<OsString, Lsn>>;
 
-/// The body of the one reader: stream `segments` (oldest first) and hand
-/// `visit` every committed unit with records in `from_lsn..=end_lsn`; returns
-/// the highest LSN read in that range.
+/// The body of the one reader: stream `segments` (oldest first, the first
+/// `archived` of them from the archive) and hand `visit` every committed
+/// unit with records in `from_lsn..=end_lsn`; returns the highest LSN read
+/// in that range.
 ///
 /// Reading starts at the newest segment known to begin at or below
 /// `from_lsn` — every segment listed before it is older still and is never
@@ -1172,6 +1118,7 @@ type SegmentFirsts = Mutex<HashMap<OsString, Lsn>>;
 fn stream_committed(
     first_lsns: &SegmentFirsts,
     segments: &[PathBuf],
+    archived: usize,
     from_lsn: Lsn,
     end_lsn: Lsn,
     mut visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
@@ -1182,12 +1129,13 @@ fn stream_committed(
             let first = p.file_name().and_then(|name| known.get(name));
             first.is_some_and(|first| *first <= from_lsn)
         })
-    };
+    }
+    .unwrap_or(0);
     let mut high = 0;
     // (segment index, last LSN) of the previous non-empty segment.
     let mut prev: Option<(u64, Lsn)> = None;
-    for path in segments.get(start.unwrap_or(0)..).unwrap_or_default() {
-        let records = read_segment(path)?;
+    for (i, path) in segments.iter().enumerate().skip(start) {
+        let records = read_segment_file(path, i < archived)?;
         let (Some((first, _)), Some((last, _)), Some(name)) =
             (records.first(), records.last(), path.file_name())
         else {
@@ -1246,14 +1194,17 @@ fn list_segment_files(dir: &Path) -> EngineResult<Vec<PathBuf>> {
 /// Corruption *before* the tail (an entry followed by valid ones) is a real
 /// integrity failure and is reported as an error.
 pub fn read_segment(path: &Path) -> EngineResult<Vec<(Lsn, LogRecord)>> {
+    read_segment_file(path, false)
+}
+
+/// The one segment decoder. An `archived` segment is read strictly: a
+/// segment is only rotated between whole commit groups, so a tail that does
+/// not decode there is damage, not a torn write, and is typed corruption
+/// (DESIGN.md §23). A resident segment keeps the torn-tail rule of
+/// [`read_segment`].
+fn read_segment_file(path: &Path, archived: bool) -> EngineResult<Vec<(Lsn, LogRecord)>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if colbatch::is_compressed_segment(&bytes) {
-        // Compressed archive segment: verify per-block CRCs and inflate. Any
-        // damaged block surfaces as typed corruption, which the resilient
-        // extractor's quarantine path handles like any other corrupt segment.
-        bytes = colbatch::decompress_segment(&bytes).map_err(EngineError::Storage)?;
-    }
     let mut buf = &bytes[..];
     let mut out = Vec::new();
     while !buf.is_empty() {
@@ -1261,9 +1212,10 @@ pub fn read_segment(path: &Path) -> EngineResult<Vec<(Lsn, LogRecord)>> {
         match decode_record(&mut buf) {
             Ok((lsn, rec)) => out.push((lsn, rec)),
             Err(e) => {
-                // Check whether anything decodable follows the bad bytes; if
-                // so this is mid-file corruption, not a torn tail.
-                if rest_contains_valid_entry(before) {
+                // An archived segment has no torn tail. In a resident one,
+                // anything decodable after the bad bytes means mid-file
+                // corruption, not a torn tail.
+                if archived || rest_contains_valid_entry(before) {
                     return Err(EngineError::Storage(e));
                 }
                 break;
@@ -1553,6 +1505,35 @@ mod tests {
         bytes[20] ^= 0xFF; // corrupt the first entry, with valid entries after
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_segment(&path).is_err());
+    }
+
+    #[test]
+    fn damaged_tail_of_an_archived_segment_is_corruption() {
+        let dir = tmp("archived-tail");
+        let wal = open(&dir, true);
+        for t in 1..=3 {
+            wal.append_batch(&txn_batch(t, 2)).unwrap();
+        }
+        wal.switch_segment().unwrap();
+        wal.recycle_closed_segments().unwrap();
+        let archived = wal.archived_segments().unwrap();
+        assert_eq!(archived.len(), 1);
+        // Flip a byte inside the segment's final entry, txn 3's `Commit`. A
+        // resident segment would read this as a torn tail and drop txn 3; an
+        // archived one closed after a whole group, so it is damage.
+        let commit = encode_record(wal.next_lsn() - 1, &LogRecord::Commit { txn: TxnId(3) });
+        let mut bytes = std::fs::read(&archived[0]).unwrap();
+        assert!(bytes.ends_with(&commit));
+        let at = bytes.len() - commit.len() / 2;
+        bytes[at] ^= 0x40;
+        std::fs::write(&archived[0], &bytes).unwrap();
+        match wal.read_committed(1, |_| Ok(())) {
+            Err(EngineError::Storage(StorageError::Corrupt(_))) => {}
+            other => panic!("expected typed corruption, got {other:?}"),
+        }
+        // The quarantine walk reads by the same rule and moves it aside.
+        let (scanned, quarantined) = wal.quarantine_corrupt_archived().unwrap();
+        assert_eq!((scanned, quarantined.len()), (1, 1));
     }
 
     #[test]

@@ -379,9 +379,7 @@ fn trigger_recursion_is_bounded() {
 #[test]
 fn secondary_index_and_access_path_heuristic() {
     let dir = temp_dir("access");
-    let mut opts = DbOptions::new(&dir);
-    opts.index_scan_threshold = 0.2;
-    let db = Database::open(opts).unwrap();
+    let db = Database::open(DbOptions::new(&dir)).unwrap();
     let mut s = db.session();
     create_parts(&mut s);
     seed_parts(&mut s, 200);
@@ -587,6 +585,29 @@ fn checkpoint_recycles_segments_unless_archiving() {
     seed_parts(&mut s, 300);
     db.checkpoint().unwrap();
     assert!(!db.wal().archived_segments().unwrap().is_empty());
+    destroy(dir);
+}
+
+#[test]
+fn archiving_never_rewrites_a_segment() {
+    let dir = temp_dir("ckpt-rename");
+    let db = Database::open(DbOptions::new(&dir).archive(true)).unwrap();
+    let mut s = db.session();
+    create_parts(&mut s);
+    seed_parts(&mut s, 20);
+    db.wal().switch_segment().unwrap();
+    let closed = db.wal().resident_segments().unwrap()[0].clone();
+    let written = std::fs::read(&closed).unwrap();
+    db.checkpoint().unwrap();
+    db.checkpoint().unwrap();
+    // The segment the log wrote is the segment the archive holds: moved by
+    // rename, never re-encoded, and nothing else lands beside it.
+    let archived = db.wal().archive_dir().join(closed.file_name().unwrap());
+    assert_eq!(std::fs::read(&archived).unwrap(), written);
+    for entry in std::fs::read_dir(db.wal().archive_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        assert_eq!(path.extension().unwrap(), "wal", "{}", path.display());
+    }
     destroy(dir);
 }
 

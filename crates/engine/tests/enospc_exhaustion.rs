@@ -149,13 +149,13 @@ proptest! {
     }
 }
 
-/// The checkpoint archive needs kilobytes, so the walk is strided (every
-/// offset congruence class is still hit across the stride) plus the exact
-/// boundaries. Unlike a plain append, a checkpoint *reclaims* space as it
-/// runs (recycled segments and compression credit bytes back), so a small
-/// budget may legitimately suffice; the invariant per offset is "typed
-/// failure or clean success — and a crash-restart recovers the committed
-/// state either way, with nothing poisoned for the retry".
+/// A checkpoint needs kilobytes, so the walk is strided (every offset
+/// congruence class is still hit across the stride) plus the exact
+/// boundaries. The page flush, the checkpoint record and the LSN hint ask
+/// the budget for space; archiving closed segments is a rename and asks for
+/// none. The invariant per offset is "typed failure or clean success — and a
+/// crash-restart recovers the committed state either way, with nothing
+/// poisoned for the retry".
 #[test]
 fn checkpoint_archive_enospc_walk_recovers() {
     static NEED: OnceLock<u64> = OnceLock::new();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use delta_engine::db::{Database, DbOptions};
-use delta_engine::exec::{choose_access_path, AccessPath};
+use delta_engine::exec::{choose_access_path, AccessPath, INDEX_SCAN_THRESHOLD};
 use delta_sql::parser::parse_expression;
 use delta_storage::Value;
 
@@ -94,7 +94,7 @@ fn refused_range_visits_no_more_than_its_limit() {
 
     // Keys are distinct, so the bounded count *is* the number of entries the
     // estimate visited: one past the limit, however long the range.
-    let limit = (db.options().index_scan_threshold * LARGE as f64) as usize + 1;
+    let limit = (INDEX_SCAN_THRESHOLD * LARGE as f64) as usize + 1;
     let visited = pk.count_range(Bound::Included(&Value::Int(0)), Bound::Unbounded, limit);
     assert_eq!(visited, limit + 1);
     let refused = parse_expression("id >= 0").unwrap();

@@ -1,5 +1,5 @@
-//! The compact delta codec: columnar row blocks, compressed snapshot files,
-//! and compressed WAL archive segments.
+//! The compact delta codec: columnar row blocks and the snapshot and
+//! delta-batch files built from them.
 //!
 //! The paper's quantitative claims are about *bytes on the wire* (§3.1.3's
 //! bandwidth-bound remote staging, §4.1's message-volume argument), so the
@@ -14,9 +14,10 @@
 //!   monotone sequences, RLE for constant runs, dictionary + RLE and
 //!   front/back coding for strings, raw tagged cells as the fallback,
 //! * streaming snapshot readers/writers ([`RowSource`]/[`RowSink`]) over
-//!   the one snapshot format, row blocks behind [`SNAP_MAGIC`],
-//! * a dependency-free LZ77-style byte compressor used for WAL archive
-//!   segments, framed per block so corruption is detected per-CRC.
+//!   the one snapshot format, row blocks behind [`SNAP_MAGIC`].
+//!
+//! WAL segments are not encoded here: a segment is archived by rename and
+//! read as the log wrote it (DESIGN.md §23).
 //!
 //! Each artifact has one format (DESIGN.md §12). Every magic starts with a
 //! `0xFF` lead byte, which can never appear in UTF-8 text, and a reader
@@ -41,8 +42,7 @@ use crate::value::Value;
 /// benchmark PR removes it with those names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaCodec {
-    /// Columnar CRC-framed blocks (snapshots, batches) and LZ-compressed
-    /// segments (WAL archive).
+    /// Columnar CRC-framed blocks (snapshots and delta batches).
     #[default]
     Columnar,
 }
@@ -53,14 +53,10 @@ pub const FORMAT_VERSION: u8 = 1;
 pub const SNAP_MAGIC: [u8; 4] = [0xFF, b'C', b'S', FORMAT_VERSION];
 /// Magic prefix of a columnar delta-batch envelope.
 pub const BATCH_MAGIC: [u8; 4] = [0xFF, b'C', b'B', FORMAT_VERSION];
-/// Magic prefix of a compressed WAL archive segment.
-pub const SEG_MAGIC: [u8; 4] = [0xFF, b'C', b'W', FORMAT_VERSION];
 /// Default rows per columnar block (snapshots and batches).
 pub const DEFAULT_BLOCK_ROWS: usize = 1024;
-/// Uncompressed bytes per compressed-segment block.
-pub const SEG_BLOCK_BYTES: usize = 256 * 1024;
-/// Sanity bound on any single decoded allocation (segments are ~1 MiB,
-/// snapshot blocks a few hundred KiB); a corrupt length claiming more than
+/// Sanity bound on any single decoded allocation (snapshot and batch blocks
+/// are a few hundred KiB); a corrupt length claiming more than
 /// this is rejected before allocating.
 const MAX_DECODED_LEN: usize = 64 * 1024 * 1024;
 
@@ -845,137 +841,6 @@ impl RowSink {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LZ77-style byte compressor (for WAL archive segments).
-// ---------------------------------------------------------------------------
-
-const LZ_MIN_MATCH: usize = 4;
-const LZ_MAX_MATCH: usize = 0xFFFF;
-const LZ_WINDOW: usize = 0xFFFF;
-const LZ_HASH_BITS: u32 = 16;
-
-fn lz_hash(b: &[u8]) -> usize {
-    let v = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
-}
-
-/// Greedy LZ77 with a 64 KiB window. Token stream: repeated
-/// `(uvarint literal_len, literal bytes, uvarint match_len, [uvarint distance
-/// if match_len > 0])`; the stream simply ends after the last token.
-pub fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << LZ_HASH_BITS];
-    let mut i = 0usize;
-    let mut lit_start = 0usize;
-    while i + LZ_MIN_MATCH <= input.len() {
-        let h = lz_hash(&input[i..]);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
-            && i - cand <= LZ_WINDOW
-            && input[cand..cand + LZ_MIN_MATCH] == input[i..i + LZ_MIN_MATCH]
-        {
-            let mut len = LZ_MIN_MATCH;
-            while i + len < input.len() && input[cand + len] == input[i + len] && len < LZ_MAX_MATCH
-            {
-                len += 1;
-            }
-            put_uvarint(&mut out, (i - lit_start) as u64);
-            out.extend_from_slice(&input[lit_start..i]);
-            put_uvarint(&mut out, len as u64);
-            put_uvarint(&mut out, (i - cand) as u64);
-            i += len;
-            lit_start = i;
-        } else {
-            i += 1;
-        }
-    }
-    if lit_start < input.len() || input.is_empty() {
-        put_uvarint(&mut out, (input.len() - lit_start) as u64);
-        out.extend_from_slice(&input[lit_start..]);
-        put_uvarint(&mut out, 0);
-    }
-    out
-}
-
-/// Inverse of [`lz_compress`]; `expected_len` is the exact decompressed size
-/// (carried outside the stream) and any mismatch is corruption.
-pub fn lz_decompress(mut input: &[u8], expected_len: usize) -> StorageResult<Vec<u8>> {
-    if expected_len > MAX_DECODED_LEN {
-        return Err(corrupt("decompressed length exceeds sanity bound"));
-    }
-    let buf = &mut input;
-    let mut out: Vec<u8> = Vec::with_capacity(expected_len);
-    while !buf.is_empty() {
-        let lit = get_uvarint(buf)? as usize;
-        let lits = take(buf, lit)?;
-        out.extend_from_slice(lits);
-        let mlen = get_uvarint(buf)? as usize;
-        if mlen > 0 {
-            let dist = get_uvarint(buf)? as usize;
-            if dist == 0 || dist > out.len() {
-                return Err(corrupt("LZ match distance outside the window"));
-            }
-            if out.len() + mlen > expected_len {
-                return Err(corrupt("LZ output overruns the declared length"));
-            }
-            let start = out.len() - dist;
-            for k in 0..mlen {
-                // In-bounds by construction: start + k < out.len() before each push.
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-        if out.len() > expected_len {
-            return Err(corrupt("LZ output overruns the declared length"));
-        }
-    }
-    if out.len() != expected_len {
-        return Err(corrupt("LZ output shorter than the declared length"));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Compressed WAL archive segments.
-// ---------------------------------------------------------------------------
-
-/// Whether `bytes` carry a compressed-segment magic.
-pub fn is_compressed_segment(bytes: &[u8]) -> bool {
-    bytes.starts_with(&SEG_MAGIC)
-}
-
-/// Compress a whole WAL segment: [`SEG_MAGIC`] then CRC-framed blocks, each
-/// holding `uvarint raw_len` + the LZ stream of one ≤ [`SEG_BLOCK_BYTES`]
-/// chunk. Per-block framing means a single flipped bit is caught by exactly
-/// one CRC and reported as typed corruption.
-pub fn compress_segment(input: &[u8]) -> Vec<u8> {
-    let mut out = SEG_MAGIC.to_vec();
-    for chunk in input.chunks(SEG_BLOCK_BYTES) {
-        let mut payload = Vec::with_capacity(chunk.len() / 2 + 16);
-        put_uvarint(&mut payload, chunk.len() as u64);
-        payload.extend_from_slice(&lz_compress(chunk));
-        put_block(&mut out, &payload);
-    }
-    out
-}
-
-/// Inverse of [`compress_segment`], verifying the magic and every block CRC.
-pub fn decompress_segment(bytes: &[u8]) -> StorageResult<Vec<u8>> {
-    let mut buf = bytes;
-    let magic = take(&mut buf, 4)?;
-    if magic != SEG_MAGIC {
-        return Err(corrupt("not a compressed segment"));
-    }
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        let mut payload = get_block(&mut buf)?;
-        let raw_len = get_uvarint(&mut payload)? as usize;
-        out.extend_from_slice(&lz_decompress(payload, raw_len)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,61 +925,6 @@ mod tests {
             let r = get_block(&mut buf).and_then(decode_rows_block);
             if let Ok(back) = r {
                 assert_eq!(back, rows, "flip at bit {bit} silently changed rows");
-            }
-        }
-    }
-
-    #[test]
-    fn lz_round_trips() {
-        let mut data = Vec::new();
-        for i in 0..2000u32 {
-            data.extend_from_slice(format!("entry-{:06}-payload|", i % 37).as_bytes());
-        }
-        let z = lz_compress(&data);
-        assert!(z.len() * 2 < data.len(), "{} vs {}", z.len(), data.len());
-        assert_eq!(lz_decompress(&z, data.len()).unwrap(), data);
-        assert_eq!(
-            lz_decompress(&lz_compress(&[]), 0).unwrap(),
-            Vec::<u8>::new()
-        );
-        let incompressible: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let z2 = lz_compress(&incompressible);
-        assert_eq!(
-            lz_decompress(&z2, incompressible.len()).unwrap(),
-            incompressible
-        );
-    }
-
-    #[test]
-    fn segment_compression_round_trips_and_detects_corruption() {
-        let mut seg = Vec::new();
-        for i in 0..5000u64 {
-            seg.extend_from_slice(&(i % 97).to_be_bytes());
-            seg.extend_from_slice(b"wal-entry-body-");
-        }
-        let z = compress_segment(&seg);
-        assert!(is_compressed_segment(&z));
-        assert!(z.len() * 2 < seg.len());
-        assert_eq!(decompress_segment(&z).unwrap(), seg);
-        // Mid-frame truncation fails; a cut at an exact frame boundary is the
-        // torn-tail case (whole trailing blocks lost) and decodes short, which
-        // the WAL's existing torn-tail handling deals with above this layer.
-        for cut in [0, 3, 10, z.len() / 2, z.len() - 1] {
-            assert!(decompress_segment(&z[..cut]).is_err(), "cut {cut}");
-        }
-        assert_eq!(
-            decompress_segment(&z[..4]).unwrap(),
-            Vec::<u8>::new(),
-            "frame-boundary cut decodes as an empty tail"
-        );
-        // Every flipped bit (sampled) fails or decodes content-equal.
-        for bit in (0..z.len() * 8).step_by((z.len() * 8 / 512).max(1)) {
-            let mut bad = z.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(back) = decompress_segment(&bad) {
-                assert_eq!(back, seg, "flip at bit {bit} silently changed bytes");
             }
         }
     }

@@ -3,9 +3,9 @@
 //!
 //! A [`DiskBudget`] is a countdown of writable bytes, optionally refined by
 //! per-path quotas (substring-matched against the file path). Every durable
-//! write path — page files, the WAL group writer, checkpoint archive
-//! compression, snapshot temp files, transport spool appends — asks the
-//! budget to *admit* its bytes before touching the file:
+//! write path — page files, the WAL group writer and its LSN hint, snapshot
+//! temp files, transport spool appends — asks the budget to *admit* its
+//! bytes before touching the file:
 //!
 //! * **Granted** — the bytes fit; the budget is debited and the write
 //!   proceeds normally.

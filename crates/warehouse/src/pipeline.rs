@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use delta_core::colcodec::encode_batch;
+use delta_core::colcodec::{encode_batch, encode_value_batch};
 use delta_core::extractor::DeltaSource;
 use delta_core::logextract::{ResilientLogExtractor, StagedExtract};
 use delta_core::model::DeltaBatch;
@@ -480,7 +480,7 @@ impl Pipeline {
             .outcome
             .deltas
             .iter()
-            .map(|vd| encode_batch(&DeltaBatch::Value(vd.clone()), DEFAULT_BLOCK_ROWS))
+            .map(|vd| encode_value_batch(vd, DEFAULT_BLOCK_ROWS))
             .collect();
         if frames.is_empty() {
             return Ok(0);
@@ -1073,10 +1073,7 @@ mod tests {
         let sized = |deltas: &[delta_core::model::ValueDelta]| -> u64 {
             deltas
                 .iter()
-                .map(|vd| {
-                    encode_batch(&DeltaBatch::Value(vd.clone()), DEFAULT_BLOCK_ROWS).len() as u64
-                        + 4
-                })
+                .map(|vd| encode_value_batch(vd, DEFAULT_BLOCK_ROWS).len() as u64 + 4)
                 .sum()
         };
         let op_form = x.stage(&src).unwrap();
