@@ -13,6 +13,7 @@ use std::sync::Arc;
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::file::{FileId, PageId};
+use crate::page::SlottedPage;
 
 /// Address of a record within one heap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,22 +132,21 @@ impl HeapFile {
     /// Visit every live record as `(rid, bytes)`, page at a time, in storage
     /// order, until the callback returns `Break` or an error.
     ///
-    /// Each page's records are copied out and the callback runs with no page
-    /// latched, so it may re-enter the heap: every record live when the scan
-    /// starts is visited once, and the callback may delete or update the rid
-    /// it was handed. A record the callback inserts, or an update moves to
-    /// another page, may or may not be visited later in the same scan.
+    /// Each page is copied out whole (one allocation per page, not per
+    /// record) and the callback runs on the copy with no page latched, so it
+    /// may re-enter the heap: every record live when the scan starts is
+    /// visited once, and the callback may delete or update the rid it was
+    /// handed. A record the callback inserts, or an update moves to another
+    /// page, may or may not be visited later in the same scan.
     pub fn for_each<E: From<StorageError>>(
         &self,
         mut f: impl FnMut(RecordId, &[u8]) -> Result<ControlFlow<()>, E>,
     ) -> Result<(), E> {
         let pages = self.page_count()?;
         for page_no in 0..pages {
-            let records: Vec<(u16, Vec<u8>)> = self.pool.with_page(self.pid(page_no), |p| {
-                p.iter().map(|(s, r)| (s, r.to_vec())).collect()
-            })?;
-            for (slot, bytes) in records {
-                if f(RecordId::new(page_no, slot), &bytes)?.is_break() {
+            let page = self.pool.with_page(self.pid(page_no), SlottedPage::clone)?;
+            for (slot, bytes) in page.iter() {
+                if f(RecordId::new(page_no, slot), bytes)?.is_break() {
                     return Ok(());
                 }
             }
