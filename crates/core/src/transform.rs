@@ -18,7 +18,7 @@
 
 use delta_engine::{EngineError, EngineResult};
 use delta_sql::ast::Expr;
-use delta_sql::eval::{EvalContext, SchemaRow};
+use delta_sql::eval::CompiledExpr;
 #[cfg(test)]
 use delta_storage::Value;
 use delta_storage::{Column, DataType, Row, Schema};
@@ -146,71 +146,57 @@ impl DeltaTransform {
         Ok(Schema::new(cols)?)
     }
 
-    fn passes(&self, schema: &Schema, row: &Row, now: i64) -> EngineResult<bool> {
-        match &self.restrict {
-            None => Ok(true),
-            Some(p) => {
-                let resolver = SchemaRow { schema, row };
-                EvalContext::new(&resolver, now)
-                    .matches(p)
-                    .map_err(EngineError::Eval)
-            }
-        }
-    }
-
-    fn reshape(&self, schema: &Schema, row: &Row, now: i64) -> EngineResult<Row> {
-        if self.columns.is_empty() {
-            return Ok(row.clone());
-        }
-        let resolver = SchemaRow { schema, row };
-        let ctx = EvalContext::new(&resolver, now);
-        let mut vals = Vec::with_capacity(self.columns.len());
+    /// Bind the restriction and the output columns to `input`'s column
+    /// positions, once per batch.
+    fn bind(&self, input: &Schema) -> EngineResult<Bound> {
+        let mut columns = Vec::with_capacity(self.columns.len());
         for t in &self.columns {
-            let v = match t {
+            columns.push(match t {
                 ColumnTransform::Copy { source, .. } => {
-                    let i = schema.index_of(source).ok_or_else(|| {
+                    Output::Copy(input.index_of(source).ok_or_else(|| {
                         EngineError::Invalid(format!("unknown transform column '{source}'"))
-                    })?;
-                    row.values()[i].clone()
+                    })?)
                 }
                 ColumnTransform::Computed {
                     expr, data_type, ..
-                } => ctx
-                    .eval(expr)
-                    .map_err(EngineError::Eval)?
-                    .coerce_to(*data_type)?,
-            };
-            vals.push(v);
+                } => Output::Computed(CompiledExpr::for_schema(expr, input), *data_type),
+            });
         }
-        Ok(Row::new(vals))
+        Ok(Bound {
+            restrict: self
+                .restrict
+                .as_ref()
+                .map(|p| CompiledExpr::for_schema(p, input)),
+            columns,
+        })
     }
 
     /// Transform one extracted batch: restrict rows (with the selection-view
     /// conversion rules for update pairs) and reshape the survivors.
     pub fn apply(&self, input: &ValueDelta, now: i64) -> EngineResult<ValueDelta> {
         let out_schema = self.output_schema(&input.schema)?;
+        let bound = self.bind(&input.schema)?;
         let mut out = ValueDelta::new(input.table.clone(), out_schema);
-        let schema = &input.schema;
         let mut i = 0;
         while i < input.records.len() {
             let rec = &input.records[i];
             match rec.op {
                 DeltaOp::Insert => {
-                    if self.passes(schema, &rec.row, now)? {
+                    if bound.passes(&rec.row, now)? {
                         out.records.push(ValueDeltaRecord {
                             op: DeltaOp::Insert,
                             txn: rec.txn,
-                            row: self.reshape(schema, &rec.row, now)?,
+                            row: bound.reshape(&rec.row, now)?,
                         });
                     }
                     i += 1;
                 }
                 DeltaOp::Delete => {
-                    if self.passes(schema, &rec.row, now)? {
+                    if bound.passes(&rec.row, now)? {
                         out.records.push(ValueDeltaRecord {
                             op: DeltaOp::Delete,
                             txn: rec.txn,
-                            row: self.reshape(schema, &rec.row, now)?,
+                            row: bound.reshape(&rec.row, now)?,
                         });
                     }
                     i += 1;
@@ -224,32 +210,32 @@ impl DeltaTransform {
                             "UB record not followed by UA in transform input".into(),
                         ));
                     }
-                    let was_in = self.passes(schema, &rec.row, now)?;
-                    let is_in = self.passes(schema, &after.row, now)?;
+                    let was_in = bound.passes(&rec.row, now)?;
+                    let is_in = bound.passes(&after.row, now)?;
                     match (was_in, is_in) {
                         (true, true) => {
                             out.records.push(ValueDeltaRecord {
                                 op: DeltaOp::UpdateBefore,
                                 txn: rec.txn,
-                                row: self.reshape(schema, &rec.row, now)?,
+                                row: bound.reshape(&rec.row, now)?,
                             });
                             out.records.push(ValueDeltaRecord {
                                 op: DeltaOp::UpdateAfter,
                                 txn: after.txn,
-                                row: self.reshape(schema, &after.row, now)?,
+                                row: bound.reshape(&after.row, now)?,
                             });
                         }
                         // Left the restricted subset: a delete downstream.
                         (true, false) => out.records.push(ValueDeltaRecord {
                             op: DeltaOp::Delete,
                             txn: rec.txn,
-                            row: self.reshape(schema, &rec.row, now)?,
+                            row: bound.reshape(&rec.row, now)?,
                         }),
                         // Entered the subset: an insert downstream.
                         (false, true) => out.records.push(ValueDeltaRecord {
                             op: DeltaOp::Insert,
                             txn: after.txn,
-                            row: self.reshape(schema, &after.row, now)?,
+                            row: bound.reshape(&after.row, now)?,
                         }),
                         (false, false) => {}
                     }
@@ -263,6 +249,45 @@ impl DeltaTransform {
             }
         }
         Ok(out)
+    }
+}
+
+/// A [`DeltaTransform`] bound to one input schema.
+struct Bound {
+    restrict: Option<CompiledExpr>,
+    /// Empty: keep the input row unchanged.
+    columns: Vec<Output>,
+}
+
+/// How one output column is made from an input row.
+enum Output {
+    Copy(usize),
+    Computed(CompiledExpr, DataType),
+}
+
+impl Bound {
+    fn passes(&self, row: &Row, now: i64) -> EngineResult<bool> {
+        match &self.restrict {
+            None => Ok(true),
+            Some(p) => p.matches(row.values(), now).map_err(EngineError::Eval),
+        }
+    }
+
+    fn reshape(&self, row: &Row, now: i64) -> EngineResult<Row> {
+        if self.columns.is_empty() {
+            return Ok(row.clone());
+        }
+        let mut vals = Vec::with_capacity(self.columns.len());
+        for column in &self.columns {
+            vals.push(match column {
+                Output::Copy(i) => row.values()[*i].clone(),
+                Output::Computed(expr, data_type) => expr
+                    .eval(row.values(), now)
+                    .map_err(EngineError::Eval)?
+                    .coerce_to(*data_type)?,
+            });
+        }
+        Ok(Row::new(vals))
     }
 }
 

@@ -16,7 +16,7 @@ use delta_core::selfmaint::MirrorScope;
 use delta_engine::db::Database;
 use delta_engine::{EngineError, EngineResult, TableOptions};
 use delta_sql::ast::{BinOp, Expr, Statement};
-use delta_sql::eval::{EvalContext, SchemaRow};
+use delta_sql::eval::CompiledExpr;
 use delta_storage::{Column, Row, Schema, Value};
 
 /// Configuration of one mirror table.
@@ -221,22 +221,23 @@ impl MirrorConfig {
                 })
                 .collect()),
             Statement::Update { sets, .. } => {
+                // Each mirrored SET expression, compiled once against the
+                // source schema.
+                let sets: Vec<(&String, CompiledExpr)> = sets
+                    .iter()
+                    .filter(|(col, _)| self.covers(col))
+                    .map(|(col, e)| (col, CompiledExpr::for_schema(e, &self.source_schema)))
+                    .collect();
                 let mut out = Vec::with_capacity(before.records.len());
                 for r in &before.records {
                     // Evaluate each SET expression against the full source
                     // before-image, then write literal values keyed by pk.
-                    let resolver = SchemaRow {
-                        schema: &self.source_schema,
-                        row: &r.row,
-                    };
-                    let ctx = EvalContext::new(&resolver, now_micros);
                     let mut literal_sets = Vec::new();
-                    for (col, e) in sets {
-                        if !self.covers(col) {
-                            continue;
-                        }
-                        let v = ctx.eval(e).map_err(EngineError::Eval)?;
-                        literal_sets.push((col.clone(), Expr::Literal(v)));
+                    for (col, e) in &sets {
+                        let v = e
+                            .eval(r.row.values(), now_micros)
+                            .map_err(EngineError::Eval)?;
+                        literal_sets.push(((*col).clone(), Expr::Literal(v)));
                     }
                     if literal_sets.is_empty() {
                         continue;

@@ -40,7 +40,7 @@ use delta_engine::lock::LockMode;
 use delta_engine::txn::Transaction;
 use delta_engine::{EngineError, EngineResult, TableMeta, TableOptions};
 use delta_sql::ast::{AggFunc, Expr};
-use delta_sql::eval::{EvalContext, RowResolver};
+use delta_sql::eval::CompiledExpr;
 use delta_sql::parser::parse_statement;
 use delta_storage::{Column, DataType, RecordId, Row, Schema, Value};
 
@@ -204,8 +204,8 @@ type Located = BTreeMap<Vec<IndexKey>, Vec<(RecordId, Row)>>;
 /// borrowed from the image when the view has one input.
 type Delta<'r> = (i64, Cow<'r, [Value]>);
 
-/// A selection and the combined-row position of each column it names.
-type Selection = (Expr, Vec<(String, usize)>);
+/// A selection as defined, and compiled to combined-row positions.
+type Selection = (Expr, CompiledExpr);
 
 /// What a delta row that passed the selection does to the view table.
 enum Sink {
@@ -264,19 +264,6 @@ pub struct View {
     sink: Sink,
 }
 
-/// Resolver over a combined row for a selection compiled by [`View`].
-struct Resolved<'a> {
-    columns: &'a [(String, usize)],
-    values: &'a [Value],
-}
-
-impl RowResolver for Resolved<'_> {
-    fn resolve(&self, name: &str) -> Option<Value> {
-        let (_, pos) = self.columns.iter().find(|(n, _)| n == name)?;
-        self.values.get(*pos).cloned()
-    }
-}
-
 impl View {
     /// Validate a definition against the mirror schemas, compile its plan
     /// and create the backing table if the database does not hold it yet
@@ -332,19 +319,24 @@ impl View {
         Ok((inputs, names))
     }
 
-    /// Resolve the columns `selection` names to combined-row positions.
+    /// Compile `selection` to combined-row positions; every column it names
+    /// must be one of `names`.
     fn resolve(selection: Option<Expr>, names: &[String]) -> EngineResult<Option<Selection>> {
         let Some(sel) = selection else {
             return Ok(None);
         };
-        let mut columns = Vec::new();
-        for col in sel.referenced_columns() {
-            let pos = names.iter().position(|n| n == col).ok_or_else(|| {
-                EngineError::Invalid(format!("selection references unknown column '{col}'"))
-            })?;
-            columns.push((col.to_string(), pos));
+        let position = |col: &str| names.iter().position(|n| n == col);
+        if let Some(col) = sel
+            .referenced_columns()
+            .into_iter()
+            .find(|c| position(c).is_none())
+        {
+            return Err(EngineError::Invalid(format!(
+                "selection references unknown column '{col}'"
+            )));
         }
-        Ok(Some((sel, columns)))
+        let compiled = CompiledExpr::compile(&sel, position);
+        Ok(Some((sel, compiled)))
     }
 
     fn plan_spj(db: &Database, def: SpjView) -> EngineResult<(View, Vec<Column>)> {
@@ -499,12 +491,10 @@ impl View {
     }
 
     fn passes(&self, clock: i64, values: &[Value]) -> EngineResult<bool> {
-        let Some((sel, columns)) = &self.selection else {
+        let Some((_, sel)) = &self.selection else {
             return Ok(true);
         };
-        EvalContext::new(&Resolved { columns, values }, clock)
-            .matches(sel)
-            .map_err(EngineError::Eval)
+        sel.matches(values, clock).map_err(EngineError::Eval)
     }
 
     /// Scan each input the plan seeded at `seed` brings in, once, and index
