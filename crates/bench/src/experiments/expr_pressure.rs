@@ -6,7 +6,7 @@
 //! The fixed budget is a *pool*: draining a cycle and compacting the spool
 //! prefix credits the bytes back, so a budget a little larger than one
 //! round sustains indefinitely via compaction alone. Tighter budgets force
-//! the ladder's next rungs — coalesced snapshot-diff rounds, then deferral
+//! the ladder's next rungs — coalesced (netted) rounds, then deferral
 //! with a recorded pressure lift. The strict gate: **every** budget level,
 //! including the one that can never fit a round, ends byte-equal with the
 //! source — pressure degrades throughput and delta form, never data.
@@ -71,8 +71,7 @@ fn run_level(b: &SourceBuilder, scale: &Scale, idx: usize, cap: Option<u64>) -> 
         ))
         .expect("create");
     let mut x =
-        ResilientLogExtractor::new(b.path(&format!("baselines-{idx}")), &[TABLE]).expect("extract");
-    x.prime(&src).expect("prime");
+        ResilientLogExtractor::new(b.path(&format!("extractor-{idx}")), &[TABLE]).expect("extract");
 
     let wh_db = b.db(false).expect("warehouse db");
     let mut wh = Warehouse::new(wh_db);

@@ -9,9 +9,10 @@
 //!    leaked, never shut down) and re-opens cleanly, exercising WAL redo
 //!    recovery;
 //! 3. occasionally checkpoints (archiving redo segments), corrupts an
-//!    archived segment (forcing [`ResilientLogExtractor`] to degrade to
-//!    snapshot diffing), or crash-restarts the *warehouse* database;
-//! 4. extracts committed deltas, ships them through the persistent queue
+//!    archived segment (the [`ResilientLogExtractor`] quarantines it and
+//!    owes an audit), or crash-restarts the *warehouse* database;
+//! 4. extracts committed deltas — settling an owed audit with
+//!    [`audit_and_repair`] first — ships them through the persistent queue
 //!    under a lossy [`NetFaultPlan`] (loss, duplication, reordering, lost
 //!    acks) with bounded retry, and drains the pipeline;
 //! 5. asserts **convergence**: the warehouse mirror is byte-identical to
@@ -33,7 +34,7 @@ use delta_core::logextract::ResilientLogExtractor;
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
 use delta_engine::wal::{read_segment, Lsn};
-use delta_engine::EngineResult;
+use delta_engine::{EngineError, EngineResult};
 use delta_storage::fault::{splitmix64, FaultInjector, FaultPlan};
 use delta_storage::{DiskBudget, Row, Value};
 use delta_transport::NetFaultPlan;
@@ -101,8 +102,9 @@ pub struct TortureStats {
     pub checkpoints: u64,
     /// Archived segments deliberately corrupted.
     pub segment_corruptions: u64,
-    /// Extractions that degraded to snapshot diffing.
-    pub degraded_extracts: u64,
+    /// Audits the extractor owed after quarantining a damaged archived
+    /// segment, each run and settled before extraction resumed.
+    pub audits_owed: u64,
     /// Delta batches published into the shipping queue.
     pub published: u64,
     /// `Pipeline::sync` calls needed to drain everything.
@@ -127,7 +129,7 @@ pub struct TortureStats {
     pub acks_dropped: u64,
     /// Enqueues denied by the queue's disk budget (`--pressure` mode).
     pub backpressure: u64,
-    /// Ship rounds that degraded to the coalesced snapshot-diff form.
+    /// Ship rounds that degraded to the coalesced (netted) form.
     pub ship_degradations: u64,
     /// Spool compactions attempted (ship ladder + post-drain reclaim).
     pub ship_compactions: u64,
@@ -144,7 +146,7 @@ impl TortureStats {
     pub fn summary(&self) -> String {
         format!(
             "cycles {} | txns ok {} faulted {} | source crashes {} | warehouse crashes {} | \
-             checkpoints {} | segments corrupted {} | degraded extracts {} | \
+             checkpoints {} | segments corrupted {} | audits owed {} | \
              published {} | syncs {} | applied {} | deduped {} | retries {}",
             self.cycles,
             self.txns_ok,
@@ -153,7 +155,7 @@ impl TortureStats {
             self.warehouse_crashes,
             self.checkpoints,
             self.segment_corruptions,
-            self.degraded_extracts,
+            self.audits_owed,
             self.published,
             self.syncs,
             self.applied_batches,
@@ -521,9 +523,16 @@ impl Driver {
         budget.set_global(Some(bytes));
         let mut lifted = false;
         loop {
-            let round = pipe
-                .ship(db, extractor)
-                .map_err(|e| self.fail(cycle, format!("ship: {e}")))?;
+            let round = match pipe.ship(db, extractor) {
+                Err(EngineError::AuditOwed { .. }) => {
+                    // The repair ships through the same queue: let it fit.
+                    budget.set_global(None);
+                    self.settle_owed_audit(db, wh, pipe, extractor, cycle)?;
+                    budget.set_global(Some(bytes));
+                    continue;
+                }
+                round => round.map_err(|e| self.fail(cycle, format!("ship: {e}")))?,
+            };
             if std::env::var_os("TORTURE_DEBUG").is_some() {
                 eprintln!(
                     "cycle {cycle}: budget {bytes} (rem {:?}) | ship pub {} bp {} deg {} cmp {} \
@@ -574,12 +583,35 @@ impl Driver {
         }
     }
 
+    /// Settle the audit the extractor owes once it quarantined a damaged
+    /// archived segment: converge the mirror with one audit pass over the
+    /// tracked table (nothing writes to the source meanwhile), then move the
+    /// extractor's watermark to the log head.
+    fn settle_owed_audit(
+        &mut self,
+        db: &Database,
+        wh: &Warehouse,
+        pipe: &Pipeline,
+        extractor: &mut ResilientLogExtractor,
+        cycle: u64,
+    ) -> Result<(), String> {
+        let report = audit_and_repair(db, pipe, wh, &[TABLE], &AuditConfig::default())
+            .map_err(|e| self.fail(cycle, format!("owed audit: {e}")))?;
+        if !report.converged() {
+            return Err(self.fail(cycle, format!("owed audit did not converge: {report:?}")));
+        }
+        extractor.audited(db);
+        self.stats.audits_owed += 1;
+        self.stats.repair_records += report.repair_records();
+        self.stats.syncs += report.drain_syncs;
+        Ok(())
+    }
+
     fn run(&mut self) -> Result<TortureStats, String> {
         let mut rng = self.cfg.seed;
 
-        // Create the source table and prime the extractor's baselines on the
-        // empty table — the watermark starts at 0, so the baselines must
-        // describe "nothing shipped yet".
+        // Create the source table; the extractor's watermark starts at 0,
+        // so its first round ships the table from the log.
         let db = Database::open(source_opts(&self.src_dir, None))
             .map_err(|e| self.fail(0, format!("initial source open: {e}")))?;
         db.session()
@@ -587,11 +619,8 @@ impl Driver {
                 "CREATE TABLE {TABLE} (id INT PRIMARY KEY, grp INT, val INT, filler VARCHAR)"
             ))
             .map_err(|e| self.fail(0, format!("create table: {e}")))?;
-        let mut extractor = ResilientLogExtractor::new(self.root.join("baselines"), &[TABLE])
+        let mut extractor = ResilientLogExtractor::new(self.root.join("extractor"), &[TABLE])
             .map_err(|e| self.fail(0, format!("extractor: {e}")))?;
-        extractor
-            .prime(&db)
-            .map_err(|e| self.fail(0, format!("prime: {e}")))?;
         drop(db);
 
         let mut wh = open_warehouse(&self.wh_dir)
@@ -633,8 +662,8 @@ impl Driver {
                 self.stats.warehouse_crashes += 1;
             }
 
-            // 4: extract (degrading to snapshot diff if the archive is
-            // damaged) and ship through a lossy link with bounded retry.
+            // 4: extract (after an owed audit if the archive is damaged)
+            // and ship through a lossy link with bounded retry.
             let mut pipe = Pipeline::open(&self.queue_path)
                 .and_then(|p| p.with_retry(RetryPolicy::quick(4)))
                 .map_err(|e| self.fail(cycle, format!("pipeline open: {e}")))?
@@ -661,13 +690,18 @@ impl Driver {
                 self.pressured_ship(&db, &wh, &pipe, &mut extractor, cycle, chaos)?;
             } else {
                 let wm_before = extractor.watermark();
-                let extract = extractor
-                    .extract(&db)
-                    .map_err(|e| self.fail(cycle, format!("extract: {e}")))?;
+                let extract = match extractor.extract(&db) {
+                    Err(EngineError::AuditOwed { .. }) => {
+                        self.settle_owed_audit(&db, &wh, &pipe, &mut extractor, cycle)?;
+                        extractor.extract(&db)
+                    }
+                    extract => extract,
+                }
+                .map_err(|e| self.fail(cycle, format!("extract: {e}")))?;
                 if std::env::var_os("TORTURE_DEBUG").is_some() {
                     eprintln!(
                         "cycle {cycle}: chaos%3={} %5={} %4={} | wm {wm_before} -> {} (next_lsn {}) | \
-                         {} delta(s) with {:?} records | degraded {:?}",
+                         {} delta(s) with {:?} records",
                         chaos % 3,
                         chaos % 5,
                         chaos % 4,
@@ -679,11 +713,7 @@ impl Driver {
                             .iter()
                             .map(|d| d.records.len())
                             .collect::<Vec<_>>(),
-                        extract.degraded,
                     );
-                }
-                if !extract.degraded.is_empty() {
-                    self.stats.degraded_extracts += 1;
                 }
                 for vd in extract.deltas {
                     pipe.publish(&DeltaBatch::Value(vd))

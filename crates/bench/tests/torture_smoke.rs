@@ -25,10 +25,10 @@ fn twenty_seeded_cycles_converge() {
         stats.summary()
     );
     // This seed damages an archived segment the extractor still has to
-    // read: the round must have gone quarantine → snapshot diff.
+    // read: the round must have gone quarantine → audit owed → audit.
     assert!(
-        stats.segment_corruptions > 0 && stats.degraded_extracts > 0,
-        "no extraction ever degraded: {}",
+        stats.segment_corruptions > 0 && stats.audits_owed > 0,
+        "no extraction ever owed an audit: {}",
         stats.summary()
     );
 }

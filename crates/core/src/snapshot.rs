@@ -156,11 +156,11 @@ pub fn diff_snapshots_parallel(
     }
 }
 
-fn key_of(row: &Row, key_cols: &[usize]) -> Vec<Value> {
+pub(crate) fn key_of(row: &Row, key_cols: &[usize]) -> Vec<Value> {
     key_cols.iter().map(|&i| row.values()[i].clone()).collect()
 }
 
-fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
+pub(crate) fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
     for (x, y) in a.iter().zip(b) {
         let o = x.total_cmp(y);
         if o != Ordering::Equal {

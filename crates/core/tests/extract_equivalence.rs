@@ -2,14 +2,16 @@
 //!
 //! A seeded loop runs random INSERT / UPDATE / DELETE transactions (some
 //! rolled back) against two small tracked tables and ends each round on one
-//! of the extractor's rungs: stage → commit, stage → abort, stage_coalesced
+//! of the extractor's rungs: stage → commit, stage → drop, stage_coalesced
 //! → commit, a flipped byte in an archived segment the next round must read
-//! (quarantine → diff), or a drop and re-create of a tracked table. After
-//! every committed round the concatenated extracted stream, replayed onto a
-//! model, must equal the source tables, and the extractor's baseline at the
-//! watermark (baseline file ⊕ journal) must equal a snapshot of the
-//! quiescent table. The tables stay small, so the journal outgrows its
-//! baseline file and gets folded many times per seed.
+//! (quarantine → audit owed), or a drop and re-create of a tracked table.
+//! After every committed round the concatenated extracted stream, replayed
+//! onto a model of the warehouse, must equal the source tables. A coalesced
+//! round must equal, record for record, the paper's snapshot differential
+//! (§3.1.2, `diff_snapshots`) of quiescent snapshots taken at its two
+//! watermarks. A quarantine must fail every round with the typed audit-owed
+//! error until the model is audited (set to the source) and the extractor
+//! told so. The extractor must never create a file.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -17,10 +19,10 @@ use std::sync::Arc;
 
 use delta_core::logextract::ResilientLogExtractor;
 use delta_core::model::{DeltaOp, ValueDelta};
-use delta_core::snapshot::take_snapshot;
+use delta_core::snapshot::{diff_snapshots, take_snapshot, DiffAlgorithm};
 use delta_engine::db::{Database, DbOptions};
 use delta_engine::wal::read_segment;
-use delta_storage::colbatch::RowSource;
+use delta_engine::EngineError;
 use delta_storage::Row;
 
 const TABLES: [&str; 2] = ["a", "b"];
@@ -75,14 +77,45 @@ fn replay(model: &mut Model, deltas: &[ValueDelta]) {
     }
 }
 
-fn sorted_rows(path: &Path) -> Vec<Vec<u8>> {
-    let mut src = RowSource::open(path).unwrap();
-    let mut rows = Vec::new();
-    while let Some(row) = src.next_row().unwrap() {
-        rows.push(row.to_bytes());
-    }
-    rows.sort();
+/// The rows of `table`, in key order.
+fn table_rows(db: &Database, table: &str) -> Vec<Row> {
+    let mut rows: Vec<Row> = db
+        .scan_table(table)
+        .unwrap()
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
+    rows.sort_by_key(key);
     rows
+}
+
+/// Snapshot every tracked table, quiescent, into `dir/<table>.<tag>`.
+fn snapshot_all(db: &Database, dir: &Path, tag: &str) {
+    for t in TABLES {
+        take_snapshot(db, t, dir.join(format!("{t}.{tag}"))).unwrap();
+    }
+}
+
+/// The snapshot differential of each tracked table from `dir/<t>.old` to
+/// `dir/<t>.new`, per table; tables that did not change are left out.
+fn snapshot_deltas(db: &Database, dir: &Path) -> Vec<ValueDelta> {
+    let mut out = Vec::new();
+    for t in TABLES {
+        let schema = db.table(t).unwrap().schema.clone();
+        let (vd, _) = diff_snapshots(
+            t,
+            &schema,
+            &schema.primary_key_indices(),
+            dir.join(format!("{t}.old")),
+            dir.join(format!("{t}.new")),
+            DiffAlgorithm::SortMerge { run_size: 1024 },
+        )
+        .unwrap();
+        if !vd.is_empty() {
+            out.push(vd);
+        }
+    }
+    out
 }
 
 /// One random transaction on `table`: 1–4 keyed statements over a small key
@@ -137,8 +170,9 @@ fn corrupt_unread_segment(db: &Database, watermark: u64) -> bool {
 }
 
 struct Run {
-    folds: usize,
     quarantines: usize,
+    /// Coalesced rounds compared against a non-empty snapshot differential.
+    compared: usize,
     rungs: [usize; 5],
 }
 
@@ -149,15 +183,19 @@ fn run(seed: u64) -> Run {
     for t in TABLES {
         create(&db, t);
     }
-    let baselines = dir.join("baselines");
-    let mut x = ResilientLogExtractor::new(&baselines, &TABLES).unwrap();
+    let snaps = dir.join("snaps");
+    std::fs::create_dir_all(&snaps).unwrap();
+    let unused = dir.join("extractor");
+    let mut x = ResilientLogExtractor::new(&unused, &TABLES).unwrap();
     x.prime(&db).unwrap();
+    // The tables at the watermark.
+    snapshot_all(&db, &snaps, "old");
     let mut present: BTreeMap<&str, BTreeSet<i64>> =
         TABLES.iter().map(|t| (*t, BTreeSet::new())).collect();
     let mut model = Model::new();
     let mut out = Run {
-        folds: 0,
         quarantines: 0,
+        compared: 0,
         rungs: [0; 5],
     };
 
@@ -171,39 +209,67 @@ fn run(seed: u64) -> Run {
         }
         let rung = (splitmix64(&mut rng) % 5) as usize;
         out.rungs[rung] += 1;
-        let files_before: Vec<_> = TABLES
-            .iter()
-            .map(|t| std::fs::read(baselines.join(format!("{t}.baseline"))).unwrap())
-            .collect();
-        let log_round = match rung {
+        match rung {
             0 => {
                 let staged = x.stage(&db).unwrap();
-                let log_round = !staged.coalesced;
+                assert!(!staged.coalesced);
                 replay(&mut model, &x.commit(staged).unwrap().deltas);
-                log_round
             }
             1 => {
                 // The publish "failed": nothing moves, the next committed
                 // round carries these changes.
-                let staged = x.stage(&db).unwrap();
-                x.abort(staged);
+                drop(x.stage(&db).unwrap());
+                assert!(!unused.exists(), "seed {seed} round {round}");
                 continue;
             }
             2 => {
                 let staged = x.stage_coalesced(&db).unwrap();
                 assert!(staged.coalesced);
+                snapshot_all(&db, &snaps, "new");
+                let expected = snapshot_deltas(&db, &snaps);
+                out.compared += usize::from(!expected.is_empty());
+                let tables = |deltas: &[ValueDelta]| -> Vec<String> {
+                    deltas.iter().map(|vd| vd.table.clone()).collect()
+                };
+                assert_eq!(
+                    tables(&staged.outcome.deltas),
+                    tables(&expected),
+                    "seed {seed} round {round}"
+                );
+                for (got, want) in staged.outcome.deltas.iter().zip(&expected) {
+                    assert_eq!(
+                        got.records, want.records,
+                        "seed {seed} round {round}: coalesced {} is its snapshot differential",
+                        got.table
+                    );
+                }
                 replay(&mut model, &x.commit(staged).unwrap().deltas);
-                false
             }
             3 => {
                 db.checkpoint().unwrap();
                 let damaged = corrupt_unread_segment(&db, x.watermark());
-                out.quarantines += usize::from(damaged);
-                let staged = x.stage(&db).unwrap();
-                assert_eq!(staged.coalesced, damaged, "seed {seed} round {round}");
-                assert_eq!(staged.outcome.quarantined_segments.is_empty(), !damaged);
-                replay(&mut model, &x.commit(staged).unwrap().deltas);
-                false
+                if !damaged {
+                    let staged = x.stage(&db).unwrap();
+                    replay(&mut model, &x.commit(staged).unwrap().deltas);
+                } else {
+                    out.quarantines += 1;
+                    match x.stage(&db) {
+                        Err(EngineError::AuditOwed { tables, segments }) => {
+                            assert_eq!(tables, TABLES);
+                            assert_eq!(segments.len(), 1, "seed {seed} round {round}");
+                        }
+                        other => panic!("seed {seed} round {round}: {other:?}"),
+                    }
+                    let owed = |r| matches!(r, Err(EngineError::AuditOwed { .. }));
+                    assert!(owed(x.stage(&db)), "seed {seed} round {round}");
+                    assert!(owed(x.stage_coalesced(&db)), "seed {seed} round {round}");
+                    // The audit converges the warehouse to the source.
+                    for t in TABLES {
+                        let rows = table_rows(&db, t).into_iter().map(|r| (key(&r), r));
+                        model.insert(t.to_string(), rows.collect());
+                    }
+                    x.audited(&db);
+                }
             }
             _ => {
                 // Nothing ships a drop: the consumer restarts its mirror of
@@ -218,65 +284,43 @@ fn run(seed: u64) -> Run {
                 let staged = x.stage(&db).unwrap();
                 assert!(!staged.coalesced);
                 replay(&mut model, &x.commit(staged).unwrap().deltas);
-                false
-            }
-        };
-        for (t, before) in TABLES.iter().zip(&files_before) {
-            let mut table: Vec<Row> = db
-                .scan_table(t)
-                .unwrap()
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect();
-            table.sort_by_key(key);
-            let shipped: Vec<Row> = model
-                .get(*t)
-                .map(|m| m.values().cloned().collect())
-                .unwrap_or_default();
-            assert_eq!(shipped, table, "seed {seed} round {round} rung {rung}: {t}");
-
-            let ours = dir.join("ours");
-            let theirs = dir.join("theirs");
-            x.write_baseline(t, &ours).unwrap();
-            take_snapshot(&db, t, &theirs).unwrap();
-            assert_eq!(
-                sorted_rows(&ours),
-                sorted_rows(&theirs),
-                "seed {seed} round {round} rung {rung}: baseline ⊕ journal of {t}"
-            );
-            let after = std::fs::read(baselines.join(format!("{t}.baseline"))).unwrap();
-            if log_round && &after != before {
-                out.folds += 1;
             }
         }
+        for t in TABLES {
+            let shipped: Vec<Row> = model
+                .get(t)
+                .map(|m| m.values().cloned().collect())
+                .unwrap_or_default();
+            assert_eq!(
+                shipped,
+                table_rows(&db, t),
+                "seed {seed} round {round} rung {rung}: {t}"
+            );
+        }
+        snapshot_all(&db, &snaps, "old");
+        assert!(
+            !unused.exists(),
+            "seed {seed} round {round}: a file appeared"
+        );
     }
-    let leftovers: Vec<_> = std::fs::read_dir(&baselines)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| !n.ends_with(".baseline"))
-        .collect();
-    assert!(leftovers.is_empty(), "seed {seed}: debris {leftovers:?}");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
 #[test]
-fn every_rung_ships_the_table_and_the_journal_tracks_the_watermark() {
+fn every_rung_ships_the_table_and_coalescing_equals_the_snapshot_differential() {
     let mut rungs = [0; 5];
-    let (mut folds, mut quarantines) = (0, 0);
+    let (mut compared, mut quarantines) = (0, 0);
     for seed in [1, 2, 3, 0x5EED, 411_0001, 909_690] {
         let r = run(seed);
-        folds += r.folds;
+        compared += r.compared;
         quarantines += r.quarantines;
         for (total, n) in rungs.iter_mut().zip(r.rungs) {
             *total += n;
         }
     }
     assert!(rungs.iter().all(|n| *n >= 10), "every rung ran: {rungs:?}");
-    assert!(
-        folds >= 6,
-        "the journal bound fired on the log path: {folds}"
-    );
+    assert!(compared >= 30, "coalesced rounds were compared: {compared}");
     assert!(quarantines >= 6, "segments were quarantined: {quarantines}");
 }

@@ -1,6 +1,7 @@
 //! Engine error type.
 
 use std::fmt;
+use std::path::PathBuf;
 
 use delta_sql::{EvalError, ParseError};
 use delta_storage::StorageError;
@@ -35,6 +36,14 @@ pub enum EngineError {
     Invalid(String),
     /// Trigger recursion exceeded the engine limit.
     TriggerDepth(usize),
+    /// Archived log segments past a log extractor's watermark were
+    /// unreadable and moved aside: the log no longer holds every change to
+    /// `tables`, so the extractor ships nothing more until the warehouse
+    /// has been audited against the source.
+    AuditOwed {
+        tables: Vec<String>,
+        segments: Vec<PathBuf>,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -60,6 +69,10 @@ impl fmt::Display for EngineError {
             EngineError::TxnState(m) => write!(f, "transaction error: {m}"),
             EngineError::Invalid(m) => write!(f, "invalid statement: {m}"),
             EngineError::TriggerDepth(d) => write!(f, "trigger recursion exceeded depth {d}"),
+            EngineError::AuditOwed { tables, segments } => write!(
+                f,
+                "audit owed for {tables:?}: the log lost quarantined segments {segments:?}"
+            ),
         }
     }
 }

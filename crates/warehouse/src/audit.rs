@@ -33,6 +33,12 @@
 //! audit watermark (drained before the snapshot, so the digest sees it) or
 //! published after the repair batches (applies later and wins). Traffic
 //! for other tables flows freely throughout.
+//!
+//! This pass is also how a log extractor that lost part of the log is
+//! settled: when `ResilientLogExtractor::stage` fails with
+//! [`EngineError::AuditOwed`], audit the tables it names with their writers
+//! paused, then call `ResilientLogExtractor::audited` before they resume
+//! (DESIGN.md §25).
 
 use std::path::{Path, PathBuf};
 
@@ -267,15 +273,27 @@ fn reconcile_dlq(pipe: &Pipeline, table: &str, watermark: u64) -> EngineResult<u
     Ok(superseded.len() as u64)
 }
 
-/// Scratch directory for one audit pass's snapshot files.
-fn scratch_dir() -> EngineResult<PathBuf> {
-    let dir = std::env::temp_dir().join(format!(
-        "delta-audit-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir)?;
-    Ok(dir)
+/// Scratch directory for one audit pass's snapshot files, removed with
+/// everything in it when the pass ends, however it ends. Every table reuses
+/// the same file names, so it holds one table's files at a time.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn create() -> EngineResult<Scratch> {
+        let dir = std::env::temp_dir().join(format!(
+            "delta-audit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir)?;
+        Ok(Scratch(dir))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Audit `tables` of `source` against their mirrors in `wh`, repairing any
@@ -295,7 +313,8 @@ pub fn audit_and_repair(
         ..AuditReport::default()
     };
     report.drain_syncs += drain(pipe, wh, cfg.max_drain_syncs)?;
-    let dir = scratch_dir()?;
+    let scratch = Scratch::create()?;
+    let dir = &scratch.0;
     for &table in tables {
         let mirror = wh.mirror(table)?;
         if !matches!(mirror.scope, delta_core::selfmaint::MirrorScope::Full) {
@@ -317,7 +336,7 @@ pub fn audit_and_repair(
         };
 
         // Digest the source from a streaming snapshot scan.
-        let src_snap = dir.join(format!("{table}.src.snap"));
+        let src_snap = dir.join("src.snap");
         take_snapshot(source, table, &src_snap)?;
         report.full_snapshot_bytes += std::fs::metadata(&src_snap)?.len();
         let params = match snapshot_key_bounds(&src_snap, key_pos)? {
@@ -349,10 +368,10 @@ pub fn audit_and_repair(
 
         if !diff.ranges.is_empty() {
             // Scoped snapshot-differential repair over the diverged ranges.
-            let wh_snap = dir.join(format!("{table}.wh.snap"));
+            let wh_snap = dir.join("wh.snap");
             take_snapshot(wh.db(), table, &wh_snap)?;
-            let src_scoped = dir.join(format!("{table}.src.scoped"));
-            let wh_scoped = dir.join(format!("{table}.wh.scoped"));
+            let src_scoped = dir.join("src.scoped");
+            let wh_scoped = dir.join("wh.scoped");
             filter_snapshot(&src_snap, key_pos, &diff.ranges, &src_scoped)
                 .map_err(EngineError::Storage)?;
             filter_snapshot(&wh_snap, key_pos, &diff.ranges, &wh_scoped)
@@ -391,10 +410,6 @@ pub fn audit_and_repair(
             }
         }
         report.tables.push(audit);
-        let _ = std::fs::remove_file(dir.join(format!("{table}.src.snap")));
-        let _ = std::fs::remove_file(dir.join(format!("{table}.wh.snap")));
-        let _ = std::fs::remove_file(dir.join(format!("{table}.src.scoped")));
-        let _ = std::fs::remove_file(dir.join(format!("{table}.wh.scoped")));
     }
     Ok(report)
 }

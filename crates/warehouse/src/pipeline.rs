@@ -74,7 +74,7 @@ pub struct SyncReport {
     /// Producer-side disk-budget denials observed (folded in from
     /// [`ShipReport`]s by drivers that aggregate both sides).
     pub backpressure: u64,
-    /// Extraction rounds that degraded to coalesced snapshot-diff form
+    /// Extraction rounds that degraded to the coalesced (netted) form
     /// under transport backpressure (folded in from [`ShipReport`]s).
     pub degradations: u64,
 }
@@ -88,7 +88,7 @@ pub struct ShipReport {
     pub backpressure: u64,
     /// Spool compactions attempted while climbing the ladder.
     pub compactions: u64,
-    /// Rounds that fell back to the coalesced snapshot-diff form.
+    /// Rounds that fell back to the coalesced (netted) form.
     pub degradations: u64,
     /// Rounds deferred entirely (even the coalesced form did not fit);
     /// nothing advanced, the next round retries from the same watermark.
@@ -398,20 +398,20 @@ impl Pipeline {
     ///    transaction context) and enqueue all batches in one append.
     /// 2. **Compact** — reclaim the spool's fully-acked prefix
     ///    ([`PersistentQueue::compact`]) and retry the same staged round.
-    /// 3. **Coalesce** — abort the op-form round and restage via
-    ///    [`stage_coalesced`](ResilientLogExtractor::stage_coalesced):
-    ///    snapshot-diff deltas carry one net record per changed row
-    ///    (§3.1.2's trade — fewer bytes, no transaction context).
-    /// 4. **Defer** — if even the coalesced form does not fit, abort and
-    ///    return with `deferred = 1`. The watermark and baselines did not
-    ///    move, so the next round re-extracts everything; once pressure
-    ///    lifts, the stream resumes with zero loss.
+    /// 3. **Coalesce** — restage via
+    ///    [`stage_coalesced`](ResilientLogExtractor::stage_coalesced): the
+    ///    same log tail netted to one record per changed key (§3.1.2's
+    ///    trade — fewer bytes, no transaction context).
+    /// 4. **Defer** — if even the coalesced form does not fit, return with
+    ///    `deferred = 1`. The watermark did not move, so the next round
+    ///    re-extracts everything; once pressure lifts, the stream resumes
+    ///    with zero loss.
     ///
-    /// The extractor commits (the watermark advances; the baselines advance
-    /// by the round's own images, or to the coalesced round's snapshot) only
-    /// after its round's batches are durably enqueued, so a round that fails
-    /// half way — including a crash — is simply re-staged. The op-form rung
-    /// reads the log tail and no table; only the coalesce rung snapshots.
+    /// The extractor commits (its watermark advances) only after its
+    /// round's batches are durably enqueued, so a round that fails half way
+    /// — including a crash — is simply re-staged. Every rung reads the log
+    /// tail and no table. A lost log segment is not a rung: `stage` fails
+    /// with [`EngineError::AuditOwed`], which this returns as it is.
     pub fn ship(
         &self,
         db: &Database,
@@ -419,57 +419,47 @@ impl Pipeline {
     ) -> EngineResult<ShipReport> {
         let mut report = ShipReport::default();
         let staged = extractor.stage(db)?;
-        match self.publish_staged(&staged) {
-            Ok(n) => {
-                report.published = n;
-                extractor.commit(staged)?;
-                return Ok(report);
-            }
-            Err(e) if is_disk_full(&e) => report.backpressure += 1,
-            Err(e) => {
-                extractor.abort(staged);
-                return Err(e);
-            }
+        if let Some(n) = self.try_publish(&staged, &mut report)? {
+            report.published = n;
+            extractor.commit(staged)?;
+            return Ok(report);
         }
         // Rung 2: make room from our own fully-acked history and retry.
         report.compactions += 1;
-        if let Err(e) = self.queue.compact() {
-            extractor.abort(staged);
-            return Err(EngineError::Storage(e));
-        }
-        match self.publish_staged(&staged) {
-            Ok(n) => {
-                report.published = n;
-                extractor.commit(staged)?;
-                return Ok(report);
-            }
-            Err(e) if is_disk_full(&e) => report.backpressure += 1,
-            Err(e) => {
-                extractor.abort(staged);
-                return Err(e);
-            }
+        self.queue.compact().map_err(EngineError::Storage)?;
+        if let Some(n) = self.try_publish(&staged, &mut report)? {
+            report.published = n;
+            extractor.commit(staged)?;
+            return Ok(report);
         }
         // Rung 3: trade transaction context for bytes.
-        extractor.abort(staged);
         report.degradations += 1;
         let coalesced = extractor.stage_coalesced(db)?;
-        match self.publish_staged(&coalesced) {
-            Ok(n) => {
+        match self.try_publish(&coalesced, &mut report)? {
+            Some(n) => {
                 report.published = n;
                 extractor.commit(coalesced)?;
-                Ok(report)
             }
+            // Rung 4: defer the whole round; nothing advanced.
+            None => report.deferred = 1,
+        }
+        Ok(report)
+    }
+
+    /// [`Pipeline::publish_staged`], with a denial of the queue's disk
+    /// budget counted as backpressure and returned as `None`.
+    fn try_publish(
+        &self,
+        staged: &StagedExtract,
+        report: &mut ShipReport,
+    ) -> EngineResult<Option<u64>> {
+        match self.publish_staged(staged) {
+            Ok(n) => Ok(Some(n)),
             Err(e) if is_disk_full(&e) => {
-                // Rung 4: defer the whole round; nothing advanced.
                 report.backpressure += 1;
-                report.deferred = 1;
-                extractor.abort(coalesced);
-                Ok(report)
+                Ok(None)
             }
-            Err(e) => {
-                extractor.abort(coalesced);
-                Err(e)
-            }
+            Err(e) => Err(e),
         }
     }
 
@@ -996,16 +986,6 @@ mod tests {
         Database::open(DbOptions::new(dir).archive(true)).unwrap()
     }
 
-    fn baseline_dir(label: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "delta-pipe-base-{}-{:?}-{label}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     fn table_rows(db: &Database, table: &str) -> Vec<Vec<Value>> {
         let mut rows: Vec<Vec<Value>> = db
             .scan_table(table)
@@ -1025,8 +1005,7 @@ mod tests {
         let mut s = src.session();
         s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             .unwrap();
-        let mut x = ResilientLogExtractor::new(baseline_dir("ship0"), &["t"]).unwrap();
-        x.prime(&src).unwrap();
+        let mut x = ResilientLogExtractor::new("unused", &["t"]).unwrap();
         for i in 0..8 {
             s.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
                 .unwrap();
@@ -1055,10 +1034,9 @@ mod tests {
         let mut s = src.session();
         s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             .unwrap();
-        let mut x = ResilientLogExtractor::new(baseline_dir("ship1"), &["t"]).unwrap();
-        x.prime(&src).unwrap();
+        let mut x = ResilientLogExtractor::new("unused", &["t"]).unwrap();
         // A churn-heavy workload: the op stream carries every intermediate
-        // state, the coalesced diff only the final ones.
+        // state, the coalesced form only the final ones.
         for i in 0..10 {
             s.execute(&format!("INSERT INTO t VALUES ({i}, 0)"))
                 .unwrap();
@@ -1078,10 +1056,10 @@ mod tests {
         };
         let op_form = x.stage(&src).unwrap();
         let op_bytes = sized(&op_form.outcome.deltas);
-        x.abort(op_form);
+        drop(op_form);
         let co_form = x.stage_coalesced(&src).unwrap();
         let co_bytes = sized(&co_form.outcome.deltas);
-        x.abort(co_form);
+        drop(co_form);
         assert!(
             co_bytes * 2 < op_bytes,
             "coalesced form must be much smaller (co {co_bytes}, op {op_bytes})"
@@ -1118,8 +1096,7 @@ mod tests {
         let mut s = src.session();
         s.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             .unwrap();
-        let mut x = ResilientLogExtractor::new(baseline_dir("ship2"), &["t"]).unwrap();
-        x.prime(&src).unwrap();
+        let mut x = ResilientLogExtractor::new("unused", &["t"]).unwrap();
         for i in 0..6 {
             s.execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
                 .unwrap();

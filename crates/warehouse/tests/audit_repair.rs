@@ -9,13 +9,18 @@
 //! byte-equal with the source (canonical sorted dump), resolve the
 //! superseded DLQ entry, and leave the pipeline fully functional for
 //! subsequent live deltas. The repair traffic at 0.1% divergence must cost
-//! at most 5% of a full snapshot — the strict gate of experiment A.
+//! at most 5% of a full snapshot — the strict gate of experiment A. The
+//! same pass settles the audit a log extractor owes once a damaged archived
+//! segment lost part of the log.
 
+use std::sync::Arc;
+
+use delta_core::logextract::ResilientLogExtractor;
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
-use delta_engine::db::open_temp;
-use delta_engine::LogRecord;
+use delta_engine::db::{open_temp, Database, DbOptions};
+use delta_engine::{EngineError, LogRecord};
 use delta_sql::ast::AggFunc;
-use delta_storage::{Column, DataType, Row, Schema, Value};
+use delta_storage::{Column, DataType, DiskBudget, Row, Schema, Value};
 use delta_warehouse::{
     audit_and_repair, AggSpec, AggViewDef, AuditConfig, JoinCond, MirrorConfig, Pipeline,
     RetryPolicy, SpjView, Warehouse,
@@ -577,4 +582,198 @@ fn dlq_drain_api_lists_requeues_and_resolves() {
     // Requeueing a resolved/unknown entry is a no-op.
     assert!(pipe.requeue_dlq(old).unwrap().is_none());
     assert!(pipe.requeue_dlq(999_999).unwrap().is_none());
+}
+
+#[test]
+fn audit_leaves_no_scratch_file_when_the_warehouse_denies_its_snapshot() {
+    let source = open_temp("audit-full-src").unwrap();
+    let mut s = source.session();
+    s.execute(&format!(
+        "CREATE TABLE {TABLE} (id INT PRIMARY KEY, v INT, note VARCHAR)"
+    ))
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "delta-auditrep-full-wh-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let budget = Arc::new(DiskBudget::unlimited());
+    let wh_db = Database::open(DbOptions::new(&dir).disk_budget(Arc::clone(&budget))).unwrap();
+    let mut wh = Warehouse::new(wh_db);
+    wh.add_mirror(MirrorConfig::full(TABLE, schema())).unwrap();
+    let pipe = Pipeline::open(qpath("full")).unwrap();
+    seed_rows(&mut s, &pipe, 0, 300);
+    drain(&pipe, &wh);
+    // A lost row makes the audit snapshot the warehouse, which has no room.
+    wh.db()
+        .session()
+        .execute(&format!("DELETE FROM {TABLE} WHERE id = 17"))
+        .unwrap();
+    budget.set_global(Some(0));
+
+    let err = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default())
+        .expect_err("the warehouse snapshot cannot be written");
+    assert!(
+        matches!(&err, EngineError::Storage(e) if e.is_disk_full()),
+        "{err}"
+    );
+    let scratch = std::env::temp_dir().join(format!(
+        "delta-audit-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    assert!(!scratch.exists(), "audit scratch left behind: {scratch:?}");
+
+    // With room again, the same audit converges.
+    budget.set_global(None);
+    let report = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default()).unwrap();
+    assert!(report.diverged() && report.converged());
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE));
+    assert!(!scratch.exists());
+}
+
+#[test]
+fn a_quarantined_segment_is_settled_by_an_audit_and_the_log_resumes() {
+    // The whole lost-log path: a damaged archived segment fails
+    // `Pipeline::ship` with the typed audit-owed error, one audit pass
+    // converges the mirrors and the views, `audited` moves the extractor to
+    // the log head, and the next round ships from the log again.
+    let src_dir = std::env::temp_dir().join(format!(
+        "delta-auditrep-owed-src-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&src_dir);
+    let source = Database::open(DbOptions::new(&src_dir).archive(true)).unwrap();
+    let mut s = source.session();
+    s.execute(&format!(
+        "CREATE TABLE {TABLE} (id INT PRIMARY KEY, v INT, note VARCHAR)"
+    ))
+    .unwrap();
+    s.execute(&format!("CREATE TABLE {SIDE} (id INT PRIMARY KEY, v INT)"))
+        .unwrap();
+
+    let mut wh = Warehouse::new(open_temp("audit-owed-wh").unwrap());
+    wh.add_mirror(MirrorConfig::full(TABLE, schema())).unwrap();
+    wh.add_mirror(MirrorConfig::full(SIDE, side_schema()))
+        .unwrap();
+    wh.add_view(SpjView {
+        name: "acct_side".into(),
+        tables: vec![TABLE.into(), SIDE.into()],
+        joins: vec![JoinCond::new(TABLE, "id", SIDE, "id")],
+        selection: None,
+        projection: vec![
+            (TABLE.into(), "id".into()),
+            (SIDE.into(), "id".into()),
+            (SIDE.into(), "v".into()),
+            (TABLE.into(), "v".into()),
+        ],
+    })
+    .unwrap();
+    wh.add_agg_view(AggViewDef {
+        name: "by_note".into(),
+        table: TABLE.into(),
+        group_by: vec!["note".into()],
+        aggregates: vec![
+            AggSpec::count_star(),
+            AggSpec::of(AggFunc::Sum, "v"),
+            AggSpec::of(AggFunc::Max, "v"),
+        ],
+        selection: None,
+    })
+    .unwrap();
+    let converged = |wh: &Warehouse, when: &str| {
+        for t in [TABLE, SIDE] {
+            assert_eq!(dump(&source, t), dump(wh.db(), t), "{t} {when}");
+        }
+        for name in ["acct_side", "by_note"] {
+            let view = wh.view(name).unwrap();
+            assert!(
+                view.verify_against_recompute(wh.db()).unwrap(),
+                "'{name}' differs from its recomputation {when}"
+            );
+        }
+    };
+    let pipe = Pipeline::open(qpath("owed"))
+        .unwrap()
+        .with_retry(RetryPolicy::quick(2))
+        .unwrap();
+    let mut x = ResilientLogExtractor::new("unused", &[TABLE, SIDE]).unwrap();
+
+    for id in 0..200 {
+        s.execute(&format!(
+            "INSERT INTO {TABLE} VALUES ({id}, {}, 'g{}')",
+            id * 7,
+            id % 5
+        ))
+        .unwrap();
+    }
+    s.execute(&format!(
+        "INSERT INTO {SIDE} VALUES (1, 10), (5, 50), (9, 90)"
+    ))
+    .unwrap();
+    assert!(pipe.ship(&source, &mut x).unwrap().published > 0);
+    drain(&pipe, &wh);
+    converged(&wh, "after the first round");
+
+    // Changes the warehouse has not seen go into a segment that is archived
+    // and then damaged.
+    for sql in [
+        format!("UPDATE {TABLE} SET v = 1 WHERE id < 20"),
+        format!("DELETE FROM {TABLE} WHERE id >= 190"),
+        format!("INSERT INTO {TABLE} VALUES (500, 3, 'g9')"),
+        format!("UPDATE {SIDE} SET v = 11 WHERE id = 1"),
+        format!("DELETE FROM {SIDE} WHERE id = 9"),
+    ] {
+        s.execute(&sql).unwrap();
+    }
+    source.checkpoint().unwrap();
+    let archived = source.wal().archived_segments().unwrap();
+    let victim = archived.last().unwrap();
+    let mut bytes = std::fs::read(victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(victim, bytes).unwrap();
+
+    let owed = match pipe.ship(&source, &mut x) {
+        Err(EngineError::AuditOwed { tables, segments }) => {
+            assert_eq!(segments.len(), 1);
+            assert!(segments[0].exists(), "moved aside, kept as evidence");
+            tables
+        }
+        other => panic!("expected an owed audit, got {other:?}"),
+    };
+    assert_eq!(owed, [TABLE, SIDE]);
+    assert!(
+        matches!(
+            pipe.ship(&source, &mut x),
+            Err(EngineError::AuditOwed { .. })
+        ),
+        "owed until audited"
+    );
+    assert_eq!(pipe.queue().pending(), 0, "nothing shipped past the gap");
+
+    let tables: Vec<&str> = owed.iter().map(String::as_str).collect();
+    let report = audit_and_repair(&source, &pipe, &wh, &tables, &AuditConfig::default()).unwrap();
+    assert!(report.diverged() && report.converged());
+    x.audited(&source);
+    converged(&wh, "after the audit");
+
+    // The next round comes from the log, with transaction context.
+    s.execute(&format!(
+        "UPDATE {TABLE} SET v = 2, note = 'g0' WHERE id = 5"
+    ))
+    .unwrap();
+    s.execute(&format!("INSERT INTO {SIDE} VALUES (5000, 1)"))
+        .unwrap();
+    let staged = x.stage(&source).unwrap();
+    assert!(!staged.coalesced);
+    assert_eq!(staged.outcome.deltas.len(), 2);
+    assert!(staged.outcome.deltas.iter().all(|d| d.has_txn_context()));
+    drop(staged);
+    assert!(pipe.ship(&source, &mut x).unwrap().published > 0);
+    drain(&pipe, &wh);
+    converged(&wh, "after the next round");
+    assert!(pipe.dlq_entries().unwrap().is_empty());
 }
