@@ -17,6 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use delta_core::digest::DEFAULT_TARGET_LEAVES;
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
 use delta_warehouse::{audit_and_repair, AuditConfig, MirrorConfig, Pipeline, Warehouse};
@@ -167,7 +168,7 @@ pub fn run(scale: &Scale) -> TableReport {
     report.note(format!(
         "base table {base} rows; audit uses the default {} target leaves; repair = scoped \
          snapshot diff over diverged ranges shipped through the normal queue",
-        AuditConfig::default().target_leaves
+        DEFAULT_TARGET_LEAVES
     ));
 
     // Phase 1: audit cost vs table size on consistent mirrors.

@@ -12,9 +12,9 @@
 //! * An end-to-end `scan_table` comparison at 8 threads, 1 vs 8 shards —
 //!   row decoding dilutes the lock contention, so this bounds what the
 //!   sharding is worth in SQL-visible terms.
-//! * The parallel differential-snapshot diff at 1/2/4/8 workers, with the
-//!   parallel output checked record-for-record against the sequential
-//!   algorithms (the acceptance property: parallelism must not change the
+//! * The sort-merge snapshot diff at 1/2/4/8 run-generation workers, each
+//!   output checked record-for-record against the one-worker
+//!   `diff_snapshots` (the acceptance property: workers must not change the
 //!   delta).
 
 use std::path::Path;
@@ -182,7 +182,7 @@ pub fn run(scale: &Scale) -> TableReport {
     let mut report = TableReport::new(
         "B",
         "Experiment B: sharded buffer pool scans + parallel snapshot diff",
-        "the 8-shard pool sustains >= 2x the 8-thread page-touch throughput of the 1-shard baseline, accesses spread across shards, and the parallel snapshot diff emits exactly the sequential delta at every worker count",
+        "the 8-shard pool sustains >= 2x the 8-thread page-touch throughput of the 1-shard baseline, accesses spread across shards, and the sort-merge snapshot diff emits exactly the one-worker delta at every worker count",
         &[
             "phase",
             "shards",
@@ -241,7 +241,7 @@ pub fn run(scale: &Scale) -> TableReport {
         ]);
     }
 
-    // --- Parallel snapshot diff sweep -------------------------------------
+    // --- Snapshot diff worker sweep ---------------------------------------
     let n = scale.rows(20_000) as i64;
     let old_path = b.path("snap-old.snap");
     let new_path = b.path("snap-new.snap");
@@ -259,13 +259,13 @@ pub fn run(scale: &Scale) -> TableReport {
         run_size: (n as usize / 8).max(16),
     };
     let (seq_vd, _) =
-        diff_snapshots("t", &schema, &[0], &old_path, &new_path, algo).expect("sequential diff");
+        diff_snapshots("t", &schema, &[0], &old_path, &new_path, algo).expect("one-worker diff");
     let mut all_identical = true;
     for workers in THREADS {
         let (res, elapsed) = time_once(|| {
             diff_snapshots_parallel("t", &schema, &[0], &old_path, &new_path, algo, workers)
         });
-        let (vd, stats) = res.expect("parallel diff");
+        let (vd, stats) = res.expect("diff");
         all_identical &= vd == seq_vd;
         report.push_row(vec![
             "diff sort-merge".into(),
@@ -280,11 +280,6 @@ pub fn run(scale: &Scale) -> TableReport {
             fmt_duration(elapsed),
         ]);
     }
-    let window = DiffAlgorithm::Window {
-        size: (n as usize / 50).max(64),
-    };
-    let (win_vd, _) = diff_snapshots_parallel("t", &schema, &[0], &old_path, &new_path, window, 4)
-        .expect("parallel window diff");
 
     // --- Checks -----------------------------------------------------------
     // Aggregate throughput of a lock-bound hit path cannot exceed 1x on a
@@ -319,12 +314,8 @@ pub fn run(scale: &Scale) -> TableReport {
         cells_by_shards[1].1.iter().all(|c| c.balance <= 3.0),
     );
     report.check(
-        "parallel sort-merge diff output identical to sequential at 1/2/4/8 workers",
+        "sort-merge diff output identical to the one-worker diff at 1/2/4/8 workers",
         all_identical,
-    );
-    report.check(
-        "parallel window diff matches the exact sort-merge delta",
-        win_vd == seq_vd,
     );
     report
 }

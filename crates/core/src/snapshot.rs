@@ -16,19 +16,20 @@
 //! Like the timestamp method, snapshots observe only final states and lose
 //! transaction context; unlike it, they *can* observe deletions.
 //!
-//! Both algorithms also come in a parallel flavour,
-//! [`diff_snapshots_parallel`]: run generation in the external sort fans out
-//! across worker threads (one sorted run per chunk, chunk index doubling as
-//! run index so the run files stay byte-identical to a sequential sort), and
-//! the diff itself consumes key-hash partitions of the two snapshots
-//! concurrently, merging the per-partition deltas back in key order. The
-//! sort-merge output is record-for-record identical to the sequential path;
-//! the sharded buffer pool underneath lets the scans that *feed* these
-//! snapshots proceed concurrently too.
+//! The sort-merge is one pipeline of two steps. Run generation cuts each
+//! snapshot into `run_size`-row chunks as it reads them, and
+//! [`diff_snapshots_parallel`]'s workers sort and write one run per chunk
+//! (the chunk index names the run, so the runs are the same at any worker
+//! count). The diff is then one pass on the calling thread: a merge cursor
+//! over each side's runs yields that side's rows in key order, and the two
+//! cursors are merge-joined. No merged copy of either snapshot is written.
+//! [`diff_snapshots`] is the one-worker call, and the records are the same
+//! at any worker count. The window diff is sequential.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use delta_engine::db::Database;
 use delta_engine::EngineResult;
@@ -72,7 +73,8 @@ pub fn take_snapshot(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
 
 /// Compare `old_path` and `new_path` (snapshots of a table with `schema`,
 /// keyed by the columns at `key_cols`) and return the value delta that turns
-/// the old snapshot into the new one.
+/// the old snapshot into the new one. This is [`diff_snapshots_parallel`]
+/// with one worker.
 pub fn diff_snapshots(
     table: &str,
     schema: &Schema,
@@ -81,42 +83,13 @@ pub fn diff_snapshots(
     new_path: impl AsRef<Path>,
     algo: DiffAlgorithm,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
-    if key_cols.is_empty() {
-        return Err(StorageError::SchemaMismatch(
-            "snapshot diff requires at least one key column".into(),
-        ));
-    }
-    match algo {
-        DiffAlgorithm::SortMerge { run_size } => sort_merge_diff(
-            table,
-            schema,
-            key_cols,
-            old_path.as_ref(),
-            new_path.as_ref(),
-            run_size,
-        ),
-        DiffAlgorithm::Window { size } => window_diff(
-            table,
-            schema,
-            key_cols,
-            old_path.as_ref(),
-            new_path.as_ref(),
-            size,
-        ),
-    }
+    diff_snapshots_parallel(table, schema, key_cols, old_path, new_path, algo, 1)
 }
 
-/// Like [`diff_snapshots`], but spread across `workers` threads: run
-/// generation fans out one sorted run per worker chunk, and the diff itself
-/// consumes key-hash partitions of the two snapshots concurrently, merging
-/// the per-partition deltas back in key order.
-///
-/// `workers <= 1` is exactly the sequential [`diff_snapshots`]. For
-/// [`DiffAlgorithm::SortMerge`] the parallel output is record-for-record
-/// identical to the sequential diff. For [`DiffAlgorithm::Window`] the
-/// records come out key-ordered rather than in arrival order; each partition
-/// windows only its own keys, so a displacement the sequential window
-/// absorbs is absorbed here too.
+/// Like [`diff_snapshots`], with the sort-merge's run generation spread
+/// across `workers` threads (`0` counts as one). The records do not depend
+/// on `workers`. [`DiffAlgorithm::Window`] runs the one sequential window
+/// diff at any worker count and emits its records in arrival order.
 pub fn diff_snapshots_parallel(
     table: &str,
     schema: &Schema,
@@ -126,33 +99,25 @@ pub fn diff_snapshots_parallel(
     algo: DiffAlgorithm,
     workers: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
-    if workers <= 1 {
-        return diff_snapshots(table, schema, key_cols, old_path, new_path, algo);
-    }
     if key_cols.is_empty() {
         return Err(StorageError::SchemaMismatch(
             "snapshot diff requires at least one key column".into(),
         ));
     }
+    let (old_path, new_path) = (old_path.as_ref(), new_path.as_ref());
     match algo {
-        DiffAlgorithm::SortMerge { run_size } => parallel_sort_merge(
+        DiffAlgorithm::SortMerge { run_size } => sort_merge(
             table,
             schema,
             key_cols,
-            old_path.as_ref(),
-            new_path.as_ref(),
+            old_path,
+            new_path,
             run_size,
-            workers,
+            workers.max(1),
         ),
-        DiffAlgorithm::Window { size } => parallel_window(
-            table,
-            schema,
-            key_cols,
-            old_path.as_ref(),
-            new_path.as_ref(),
-            size,
-            workers,
-        ),
+        DiffAlgorithm::Window { size } => {
+            window_diff(table, schema, key_cols, old_path, new_path, size)
+        }
     }
 }
 
@@ -171,7 +136,7 @@ pub(crate) fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
 }
 
 // ---------------------------------------------------------------------
-// External sort
+// Sort-merge algorithm
 // ---------------------------------------------------------------------
 
 struct RunReader {
@@ -200,20 +165,97 @@ impl RunReader {
     }
 }
 
-/// Externally sort the snapshot at `path` by key into one merged, sorted
-/// temp file; returns its path. `run_size` rows are sorted in memory at a
-/// time — the classic run-generation + k-way-merge structure. With
-/// `workers > 1` run generation fans out across that many threads, one
-/// sorted run per chunk; the chunk index doubles as the run index, so the
-/// run files (and therefore the merged output) are byte-identical to a
-/// sequential sort.
-fn external_sort(
+/// One side of the merge: a k-way merge over that side's sorted runs. The
+/// current row is the one with the smallest key any run holds; ties go to
+/// the lower run index, so equal keys come out in the order they were read.
+struct MergeCursor {
+    runs: Vec<RunReader>,
+    best: Option<usize>,
+}
+
+impl MergeCursor {
+    fn open(
+        paths: &[PathBuf],
+        key_cols: &[usize],
+        stats: &mut DiffStats,
+    ) -> StorageResult<MergeCursor> {
+        let runs = paths
+            .iter()
+            .map(|p| RunReader::open(p, key_cols))
+            .collect::<StorageResult<_>>()?;
+        let mut cursor = MergeCursor { runs, best: None };
+        cursor.pick(stats);
+        Ok(cursor)
+    }
+
+    /// Key of the current row; `None` once every run is exhausted.
+    fn key(&self) -> Option<&[Value]> {
+        let run = self.best.and_then(|i| self.runs.get(i))?;
+        run.current.as_ref().map(|(k, _)| k.as_slice())
+    }
+
+    /// Take the current row and move on to the next smallest key.
+    fn pop(&mut self, stats: &mut DiffStats) -> StorageResult<Option<Row>> {
+        let Some(run) = self.best.and_then(|i| self.runs.get_mut(i)) else {
+            return Ok(None);
+        };
+        let row = run.current.take().map(|(_, row)| row);
+        run.advance()?;
+        self.pick(stats);
+        Ok(row)
+    }
+
+    /// Point `best` at the run whose current key is smallest.
+    fn pick(&mut self, stats: &mut DiffStats) {
+        let mut best: Option<(usize, &[Value])> = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            let Some((k, _)) = &run.current else {
+                continue;
+            };
+            let better = match best {
+                None => true,
+                Some((_, bk)) => {
+                    stats.comparisons += 1;
+                    cmp_keys(k, bk) == Ordering::Less
+                }
+            };
+            if better {
+                best = Some((i, k));
+            }
+        }
+        self.best = best.map(|(i, _)| i);
+    }
+}
+
+/// Best-effort removal of a diff's temp files, however the diff ends.
+struct TempFiles(Vec<PathBuf>);
+
+impl Drop for TempFiles {
+    fn drop(&mut self) {
+        for p in &self.0 {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+}
+
+fn worker_panic() -> StorageError {
+    StorageError::Corrupt("snapshot diff worker thread panicked".into())
+}
+
+/// Cut the snapshot at `path` into key-sorted runs of `run_size` rows,
+/// appending their paths to `runs` in read order. The calling thread decodes
+/// the snapshot into chunks; `workers` threads each sort a chunk and write it
+/// as one run named by its chunk index, so the runs are the same at any
+/// worker count. At most `2 * workers + 1` chunks are in memory at once. A
+/// path joins `runs` before its file is created.
+fn sorted_runs(
     path: &Path,
     key_cols: &[usize],
     run_size: usize,
     workers: usize,
+    runs: &mut TempFiles,
     stats: &mut DiffStats,
-) -> StorageResult<PathBuf> {
+) -> StorageResult<()> {
     let dir = path
         .parent()
         .map(|p| p.to_path_buf())
@@ -222,130 +264,26 @@ fn external_sort(
         .file_name()
         .and_then(|s| s.to_str())
         .unwrap_or("snapshot");
-
-    // Phase 1: sorted runs.
-    let mut run_paths = Vec::new();
-    if workers > 1 {
-        let (n_runs, rows_read, rows_written) =
-            parallel_run_generation(path, key_cols, run_size, workers, &dir, stem)?;
-        stats.rows_read += rows_read;
-        stats.run_rows_written += rows_written;
-        run_paths = (0..n_runs)
-            .map(|i| dir.join(format!("{stem}.run{i}")))
-            .collect();
-    } else {
-        let mut src = RowSource::open(path)?;
-        let mut run: Vec<(Vec<Value>, Row)> = Vec::with_capacity(run_size.min(1 << 16));
-        let flush_run = |run: &mut Vec<(Vec<Value>, Row)>,
-                         run_paths: &mut Vec<PathBuf>,
-                         stats: &mut DiffStats|
-         -> StorageResult<()> {
-            if run.is_empty() {
-                return Ok(());
-            }
-            run.sort_by(|a, b| cmp_keys(&a.0, &b.0));
-            let rp = dir.join(format!("{stem}.run{}", run_paths.len()));
-            let mut w = RowSink::create(&rp, colbatch::DEFAULT_BLOCK_ROWS)?;
-            for (_, row) in run.iter() {
-                w.write_row(row)?;
-                stats.run_rows_written += 1;
-            }
-            w.finish()?;
-            run_paths.push(rp);
-            run.clear();
-            Ok(())
-        };
-        while let Some(row) = src.next_row()? {
-            stats.rows_read += 1;
-            run.push((key_of(&row, key_cols), row));
-            if run.len() >= run_size {
-                flush_run(&mut run, &mut run_paths, stats)?;
-            }
-        }
-        flush_run(&mut run, &mut run_paths, stats)?;
-    }
-
-    // Phase 2: k-way merge of the runs.
-    let sorted_path = dir.join(format!("{stem}.sorted"));
-    {
-        let mut readers: Vec<RunReader> = run_paths
-            .iter()
-            .map(|p| RunReader::open(p, key_cols))
-            .collect::<StorageResult<_>>()?;
-        let mut out = RowSink::create(&sorted_path, colbatch::DEFAULT_BLOCK_ROWS)?;
-        loop {
-            // Pick the reader with the smallest current key.
-            let mut best: Option<usize> = None;
-            for (i, r) in readers.iter().enumerate() {
-                if let Some((k, _)) = &r.current {
-                    let better = match best {
-                        None => true,
-                        Some(j) => {
-                            stats.comparisons += 1;
-                            cmp_keys(k, &readers[j].current.as_ref().unwrap().0) == Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            match best {
-                None => break,
-                Some(i) => {
-                    let (_, row) = readers[i].current.take().expect("checked");
-                    out.write_row(&row)?;
-                    readers[i].advance()?;
-                }
-            }
-        }
-        out.finish()?;
-    }
-    for rp in run_paths {
-        let _ = std::fs::remove_file(rp);
-    }
-    Ok(sorted_path)
-}
-
-fn worker_panic() -> StorageError {
-    StorageError::Corrupt("snapshot diff worker thread panicked".into())
-}
-
-/// Fan run generation out across `workers` threads: the reader decodes the
-/// input into chunks, workers sort/write one run per chunk. Returns
-/// `(runs_written, rows_read, run_rows_written)`. The chunk index names the
-/// run file, so run contents match a sequential pass exactly.
-fn parallel_run_generation(
-    path: &Path,
-    key_cols: &[usize],
-    run_size: usize,
-    workers: usize,
-    dir: &Path,
-    stem: &str,
-) -> StorageResult<(usize, u64, u64)> {
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Row>)>();
-    let rx = Mutex::new(rx);
-    let mut n_runs = 0usize;
-    let mut rows_read = 0u64;
+    let first = runs.0.len();
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(PathBuf, Vec<Row>)>(workers);
+    let rx = Arc::new(Mutex::new(rx));
     let mut read_err: Option<StorageError> = None;
     let per_worker: Vec<StorageResult<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| -> StorageResult<u64> {
+                let rx = Arc::clone(&rx);
+                scope.spawn(move || -> StorageResult<u64> {
                     let mut written = 0u64;
                     loop {
                         // Hold the receiver lock only for the claim itself.
-                        let claimed = rx.lock();
-                        let msg = claimed.recv();
-                        drop(claimed);
-                        let Ok((idx, chunk)) = msg else { break };
+                        let msg = rx.lock().recv();
+                        let Ok((run_path, chunk)) = msg else { break };
                         let mut run: Vec<(Vec<Value>, Row)> = chunk
                             .into_iter()
                             .map(|row| (key_of(&row, key_cols), row))
                             .collect();
                         run.sort_by(|a, b| cmp_keys(&a.0, &b.0));
-                        let rp = dir.join(format!("{stem}.run{idx}"));
-                        let mut w = RowSink::create(&rp, colbatch::DEFAULT_BLOCK_ROWS)?;
+                        let mut w = RowSink::create(&run_path, colbatch::DEFAULT_BLOCK_ROWS)?;
                         for (_, row) in &run {
                             w.write_row(row)?;
                         }
@@ -356,23 +294,30 @@ fn parallel_run_generation(
                 })
             })
             .collect();
+        // Only the workers hold the receiver, so once every one of them has
+        // stopped (failed or panicked) a send fails instead of blocking.
+        drop(rx);
 
         // Feed chunks; a read error stops the feed, and closing the channel
         // lets the workers drain and exit.
+        let mut send = |chunk: Vec<Row>| {
+            let run_path = dir.join(format!("{stem}.run{}", runs.0.len() - first));
+            runs.0.push(run_path.clone());
+            tx.send((run_path, chunk)).is_ok()
+        };
         let mut feed = || -> StorageResult<()> {
             let mut src = RowSource::open(path)?;
             let mut chunk: Vec<Row> = Vec::with_capacity(run_size.min(1 << 16));
             while let Some(row) = src.next_row()? {
-                rows_read += 1;
+                stats.rows_read += 1;
                 chunk.push(row);
-                if chunk.len() >= run_size {
-                    let _ = tx.send((n_runs, std::mem::take(&mut chunk)));
-                    n_runs += 1;
+                // A failed send leaves the workers' errors to report.
+                if chunk.len() >= run_size && !send(std::mem::take(&mut chunk)) {
+                    return Ok(());
                 }
             }
             if !chunk.is_empty() {
-                let _ = tx.send((n_runs, std::mem::take(&mut chunk)));
-                n_runs += 1;
+                send(chunk);
             }
             Ok(())
         };
@@ -385,337 +330,73 @@ fn parallel_run_generation(
     });
 
     let mut first_err = read_err;
-    let mut rows_written = 0u64;
     for r in per_worker {
         match r {
-            Ok(n) => rows_written += n,
+            Ok(n) => stats.run_rows_written += n,
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
-    if let Some(e) = first_err {
-        for i in 0..n_runs {
-            let _ = std::fs::remove_file(dir.join(format!("{stem}.run{i}")));
-        }
-        return Err(e);
-    }
-    Ok((n_runs, rows_read, rows_written))
+    first_err.map_or(Ok(()), Err)
 }
 
-fn sort_merge_diff(
+/// Sort both snapshots into runs, then merge-join the two sides' runs in one
+/// pass. Every run file is removed however the diff ends.
+fn sort_merge(
     table: &str,
     schema: &Schema,
     key_cols: &[usize],
     old_path: &Path,
     new_path: &Path,
     run_size: usize,
+    workers: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
-    let old_sorted = external_sort(old_path, key_cols, run_size, 1, &mut stats)?;
-    let new_sorted = external_sort(new_path, key_cols, run_size, 1, &mut stats)?;
-
+    let mut runs = TempFiles(Vec::new());
+    sorted_runs(old_path, key_cols, run_size, workers, &mut runs, &mut stats)?;
+    let old_runs = runs.0.len();
+    sorted_runs(new_path, key_cols, run_size, workers, &mut runs, &mut stats)?;
+    let (old_runs, new_runs) = runs.0.split_at(old_runs);
+    let mut old = MergeCursor::open(old_runs, key_cols, &mut stats)?;
+    let mut new = MergeCursor::open(new_runs, key_cols, &mut stats)?;
     let mut delta = ValueDelta::new(table, schema.clone());
-    {
-        let mut old_r = RunReader::open(&old_sorted, key_cols)?;
-        let mut new_r = RunReader::open(&new_sorted, key_cols)?;
-        merge_diff_streams(&mut old_r, &mut new_r, &mut delta.records, &mut stats)?;
-    }
-    let _ = std::fs::remove_file(old_sorted);
-    let _ = std::fs::remove_file(new_sorted);
+    merge_diff_streams(&mut old, &mut new, &mut delta.records, &mut stats)?;
     Ok((delta, stats))
 }
 
-/// Merge-join two key-sorted row streams, appending the delta records that
-/// turn the old stream into the new one.
+/// Merge-join the two key-ordered sides, appending the delta records that
+/// turn the old side into the new one.
 fn merge_diff_streams(
-    old_r: &mut RunReader,
-    new_r: &mut RunReader,
+    old: &mut MergeCursor,
+    new: &mut MergeCursor,
     records: &mut Vec<ValueDeltaRecord>,
     stats: &mut DiffStats,
 ) -> StorageResult<()> {
+    let record = |op, row| ValueDeltaRecord { op, txn: 0, row };
     loop {
-        match (&old_r.current, &new_r.current) {
-            (None, None) => break,
-            (Some((_, o)), None) => {
-                records.push(ValueDeltaRecord {
-                    op: DeltaOp::Delete,
-                    txn: 0,
-                    row: o.clone(),
-                });
-                old_r.advance()?;
-            }
-            (None, Some((_, n))) => {
-                records.push(ValueDeltaRecord {
-                    op: DeltaOp::Insert,
-                    txn: 0,
-                    row: n.clone(),
-                });
-                new_r.advance()?;
-            }
-            (Some((ok, o)), Some((nk, n))) => {
+        let order = match (old.key(), new.key()) {
+            (None, None) => return Ok(()),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(ok), Some(nk)) => {
                 stats.comparisons += 1;
-                match cmp_keys(ok, nk) {
-                    Ordering::Less => {
-                        records.push(ValueDeltaRecord {
-                            op: DeltaOp::Delete,
-                            txn: 0,
-                            row: o.clone(),
-                        });
-                        old_r.advance()?;
-                    }
-                    Ordering::Greater => {
-                        records.push(ValueDeltaRecord {
-                            op: DeltaOp::Insert,
-                            txn: 0,
-                            row: n.clone(),
-                        });
-                        new_r.advance()?;
-                    }
-                    Ordering::Equal => {
-                        if o != n {
-                            records.push(ValueDeltaRecord {
-                                op: DeltaOp::UpdateBefore,
-                                txn: 0,
-                                row: o.clone(),
-                            });
-                            records.push(ValueDeltaRecord {
-                                op: DeltaOp::UpdateAfter,
-                                txn: 0,
-                                row: n.clone(),
-                            });
-                        }
-                        old_r.advance()?;
-                        new_r.advance()?;
+                cmp_keys(ok, nk)
+            }
+        };
+        match order {
+            Ordering::Less => records.extend(old.pop(stats)?.map(|o| record(DeltaOp::Delete, o))),
+            Ordering::Greater => {
+                records.extend(new.pop(stats)?.map(|n| record(DeltaOp::Insert, n)))
+            }
+            Ordering::Equal => {
+                if let (Some(o), Some(n)) = (old.pop(stats)?, new.pop(stats)?) {
+                    if o != n {
+                        records.push(record(DeltaOp::UpdateBefore, o));
+                        records.push(record(DeltaOp::UpdateAfter, n));
                     }
                 }
             }
         }
     }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Parallel partitioned diff
-// ---------------------------------------------------------------------
-
-/// Best-effort removal of temp files when a diff finishes or errors out.
-/// Disarm by clearing the inner vec.
-struct TempFiles(Vec<PathBuf>);
-
-impl Drop for TempFiles {
-    fn drop(&mut self) {
-        for p in &self.0 {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-}
-
-/// Partition index for a key. Values that compare `Equal` under
-/// [`Value::total_cmp`] must land in the same partition, and that relation
-/// crosses types (`Int(2) == Double(2.0) == Timestamp(2)`), so numeric
-/// values hash through a common integer form when they have one. Merging
-/// *more* than total_cmp-equality into one partition only skews balance;
-/// splitting an equality class across partitions would corrupt the diff.
-fn key_partition(key: &[Value], parts: usize) -> usize {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    for v in key {
-        match v {
-            Value::Null => 0u8.hash(&mut h),
-            Value::Int(i) => (1u8, *i).hash(&mut h),
-            Value::Timestamp(t) => (1u8, *t).hash(&mut h),
-            Value::Double(d) => {
-                if d.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(d) {
-                    (1u8, *d as i64).hash(&mut h);
-                } else {
-                    (2u8, d.to_bits()).hash(&mut h);
-                }
-            }
-            Value::Str(s) => (3u8, s).hash(&mut h),
-            Value::Bool(b) => (4u8, *b).hash(&mut h),
-        }
-    }
-    (h.finish() % parts as u64) as usize
-}
-
-/// Split the snapshot at `path` into `parts` files by key hash, preserving
-/// row order within each partition (so a key-sorted input yields key-sorted
-/// partitions). Returns the partition paths.
-fn partition_by_key(
-    path: &Path,
-    key_cols: &[usize],
-    parts: usize,
-    tag: &str,
-) -> StorageResult<Vec<PathBuf>> {
-    let dir = path
-        .parent()
-        .map(|p| p.to_path_buf())
-        .unwrap_or_else(std::env::temp_dir);
-    let stem = path
-        .file_name()
-        .and_then(|s| s.to_str())
-        .unwrap_or("snapshot");
-    let paths: Vec<PathBuf> = (0..parts)
-        .map(|i| dir.join(format!("{stem}.{tag}-part{i}")))
-        .collect();
-    let mut guard = TempFiles(paths.clone());
-    let mut writers = paths
-        .iter()
-        .map(|p| RowSink::create(p, colbatch::DEFAULT_BLOCK_ROWS))
-        .collect::<StorageResult<Vec<_>>>()?;
-    let mut src = RowSource::open(path)?;
-    while let Some(row) = src.next_row()? {
-        let p = key_partition(&key_of(&row, key_cols), parts);
-        writers[p].write_row(&row)?;
-    }
-    for w in writers {
-        w.finish()?;
-    }
-    guard.0.clear();
-    Ok(paths)
-}
-
-/// Diff each old/new partition pair on its own thread. `diff_one` returns
-/// that partition's records in key order plus its stats; stats are summed.
-fn diff_partitions<F>(
-    old_parts: &[PathBuf],
-    new_parts: &[PathBuf],
-    diff_one: F,
-) -> StorageResult<(Vec<Vec<ValueDeltaRecord>>, DiffStats)>
-where
-    F: Fn(&Path, &Path) -> StorageResult<(Vec<ValueDeltaRecord>, DiffStats)> + Sync,
-{
-    let results: Vec<StorageResult<(Vec<ValueDeltaRecord>, DiffStats)>> =
-        std::thread::scope(|scope| {
-            let diff_one = &diff_one;
-            let handles: Vec<_> = old_parts
-                .iter()
-                .zip(new_parts)
-                .map(|(o, n)| scope.spawn(move || diff_one(o, n)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| Err(worker_panic())))
-                .collect()
-        });
-    let mut parts = Vec::with_capacity(results.len());
-    let mut stats = DiffStats::default();
-    for r in results {
-        let (recs, s) = r?;
-        stats.rows_read += s.rows_read;
-        stats.run_rows_written += s.run_rows_written;
-        stats.comparisons += s.comparisons;
-        parts.push(recs);
-    }
-    Ok((parts, stats))
-}
-
-/// Merge per-partition record streams into one key-ordered stream. Each
-/// input must be key-nondecreasing; partitions are key-disjoint, so taking
-/// the whole same-key group from the winning stream keeps update pairs
-/// adjacent and preserves each partition's within-key order.
-fn merge_parts_by_key(
-    parts: Vec<Vec<ValueDeltaRecord>>,
-    key_cols: &[usize],
-) -> Vec<ValueDeltaRecord> {
-    let mut parts: Vec<VecDeque<ValueDeltaRecord>> =
-        parts.into_iter().map(VecDeque::from).collect();
-    let mut out = Vec::with_capacity(parts.iter().map(VecDeque::len).sum());
-    loop {
-        let mut best: Option<(usize, Vec<Value>)> = None;
-        for (i, part) in parts.iter().enumerate() {
-            if let Some(rec) = part.front() {
-                let k = key_of(&rec.row, key_cols);
-                let better = match &best {
-                    None => true,
-                    Some((_, bk)) => cmp_keys(&k, bk) == Ordering::Less,
-                };
-                if better {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let Some((i, k)) = best else { break };
-        while parts[i]
-            .front()
-            .is_some_and(|r| cmp_keys(&key_of(&r.row, key_cols), &k) == Ordering::Equal)
-        {
-            out.push(parts[i].pop_front().expect("front checked"));
-        }
-    }
-    out
-}
-
-/// Parallel sort-merge: fan out run generation, sort both snapshots, split
-/// the *sorted* streams by key hash (a subsequence of a sorted file stays
-/// sorted), merge-diff each partition pair concurrently, and stitch the
-/// per-partition deltas back together in key order.
-fn parallel_sort_merge(
-    table: &str,
-    schema: &Schema,
-    key_cols: &[usize],
-    old_path: &Path,
-    new_path: &Path,
-    run_size: usize,
-    workers: usize,
-) -> StorageResult<(ValueDelta, DiffStats)> {
-    let mut stats = DiffStats::default();
-    let old_sorted = external_sort(old_path, key_cols, run_size, workers, &mut stats)?;
-    let _g_old = TempFiles(vec![old_sorted.clone()]);
-    let new_sorted = external_sort(new_path, key_cols, run_size, workers, &mut stats)?;
-    let _g_new = TempFiles(vec![new_sorted.clone()]);
-
-    let old_parts = partition_by_key(&old_sorted, key_cols, workers, "old")?;
-    let _g_op = TempFiles(old_parts.clone());
-    let new_parts = partition_by_key(&new_sorted, key_cols, workers, "new")?;
-    let _g_np = TempFiles(new_parts.clone());
-
-    let (parts, part_stats) = diff_partitions(&old_parts, &new_parts, |o, n| {
-        let mut st = DiffStats::default();
-        let mut recs = Vec::new();
-        let mut old_r = RunReader::open(o, key_cols)?;
-        let mut new_r = RunReader::open(n, key_cols)?;
-        merge_diff_streams(&mut old_r, &mut new_r, &mut recs, &mut st)?;
-        Ok((recs, st))
-    })?;
-    stats.comparisons += part_stats.comparisons;
-
-    let mut delta = ValueDelta::new(table, schema.clone());
-    delta.records = merge_parts_by_key(parts, key_cols);
-    Ok((delta, stats))
-}
-
-/// Parallel window diff: split the *raw* snapshots by key hash (arrival
-/// order survives within a partition, which is what the window algorithm
-/// keys off), window-diff each partition pair concurrently, then emit the
-/// per-partition deltas in key order.
-fn parallel_window(
-    table: &str,
-    schema: &Schema,
-    key_cols: &[usize],
-    old_path: &Path,
-    new_path: &Path,
-    window: usize,
-    workers: usize,
-) -> StorageResult<(ValueDelta, DiffStats)> {
-    let old_parts = partition_by_key(old_path, key_cols, workers, "old")?;
-    let _g_op = TempFiles(old_parts.clone());
-    let new_parts = partition_by_key(new_path, key_cols, workers, "new")?;
-    let _g_np = TempFiles(new_parts.clone());
-
-    let (parts, stats) = diff_partitions(&old_parts, &new_parts, |o, n| {
-        let (vd, st) = window_diff(table, schema, key_cols, o, n, window)?;
-        let mut recs = vd.records;
-        // Window output is arrival-ordered; sort it (stably — update pairs
-        // and delete/insert degradations keep their relative order) so the
-        // final merge can interleave partitions by key.
-        recs.sort_by(|a, b| cmp_keys(&key_of(&a.row, key_cols), &key_of(&b.row, key_cols)));
-        Ok((recs, st))
-    })?;
-
-    let mut delta = ValueDelta::new(table, schema.clone());
-    delta.records = merge_parts_by_key(parts, key_cols);
-    Ok((delta, stats))
 }
 
 // ---------------------------------------------------------------------
@@ -1049,34 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_window_matches_sequential_sort_merge_exactly() {
-        // With ample window per partition the parallel window diff emits the
-        // same key-ordered records as the exact sort-merge.
-        let old = write_snapshot("pw-old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("pw-new.snap", &[(2, "b"), (3, "c2"), (4, "d"), (5, "e")]);
-        let (seq_vd, _) = diff_snapshots(
-            "t",
-            &schema(),
-            &[0],
-            &old,
-            &new,
-            DiffAlgorithm::SortMerge { run_size: 64 },
-        )
-        .unwrap();
-        let (par_vd, _) = diff_snapshots_parallel(
-            "t",
-            &schema(),
-            &[0],
-            &old,
-            &new,
-            DiffAlgorithm::Window { size: 16 },
-            4,
-        )
-        .unwrap();
-        assert_eq!(par_vd, seq_vd);
-    }
-
-    #[test]
     fn parallel_diff_passes_exactness_checks() {
         // A worker count that is neither a divisor of the row count nor a
         // power of two, for both algorithms.
@@ -1099,34 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_window_degradation_stays_sound() {
-        // Zero window: the displaced row 1 must still surface — as a
-        // delete + insert pair, or as an update when partitioning shrinks
-        // its displacement enough — never silently dropped. Unchanged rows
-        // must produce nothing.
-        let old = write_snapshot("pd-old.snap", &[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let new = write_snapshot("pd-new.snap", &[(2, "b"), (3, "c"), (4, "d"), (1, "a2")]);
-        let (vd, _) = diff_snapshots_parallel(
-            "t",
-            &schema(),
-            &[0],
-            &old,
-            &new,
-            DiffAlgorithm::Window { size: 0 },
-            2,
-        )
-        .unwrap();
-        let mut got = ops_of(&vd);
-        got.sort_by_key(|(op, id)| (*id, format!("{op:?}")));
-        let degraded = got == vec![(DeltaOp::Delete, 1), (DeltaOp::Insert, 1)];
-        let resolved = got == vec![(DeltaOp::UpdateAfter, 1), (DeltaOp::UpdateBefore, 1)];
-        assert!(
-            degraded || resolved,
-            "row 1 must be a delete+insert pair or an update pair, got {got:?}"
-        );
-    }
-
-    #[test]
     fn parallel_empty_key_columns_rejected() {
         let old = write_snapshot("pk-old.snap", &[(1, "a")]);
         let new = write_snapshot("pk-new.snap", &[(1, "a")]);
@@ -1142,35 +767,91 @@ mod tests {
         .is_err());
     }
 
+    /// Files next to `snap` whose names start with `prefix` and look like a
+    /// diff's temp files: runs (`.run<i>`), and the merged (`.sorted`) and
+    /// partition (`-part<i>`) files no diff may write.
+    fn temp_files_beside(snap: &Path, prefix: &str) -> Vec<String> {
+        std::fs::read_dir(snap.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with(prefix))
+            .filter(|name| {
+                name.contains(".run") || name.contains(".sorted") || name.contains("-part")
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_diff_cleans_up_temp_files() {
         let (old, new) = big_fixture("clean");
-        let dir = old.parent().unwrap().to_path_buf();
         for algo in [
             DiffAlgorithm::SortMerge { run_size: 16 },
             DiffAlgorithm::Window { size: 32 },
         ] {
             diff_snapshots_parallel("t", &schema(), &[0], &old, &new, algo, 4).unwrap();
         }
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-            if name.starts_with("clean-") {
-                assert!(
-                    !name.contains(".run") && !name.contains(".sorted") && !name.contains("-part"),
-                    "temp file left behind: {name}"
-                );
-            }
-        }
+        assert_eq!(temp_files_beside(&old, "clean-"), Vec::<String>::new());
     }
 
     #[test]
-    fn key_partition_respects_cross_type_equality() {
-        // total_cmp declares Int(7) == Double(7.0) == Timestamp(7); they
-        // must all route to one partition or a diff would split a key.
-        for parts in [2, 3, 8] {
-            let a = key_partition(&[Value::Int(7)], parts);
-            assert_eq!(a, key_partition(&[Value::Double(7.0)], parts));
-            assert_eq!(a, key_partition(&[Value::Timestamp(7)], parts));
+    fn a_run_that_cannot_be_written_fails_the_diff() {
+        // A directory holds the first run's name, so the worker that takes
+        // chunk 0 fails. With one worker nobody is left to receive: the
+        // reader must stop rather than block on the full channel.
+        let (old, new) = big_fixture("blocked");
+        std::fs::create_dir_all(old.with_file_name("blocked-old.snap.run0")).unwrap();
+        let algo = DiffAlgorithm::SortMerge { run_size: 16 };
+        for workers in [1, 2] {
+            let r = diff_snapshots_parallel("t", &schema(), &[0], &old, &new, algo, workers);
+            assert!(
+                matches!(r, Err(StorageError::Io(_))),
+                "{workers} workers: {r:?}"
+            );
+        }
+        assert_eq!(
+            temp_files_beside(&old, "blocked-"),
+            vec!["blocked-old.snap.run0".to_string()]
+        );
+    }
+
+    /// `good` rewritten in 8-row blocks with its last three bytes cut off,
+    /// so a reader meets the damage only after it has read most rows.
+    fn cut_copy(good: &Path, label: &str) -> PathBuf {
+        let bad = good.with_file_name(label);
+        let mut src = RowSource::open(good).unwrap();
+        let mut sink = RowSink::create(&bad, 8).unwrap();
+        while let Some(row) = src.next_row().unwrap() {
+            sink.write_row(&row).unwrap();
+        }
+        sink.finish().unwrap();
+        let bytes = std::fs::read(&bad).unwrap();
+        std::fs::write(&bad, &bytes[..bytes.len() - 3]).unwrap();
+        bad
+    }
+
+    #[test]
+    fn failed_diff_leaves_no_temp_file() {
+        let (old, new) = big_fixture("cut");
+        let bad_old = cut_copy(&old, "cut-bad-old.snap");
+        let bad_new = cut_copy(&new, "cut-bad-new.snap");
+        for workers in [1, 2] {
+            for algo in [
+                DiffAlgorithm::SortMerge { run_size: 16 },
+                DiffAlgorithm::Window { size: 32 },
+            ] {
+                for (o, n) in [(&bad_old, &new), (&old, &bad_new)] {
+                    let r = diff_snapshots_parallel("t", &schema(), &[0], o, n, algo, workers);
+                    assert!(
+                        matches!(r, Err(StorageError::Corrupt(_))),
+                        "{algo:?} at {workers} workers: {r:?}"
+                    );
+                    assert_eq!(
+                        temp_files_beside(&old, "cut-"),
+                        Vec::<String>::new(),
+                        "{algo:?} at {workers} workers, {o:?} vs {n:?}"
+                    );
+                }
+            }
         }
     }
 }

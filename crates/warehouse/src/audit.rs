@@ -56,35 +56,20 @@ use delta_storage::Value;
 use crate::apply::Warehouse;
 use crate::pipeline::Pipeline;
 
-/// Tuning knobs of one audit pass.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig {
-    /// Leaf count the digest aims for (more leaves = finer localization,
-    /// bigger digest).
-    pub target_leaves: u64,
-    /// Snapshot-diff algorithm for the scoped repair.
-    pub diff_algo: DiffAlgorithm,
-    /// Bound on drain rounds while waiting for the queue to settle (lossy
-    /// links legitimately need several).
-    pub max_drain_syncs: u64,
-    /// Rows per published repair batch (bounds batch size and lets the
-    /// scheduler interleave repair with other tables' traffic).
-    pub repair_chunk_rows: usize,
-    /// Re-digest the warehouse after repair and record convergence.
-    pub verify_after: bool,
-}
+/// Snapshot-diff algorithm of the scoped repair.
+const REPAIR_DIFF: DiffAlgorithm = DiffAlgorithm::SortMerge { run_size: 4096 };
+/// Bound on drain rounds while waiting for the queue to settle (lossy links
+/// legitimately need several).
+const MAX_DRAIN_SYNCS: u64 = 1000;
+/// Rows per published repair batch (bounds batch size and lets the
+/// scheduler interleave repair with other tables' traffic).
+const REPAIR_CHUNK_ROWS: usize = 512;
 
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            target_leaves: DEFAULT_TARGET_LEAVES,
-            diff_algo: DiffAlgorithm::SortMerge { run_size: 4096 },
-            max_drain_syncs: 1000,
-            repair_chunk_rows: 512,
-            verify_after: true,
-        }
-    }
-}
+/// The audit has no settings; nothing reads this type. It stays only
+/// because the frozen dwbench harness passes `&AuditConfig::default()`, and
+/// ROADMAP item 3(a)'s benchmark PR removes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AuditConfig {}
 
 /// Outcome of auditing one table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,8 +92,8 @@ pub struct TableAudit {
     /// they summarised rows the diverged mirror no longer held
     /// ([`Warehouse::reconcile_views`]).
     pub views_rebuilt: u64,
-    /// Post-repair digests agreed (always true when the table started
-    /// consistent; only meaningful with [`AuditConfig::verify_after`]).
+    /// The warehouse's digest after the repair equals the source's (true
+    /// when the table started consistent).
     pub converged: bool,
 }
 
@@ -300,19 +285,19 @@ impl Drop for Scratch {
 /// divergence through `pipe` (see the module docs for the full protocol and
 /// the quiescence contract). Works table by table: settle the queue, digest
 /// both sides, localize, ship a scoped snapshot-differential repair,
-/// reconcile superseded DLQ entries, drain, and (optionally) verify.
+/// reconcile superseded DLQ entries, drain, and verify.
 pub fn audit_and_repair(
     source: &Database,
     pipe: &Pipeline,
     wh: &Warehouse,
     tables: &[&str],
-    cfg: &AuditConfig,
+    _cfg: &AuditConfig,
 ) -> EngineResult<AuditReport> {
     let mut report = AuditReport {
         audit_watermark: pipe.queue().total(),
         ..AuditReport::default()
     };
-    report.drain_syncs += drain(pipe, wh, cfg.max_drain_syncs)?;
+    report.drain_syncs += drain(pipe, wh, MAX_DRAIN_SYNCS)?;
     let scratch = Scratch::create()?;
     let dir = &scratch.0;
     for &table in tables {
@@ -340,7 +325,7 @@ pub fn audit_and_repair(
         take_snapshot(source, table, &src_snap)?;
         report.full_snapshot_bytes += std::fs::metadata(&src_snap)?.len();
         let params = match snapshot_key_bounds(&src_snap, key_pos)? {
-            Some((lo, hi)) => DigestParams::for_key_range(lo, hi, cfg.target_leaves),
+            Some((lo, hi)) => DigestParams::for_key_range(lo, hi, DEFAULT_TARGET_LEAVES),
             None => DigestParams::with_span(1),
         };
         let src_digest =
@@ -382,7 +367,7 @@ pub fn audit_and_repair(
                 &pk,
                 &wh_scoped,
                 &src_scoped,
-                cfg.diff_algo,
+                REPAIR_DIFF,
             )
             .map_err(EngineError::Storage)?;
             // The repair's before images will be the diverged rows as the
@@ -390,24 +375,22 @@ pub fn audit_and_repair(
             // the ones the mirror held before it diverged, or the repair
             // folds out what was never folded in.
             audit.views_rebuilt = wh.reconcile_views(table)?;
-            let (batches, records, bytes) = publish_repair(pipe, repair, cfg.repair_chunk_rows)?;
+            let (batches, records, bytes) = publish_repair(pipe, repair, REPAIR_CHUNK_ROWS)?;
             audit.repair_batches = batches;
             audit.repair_records = records;
             report.repair_bytes += bytes;
 
-            report.drain_syncs += drain(pipe, wh, cfg.max_drain_syncs)?;
+            report.drain_syncs += drain(pipe, wh, MAX_DRAIN_SYNCS)?;
 
-            if cfg.verify_after {
-                let after = digest_table(
-                    wh.db(),
-                    table,
-                    key_pos,
-                    DigestParams::with_span(received.span),
-                )?;
-                audit.converged = compare_digests(&received, &after)
-                    .map_err(EngineError::Storage)?
-                    .converged();
-            }
+            let after = digest_table(
+                wh.db(),
+                table,
+                key_pos,
+                DigestParams::with_span(received.span),
+            )?;
+            audit.converged = compare_digests(&received, &after)
+                .map_err(EngineError::Storage)?
+                .converged();
         }
         report.tables.push(audit);
     }

@@ -14,7 +14,9 @@ use proptest::prelude::*;
 use deltaforge::core::logextract::LogExtractor;
 use deltaforge::core::model::{DeltaOp, ValueDelta};
 use deltaforge::core::opdelta::{collect_from_table, OpDeltaCapture, OpLogSink};
-use deltaforge::core::snapshot::{diff_snapshots, take_snapshot, DiffAlgorithm};
+use deltaforge::core::snapshot::{
+    diff_snapshots, diff_snapshots_parallel, take_snapshot, DiffAlgorithm,
+};
 use deltaforge::core::trigger_extract::TriggerExtractor;
 use deltaforge::engine::db::{Database, DbOptions};
 use deltaforge::engine::{exec, EngineError};
@@ -304,8 +306,93 @@ fn view_tables(db: &Database, views: &[View]) -> Vec<(String, Vec<Vec<u8>>)> {
 
 proptest! {
     // The default case count: 256, or `PROPTEST_CASES` (CI's `view-oracle`
-    // job raises it).
+    // and `audit-repair-gate` jobs raise it).
     #![proptest_config(ProptestConfig::default())]
+
+    /// A snapshot diff takes a replica of the old state to the new one, at
+    /// every worker count, and the sort-merge's delta is record for record
+    /// the one-worker `diff_snapshots`'s. The audit's scoped repair and the
+    /// log extractor's coalesce-rung oracle both rest on this diff.
+    #[test]
+    fn snapshot_diff_is_a_correct_delta(
+        workload in arb_workload(),
+        window in prop_oneof![Just(0usize), Just(2), Just(64), Just(4096)],
+        use_window in any::<bool>(),
+        workers in 1usize..4,
+    ) {
+        let dir = scratch("snap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let src = open(&dir.join("src"), false);
+        create_parts(&src);
+        // Seed a little, snapshot, run the workload, snapshot again.
+        let mut s = src.session();
+        for i in 0..8 {
+            s.execute(&format!("INSERT INTO parts VALUES ({i}, 0, 'seed')")).unwrap();
+        }
+        let old_path = dir.join("old.txt");
+        take_snapshot(&src, "parts", &old_path).unwrap();
+        drive(|sql| s.execute(sql).map(|_| ()).map_err(|e| e.to_string()), &workload);
+        let new_path = dir.join("new.txt");
+        take_snapshot(&src, "parts", &new_path).unwrap();
+
+        let algo = if use_window {
+            DiffAlgorithm::Window { size: window }
+        } else {
+            DiffAlgorithm::SortMerge { run_size: 4 }
+        };
+        let (vd, _) =
+            diff_snapshots_parallel("parts", &schema(), &[0], &old_path, &new_path, algo, workers)
+                .unwrap();
+        if !use_window {
+            // The run-generation workers never change the sort-merge delta.
+            let (one, _) =
+                diff_snapshots("parts", &schema(), &[0], &old_path, &new_path, algo).unwrap();
+            prop_assert_eq!(&vd, &one);
+        }
+
+        // Apply the diff to a copy of the OLD state: must land on NEW state.
+        let replica = open(&dir.join("replica"), false);
+        create_parts(&replica);
+        let mut rs = replica.session();
+        for i in 0..8 {
+            rs.execute(&format!("INSERT INTO parts VALUES ({i}, 0, 'seed')")).unwrap();
+        }
+        drop(rs);
+        let mut wh = Warehouse::new(replica);
+        wh.add_mirror(MirrorConfig::full("parts", schema())).unwrap();
+        // Reorder for applicability: the window algorithm may emit an Insert
+        // for a key before the Delete of its old version. Apply deletes and
+        // update pairs first, then inserts (keyed batches commute per key
+        // except insert-vs-delete of the same key, where delete-first is the
+        // correct interleaving for a snapshot delta).
+        let mut ordered = ValueDelta::new("parts", schema());
+        let mut i = 0;
+        let recs = &vd.records;
+        let mut inserts = Vec::new();
+        while i < recs.len() {
+            match recs[i].op {
+                DeltaOp::Insert => {
+                    inserts.push(recs[i].clone());
+                    i += 1;
+                }
+                DeltaOp::UpdateBefore => {
+                    ordered.records.push(recs[i].clone());
+                    ordered.records.push(recs[i + 1].clone());
+                    i += 2;
+                }
+                _ => {
+                    ordered.records.push(recs[i].clone());
+                    i += 1;
+                }
+            }
+        }
+        ordered.records.extend(inserts);
+        ValueDeltaApplier::apply(&wh, &ordered).unwrap();
+        let (want, got) = (sorted_state(&src), sorted_state(wh.db()));
+        drop((s, wh, src));
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(want, got);
+    }
 
     /// One oracle for both sinks. Each step is one transaction on the
     /// maintained database: statements on one table, then one pass of the
@@ -493,74 +580,5 @@ proptest! {
             .unwrap_or_default();
         // Both capture exactly the same committed state changes, in order.
         prop_assert_eq!(trig_ops, log_ops);
-    }
-
-    #[test]
-    fn snapshot_diff_is_a_correct_delta(
-        workload in arb_workload(),
-        window in prop_oneof![Just(0usize), Just(2), Just(64), Just(4096)],
-        use_window in any::<bool>(),
-    ) {
-        let dir = scratch("snap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let src = open(&dir.join("src"), false);
-        create_parts(&src);
-        // Seed a little, snapshot, run the workload, snapshot again.
-        let mut s = src.session();
-        for i in 0..8 {
-            s.execute(&format!("INSERT INTO parts VALUES ({i}, 0, 'seed')")).unwrap();
-        }
-        let old_path = dir.join("old.txt");
-        take_snapshot(&src, "parts", &old_path).unwrap();
-        drive(|sql| s.execute(sql).map(|_| ()).map_err(|e| e.to_string()), &workload);
-        let new_path = dir.join("new.txt");
-        take_snapshot(&src, "parts", &new_path).unwrap();
-
-        let algo = if use_window {
-            DiffAlgorithm::Window { size: window }
-        } else {
-            DiffAlgorithm::SortMerge { run_size: 4 }
-        };
-        let (vd, _) = diff_snapshots("parts", &schema(), &[0], &old_path, &new_path, algo).unwrap();
-
-        // Apply the diff to a copy of the OLD state: must land on NEW state.
-        let replica = open(&dir.join("replica"), false);
-        create_parts(&replica);
-        let mut rs = replica.session();
-        for i in 0..8 {
-            rs.execute(&format!("INSERT INTO parts VALUES ({i}, 0, 'seed')")).unwrap();
-        }
-        drop(rs);
-        let mut wh = Warehouse::new(replica);
-        wh.add_mirror(MirrorConfig::full("parts", schema())).unwrap();
-        // Reorder for applicability: the window algorithm may emit an Insert
-        // for a key before the Delete of its old version. Apply deletes and
-        // update pairs first, then inserts (keyed batches commute per key
-        // except insert-vs-delete of the same key, where delete-first is the
-        // correct interleaving for a snapshot delta).
-        let mut ordered = ValueDelta::new("parts", schema());
-        let mut i = 0;
-        let recs = &vd.records;
-        let mut inserts = Vec::new();
-        while i < recs.len() {
-            match recs[i].op {
-                DeltaOp::Insert => {
-                    inserts.push(recs[i].clone());
-                    i += 1;
-                }
-                DeltaOp::UpdateBefore => {
-                    ordered.records.push(recs[i].clone());
-                    ordered.records.push(recs[i + 1].clone());
-                    i += 2;
-                }
-                _ => {
-                    ordered.records.push(recs[i].clone());
-                    i += 1;
-                }
-            }
-        }
-        ordered.records.extend(inserts);
-        ValueDeltaApplier::apply(&wh, &ordered).unwrap();
-        prop_assert_eq!(sorted_state(&src), sorted_state(wh.db()));
     }
 }
