@@ -28,8 +28,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use std::time::Duration;
-
 use delta_core::logextract::ResilientLogExtractor;
 use delta_core::model::{DeltaBatch, DeltaOp, ValueDelta, ValueDeltaRecord};
 use delta_engine::db::{Database, DbOptions, SyncMode};
@@ -66,8 +64,8 @@ pub struct TortureConfig {
     /// [`Pipeline::ship`] degradation ladder: compact → coalesce → defer),
     /// the source database runs under its own disk budget (transactions
     /// fail with typed `DiskFull` errors and recover at reopen), and the
-    /// apply stage runs with injected stalls under the watchdog's
-    /// per-stage deadline. Convergence is still byte-equality once each
+    /// apply stage runs with injected stalls, so classes commit out of
+    /// sequence order. Convergence is still byte-equality once each
     /// cycle's pressure lifts — zero loss, zero duplicates.
     pub pressure: bool,
 }
@@ -137,8 +135,6 @@ pub struct TortureStats {
     pub ship_deferrals: u64,
     /// Times a cycle's budget had to be lifted for the stream to resume.
     pub pressure_lifts: u64,
-    /// Apply waves abandoned by the stall watchdog.
-    pub stalls: u64,
 }
 
 impl TortureStats {
@@ -173,16 +169,15 @@ impl TortureStats {
             )
         } else {
             String::new()
-        } + &if self.backpressure + self.ship_deferrals + self.stalls + self.ship_compactions > 0 {
+        } + &if self.backpressure + self.ship_deferrals + self.ship_compactions > 0 {
             format!(
                 " | backpressure {} | ship degradations {} | compactions {} | deferrals {} | \
-                 pressure lifts {} | stalls {}",
+                 pressure lifts {}",
                 self.backpressure,
                 self.ship_degradations,
                 self.ship_compactions,
                 self.ship_deferrals,
                 self.pressure_lifts,
-                self.stalls,
             )
         } else {
             String::new()
@@ -457,8 +452,7 @@ impl Driver {
     }
 
     /// Drain the pipeline until the queue is empty, folding sync reports
-    /// into the stats (including watchdog stalls, which end a sync early
-    /// without error and redeliver on the next one).
+    /// into the stats.
     fn drain(&mut self, pipe: &Pipeline, wh: &Warehouse, cycle: u64) -> Result<(), String> {
         let mut syncs = 0;
         loop {
@@ -469,7 +463,6 @@ impl Driver {
             self.stats.applied_batches += report.batches;
             self.stats.deduped += report.deduped;
             self.stats.retries += report.retries;
-            self.stats.stalls += report.stalls;
             if report.quarantined > 0 {
                 return Err(self.fail(
                     cycle,
@@ -676,8 +669,8 @@ impl Driver {
                 });
             if self.cfg.pressure {
                 // Pressure mode: a shrinking spool budget forces the ship
-                // ladder (compact → coalesce → defer), a stage deadline arms
-                // the stall watchdog, and seeded stalls give it work.
+                // ladder (compact → coalesce → defer), and seeded stalls
+                // make classes commit out of order.
                 let mut srng = chaos ^ 0x57A1_157A_57A1_157A;
                 pipe = pipe
                     .with_queue_budget(Arc::clone(
@@ -685,7 +678,6 @@ impl Driver {
                             .as_ref()
                             .expect("pressure mode arms a budget"),
                     ))
-                    .with_stage_deadline(Duration::from_millis(25))
                     .with_injected_stalls(StallPlan::new(splitmix64(&mut srng), 20, 60));
                 self.pressured_ship(&db, &wh, &pipe, &mut extractor, cycle, chaos)?;
             } else {

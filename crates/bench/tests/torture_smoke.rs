@@ -75,7 +75,8 @@ fn parallel_scheduler_converges_on_the_ci_seed_matrix() {
 fn pressure_mode_converges_under_shrinking_budgets_and_stalls() {
     // Resource-exhaustion smoke: shrinking spool budgets force the ship
     // degradation ladder (compact → coalesce → defer) and seeded stalls
-    // exercise the watchdog; every cycle must still end byte-equal.
+    // make classes commit out of order; every cycle must still end
+    // byte-equal.
     let cfg = TortureConfig {
         seed: 424242,
         cycles: 20,

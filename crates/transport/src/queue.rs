@@ -35,6 +35,15 @@ fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Byte length of the frame at the start of `bytes` — length prefix,
+/// payload, checksum — if one is there whole and its checksum holds.
+fn valid_frame_len(bytes: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    let body = bytes.get(4..4 + len)?;
+    let sum = u64::from_le_bytes(bytes.get(4 + len..12 + len)?.try_into().ok()?);
+    (checksum(body) == sum).then_some(12 + len)
+}
+
 pub(crate) struct QueueInner {
     pub(crate) writer: BufWriter<File>,
     /// Byte offsets of each resident message frame in the spool file.
@@ -109,7 +118,10 @@ impl PersistentQueue {
         // rename never happened, so the original spool is authoritative.
         let _ = std::fs::remove_file(compact::compact_tmp_path(&spool_path));
 
-        // Scan the spool to rebuild frame offsets (torn tail tolerated).
+        // Scan the spool to rebuild frame offsets. A bad frame with no
+        // valid frame anywhere after it is a torn tail, truncated below; a
+        // bad frame followed by a valid one is mid-spool corruption, and
+        // truncating there would destroy the intact frames behind it.
         let mut offsets = Vec::new();
         let mut spool_len = 0u64;
         let mut base = 0u64;
@@ -121,24 +133,22 @@ impl PersistentQueue {
                 base = b;
                 at = compact::HEADER_LEN;
             }
-            while at + 12 <= bytes.len() {
-                let lenb: [u8; 4] = bytes[at..at + 4]
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("queue frame header truncated".into()))?;
-                let len = u32::from_le_bytes(lenb) as usize;
-                if at + 4 + len + 8 > bytes.len() {
-                    break; // torn tail: ignore the partial frame
+            while let Some(rest) = bytes.get(at..).filter(|rest| !rest.is_empty()) {
+                match valid_frame_len(rest) {
+                    Some(len) => {
+                        offsets.push(at as u64);
+                        at += len;
+                    }
+                    None if (1..rest.len()).any(|s| valid_frame_len(&rest[s..]).is_some()) => {
+                        return Err(StorageError::Corrupt(format!(
+                            "queue spool {}: frame {} at byte {at} is damaged but \
+                             intact frames follow it",
+                            spool_path.display(),
+                            base + offsets.len() as u64
+                        )));
+                    }
+                    None => break,
                 }
-                let body = &bytes[at + 4..at + 4 + len];
-                let sumb: [u8; 8] = bytes[at + 4 + len..at + 12 + len]
-                    .try_into()
-                    .map_err(|_| StorageError::Corrupt("queue frame trailer truncated".into()))?;
-                let sum = u64::from_le_bytes(sumb);
-                if checksum(body) != sum {
-                    break; // corrupt tail
-                }
-                offsets.push(at as u64);
-                at += 4 + len + 8;
             }
             spool_len = at as u64;
         }
@@ -666,6 +676,28 @@ mod tests {
         q.enqueue(b"after").unwrap();
         let (_, payload) = q.dequeue().unwrap().unwrap();
         assert_eq!(payload, b"after");
+    }
+
+    #[test]
+    fn damaged_frame_before_intact_ones_is_corrupt_and_truncates_nothing() {
+        let path = qpath("flipped.q");
+        {
+            let q = PersistentQueue::open(&path).unwrap();
+            for i in 0..5u8 {
+                q.enqueue(&[i; 16]).unwrap();
+            }
+        }
+        // Flip one payload byte of frame 1 (each frame is 4 + 16 + 8 bytes).
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 140);
+        bytes[28 + 4 + 3] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        match PersistentQueue::open(&path) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("frame 1"), "{msg}"),
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(q) => panic!("opened a damaged spool with {} frames", q.total()),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "spool untouched");
     }
 
     #[test]

@@ -177,9 +177,9 @@ impl Warehouse {
 
     /// Create the applied-sequence watermark table if it does not exist.
     /// The row with `id = 0` holds the highest queue sequence id of the
-    /// *contiguous* applied prefix; rows with `id = lo + 1` record
-    /// out-of-order `[lo, seq]` ranges committed by parallel apply workers
-    /// ahead of that prefix (see [`Warehouse::fold_applied_ranges`]).
+    /// *contiguous* applied prefix; rows with `id = lo + 1` record the
+    /// `[lo, seq]` range each apply group commits, until
+    /// [`Warehouse::fold_applied_ranges`] folds it into that prefix.
     pub fn ensure_applied_watermark(&self) -> EngineResult<()> {
         if self.db.table(APPLIED_SEQ_TABLE).is_err() {
             let schema = Schema::new(vec![
@@ -196,16 +196,15 @@ impl Warehouse {
     /// The highest queue sequence id of the contiguous applied prefix, or
     /// `None` if nothing was ever tracked. Redelivered batches at or below
     /// this watermark were already applied and must be skipped — this is
-    /// what makes at-least-once delivery exactly-once-observable. Parallel
-    /// sync may additionally have committed ranges *above* the watermark;
-    /// use [`Warehouse::applied_state`] to see those too.
+    /// what makes at-least-once delivery exactly-once-observable. Ranges
+    /// committed but not yet folded sit *above* the watermark; use
+    /// [`Warehouse::applied_state`] to see those too.
     pub fn applied_watermark(&self) -> EngineResult<Option<u64>> {
         Ok(self.applied_state()?.watermark)
     }
 
     /// The full durable applied-sequence bookkeeping: the contiguous
-    /// watermark plus any out-of-order ranges committed ahead of it by
-    /// parallel apply workers.
+    /// watermark plus the committed ranges not yet folded into it.
     pub fn applied_state(&self) -> EngineResult<AppliedState> {
         if self.db.table(APPLIED_SEQ_TABLE).is_err() {
             return Ok(AppliedState::default());
@@ -223,13 +222,6 @@ impl Warehouse {
         })?;
         state.ranges.sort_unstable();
         Ok(state)
-    }
-
-    /// Record `seq` as applied *inside* `txn`, so the delta effects and the
-    /// watermark advance commit atomically: a crash either keeps both (the
-    /// redelivery dedupes) or neither (the redelivery re-applies).
-    pub fn record_applied(&self, txn: &mut Transaction, seq: u64) -> EngineResult<()> {
-        self.set_applied_row(txn, 0, seq)
     }
 
     /// Write the watermark-table row keyed `id` through the engine's row
@@ -342,8 +334,8 @@ impl Warehouse {
 }
 
 /// The durable applied-sequence bookkeeping read back from
-/// [`APPLIED_SEQ_TABLE`]: the contiguous watermark plus any out-of-order
-/// ranges committed ahead of it by parallel apply workers.
+/// [`APPLIED_SEQ_TABLE`]: the contiguous watermark plus the committed
+/// ranges not yet folded into it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AppliedState {
     /// Highest sequence id of the contiguous applied prefix.
@@ -367,20 +359,19 @@ impl AppliedState {
 pub enum AppliedMark {
     /// Record nothing (direct applier use outside the sync pipeline).
     None,
-    /// Advance the contiguous `id = 0` watermark row to `seq` (serial
-    /// sync: commits happen in sequence order, so the prefix is closed).
-    Watermark(u64),
-    /// Record the closed `[lo, hi]` range as applied without touching the
-    /// watermark (parallel sync: commits may land out of order; the
-    /// contiguous prefix is folded afterwards by
-    /// [`Warehouse::fold_applied_ranges`]).
+    /// Record the closed `[lo, hi]` range as applied (every sync apply
+    /// group: commits may land out of order, and the contiguous prefix is
+    /// folded afterwards by [`Warehouse::fold_applied_ranges`]).
     Range(u64, u64),
 }
 
 impl Warehouse {
-    /// Record an out-of-order applied range `[lo, hi]` *inside* `txn`. The
-    /// row is keyed `id = lo + 1` (`id = 0` is the watermark row), so
-    /// concurrent workers recording disjoint ranges never collide.
+    /// Record the applied range `[lo, hi]` *inside* `txn`, so the delta
+    /// effects and the claim that they happened commit atomically: a crash
+    /// either keeps both (the redelivery dedupes) or neither (the
+    /// redelivery re-applies). The row is keyed `id = lo + 1` (`id = 0` is
+    /// the watermark row), so concurrent workers recording disjoint ranges
+    /// never collide.
     pub fn record_applied_range(
         &self,
         txn: &mut Transaction,
@@ -394,7 +385,6 @@ impl Warehouse {
     fn record_mark(&self, txn: &mut Transaction, mark: AppliedMark) -> EngineResult<()> {
         match mark {
             AppliedMark::None => Ok(()),
-            AppliedMark::Watermark(seq) => self.record_applied(txn, seq),
             AppliedMark::Range(lo, hi) => self.record_applied_range(txn, lo, hi),
         }
     }
@@ -422,49 +412,47 @@ impl Warehouse {
         })
     }
 
-    /// Fold every out-of-order range that extends the contiguous prefix
-    /// into the `id = 0` watermark row, in one short transaction. Ranges
-    /// stay behind only while a sequence gap below them is unresolved
-    /// (e.g. a sibling group still retrying or quarantined mid-run).
-    pub fn fold_applied_ranges(&self) -> EngineResult<AppliedState> {
+    /// Fold every range that extends the contiguous prefix into the
+    /// `id = 0` watermark row, in one short transaction — the one writer of
+    /// that row. A sequence for which `parked` holds (quarantined to the
+    /// dead-letter queue: completed without an apply) closes a gap like a
+    /// range does. Ranges stay behind only while a sequence below them is
+    /// neither applied nor parked (a sibling group still to be redelivered).
+    pub fn fold_applied_ranges(&self, parked: impl Fn(u64) -> bool) -> EngineResult<AppliedState> {
         let state = self.applied_state()?;
-        if state.ranges.is_empty() {
-            return Ok(state);
-        }
-        let mut watermark = state.watermark;
-        let mut folded: Vec<(u64, u64)> = Vec::new();
-        let mut rest: Vec<(u64, u64)> = Vec::new();
+        let mut next = state.watermark.map_or(0, |w| w.saturating_add(1));
+        let mut folded = 0;
         for &(lo, hi) in &state.ranges {
-            let next = watermark.map_or(0, |w| w.saturating_add(1));
-            if lo <= next {
-                watermark = Some(watermark.map_or(hi, |w| w.max(hi)));
-                folded.push((lo, hi));
-            } else {
-                rest.push((lo, hi));
+            while next < lo && parked(next) {
+                next += 1;
             }
+            if lo > next {
+                break;
+            }
+            next = next.max(hi.saturating_add(1));
+            folded += 1;
         }
-        if folded.is_empty() {
+        if folded == 0 {
             return Ok(state);
         }
+        let (done, rest) = state.ranges.split_at(folded);
+        let watermark = next - 1;
         self.db.in_txn(|txn| {
             let meta = self.db.table(APPLIED_SEQ_TABLE)?;
             self.db
                 .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
             let now = self.db.now_micros();
-            for &(lo, hi) in &folded {
+            for &(lo, hi) in done {
                 let key = Row::new(vec![Value::Int((lo + 1) as i64), Value::Int(hi as i64)]);
                 if let Some((rid, old)) = self.db.locate_by_image(&meta, &key)? {
                     self.db.delete_row(txn, &meta, rid, old, now, false)?;
                 }
             }
-            if let Some(w) = watermark {
-                self.record_applied(txn, w)?;
-            }
-            Ok(())
+            self.set_applied_row(txn, 0, watermark)
         })?;
         Ok(AppliedState {
-            watermark,
-            ranges: rest,
+            watermark: Some(watermark),
+            ranges: rest.to_vec(),
         })
     }
 }

@@ -68,8 +68,8 @@ pub struct SyncReport {
     pub worker_busy_nanos: u64,
     /// Most concurrent apply workers used by any wave this sync.
     pub workers_used: u64,
-    /// Waves abandoned by the stall watchdog (a worker missed the
-    /// per-stage deadline; its groups stay unacked and redeliver).
+    /// Always 0: `sync` has no stall deadline (see [`crate::sched`]). The
+    /// field stays because the frozen dwbench harness reads it.
     pub stalls: u64,
     /// Producer-side disk-budget denials observed (folded in from
     /// [`ShipReport`]s by drivers that aggregate both sides).
@@ -186,10 +186,7 @@ pub struct Pipeline {
     pub(crate) jitter_state: Mutex<u64>,
     /// Apply workers for `sync`; 0 means available parallelism.
     pub(crate) sync_workers: usize,
-    /// Per-wave deadline for the stall watchdog (see [`crate::watchdog`]);
-    /// `None` waits forever (the historical behaviour).
-    pub(crate) stage_deadline: Option<Duration>,
-    /// Deterministic injected stalls for torture testing the watchdog.
+    /// Deterministic injected apply stalls (fault injection).
     pub(crate) stall_injector: Option<crate::watchdog::StallInjector>,
 }
 
@@ -210,7 +207,6 @@ impl Pipeline {
             net_faults: None,
             jitter_state: Mutex::new(0),
             sync_workers: 0,
-            stage_deadline: None,
             stall_injector: None,
         })
     }
@@ -227,19 +223,11 @@ impl Pipeline {
         self
     }
 
-    /// Bound how long `sync` waits for any parallel apply wave. A wave
-    /// that misses the deadline is abandoned: its unfinished groups stay
-    /// unacknowledged (the next `sync` redelivers them), remaining workers
-    /// stand down at their next group boundary, and the sync reports a
-    /// stall instead of hanging. Serial applies (one worker) are not
-    /// guarded — there is no second thread to hand control back to.
-    pub fn with_stage_deadline(mut self, deadline: Duration) -> Pipeline {
-        self.stage_deadline = Some(deadline);
-        self
-    }
-
     /// Inject deterministic apply-stage stalls (see
-    /// [`StallPlan`](crate::watchdog::StallPlan)) for watchdog testing.
+    /// [`StallPlan`](crate::watchdog::StallPlan)): a planned group sleeps
+    /// once before its apply, so its class commits after its siblings —
+    /// out of sequence order — and the prefix ack and range fold are
+    /// exercised under the torture harness's `--pressure` mode.
     pub fn with_injected_stalls(mut self, plan: crate::watchdog::StallPlan) -> Pipeline {
         self.stall_injector = Some(crate::watchdog::StallInjector::new(plan));
         self
@@ -492,20 +480,24 @@ impl Pipeline {
     /// primitives ([`crate::direct::DirectValueApplier`]) rather than as
     /// SQL statements; Op-Deltas replay one warehouse transaction each.
     ///
-    /// The queue ack and the warehouse's applied-sequence watermark only
-    /// ever advance over the contiguous completed prefix of the sequence,
-    /// no matter the commit order, so redelivery stays
-    /// exactly-once-observable: batches recorded as applied (lost acks,
-    /// crash between commit and ack, duplicated delivery) are skipped, and
-    /// out-of-order delivery is restored by sequence id before applying.
-    /// With one worker groups apply and commit in sequence order and every
-    /// commit advances the watermark itself.
+    /// Every apply group records its sequence range in the warehouse inside
+    /// its own transaction; the queue ack and the warehouse's
+    /// applied-sequence watermark only ever advance over the contiguous
+    /// completed prefix of the sequence, no matter the commit order, so
+    /// redelivery stays exactly-once-observable: batches recorded as
+    /// applied (lost acks, crash between commit and ack, duplicated
+    /// delivery) are skipped, and out-of-order delivery is restored by
+    /// sequence id before applying. With one worker groups apply and commit
+    /// in sequence order.
     ///
-    /// Without a [`RetryPolicy`], any apply failure rewinds the dequeue
-    /// cursor so the unacknowledged suffix is redelivered by the next
-    /// `sync`. With one, the group is retried with backoff and — if it keeps
-    /// failing — isolated per batch; batches that still fail are parked in
-    /// the dead-letter queue and the pipeline keeps draining.
+    /// A frame that does not decode fails its apply like any other poison
+    /// batch. Without a [`RetryPolicy`], a failed apply acks the completed
+    /// prefix before it, rewinds the dequeue cursor so the unacknowledged
+    /// suffix is redelivered by the next `sync`, and returns the error.
+    /// With one, the group is retried with backoff (an undecodable frame is
+    /// not: decoding is deterministic) and — if it keeps failing — isolated
+    /// per batch; batches that still fail are parked in the dead-letter
+    /// queue and the pipeline keeps draining.
     pub fn sync(&self, wh: &Warehouse) -> EngineResult<SyncReport> {
         crate::sched::run_sync(self, wh)
     }
@@ -604,23 +596,12 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Append `seq` to the resolved sidecar (idempotent by construction:
-    /// the set semantics of [`Pipeline::resolved_set`] absorb duplicates).
-    fn mark_resolved(&self, seq: u64) -> EngineResult<()> {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.resolved_path)?;
-        writeln!(f, "{seq}")?;
-        Ok(())
-    }
-
     /// Append every id in `seqs` to the resolved sidecar with one file open
-    /// and no per-id re-read of the DLQ spool — the bulk form the audit's
-    /// reconciliation uses after computing the superseded set itself from a
-    /// single [`Pipeline::dlq_entries`] pass. Duplicate and already-resolved
-    /// ids are harmless (set semantics absorb them on read).
+    /// and no per-id re-read of the DLQ spool — the one sidecar writer; the
+    /// audit's reconciliation calls it with the superseded set it computed
+    /// from a single [`Pipeline::dlq_entries`] pass. Duplicate and
+    /// already-resolved ids are harmless (the set semantics of
+    /// [`Pipeline::resolved_set`] absorb them on read).
     pub(crate) fn mark_resolved_batch(&self, seqs: &[u64]) -> EngineResult<()> {
         if seqs.is_empty() {
             return Ok(());
@@ -659,7 +640,7 @@ impl Pipeline {
         if !open.iter().any(|q| q.index == seq) {
             return Ok(false);
         }
-        self.mark_resolved(seq)?;
+        self.mark_resolved_batch(&[seq])?;
         Ok(true)
     }
 
@@ -676,7 +657,7 @@ impl Pipeline {
             .queue
             .enqueue(&entry.payload)
             .map_err(EngineError::Storage)?;
-        self.mark_resolved(seq)?;
+        self.mark_resolved_batch(&[seq])?;
         Ok(Some(new_seq))
     }
 
@@ -692,10 +673,11 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apply::AppliedMark;
     use crate::mirror::MirrorConfig;
     use delta_core::model::{DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
     use delta_engine::db::open_temp;
-    use delta_storage::{Column, DataType, Row, Schema, Value};
+    use delta_storage::{Column, DataType, Row, Schema, StorageError, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1121,47 +1103,85 @@ mod tests {
         assert_eq!(table_rows(&src, "t"), table_rows(wh.db(), "t"));
     }
 
-    #[test]
-    fn stalled_wave_is_abandoned_counted_and_redelivered() {
-        use crate::watchdog::StallPlan;
-        let db = open_temp("stall-wh").unwrap();
-        let mut wh = Warehouse::new(db);
-        wh.add_mirror(MirrorConfig::full("t", schema())).unwrap();
+    /// A pipeline over mirrors `t` and `u` holding a good batch for `t`, a
+    /// frame that does not decode, and a good batch for `u`.
+    fn undecodable_mid_run(label: &str, workers: usize, retry: bool) -> (Warehouse, Pipeline) {
+        let mut wh = warehouse(label);
         wh.add_mirror(MirrorConfig::full("u", schema())).unwrap();
-        let pipe = Pipeline::open(qpath("stall"))
+        let mut pipe = Pipeline::open(qpath(label))
             .unwrap()
-            .with_sync_workers(2)
-            .with_stage_deadline(Duration::from_millis(40))
-            .with_injected_stalls(StallPlan::new(0, 100, 250));
-        let batch = |table: &str, id: i64| {
-            let mut vd = ValueDelta::new(table, schema());
-            vd.records.push(ValueDeltaRecord {
-                op: DeltaOp::Insert,
-                txn: 0,
-                row: Row::new(vec![Value::Int(id), Value::Int(id)]),
-            });
-            DeltaBatch::Value(vd)
-        };
-        // Two tables in one run → one wave with two concurrency classes.
-        pipe.publish(&batch("t", 1)).unwrap();
-        pipe.publish(&batch("u", 2)).unwrap();
-
-        let first = pipe.sync(&wh).unwrap();
-        assert!(first.stalls >= 1, "the watchdog abandoned the stalled wave");
-
-        // Every stall fires once, so the drain converges.
-        let mut stalls = first.stalls;
-        for _ in 0..20 {
-            if pipe.queue().pending() == 0 && pipe.queue().acked() == 2 {
-                break;
-            }
-            stalls += pipe.sync(&wh).unwrap().stalls;
+            .with_sync_workers(workers);
+        if retry {
+            pipe = pipe.with_retry(RetryPolicy::quick(3)).unwrap();
         }
-        assert_eq!(pipe.queue().acked(), 2, "stalled groups settled");
-        assert_eq!(pipe.queue().pending(), 0);
-        assert_eq!(wh.db().row_count("t").unwrap(), 1);
-        assert_eq!(wh.db().row_count("u").unwrap(), 1);
-        assert!(stalls >= 1);
+        let mut on_u = insert_vd(2, 2);
+        on_u.table = "u".into();
+        pipe.publish(&DeltaBatch::Value(insert_vd(1, 1))).unwrap();
+        pipe.queue().enqueue(b"not a batch").unwrap();
+        pipe.publish(&DeltaBatch::Value(on_u)).unwrap();
+        (wh, pipe)
+    }
+
+    #[test]
+    fn undecodable_frame_is_quarantined_at_once_and_the_run_drains() {
+        for workers in [1, 2] {
+            let label = format!("undecodable-dlq-{workers}");
+            let (wh, pipe) = undecodable_mid_run(&label, workers, true);
+            let report = pipe.sync(&wh).unwrap();
+            assert_eq!(report.quarantined, 1, "workers {workers}");
+            assert_eq!(report.retries, 0, "decoding is deterministic: no retry");
+            assert_eq!(report.batches, 2, "both good batches applied");
+            assert_eq!(wh.db().row_count("t").unwrap(), 1);
+            assert_eq!(wh.db().row_count("u").unwrap(), 1);
+            assert_eq!((pipe.queue().acked(), pipe.queue().pending()), (3, 0));
+            let parked = pipe.quarantined().unwrap();
+            assert_eq!(parked.len(), 1);
+            assert_eq!(parked[0].index, 1);
+            assert_eq!(parked[0].payload, b"not a batch");
+            // The parked sequence closes the gap: every range folds.
+            let state = wh.applied_state().unwrap();
+            assert_eq!((state.watermark, state.ranges), (Some(2), vec![]));
+        }
+    }
+
+    #[test]
+    fn undecodable_frame_fail_stops_after_applying_the_prefix() {
+        for workers in [1, 2] {
+            let label = format!("undecodable-stop-{workers}");
+            let (wh, pipe) = undecodable_mid_run(&label, workers, false);
+            let err = pipe.sync(&wh).unwrap_err();
+            assert!(
+                matches!(err, EngineError::Storage(StorageError::Corrupt(_))),
+                "workers {workers}: the decode error surfaces, got {err}"
+            );
+            assert_eq!(wh.db().row_count("t").unwrap(), 1, "prefix applied");
+            assert_eq!(wh.db().row_count("u").unwrap(), 0, "nothing past it");
+            assert_eq!(pipe.queue().acked(), 1, "prefix acked");
+            assert_eq!(pipe.queue().pending(), 2, "cursor on the bad frame");
+            assert_eq!(wh.applied_watermark().unwrap(), Some(0));
+        }
+    }
+
+    #[test]
+    fn leftover_ranges_fold_at_one_worker() {
+        let wh = warehouse("leftover");
+        wh.ensure_applied_watermark().unwrap();
+        // What a crashed parallel sync leaves: sequence 5 committed with
+        // its range recorded, nothing below it acked.
+        let fifth = insert_vd(5, 5);
+        crate::DirectValueApplier::apply_run_marked(&wh, &[&fifth], AppliedMark::Range(5, 5))
+            .unwrap();
+        let pipe = Pipeline::open(qpath("leftover"))
+            .unwrap()
+            .with_sync_workers(1);
+        for i in 0..6 {
+            pipe.publish(&DeltaBatch::Value(insert_vd(i, i))).unwrap();
+        }
+        let report = pipe.sync(&wh).unwrap();
+        assert_eq!((report.batches, report.deduped), (5, 1));
+        let state = wh.applied_state().unwrap();
+        assert_eq!((state.watermark, state.ranges), (Some(5), vec![]));
+        assert_eq!(wh.db().row_count("t").unwrap(), 6);
     }
 
     #[test]

@@ -1,29 +1,17 @@
-//! Stall watchdog for the parallel apply scheduler.
+//! Seeded stall injection for the apply stage — fault injection, not a
+//! watchdog.
 //!
-//! A warehouse apply worker can wedge — a lock convoy, a pathological
-//! plan, a filesystem hiccup. Without a deadline the whole sync waits on
-//! it forever, and the queue's unacked suffix (and the source's disk
-//! budget) grows without bound. The watchdog bounds the damage: when a
-//! parallel wave misses its per-stage deadline, the scheduler stops
-//! waiting, flags the remaining workers to stand down at their next group
-//! boundary, and moves on. The stalled groups simply never complete, so
-//! the prefix ack stops before them and the next `sync` redelivers them —
-//! the ordinary at-least-once retry path, now also covering "stuck", not
-//! just "crashed".
+//! [`StallPlan`] injects stalls the same way the storage layer injects
+//! torn writes: a seeded hash of each apply group's first sequence id
+//! decides whether the worker applying that group sleeps before its apply
+//! transaction. A stalled class commits after its siblings, so groups land
+//! out of sequence order and the scheduler's prefix ack and range fold
+//! (see `sched.rs`) are exercised; the torture harness's `--pressure`
+//! mode arms it. Each planned stall fires once per pipeline incarnation,
+//! so a redelivered group applies promptly.
 //!
-//! A worker thread cannot be killed, so a group already inside an apply
-//! transaction runs to completion in the background. That is safe by the
-//! same argument as a crash between commit and ack: if the late group
-//! commits after the wave was abandoned, its sequence range is recorded
-//! in the watermark table, and redelivery dedupes it. Cancellation is
-//! strictly cooperative and observed at group boundaries.
-//!
-//! For deterministic testing, [`StallPlan`] injects stalls the same way
-//! the storage layer injects torn writes: a seeded hash of each group's
-//! first sequence id decides whether that group's worker sleeps before
-//! applying. Each planned stall fires once per pipeline incarnation, so a
-//! redelivered group applies promptly on retry — modelling a transient
-//! wedge, the kind a watchdog exists for.
+//! Nothing watches for a stall: `sync` joins its scoped workers before it
+//! returns, so no deadline could bound it.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -62,8 +50,8 @@ impl StallPlan {
 }
 
 /// Runtime stall-injection state: the plan plus the set of sequence ids
-/// whose stall has already fired (stalls are one-shot per incarnation —
-/// a retried group must make progress or the watchdog would livelock).
+/// whose stall has already fired (stalls are one-shot per incarnation, so
+/// a redelivered group makes progress).
 #[derive(Debug)]
 pub struct StallInjector {
     plan: StallPlan,

@@ -502,8 +502,8 @@ fn direct_path_logs_only_mirror_view_and_watermark_rows() {
         (UA, item(1, 0, 12)),
         (D, item(6, 2, 30)),
     ]);
-    DirectValueApplier::apply_run_marked(&t.direct, &[&run], AppliedMark::Watermark(7)).unwrap();
-    assert_eq!(t.direct.applied_watermark().unwrap(), Some(7));
+    DirectValueApplier::apply_run_marked(&t.direct, &[&run], AppliedMark::Range(7, 7)).unwrap();
+    assert_eq!(t.direct.applied_state().unwrap().ranges, vec![(7, 7)]);
     let mut row_changes = 0;
     for (_, rec) in db.wal().read_from(from).unwrap() {
         if !matches!(

@@ -358,8 +358,8 @@ fn replay_logs_only_mirror_view_and_watermark_rows() {
             "DELETE FROM owners WHERE oid >= 3",
         ],
     );
-    let report = OpDeltaApplier::apply_marked(&wh, &od, AppliedMark::Watermark(7)).unwrap();
-    assert_eq!(wh.applied_watermark().unwrap(), Some(7));
+    let report = OpDeltaApplier::apply_marked(&wh, &od, AppliedMark::Range(7, 7)).unwrap();
+    assert_eq!(wh.applied_state().unwrap().ranges, vec![(7, 7)]);
     let tables = logged_row_changes(db, from);
     for table in &tables {
         assert!(
