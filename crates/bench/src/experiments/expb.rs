@@ -25,7 +25,9 @@ use std::time::{Duration, Instant};
 use delta_core::snapshot::{diff_snapshots, diff_snapshots_parallel, DiffAlgorithm};
 use delta_engine::db::{Database, DbOptions, SyncMode};
 use delta_storage::colbatch::{RowSink, DEFAULT_BLOCK_ROWS};
-use delta_storage::{BufferPool, Column, DataType, DiskFile, FileId, PageId, Row, Schema, Value};
+use delta_storage::{
+    BufferPool, BufferPoolStats, Column, DataType, DiskFile, FileId, PageId, Row, Schema, Value,
+};
 
 use crate::report::{fmt_duration, TableReport};
 use crate::workload::{filler, time_once, Scale, SourceBuilder};
@@ -71,7 +73,7 @@ fn seeded_pool(b: &SourceBuilder, shards: usize, pages: usize) -> (Arc<BufferPoo
 /// `threads` workers sweep the resident pages for a fixed wall-clock slice;
 /// returns aggregate page touches per second plus pool-side quality stats.
 fn scan_run(pool: &Arc<BufferPool>, pids: &[PageId], threads: usize) -> ScanCell {
-    pool.reset_stats();
+    let before = pool.shard_stats();
     let stop = AtomicBool::new(false);
     let touched = AtomicU64::new(0);
     let started = Instant::now();
@@ -96,8 +98,22 @@ fn scan_run(pool: &Arc<BufferPool>, pids: &[PageId], threads: usize) -> ScanCell
         stop.store(true, Ordering::Relaxed);
     });
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    let stats = pool.stats();
-    let per_shard = pool.shard_stats();
+    // This cell's counts: the difference of two snapshots per shard.
+    let per_shard: Vec<BufferPoolStats> = pool
+        .shard_stats()
+        .iter()
+        .zip(&before)
+        .map(|(now, then)| BufferPoolStats {
+            hits: now.hits - then.hits,
+            misses: now.misses - then.misses,
+            ..BufferPoolStats::default()
+        })
+        .collect();
+    let stats = BufferPoolStats {
+        hits: per_shard.iter().map(|s| s.hits).sum(),
+        misses: per_shard.iter().map(|s| s.misses).sum(),
+        ..BufferPoolStats::default()
+    };
     let accesses: Vec<u64> = per_shard.iter().map(|s| s.accesses()).collect();
     let mean = accesses.iter().sum::<u64>() as f64 / accesses.len().max(1) as f64;
     let max = accesses.iter().copied().max().unwrap_or(0) as f64;

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use parking_lot::{Condvar, Mutex};
 
+use delta_storage::colbatch::{fnv1a, FNV1A_OFFSET};
 use delta_storage::fault::{FaultAction, FaultInjector};
 use delta_storage::pressure::{Admission, DiskBudget};
 use delta_storage::{invariant, IoOp, Row, StorageError, StorageResult};
@@ -193,25 +194,9 @@ fn get_str(buf: &mut &[u8]) -> StorageResult<String> {
     Ok(s)
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
 /// File in the WAL directory holding the persisted LSN high-water hint (see
 /// [`LogManager::write_lsn_hint`]).
 const LSN_HINT_FILE: &str = "lsn.hint";
-
-/// Fold `bytes` into a running FNV-1a state.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes)
-}
 
 /// Serialize a record's payload (everything but the LSN) into `body`.
 ///
@@ -291,7 +276,7 @@ fn encode_entry_open(rec: &LogRecord, buf: &mut Vec<u8>) -> FrameFixup {
     buf.put_u32(0); // body length, fixed below
     let payload_at = buf.len();
     encode_payload(rec, buf);
-    let payload_sum = fnv_fold(FNV_OFFSET, &buf[payload_at..]);
+    let payload_sum = fnv1a(FNV1A_OFFSET, &buf[payload_at..]);
     let lsn_at = buf.len();
     buf.put_u64(0); // LSN placeholder, sealed later
     let body_len = (buf.len() - payload_at) as u32;
@@ -309,7 +294,7 @@ fn seal_entries(buf: &mut [u8], fixups: &[FrameFixup], first: Lsn) {
     for (i, fix) in fixups.iter().enumerate() {
         let lsn_bytes = (first + i as u64).to_be_bytes();
         buf[fix.lsn_at..fix.lsn_at + 8].copy_from_slice(&lsn_bytes);
-        let sum = fnv_fold(fix.payload_sum, &lsn_bytes);
+        let sum = fnv1a(fix.payload_sum, &lsn_bytes);
         buf[fix.lsn_at + 8..fix.lsn_at + 16].copy_from_slice(&sum.to_be_bytes());
     }
 }
@@ -344,7 +329,7 @@ pub fn decode_record(buf: &mut &[u8]) -> StorageResult<(Lsn, LogRecord)> {
         let mut tail = &buf[len..len + 8];
         tail.get_u64()
     };
-    if checksum(body) != sum_expected {
+    if fnv1a(FNV1A_OFFSET, body) != sum_expected {
         return Err(StorageError::Corrupt("wal entry checksum mismatch".into()));
     }
     // The LSN lives at the body's tail (see `encode_payload`).

@@ -279,7 +279,7 @@ pub mod export {
     //! The proprietary binary Export format.
     //!
     //! Layout: magic, product tag, format version, schema string, row count,
-    //! then length-prefixed binary rows, then an XOR-fold checksum. The
+    //! then length-prefixed binary rows, then an FNV-1a checksum. The
     //! product tag and version are verified by `Import`; see
     //! [`crate::error::StorageError::IncompatibleFormat`].
 
@@ -287,6 +287,7 @@ pub mod export {
 
     use bytes::{Buf, BufMut};
 
+    use crate::colbatch::{fnv1a, FNV1A_OFFSET};
     use crate::error::{StorageError, StorageResult};
     use crate::record::Row;
     use crate::schema::Schema;
@@ -315,16 +316,6 @@ pub mod export {
         }
     }
 
-    fn checksum(acc: u64, bytes: &[u8]) -> u64 {
-        // FNV-1a style fold; fast and good enough to detect torn dumps.
-        let mut h = acc;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
     /// Streaming writer for an export dump.
     pub struct ExportWriter<W: Write> {
         out: W,
@@ -348,7 +339,7 @@ pub mod export {
             Ok(ExportWriter {
                 out,
                 rows: 0,
-                sum: checksum(0xcbf29ce484222325, &header),
+                sum: fnv1a(FNV1A_OFFSET, &header),
             })
         }
 
@@ -359,7 +350,7 @@ pub mod export {
             frame.put_u32(bytes.len() as u32);
             frame.put_slice(&bytes);
             self.out.write_all(&frame)?;
-            self.sum = checksum(self.sum, &frame);
+            self.sum = fnv1a(self.sum, &frame);
             self.rows += 1;
             Ok(())
         }
@@ -394,12 +385,12 @@ pub mod export {
             if &magic != MAGIC {
                 return Err(StorageError::Corrupt("not an export file".into()));
             }
-            let mut sum = checksum(0xcbf29ce484222325, &magic);
+            let mut sum = fnv1a(FNV1A_OFFSET, &magic);
 
             let read_bytes = |input: &mut R, n: usize, sum: &mut u64| -> StorageResult<Vec<u8>> {
                 let mut buf = vec![0u8; n];
                 input.read_exact(&mut buf)?;
-                *sum = checksum(*sum, &buf);
+                *sum = fnv1a(*sum, &buf);
                 Ok(buf)
             };
 
@@ -459,10 +450,10 @@ pub mod export {
                 self.done = true;
                 return Ok(None);
             }
-            self.sum = checksum(self.sum, &lenb);
+            self.sum = fnv1a(self.sum, &lenb);
             let mut body = vec![0u8; len as usize];
             self.input.read_exact(&mut body)?;
-            self.sum = checksum(self.sum, &body);
+            self.sum = fnv1a(self.sum, &body);
             Ok(Some(Row::from_bytes(&body)?))
         }
     }

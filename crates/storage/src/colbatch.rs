@@ -99,6 +99,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// The state a 64-bit FNV-1a fold starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running 64-bit FNV-1a `state` (start from
+/// [`FNV1A_OFFSET`]). The checksum of a WAL entry, a queue frame, a shipped
+/// file's manifest line and an export dump.
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= b as u64;
+        state = state.wrapping_mul(0x0100_0000_01b3);
+    }
+    state
+}
+
 // ---------------------------------------------------------------------------
 // Varints and zigzag.
 // ---------------------------------------------------------------------------

@@ -11,18 +11,10 @@ use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use delta_storage::colbatch::{fnv1a, FNV1A_OFFSET};
 use delta_storage::{StorageError, StorageResult};
 
 use crate::netsim::SimulatedConnection;
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A one-directional file channel into `dest_dir`.
 pub struct FileTransport {
@@ -79,7 +71,7 @@ impl FileTransport {
         let shipped = ShippedFile {
             name,
             bytes: bytes.len() as u64,
-            checksum: checksum(&bytes),
+            checksum: fnv1a(FNV1A_OFFSET, &bytes),
         };
         let mut manifest = fs::OpenOptions::new()
             .create(true)
@@ -131,7 +123,7 @@ impl FileTransport {
         let path = self.dest_dir.join(name);
         let mut bytes = Vec::new();
         File::open(&path)?.read_to_end(&mut bytes)?;
-        if bytes.len() as u64 != entry.bytes || checksum(&bytes) != entry.checksum {
+        if bytes.len() as u64 != entry.bytes || fnv1a(FNV1A_OFFSET, &bytes) != entry.checksum {
             return Err(StorageError::Corrupt(format!(
                 "shipped file '{name}' failed verification"
             )));

@@ -20,20 +20,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use delta_storage::colbatch::{fnv1a, FNV1A_OFFSET};
 use delta_storage::pressure::{Admission, DiskBudget};
 use delta_storage::{invariant, StorageError, StorageResult};
 
 use crate::compact;
 use crate::netsim::{NetFault, NetFaultSim};
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Byte length of the frame at the start of `bytes` — length prefix,
 /// payload, checksum — if one is there whole and its checksum holds.
@@ -41,7 +33,7 @@ fn valid_frame_len(bytes: &[u8]) -> Option<usize> {
     let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
     let body = bytes.get(4..4 + len)?;
     let sum = u64::from_le_bytes(bytes.get(4 + len..12 + len)?.try_into().ok()?);
-    (checksum(body) == sum).then_some(12 + len)
+    (fnv1a(FNV1A_OFFSET, body) == sum).then_some(12 + len)
 }
 
 pub(crate) struct QueueInner {
@@ -245,7 +237,7 @@ impl PersistentQueue {
         let mut frame = Vec::with_capacity(payload.len() + 12);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(payload);
-        frame.extend_from_slice(&checksum(payload).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(FNV1A_OFFSET, payload).to_le_bytes());
         if let Some(b) = &self.budget {
             match b.admit(&self.spool_path, frame.len() as u64) {
                 Admission::Granted => {}
@@ -291,7 +283,7 @@ impl PersistentQueue {
             frame_offsets.push(inner.spool_len + buf.len() as u64);
             buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             buf.extend_from_slice(payload);
-            buf.extend_from_slice(&checksum(payload).to_le_bytes());
+            buf.extend_from_slice(&fnv1a(FNV1A_OFFSET, payload).to_le_bytes());
         }
         if let Some(b) = &self.budget {
             // All-or-nothing: a batch that does not fit entirely writes
@@ -390,7 +382,7 @@ impl PersistentQueue {
             let payload = arena
                 .get(body.clone())
                 .ok_or_else(|| StorageError::Corrupt(format!("queue frame {idx} truncated")))?;
-            if checksum(payload) != u64::from_le_bytes(sumb) {
+            if fnv1a(FNV1A_OFFSET, payload) != u64::from_le_bytes(sumb) {
                 return Err(StorageError::Corrupt(format!(
                     "queue frame {idx} checksum mismatch"
                 )));

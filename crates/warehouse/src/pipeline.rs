@@ -582,35 +582,46 @@ impl Pipeline {
     }
 
     /// Sequence ids marked resolved (drained, requeued, or superseded by an
-    /// audit repair), read from the crash-safe append-only sidecar.
+    /// audit repair), read from the crash-safe append-only sidecar. Only
+    /// newline-terminated ids count: an unterminated last line is what a
+    /// crash leaves of an append, and names no id.
     fn resolved_set(&self) -> EngineResult<std::collections::BTreeSet<u64>> {
-        let mut out = std::collections::BTreeSet::new();
-        let Ok(body) = std::fs::read_to_string(&self.resolved_path) else {
-            return Ok(out); // no sidecar yet: nothing resolved
+        let body = match std::fs::read_to_string(&self.resolved_path) {
+            Ok(body) => body,
+            // No sidecar yet: nothing resolved.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Default::default()),
+            Err(e) => return Err(e.into()),
         };
-        for line in body.lines() {
-            if let Ok(seq) = line.trim().parse::<u64>() {
-                out.insert(seq);
-            }
-        }
-        Ok(out)
+        let terminated = body.rsplit_once('\n').map_or("", |(whole, _torn)| whole);
+        Ok(terminated
+            .lines()
+            .filter_map(|line| line.trim().parse().ok())
+            .collect())
     }
 
     /// Append every id in `seqs` to the resolved sidecar with one file open
     /// and no per-id re-read of the DLQ spool — the one sidecar writer; the
     /// audit's reconciliation calls it with the superseded set it computed
-    /// from a single [`Pipeline::dlq_entries`] pass. Duplicate and
+    /// from a single [`Pipeline::dlq_entries`] pass. A torn last line is cut
+    /// first, so the first id appended is not glued onto it. Duplicate and
     /// already-resolved ids are harmless (the set semantics of
     /// [`Pipeline::resolved_set`] absorb them on read).
     pub(crate) fn mark_resolved_batch(&self, seqs: &[u64]) -> EngineResult<()> {
         if seqs.is_empty() {
             return Ok(());
         }
-        use std::io::Write;
+        use std::io::{Read, Write};
         let mut f = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&self.resolved_path)?;
+        let mut old = Vec::new();
+        f.read_to_end(&mut old)?;
+        let whole = old.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if whole < old.len() {
+            f.set_len(whole as u64)?;
+        }
         let mut body = String::with_capacity(seqs.len() * 8);
         for seq in seqs {
             body.push_str(&seq.to_string());
@@ -1182,6 +1193,42 @@ mod tests {
         let state = wh.applied_state().unwrap();
         assert_eq!((state.watermark, state.ranges), (Some(5), vec![]));
         assert_eq!(wh.db().row_count("t").unwrap(), 6);
+    }
+
+    #[test]
+    fn torn_sidecar_append_neither_hides_nor_revives_an_entry() {
+        let wh = warehouse("torn-sidecar");
+        let pipe = Pipeline::open(qpath("torn-sidecar"))
+            .unwrap()
+            .with_sync_workers(1)
+            .with_retry(RetryPolicy::quick(3))
+            .unwrap();
+        let park = |n: usize| {
+            for _ in 0..n {
+                pipe.queue().enqueue(b"not a batch").unwrap();
+            }
+            pipe.sync(&wh).unwrap();
+        };
+        let open = || -> Vec<u64> {
+            pipe.dlq_entries()
+                .unwrap()
+                .iter()
+                .map(|q| q.index)
+                .collect()
+        };
+        park(13);
+        // What a crash leaves of an append of "12\n".
+        std::fs::write(&pipe.resolved_path, "1").unwrap();
+        assert_eq!(
+            open(),
+            (0..13).collect::<Vec<_>>(),
+            "entry 1 was never resolved"
+        );
+        assert!(pipe.resolve_dlq(7).unwrap());
+        assert_eq!(std::fs::read_to_string(&pipe.resolved_path).unwrap(), "7\n");
+        park(5);
+        let expected: Vec<u64> = (0..18).filter(|&s| s != 7).collect();
+        assert_eq!(open(), expected, "7 stays resolved and 17 arrives open");
     }
 
     #[test]
