@@ -76,7 +76,7 @@ impl LogExtractor {
         // commit batch reaches the WAL whole, so a fragment can never commit
         // later), are the log reader's call, not this function's.
         let mut per_table: BTreeMap<String, ValueDelta> = BTreeMap::new();
-        let high = db.wal().read_committed(self.watermark + 1, |unit| {
+        let tail = db.wal().read_committed(self.watermark + 1, |unit| {
             for (_, rec) in unit {
                 if let LogRecord::DropTable { name } = rec {
                     // Nothing mirrors a dropped table: its earlier rows go,
@@ -114,9 +114,17 @@ impl LogExtractor {
             }
             Ok(())
         })?;
+        if !tail.lost.is_empty() {
+            // A quarantined segment may have held changes past the
+            // watermark: the log no longer has them, so nothing ships.
+            return Err(EngineError::AuditOwed {
+                tables: self.tables.clone(),
+                segments: tail.lost,
+            });
+        }
         Ok((
             per_table.into_values().filter(|v| !v.is_empty()).collect(),
-            self.watermark.max(high),
+            self.watermark.max(tail.high),
         ))
     }
 
@@ -167,7 +175,8 @@ pub struct StagedExtract {
 /// * a coalesced round nets the same tail to one record per changed key —
 ///   it reads no table, so writers need not be quiesced;
 /// * when an archived segment the round needs is corrupt, the round moves
-///   it aside (`*.wal.corrupt`) and fails with [`EngineError::AuditOwed`],
+///   it aside (`*.wal.corrupt`) and fails with [`EngineError::AuditOwed`]
+///   — as it does when `scrub_database` moved the segment aside first —
 ///   and so does every later round until [`audited`](Self::audited). With
 ///   the log gone the warehouse is the authority: the caller converges it
 ///   with `delta_warehouse::audit_and_repair` under that function's
@@ -213,7 +222,8 @@ impl ResilientLogExtractor {
     /// Stage one round from the committed log tail past the watermark,
     /// without moving the watermark. Fails with [`EngineError::AuditOwed`]
     /// — quarantining the damage first — when an archived segment it needs
-    /// is corrupt, and from then on until [`audited`](Self::audited).
+    /// is corrupt or already quarantined, and from then on until
+    /// [`audited`](Self::audited).
     pub fn stage(&mut self, db: &Database) -> EngineResult<StagedExtract> {
         if self.owed.is_none() {
             match self.inner.peek(db) {
@@ -230,6 +240,7 @@ impl ResilientLogExtractor {
                 Err(EngineError::Storage(StorageError::Corrupt(_))) => {
                     self.owed = Some(db.wal().quarantine_corrupt_archived()?.1);
                 }
+                Err(EngineError::AuditOwed { segments, .. }) => self.owed = Some(segments),
                 Err(e) => return Err(e),
             }
         }
@@ -839,6 +850,31 @@ mod tests {
                 "{label}: nothing was quarantined"
             );
         }
+    }
+
+    #[test]
+    fn a_segment_quarantined_after_the_extractor_passed_it_owes_nothing() {
+        // The scrubber moves aside two archived segments the extractor has
+        // read to their last record (the newest one included, which the
+        // next segment's first record follows directly): no audit is owed.
+        let db = setup("passed");
+        let mut x = ResilientLogExtractor::new(extractor_dir("passed"), &["parts"]).unwrap();
+        let mut s = db.session();
+        for round in 0..3 {
+            s.execute(&format!("INSERT INTO parts VALUES ({round}, 'v')"))
+                .unwrap();
+            db.checkpoint().unwrap();
+            x.extract(&db).unwrap();
+        }
+        let archived = LogExtractor::shippable_segments(&db).unwrap();
+        flip_middle_byte(&archived[0]);
+        flip_middle_byte(archived.last().unwrap());
+        let report = delta_engine::scrub_database(&db).unwrap();
+        assert_eq!(report.wal_segments_corrupt, 2);
+
+        s.execute("INSERT INTO parts VALUES (1000, 'new')").unwrap();
+        let staged = x.stage(&db).unwrap();
+        assert_eq!(ids_of(&staged.outcome.deltas[0]), [Value::Int(1000)]);
     }
 
     #[test]

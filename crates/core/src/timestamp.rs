@@ -62,13 +62,12 @@ impl TimestampExtractor {
                 self.table, self.ts_column
             )));
         }
-        let mut txn = db.begin();
-        db.lock_table(&mut txn, &self.table, LockMode::Shared)?;
-        let pred = self.predicate(since);
-        let result = exec::matching_rows(db, &meta, Some(&pred), db.now_micros())
-            .map(|v| v.into_iter().map(|(_, r)| r).collect());
-        db.commit(txn)?;
-        result
+        db.in_txn(|txn| {
+            db.lock_table(txn, &self.table, LockMode::Shared)?;
+            let pred = self.predicate(since);
+            let rows = exec::matching_rows(db, &meta, Some(&pred), db.now_micros())?;
+            Ok(rows.into_iter().map(|(_, r)| r).collect())
+        })
     }
 
     /// Extract as an in-memory value delta (every record an after-image
@@ -128,10 +127,9 @@ impl TimestampExtractor {
         let rows = self.matching(db, since)?;
         db.in_txn(|txn| {
             db.lock_table(txn, target, LockMode::Exclusive)?;
-            let now = db.now_micros();
             let mut n = 0u64;
             for row in rows {
-                db.insert_row(txn, &target_meta, row, now, false, false)?;
+                db.insert_row(txn, &target_meta, row)?;
                 n += 1;
             }
             Ok(n)

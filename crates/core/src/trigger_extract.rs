@@ -14,7 +14,7 @@ use std::path::Path;
 
 use delta_engine::db::Database;
 use delta_engine::lock::LockMode;
-use delta_engine::trigger::{delta_table_schema, CaptureImages, TriggerAction, TriggerDef};
+use delta_engine::trigger::{delta_table_schema, TriggerDef};
 use delta_engine::{EngineError, EngineResult, TableOptions};
 use delta_storage::Row;
 
@@ -26,7 +26,6 @@ pub struct TriggerExtractor {
     pub source_table: String,
     pub delta_table: String,
     pub trigger_name: String,
-    pub images: CaptureImages,
 }
 
 impl TriggerExtractor {
@@ -37,14 +36,7 @@ impl TriggerExtractor {
             delta_table: format!("{source_table}_delta"),
             trigger_name: format!("{source_table}_capture"),
             source_table,
-            images: CaptureImages::Standard,
         }
-    }
-
-    /// Choose which images to capture (default: the paper's standard scheme).
-    pub fn with_images(mut self, images: CaptureImages) -> TriggerExtractor {
-        self.images = images;
-        self
     }
 
     /// Create the delta table (if missing) and register the capture trigger.
@@ -53,21 +45,15 @@ impl TriggerExtractor {
         if db.table(&self.delta_table).is_err() {
             db.create_table(
                 &self.delta_table,
-                delta_table_schema(&src.schema),
+                delta_table_schema(&src.schema)?,
                 TableOptions::default(),
             )?;
         }
-        db.create_trigger(TriggerDef {
-            name: self.trigger_name.clone(),
-            table: self.source_table.clone(),
-            on_insert: true,
-            on_update: true,
-            on_delete: true,
-            action: TriggerAction::CaptureDelta {
-                target: self.delta_table.clone(),
-                images: self.images,
-            },
-        })
+        db.create_trigger(TriggerDef::capture_all(
+            &self.trigger_name,
+            &self.source_table,
+            &self.delta_table,
+        ))
     }
 
     /// Remove the trigger (the delta table is kept for draining).
@@ -105,11 +91,10 @@ impl TriggerExtractor {
         db.in_txn(|txn| {
             db.lock_table(txn, &self.delta_table, mode)?;
             let mut vd = ValueDelta::new(&self.source_table, src.schema.clone());
-            let now = db.now_micros();
             db.for_each_row(&self.delta_table, |rid, row| {
                 vd.records.push(decode_delta_row(&row)?);
                 if drain {
-                    db.delete_row(txn, &delta_meta, rid, row, now, false)?;
+                    db.delete_row(txn, &delta_meta, rid, row)?;
                 }
                 Ok(ControlFlow::Continue(()))
             })?;
@@ -226,21 +211,6 @@ mod tests {
         let n = x.export(&db, &path).unwrap();
         assert_eq!(n, 1);
         assert!(path.exists());
-    }
-
-    #[test]
-    fn after_only_capture_halves_update_volume() {
-        let db = open_temp("trigx2").unwrap();
-        let mut s = db.session();
-        s.execute("CREATE TABLE parts (id INT PRIMARY KEY, name VARCHAR, qty INT)")
-            .unwrap();
-        let x = TriggerExtractor::new("parts").with_images(CaptureImages::AfterOnly);
-        x.install(&db).unwrap();
-        s.execute("INSERT INTO parts VALUES (1, 'a', 0)").unwrap();
-        s.execute("UPDATE parts SET qty = 5 WHERE id = 1").unwrap();
-        let vd = x.drain(&db).unwrap();
-        let ops: Vec<DeltaOp> = vd.records.iter().map(|r| r.op).collect();
-        assert_eq!(ops, vec![DeltaOp::Insert, DeltaOp::UpdateAfter]);
     }
 
     #[test]

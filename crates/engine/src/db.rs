@@ -1,5 +1,7 @@
 //! The database object: catalog + buffer pool + WAL + locks + triggers +
-//! indexes, with the row-level primitives every higher layer builds on.
+//! indexes, with the row primitives every higher layer builds on. A row
+//! primitive changes one row (heap, indexes, undo, redo) and does nothing
+//! else; stamping and capture belong to the SQL executor.
 
 use std::collections::HashMap;
 use std::fs;
@@ -24,7 +26,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::index::{Index, IndexDef, IndexManager};
 use crate::lock::{LockManager, LockMode};
 use crate::session::Session;
-use crate::trigger::{TriggerDef, TriggerEvent, TriggerManager};
+use crate::trigger::{TriggerDef, TriggerManager};
 use crate::txn::{Transaction, TxnManager, UndoEntry};
 use crate::wal::{committed_units, LogManager, LogRecord, Lsn};
 
@@ -38,9 +40,6 @@ pub enum SyncMode {
     /// fsync on every commit.
     Fsync,
 }
-
-/// Maximum trigger nesting depth.
-const TRIGGER_MAX_DEPTH: usize = 8;
 
 /// Database configuration.
 #[derive(Debug, Clone)]
@@ -647,28 +646,25 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Row primitives (used by the executor, triggers, utilities, recovery)
+    // Row primitives
     // ------------------------------------------------------------------
+    //
+    // A row primitive changes one row and nothing else: it validates the
+    // row, checks every unique key, changes the heap and the indexes, and
+    // pushes one undo entry and one redo record. It stamps no timestamp and
+    // fires no trigger; the SQL executor does both around it
+    // (`exec::execute`), so recovery, log application, Import and every
+    // warehouse write are plain row changes by construction. The caller
+    // holds an exclusive lock on the table.
 
-    /// Insert a validated-or-raw `row` into `table`. The caller must hold an
-    /// exclusive lock. `stamp_ts` applies the auto-timestamp option;
-    /// `fire_triggers` dispatches AFTER-INSERT triggers.
+    /// Insert `row` into `table`; returns where it went.
     pub fn insert_row(
         &self,
         txn: &mut Transaction,
         meta: &TableMeta,
         row: Row,
-        now_micros: i64,
-        stamp_ts: bool,
-        fire_triggers: bool,
     ) -> EngineResult<RecordId> {
-        let mut row = meta.schema.validate(&row)?;
-        if stamp_ts {
-            if let Some(col) = &meta.options.auto_timestamp {
-                let i = meta.schema.index_of(col).expect("validated at create");
-                row.set(i, Value::Timestamp(now_micros));
-            }
-        }
+        let row = meta.schema.validate(&row)?;
         // Every unique index is checked before the heap is touched (X lock
         // held, so no race): a rejection after the heap insert would leave
         // the row behind with no undo entry and no WAL record.
@@ -694,21 +690,13 @@ impl Database {
         txn.wal_buffer.push(LogRecord::Insert {
             txn: txn.id,
             table: meta.name.clone(),
-            row: row.clone(),
+            row,
         });
-        if fire_triggers {
-            self.fire_triggers(
-                txn,
-                &meta.name,
-                TriggerEvent::Insert { new: row },
-                now_micros,
-            )?;
-        }
         Ok(rid)
     }
 
-    /// Update the row at `rid` (old image `old`) to `new`.
-    #[allow(clippy::too_many_arguments)] // the row-op primitive carries full context by design
+    /// Update the row at `rid` (old image `old`) to `new`; returns where
+    /// the new version lives.
     pub fn update_row(
         &self,
         txn: &mut Transaction,
@@ -716,17 +704,8 @@ impl Database {
         rid: RecordId,
         old: Row,
         new: Row,
-        now_micros: i64,
-        stamp_ts: bool,
-        fire_triggers: bool,
     ) -> EngineResult<RecordId> {
-        let mut new = meta.schema.validate(&new)?;
-        if stamp_ts {
-            if let Some(col) = &meta.options.auto_timestamp {
-                let i = meta.schema.index_of(col).expect("validated at create");
-                new.set(i, Value::Timestamp(now_micros));
-            }
-        }
+        let new = meta.schema.validate(&new)?;
         // Unique-key check when the key changed.
         let idxs = self.indexes.for_table(&meta.name);
         for idx in idxs.iter().filter(|i| i.def.unique) {
@@ -755,17 +734,9 @@ impl Database {
         txn.wal_buffer.push(LogRecord::Update {
             txn: txn.id,
             table: meta.name.clone(),
-            before: old.clone(),
-            after: new.clone(),
+            before: old,
+            after: new,
         });
-        if fire_triggers {
-            self.fire_triggers(
-                txn,
-                &meta.name,
-                TriggerEvent::Update { old, new },
-                now_micros,
-            )?;
-        }
         Ok(new_rid)
     }
 
@@ -776,8 +747,6 @@ impl Database {
         meta: &TableMeta,
         rid: RecordId,
         old: Row,
-        now_micros: i64,
-        fire_triggers: bool,
     ) -> EngineResult<()> {
         let heap = self.heap(&meta.name)?;
         heap.delete(rid)?;
@@ -792,44 +761,9 @@ impl Database {
         txn.wal_buffer.push(LogRecord::Delete {
             txn: txn.id,
             table: meta.name.clone(),
-            before: old.clone(),
+            before: old,
         });
-        if fire_triggers {
-            self.fire_triggers(txn, &meta.name, TriggerEvent::Delete { old }, now_micros)?;
-        }
         Ok(())
-    }
-
-    fn fire_triggers(
-        &self,
-        txn: &mut Transaction,
-        table: &str,
-        event: TriggerEvent,
-        now_micros: i64,
-    ) -> EngineResult<()> {
-        let matching = self.triggers.matching(table, &event);
-        if matching.is_empty() {
-            return Ok(());
-        }
-        if txn.trigger_depth >= TRIGGER_MAX_DEPTH {
-            return Err(EngineError::TriggerDepth(TRIGGER_MAX_DEPTH));
-        }
-        txn.trigger_depth += 1;
-        let result = (|| {
-            for trig in matching {
-                for (target, row) in trig.plan(&event, txn.id)? {
-                    let target_meta = self.table(&target)?;
-                    self.lock_table(txn, &target, LockMode::Exclusive)?;
-                    // Triggered inserts take the full insert path (WAL,
-                    // indexes, nested triggers) — that is the overhead the
-                    // paper measures.
-                    self.insert_row(txn, &target_meta, row, now_micros, false, true)?;
-                }
-            }
-            Ok(())
-        })();
-        txn.trigger_depth -= 1;
-        result
     }
 
     /// Register a trigger.
@@ -993,21 +927,15 @@ impl Database {
             return Ok(max_ts);
         }
 
-        let mut txn = self.begin();
-        let result = self.apply_recovery(&mut txn, &keyed, &unkeyed);
-        // Recovery re-establishes effects the durable log already records;
-        // logging them again would duplicate history on every open.
-        txn.wal_buffer.clear();
-        match result {
-            Ok(()) => {
-                self.commit(txn)?;
-                Ok(max_ts)
-            }
-            Err(e) => {
-                let _ = self.abort(txn);
-                Err(e)
-            }
-        }
+        self.in_txn(|txn| {
+            self.apply_recovery(txn, &keyed, &unkeyed)?;
+            // Recovery re-establishes effects the durable log already
+            // records; logging them again would duplicate history on every
+            // open.
+            txn.wal_buffer.clear();
+            Ok(())
+        })?;
+        Ok(max_ts)
     }
 
     /// The heap-mutation half of [`recover_from_wal`], in one transaction.
@@ -1028,14 +956,14 @@ impl Database {
                 match (current, image) {
                     (Some((rid, old)), Some(new)) => {
                         if &old != new {
-                            self.update_row(txn, &meta, rid, old, new.clone(), 0, false, false)?;
+                            self.update_row(txn, &meta, rid, old, new.clone())?;
                         }
                     }
                     (None, Some(new)) => {
-                        self.insert_row(txn, &meta, new.clone(), 0, false, false)?;
+                        self.insert_row(txn, &meta, new.clone())?;
                     }
                     (Some((rid, old)), None) => {
-                        self.delete_row(txn, &meta, rid, old, 0, false)?;
+                        self.delete_row(txn, &meta, rid, old)?;
                     }
                     (None, None) => {}
                 }
@@ -1052,18 +980,18 @@ impl Database {
                     LogRecord::Insert { row, .. }
                         if self.locate_by_image(&meta, row)?.is_none() =>
                     {
-                        self.insert_row(txn, &meta, row.clone(), 0, false, false)?;
+                        self.insert_row(txn, &meta, row.clone())?;
                     }
                     LogRecord::Delete { before, .. } => {
                         if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                            self.delete_row(txn, &meta, rid, old, 0, false)?;
+                            self.delete_row(txn, &meta, rid, old)?;
                         }
                     }
                     LogRecord::Update { before, after, .. } => {
                         if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                            self.update_row(txn, &meta, rid, old, after.clone(), 0, false, false)?;
+                            self.update_row(txn, &meta, rid, old, after.clone())?;
                         } else if self.locate_by_image(&meta, after)?.is_none() {
-                            self.insert_row(txn, &meta, after.clone(), 0, false, false)?;
+                            self.insert_row(txn, &meta, after.clone())?;
                         }
                     }
                     _ => {}
@@ -1117,7 +1045,8 @@ impl Database {
     /// by position, so a torn `Begin …` fragment is ignored even when its
     /// transaction id also belongs to a committed batch); pass whole
     /// segments. Rows are located by primary key when available, else by
-    /// full-image match. Triggers do not fire and timestamps are preserved.
+    /// full-image match. The row primitives capture and stamp nothing, so
+    /// no trigger fires and every timestamp is the log's.
     ///
     /// The row changes are one transaction: when a record fails — applying
     /// a segment a second time hits `DuplicateKey`; file transport is
@@ -1145,14 +1074,14 @@ impl Database {
                     LogRecord::Insert { table, row, .. } => {
                         let meta = self.table(table)?;
                         self.lock_table(txn, table, LockMode::Exclusive)?;
-                        self.insert_row(txn, &meta, row.clone(), 0, false, false)?;
+                        self.insert_row(txn, &meta, row.clone())?;
                         applied += 1;
                     }
                     LogRecord::Delete { table, before, .. } => {
                         let meta = self.table(table)?;
                         self.lock_table(txn, table, LockMode::Exclusive)?;
                         if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                            self.delete_row(txn, &meta, rid, old, 0, false)?;
+                            self.delete_row(txn, &meta, rid, old)?;
                             applied += 1;
                         }
                     }
@@ -1165,7 +1094,7 @@ impl Database {
                         let meta = self.table(table)?;
                         self.lock_table(txn, table, LockMode::Exclusive)?;
                         if let Some((rid, old)) = self.locate_by_image(&meta, before)? {
-                            self.update_row(txn, &meta, rid, old, after.clone(), 0, false, false)?;
+                            self.update_row(txn, &meta, rid, old, after.clone())?;
                             applied += 1;
                         }
                     }

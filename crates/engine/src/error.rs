@@ -34,12 +34,11 @@ pub enum EngineError {
     TxnState(String),
     /// Statement is invalid for the target schema.
     Invalid(String),
-    /// Trigger recursion exceeded the engine limit.
-    TriggerDepth(usize),
     /// Archived log segments past a log extractor's watermark were
     /// unreadable and moved aside: the log no longer holds every change to
-    /// `tables`, so the extractor ships nothing more until the warehouse
-    /// has been audited against the source.
+    /// `tables` (empty: an extractor of every table), so the extractor
+    /// ships nothing more until the warehouse has been audited against the
+    /// source.
     AuditOwed {
         tables: Vec<String>,
         segments: Vec<PathBuf>,
@@ -68,7 +67,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::TxnState(m) => write!(f, "transaction error: {m}"),
             EngineError::Invalid(m) => write!(f, "invalid statement: {m}"),
-            EngineError::TriggerDepth(d) => write!(f, "trigger recursion exceeded depth {d}"),
             EngineError::AuditOwed { tables, segments } => write!(
                 f,
                 "audit owed for {tables:?}: the log lost quarantined segments {segments:?}"

@@ -1,4 +1,12 @@
 //! Statement execution: DML/query dispatch and access-path selection.
+//!
+//! [`execute`] is the only place a row change is stamped or captured. A DML
+//! statement reads the clock once, and per row it stamps the table's
+//! auto-timestamp column on the row it built (INSERT, UPDATE), calls the
+//! row primitive, then writes the images of the redo record that primitive
+//! pushed into the delta table of each capture trigger on the table
+//! ([`crate::trigger`]). A failed row leaves the rows before it, and their
+//! delta rows, to the transaction.
 
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
@@ -12,6 +20,7 @@ use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::index::Index;
 use crate::lock::LockMode;
+use crate::trigger::delta_rows;
 use crate::txn::Transaction;
 
 /// Result of executing one statement.
@@ -67,10 +76,14 @@ pub fn execute(
         } => {
             let meta = db.table(table)?;
             db.lock_table(txn, table, LockMode::Exclusive)?;
+            let steps = RowSteps::of(db, &meta)?;
             let mut n = 0u64;
             for value_exprs in rows {
-                let row = build_insert_row(&meta, columns.as_deref(), value_exprs, now)?;
-                db.insert_row(txn, &meta, row, now, true, true)?;
+                let mut row = build_insert_row(&meta, columns.as_deref(), value_exprs, now)?;
+                steps.stamp(&mut row, now);
+                let at = txn.redo_mark();
+                db.insert_row(txn, &meta, row)?;
+                steps.capture(db, txn, at)?;
                 n += 1;
             }
             Ok(QueryResult::dml(n))
@@ -90,6 +103,7 @@ pub fn execute(
                 })?;
                 targets.push((pos, CompiledExpr::for_schema(e, &meta.schema)));
             }
+            let steps = RowSteps::of(db, &meta)?;
             let matches = matching_rows(db, &meta, predicate.as_ref(), now)?;
             let mut n = 0u64;
             for (rid, old) in matches {
@@ -97,7 +111,10 @@ pub fn execute(
                 for (pos, e) in &targets {
                     new.set(*pos, e.eval(old.values(), now)?);
                 }
-                db.update_row(txn, &meta, rid, old, new, now, true, true)?;
+                steps.stamp(&mut new, now);
+                let at = txn.redo_mark();
+                db.update_row(txn, &meta, rid, old, new)?;
+                steps.capture(db, txn, at)?;
                 n += 1;
             }
             Ok(QueryResult::dml(n))
@@ -105,10 +122,13 @@ pub fn execute(
         Statement::Delete { table, predicate } => {
             let meta = db.table(table)?;
             db.lock_table(txn, table, LockMode::Exclusive)?;
+            let steps = RowSteps::of(db, &meta)?;
             let matches = matching_rows(db, &meta, predicate.as_ref(), now)?;
             let mut n = 0u64;
             for (rid, old) in matches {
-                db.delete_row(txn, &meta, rid, old, now, true)?;
+                let at = txn.redo_mark();
+                db.delete_row(txn, &meta, rid, old)?;
+                steps.capture(db, txn, at)?;
                 n += 1;
             }
             Ok(QueryResult::dml(n))
@@ -160,6 +180,58 @@ pub fn execute(
         other => Err(EngineError::Invalid(format!(
             "executor cannot handle {other}"
         ))),
+    }
+}
+
+/// What a DML statement does around each row primitive, resolved once per
+/// statement: stamp the table's auto-timestamp column on the row it built
+/// (INSERT and UPDATE), and, after the change, write its images into the
+/// delta table of every capture trigger on the table.
+struct RowSteps {
+    stamp_pos: Option<usize>,
+    targets: Vec<Arc<TableMeta>>,
+}
+
+impl RowSteps {
+    fn of(db: &Database, meta: &TableMeta) -> EngineResult<RowSteps> {
+        let stamp_pos = meta
+            .options
+            .auto_timestamp
+            .as_deref()
+            .and_then(|c| meta.schema.index_of(c));
+        let targets = db
+            .triggers()
+            .targets(&meta.name)
+            .iter()
+            .map(|t| db.table(t))
+            .collect::<EngineResult<_>>()?;
+        Ok(RowSteps { stamp_pos, targets })
+    }
+
+    /// Stamp `row` with the statement's clock reading, if the table has an
+    /// auto-timestamp column.
+    fn stamp(&self, row: &mut Row, now: i64) {
+        if let Some(pos) = self.stamp_pos {
+            row.set(pos, Value::Timestamp(now));
+        }
+    }
+
+    /// Capture the row change the primitive logged at redo position `at`:
+    /// its images (`I`, `D`, or `UB` then `UA`) go into each delta table
+    /// through `insert_row`, in the same transaction and ahead of the next
+    /// row's change.
+    fn capture(&self, db: &Database, txn: &mut Transaction, at: usize) -> EngineResult<()> {
+        for target in &self.targets {
+            let Some(rec) = txn.wal_buffer.get(at) else {
+                return Ok(());
+            };
+            let rows = delta_rows(rec);
+            db.lock_table(txn, &target.name, LockMode::Exclusive)?;
+            for row in rows {
+                db.insert_row(txn, target, row)?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -11,7 +11,8 @@
 //! * [`catalog`] — persistent table metadata.
 //! * [`index`] — ordered secondary indexes plus unique primary-key indexes
 //!   (rebuilt at open; maintained by DML).
-//! * [`trigger`] — row-level AFTER triggers that run **inside the triggering
+//! * [`trigger`] — the capture trigger: after each row change the executor
+//!   writes its images into a delta table **inside the triggering
 //!   transaction**, the property responsible for the overheads of Figure 2.
 //! * [`exec`] / [`session`] — the SQL executor and session API. The session's
 //!   `execute` is the seam where Op-Delta capture wraps the engine ("right
@@ -40,7 +41,7 @@ pub mod lock;
 pub mod scrub;
 /// Session state for the SQL front end.
 pub mod session;
-/// Row-level triggers (the paper's method 3 capture mechanism).
+/// The capture trigger (the paper's method 3 capture mechanism).
 pub mod trigger;
 /// Transaction bookkeeping.
 pub mod txn;
@@ -55,6 +56,6 @@ pub use error::{EngineError, EngineResult};
 pub use exec::QueryResult;
 pub use scrub::{scrub_database, ScrubReport};
 pub use session::Session;
-pub use trigger::{CaptureImages, TriggerDef, TriggerEvent};
+pub use trigger::TriggerDef;
 pub use txn::TxnId;
 pub use wal::{LogRecord, Lsn};

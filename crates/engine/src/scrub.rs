@@ -10,7 +10,9 @@
 //! Corrupt units are quarantined without destroying evidence: heap pages go
 //! into the heap's `.quarantine` sidecar; unreadable archived segments are
 //! renamed `*.wal.corrupt` — the same `LogManager` walk the resilient log
-//! extractor runs — so no reader trips over them again. The
+//! extractor runs — so no reader trips over them again; a log reader that
+//! still needed one reports it lost ([`crate::wal::Tail::lost`]), and the
+//! log extractor then owes an audit. The
 //! [`ScrubReport`] names the affected tables, which is exactly the input
 //! the anti-entropy auditor needs to run a *targeted* audit instead of a
 //! full sweep (a corrupt archived segment could have carried any table's

@@ -1,18 +1,20 @@
-//! Row-level AFTER triggers.
+//! The capture trigger (§3.1.3, Figure 2).
 //!
-//! Triggers run **inside the triggering transaction** ("triggers execute in
-//! the same transaction context as the triggering event", §3.1.3), so their
-//! cost lands directly on the user transaction's response time — that is the
-//! overhead Figure 2 measures — and a trigger failure aborts the user
-//! transaction.
-//!
-//! The built-in [`TriggerAction::CaptureDelta`] action is the paper's
-//! delta-capture trigger: it writes the affected images into a delta table,
-//! one row per image, tagged with an op code and the transaction id:
+//! A capture trigger names a source table and a delta table. After each row
+//! change to the source, inside the same transaction, the SQL executor
+//! ([`crate::exec::execute`]) writes the change's images into the delta
+//! table, one row per image, tagged with an op code and the transaction id:
 //!
 //! * insert  → one `I` row (new image),
 //! * delete  → one `D` row (old image),
 //! * update  → two rows, `UB` (before image) and `UA` (after image).
+//!
+//! The images are read off the redo record the row primitive has just
+//! logged ([`delta_rows`]), so the delta table holds exactly what the log
+//! holds. The capture cost lands on the user transaction's response time —
+//! the overhead Figure 2 measures — and a failed capture fails the
+//! statement. Row primitives themselves fire nothing: recovery, log
+//! application, Import and every warehouse write never capture.
 
 use std::sync::Arc;
 
@@ -21,7 +23,7 @@ use parking_lot::RwLock;
 use delta_storage::{Column, DataType, Row, Schema, Value};
 
 use crate::error::{EngineError, EngineResult};
-use crate::txn::TxnId;
+use crate::wal::LogRecord;
 
 /// Op codes written into delta tables.
 pub mod opcode {
@@ -35,83 +37,17 @@ pub mod opcode {
     pub const UPDATE_AFTER: &str = "UA";
 }
 
-/// A row-level event delivered to triggers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TriggerEvent {
-    Insert { new: Row },
-    Update { old: Row, new: Row },
-    Delete { old: Row },
-}
-
-impl TriggerEvent {
-    /// Short kind name (for tests and tracing).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TriggerEvent::Insert { .. } => "insert",
-            TriggerEvent::Update { .. } => "update",
-            TriggerEvent::Delete { .. } => "delete",
-        }
-    }
-}
-
-/// Which images a delta-capture trigger records. The paper's standard scheme
-/// captures new on insert, old on delete, old+new on update; the reduced
-/// variants model "allowing portions of deltas to be captured" (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaptureImages {
-    /// I: new; D: old; U: before + after (two rows).
-    #[default]
-    Standard,
-    /// Only after-images (I: new; U: after). Deletes record old image still.
-    AfterOnly,
-    /// Only before-images (D: old; U: before). Inserts record new image still.
-    BeforeOnly,
-}
-
-/// Signature of a callback trigger body: receives the event and the firing
-/// transaction, returns extra `(table, row)` inserts to apply in the same
-/// transaction.
-pub type TriggerCallback =
-    Arc<dyn Fn(&TriggerEvent, TxnId) -> EngineResult<Vec<(String, Row)>> + Send + Sync>;
-
-/// What a trigger does when it fires.
-#[derive(Clone)]
-pub enum TriggerAction {
-    /// Write delta rows into `target` (created with [`delta_table_schema`]).
-    CaptureDelta {
-        target: String,
-        images: CaptureImages,
-    },
-    /// Arbitrary user action; errors abort the user transaction.
-    Callback(TriggerCallback),
-}
-
-impl std::fmt::Debug for TriggerAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TriggerAction::CaptureDelta { target, images } => f
-                .debug_struct("CaptureDelta")
-                .field("target", target)
-                .field("images", images)
-                .finish(),
-            TriggerAction::Callback(_) => f.write_str("Callback(..)"),
-        }
-    }
-}
-
-/// A registered trigger.
-#[derive(Debug, Clone)]
+/// A registered capture trigger: every row change to `table` is written
+/// into `target` (created with [`delta_table_schema`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TriggerDef {
     pub name: String,
     pub table: String,
-    pub on_insert: bool,
-    pub on_update: bool,
-    pub on_delete: bool,
-    pub action: TriggerAction,
+    pub target: String,
 }
 
 impl TriggerDef {
-    /// A standard delta-capture trigger on all three events.
+    /// A capture trigger `name` on `table` writing into `target`.
     pub fn capture_all(
         name: impl Into<String>,
         table: impl Into<String>,
@@ -120,67 +56,40 @@ impl TriggerDef {
         TriggerDef {
             name: name.into(),
             table: table.into(),
-            on_insert: true,
-            on_update: true,
-            on_delete: true,
-            action: TriggerAction::CaptureDelta {
-                target: target.into(),
-                images: CaptureImages::Standard,
-            },
+            target: target.into(),
         }
     }
+}
 
-    /// Whether this trigger fires for `event`.
-    pub fn fires_on(&self, event: &TriggerEvent) -> bool {
-        match event {
-            TriggerEvent::Insert { .. } => self.on_insert,
-            TriggerEvent::Update { .. } => self.on_update,
-            TriggerEvent::Delete { .. } => self.on_delete,
-        }
-    }
-
-    /// Compute the `(table, row)` inserts this trigger performs for `event`.
-    pub fn plan(&self, event: &TriggerEvent, txn: TxnId) -> EngineResult<Vec<(String, Row)>> {
-        match &self.action {
-            TriggerAction::Callback(f) => f(event, txn),
-            TriggerAction::CaptureDelta { target, images } => {
-                let mut out = Vec::with_capacity(2);
-                let mut push = |op: &str, image: &Row| {
-                    let mut vals = Vec::with_capacity(image.len() + 2);
-                    vals.push(Value::Str(op.to_string()));
-                    vals.push(Value::Int(txn.0 as i64));
-                    vals.extend(image.values().iter().cloned());
-                    out.push((target.clone(), Row::new(vals)));
-                };
-                match (event, images) {
-                    (
-                        TriggerEvent::Insert { new },
-                        CaptureImages::Standard
-                        | CaptureImages::AfterOnly
-                        | CaptureImages::BeforeOnly,
-                    ) => push(opcode::INSERT, new),
-                    (TriggerEvent::Delete { old }, _) => push(opcode::DELETE, old),
-                    (TriggerEvent::Update { old, new }, CaptureImages::Standard) => {
-                        push(opcode::UPDATE_BEFORE, old);
-                        push(opcode::UPDATE_AFTER, new);
-                    }
-                    (TriggerEvent::Update { new, .. }, CaptureImages::AfterOnly) => {
-                        push(opcode::UPDATE_AFTER, new)
-                    }
-                    (TriggerEvent::Update { old, .. }, CaptureImages::BeforeOnly) => {
-                        push(opcode::UPDATE_BEFORE, old)
-                    }
-                }
-                Ok(out)
-            }
-        }
+/// The delta-table rows of one logged row change, in order: `I` + the new
+/// image, `D` + the old image, or `UB` + the before image then `UA` + the
+/// after image, each prefixed with the record's transaction id. Records
+/// that change no row yield nothing.
+pub fn delta_rows(rec: &LogRecord) -> Vec<Row> {
+    let row = |op: &str, txn: u64, image: &Row| {
+        let mut vals = Vec::with_capacity(image.len() + 2);
+        vals.push(Value::Str(op.to_string()));
+        vals.push(Value::Int(txn as i64));
+        vals.extend(image.values().iter().cloned());
+        Row::new(vals)
+    };
+    match rec {
+        LogRecord::Insert { txn, row: new, .. } => vec![row(opcode::INSERT, txn.0, new)],
+        LogRecord::Delete { txn, before, .. } => vec![row(opcode::DELETE, txn.0, before)],
+        LogRecord::Update {
+            txn, before, after, ..
+        } => vec![
+            row(opcode::UPDATE_BEFORE, txn.0, before),
+            row(opcode::UPDATE_AFTER, txn.0, after),
+        ],
+        _ => Vec::new(),
     }
 }
 
 /// Schema of the delta table a capture trigger writes into: an op code, the
 /// capturing transaction id, then every source column (made nullable,
 /// keyless — a delta table never enforces the source's constraints).
-pub fn delta_table_schema(source: &Schema) -> Schema {
+pub fn delta_table_schema(source: &Schema) -> EngineResult<Schema> {
     let mut cols = vec![
         Column::new("delta_op", DataType::Varchar).not_null(),
         Column::new("delta_txn", DataType::Int).not_null(),
@@ -188,7 +97,7 @@ pub fn delta_table_schema(source: &Schema) -> Schema {
     for c in source.columns() {
         cols.push(Column::new(format!("src_{}", c.name), c.data_type));
     }
-    Schema::new(cols).expect("source schema had unique names")
+    Ok(Schema::new(cols)?)
 }
 
 /// Trigger registry: one per database.
@@ -229,13 +138,14 @@ impl TriggerManager {
         self.triggers.write().retain(|t| t.table != table);
     }
 
-    /// Triggers that fire for `event` on `table`.
-    pub fn matching(&self, table: &str, event: &TriggerEvent) -> Vec<Arc<TriggerDef>> {
+    /// The delta tables that capture `table`'s changes, in registration
+    /// order.
+    pub fn targets(&self, table: &str) -> Vec<String> {
         self.triggers
             .read()
             .iter()
-            .filter(|t| t.table == table && t.fires_on(event))
-            .cloned()
+            .filter(|t| t.table == table)
+            .map(|t| t.target.clone())
             .collect()
     }
 
@@ -260,6 +170,7 @@ impl TriggerManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::TxnId;
 
     fn source_schema() -> Schema {
         Schema::new(vec![
@@ -275,7 +186,7 @@ mod tests {
 
     #[test]
     fn delta_schema_shape() {
-        let d = delta_table_schema(&source_schema());
+        let d = delta_table_schema(&source_schema()).unwrap();
         assert_eq!(d.len(), 4);
         assert_eq!(d.columns()[0].name, "delta_op");
         assert_eq!(d.columns()[2].name, "src_id");
@@ -284,114 +195,51 @@ mod tests {
     }
 
     #[test]
-    fn standard_capture_plans_per_event() {
-        let t = TriggerDef::capture_all("tg", "parts", "parts_delta");
-        let ins = t
-            .plan(&TriggerEvent::Insert { new: row(1, "a") }, TxnId(7))
-            .unwrap();
+    fn delta_rows_per_record() {
+        let txn = TxnId(7);
+        let table = "parts".to_string();
+        let ins = delta_rows(&LogRecord::Insert {
+            txn,
+            table: table.clone(),
+            row: row(1, "a"),
+        });
         assert_eq!(ins.len(), 1);
-        assert_eq!(ins[0].0, "parts_delta");
-        assert_eq!(ins[0].1.values()[0], Value::Str("I".into()));
-        assert_eq!(ins[0].1.values()[1], Value::Int(7));
+        assert_eq!(ins[0].values()[0], Value::Str("I".into()));
+        assert_eq!(ins[0].values()[1], Value::Int(7));
+        assert_eq!(&ins[0].values()[2..], row(1, "a").values());
 
-        let upd = t
-            .plan(
-                &TriggerEvent::Update {
-                    old: row(1, "a"),
-                    new: row(1, "b"),
-                },
-                TxnId(7),
-            )
-            .unwrap();
+        let upd = delta_rows(&LogRecord::Update {
+            txn,
+            table: table.clone(),
+            before: row(1, "a"),
+            after: row(1, "b"),
+        });
         assert_eq!(upd.len(), 2, "update captures before AND after images");
-        assert_eq!(upd[0].1.values()[0], Value::Str("UB".into()));
-        assert_eq!(upd[1].1.values()[0], Value::Str("UA".into()));
+        assert_eq!(upd[0].values()[0], Value::Str("UB".into()));
+        assert_eq!(upd[0].values()[3], Value::Str("a".into()));
+        assert_eq!(upd[1].values()[0], Value::Str("UA".into()));
+        assert_eq!(upd[1].values()[3], Value::Str("b".into()));
 
-        let del = t
-            .plan(&TriggerEvent::Delete { old: row(1, "b") }, TxnId(7))
-            .unwrap();
+        let del = delta_rows(&LogRecord::Delete {
+            txn,
+            table,
+            before: row(1, "b"),
+        });
         assert_eq!(del.len(), 1);
-        assert_eq!(del[0].1.values()[0], Value::Str("D".into()));
+        assert_eq!(del[0].values()[0], Value::Str("D".into()));
+
+        assert!(delta_rows(&LogRecord::Commit { txn }).is_empty());
     }
 
     #[test]
-    fn reduced_capture_variants() {
-        let mk = |images| TriggerDef {
-            name: "tg".into(),
-            table: "t".into(),
-            on_insert: true,
-            on_update: true,
-            on_delete: true,
-            action: TriggerAction::CaptureDelta {
-                target: "d".into(),
-                images,
-            },
-        };
-        let ev = TriggerEvent::Update {
-            old: row(1, "a"),
-            new: row(1, "b"),
-        };
-        assert_eq!(
-            mk(CaptureImages::AfterOnly)
-                .plan(&ev, TxnId(1))
-                .unwrap()
-                .len(),
-            1
-        );
-        assert_eq!(
-            mk(CaptureImages::BeforeOnly)
-                .plan(&ev, TxnId(1))
-                .unwrap()
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn event_filtering() {
-        let mut t = TriggerDef::capture_all("tg", "t", "d");
-        t.on_delete = false;
-        assert!(t.fires_on(&TriggerEvent::Insert { new: row(1, "x") }));
-        assert!(!t.fires_on(&TriggerEvent::Delete { old: row(1, "x") }));
-    }
-
-    #[test]
-    fn callback_action_runs() {
-        let t = TriggerDef {
-            name: "cb".into(),
-            table: "t".into(),
-            on_insert: true,
-            on_update: false,
-            on_delete: false,
-            action: TriggerAction::Callback(Arc::new(|ev, txn| {
-                assert_eq!(ev.kind(), "insert");
-                Ok(vec![(
-                    "audit".into(),
-                    Row::new(vec![Value::Int(txn.0 as i64)]),
-                )])
-            })),
-        };
-        let plan = t
-            .plan(&TriggerEvent::Insert { new: row(1, "x") }, TxnId(3))
-            .unwrap();
-        assert_eq!(plan[0].0, "audit");
-    }
-
-    #[test]
-    fn manager_create_drop_match() {
+    fn manager_create_drop_targets() {
         let m = TriggerManager::new();
         m.create(TriggerDef::capture_all("a", "t", "d")).unwrap();
         assert!(m.create(TriggerDef::capture_all("a", "t", "d")).is_err());
         m.create(TriggerDef::capture_all("b", "u", "d2")).unwrap();
         assert!(m.has_any("t"));
-        assert_eq!(
-            m.matching("t", &TriggerEvent::Insert { new: row(1, "x") })
-                .len(),
-            1
-        );
-        assert!(m
-            .matching("zzz", &TriggerEvent::Insert { new: row(1, "x") })
-            .is_empty());
+        assert_eq!(m.targets("t"), vec!["d".to_string()]);
+        assert!(m.targets("zzz").is_empty());
         m.drop("a").unwrap();
         assert!(!m.has_any("t"));
         assert!(m.drop("a").is_err());

@@ -53,8 +53,6 @@ pub struct Transaction {
     pub undo: Vec<UndoEntry>,
     /// Tables this transaction holds locks on.
     pub locked_tables: Vec<String>,
-    /// Current trigger nesting depth (guards runaway recursion).
-    pub trigger_depth: usize,
 }
 
 impl Transaction {
@@ -197,7 +195,7 @@ mod tests {
         db.create_table("t", schema.clone(), stamped).unwrap();
         db.create_table(
             "t_delta",
-            crate::trigger::delta_table_schema(&schema),
+            crate::trigger::delta_table_schema(&schema).unwrap(),
             TableOptions::default(),
         )
         .unwrap();

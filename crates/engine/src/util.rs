@@ -75,7 +75,7 @@ pub fn import_table(db: &Database, table: &str, path: impl AsRef<Path>) -> Engin
             while in_batch < IMPORT_BATCH {
                 match reader.next_row()? {
                     Some(row) => {
-                        db.insert_row(txn, &meta, row, 0, false, false)?;
+                        db.insert_row(txn, &meta, row)?;
                         in_batch += 1;
                     }
                     None => break,
@@ -194,9 +194,8 @@ pub fn loader_load(
     mode: LoadMode,
 ) -> EngineResult<u64> {
     let meta = db.table(table)?;
-    let mut txn = db.begin();
-    db.lock_table(&mut txn, table, LockMode::Exclusive)?;
-    let result = (|| {
+    db.in_txn(|txn| {
+        db.lock_table(txn, table, LockMode::Exclusive)?;
         let heap = db.heap(table)?;
         if mode == LoadMode::Replace {
             heap.truncate()?;
@@ -267,9 +266,7 @@ pub fn loader_load(
             flush_page(&mut page, &mut pending)?;
         }
         Ok(loaded)
-    })();
-    db.commit(txn)?;
-    result
+    })
 }
 
 #[cfg(test)]

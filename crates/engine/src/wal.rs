@@ -548,7 +548,7 @@ impl LogManager {
         fs::create_dir_all(&wal_dir)?;
         fs::create_dir_all(&archive_dir)?;
 
-        let segments = list_segment_files(&wal_dir)?;
+        let segments = list_segment_files(&wal_dir, false)?;
         // LSN high-water hint, persisted at checkpoint: segment scans alone
         // cannot recover the next LSN when archived history has been moved,
         // quarantined, or deleted — and re-issuing an already-used LSN would
@@ -564,13 +564,15 @@ impl LogManager {
         // to quarantine, not a reason to refuse to boot.
         let first_lsns = SegmentFirsts::default();
         let skip = |_: &[(Lsn, LogRecord)]| Ok(());
-        let resident_high = stream_committed(&first_lsns, &segments, 0, 1, Lsn::MAX, skip)?;
-        let archived_high = list_segment_files(&archive_dir)?
+        let resident_high = stream_committed(&first_lsns, &segments, 0, 1, Lsn::MAX, skip)?.high;
+        let archived_high = list_segment_files(&archive_dir, false)?
             .iter()
             .rev()
             .find_map(|p| {
                 let one = std::slice::from_ref(p);
-                stream_committed(&first_lsns, one, 1, 1, Lsn::MAX, skip).ok()
+                stream_committed(&first_lsns, one, 1, 1, Lsn::MAX, skip)
+                    .ok()
+                    .map(|tail| tail.high)
             })
             .unwrap_or(0);
         let next_lsn = (resident_high.max(archived_high) + 1).max(hint);
@@ -935,7 +937,7 @@ impl LogManager {
         let closed = std::mem::take(&mut inner.closed);
         let n = closed.len();
         #[cfg(feature = "invariants")]
-        let archived_before = list_segment_files(&self.archive_dir)?.len();
+        let archived_before = list_segment_files(&self.archive_dir, false)?.len();
         for p in closed {
             if self.archive_mode {
                 let dest = self.archive_dir.join(
@@ -955,7 +957,7 @@ impl LogManager {
         if self.archive_mode {
             // Segment conservation: every recycled segment must now be in the
             // archive — archiving moves log history, it never loses it.
-            let archived_after = list_segment_files(&self.archive_dir)?.len();
+            let archived_after = list_segment_files(&self.archive_dir, false)?.len();
             invariant!(
                 archived_after == archived_before + n,
                 "segment conservation violated: {archived_before} archived + {n} recycled != {archived_after}"
@@ -1005,7 +1007,7 @@ impl LogManager {
 
     /// Paths of archived segments, in order.
     pub fn archived_segments(&self) -> EngineResult<Vec<PathBuf>> {
-        list_segment_files(&self.archive_dir)
+        list_segment_files(&self.archive_dir, false)
     }
 
     /// Paths of resident (non-archived) segments, oldest first, including the
@@ -1014,7 +1016,7 @@ impl LogManager {
         // Flush so readers see everything appended so far.
         // lint: allow(lock_hygiene) -- one-shot flush of the guarded writer.
         self.inner.lock().writer.out.flush()?;
-        list_segment_files(&self.wal_dir)
+        list_segment_files(&self.wal_dir, false)
     }
 
     /// The one reader of the committed log. Visits, in log order, every
@@ -1025,15 +1027,16 @@ impl LogManager {
     /// consumer's watermark passes a torn batch, which can never commit
     /// later. Segments wholly below `from_lsn` are not opened (see
     /// [`stream_committed`]); a damaged segment that *is* needed surfaces as
-    /// typed corruption.
+    /// typed corruption, and one already quarantined is read past and named
+    /// in [`Tail::lost`].
     pub fn read_committed(
         &self,
         from_lsn: Lsn,
         visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
-    ) -> EngineResult<Lsn> {
+    ) -> EngineResult<Tail> {
         let end = self.durable_lsn();
         if from_lsn > end {
-            return Ok(0);
+            return Ok(Tail::default());
         }
         let (segments, archived) = {
             // lint: allow(lock_hygiene) -- both directories are listed under
@@ -1041,9 +1044,9 @@ impl LogManager {
             // to the other between the two listings (it would be in neither).
             let mut inner = self.inner.lock();
             inner.writer.out.flush()?;
-            let mut all = list_segment_files(&self.archive_dir)?;
+            let mut all = list_segment_files(&self.archive_dir, true)?;
             let archived = all.len();
-            all.extend(list_segment_files(&self.wal_dir)?);
+            all.extend(list_segment_files(&self.wal_dir, false)?);
             (all, archived)
         };
         stream_committed(&self.first_lsns, &segments, archived, from_lsn, end, visit)
@@ -1084,6 +1087,19 @@ impl LogManager {
     }
 }
 
+/// How far one [`LogManager::read_committed`] pass read, and what it could
+/// not read.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tail {
+    /// The highest LSN read (`0` when there was nothing to read).
+    pub high: Lsn,
+    /// Archived segments quarantined as `*.wal.corrupt` that may hold
+    /// records of the range read: the pass went on past them, so whatever
+    /// they held is missing from what it visited. A segment that is simply
+    /// gone (pruned) is not listed, and is never reported.
+    pub lost: Vec<PathBuf>,
+}
+
 /// First LSN per segment file name, filled as segments are read. A segment
 /// keeps its name and its bytes for life (archiving only moves it to another
 /// directory), so an entry never goes stale; entries for files since removed
@@ -1097,9 +1113,14 @@ type SegmentFirsts = Mutex<HashMap<OsString, Lsn>>;
 ///
 /// Reading starts at the newest segment known to begin at or below
 /// `from_lsn` — every segment listed before it is older still and is never
-/// opened, whether it is intact, corrupt, or (pruned, quarantined) no longer
-/// listed at all. Segments are decoded one at a time; nothing is collected
-/// and nothing is sorted.
+/// opened, whether it is intact, corrupt, quarantined, or (pruned) no
+/// longer listed at all. Segments are decoded one at a time; nothing is
+/// collected and nothing is sorted.
+///
+/// A quarantined segment (`*.wal.corrupt`, listed in its place) is not
+/// read. Its records lie below the first LSN of the next segment that has
+/// any, so it is [`Tail::lost`] unless that segment begins at or below
+/// `from_lsn` — the reader's watermark had already passed it.
 fn stream_committed(
     first_lsns: &SegmentFirsts,
     segments: &[PathBuf],
@@ -1107,7 +1128,7 @@ fn stream_committed(
     from_lsn: Lsn,
     end_lsn: Lsn,
     mut visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
-) -> EngineResult<Lsn> {
+) -> EngineResult<Tail> {
     let start = {
         let known = first_lsns.lock();
         segments.iter().rposition(|p| {
@@ -1116,16 +1137,26 @@ fn stream_committed(
         })
     }
     .unwrap_or(0);
-    let mut high = 0;
+    let mut tail = Tail::default();
+    // Quarantined segments since the last non-empty one.
+    let mut skipped = Vec::new();
     // (segment index, last LSN) of the previous non-empty segment.
     let mut prev: Option<(u64, Lsn)> = None;
     for (i, path) in segments.iter().enumerate().skip(start) {
+        if is_quarantined(path) {
+            skipped.push(path.clone());
+            continue;
+        }
         let records = read_segment_file(path, i < archived)?;
         let (Some((first, _)), Some((last, _)), Some(name)) =
             (records.first(), records.last(), path.file_name())
         else {
             continue;
         };
+        if *first > from_lsn {
+            tail.lost.append(&mut skipped);
+        }
+        skipped.clear();
         first_lsns.lock().insert(name.to_os_string(), *first);
         let index = segment_index_of(path)?;
         invariant!(
@@ -1141,9 +1172,16 @@ fn stream_committed(
         for unit in committed_units(wanted) {
             visit(unit)?;
         }
-        high = wanted.last().map_or(high, |(lsn, _)| *lsn);
+        tail.high = wanted.last().map_or(tail.high, |(lsn, _)| *lsn);
     }
-    Ok(high)
+    tail.lost.append(&mut skipped);
+    Ok(tail)
+}
+
+/// Whether `path` is a segment moved aside by
+/// [`LogManager::quarantine_corrupt_archived`].
+fn is_quarantined(path: &Path) -> bool {
+    path.extension().and_then(|e| e.to_str()) == Some("corrupt")
 }
 
 fn segment_index_of(path: &Path) -> EngineResult<u64> {
@@ -1156,15 +1194,18 @@ fn segment_index_of(path: &Path) -> EngineResult<u64> {
         .ok_or_else(|| EngineError::Invalid(format!("bad segment name {stem}")))
 }
 
-/// The segment files of `dir` in index (= LSN) order.
-fn list_segment_files(dir: &Path) -> EngineResult<Vec<PathBuf>> {
+/// The segment files of `dir` in index (= LSN) order; with `quarantined`,
+/// a segment moved aside as `*.wal.corrupt` is listed in its place.
+fn list_segment_files(dir: &Path, quarantined: bool) -> EngineResult<Vec<PathBuf>> {
     let mut out = Vec::new();
     if !dir.exists() {
         return Ok(out);
     }
     for entry in fs::read_dir(dir)? {
         let p = entry?.path();
-        if p.extension().and_then(|e| e.to_str()) == Some("wal") {
+        let wanted = p.extension().and_then(|e| e.to_str()) == Some("wal")
+            || (quarantined && is_quarantined(&p));
+        if wanted {
             out.push(p);
         }
     }
@@ -1462,7 +1503,7 @@ mod tests {
         // The archived history disappears: shipped elsewhere, quarantined as
         // corrupt, or deleted by an operator. Only the (empty) active
         // segment remains.
-        for p in list_segment_files(&dir.join("archive")).unwrap() {
+        for p in list_segment_files(&dir.join("archive"), false).unwrap() {
             std::fs::remove_file(p).unwrap();
         }
         // Reopen must not re-issue LSNs a log-shipping consumer has already
@@ -1578,7 +1619,8 @@ mod tests {
                 units += 1;
                 wal.append_batch(&[LogRecord::Checkpoint]).map(drop)
             })
-            .unwrap();
+            .unwrap()
+            .high;
         assert_eq!((units, high), (2, 4));
         assert_eq!(wal.read_from(high + 1).unwrap().len(), 2);
     }

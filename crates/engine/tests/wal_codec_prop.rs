@@ -224,7 +224,8 @@ proptest! {
                     got.push(unit.to_vec());
                     Ok(())
                 })
-                .unwrap();
+                .unwrap()
+                .high;
             let want: Vec<Records> = model
                 .iter()
                 .filter(|(first, _)| first >= from)
@@ -233,7 +234,7 @@ proptest! {
             prop_assert_eq!(got, want, "from {}", from);
             prop_assert_eq!(high, last_lsn, "from {}", from);
         }
-        prop_assert_eq!(wal.read_committed(last_lsn + 1, |_| Ok(())).unwrap(), 0);
+        prop_assert_eq!(wal.read_committed(last_lsn + 1, |_| Ok(())).unwrap().high, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

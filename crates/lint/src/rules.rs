@@ -101,6 +101,10 @@ pub const PANIC_FREE_FILES: &[&str] = &[
     "crates/core/src/logextract.rs",
     "crates/engine/src/index.rs",
     "crates/core/src/opdelta.rs",
+    "crates/engine/src/db.rs",
+    "crates/engine/src/txn.rs",
+    "crates/engine/src/lock.rs",
+    "crates/engine/src/trigger.rs",
 ];
 
 /// Path prefixes whose every file is panic-free scoped. `crates/lint/src`

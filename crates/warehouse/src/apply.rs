@@ -232,15 +232,13 @@ impl Warehouse {
         let meta = self.db.table(APPLIED_SEQ_TABLE)?;
         self.db
             .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
-        let now = self.db.now_micros();
         let row = Row::new(vec![Value::Int(id), Value::Int(seq as i64)]);
         match self.db.locate_by_image(&meta, &row)? {
             Some((rid, old)) => {
-                self.db
-                    .update_row(txn, &meta, rid, old, row, now, true, false)?;
+                self.db.update_row(txn, &meta, rid, old, row)?;
             }
             None => {
-                self.db.insert_row(txn, &meta, row, now, true, false)?;
+                self.db.insert_row(txn, &meta, row)?;
             }
         }
         Ok(())
@@ -441,11 +439,10 @@ impl Warehouse {
             let meta = self.db.table(APPLIED_SEQ_TABLE)?;
             self.db
                 .lock_table(txn, APPLIED_SEQ_TABLE, LockMode::Exclusive)?;
-            let now = self.db.now_micros();
             for &(lo, hi) in done {
                 let key = Row::new(vec![Value::Int((lo + 1) as i64), Value::Int(hi as i64)]);
                 if let Some((rid, old)) = self.db.locate_by_image(&meta, &key)? {
-                    self.db.delete_row(txn, &meta, rid, old, now, false)?;
+                    self.db.delete_row(txn, &meta, rid, old)?;
                 }
             }
             self.set_applied_row(txn, 0, watermark)

@@ -63,7 +63,6 @@ impl DirectValueApplier {
                 db,
                 cfg,
                 meta: &meta,
-                now: db.now_micros(),
                 report: ApplyReport {
                     transactions: 1,
                     ..Default::default()
@@ -83,7 +82,6 @@ struct Run<'a> {
     db: &'a Database,
     cfg: &'a MirrorConfig,
     meta: &'a TableMeta,
-    now: i64,
     report: ApplyReport,
 }
 
@@ -157,15 +155,13 @@ impl Run<'_> {
     }
 
     fn add(&mut self, txn: &mut Transaction, row: Row) -> EngineResult<()> {
-        self.db
-            .insert_row(txn, self.meta, row, self.now, false, false)?;
+        self.db.insert_row(txn, self.meta, row)?;
         self.report.rows_affected += 1;
         Ok(())
     }
 
     fn remove(&mut self, txn: &mut Transaction, rid: RecordId, stored: Row) -> EngineResult<()> {
-        self.db
-            .delete_row(txn, self.meta, rid, stored, self.now, false)?;
+        self.db.delete_row(txn, self.meta, rid, stored)?;
         self.report.rows_affected += 1;
         Ok(())
     }
@@ -201,8 +197,7 @@ impl Run<'_> {
             self.remove(txn, rid, stored)?;
             return self.add(txn, row);
         }
-        self.db
-            .update_row(txn, self.meta, rid, stored, row, self.now, false, false)?;
+        self.db.update_row(txn, self.meta, rid, stored, row)?;
         // One row deleted plus one inserted, as the statement pair counts.
         self.report.rows_affected += 2;
         Ok(())

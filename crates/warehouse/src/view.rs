@@ -662,7 +662,7 @@ impl View {
                     if sign < 0 {
                         let hits = live.as_mut().and_then(|live| live.remove(&key()));
                         for stored in hits.into_iter().flatten() {
-                            write(db, txn, &meta, now, Some(stored), None)?;
+                            write(db, txn, &meta, Some(stored), None)?;
                             n += 1;
                         }
                         continue;
@@ -672,13 +672,13 @@ impl View {
                         let vrow = project(projection, &values);
                         n += 1;
                         let Some(live) = &mut live else {
-                            write(db, txn, &meta, now, None, Some(vrow))?;
+                            write(db, txn, &meta, None, Some(vrow))?;
                             continue;
                         };
                         // Kept as stored, to be the before image if a later
                         // `-1` of the stream removes the row again.
                         let vrow = meta.schema.validate(&vrow)?;
-                        if let Some(rid) = write(db, txn, &meta, now, None, Some(vrow.clone()))? {
+                        if let Some(rid) = write(db, txn, &meta, None, Some(vrow.clone()))? {
                             live.entry(key()).or_default().push((rid, vrow));
                         }
                     }
@@ -768,7 +768,7 @@ impl View {
                 // within the stream leaves no row.
                 for group in groups {
                     let new = (!fold.is_empty(&group.row)).then_some(group.row);
-                    write(db, txn, &meta, now, group.stored, new)?;
+                    write(db, txn, &meta, group.stored, new)?;
                 }
                 Ok(deltas.len() as u64)
             }
@@ -782,9 +782,8 @@ impl View {
     pub fn refresh_full(&self, db: &Database, txn: &mut Transaction) -> EngineResult<u64> {
         let meta = db.table(&self.name)?;
         db.lock_table(txn, &self.name, LockMode::Exclusive)?;
-        let now = db.now_micros();
         db.for_each_row(&self.name, |rid, row| {
-            write(db, txn, &meta, now, Some((rid, row)), None)?;
+            write(db, txn, &meta, Some((rid, row)), None)?;
             Ok(ControlFlow::Continue(()))
         })?;
         let seed = &self.inputs[0].table;
@@ -830,9 +829,7 @@ impl View {
             }
             Sink::Groups(fold) => {
                 let stmt = parse_statement(&fold.recompute_sql)?;
-                let mut txn = db.begin();
-                let result = exec::execute(db, &mut txn, &stmt);
-                db.commit(txn)?;
+                let result = db.in_txn(|txn| exec::execute(db, txn, &stmt))?;
                 // SQL answers a global aggregate over nothing with one row;
                 // the view holds none. The trailing count tells them apart.
                 let live = |row: Row| {
@@ -842,7 +839,7 @@ impl View {
                         Some(_) => Some(Row::new(values)),
                     }
                 };
-                result?.rows.into_iter().filter_map(live).collect()
+                result.rows.into_iter().filter_map(live).collect()
             }
         };
         rows.sort_by(cmp_rows);
@@ -1040,19 +1037,16 @@ fn write(
     db: &Database,
     txn: &mut Transaction,
     meta: &TableMeta,
-    now: i64,
     stored: Option<(RecordId, Row)>,
     new: Option<Row>,
 ) -> EngineResult<Option<RecordId>> {
     Ok(match (stored, new) {
-        (Some((rid, old)), Some(new)) => {
-            Some(db.update_row(txn, meta, rid, old, new, now, false, false)?)
-        }
+        (Some((rid, old)), Some(new)) => Some(db.update_row(txn, meta, rid, old, new)?),
         (Some((rid, old)), None) => {
-            db.delete_row(txn, meta, rid, old, now, false)?;
+            db.delete_row(txn, meta, rid, old)?;
             None
         }
-        (None, Some(new)) => Some(db.insert_row(txn, meta, new, now, false, false)?),
+        (None, Some(new)) => Some(db.insert_row(txn, meta, new)?),
         (None, None) => None,
     })
 }

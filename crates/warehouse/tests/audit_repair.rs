@@ -777,3 +777,86 @@ fn a_quarantined_segment_is_settled_by_an_audit_and_the_log_resumes() {
     converged(&wh, "after the next round");
     assert!(pipe.dlq_entries().unwrap().is_empty());
 }
+
+#[test]
+fn a_segment_the_scrubber_quarantines_first_still_owes_an_audit() {
+    // The scrubber, not the extractor, finds the damaged segment and moves
+    // it aside as `*.wal.corrupt`. The extractor has not read it yet, so
+    // the changes it held are lost to the log: the next stage owes an audit
+    // naming that file, instead of shipping a round with a silent gap.
+    let src_dir = std::env::temp_dir().join(format!(
+        "delta-auditrep-scrub-src-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&src_dir);
+    let source = Database::open(DbOptions::new(&src_dir).archive(true)).unwrap();
+    let mut s = source.session();
+    s.execute(&format!(
+        "CREATE TABLE {TABLE} (id INT PRIMARY KEY, v INT, note VARCHAR)"
+    ))
+    .unwrap();
+    let mut wh = Warehouse::new(open_temp("audit-scrub-wh").unwrap());
+    wh.add_mirror(MirrorConfig::full(TABLE, schema())).unwrap();
+    let pipe = Pipeline::open(qpath("scrub")).unwrap();
+    let mut x = ResilientLogExtractor::new("unused", &[TABLE]).unwrap();
+
+    for id in 0..100 {
+        s.execute(&format!("INSERT INTO {TABLE} VALUES ({id}, {id}, 'n')"))
+            .unwrap();
+    }
+    assert!(pipe.ship(&source, &mut x).unwrap().published > 0);
+    drain(&pipe, &wh);
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE));
+
+    // Unseen changes go into segment k, which is archived, damaged and
+    // quarantined by the scrubber before any round reads it.
+    s.execute(&format!("UPDATE {TABLE} SET v = 0 WHERE id < 10"))
+        .unwrap();
+    s.execute(&format!("DELETE FROM {TABLE} WHERE id >= 90"))
+        .unwrap();
+    source.checkpoint().unwrap();
+    let victim = source.wal().archived_segments().unwrap().pop().unwrap();
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&victim, bytes).unwrap();
+    let report = delta_engine::scrub_database(&source).unwrap();
+    assert_eq!(report.wal_segments_corrupt, 1);
+    assert_eq!(report.quarantined, [victim.with_extension("wal.corrupt")]);
+    let aside = report.quarantined[0].clone();
+
+    s.execute(&format!("INSERT INTO {TABLE} VALUES (500, 5, 'late')"))
+        .unwrap();
+    source.checkpoint().unwrap();
+    match x.stage(&source) {
+        Err(EngineError::AuditOwed { tables, segments }) => {
+            assert_eq!(tables, [TABLE]);
+            assert_eq!(segments, [aside]);
+        }
+        other => panic!("expected an owed audit, got {other:?}"),
+    }
+    assert!(matches!(
+        pipe.ship(&source, &mut x),
+        Err(EngineError::AuditOwed { .. })
+    ));
+    assert_eq!(pipe.queue().pending(), 0, "nothing shipped past the gap");
+
+    let report = audit_and_repair(&source, &pipe, &wh, &[TABLE], &AuditConfig::default()).unwrap();
+    assert!(report.diverged() && report.converged());
+    x.audited(&source);
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE));
+
+    // The next round comes from the log again.
+    s.execute(&format!("UPDATE {TABLE} SET v = 7 WHERE id = 50"))
+        .unwrap();
+    let staged = x.stage(&source).unwrap();
+    assert!(!staged.coalesced);
+    assert_eq!(staged.outcome.deltas.len(), 1);
+    assert!(staged.outcome.deltas[0].has_txn_context());
+    drop(staged);
+    assert!(pipe.ship(&source, &mut x).unwrap().published > 0);
+    drain(&pipe, &wh);
+    assert_eq!(dump(&source, TABLE), dump(wh.db(), TABLE));
+    let _ = std::fs::remove_dir_all(&src_dir);
+}
