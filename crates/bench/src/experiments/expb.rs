@@ -188,7 +188,7 @@ fn snapshot_schema() -> Schema {
 fn write_snapshot_file(path: &Path, rows: impl Iterator<Item = Row>) {
     let mut sink = RowSink::create(path, DEFAULT_BLOCK_ROWS).expect("snapshot file");
     for r in rows {
-        sink.write_row(&r).expect("snapshot row");
+        sink.write_row(r).expect("snapshot row");
     }
     sink.finish().expect("snapshot flush");
 }

@@ -503,9 +503,10 @@ fn coalesce(buckets: &[i64], span: i64) -> Vec<KeyRange> {
 }
 
 /// Copy the rows of snapshot `src` whose key (column `key_pos`) falls in
-/// any of `ranges` into a new snapshot at `dst`. Returns the number of rows
-/// kept — the scoped input a range-restricted
-/// [`crate::snapshot::diff_snapshots`] repair runs on.
+/// any of `ranges` into a new snapshot at `dst`, in `src`'s order and under
+/// its header's sort key. Returns the number of rows kept — the scoped input
+/// a range-restricted [`crate::snapshot::diff_snapshots`] repair runs on,
+/// which reads a key-ordered copy as one run, with no run generation.
 pub fn filter_snapshot(
     src: &Path,
     key_pos: usize,
@@ -513,7 +514,7 @@ pub fn filter_snapshot(
     dst: &Path,
 ) -> StorageResult<u64> {
     let mut source = RowSource::open(src)?;
-    let mut sink = RowSink::create(dst, colbatch::DEFAULT_BLOCK_ROWS)?;
+    let mut sink = RowSink::create_sorted(dst, colbatch::DEFAULT_BLOCK_ROWS, source.key())?;
     let mut kept = 0u64;
     while let Some(row) = source.next_row()? {
         let key = match row.values().get(key_pos) {
@@ -525,7 +526,7 @@ pub fn filter_snapshot(
             }
         };
         if key_in_ranges(ranges, key) {
-            sink.write_row(&row)?;
+            sink.write_row(row)?;
             kept += 1;
         }
     }
@@ -625,7 +626,7 @@ mod tests {
         let dst = dir.join("some.snap");
         let mut sink = RowSink::create(&src, colbatch::DEFAULT_BLOCK_ROWS).unwrap();
         for i in 0..100 {
-            sink.write_row(&row(i, "z")).unwrap();
+            sink.write_row(row(i, "z")).unwrap();
         }
         sink.finish().unwrap();
         let ranges = [KeyRange { lo: 10, hi: 19 }, KeyRange { lo: 90, hi: 99 }];

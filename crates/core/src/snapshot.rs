@@ -5,8 +5,9 @@
 //! one. Two algorithms, after Labio & Garcia-Molina's snapshot-differential
 //! work the paper cites:
 //!
-//! * [`DiffAlgorithm::SortMerge`] — externally sort both snapshots by key,
-//!   then merge. Exact, but pays the full sort.
+//! * [`DiffAlgorithm::SortMerge`] — merge-join both snapshots in key order,
+//!   externally sorting a snapshot first unless it is already sorted on the
+//!   diff's key. Exact.
 //! * [`DiffAlgorithm::Window`] — stream both snapshots through bounded
 //!   in-memory windows, matching rows by key. Cheaper (no sort) and exact
 //!   whenever a row's displacement between the snapshots fits the window;
@@ -16,15 +17,22 @@
 //! Like the timestamp method, snapshots observe only final states and lose
 //! transaction context; unlike it, they *can* observe deletions.
 //!
-//! The sort-merge is one pipeline of two steps. Run generation cuts each
-//! snapshot into `run_size`-row chunks as it reads them, and
-//! [`diff_snapshots_parallel`]'s workers sort and write one run per chunk
-//! (the chunk index names the run, so the runs are the same at any worker
-//! count). The diff is then one pass on the calling thread: a merge cursor
-//! over each side's runs yields that side's rows in key order, and the two
-//! cursors are merge-joined. No merged copy of either snapshot is written.
+//! The sort-merge is one pipeline of two steps. First each side becomes a
+//! list of key-sorted runs. A snapshot whose header names the diff's key
+//! columns ([`take_snapshot`] writes one for every table with a
+//! single-column primary key) is its side's only run, read in place. Any
+//! other snapshot goes through run generation: it is cut into
+//! `run_size`-row chunks as it is read, and [`diff_snapshots_parallel`]'s
+//! workers sort and write one run per chunk (the chunk index names the run,
+//! so the runs are the same at any worker count). The diff is then one pass
+//! on the calling thread: a merge cursor over each side's runs yields that
+//! side's rows in key order, and the two cursors are merge-joined. No merged
+//! copy of either snapshot is written. Every run is read with its order
+//! checked, so a file whose header claims an order its rows do not keep is
+//! typed corruption, never a wrong delta (DESIGN.md §30).
 //! [`diff_snapshots`] is the one-worker call, and the records are the same
-//! at any worker count. The window diff is sequential.
+//! at any worker count and for either order of either snapshot. The window
+//! diff is sequential.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -66,7 +74,9 @@ pub struct DiffStats {
 }
 
 /// Take a snapshot of `table` at `path` (columnar CRC-framed row blocks, the
-/// one snapshot format). Returns row count.
+/// one snapshot format). A table with a single-column primary key is dumped
+/// in key order, with that column named in the header; any other table in
+/// heap order (`delta_engine::util::snapshot_dump`). Returns row count.
 pub fn take_snapshot(db: &Database, table: &str, path: impl AsRef<Path>) -> EngineResult<u64> {
     delta_engine::util::snapshot_dump(db, table, path)
 }
@@ -139,29 +149,48 @@ pub(crate) fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
 // Sort-merge algorithm
 // ---------------------------------------------------------------------
 
+/// A snapshot or run read row by row with each row's key on `key_cols`. A
+/// file whose header names `key_cols` as its order is held to it: a key
+/// smaller than the one before it is corruption.
 struct RunReader {
     src: RowSource,
     current: Option<(Vec<Value>, Row)>,
     key_cols: Vec<usize>,
+    ordered: bool,
 }
 
 impl RunReader {
     fn open(path: &Path, key_cols: &[usize]) -> StorageResult<RunReader> {
+        let src = RowSource::open(path)?;
+        let ordered = src.key() == key_cols;
         let mut r = RunReader {
-            src: RowSource::open(path)?,
+            src,
             current: None,
             key_cols: key_cols.to_vec(),
+            ordered,
         };
-        r.advance()?;
+        r.current = r.read()?;
         Ok(r)
     }
 
-    fn advance(&mut self) -> StorageResult<()> {
-        self.current = self
+    fn read(&mut self) -> StorageResult<Option<(Vec<Value>, Row)>> {
+        Ok(self
             .src
             .next_row()?
-            .map(|row| (key_of(&row, &self.key_cols), row));
-        Ok(())
+            .map(|row| (key_of(&row, &self.key_cols), row)))
+    }
+
+    /// Take the current row and its key, and read the next one.
+    fn take(&mut self) -> StorageResult<Option<(Vec<Value>, Row)>> {
+        let next = self.read()?;
+        if let (true, Some((prev, _)), Some((key, _))) = (self.ordered, &self.current, &next) {
+            if cmp_keys(key, prev) == Ordering::Less {
+                return Err(StorageError::Corrupt(
+                    "snapshot rows out of the key order its header claims".into(),
+                ));
+            }
+        }
+        Ok(std::mem::replace(&mut self.current, next))
     }
 }
 
@@ -199,8 +228,8 @@ impl MergeCursor {
         let Some(run) = self.best.and_then(|i| self.runs.get_mut(i)) else {
             return Ok(None);
         };
-        let row = run.current.take().map(|(_, row)| row);
-        run.advance()?;
+        let row = run.take()?.map(|(_, row)| row);
+        stats.rows_read += 1;
         self.pick(stats);
         Ok(row)
     }
@@ -243,11 +272,12 @@ fn worker_panic() -> StorageError {
 }
 
 /// Cut the snapshot at `path` into key-sorted runs of `run_size` rows,
-/// appending their paths to `runs` in read order. The calling thread decodes
-/// the snapshot into chunks; `workers` threads each sort a chunk and write it
-/// as one run named by its chunk index, so the runs are the same at any
-/// worker count. At most `2 * workers + 1` chunks are in memory at once. A
-/// path joins `runs` before its file is created.
+/// appending their paths to `runs` in read order; each run's header names
+/// `key_cols`. The calling thread decodes the snapshot into chunks;
+/// `workers` threads each sort a chunk and write it as one run named by its
+/// chunk index, so the runs are the same at any worker count. At most
+/// `2 * workers + 1` chunks are in memory at once. A path joins `runs`
+/// before its file is created.
 fn sorted_runs(
     path: &Path,
     key_cols: &[usize],
@@ -283,12 +313,16 @@ fn sorted_runs(
                             .map(|row| (key_of(&row, key_cols), row))
                             .collect();
                         run.sort_by(|a, b| cmp_keys(&a.0, &b.0));
-                        let mut w = RowSink::create(&run_path, colbatch::DEFAULT_BLOCK_ROWS)?;
-                        for (_, row) in &run {
+                        let mut w = RowSink::create_sorted(
+                            &run_path,
+                            colbatch::DEFAULT_BLOCK_ROWS,
+                            key_cols,
+                        )?;
+                        written += run.len() as u64;
+                        for (_, row) in run {
                             w.write_row(row)?;
                         }
                         w.finish()?;
-                        written += run.len() as u64;
                     }
                     Ok(written)
                 })
@@ -309,7 +343,6 @@ fn sorted_runs(
             let mut src = RowSource::open(path)?;
             let mut chunk: Vec<Row> = Vec::with_capacity(run_size.min(1 << 16));
             while let Some(row) = src.next_row()? {
-                stats.rows_read += 1;
                 chunk.push(row);
                 // A failed send leaves the workers' errors to report.
                 if chunk.len() >= run_size && !send(std::mem::take(&mut chunk)) {
@@ -339,8 +372,26 @@ fn sorted_runs(
     first_err.map_or(Ok(()), Err)
 }
 
-/// Sort both snapshots into runs, then merge-join the two sides' runs in one
-/// pass. Every run file is removed however the diff ends.
+/// The sorted runs of one side: the snapshot itself when its header names
+/// `key_cols`, else the runs [`sorted_runs`] writes into `temps`.
+fn side_runs(
+    path: &Path,
+    key_cols: &[usize],
+    run_size: usize,
+    workers: usize,
+    temps: &mut TempFiles,
+    stats: &mut DiffStats,
+) -> StorageResult<Vec<PathBuf>> {
+    if RowSource::open(path)?.key() == key_cols {
+        return Ok(vec![path.to_path_buf()]);
+    }
+    let first = temps.0.len();
+    sorted_runs(path, key_cols, run_size, workers, temps, stats)?;
+    Ok(temps.0[first..].to_vec())
+}
+
+/// Turn each snapshot into sorted runs, then merge-join the two sides' runs
+/// in one pass. Every temp run is removed however the diff ends.
 fn sort_merge(
     table: &str,
     schema: &Schema,
@@ -351,13 +402,15 @@ fn sort_merge(
     workers: usize,
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
-    let mut runs = TempFiles(Vec::new());
-    sorted_runs(old_path, key_cols, run_size, workers, &mut runs, &mut stats)?;
-    let old_runs = runs.0.len();
-    sorted_runs(new_path, key_cols, run_size, workers, &mut runs, &mut stats)?;
-    let (old_runs, new_runs) = runs.0.split_at(old_runs);
-    let mut old = MergeCursor::open(old_runs, key_cols, &mut stats)?;
-    let mut new = MergeCursor::open(new_runs, key_cols, &mut stats)?;
+    let mut temps = TempFiles(Vec::new());
+    let old_runs = side_runs(
+        old_path, key_cols, run_size, workers, &mut temps, &mut stats,
+    )?;
+    let new_runs = side_runs(
+        new_path, key_cols, run_size, workers, &mut temps, &mut stats,
+    )?;
+    let mut old = MergeCursor::open(&old_runs, key_cols, &mut stats)?;
+    let mut new = MergeCursor::open(&new_runs, key_cols, &mut stats)?;
     let mut delta = ValueDelta::new(table, schema.clone());
     merge_diff_streams(&mut old, &mut new, &mut delta.records, &mut stats)?;
     Ok((delta, stats))
@@ -442,9 +495,8 @@ fn window_diff(
             break;
         }
         // Ingest one row from each side, matching against the opposite buffer.
-        if let Some((k, row)) = old_r.current.take() {
+        if let Some((k, row)) = old_r.take()? {
             stats.rows_read += 1;
-            old_r.advance()?;
             let hit = new_buf.iter().position(|(nk, _)| {
                 stats.comparisons += 1;
                 cmp_keys(nk, &k) == Ordering::Equal
@@ -454,9 +506,8 @@ fn window_diff(
                 None => old_buf.push_back((k, row)),
             }
         }
-        if let Some((k, row)) = new_r.current.take() {
+        if let Some((k, row)) = new_r.take()? {
             stats.rows_read += 1;
-            new_r.advance()?;
             let hit = old_buf.iter().position(|(ok, _)| {
                 stats.comparisons += 1;
                 cmp_keys(ok, &k) == Ordering::Equal
@@ -530,7 +581,7 @@ mod tests {
         let p = dir.join(label);
         let mut sink = RowSink::create(&p, colbatch::DEFAULT_BLOCK_ROWS).unwrap();
         for (id, name) in rows {
-            sink.write_row(&Row::new(vec![Value::Int(*id), Value::Str((*name).into())]))
+            sink.write_row(Row::new(vec![Value::Int(*id), Value::Str((*name).into())]))
                 .unwrap();
         }
         sink.finish().unwrap();
@@ -814,6 +865,175 @@ mod tests {
         );
     }
 
+    /// A live two-column table keyed on `id` (or unkeyed), snapshotted before
+    /// and after deleting 1, changing 2 and inserting 3.
+    fn live_pair(label: &str, keyed: bool) -> (Arc<Database>, PathBuf, PathBuf) {
+        let db = delta_engine::db::open_temp(label).unwrap();
+        let mut s = db.session();
+        let id = if keyed {
+            "id INT PRIMARY KEY"
+        } else {
+            "id INT"
+        };
+        s.execute(&format!("CREATE TABLE t ({id}, name VARCHAR)"))
+            .unwrap();
+        s.execute("INSERT INTO t VALUES (2, 'b'), (1, 'a'), (4, 'd')")
+            .unwrap();
+        let old = db.options().dir.join(format!("{label}-old.snap"));
+        take_snapshot(&db, "t", &old).unwrap();
+        s.execute("UPDATE t SET name = 'bb' WHERE id = 2").unwrap();
+        s.execute("DELETE FROM t WHERE id = 1").unwrap();
+        s.execute("INSERT INTO t VALUES (3, 'c')").unwrap();
+        let new = db.options().dir.join(format!("{label}-new.snap"));
+        take_snapshot(&db, "t", &new).unwrap();
+        drop(s);
+        (db, old, new)
+    }
+
+    fn assert_live_delta(vd: &ValueDelta) {
+        assert_eq!(
+            ops_of(vd),
+            vec![
+                (DeltaOp::Delete, 1),
+                (DeltaOp::UpdateBefore, 2),
+                (DeltaOp::UpdateAfter, 2),
+                (DeltaOp::Insert, 3),
+            ]
+        );
+    }
+
+    /// A directory where `snap`'s first run file would go: a diff that
+    /// writes a run now fails.
+    fn block_runs(snap: &Path) {
+        let mut name = snap.file_name().unwrap().to_os_string();
+        name.push(".run0");
+        std::fs::create_dir_all(snap.with_file_name(name)).unwrap();
+    }
+
+    #[test]
+    fn key_ordered_snapshots_diff_without_run_generation() {
+        let (db, old, new) = live_pair("snapkeyed", true);
+        assert_eq!(RowSource::open(&old).unwrap().key(), &[0]);
+        let schema = db.table("t").unwrap().schema.clone();
+        block_runs(&old);
+        block_runs(&new);
+        for workers in [1, 3] {
+            let (vd, stats) = diff_snapshots_parallel(
+                "t",
+                &schema,
+                &[0],
+                &old,
+                &new,
+                DiffAlgorithm::SortMerge { run_size: 1 },
+                workers,
+            )
+            .unwrap();
+            assert_live_delta(&vd);
+            assert_eq!(stats.run_rows_written, 0);
+            assert_eq!(stats.rows_read, 6);
+        }
+
+        // The audit's scoped repair: filtered copies keep the key order.
+        let ranges = [crate::digest::KeyRange { lo: 1, hi: 2 }];
+        let (old_scoped, new_scoped) = (old.with_extension("scoped"), new.with_extension("scoped"));
+        crate::digest::filter_snapshot(&old, 0, &ranges, &old_scoped).unwrap();
+        crate::digest::filter_snapshot(&new, 0, &ranges, &new_scoped).unwrap();
+        assert_eq!(RowSource::open(&new_scoped).unwrap().key(), &[0]);
+        block_runs(&old_scoped);
+        block_runs(&new_scoped);
+        let (vd, stats) = diff_snapshots(
+            "t",
+            &schema,
+            &[0],
+            &old_scoped,
+            &new_scoped,
+            DiffAlgorithm::SortMerge { run_size: 1 },
+        )
+        .unwrap();
+        assert_eq!(ops_of(&vd).len(), 3, "delete 1, update 2");
+        assert_eq!(stats.run_rows_written, 0);
+
+        // Keyed on another column, the same files are sorted into runs.
+        let r = diff_snapshots(
+            "t",
+            &schema,
+            &[1],
+            &old,
+            &new,
+            DiffAlgorithm::SortMerge { run_size: 1 },
+        );
+        assert!(matches!(r, Err(StorageError::Io(_))), "{r:?}");
+    }
+
+    #[test]
+    fn an_unkeyed_table_is_dumped_in_heap_order_and_diffs_exactly() {
+        let (db, old, new) = live_pair("snapunkeyed", false);
+        assert_eq!(RowSource::open(&old).unwrap().key(), &[] as &[usize]);
+        assert_eq!(RowSource::open(&new).unwrap().key(), &[] as &[usize]);
+        let schema = db.table("t").unwrap().schema.clone();
+        let (vd, stats) = diff_snapshots(
+            "t",
+            &schema,
+            &[0],
+            &old,
+            &new,
+            DiffAlgorithm::SortMerge { run_size: 2 },
+        )
+        .unwrap();
+        assert_live_delta(&vd);
+        assert_eq!(stats.run_rows_written, 6);
+    }
+
+    #[test]
+    fn rows_out_of_their_claimed_order_are_corrupt() {
+        let dir = std::env::temp_dir().join(format!("delta-snap-liar-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let liar = dir.join("liar.snap");
+        let mut sink = RowSink::create_sorted(&liar, 2, &[0]).unwrap();
+        for id in [1, 3, 2, 4] {
+            sink.write_row(Row::new(vec![Value::Int(id), Value::Str("x".into())]))
+                .unwrap();
+        }
+        sink.finish().unwrap();
+        let good = write_snapshot("liar-good.snap", &[(1, "x"), (2, "x")]);
+        for algo in [
+            DiffAlgorithm::SortMerge { run_size: 16 },
+            DiffAlgorithm::Window { size: 16 },
+        ] {
+            for (o, n) in [(&liar, &good), (&good, &liar)] {
+                let r = diff_snapshots("t", &schema(), &[0], o, n, algo);
+                assert!(
+                    matches!(r, Err(StorageError::Corrupt(_))),
+                    "{algo:?}: {r:?}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_index_entry_without_its_row_fails_the_snapshot() {
+        let (db, old, _) = live_pair("snapdangling", true);
+        let before = std::fs::read(&old).unwrap();
+        // Delete row 4 in the heap behind the index's back.
+        let (rid, _) = db
+            .scan_table("t")
+            .unwrap()
+            .into_iter()
+            .find(|(_, row)| row.values()[0] == Value::Int(4))
+            .unwrap();
+        db.heap("t").unwrap().delete(rid).unwrap();
+        let r = take_snapshot(&db, "t", &old);
+        assert!(
+            matches!(
+                r,
+                Err(delta_engine::EngineError::Storage(StorageError::Corrupt(_)))
+            ),
+            "{r:?}"
+        );
+        assert_eq!(std::fs::read(&old).unwrap(), before, "old snapshot kept");
+    }
+
     /// `good` rewritten in 8-row blocks with its last three bytes cut off,
     /// so a reader meets the damage only after it has read most rows.
     fn cut_copy(good: &Path, label: &str) -> PathBuf {
@@ -821,7 +1041,7 @@ mod tests {
         let mut src = RowSource::open(good).unwrap();
         let mut sink = RowSink::create(&bad, 8).unwrap();
         while let Some(row) = src.next_row().unwrap() {
-            sink.write_row(&row).unwrap();
+            sink.write_row(row).unwrap();
         }
         sink.finish().unwrap();
         let bytes = std::fs::read(&bad).unwrap();

@@ -1,14 +1,18 @@
 //! Format fixtures. Each artifact has one format (DESIGN.md §12): the
 //! shipped Op-Delta frame is pinned byte for byte, and input in a retired
 //! format — the `VALUE-DELTA`/`OP-DELTA` text envelopes, ASCII snapshot
-//! dumps — or with a damaged magic is typed corruption, never reinterpreted.
+//! dumps, snapshots without the sort-key header (DESIGN.md §30) — or with a
+//! damaged magic is typed corruption, never reinterpreted. A snapshot whose
+//! header claims a key order its rows break is corruption too.
 
 use std::path::PathBuf;
 
 use delta_core::colcodec::encode_batch;
 use delta_core::model::DeltaBatch;
 use delta_core::snapshot::{diff_snapshots, diff_snapshots_parallel, DiffAlgorithm};
-use delta_storage::colbatch::{RowSink, RowSource, DEFAULT_BLOCK_ROWS};
+use delta_storage::colbatch::{
+    encode_rows_block, put_block, RowSink, RowSource, DEFAULT_BLOCK_ROWS,
+};
 use delta_storage::{Column, DataType, Row, Schema, StorageError, Value};
 
 /// A value-delta text envelope as the retired text codec shipped it.
@@ -48,6 +52,42 @@ fn tmp(name: &str) -> PathBuf {
 
 fn is_corrupt<T>(r: Result<T, StorageError>) -> bool {
     matches!(r, Err(StorageError::Corrupt(_)))
+}
+
+fn parts_row(id: i64, name: &str, qty: i64) -> Row {
+    Row::new(vec![
+        Value::Int(id),
+        Value::Str(name.into()),
+        Value::Int(qty),
+    ])
+}
+
+const ALGOS: [DiffAlgorithm; 2] = [
+    DiffAlgorithm::SortMerge { run_size: 2 },
+    DiffAlgorithm::Window { size: 8 },
+];
+
+/// Every diff of `bad` against `good`, either way round, at one and three
+/// workers, is typed corruption.
+fn assert_every_diff_corrupt(name: &str, bad: &std::path::Path, good: &std::path::Path) {
+    for algo in ALGOS {
+        for workers in [1, 3] {
+            for (o, n) in [(bad, good), (good, bad)] {
+                assert!(
+                    is_corrupt(diff_snapshots_parallel(
+                        "parts",
+                        &schema(),
+                        &[0],
+                        o,
+                        n,
+                        algo,
+                        workers
+                    )),
+                    "diff of {name} at {workers} workers, {algo:?}"
+                );
+            }
+        }
+    }
 }
 
 /// Encoded Op-Delta frames as the parent of PR 20 produced them, when a
@@ -102,7 +142,7 @@ fn damaged_empty_and_ascii_snapshots_are_corrupt() {
     let good = tmp("good.snap");
     let mut sink = RowSink::create(&good, 2).unwrap();
     for (id, name, qty) in [(1, "alpha", 10), (2, "beta", 25), (4, "delta", 40)] {
-        sink.write_row(&Row::new(vec![
+        sink.write_row(Row::new(vec![
             Value::Int(id),
             Value::Str(name.into()),
             Value::Int(qty),
@@ -123,30 +163,50 @@ fn damaged_empty_and_ascii_snapshots_are_corrupt() {
         let p = tmp(name);
         std::fs::write(&p, contents).unwrap();
         assert!(is_corrupt(RowSource::open(&p)), "RowSource::open({name})");
-        for algo in [
-            DiffAlgorithm::SortMerge { run_size: 2 },
-            DiffAlgorithm::Window { size: 8 },
-        ] {
-            assert!(
-                is_corrupt(diff_snapshots("parts", &schema(), &[0], &p, &good, algo)),
-                "diff_snapshots({name}, good, {algo:?})"
-            );
-            assert!(
-                is_corrupt(diff_snapshots("parts", &schema(), &[0], &good, &p, algo)),
-                "diff_snapshots(good, {name}, {algo:?})"
-            );
-            assert!(
-                is_corrupt(diff_snapshots_parallel(
-                    "parts",
-                    &schema(),
-                    &[0],
-                    &p,
-                    &good,
-                    algo,
-                    3
-                )),
-                "parallel diff of {name}, {algo:?}"
-            );
-        }
+        assert_every_diff_corrupt(name, &p, &good);
     }
+}
+
+/// A snapshot as every writer produced it before the sort-key header: the
+/// version-1 magic, then row blocks. Neither that file nor the same blocks
+/// behind the current magic is read as a snapshot.
+#[test]
+fn snapshots_in_the_pre_header_layout_are_corrupt() {
+    let good = tmp("hdr-good.snap");
+    let mut sink = RowSink::create(&good, 2).unwrap();
+    sink.write_row(parts_row(1, "alpha", 10)).unwrap();
+    sink.finish().unwrap();
+    let mut blocks = Vec::new();
+    put_block(
+        &mut blocks,
+        &encode_rows_block(&[parts_row(1, "alpha", 10), parts_row(2, "beta", 20)]),
+    );
+    for (name, version) in [("v1.snap", 1u8), ("headerless.snap", 2)] {
+        let p = tmp(name);
+        let mut bytes = vec![0xFF, b'C', b'S', version];
+        bytes.extend_from_slice(&blocks);
+        std::fs::write(&p, bytes).unwrap();
+        assert!(is_corrupt(RowSource::open(&p)), "RowSource::open({name})");
+        assert_every_diff_corrupt(name, &p, &good);
+    }
+}
+
+#[test]
+fn a_header_that_claims_an_order_the_rows_break_is_corrupt() {
+    let liar = tmp("liar.snap");
+    let mut sink = RowSink::create_sorted(&liar, 2, &[0]).unwrap();
+    for (id, name) in [(1, "alpha"), (4, "delta"), (2, "beta")] {
+        sink.write_row(parts_row(id, name, 0)).unwrap();
+    }
+    sink.finish().unwrap();
+    assert_eq!(RowSource::open(&liar).unwrap().key(), &[0]);
+    let good = tmp("liar-good.snap");
+    let mut sink = RowSink::create_sorted(&good, 2, &[0]).unwrap();
+    sink.write_row(parts_row(2, "beta", 0)).unwrap();
+    sink.finish().unwrap();
+    assert_every_diff_corrupt("liar.snap", &liar, &good);
+    // Keyed on another column the header makes no claim, and the same rows
+    // are sorted like any heap-order dump: alpha and delta are gone.
+    let (vd, _) = diff_snapshots("parts", &schema(), &[1], &liar, &good, ALGOS[0]).unwrap();
+    assert_eq!(vd.len(), 2);
 }

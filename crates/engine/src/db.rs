@@ -1014,7 +1014,7 @@ impl Database {
     }
 
     /// The unique index over `meta`'s single-column primary key, if any.
-    fn pk_index(&self, meta: &TableMeta) -> Option<Arc<Index>> {
+    pub(crate) fn pk_index(&self, meta: &TableMeta) -> Option<Arc<Index>> {
         let pk = single_pk_pos(meta)?;
         let idxs = self.indexes.for_table(&meta.name);
         let idx = idxs.iter().find(|i| i.def.unique && i.column_pos() == pk)?;

@@ -153,6 +153,22 @@ impl Index {
             .collect()
     }
 
+    /// One chunk of a key-ordered walk: the `(key, rid)` pairs of the keys
+    /// after `after` (from the first key when `None`), in key order, whole
+    /// keys only, stopping once at least `limit` pairs are taken. Passing
+    /// the last key of a chunk resumes the walk right after it.
+    pub fn entries_after(&self, after: Option<&Value>, limit: usize) -> Vec<(Value, RecordId)> {
+        let lo = after.map_or(Bound::Unbounded, |k| Bound::Excluded(IndexKey(k.clone())));
+        let mut out = Vec::with_capacity(limit.min(1 << 16));
+        for (key, set) in self.entries.read().map.range((lo, Bound::Unbounded)) {
+            if out.len() >= limit {
+                break;
+            }
+            out.extend(set.iter().map(|&rid| (key.0.clone(), rid)));
+        }
+        out
+    }
+
     /// Number of record ids within the bounds, counted until it exceeds
     /// `limit` (selectivity estimation: a caller that will refuse the index
     /// past `limit` matches pays for `limit + 1` keys, not for the range).
@@ -340,6 +356,31 @@ mod tests {
         i.remove(&Value::Int(5), rid(1));
         assert_eq!(i.lookup(&Value::Int(5)), vec![rid(2)]);
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn a_chunked_walk_resumes_after_the_last_key() {
+        let i = idx(false);
+        for k in [4, 1, 3, 2] {
+            i.insert(&Value::Int(k), rid(k as u32)).unwrap();
+        }
+        i.insert(&Value::Int(2), rid(20)).unwrap();
+        let mut walked = Vec::new();
+        let mut last: Option<Value> = None;
+        loop {
+            let chunk = i.entries_after(last.as_ref(), 2);
+            let Some((k, _)) = chunk.last() else { break };
+            last = Some(k.clone());
+            walked.push(chunk);
+        }
+        // Key 2's two rids stay in one chunk, which therefore holds three.
+        let pairs = |v: &[(i64, u32)]| -> Vec<(Value, RecordId)> {
+            v.iter().map(|&(k, p)| (Value::Int(k), rid(p))).collect()
+        };
+        assert_eq!(
+            walked,
+            vec![pairs(&[(1, 1), (2, 2), (2, 20)]), pairs(&[(3, 3), (4, 4)])]
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   bypassing the buffer pool and the WAL (like a classic direct-path
 //!   SQL*Loader run, it is unlogged; indexes are rebuilt afterwards).
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Write};
@@ -22,10 +23,11 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use delta_storage::codec::{ascii, export};
-use delta_storage::{colbatch, SlottedPage};
+use delta_storage::{colbatch, RecordId, Row, SlottedPage, StorageError, Value};
 
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
+use crate::index::Index;
 use crate::lock::LockMode;
 
 /// How the Loader treats existing table contents.
@@ -139,9 +141,24 @@ fn snapshot_tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
+/// Keys per chunk of a key-ordered snapshot dump: the dump holds one
+/// chunk's record ids and rows at a time, whatever the table's size.
+const DUMP_CHUNK_KEYS: usize = colbatch::DEFAULT_BLOCK_ROWS;
+
 /// Dump `table` to `path` as a snapshot: columnar CRC-framed row blocks
 /// (see `delta_storage::colbatch`), read back by `RowSource`. Returns rows
 /// written.
+///
+/// A table with a single-column primary key and its unique index is dumped
+/// in key order, and the snapshot's header names the key column, so a
+/// sort-merge diff reads the file as one sorted run (DESIGN.md §30). The
+/// dump walks the index in chunks of [`DUMP_CHUNK_KEYS`] keys, each resumed
+/// after the last key of the one before, and fetches a chunk's rows with
+/// one page latch per run of record ids on a page. Every index entry must
+/// lead to a live row holding its key; one that does not fails the dump
+/// with `Corrupt` rather than leave the row out. Any other table is dumped
+/// in heap order with no key in its header. Either way the dump holds the
+/// shared table lock throughout.
 ///
 /// The dump is staged to a sibling `.tmp` file and renamed into place, so a
 /// crash or failure mid-dump never clobbers the previous snapshot, and every
@@ -154,15 +171,11 @@ pub fn snapshot_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
     let tmp = snapshot_tmp_path(path);
     let result = db.in_txn(|txn| {
         db.lock_table(txn, table, LockMode::Shared)?;
-        let mut sink = colbatch::RowSink::create(&tmp, colbatch::DEFAULT_BLOCK_ROWS)?;
-        let mut n = 0u64;
-        db.for_each_row(table, |_, row| {
-            sink.write_row(&row)?;
-            n += 1;
-            Ok(ControlFlow::Continue(()))
-        })?;
-        sink.finish()?;
-        Ok(n)
+        let meta = db.table(table)?;
+        match db.pk_index(&meta) {
+            Some(idx) => dump_in_key_order(db, table, &idx, &tmp),
+            None => dump_in_heap_order(db, table, &tmp),
+        }
     });
     let rows = match result {
         Ok(rows) => rows,
@@ -181,6 +194,64 @@ pub fn snapshot_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
     }
     fs::rename(&tmp, path)?;
     Ok(rows)
+}
+
+fn dump_in_heap_order(db: &Database, table: &str, tmp: &Path) -> EngineResult<u64> {
+    let mut sink = colbatch::RowSink::create(tmp, colbatch::DEFAULT_BLOCK_ROWS)?;
+    let mut n = 0u64;
+    db.for_each_row(table, |_, row| {
+        sink.write_row(row)?;
+        n += 1;
+        Ok(ControlFlow::Continue(()))
+    })?;
+    sink.finish()?;
+    Ok(n)
+}
+
+fn dump_in_key_order(db: &Database, table: &str, idx: &Index, tmp: &Path) -> EngineResult<u64> {
+    let heap = db.heap(table)?;
+    let key_pos = idx.column_pos();
+    let mut sink = colbatch::RowSink::create_sorted(tmp, colbatch::DEFAULT_BLOCK_ROWS, &[key_pos])?;
+    let mut rows: Vec<Row> = Vec::with_capacity(DUMP_CHUNK_KEYS);
+    let mut last: Option<Value> = None;
+    let mut n = 0u64;
+    loop {
+        let chunk = idx.entries_after(last.as_ref(), DUMP_CHUNK_KEYS);
+        let rids: Vec<RecordId> = chunk.iter().map(|&(_, rid)| rid).collect();
+        let mut keys = chunk.iter().map(|(key, _)| key);
+        heap.for_each_at(&rids, |rid, bytes| -> EngineResult<()> {
+            let key = keys.next();
+            match (key, bytes.map(Row::from_bytes).transpose()?) {
+                (Some(key), Some(row))
+                    if row.values().get(key_pos).map(|v| v.total_cmp(key))
+                        == Some(Ordering::Equal) =>
+                {
+                    rows.push(row);
+                    Ok(())
+                }
+                _ => Err(dangling(table, rid)),
+            }
+        })?;
+        for row in rows.drain(..) {
+            sink.write_row(row)?;
+            n += 1;
+        }
+        match chunk.into_iter().last() {
+            Some((key, _)) => last = Some(key),
+            None => break,
+        }
+    }
+    sink.finish()?;
+    Ok(n)
+}
+
+/// The primary-key index of `table` names `rid`, but the heap holds no row
+/// with that entry's key there.
+fn dangling(table: &str, rid: RecordId) -> EngineError {
+    EngineError::Storage(StorageError::Corrupt(format!(
+        "snapshot of '{table}': the primary-key index names {rid}, \
+         where the heap holds no row with that key"
+    )))
 }
 
 /// Direct-path load of an ASCII dump into `table`: rows are validated, packed

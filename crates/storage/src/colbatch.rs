@@ -14,7 +14,9 @@
 //!   monotone sequences, RLE for constant runs, dictionary + RLE and
 //!   front/back coding for strings, raw tagged cells as the fallback,
 //! * streaming snapshot readers/writers ([`RowSource`]/[`RowSink`]) over
-//!   the one snapshot format, row blocks behind [`SNAP_MAGIC`].
+//!   the one snapshot format: [`SNAP_MAGIC`], a CRC-framed header naming
+//!   the columns the rows are sorted on (none for a heap-order dump), then
+//!   row blocks.
 //!
 //! WAL segments are not encoded here: a segment is archived by rename and
 //! read as the log wrote it (DESIGN.md §23).
@@ -49,12 +51,18 @@ pub enum DeltaCodec {
 
 /// Version byte carried in every magic; bump on incompatible layout changes.
 pub const FORMAT_VERSION: u8 = 1;
+/// Version byte of the snapshot magic: 2 since the header block that names
+/// the sort key (DESIGN.md §30). A version-1 snapshot, which has no header,
+/// is typed corruption like any other bad magic.
+pub const SNAP_VERSION: u8 = 2;
 /// Magic prefix of a columnar snapshot file.
-pub const SNAP_MAGIC: [u8; 4] = [0xFF, b'C', b'S', FORMAT_VERSION];
+pub const SNAP_MAGIC: [u8; 4] = [0xFF, b'C', b'S', SNAP_VERSION];
 /// Magic prefix of a columnar delta-batch envelope.
 pub const BATCH_MAGIC: [u8; 4] = [0xFF, b'C', b'B', FORMAT_VERSION];
 /// Default rows per columnar block (snapshots and batches).
 pub const DEFAULT_BLOCK_ROWS: usize = 1024;
+/// Sanity bound on the columns a snapshot header may name as its sort key.
+const MAX_KEY_COLUMNS: usize = 64;
 /// Sanity bound on any single decoded allocation (snapshot and batch blocks
 /// are a few hundred KiB); a corrupt length claiming more than
 /// this is rejected before allocating.
@@ -738,10 +746,11 @@ pub fn decode_rows_block(mut payload: &[u8]) -> StorageResult<Vec<Row>> {
 // Snapshot files: streaming readers and writers.
 // ---------------------------------------------------------------------------
 
-/// Streaming row reader over a snapshot file ([`SNAP_MAGIC`] then CRC-framed
-/// row blocks), decoding one block at a time.
+/// Streaming row reader over a snapshot file ([`SNAP_MAGIC`], the header
+/// block, then CRC-framed row blocks), decoding one block at a time.
 pub struct RowSource {
     reader: BufReader<File>,
+    key: Vec<usize>,
     pending: VecDeque<Row>,
 }
 
@@ -763,20 +772,77 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> StorageResult<bool> {
     Ok(true)
 }
 
+/// Read one CRC-framed block from a stream: `None` at a clean end of file.
+fn read_block(r: &mut impl Read) -> StorageResult<Option<Vec<u8>>> {
+    let mut lenb = [0u8; 4];
+    if !read_exact_or_eof(r, &mut lenb)? {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(lenb) as usize;
+    if len > MAX_DECODED_LEN {
+        return Err(corrupt("block length exceeds sanity bound"));
+    }
+    let mut payload = vec![0u8; len];
+    if !read_exact_or_eof(r, &mut payload)? {
+        return Err(corrupt("truncated block payload"));
+    }
+    let mut crcb = [0u8; 4];
+    if !read_exact_or_eof(r, &mut crcb)? {
+        return Err(corrupt("truncated block CRC"));
+    }
+    if crc32(&payload) != u32::from_le_bytes(crcb) {
+        return Err(corrupt("block CRC mismatch"));
+    }
+    Ok(Some(payload))
+}
+
+/// The header block's payload: the key column count, then each position.
+fn encode_header(key: &[usize]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_uvarint(&mut payload, key.len() as u64);
+    for &col in key {
+        put_uvarint(&mut payload, col as u64);
+    }
+    payload
+}
+
+fn decode_header(mut payload: &[u8]) -> StorageResult<Vec<usize>> {
+    let n = get_uvarint(&mut payload)? as usize;
+    if n > MAX_KEY_COLUMNS {
+        return Err(corrupt("snapshot header names too many key columns"));
+    }
+    let key = (0..n)
+        .map(|_| get_uvarint(&mut payload).map(|col| col as usize))
+        .collect::<StorageResult<Vec<usize>>>()?;
+    if !payload.is_empty() {
+        return Err(corrupt("trailing bytes in snapshot header"));
+    }
+    Ok(key)
+}
+
 impl RowSource {
-    /// Open `path` and check its magic. A file that does not start with
-    /// [`SNAP_MAGIC`] — empty, damaged or not a snapshot at all — is typed
-    /// corruption.
+    /// Open `path` and read its magic and header. A file that does not start
+    /// with [`SNAP_MAGIC`] and a whole header — empty, damaged, in an older
+    /// layout or not a snapshot at all — is typed corruption.
     pub fn open(path: &Path) -> StorageResult<RowSource> {
         let mut reader = BufReader::new(File::open(path).map_err(StorageError::Io)?);
         let mut magic = [0u8; 4];
         if !read_exact_or_eof(&mut reader, &mut magic)? || magic != SNAP_MAGIC {
             return Err(corrupt("not a snapshot file (bad magic)"));
         }
+        let header = read_block(&mut reader)?.ok_or_else(|| corrupt("missing snapshot header"))?;
         Ok(RowSource {
+            key: decode_header(&header)?,
             reader,
             pending: VecDeque::new(),
         })
+    }
+
+    /// The column positions the writer claims the rows are sorted on, in
+    /// significance order; empty for rows in no particular order. A reader
+    /// that relies on the claim checks it row by row.
+    pub fn key(&self) -> &[usize] {
+        &self.key
     }
 
     /// The next row, or `None` at end of file.
@@ -785,25 +851,9 @@ impl RowSource {
             if let Some(row) = self.pending.pop_front() {
                 return Ok(Some(row));
             }
-            let mut lenb = [0u8; 4];
-            if !read_exact_or_eof(&mut self.reader, &mut lenb)? {
+            let Some(payload) = read_block(&mut self.reader)? else {
                 return Ok(None);
-            }
-            let len = u32::from_le_bytes(lenb) as usize;
-            if len > MAX_DECODED_LEN {
-                return Err(corrupt("block length exceeds sanity bound"));
-            }
-            let mut payload = vec![0u8; len];
-            if !read_exact_or_eof(&mut self.reader, &mut payload)? {
-                return Err(corrupt("truncated block payload"));
-            }
-            let mut crcb = [0u8; 4];
-            if !read_exact_or_eof(&mut self.reader, &mut crcb)? {
-                return Err(corrupt("truncated block CRC"));
-            }
-            if crc32(&payload) != u32::from_le_bytes(crcb) {
-                return Err(corrupt("block CRC mismatch"));
-            }
+            };
             self.pending.extend(decode_rows_block(&payload)?);
             // Empty blocks are legal; loop for the next frame.
         }
@@ -818,11 +868,20 @@ pub struct RowSink {
 }
 
 impl RowSink {
-    /// Create `path` and write the magic. `block_rows` bounds the rows per
-    /// block.
+    /// Create `path` for rows in no particular order. `block_rows` bounds
+    /// the rows per block.
     pub fn create(path: &Path, block_rows: usize) -> StorageResult<RowSink> {
+        RowSink::create_sorted(path, block_rows, &[])
+    }
+
+    /// Create `path` for rows the caller writes sorted on the columns at
+    /// `key` (ascending by `Value::total_cmp`, most significant first); the
+    /// header records `key`. Readers that rely on the order check it.
+    pub fn create_sorted(path: &Path, block_rows: usize, key: &[usize]) -> StorageResult<RowSink> {
         let mut w = BufWriter::new(File::create(path).map_err(StorageError::Io)?);
-        w.write_all(&SNAP_MAGIC).map_err(StorageError::Io)?;
+        let mut head = SNAP_MAGIC.to_vec();
+        put_block(&mut head, &encode_header(key));
+        w.write_all(&head).map_err(StorageError::Io)?;
         Ok(RowSink {
             w,
             buf: Vec::new(),
@@ -831,8 +890,8 @@ impl RowSink {
     }
 
     /// Append one row.
-    pub fn write_row(&mut self, row: &Row) -> StorageResult<()> {
-        self.buf.push(row.clone());
+    pub fn write_row(&mut self, row: Row) -> StorageResult<()> {
+        self.buf.push(row);
         if self.buf.len() >= self.block_rows {
             self.write_block()?;
         }
@@ -953,7 +1012,7 @@ mod tests {
         let path = dir.join("snap");
         let mut sink = RowSink::create(&path, 100).unwrap();
         for r in &rows {
-            sink.write_row(r).unwrap();
+            sink.write_row(r.clone()).unwrap();
         }
         sink.finish().unwrap();
         let mut src = RowSource::open(&path).unwrap();
@@ -978,6 +1037,44 @@ mod tests {
             RowSource::open(&path),
             Err(StorageError::Corrupt(_))
         ));
+        // The magic alone, with no header block behind it.
+        std::fs::write(&path, SNAP_MAGIC).unwrap();
+        assert!(matches!(
+            RowSource::open(&path),
+            Err(StorageError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_header_carries_the_sort_key_under_its_crc() {
+        let dir = std::env::temp_dir().join(format!("colbatch-header-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sorted");
+        let mut sink = RowSink::create_sorted(&path, 4, &[2, 0]).unwrap();
+        sink.write_row(row(vec![Value::Int(1), Value::Null, Value::Int(3)]))
+            .unwrap();
+        sink.finish().unwrap();
+        let mut src = RowSource::open(&path).unwrap();
+        assert_eq!(src.key(), &[2, 0]);
+        assert!(src.next_row().unwrap().is_some());
+        let heap = dir.join("heap");
+        RowSink::create(&heap, 4).unwrap().finish().unwrap();
+        assert_eq!(RowSource::open(&heap).unwrap().key(), &[] as &[usize]);
+
+        // Every bit of the header block (after the magic) is covered: a flip
+        // is a CRC mismatch or a bad length, never a different key.
+        let bytes = std::fs::read(&path).unwrap();
+        let header_end = SNAP_MAGIC.len() + 4 + encode_header(&[2, 0]).len() + 4;
+        for bit in SNAP_MAGIC.len() * 8..header_end * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(RowSource::open(&path), Err(StorageError::Corrupt(_))),
+                "flip at bit {bit}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

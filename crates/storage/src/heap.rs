@@ -107,6 +107,35 @@ impl HeapFile {
         })
     }
 
+    /// Visit the records at `rids`, in the order given, as `(rid, bytes)`;
+    /// `bytes` is `None` where no record lives (a dead slot or a page past
+    /// the end). Each run of consecutive rids on one page latches that page
+    /// once, so rids grouped by page cost one latch per page, not per
+    /// record. `f` runs under the latch: it may not touch the heap or its
+    /// buffer pool.
+    pub fn for_each_at<E: From<StorageError>>(
+        &self,
+        rids: &[RecordId],
+        mut f: impl FnMut(RecordId, Option<&[u8]>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let pages = self.page_count()?;
+        let mut rest = rids;
+        while let Some(first) = rest.first() {
+            let page_no = first.page_no;
+            let len = rest.iter().take_while(|r| r.page_no == page_no).count();
+            let (run, tail) = rest.split_at(len);
+            if page_no < pages {
+                self.pool.with_page(self.pid(page_no), |p| {
+                    run.iter().try_for_each(|&rid| f(rid, p.get(rid.slot)))
+                })??;
+            } else {
+                run.iter().try_for_each(|&rid| f(rid, None))?;
+            }
+            rest = tail;
+        }
+        Ok(())
+    }
+
     /// Delete the record at `rid`.
     pub fn delete(&self, rid: RecordId) -> StorageResult<()> {
         self.pool
@@ -244,6 +273,36 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "append-only inserts scan in order"
         );
+    }
+
+    #[test]
+    fn for_each_at_visits_rids_in_the_order_given() {
+        let h = setup();
+        let rec = [5u8; 1000];
+        let rids: Vec<RecordId> = (0..20).map(|_| h.insert(&rec).unwrap()).collect();
+        h.delete(rids[3]).unwrap();
+        // A run of three on the first page (one a dead slot), one rid on the
+        // last page, one past the end, then the first page again.
+        let last = *rids.last().unwrap();
+        let wanted = vec![
+            rids[1],
+            rids[3],
+            rids[0],
+            last,
+            RecordId::new(99, 0),
+            rids[2],
+        ];
+        let mut seen = Vec::new();
+        h.for_each_at(&wanted, |rid, bytes| {
+            seen.push((rid, bytes.map(<[u8]>::to_vec)));
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
+        let got: Vec<RecordId> = seen.iter().map(|(rid, _)| *rid).collect();
+        assert_eq!(got, wanted);
+        let live: Vec<bool> = seen.iter().map(|(_, b)| b.is_some()).collect();
+        assert_eq!(live, [true, false, true, true, false, true]);
+        assert!(seen.iter().flat_map(|(_, b)| b).all(|b| b == &rec));
     }
 
     #[test]

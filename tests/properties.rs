@@ -22,6 +22,7 @@ use deltaforge::engine::db::{Database, DbOptions};
 use deltaforge::engine::{exec, EngineError};
 use deltaforge::sql::ast::AggFunc;
 use deltaforge::sql::parser::{parse_expression, parse_statement};
+use deltaforge::storage::colbatch::{self, RowSink};
 use deltaforge::storage::{Column, DataType, Row, Schema, Value};
 use deltaforge::warehouse::{
     AggSpec, AggViewDef, JoinCond, MirrorConfig, OpDeltaApplier, SpjView, ValueDeltaApplier, View,
@@ -124,6 +125,19 @@ fn create_parts(db: &std::sync::Arc<Database>) {
     db.session()
         .execute("CREATE TABLE parts (id INT PRIMARY KEY, val INT, txt VARCHAR)")
         .unwrap();
+}
+
+/// `parts` dumped in heap order, as any writer without the primary-key
+/// index would: rows from `for_each_row` through a `RowSink` whose header
+/// names no sort key.
+fn heap_order_dump(db: &Database, path: &std::path::Path) {
+    let mut sink = RowSink::create(path, colbatch::DEFAULT_BLOCK_ROWS).unwrap();
+    db.for_each_row("parts", |_, row| {
+        sink.write_row(row)?;
+        Ok(std::ops::ControlFlow::Continue(()))
+    })
+    .unwrap();
+    sink.finish().unwrap();
 }
 
 fn sorted_state(db: &Database) -> Vec<Row> {
@@ -311,8 +325,10 @@ proptest! {
 
     /// A snapshot diff takes a replica of the old state to the new one, at
     /// every worker count, and the sort-merge's delta is record for record
-    /// the one-worker `diff_snapshots`'s. The audit's scoped repair and the
-    /// log extractor's coalesce-rung oracle both rest on this diff.
+    /// the one-worker `diff_snapshots`'s. It is also the same whichever of
+    /// the two states is dumped in key order (`take_snapshot`, read as one
+    /// run) or in heap order (sorted into runs). The audit's scoped repair
+    /// and the log extractor's coalesce-rung oracle both rest on this diff.
     #[test]
     fn snapshot_diff_is_a_correct_delta(
         workload in arb_workload(),
@@ -329,16 +345,31 @@ proptest! {
         for i in 0..8 {
             s.execute(&format!("INSERT INTO parts VALUES ({i}, 0, 'seed')")).unwrap();
         }
-        let old_path = dir.join("old.txt");
+        let old_path = dir.join("old.snap");
+        let old_heap = dir.join("old.heap");
         take_snapshot(&src, "parts", &old_path).unwrap();
+        heap_order_dump(&src, &old_heap);
         drive(|sql| s.execute(sql).map(|_| ()).map_err(|e| e.to_string()), &workload);
-        let new_path = dir.join("new.txt");
+        let new_path = dir.join("new.snap");
+        let new_heap = dir.join("new.heap");
         take_snapshot(&src, "parts", &new_path).unwrap();
+        heap_order_dump(&src, &new_heap);
+
+        let sort_merge = DiffAlgorithm::SortMerge { run_size: 4 };
+        let (keyed, keyed_stats) =
+            diff_snapshots("parts", &schema(), &[0], &old_path, &new_path, sort_merge).unwrap();
+        prop_assert_eq!(keyed_stats.run_rows_written, 0);
+        for (o, n) in [(&old_path, &new_heap), (&old_heap, &new_path), (&old_heap, &new_heap)] {
+            let (vd, _) =
+                diff_snapshots_parallel("parts", &schema(), &[0], o, n, sort_merge, workers)
+                    .unwrap();
+            prop_assert_eq!(&vd, &keyed, "{:?} vs {:?}", o, n);
+        }
 
         let algo = if use_window {
             DiffAlgorithm::Window { size: window }
         } else {
-            DiffAlgorithm::SortMerge { run_size: 4 }
+            sort_merge
         };
         let (vd, _) =
             diff_snapshots_parallel("parts", &schema(), &[0], &old_path, &new_path, algo, workers)
