@@ -30,7 +30,7 @@ use crate::EngineResult;
 pub struct ScrubReport {
     /// Heap pages read and inspected.
     pub pages_scanned: u64,
-    /// Pages skipped CRC verification (written before stamping existed).
+    /// All-zero pages (allocated, never written), which carry no CRC.
     pub pages_unstamped: u64,
     /// Pages failing the CRC or structural check.
     pub pages_corrupt: u64,

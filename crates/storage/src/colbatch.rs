@@ -6,7 +6,7 @@
 //! ship path treats its encodings as a first-class perf surface. This module
 //! provides the shared primitives:
 //!
-//! * varint/zigzag integer coding and a table-driven CRC-32 (IEEE),
+//! * varint/zigzag integer coding and a sliced-by-16 CRC-32 (IEEE),
 //! * CRC-framed blocks (`[u32 le len][payload][u32 le crc]`) with a
 //!   format-version byte baked into every magic,
 //! * a self-describing **columnar row-block** codec: per-column encodings
@@ -73,11 +73,14 @@ fn corrupt(what: &str) -> StorageError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven.
+// CRC-32 (IEEE 802.3), sliced by 16.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic bytewise table of the reflected
+/// polynomial; `CRC32_TABLES[k][b]` is that entry carried through `k` more
+/// zero bytes, so sixteen lookups fold a 16-byte block at once.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -90,21 +93,59 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// Continue a CRC-32 (IEEE) over `bytes`: `state` is the CRC of everything
+/// before them (0 for nothing), so `crc32_update(crc32(a), b)` equals the
+/// CRC of `a` followed by `b`.
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = !state;
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let w = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(w & 0xFF) as usize]
+            ^ t[14][((w >> 8) & 0xFF) as usize]
+            ^ t[13][((w >> 16) & 0xFF) as usize]
+            ^ t[12][(w >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    crc32_update(0, bytes)
 }
 
 /// The state a 64-bit FNV-1a fold starts from.

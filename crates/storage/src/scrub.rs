@@ -11,10 +11,11 @@
 //! Verification happens **only** in the scrubber, never on the hot read
 //! path: a torn page mid-recovery is the WAL's business (and torture-tested
 //! there); the scrubber's business is the page nobody would otherwise read
-//! again until its contents are served as query answers. Pages written
-//! before stamping existed carry a zero CRC word and are reported as
-//! `unstamped`, not corrupt, so scrubbing is safe to roll out over existing
-//! databases.
+//! again until its contents are served as query answers. A page reaches
+//! disk one of two ways: through [`DiskFile::write_page`], stamped, or
+//! through [`DiskFile::allocate_page`], all zero. So a zero CRC word means
+//! "unstamped" only on an all-zero page; on any other page it is a damaged
+//! stamp, and the page is corrupt.
 //!
 //! Corrupt pages are quarantined by listing them in a `<file>.quarantine`
 //! sidecar ([`quarantine_pages`]) — the heap file itself is left untouched
@@ -24,7 +25,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::colbatch::crc32;
+use crate::colbatch::{crc32, crc32_update};
 use crate::error::StorageResult;
 use crate::file::{DiskFile, PAGE_SIZE};
 use crate::page::SlottedPage;
@@ -33,21 +34,24 @@ use crate::page::SlottedPage;
 /// word of the slotted-page layout; see `page.rs`).
 pub const PAGE_CRC_OFFSET: usize = 12;
 
-/// Sentinel meaning "no CRC stamped" (pages predating the scrubber).
+/// Sentinel meaning "no CRC stamped": the CRC word of an all-zero page,
+/// allocated and never written.
 pub const PAGE_CRC_UNSTAMPED: u32 = 0;
 
 /// CRC of a page image with its CRC word zeroed — the value
-/// [`stamp_page_crc`] stores and [`check_page`] recomputes. A computed CRC
-/// that collides with the unstamped sentinel is nudged to 1, trading an
-/// undetectable one-in-4-billion corruption for an unambiguous sentinel.
+/// [`stamp_page_crc`] stores and [`check_page`] recomputes. The image is
+/// folded in place as three spans (the bytes before the word, four zero
+/// bytes, the bytes after it), never copied. A computed CRC that collides
+/// with the unstamped sentinel is nudged to 1, trading an undetectable
+/// one-in-4-billion corruption for an unambiguous sentinel.
 pub fn page_content_crc(page: &[u8]) -> u32 {
-    let mut copy = [0u8; PAGE_SIZE];
-    let n = page.len().min(PAGE_SIZE);
-    copy[..n].copy_from_slice(&page[..n]);
-    if n >= PAGE_CRC_OFFSET + 4 {
-        copy[PAGE_CRC_OFFSET..PAGE_CRC_OFFSET + 4].fill(0);
-    }
-    let crc = crc32(&copy[..n]);
+    let page = &page[..page.len().min(PAGE_SIZE)];
+    let crc = if page.len() >= PAGE_CRC_OFFSET + 4 {
+        let head = crc32_update(crc32(&page[..PAGE_CRC_OFFSET]), &[0; 4]);
+        crc32_update(head, &page[PAGE_CRC_OFFSET + 4..])
+    } else {
+        crc32(page)
+    };
     if crc == PAGE_CRC_UNSTAMPED {
         1
     } else {
@@ -68,7 +72,7 @@ pub fn stamp_page_crc(page: &mut [u8]) {
 /// Verdict of checking one page image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageCheck {
-    /// CRC word is the zero sentinel: written before stamping existed.
+    /// An all-zero page: allocated, never written.
     Unstamped,
     /// Stored CRC matches the recomputed content CRC.
     Clean,
@@ -90,7 +94,7 @@ pub fn check_page(page: &[u8]) -> PageCheck {
     let mut word = [0u8; 4];
     word.copy_from_slice(&page[PAGE_CRC_OFFSET..PAGE_CRC_OFFSET + 4]);
     let stored = u32::from_le_bytes(word);
-    if stored == PAGE_CRC_UNSTAMPED {
+    if stored == PAGE_CRC_UNSTAMPED && page.iter().all(|&b| b == 0) {
         return PageCheck::Unstamped;
     }
     let computed = page_content_crc(page);
@@ -106,7 +110,7 @@ pub fn check_page(page: &[u8]) -> PageCheck {
 pub struct PageScrubOutcome {
     /// Pages read and inspected.
     pub scanned: u64,
-    /// Pages skipped CRC verification (zero sentinel in the CRC word).
+    /// All-zero pages (allocated, never written), which carry no CRC.
     pub unstamped: u64,
     /// Page numbers that failed the CRC or the structural check.
     pub corrupt: Vec<u32>,
@@ -184,7 +188,6 @@ mod tests {
     #[test]
     fn stamp_then_check_is_clean_and_idempotent() {
         let mut page = page_with_record(b"hello");
-        assert_eq!(check_page(&page), PageCheck::Unstamped);
         stamp_page_crc(&mut page);
         assert_eq!(check_page(&page), PageCheck::Clean);
         let once = page.clone();
@@ -247,6 +250,52 @@ mod tests {
         let sidecar = quarantine_pages(&p, &out.corrupt).unwrap();
         let body = std::fs::read_to_string(&sidecar).unwrap();
         assert_eq!(body, "1\n");
+    }
+
+    #[test]
+    fn a_zero_crc_word_on_a_page_with_records_is_corrupt() {
+        let mut page = page_with_record(b"hello");
+        assert!(matches!(check_page(&page), PageCheck::Corrupt { .. }));
+        stamp_page_crc(&mut page);
+        page[PAGE_CRC_OFFSET..PAGE_CRC_OFFSET + 4].fill(0);
+        assert_eq!(
+            check_page(&page),
+            PageCheck::Corrupt {
+                stored: PAGE_CRC_UNSTAMPED,
+                computed: page_content_crc(&page)
+            }
+        );
+    }
+
+    #[test]
+    fn scrub_flags_a_stamped_page_whose_crc_word_was_zeroed() {
+        use std::io::{Seek, SeekFrom, Write};
+        let p = tmpfile("scrub4.db");
+        {
+            let f = DiskFile::open(&p).unwrap();
+            for i in 0..2 {
+                f.allocate_page().unwrap();
+                f.write_page(i, &page_with_record(b"stable")).unwrap();
+            }
+            f.sync().unwrap();
+        }
+        // Zero page 1's CRC word behind the engine's back; its slots still
+        // parse, so only the CRC can tell.
+        {
+            let mut raw = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&p)
+                .unwrap();
+            raw.seek(SeekFrom::Start((PAGE_SIZE + PAGE_CRC_OFFSET) as u64))
+                .unwrap();
+            raw.write_all(&[0; 4]).unwrap();
+        }
+        let f = DiskFile::open(&p).unwrap();
+        let out = scrub_page_file(&f).unwrap();
+        assert_eq!(out.scanned, 2);
+        assert_eq!(out.unstamped, 0);
+        assert_eq!(out.corrupt, vec![1]);
     }
 
     #[test]
