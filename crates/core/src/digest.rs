@@ -152,11 +152,6 @@ impl TableDigest {
             })
     }
 
-    /// Total rows summarized across all leaves.
-    pub fn total_rows(&self) -> u64 {
-        self.leaves.iter().map(|l| l.rows).sum()
-    }
-
     /// Inclusive key range covered by leaf `bucket` under this digest's span.
     pub fn bucket_range(&self, bucket: i64) -> KeyRange {
         bucket_range(bucket, self.span)

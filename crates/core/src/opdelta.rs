@@ -337,11 +337,6 @@ impl OpDeltaCapture {
         }
         Ok(())
     }
-
-    /// Unwrap, returning the inner session.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
 }
 
 /// Decode one log record from its two escaped payload fields — the one

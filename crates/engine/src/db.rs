@@ -198,11 +198,6 @@ impl Database {
         Ok(db)
     }
 
-    /// Open with default options at `dir`.
-    pub fn open_dir(dir: impl Into<PathBuf>) -> EngineResult<Arc<Database>> {
-        Database::open(DbOptions::new(dir))
-    }
-
     /// Configuration this database was opened with.
     pub fn options(&self) -> &DbOptions {
         &self.opts

@@ -15,7 +15,7 @@ use crate::catalog::TableOptions;
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{self, QueryResult};
-use crate::txn::{Transaction, TxnId};
+use crate::txn::Transaction;
 
 /// An interactive session against one database.
 pub struct Session {
@@ -36,11 +36,6 @@ impl Session {
     /// Whether an explicit transaction is open.
     pub fn in_txn(&self) -> bool {
         self.txn.is_some()
-    }
-
-    /// Id of the open transaction, if any.
-    pub fn txn_id(&self) -> Option<TxnId> {
-        self.txn.as_ref().map(|t| t.id)
     }
 
     /// Parse and execute one SQL statement.

@@ -15,10 +15,12 @@
 //!   registered an entry installs or clears it; every other access to that
 //!   page waits for the entry to go, then finds the page cached. A freshly
 //!   allocated page enters the same way, formatted instead of read.
-//! * On **eviction** the victim frame is taken out of the shard under the
-//!   lock but written back after release. Its id stays in the in-flight
-//!   table until the write completes, so a concurrent reader waits for the
-//!   writeback (then re-reads from disk) rather than racing `write_page`.
+//! * On **eviction** only a clean, unpinned frame leaves the shard. A dirty
+//!   victim is first written by the flush's routine (`write_back`): it is
+//!   snapshotted and marked clean under the lock, pinned in the in-flight
+//!   table and left mapped, so accesses keep hitting it while the snapshot
+//!   is written. A failed or torn write marks it dirty again, so the page
+//!   stays in memory and the access that wanted its frame gets the error.
 //!
 //! Pages are accessed under short closures (`with_page` / `with_page_mut`),
 //! so frames are never held across calls. Higher-level isolation is provided
@@ -28,17 +30,18 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::error::{StorageError, StorageResult};
 use crate::fault::splitmix64;
 use crate::file::{DiskFile, FileId, PageId, PAGE_SIZE};
 use crate::page::SlottedPage;
 
-/// Bound on re-tries when every frame of a shard is pinned by in-flight I/O
-/// (e.g. a flush snapshot of a fully dirty shard). Each retry yields, so the
-/// pinning flush gets scheduled; only a genuinely undersized shard exhausts
-/// the bound.
+/// Bound on re-tries for a victim frame: when every frame of a shard is
+/// pinned by in-flight I/O (e.g. a flush snapshot of a fully dirty shard),
+/// or a written-back victim was re-dirtied or pinned again before it could
+/// go. Each pinned retry yields, so the pinning write gets scheduled; only
+/// a genuinely undersized shard exhausts the bound.
 const VICTIM_RETRIES: usize = 10_000;
 
 /// Cumulative buffer-pool statistics.
@@ -83,7 +86,8 @@ struct Frame {
 enum IoKind {
     /// An access is paging the page in (reading or formatting it) off-lock.
     Read,
-    /// An eviction or flush is writing the page out off-lock.
+    /// A flush or an eviction is writing a snapshot of the page off-lock.
+    /// Its frame stays mapped and is not evicted until the write ends.
     Writeback,
 }
 
@@ -100,10 +104,15 @@ enum Access {
     Create,
 }
 
-/// A dirty victim handed out of a shard, to be written after the lock drops.
-struct WritebackJob {
-    pid: PageId,
-    page: SlottedPage,
+/// A frame `take_victim` found for a page to install into.
+enum Victim {
+    /// An empty slot: never used, or just emptied by evicting a clean frame.
+    Free(usize),
+    /// An unreferenced dirty frame, to be written back before it goes.
+    Dirty(usize),
+    /// Every candidate is pinned by in-flight I/O, a transient state the
+    /// caller waits out.
+    Pinned,
 }
 
 struct ShardInner {
@@ -212,8 +221,9 @@ impl BufferPool {
     }
 
     /// Forget a file (e.g. DROP TABLE). Cached pages are discarded unwritten,
-    /// so callers must flush first if they care; an eviction writeback caught
-    /// mid-air discards its page the same way.
+    /// so callers must flush first if they care; a write-back of one of its
+    /// pages that looks the file up after this call discards its snapshot
+    /// the same way.
     pub fn deregister_file(&self, id: FileId) {
         self.files.write().remove(&id);
         for shard in &self.shards {
@@ -301,8 +311,8 @@ impl BufferPool {
                 return Ok(f(frame));
             }
             if inner.in_flight.contains_key(&pid) {
-                // Another access is paging this page in, or an eviction is
-                // writing it out: wait for its entry to go.
+                // Another access is paging this page in: wait for its entry
+                // to go.
                 drop(inner);
                 std::thread::yield_now();
                 continue;
@@ -316,8 +326,10 @@ impl BufferPool {
     /// Bring `pid` into a frame — read from disk, or formatted for
     /// `Access::Create` — and run `f` on it. The caller registered the
     /// page's `Read` entry; this clears it on every path, in the same
-    /// critical section that installs the frame. A displaced dirty victim is
-    /// written back after the lock is released.
+    /// critical section that installs the frame. A dirty victim is written
+    /// back through `write_back` first and evicted once it is clean; if
+    /// that write fails, the victim stays cached and dirty, and this access
+    /// returns the error without running `f`.
     fn page_in<R>(
         &self,
         shard: &Shard,
@@ -344,19 +356,40 @@ impl BufferPool {
         let mut retries = 0usize;
         let victim = loop {
             match Self::take_victim(shard, &mut inner) {
-                Ok(None) if retries < VICTIM_RETRIES => {
+                Ok(Victim::Free(slot)) => break Ok(slot),
+                Ok(Victim::Dirty(slot)) => {
+                    let (relocked, written) = self.write_back(shard, inner, [slot]);
+                    inner = relocked;
+                    if let Err(e) = written {
+                        break Err(e);
+                    }
+                    // Evict it unless an access re-dirtied it meanwhile (or
+                    // a DROP TABLE freed the slot for another page); else
+                    // look again.
+                    let clean = inner.frames[slot]
+                        .as_ref()
+                        .is_none_or(|fr| !fr.dirty && !inner.in_flight.contains_key(&fr.id));
+                    if clean {
+                        Self::evict(shard, &mut inner, slot);
+                        break Ok(slot);
+                    }
+                }
+                Ok(Victim::Pinned) => {
                     // Every frame is pinned by in-flight I/O (a flush
                     // snapshot of a fully dirty shard): let it drain.
-                    retries += 1;
                     drop(inner);
                     std::thread::yield_now();
                     inner = shard.inner.lock();
                 }
-                other => break other,
+                Err(e) => break Err(e),
+            }
+            retries += 1;
+            if retries == VICTIM_RETRIES {
+                break Err(StorageError::PoolExhausted);
             }
         };
         inner.in_flight.remove(&pid);
-        let (slot, job) = victim?.ok_or(StorageError::PoolExhausted)?;
+        let slot = victim?;
         let frame = inner.frames[slot].insert(Frame {
             id: pid,
             page,
@@ -366,9 +399,6 @@ impl BufferPool {
         let result = f(frame);
         inner.map.insert(pid, slot);
         drop(inner);
-        if let Some(job) = job {
-            self.complete_writeback(shard, job)?;
-        }
         Ok(result)
     }
 
@@ -380,17 +410,12 @@ impl BufferPool {
         SlottedPage::from_bytes(&buf)
     }
 
-    /// Find a frame to install into: a free slot, or a clock victim. A dirty
-    /// victim is detached into a [`WritebackJob`] and its id registered
-    /// in-flight; the caller writes it out after releasing the lock.
-    /// `Ok(None)` means every candidate is pinned by in-flight I/O — a
-    /// transient state the caller should wait out.
-    fn take_victim(
-        shard: &Shard,
-        inner: &mut ShardInner,
-    ) -> StorageResult<Option<(usize, Option<WritebackJob>)>> {
-        if let Some(free) = inner.frames.iter().position(|f| f.is_none()) {
-            return Ok(Some((free, None)));
+    /// Find a frame to install into: a free slot, a clean clock victim
+    /// (evicted here), or an unreferenced dirty one for the caller to write
+    /// back. Frames pinned by in-flight I/O are never chosen.
+    fn take_victim(shard: &Shard, inner: &mut ShardInner) -> StorageResult<Victim> {
+        if let Some(free) = inner.frames.iter().position(Option::is_none) {
+            return Ok(Victim::Free(free));
         }
         let cap = inner.frames.len();
         let mut saw_pinned = false;
@@ -398,65 +423,89 @@ impl BufferPool {
         for _ in 0..2 * cap + 1 {
             let slot = inner.clock;
             inner.clock = (inner.clock + 1) % cap;
-            let pinned = inner.frames[slot]
-                .as_ref()
-                .is_some_and(|fr| inner.in_flight.contains_key(&fr.id));
-            if pinned {
-                saw_pinned = true;
-                continue;
-            }
-            let evict = match inner.frames[slot].as_mut() {
-                Some(fr) if fr.referenced => {
-                    fr.referenced = false;
-                    false
-                }
-                Some(_) => true,
-                None => return Ok(Some((slot, None))),
+            let Some(fr) = inner.frames[slot].as_mut() else {
+                return Ok(Victim::Free(slot));
             };
-            if evict {
-                let Some(frame) = inner.frames[slot].take() else {
-                    continue;
-                };
-                inner.map.remove(&frame.id);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-                let job = if frame.dirty {
-                    inner.in_flight.insert(frame.id, IoKind::Writeback);
-                    Some(WritebackJob {
-                        pid: frame.id,
-                        page: frame.page,
-                    })
-                } else {
-                    None
-                };
-                return Ok(Some((slot, job)));
+            if inner.in_flight.contains_key(&fr.id) {
+                saw_pinned = true;
+            } else if fr.referenced {
+                fr.referenced = false;
+            } else if fr.dirty {
+                return Ok(Victim::Dirty(slot));
+            } else {
+                Self::evict(shard, inner, slot);
+                return Ok(Victim::Free(slot));
             }
         }
         if saw_pinned {
-            Ok(None)
+            Ok(Victim::Pinned)
         } else {
             Err(StorageError::PoolExhausted)
         }
     }
 
-    /// Write an evicted dirty page out and clear its in-flight entry.
-    fn complete_writeback(&self, shard: &Shard, job: WritebackJob) -> StorageResult<()> {
-        let mut wrote = false;
-        let result = match self.file(job.pid.file) {
-            Ok(file) => file
-                .write_page(job.pid.page_no, job.page.as_bytes())
-                .map(|()| wrote = true),
-            // The file vanished (DROP TABLE won the race): discard the page
-            // unwritten, per the deregister_file contract.
-            Err(StorageError::NotFound(_)) => Ok(()),
-            Err(e) => Err(e),
-        };
-        if wrote {
-            shard.writebacks.fetch_add(1, Ordering::Relaxed);
+    /// Drop the frame in `slot`, which the caller found clean and unpinned.
+    fn evict(shard: &Shard, inner: &mut ShardInner, slot: usize) {
+        if let Some(frame) = inner.frames[slot].take() {
+            inner.map.remove(&frame.id);
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let mut inner = shard.inner.lock();
-        inner.in_flight.remove(&job.pid);
+    }
+
+    /// The one place a page goes to disk. Every dirty frame among `slots`
+    /// (which the caller found unpinned) is snapshotted under the lock,
+    /// marked clean and pinned `Writeback`; it stays mapped, so accesses
+    /// keep hitting it and may re-dirty it. The snapshots are written with
+    /// the lock released, then the pins cleared. A frame whose write failed
+    /// or tore is marked dirty again, so its page stays in memory until a
+    /// later write of it succeeds. Returns the shard still locked from the
+    /// critical section that cleared the pins, and the first write error.
+    fn write_back<'a>(
+        &self,
+        shard: &'a Shard,
+        mut inner: MutexGuard<'a, ShardInner>,
+        slots: impl IntoIterator<Item = usize>,
+    ) -> (MutexGuard<'a, ShardInner>, StorageResult<()>) {
+        let ShardInner {
+            frames, in_flight, ..
+        } = &mut *inner;
+        let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
+        for slot in slots {
+            if let Some(frame) = frames[slot].as_mut().filter(|fr| fr.dirty) {
+                frame.dirty = false;
+                in_flight.insert(frame.id, IoKind::Writeback);
+                pending.push((frame.id, frame.page.as_bytes().to_vec()));
+            }
+        }
         drop(inner);
-        result
+        let mut first_err: Option<StorageError> = None;
+        let mut failed: Vec<PageId> = Vec::new();
+        for (pid, bytes) in &pending {
+            let write = match self.file(pid.file) {
+                Ok(file) => file.write_page(pid.page_no, bytes).map(|()| {
+                    shard.writebacks.fetch_add(1, Ordering::Relaxed);
+                }),
+                // Dropped concurrently: discard unwritten.
+                Err(StorageError::NotFound(_)) => Ok(()),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = write {
+                failed.push(*pid);
+                first_err.get_or_insert(e);
+            }
+        }
+        let mut inner = shard.inner.lock(); // lock-order: 1
+        for (pid, _) in &pending {
+            inner.in_flight.remove(pid);
+        }
+        for pid in &failed {
+            if let Some(&slot) = inner.map.get(pid) {
+                if let Some(frame) = inner.frames[slot].as_mut() {
+                    frame.dirty = true;
+                }
+            }
+        }
+        (inner, first_err.map_or(Ok(()), Err))
     }
 
     /// Allocate a fresh page at the end of `file`, bring it into the pool
@@ -471,109 +520,41 @@ impl BufferPool {
 
     /// Write back every dirty page of `file_id` (or all files when `None`).
     ///
-    /// Per shard: wait out in-flight eviction writebacks of target pages
-    /// (their frames are already gone, only entry completion proves their
-    /// bytes reached disk), then snapshot all dirty target frames under the
-    /// lock — marking them clean and pinning them in-flight — and write the
-    /// snapshots with the lock released. A page re-dirtied mid-write keeps
-    /// its snapshot consistent and stays dirty for the next flush; a write
-    /// failure re-marks its page dirty so a later flush retries.
+    /// Per shard: wait until no target page is pinned by another write
+    /// (an eviction's or another flush's; its bytes are not on disk until
+    /// that write ends, and a failed one re-dirties the page), then write
+    /// every dirty target frame through `write_back`. A page re-dirtied
+    /// mid-write keeps its snapshot consistent and stays dirty for the next
+    /// flush; a failed write keeps its page dirty, so a later flush retries.
     pub fn flush(&self, file_id: Option<FileId>) -> StorageResult<()> {
+        let targeted = |pid: &PageId| file_id.is_none_or(|f| pid.file == f);
         for shard in &self.shards {
-            self.flush_shard(shard, file_id)?;
+            let mut inner = shard.inner.lock();
+            while inner
+                .in_flight
+                .iter()
+                .any(|(p, &kind)| kind == IoKind::Writeback && targeted(p))
+            {
+                drop(inner);
+                std::thread::yield_now();
+                inner = shard.inner.lock();
+            }
+            let slots: Vec<usize> = (0..inner.frames.len())
+                .filter(|&slot| {
+                    inner.frames[slot]
+                        .as_ref()
+                        .is_some_and(|fr| targeted(&fr.id))
+                })
+                .collect();
+            self.write_back(shard, inner, slots).1?;
         }
         Ok(())
     }
 
-    fn flush_shard(&self, shard: &Shard, file_id: Option<FileId>) -> StorageResult<()> {
-        let targeted = |pid: &PageId| file_id.is_none_or(|f| pid.file == f);
-        let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-        loop {
-            let mut inner = shard.inner.lock();
-            let busy = inner
-                .in_flight
-                .iter()
-                .any(|(p, &kind)| kind == IoKind::Writeback && targeted(p));
-            if busy {
-                drop(inner);
-                std::thread::yield_now();
-                continue;
-            }
-            let ShardInner {
-                frames, in_flight, ..
-            } = &mut *inner;
-            for frame in frames.iter_mut().flatten() {
-                if frame.dirty && targeted(&frame.id) {
-                    frame.dirty = false;
-                    in_flight.insert(frame.id, IoKind::Writeback);
-                    pending.push((frame.id, frame.page.as_bytes().to_vec()));
-                }
-            }
-            break;
-        }
-        // Write the snapshots off-lock; reads (and even re-dirtying writes)
-        // of these pages proceed meanwhile via their still-mapped frames.
-        let mut first_err: Option<StorageError> = None;
-        let mut failed: Vec<PageId> = Vec::new();
-        for (pid, bytes) in &pending {
-            let mut wrote = false;
-            let write = match self.file(pid.file) {
-                Ok(file) => file.write_page(pid.page_no, bytes).map(|()| wrote = true),
-                // Dropped concurrently: discard unwritten.
-                Err(StorageError::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            };
-            if wrote {
-                shard.writebacks.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Err(e) = write {
-                failed.push(*pid);
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        let mut inner = shard.inner.lock();
-        for (pid, _) in &pending {
-            inner.in_flight.remove(pid);
-        }
-        for pid in &failed {
-            if let Some(&slot) = inner.map.get(pid) {
-                if let Some(frame) = inner.frames[slot].as_mut() {
-                    frame.dirty = true;
-                }
-            }
-        }
-        // No "nothing dirty remains" check here: a writer may have re-dirtied
-        // a target page while its snapshot was being written off-lock, and
-        // that page rightly stays dirty for the next flush.
-        drop(inner);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Flush everything, wait out straggling eviction writebacks, and fsync
-    /// every registered file, so all pool contents are durable on return.
+    /// Flush everything and fsync every registered file, so all pool
+    /// contents are durable on return.
     pub fn flush_and_sync_all(&self) -> StorageResult<()> {
         self.flush(None)?;
-        // Evictions racing the flush may still hold writeback jobs; drain
-        // them so their pages are covered by the syncs below.
-        for shard in &self.shards {
-            loop {
-                let inner = shard.inner.lock();
-                let busy = inner
-                    .in_flight
-                    .values()
-                    .any(|&kind| kind == IoKind::Writeback);
-                drop(inner);
-                if !busy {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
         // Clone the handles out so no fsync runs under the files-map lock
         // (file registration would otherwise stall behind slow disks).
         let files: Vec<Arc<DiskFile>> = self.files.read().values().cloned().collect();
@@ -587,7 +568,7 @@ impl BufferPool {
     /// Structural invariants, checked at `flush_and_sync_all` return: every
     /// cached page sits in exactly the shard its hash selects, no page id is
     /// cached in two shards, map entries point at matching frames, and no
-    /// eviction writeback is still in flight.
+    /// page being paged in is also cached.
     #[cfg(feature = "invariants")]
     fn check_invariants(&self) {
         let mut seen: std::collections::HashSet<PageId> = std::collections::HashSet::new();
@@ -615,9 +596,9 @@ impl BufferPool {
             crate::invariant!(
                 !inner
                     .in_flight
-                    .values()
-                    .any(|&kind| kind == IoKind::Writeback),
-                "eviction writeback still in flight at flush_and_sync_all return"
+                    .iter()
+                    .any(|(p, &kind)| kind == IoKind::Read && inner.map.contains_key(p)),
+                "a page being paged in is already cached"
             );
             drop(inner);
         }

@@ -35,10 +35,6 @@ impl Row {
         &self.values
     }
 
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
-    }
-
     pub fn into_values(self) -> Vec<Value> {
         self.values
     }

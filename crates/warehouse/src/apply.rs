@@ -106,13 +106,6 @@ impl Warehouse {
             .ok_or_else(|| EngineError::NoSuchObject(format!("mirror '{table}'")))
     }
 
-    /// Registered mirror names, sorted.
-    pub fn mirror_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.mirrors.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Register an SPJ view over the mirrors and materialize it. From then
     /// on every apply transaction folds the row changes it logs on those
     /// mirrors into the view (`propagate_since`); nothing is installed on
