@@ -99,24 +99,40 @@ fn get_front_str(buf: &mut &[u8], prev: &str) -> StorageResult<String> {
     }
 }
 
+/// A record as the row block sees it: the op and txn columns in front of
+/// the row's own cells, which are read in place.
+struct Augmented<'a> {
+    prefix: [Value; 2],
+    row: &'a Row,
+}
+
+impl cb::BlockRow for Augmented<'_> {
+    fn arity(&self) -> usize {
+        self.prefix.len() + self.row.len()
+    }
+
+    fn cell(&self, c: usize) -> &Value {
+        match c.checked_sub(self.prefix.len()) {
+            None => &self.prefix[c],
+            Some(c) => &self.row.values()[c],
+        }
+    }
+}
+
 fn encode_value_body(v: &ValueDelta, block_rows: usize, out: &mut Vec<u8>) {
     let mut header = Vec::new();
     put_str(&mut header, &v.table);
     put_str(&mut header, &v.schema.to_catalog_string());
     cb::put_uvarint(&mut header, v.records.len() as u64);
     cb::put_block(out, &header);
+    let mut rows: Vec<Augmented> = Vec::with_capacity(block_rows.min(v.records.len()));
     for chunk in v.records.chunks(block_rows.max(1)) {
-        let rows: Vec<Row> = chunk
-            .iter()
-            .map(|r| {
-                let mut vals = Vec::with_capacity(r.row.len() + 2);
-                vals.push(Value::Int(op_to_code(r.op)));
-                vals.push(Value::Int(r.txn as i64));
-                vals.extend(r.row.values().iter().cloned());
-                Row::new(vals)
-            })
-            .collect();
-        cb::put_block(out, &cb::encode_rows_block(&rows));
+        rows.clear();
+        rows.extend(chunk.iter().map(|r| Augmented {
+            prefix: [Value::Int(op_to_code(r.op)), Value::Int(r.txn as i64)],
+            row: &r.row,
+        }));
+        cb::put_block(out, &cb::encode_block(&rows));
     }
 }
 

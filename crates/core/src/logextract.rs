@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use delta_engine::db::Database;
 use delta_engine::wal::{LogRecord, Lsn};
 use delta_engine::{EngineError, EngineResult};
-use delta_storage::{Row, StorageError};
+use delta_storage::StorageError;
 
 use crate::model::{DeltaOp, ValueDelta, ValueDeltaRecord};
 use crate::snapshot::{cmp_keys, key_of};
@@ -304,9 +304,11 @@ fn net(mut delta: ValueDelta) -> ValueDelta {
         .collect();
     // Stable: a key's records stay in log order.
     keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0));
-    for changes in keyed.chunk_by(|a, b| cmp_keys(&a.0, &b.0).is_eq()) {
-        let mut images: Vec<(Vec<u8>, &Row, i64)> = Vec::new();
-        for (_, r) in changes {
+    for changes in keyed.chunk_by_mut(|a, b| cmp_keys(&a.0, &b.0).is_eq()) {
+        // Per distinct image: its stored bytes, where it first occurs, and
+        // its signed count.
+        let mut images: Vec<(Vec<u8>, usize, i64)> = Vec::new();
+        for (at, (_, r)) in changes.iter().enumerate() {
             let n = match r.op {
                 DeltaOp::Insert | DeltaOp::UpdateAfter => 1,
                 DeltaOp::UpdateBefore | DeltaOp::Delete => -1,
@@ -314,24 +316,25 @@ fn net(mut delta: ValueDelta) -> ValueDelta {
             let bytes = r.row.to_bytes();
             match images.iter_mut().find(|image| image.0 == bytes) {
                 Some(image) => image.2 += n,
-                None => images.push((bytes, &r.row, n)),
+                None => images.push((bytes, at, n)),
             }
         }
         let before = images.iter().find(|image| image.2 < 0).map(|image| image.1);
         let after = images.iter().find(|image| image.2 > 0).map(|image| image.1);
-        let records: &[(DeltaOp, &Row)] = match (before, after) {
-            (Some(old), Some(new)) => &[(DeltaOp::UpdateBefore, old), (DeltaOp::UpdateAfter, new)],
-            (Some(old), None) => &[(DeltaOp::Delete, old)],
-            (None, Some(new)) => &[(DeltaOp::Insert, new)],
-            (None, None) => &[],
+        let survivors = match (before, after) {
+            (Some(old), Some(new)) => [
+                Some((DeltaOp::UpdateBefore, old)),
+                Some((DeltaOp::UpdateAfter, new)),
+            ],
+            (Some(old), None) => [Some((DeltaOp::Delete, old)), None],
+            (None, Some(new)) => [Some((DeltaOp::Insert, new)), None],
+            (None, None) => [None, None],
         };
-        delta
-            .records
-            .extend(records.iter().map(|&(op, row)| ValueDeltaRecord {
-                op,
-                txn: 0,
-                row: row.clone(),
-            }));
+        // Each surviving image moves out of the record it came in.
+        for (op, at) in survivors.into_iter().flatten() {
+            let row = std::mem::take(&mut changes[at].1.row);
+            delta.records.push(ValueDeltaRecord { op, txn: 0, row });
+        }
     }
     delta
 }
@@ -340,7 +343,7 @@ fn net(mut delta: ValueDelta) -> ValueDelta {
 mod tests {
     use super::*;
     use delta_engine::db::{Database, DbOptions};
-    use delta_storage::Value;
+    use delta_storage::{Row, Value};
     use std::sync::Arc;
 
     fn open(archive: bool, label: &str) -> Arc<Database> {
@@ -414,7 +417,6 @@ mod tests {
     fn append_torn_fragments(segment: &std::path::Path, mut lsn: Lsn, ids: &[u64]) {
         use delta_engine::txn::TxnId;
         use delta_engine::wal::encode_record;
-        use delta_storage::Row;
         use std::io::Write;
 
         let mut tail = Vec::new();

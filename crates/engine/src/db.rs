@@ -3,6 +3,7 @@
 //! primitive changes one row (heap, indexes, undo, redo) and does nothing
 //! else; stamping and capture belong to the SQL executor.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs;
 use std::ops::ControlFlow;
@@ -659,7 +660,7 @@ impl Database {
         meta: &TableMeta,
         row: Row,
     ) -> EngineResult<RecordId> {
-        let row = meta.schema.validate(&row)?;
+        let row = meta.schema.validate(row)?;
         // Every unique index is checked before the heap is touched (X lock
         // held, so no race): a rejection after the heap insert would leave
         // the row behind with no undo entry and no WAL record.
@@ -674,7 +675,7 @@ impl Database {
             }
         }
         let heap = self.heap(&meta.name)?;
-        let rid = heap.insert(&row.to_bytes())?;
+        let rid = with_record_bytes(&row, |bytes| heap.insert(bytes))?;
         for idx in idxs.iter() {
             idx.insert(&row.values()[idx.column_pos()], rid)?;
         }
@@ -700,7 +701,7 @@ impl Database {
         old: Row,
         new: Row,
     ) -> EngineResult<RecordId> {
-        let new = meta.schema.validate(&new)?;
+        let new = meta.schema.validate(new)?;
         // Unique-key check when the key changed.
         let idxs = self.indexes.for_table(&meta.name);
         for idx in idxs.iter().filter(|i| i.def.unique) {
@@ -714,11 +715,17 @@ impl Database {
             }
         }
         let heap = self.heap(&meta.name)?;
-        let new_rid = heap.update(rid, &new.to_bytes())?;
+        let new_rid = with_record_bytes(&new, |bytes| heap.update(rid, bytes))?;
         for idx in idxs.iter() {
             let pos = idx.column_pos();
-            idx.remove(&old.values()[pos], rid);
-            idx.insert(&new.values()[pos], new_rid)?;
+            let (ov, nv) = (&old.values()[pos], &new.values()[pos]);
+            // An entry whose key and rid both stay is already right: the
+            // common update, a new value under the same key in place.
+            if new_rid == rid && ov.total_cmp(nv).is_eq() {
+                continue;
+            }
+            idx.remove(ov, rid);
+            idx.insert(nv, new_rid)?;
         }
         txn.undo.push(UndoEntry::Update {
             table: meta.name.clone(),
@@ -996,8 +1003,9 @@ impl Database {
         Ok(())
     }
 
-    /// Find the live row whose single-column primary key equals `key`.
-    fn locate_by_key(
+    /// Find the live row whose single-column primary key equals `key`
+    /// (`None` too when the table has no single-column primary key).
+    pub fn locate_by_key(
         &self,
         meta: &TableMeta,
         key: &Value,
@@ -1016,20 +1024,21 @@ impl Database {
         Some(idx.clone())
     }
 
-    /// The live row `idx` holds under `key`.
+    /// The live row the unique index `idx` holds under `key`, decoded
+    /// straight from its page.
     fn fetch_by_key(
         &self,
         meta: &TableMeta,
         idx: &Index,
         key: &Value,
     ) -> EngineResult<Option<(RecordId, Row)>> {
-        let heap = self.heap(&meta.name)?;
-        for rid in idx.lookup(key) {
-            if let Some(bytes) = heap.get(rid)? {
-                return Ok(Some((rid, Row::from_bytes(&bytes)?)));
-            }
-        }
-        Ok(None)
+        let Some(rid) = idx.lookup_unique(key) else {
+            return Ok(None);
+        };
+        let row = self
+            .heap(&meta.name)?
+            .read(rid, |record| record.map(Row::from_bytes).transpose())??;
+        Ok(row.map(|row| (rid, row)))
     }
 
     /// Apply committed log records (from this or another database's log) to
@@ -1122,6 +1131,22 @@ impl Database {
     }
 }
 
+thread_local! {
+    /// The stored form of the row a primitive is writing, in a buffer each
+    /// thread reuses from one row to the next.
+    static RECORD_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `row` encoded as the heap stores it. `f` may not encode
+/// another row this way.
+fn with_record_bytes<R>(row: &Row, f: impl FnOnce(&[u8]) -> R) -> R {
+    RECORD_BYTES.with_borrow_mut(|bytes| {
+        bytes.clear();
+        row.encode(bytes);
+        f(bytes)
+    })
+}
+
 /// Position of a single-column primary key in `meta`'s schema, if any.
 fn single_pk_pos(meta: &TableMeta) -> Option<usize> {
     let pk = meta.schema.primary_key_indices();
@@ -1152,4 +1177,91 @@ pub fn open_temp(label: &str) -> EngineResult<Arc<Database>> {
 /// Remove a database directory (test cleanup helper).
 pub fn destroy(dir: impl AsRef<Path>) {
     let _ = fs::remove_dir_all(dir.as_ref());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use delta_storage::{Column, DataType};
+
+    fn keyed(label: &str) -> (Arc<Database>, Arc<TableMeta>) {
+        let db = open_temp(label).unwrap();
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int).primary_key(),
+            Column::new("val", DataType::Int),
+            Column::new("note", DataType::Varchar),
+        ])
+        .unwrap();
+        db.create_table("t", schema, TableOptions::default())
+            .unwrap();
+        db.in_txn(|txn| {
+            let meta = db.table("t")?;
+            db.lock_table(txn, "t", LockMode::Exclusive)?;
+            for id in 1..=3 {
+                db.insert_row(txn, &meta, row(id, 10 * id, "old"))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let meta = db.table("t").unwrap();
+        (db, meta)
+    }
+
+    fn row(id: i64, val: i64, note: &str) -> Row {
+        Row::new(vec![
+            Value::Int(id),
+            Value::Int(val),
+            Value::Str(note.into()),
+        ])
+    }
+
+    fn pk(db: &Database, meta: &TableMeta) -> Arc<Index> {
+        let idx = db.pk_index(meta).unwrap();
+        assert!(idx.len_matches_recount());
+        idx
+    }
+
+    #[test]
+    fn an_update_that_keeps_its_key_and_rid_keeps_its_index_entry() {
+        let (db, meta) = keyed("update-in-place");
+        let (rid, old) = db.locate_by_key(&meta, &Value::Int(2)).unwrap().unwrap();
+        let mut txn = db.begin();
+        db.lock_table(&mut txn, "t", LockMode::Exclusive).unwrap();
+        let new_rid = db
+            .update_row(&mut txn, &meta, rid, old.clone(), row(2, 21, "new"))
+            .unwrap();
+        assert_eq!(new_rid, rid, "a row that still fits its slot stays put");
+        let idx = pk(&db, &meta);
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.lookup_unique(&Value::Int(2)), Some(rid));
+        let found = db.locate_by_key(&meta, &Value::Int(2)).unwrap();
+        assert_eq!(found, Some((rid, row(2, 21, "new"))));
+
+        db.abort(txn).unwrap();
+        let idx = pk(&db, &meta);
+        assert_eq!(idx.len(), 3);
+        let found = db.locate_by_key(&meta, &Value::Int(2)).unwrap();
+        assert_eq!(found, Some((rid, old)), "the old image under its old rid");
+    }
+
+    #[test]
+    fn an_update_that_changes_its_key_moves_its_index_entry() {
+        let (db, meta) = keyed("update-new-key");
+        let (rid, old) = db.locate_by_key(&meta, &Value::Int(3)).unwrap().unwrap();
+        let mut txn = db.begin();
+        db.lock_table(&mut txn, "t", LockMode::Exclusive).unwrap();
+        let new_rid = db
+            .update_row(&mut txn, &meta, rid, old.clone(), row(7, 30, "old"))
+            .unwrap();
+        let idx = pk(&db, &meta);
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.lookup_unique(&Value::Int(3)), None);
+        assert_eq!(idx.lookup_unique(&Value::Int(7)), Some(new_rid));
+
+        db.abort(txn).unwrap();
+        let idx = pk(&db, &meta);
+        assert_eq!(idx.lookup_unique(&Value::Int(7)), None);
+        let found = db.locate_by_key(&meta, &Value::Int(3)).unwrap();
+        assert_eq!(found.map(|(_, row)| row), Some(old));
+    }
 }

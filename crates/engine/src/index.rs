@@ -134,6 +134,16 @@ impl Index {
             .unwrap_or_default()
     }
 
+    /// The record id under `key` in a unique index (the first of them in
+    /// any other), without collecting the set.
+    pub fn lookup_unique(&self, key: &Value) -> Option<RecordId> {
+        if key.is_null() {
+            return None;
+        }
+        let entries = self.entries.read();
+        entries.map.get(&IndexKey(key.clone()))?.first().copied()
+    }
+
     /// Record ids within the bounds, in key order. An equality (both bounds
     /// including one key) is a point probe, not a range walk.
     pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RecordId> {

@@ -92,11 +92,40 @@ impl Transaction {
         mark: usize,
         table: &'a str,
     ) -> impl Iterator<Item = (i64, &'a Row)> + 'a {
-        let tail = self.wal_buffer.get(mark..).unwrap_or_default();
-        tail.iter()
-            .filter(move |rec| rec.table() == Some(table))
-            .flat_map(|rec| rec.images().into_iter().flatten())
+        images_of(self.wal_buffer.get(mark..).unwrap_or_default(), table)
     }
+
+    /// Run `f` on [`images_since`](Transaction::images_since)`(mark,
+    /// table)`, read in place from the redo records, while `f` writes
+    /// through this transaction. The tail is held aside for the call and put
+    /// back in front of what `f` logged, so the redo sequence is the tail,
+    /// then `f`'s records — as if the images had been copied out first.
+    pub fn with_images_since<R>(
+        &mut self,
+        mark: usize,
+        table: &str,
+        f: impl FnOnce(&mut Transaction, &[(i64, &Row)]) -> R,
+    ) -> R {
+        let at = mark.min(self.wal_buffer.len());
+        let tail = self.wal_buffer.split_off(at);
+        let images: Vec<(i64, &Row)> = images_of(&tail, table).collect();
+        let out = f(self, &images);
+        drop(images);
+        self.wal_buffer.splice(at..at, tail);
+        out
+    }
+}
+
+/// The signed images of the rows of `table` that `records` change, in
+/// order (see [`Transaction::images_since`]).
+fn images_of<'a>(
+    records: &'a [LogRecord],
+    table: &'a str,
+) -> impl Iterator<Item = (i64, &'a Row)> + 'a {
+    records
+        .iter()
+        .filter(move |rec| rec.table() == Some(table))
+        .flat_map(|rec| rec.images().into_iter().flatten())
 }
 
 /// Hands out transaction ids.

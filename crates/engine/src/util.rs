@@ -284,7 +284,7 @@ pub fn loader_load(
         let rows = ascii::read_rows(&mut input, &meta.schema)?;
         let mut validated = Vec::with_capacity(rows.len());
         for row in rows {
-            let row = meta.schema.validate(&row)?;
+            let row = meta.schema.validate(row)?;
             if let Some(idx) = unique_idx {
                 let key = &row.values()[idx.column_pos()];
                 if !key.is_null() {

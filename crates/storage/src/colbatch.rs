@@ -461,11 +461,16 @@ fn encode_str_front(vals: &[&str], out: &mut Vec<u8>) {
 }
 
 fn decode_str_front(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResult<()> {
-    let mut prev: Vec<u8> = Vec::new();
+    let start = out.len();
     for _ in 0..n {
         let p = get_uvarint(buf)? as usize;
         let sfx = get_uvarint(buf)? as usize;
         let mid = get_len_bytes(buf)?;
+        // The previous string is the one this column just decoded.
+        let prev = match out[start..].last() {
+            Some(Value::Str(s)) => s.as_bytes(),
+            _ => b"",
+        };
         if p + sfx > prev.len() {
             return Err(corrupt("front-coded prefix/suffix exceed previous string"));
         }
@@ -473,11 +478,10 @@ fn decode_str_front(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageR
         cur.extend_from_slice(&prev[..p]);
         cur.extend_from_slice(mid);
         cur.extend_from_slice(&prev[prev.len() - sfx..]);
-        match String::from_utf8(cur.clone()) {
+        match String::from_utf8(cur) {
             Ok(s) => out.push(Value::Str(s)),
             Err(_) => return Err(corrupt("front-coded string is not UTF-8")),
         }
-        prev = cur;
     }
     Ok(())
 }
@@ -694,34 +698,57 @@ fn decode_column(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResu
 const BLOCK_UNIFORM: u8 = 0;
 const BLOCK_RAGGED: u8 = 1;
 
+/// A row as the block encoder reads it: its arity and each of its cells,
+/// by reference. The encoder copies nothing out of a row, so a caller can
+/// encode rows it only borrows, or a row with cells in front that it never
+/// stores ([`encode_block`]).
+pub trait BlockRow {
+    /// Number of cells.
+    fn arity(&self) -> usize;
+    /// Cell `c`, for `c < self.arity()`.
+    fn cell(&self, c: usize) -> &Value;
+}
+
+impl BlockRow for Row {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, c: usize) -> &Value {
+        &self.values()[c]
+    }
+}
+
 /// Encode a slice of rows into one (unframed) block payload. Rows of uniform
 /// arity are transposed into per-column encodings; mixed-arity inputs fall
 /// back to a row-major layout of raw tagged cells.
 pub fn encode_rows_block(rows: &[Row]) -> Vec<u8> {
+    encode_block(rows)
+}
+
+/// [`encode_rows_block`] over any [`BlockRow`]: the same bytes for the same
+/// cells, read in place.
+pub fn encode_block<R: BlockRow>(rows: &[R]) -> Vec<u8> {
     let mut out = Vec::new();
-    let uniform = rows.windows(2).all(|w| w[0].len() == w[1].len());
+    let uniform = rows.windows(2).all(|w| w[0].arity() == w[1].arity());
     if uniform && !rows.is_empty() {
         out.push(BLOCK_UNIFORM);
         put_uvarint(&mut out, rows.len() as u64);
-        let ncols = rows[0].len();
+        let ncols = rows[0].arity();
         put_uvarint(&mut out, ncols as u64);
         let mut cells: Vec<&Value> = Vec::with_capacity(rows.len());
         for c in 0..ncols {
             cells.clear();
-            for row in rows {
-                if let Some(v) = row.get(c) {
-                    cells.push(v);
-                }
-            }
+            cells.extend(rows.iter().map(|row| row.cell(c)));
             encode_column(&cells, &mut out);
         }
     } else {
         out.push(BLOCK_RAGGED);
         put_uvarint(&mut out, rows.len() as u64);
         for row in rows {
-            put_uvarint(&mut out, row.len() as u64);
-            for v in row.values() {
-                put_cell(&mut out, v);
+            put_uvarint(&mut out, row.arity() as u64);
+            for c in 0..row.arity() {
+                put_cell(&mut out, row.cell(c));
             }
         }
     }
@@ -744,18 +771,19 @@ pub fn decode_rows_block(mut payload: &[u8]) -> StorageResult<Vec<Row>> {
             if ncols > buf.len() + 1 {
                 return Err(corrupt("column count exceeds remaining input"));
             }
-            let mut cols: Vec<Vec<Value>> = Vec::with_capacity(ncols);
+            let mut cols = Vec::with_capacity(ncols);
             for _ in 0..ncols {
                 let mut col = Vec::with_capacity(nrows.min(1 << 20));
                 decode_column(buf, nrows, &mut col)?;
-                cols.push(col);
+                cols.push(col.into_iter());
             }
-            for r in 0..nrows {
+            // Each cell moves out of its column into its row.
+            for _ in 0..nrows {
                 let mut vals = Vec::with_capacity(ncols);
                 for col in &mut cols {
                     // Columns were decoded to exactly `nrows` entries each.
-                    match col.get(r) {
-                        Some(v) => vals.push(v.clone()),
+                    match col.next() {
+                        Some(v) => vals.push(v),
                         None => return Err(corrupt("short column")),
                     }
                 }

@@ -99,12 +99,19 @@ impl HeapFile {
 
     /// Fetch the record at `rid`, or `None` if it was deleted.
     pub fn get(&self, rid: RecordId) -> StorageResult<Option<Vec<u8>>> {
+        self.read(rid, |record| record.map(<[u8]>::to_vec))
+    }
+
+    /// Hand the record at `rid` (`None` if it was deleted) to `f` in place,
+    /// under the page latch, and return what `f` makes of it: a reader that
+    /// decodes the record copies nothing out of the page first. `f` may not
+    /// touch the heap or its buffer pool.
+    pub fn read<R>(&self, rid: RecordId, f: impl FnOnce(Option<&[u8]>) -> R) -> StorageResult<R> {
         if rid.page_no >= self.page_count()? {
-            return Ok(None);
+            return Ok(f(None));
         }
-        self.pool.with_page(self.pid(rid.page_no), |p| {
-            p.get(rid.slot).map(|r| r.to_vec())
-        })
+        self.pool
+            .with_page(self.pid(rid.page_no), |p| f(p.get(rid.slot)))
     }
 
     /// Visit the records at `rids`, in the order given, as `(rid, bytes)`;

@@ -105,7 +105,12 @@ impl Schema {
     /// Validate `row` against the schema, coercing widening conversions in
     /// place. Rejects arity mismatches, NULLs in NOT NULL columns, and
     /// non-conformant types.
-    pub fn validate(&self, row: &Row) -> StorageResult<Row> {
+    ///
+    /// The row is taken by value: a value that already has its column's
+    /// storage type is moved into the result, so validating a conformant
+    /// row allocates nothing, and only a value that needs coercing (`Int`
+    /// into a `DOUBLE` or `TIMESTAMP` column) is rebuilt.
+    pub fn validate(&self, row: Row) -> StorageResult<Row> {
         if row.len() != self.columns.len() {
             return Err(StorageError::SchemaMismatch(format!(
                 "row has {} values, schema has {} columns",
@@ -113,22 +118,24 @@ impl Schema {
                 self.columns.len()
             )));
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (v, c) in row.values().iter().zip(&self.columns) {
+        let mut values = row.into_values();
+        for (v, c) in values.iter_mut().zip(&self.columns) {
             if v.is_null() && !c.nullable {
                 return Err(StorageError::SchemaMismatch(format!(
                     "NULL in NOT NULL column '{}'",
                     c.name
                 )));
             }
-            out.push(v.coerce_to(c.data_type).map_err(|_| {
-                StorageError::SchemaMismatch(format!(
-                    "value {v} does not fit column '{}' of type {}",
-                    c.name, c.data_type
-                ))
-            })?);
+            if v.data_type().is_some_and(|ty| ty != c.data_type) {
+                *v = v.coerce_to(c.data_type).map_err(|_| {
+                    StorageError::SchemaMismatch(format!(
+                        "value {v} does not fit column '{}' of type {}",
+                        c.name, c.data_type
+                    ))
+                })?;
+            }
         }
-        Ok(Row::new(out))
+        Ok(Row::new(values))
     }
 
     /// Serialize to the one-line catalog text format:
@@ -238,7 +245,7 @@ mod tests {
             Value::Null,
             Value::Int(42), // Int widens to Timestamp
         ]);
-        let v = s.validate(&row).unwrap();
+        let v = s.validate(row).unwrap();
         assert_eq!(v.values()[3], Value::Timestamp(42));
     }
 
@@ -246,13 +253,13 @@ mod tests {
     fn validate_rejects_null_in_not_null() {
         let s = parts_schema();
         let row = Row::new(vec![Value::Int(1), Value::Null, Value::Null, Value::Null]);
-        assert!(s.validate(&row).is_err());
+        assert!(s.validate(row).is_err());
     }
 
     #[test]
     fn validate_rejects_arity_mismatch() {
         let s = parts_schema();
-        assert!(s.validate(&Row::new(vec![Value::Int(1)])).is_err());
+        assert!(s.validate(Row::new(vec![Value::Int(1)])).is_err());
     }
 
     #[test]

@@ -246,9 +246,9 @@ impl Warehouse {
     /// [`Transaction::redo_mark`]) into every view over it; returns view
     /// rows touched. The transaction's own redo tail is the image stream:
     /// the stored before and after rows, in execution order, whichever
-    /// applier made the changes. The images are copied out because the
-    /// views write through `txn` while they read them — one clone per
-    /// image, none when no view reads `table`.
+    /// applier made the changes. The images are read in place
+    /// ([`Transaction::with_images_since`]) while the views write through
+    /// `txn`, and the views' records follow the tail's in the redo log.
     pub(crate) fn propagate_since(
         &self,
         txn: &mut Transaction,
@@ -258,12 +258,9 @@ impl Warehouse {
         if self.views_for(table).next().is_none() {
             return Ok(0);
         }
-        let images: Vec<(i64, Row)> = txn
-            .images_since(mark, table)
-            .map(|(sign, row)| (sign, row.clone()))
-            .collect();
-        let stream: Vec<(i64, &Row)> = images.iter().map(|(sign, row)| (*sign, row)).collect();
-        self.propagate_images(txn, table, &stream)
+        txn.with_images_since(mark, table, |txn, stream| {
+            self.propagate_images(txn, table, stream)
+        })
     }
 
     /// Fold an ordered stream of signed row images of `table` (`+1`

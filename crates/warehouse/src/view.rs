@@ -20,7 +20,8 @@
 //!      TR \[8\] works in.
 //!    * `Groups` folds it into its group's row by the counting algorithm
 //!      (the paper's ref. \[19\]): `COUNT`/`SUM`/`AVG` in O(1) from the
-//!      hidden `__nn_i`/`__sum_i` columns, `MIN`/`MAX` in O(1) on the way in
+//!      hidden `__nn_i`/`__sum_i` columns (a SUM of an INT column exactly,
+//!      in its own output column), `MIN`/`MAX` in O(1) on the way in
 //!      and by one rescan of the base when a group's extreme leaves. The
 //!      hidden `__rows` column is the group's liveness: its row disappears
 //!      exactly when its last base row does.
@@ -676,8 +677,9 @@ impl View {
                             continue;
                         };
                         // Kept as stored, to be the before image if a later
-                        // `-1` of the stream removes the row again.
-                        let vrow = meta.schema.validate(&vrow)?;
+                        // `-1` of the stream removes the row again: one
+                        // validation, one copy.
+                        let vrow = meta.schema.validate(vrow)?;
                         if let Some(rid) = write(db, txn, &meta, None, Some(vrow.clone()))? {
                             live.entry(key()).or_default().push((rid, vrow));
                         }
@@ -700,13 +702,17 @@ impl View {
                 // stream order.
                 let mut groups: Vec<Group> = Vec::new();
                 let mut slots: BTreeMap<Vec<IndexKey>, usize> = BTreeMap::new();
+                // One key buffer for the pass; a key is copied into the map
+                // only when its group is first touched.
+                let mut key = Vec::with_capacity(fold.group_by.len());
                 for (sign, values) in &deltas {
-                    let key = fold.key_of(values);
-                    let g = match slots.get(&key) {
+                    fold.key_into(values, &mut key);
+                    let g = match slots.get(key.as_slice()) {
                         Some(&g) => g,
                         None => {
-                            let stored =
-                                stored.remove(&key).and_then(|rows| rows.into_iter().next());
+                            let stored = stored
+                                .remove(key.as_slice())
+                                .and_then(|rows| rows.into_iter().next());
                             let row = match &stored {
                                 Some((_, row)) => row.clone(),
                                 None => fold.empty_row(&key),
@@ -753,7 +759,8 @@ impl View {
                         let mut expanded = Vec::new();
                         self.expand(now, seed, (1, &row), &tables, &mut expanded)?;
                         for (_, values) in &expanded {
-                            let Some(&g) = slots.get(&fold.key_of(values)) else {
+                            fold.key_into(values, &mut key);
+                            let Some(&g) = slots.get(key.as_slice()) else {
                                 continue;
                             };
                             let group = &mut groups[g];
@@ -879,12 +886,10 @@ impl Fold {
         self.rows_pos() + 2 + 2 * i
     }
 
-    /// The group a delta row belongs to.
-    fn key_of(&self, values: &[Value]) -> Vec<IndexKey> {
-        self.group_by
-            .iter()
-            .map(|&p| IndexKey(values[p].clone()))
-            .collect()
+    /// Set `key` to the group a delta row belongs to.
+    fn key_into(&self, values: &[Value], key: &mut Vec<IndexKey>) {
+        key.clear();
+        key.extend(self.group_by.iter().map(|&p| IndexKey(values[p].clone())));
     }
 
     /// A fresh (all-empty) view row for the group `key`.
@@ -942,6 +947,24 @@ impl Fold {
             match (agg.func, arg) {
                 (AggFunc::Count, None) => row.set(self.out_pos(i), Value::Int(rows)),
                 (AggFunc::Count, Some(_)) => row.set(self.out_pos(i), Value::Int(nn)),
+                (AggFunc::Sum, Some(v)) if agg.int_arg => {
+                    // SUM keeps the base column's type, and an INT sum is
+                    // exact and wraps, as the executor's is. It runs in the
+                    // output column itself (NULL there is 0): a DOUBLE
+                    // running sum rounds past 2^53. The hidden sum shows it.
+                    let running = match &row.values()[self.out_pos(i)] {
+                        Value::Null => 0,
+                        running => running.as_int()?,
+                    };
+                    let sum = running.wrapping_add(v.as_int()?.wrapping_mul(sign));
+                    row.set(self.sum_pos(i), Value::Double(sum as f64));
+                    let out = if nn == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(sum)
+                    };
+                    row.set(self.out_pos(i), out);
+                }
                 (AggFunc::Sum | AggFunc::Avg, Some(v)) => {
                     let sum =
                         row.values()[self.sum_pos(i)].as_double()? + sign as f64 * v.as_double()?;
@@ -949,8 +972,6 @@ impl Fold {
                     let out = match agg.func {
                         _ if nn == 0 => Value::Null,
                         AggFunc::Avg => Value::Double(sum / nn as f64),
-                        // SUM keeps the base column's type.
-                        _ if agg.int_arg => Value::Int(sum as i64),
                         _ => Value::Double(sum),
                     };
                     row.set(self.out_pos(i), out);
@@ -1480,6 +1501,34 @@ mod tests {
         assert_eq!(rows[1].values()[3], Value::Double(75.0));
         assert_eq!(rows[1].values()[4], Value::Int(50));
         assert_eq!(rows[1].values()[5], Value::Int(100));
+    }
+
+    #[test]
+    fn an_int_sum_stays_exact_past_two_to_the_53() {
+        let db = sales_db("aggview-int-sum", "(1, 'east', 70)");
+        let def = by_region(vec![
+            AggSpec::count_star(),
+            AggSpec::of(AggFunc::Sum, "amount"),
+        ]);
+        let v = materialize(&db, def);
+        let big = (1i64 << 53) + 1;
+        let mut s = db.session();
+        s.execute(&format!(
+            "INSERT INTO sales VALUES (2, 'west', {big}), (3, 'west', 1), (4, 'west', 1)"
+        ))
+        .unwrap();
+        let rows = [sale(2, "west", big), sale(3, "west", 1), sale(4, "west", 1)];
+        let stream: Vec<(i64, &Row)> = rows.iter().map(|row| (1, row)).collect();
+        apply(&v, &db, "sales", &stream);
+        let west = v.visible_rows(&db).unwrap().pop().unwrap();
+        assert_eq!(west.values()[2], Value::Int(9_007_199_254_740_995));
+        assert!(v.verify_against_recompute(&db).unwrap(), "{v}");
+        // The big row leaves again: exactly the two small ones remain.
+        s.execute("DELETE FROM sales WHERE id = 2").unwrap();
+        apply(&v, &db, "sales", &[(-1, &rows[0])]);
+        let west = v.visible_rows(&db).unwrap().pop().unwrap();
+        assert_eq!(west.values()[2], Value::Int(2));
+        assert_equals_rebuild(&v, &db);
     }
 
     #[test]

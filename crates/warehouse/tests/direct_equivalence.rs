@@ -504,6 +504,47 @@ fn direct_path_logs_only_mirror_view_and_watermark_rows() {
     ]);
     DirectValueApplier::apply_run_marked(&t.direct, &[&run], AppliedMark::Range(7, 7)).unwrap();
     assert_eq!(t.direct.applied_state().unwrap().ranges, vec![(7, 7)]);
+    // The run's exact redo sequence: the mirror's records in record order,
+    // then each view's records (in registration order), then the range
+    // mark, all in one transaction.
+    let logged: Vec<String> = db
+        .wal()
+        .read_from(from)
+        .unwrap()
+        .iter()
+        .map(|(_, rec)| logged(rec))
+        .collect();
+    let by_grp = |before: &str, after: &str| format!("update by_grp ({before}) -> ({after})");
+    let expected = [
+        "begin".to_string(),
+        "insert items (50, 1, 5, 'note-50', 1.75)".into(),
+        "update items (1, 0, 10, 'note-1', 3.0) -> (1, 0, 12, 'note-1', 3.5)".into(),
+        "delete items (6, 2, 30, 'note-6', 8.0)".into(),
+        "delete item_owner (1, 100, 10, 'west')".into(),
+        "delete item_owner (1, 101, 10, 'east')".into(),
+        "insert item_owner (1, 100, 12, 'west')".into(),
+        "insert item_owner (1, 101, 12, 'east')".into(),
+        "insert stocked (50, 5)".into(),
+        "delete stocked (1, 10)".into(),
+        "insert stocked (1, 12)".into(),
+        "delete stocked (6, 30)".into(),
+        by_grp(
+            "1, 2, 7, 3.5, 0, 7, 2.75, 2, 2, 0.0, 2, 7.0, 2, 7.0, 2, 0.0, 2, 0.0, 2, 2.75",
+            "1, 3, 12, 4.0, 0, 7, 4.5, 3, 3, 0.0, 3, 12.0, 3, 12.0, 3, 0.0, 3, 0.0, 3, 4.5",
+        ),
+        by_grp(
+            "0, 2, 60, 30.0, 10, 50, 16.0, 2, 2, 0.0, 2, 60.0, 2, 60.0, 2, 0.0, 2, 0.0, 2, 16.0",
+            "0, 2, 62, 31.0, 12, 50, 16.5, 2, 2, 0.0, 2, 62.0, 2, 62.0, 2, 0.0, 2, 0.0, 2, 16.5",
+        ),
+        by_grp(
+            "2, 2, 60, 30.0, 30, 30, 16.0, 2, 2, 0.0, 2, 60.0, 2, 60.0, 2, 0.0, 2, 0.0, 2, 16.0",
+            "2, 1, 30, 30.0, 30, 30, 8.0, 1, 1, 0.0, 1, 30.0, 1, 30.0, 1, 0.0, 1, 0.0, 1, 8.0",
+        ),
+        "update big_totals (4, 50, 4, 4, 0.0, 4, 0.0) -> (3, 50, 3, 3, 0.0, 3, 0.0)".into(),
+        "insert __applied_seq (8, 7)".into(),
+        "commit".into(),
+    ];
+    assert_eq!(logged, expected);
     let mut row_changes = 0;
     for (_, rec) in db.wal().read_from(from).unwrap() {
         if !matches!(
@@ -535,6 +576,27 @@ fn direct_path_logs_only_mirror_view_and_watermark_rows() {
         !tables.iter().any(|t| t.starts_with("__changes_")),
         "{tables:?}"
     );
+}
+
+/// One redo record as `kind table images`, each image as its values.
+fn logged(rec: &LogRecord) -> String {
+    let image = |row: &Row| {
+        let values: Vec<String> = row.values().iter().map(Value::to_string).collect();
+        format!("({})", values.join(", "))
+    };
+    match rec {
+        LogRecord::Begin { .. } => "begin".into(),
+        LogRecord::Commit { .. } => "commit".into(),
+        LogRecord::Insert { table, row, .. } => format!("insert {table} {}", image(row)),
+        LogRecord::Delete { table, before, .. } => format!("delete {table} {}", image(before)),
+        LogRecord::Update {
+            table,
+            before,
+            after,
+            ..
+        } => format!("update {table} {} -> {}", image(before), image(after)),
+        other => format!("{other:?}"),
+    }
 }
 
 /// Interpret generated numbers as a run over `items`, steering by a model
