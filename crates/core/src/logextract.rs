@@ -12,7 +12,7 @@
 //!   source table, not transform it (transformations need the value-delta
 //!   form this extractor produces).
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use delta_engine::db::Database;
@@ -89,15 +89,19 @@ impl LogExtractor {
                 if !self.wants(table) {
                     continue;
                 }
-                let delta = match per_table.entry(table.to_string()) {
-                    Entry::Occupied(known) => known.into_mut(),
+                // The table's name is copied once, for its first record.
+                let delta = match per_table.get_mut(table) {
+                    Some(known) => known,
                     // A table dropped since has no schema to ship rows under.
-                    Entry::Vacant(new) => match db.table(table) {
-                        Ok(meta) => new.insert(ValueDelta::new(table, meta.schema.clone())),
+                    None => match db.table(table) {
+                        Ok(meta) => per_table
+                            .entry(table.to_string())
+                            .or_insert(ValueDelta::new(table, meta.schema.clone())),
                         Err(_) => continue,
                     },
                 };
-                let images = rec.images();
+                // The unit is the reader's own decoded copy: its images move.
+                let images = rec.images_mut();
                 let update = images.iter().all(Option::is_some);
                 for (sign, row) in images.into_iter().flatten() {
                     delta.records.push(ValueDeltaRecord {
@@ -108,7 +112,7 @@ impl LogExtractor {
                             (true, false) => DeltaOp::UpdateAfter,
                         },
                         txn: txn.0,
-                        row: row.clone(),
+                        row: std::mem::take(row),
                     });
                 }
             }

@@ -33,6 +33,12 @@
 //! [`diff_snapshots`] is the one-worker call, and the records are the same
 //! at any worker count and for either order of either snapshot. The window
 //! diff is sequential.
+//!
+//! The merge reads each run one decoded [`Block`] at a time and compares
+//! keys and rows cell by cell where the block holds them; a `Row` is built
+//! only for a record the diff emits (DESIGN.md §34). A diff that finds 800
+//! records among 80 000 rows read allocates per block and per record, not
+//! per row.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -41,7 +47,7 @@ use std::sync::Arc;
 
 use delta_engine::db::Database;
 use delta_engine::EngineResult;
-use delta_storage::colbatch::{self, RowSink, RowSource};
+use delta_storage::colbatch::{self, Block, RowSink, RowSource};
 use delta_storage::{Row, Schema, StorageError, StorageResult, Value};
 use parking_lot::Mutex;
 
@@ -149,48 +155,112 @@ pub(crate) fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
 // Sort-merge algorithm
 // ---------------------------------------------------------------------
 
-/// A snapshot or run read row by row with each row's key on `key_cols`. A
-/// file whose header names `key_cols` as its order is held to it: a key
+/// A row where its block decoded it: the block and the row's index in it.
+type At<'a> = (&'a Block, usize);
+
+/// Compare rows `a` and `b` on `key_cols` as [`cmp_keys`] compares their
+/// keys, cell by cell in place.
+fn cmp_at(a: At<'_>, b: At<'_>, key_cols: &[usize]) -> Ordering {
+    for &c in key_cols {
+        let o = a.0.cell(a.1, c).total_cmp(&b.0.cell(b.1, c));
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Whether rows `a` and `b` are equal rows (`Row`'s `==`), compared in place.
+fn equal_at(a: At<'_>, b: At<'_>) -> bool {
+    let n = a.0.arity(a.1);
+    n == b.0.arity(b.1) && (0..n).all(|c| a.0.cell(a.1, c) == b.0.cell(b.1, c))
+}
+
+/// A sorted run, or a snapshot read as one, walked one decoded block at a
+/// time; its rows are compared in place and built only when asked for.
+/// Every row must hold the key columns, and a file whose header names
+/// `key_cols` as its order is held to it as each block is read: a key
 /// smaller than the one before it is corruption.
 struct RunReader {
     src: RowSource,
-    current: Option<(Vec<Value>, Row)>,
+    /// The block holding the current row; empty once the run is exhausted.
+    block: Block,
+    pos: usize,
     key_cols: Vec<usize>,
     ordered: bool,
 }
 
 impl RunReader {
-    fn open(path: &Path, key_cols: &[usize]) -> StorageResult<RunReader> {
-        let src = RowSource::open(path)?;
+    fn new(src: RowSource, key_cols: &[usize]) -> StorageResult<RunReader> {
         let ordered = src.key() == key_cols;
         let mut r = RunReader {
             src,
-            current: None,
+            block: Block::default(),
+            pos: 0,
             key_cols: key_cols.to_vec(),
             ordered,
         };
-        r.current = r.read()?;
+        r.next_block()?;
         Ok(r)
     }
 
-    fn read(&mut self) -> StorageResult<Option<(Vec<Value>, Row)>> {
-        Ok(self
-            .src
-            .next_row()?
-            .map(|row| (key_of(&row, &self.key_cols), row)))
+    /// The current row; `None` once the run is exhausted.
+    fn current(&self) -> Option<At<'_>> {
+        (self.pos < self.block.len()).then_some((&self.block, self.pos))
     }
 
-    /// Take the current row and its key, and read the next one.
-    fn take(&mut self) -> StorageResult<Option<(Vec<Value>, Row)>> {
-        let next = self.read()?;
-        if let (true, Some((prev, _)), Some((key, _))) = (self.ordered, &self.current, &next) {
-            if cmp_keys(key, prev) == Ordering::Less {
-                return Err(StorageError::Corrupt(
-                    "snapshot rows out of the key order its header claims".into(),
-                ));
-            }
+    /// Move past the current row.
+    fn advance(&mut self) -> StorageResult<()> {
+        self.pos += 1;
+        if self.pos < self.block.len() {
+            return Ok(());
         }
-        Ok(std::mem::replace(&mut self.current, next))
+        self.next_block()
+    }
+
+    /// Move to the first row of the next block that has rows, checking the
+    /// block before any of its rows is read.
+    fn next_block(&mut self) -> StorageResult<()> {
+        self.pos = 0;
+        loop {
+            let Some(block) = self.src.next_block()? else {
+                self.block = Block::default();
+                return Ok(());
+            };
+            if block.is_empty() {
+                continue;
+            }
+            let width = self.key_cols.iter().max().map_or(0, |&c| c + 1);
+            // The last row of the block before, which still holds it.
+            let mut before = self.block.len().checked_sub(1).map(|r| (&self.block, r));
+            for r in 0..block.len() {
+                if block.arity(r) < width {
+                    return Err(StorageError::Corrupt(
+                        "snapshot row lacks a key column of the diff".into(),
+                    ));
+                }
+                if self.ordered
+                    && before.is_some_and(|b| cmp_at((&block, r), b, &self.key_cols).is_lt())
+                {
+                    return Err(StorageError::Corrupt(
+                        "snapshot rows out of the key order its header claims".into(),
+                    ));
+                }
+                before = Some((&block, r));
+            }
+            self.block = block;
+            return Ok(());
+        }
+    }
+
+    /// Take the current row and its key, and move past it.
+    fn take(&mut self) -> StorageResult<Option<(Vec<Value>, Row)>> {
+        let Some((block, r)) = self.current() else {
+            return Ok(None);
+        };
+        let row = block.row(r);
+        self.advance()?;
+        Ok(Some((key_of(&row, &self.key_cols), row)))
     }
 }
 
@@ -203,53 +273,44 @@ struct MergeCursor {
 }
 
 impl MergeCursor {
-    fn open(
-        paths: &[PathBuf],
-        key_cols: &[usize],
-        stats: &mut DiffStats,
-    ) -> StorageResult<MergeCursor> {
-        let runs = paths
-            .iter()
-            .map(|p| RunReader::open(p, key_cols))
-            .collect::<StorageResult<_>>()?;
+    fn new(runs: Vec<RunReader>, stats: &mut DiffStats) -> MergeCursor {
         let mut cursor = MergeCursor { runs, best: None };
         cursor.pick(stats);
-        Ok(cursor)
+        cursor
     }
 
-    /// Key of the current row; `None` once every run is exhausted.
-    fn key(&self) -> Option<&[Value]> {
-        let run = self.best.and_then(|i| self.runs.get(i))?;
-        run.current.as_ref().map(|(k, _)| k.as_slice())
+    /// The current row; `None` once every run is exhausted.
+    fn current(&self) -> Option<At<'_>> {
+        self.best.and_then(|i| self.runs.get(i))?.current()
     }
 
-    /// Take the current row and move on to the next smallest key.
-    fn pop(&mut self, stats: &mut DiffStats) -> StorageResult<Option<Row>> {
+    /// Move past the current row to the next smallest key.
+    fn advance(&mut self, stats: &mut DiffStats) -> StorageResult<()> {
         let Some(run) = self.best.and_then(|i| self.runs.get_mut(i)) else {
-            return Ok(None);
+            return Ok(());
         };
-        let row = run.take()?.map(|(_, row)| row);
+        run.advance()?;
         stats.rows_read += 1;
         self.pick(stats);
-        Ok(row)
+        Ok(())
     }
 
     /// Point `best` at the run whose current key is smallest.
     fn pick(&mut self, stats: &mut DiffStats) {
-        let mut best: Option<(usize, &[Value])> = None;
+        let mut best: Option<(usize, At<'_>)> = None;
         for (i, run) in self.runs.iter().enumerate() {
-            let Some((k, _)) = &run.current else {
+            let Some(at) = run.current() else {
                 continue;
             };
             let better = match best {
                 None => true,
-                Some((_, bk)) => {
+                Some((_, b)) => {
                     stats.comparisons += 1;
-                    cmp_keys(k, bk) == Ordering::Less
+                    cmp_at(at, b, &run.key_cols) == Ordering::Less
                 }
             };
             if better {
-                best = Some((i, k));
+                best = Some((i, at));
             }
         }
         self.best = best.map(|(i, _)| i);
@@ -271,14 +332,15 @@ fn worker_panic() -> StorageError {
     StorageError::Corrupt("snapshot diff worker thread panicked".into())
 }
 
-/// Cut the snapshot at `path` into key-sorted runs of `run_size` rows,
-/// appending their paths to `runs` in read order; each run's header names
-/// `key_cols`. The calling thread decodes the snapshot into chunks;
-/// `workers` threads each sort a chunk and write it as one run named by its
-/// chunk index, so the runs are the same at any worker count. At most
-/// `2 * workers + 1` chunks are in memory at once. A path joins `runs`
-/// before its file is created.
+/// Cut the snapshot `src`, opened from `path`, into key-sorted runs of
+/// `run_size` rows written next to it, appending their paths to `runs` in
+/// read order; each run's header names `key_cols`. The calling thread
+/// decodes the snapshot into chunks; `workers` threads each sort a chunk
+/// and write it as one run named by its chunk index, so the runs are the
+/// same at any worker count. At most `2 * workers + 1` chunks are in memory
+/// at once. A path joins `runs` before its file is created.
 fn sorted_runs(
+    mut src: RowSource,
     path: &Path,
     key_cols: &[usize],
     run_size: usize,
@@ -340,7 +402,6 @@ fn sorted_runs(
             tx.send((run_path, chunk)).is_ok()
         };
         let mut feed = || -> StorageResult<()> {
-            let mut src = RowSource::open(path)?;
             let mut chunk: Vec<Row> = Vec::with_capacity(run_size.min(1 << 16));
             while let Some(row) = src.next_row()? {
                 chunk.push(row);
@@ -372,22 +433,29 @@ fn sorted_runs(
     first_err.map_or(Ok(()), Err)
 }
 
-/// The sorted runs of one side: the snapshot itself when its header names
-/// `key_cols`, else the runs [`sorted_runs`] writes into `temps`.
-fn side_runs(
+/// One side of the merge, its file opened once: the snapshot itself is the
+/// only run when its header names `key_cols`; any other is cut into the
+/// runs [`sorted_runs`] writes into `temps`.
+fn side(
     path: &Path,
     key_cols: &[usize],
     run_size: usize,
     workers: usize,
     temps: &mut TempFiles,
     stats: &mut DiffStats,
-) -> StorageResult<Vec<PathBuf>> {
-    if RowSource::open(path)?.key() == key_cols {
-        return Ok(vec![path.to_path_buf()]);
-    }
-    let first = temps.0.len();
-    sorted_runs(path, key_cols, run_size, workers, temps, stats)?;
-    Ok(temps.0[first..].to_vec())
+) -> StorageResult<MergeCursor> {
+    let src = RowSource::open(path)?;
+    let runs = if src.key() == key_cols {
+        vec![RunReader::new(src, key_cols)?]
+    } else {
+        let first = temps.0.len();
+        sorted_runs(src, path, key_cols, run_size, workers, temps, stats)?;
+        temps.0[first..]
+            .iter()
+            .map(|p| RowSource::open(p).and_then(|run| RunReader::new(run, key_cols)))
+            .collect::<StorageResult<_>>()?
+    };
+    Ok(MergeCursor::new(runs, stats))
 }
 
 /// Turn each snapshot into sorted runs, then merge-join the two sides' runs
@@ -403,50 +471,61 @@ fn sort_merge(
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
     let mut temps = TempFiles(Vec::new());
-    let old_runs = side_runs(
+    let mut old = side(
         old_path, key_cols, run_size, workers, &mut temps, &mut stats,
     )?;
-    let new_runs = side_runs(
+    let mut new = side(
         new_path, key_cols, run_size, workers, &mut temps, &mut stats,
     )?;
-    let mut old = MergeCursor::open(&old_runs, key_cols, &mut stats)?;
-    let mut new = MergeCursor::open(&new_runs, key_cols, &mut stats)?;
     let mut delta = ValueDelta::new(table, schema.clone());
-    merge_diff_streams(&mut old, &mut new, &mut delta.records, &mut stats)?;
+    merge_diff_streams(&mut old, &mut new, key_cols, &mut delta.records, &mut stats)?;
     Ok((delta, stats))
 }
 
 /// Merge-join the two key-ordered sides, appending the delta records that
-/// turn the old side into the new one.
+/// turn the old side into the new one. Rows are compared where their blocks
+/// hold them; a row is built only for a record.
 fn merge_diff_streams(
     old: &mut MergeCursor,
     new: &mut MergeCursor,
+    key_cols: &[usize],
     records: &mut Vec<ValueDeltaRecord>,
     stats: &mut DiffStats,
 ) -> StorageResult<()> {
-    let record = |op, row| ValueDeltaRecord { op, txn: 0, row };
+    let record = |op, (block, r): At<'_>| ValueDeltaRecord {
+        op,
+        txn: 0,
+        row: block.row(r),
+    };
     loop {
-        let order = match (old.key(), new.key()) {
+        let (o, n) = (old.current(), new.current());
+        let order = match (o, n) {
             (None, None) => return Ok(()),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
-            (Some(ok), Some(nk)) => {
+            (Some(o), Some(n)) => {
                 stats.comparisons += 1;
-                cmp_keys(ok, nk)
+                cmp_at(o, n, key_cols)
             }
         };
         match order {
-            Ordering::Less => records.extend(old.pop(stats)?.map(|o| record(DeltaOp::Delete, o))),
+            Ordering::Less => {
+                records.extend(o.map(|o| record(DeltaOp::Delete, o)));
+                old.advance(stats)?;
+            }
             Ordering::Greater => {
-                records.extend(new.pop(stats)?.map(|n| record(DeltaOp::Insert, n)))
+                records.extend(n.map(|n| record(DeltaOp::Insert, n)));
+                new.advance(stats)?;
             }
             Ordering::Equal => {
-                if let (Some(o), Some(n)) = (old.pop(stats)?, new.pop(stats)?) {
-                    if o != n {
+                if let (Some(o), Some(n)) = (o, n) {
+                    if !equal_at(o, n) {
                         records.push(record(DeltaOp::UpdateBefore, o));
                         records.push(record(DeltaOp::UpdateAfter, n));
                     }
                 }
+                old.advance(stats)?;
+                new.advance(stats)?;
             }
         }
     }
@@ -466,8 +545,8 @@ fn window_diff(
 ) -> StorageResult<(ValueDelta, DiffStats)> {
     let mut stats = DiffStats::default();
     let mut delta = ValueDelta::new(table, schema.clone());
-    let mut old_r = RunReader::open(old_path, key_cols)?;
-    let mut new_r = RunReader::open(new_path, key_cols)?;
+    let mut old_r = RunReader::new(RowSource::open(old_path)?, key_cols)?;
+    let mut new_r = RunReader::new(RowSource::open(new_path)?, key_cols)?;
 
     // Unmatched rows buffered per side, oldest first.
     let mut old_buf: VecDeque<(Vec<Value>, Row)> = VecDeque::new();
@@ -489,8 +568,8 @@ fn window_diff(
     };
 
     loop {
-        let old_done = old_r.current.is_none();
-        let new_done = new_r.current.is_none();
+        let old_done = old_r.current().is_none();
+        let new_done = new_r.current().is_none();
         if old_done && new_done {
             break;
         }

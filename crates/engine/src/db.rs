@@ -865,7 +865,7 @@ impl Database {
         let mut keyed: HashMap<String, HashMap<String, (Value, Option<Row>)>> = HashMap::new();
         let mut unkeyed: HashMap<String, Vec<LogRecord>> = HashMap::new();
         self.wal.read_committed(self.wal.resident_start(), |unit| {
-            for (_, rec) in unit {
+            for (_, rec) in unit.iter() {
                 match rec {
                     LogRecord::CreateTable {
                         name,

@@ -127,6 +127,18 @@ impl LogRecord {
         };
         [left.map(|row| (-1, row)), entered.map(|row| (1, row))]
     }
+
+    /// [`images`](LogRecord::images), lent mutably, so a reader that owns
+    /// the record can move an image out instead of copying it.
+    pub fn images_mut(&mut self) -> [Option<(i64, &mut Row)>; 2] {
+        let (left, entered) = match self {
+            LogRecord::Insert { row, .. } => (None, Some(row)),
+            LogRecord::Delete { before, .. } => (Some(before), None),
+            LogRecord::Update { before, after, .. } => (Some(before), Some(after)),
+            _ => (None, None),
+        };
+        [left.map(|row| (-1, row)), entered.map(|row| (1, row))]
+    }
 }
 
 /// The one definition of "committed": split `records` (log order) into
@@ -144,25 +156,32 @@ impl LogRecord {
 pub fn committed_units(records: &[(Lsn, LogRecord)]) -> impl Iterator<Item = &[(Lsn, LogRecord)]> {
     let mut rest = records;
     std::iter::from_fn(move || loop {
-        let (first, tail) = rest.split_first()?;
-        // How many records the unit starting here holds, if one does. (A
-        // fragment is dropped `Begin` first; its rows then fall as strays.)
-        let len = match first.1 {
-            LogRecord::Begin { .. } => {
-                let body = tail.iter().take_while(|(_, r)| r.is_row_change()).count();
-                matches!(tail.get(body), Some((_, LogRecord::Commit { .. }))).then_some(body + 2)
-            }
-            LogRecord::CreateTable { .. } | LogRecord::DropTable { .. } | LogRecord::Checkpoint => {
-                Some(1)
-            }
-            _ => None,
-        };
-        let (unit, after) = rest.split_at(len.unwrap_or(1));
+        let (len, committed) = next_unit(rest)?;
+        let (unit, after) = rest.split_at(len);
         rest = after;
-        if len.is_some() {
+        if committed {
             return Some(unit);
         }
     })
+}
+
+/// How many records the unit at the front of `records` holds, and whether
+/// it is committed; `None` when `records` is empty. An uncommitted unit is
+/// one record: a fragment is dropped `Begin` first, and its rows then fall
+/// as strays.
+fn next_unit(records: &[(Lsn, LogRecord)]) -> Option<(usize, bool)> {
+    let (first, tail) = records.split_first()?;
+    let len = match first.1 {
+        LogRecord::Begin { .. } => {
+            let body = tail.iter().take_while(|(_, r)| r.is_row_change()).count();
+            matches!(tail.get(body), Some((_, LogRecord::Commit { .. }))).then_some(body + 2)
+        }
+        LogRecord::CreateTable { .. } | LogRecord::DropTable { .. } | LogRecord::Checkpoint => {
+            Some(1)
+        }
+        _ => None,
+    };
+    Some((len.unwrap_or(1), len.is_some()))
 }
 
 const T_BEGIN: u8 = 1;
@@ -563,7 +582,7 @@ impl LogManager {
         // never fails it — an unreadable archived segment is the extractor's
         // to quarantine, not a reason to refuse to boot.
         let first_lsns = SegmentFirsts::default();
-        let skip = |_: &[(Lsn, LogRecord)]| Ok(());
+        let skip = |_: &mut [(Lsn, LogRecord)]| Ok(());
         let resident_high = stream_committed(&first_lsns, &segments, 0, 1, Lsn::MAX, skip)?.high;
         let archived_high = list_segment_files(&archive_dir, false)?
             .iter()
@@ -1028,11 +1047,12 @@ impl LogManager {
     /// later. Segments wholly below `from_lsn` are not opened (see
     /// [`stream_committed`]); a damaged segment that *is* needed surfaces as
     /// typed corruption, and one already quarantined is read past and named
-    /// in [`Tail::lost`].
+    /// in [`Tail::lost`]. Each unit is lent mutably: the reader decoded its
+    /// records for this call alone, so a visitor may move them out.
     pub fn read_committed(
         &self,
         from_lsn: Lsn,
-        visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
+        visit: impl FnMut(&mut [(Lsn, LogRecord)]) -> EngineResult<()>,
     ) -> EngineResult<Tail> {
         let end = self.durable_lsn();
         if from_lsn > end {
@@ -1127,7 +1147,7 @@ fn stream_committed(
     archived: usize,
     from_lsn: Lsn,
     end_lsn: Lsn,
-    mut visit: impl FnMut(&[(Lsn, LogRecord)]) -> EngineResult<()>,
+    mut visit: impl FnMut(&mut [(Lsn, LogRecord)]) -> EngineResult<()>,
 ) -> EngineResult<Tail> {
     let start = {
         let known = first_lsns.lock();
@@ -1147,7 +1167,7 @@ fn stream_committed(
             skipped.push(path.clone());
             continue;
         }
-        let records = read_segment_file(path, i < archived)?;
+        let mut records = read_segment_file(path, i < archived)?;
         let (Some((first, _)), Some((last, _)), Some(name)) =
             (records.first(), records.last(), path.file_name())
         else {
@@ -1168,11 +1188,16 @@ fn stream_committed(
         prev = Some((index, *last));
         let lo = records.partition_point(|(lsn, _)| *lsn < from_lsn);
         let hi = records.partition_point(|(lsn, _)| *lsn <= end_lsn);
-        let wanted = records.get(lo..hi).unwrap_or_default();
-        for unit in committed_units(wanted) {
-            visit(unit)?;
-        }
+        let mut wanted = records.get_mut(lo..hi).unwrap_or_default();
         tail.high = wanted.last().map_or(tail.high, |(lsn, _)| *lsn);
+        // `committed_units`, walked over records this pass owns.
+        while let Some((len, committed)) = next_unit(wanted) {
+            let (unit, after) = std::mem::take(&mut wanted).split_at_mut(len);
+            wanted = after;
+            if committed {
+                visit(unit)?;
+            }
+        }
     }
     tail.lost.append(&mut skipped);
     Ok(tail)

@@ -10,9 +10,16 @@
 //! * CRC-framed blocks (`[u32 le len][payload][u32 le crc]`) with a
 //!   format-version byte baked into every magic,
 //! * a self-describing **columnar row-block** codec: per-column encodings
-//!   chosen by measured size — plain zigzag varints, delta-of-delta for
-//!   monotone sequences, RLE for constant runs, dictionary + RLE and
-//!   front/back coding for strings, raw tagged cells as the fallback,
+//!   chosen by size — plain zigzag varints, delta-of-delta for monotone
+//!   sequences, RLE for constant runs, dictionary + RLE and front/back
+//!   coding for strings, raw tagged cells as the fallback. The encoder
+//!   works out each candidate's exact size and writes only the winner; the
+//!   dictionary candidate stops as soon as it cannot win,
+//! * one block decoder, [`decode_block`], whose [`Block`] keeps each column
+//!   in its own form (numbers in typed vectors, strings as spans of one
+//!   text) and is read cell by cell in place; [`decode_rows_block`] and
+//!   [`RowSource::next_row`] are that decoder plus row assembly
+//!   (DESIGN.md §34),
 //! * streaming snapshot readers/writers ([`RowSource`]/[`RowSink`]) over
 //!   the one snapshot format: [`SNAP_MAGIC`], a CRC-framed header naming
 //!   the columns the rows are sorted on (none for a heap-order dump), then
@@ -28,15 +35,18 @@
 //!
 //! Decoders never panic: all lengths are bounds-checked against the remaining
 //! input before use and every failure is a typed [`StorageError::Corrupt`].
+//! A count read from the input reserves at most 8 MiB before the cells
+//! behind it decode.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fs::File;
+use std::hash::BuildHasherDefault;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{StorageError, StorageResult};
 use crate::record::Row;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 
 /// The one wire and snapshot codec. Nothing branches on it: it survives only
 /// because the frozen dwbench harness names it (`DbOptions::delta_codec`,
@@ -324,13 +334,9 @@ fn get_cell(buf: &mut &[u8]) -> StorageResult<Value> {
                 b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
             ]))))
         }
-        CELL_STR => {
-            let bytes = get_len_bytes(buf)?;
-            match std::str::from_utf8(bytes) {
-                Ok(s) => Ok(Value::Str(s.to_string())),
-                Err(_) => Err(corrupt("string cell is not UTF-8")),
-            }
-        }
+        CELL_STR => Ok(Value::Str(
+            get_str(buf, "string cell is not UTF-8")?.to_string(),
+        )),
         CELL_TIMESTAMP => Ok(Value::Timestamp(get_ivarint(buf)?)),
         CELL_BOOL => match get_u8(buf)? {
             0 => Ok(Value::Bool(false)),
@@ -363,6 +369,16 @@ fn int_of(v: &Value) -> Option<i64> {
         Value::Timestamp(t) => Some(*t),
         _ => None,
     }
+}
+
+/// Bytes `v` takes as a LEB128 varint.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes `v` takes zigzag-varint encoded.
+fn ivarint_len(v: i64) -> usize {
+    uvarint_len(zigzag(v))
 }
 
 fn encode_int_plain(vals: &[i64], out: &mut Vec<u8>) {
@@ -424,14 +440,55 @@ fn decode_int_rle(buf: &mut &[u8], n: usize, out: &mut Vec<i64>) -> StorageResul
     while out.len() < n {
         let v = get_ivarint(buf)?;
         let run = get_uvarint(buf)? as usize;
-        if run == 0 || out.len() + run > n {
+        if run == 0 || run > n - out.len() {
             return Err(corrupt("RLE run leaves the column"));
         }
-        for _ in 0..run {
-            out.push(v);
-        }
+        out.resize(out.len() + run, v);
     }
     Ok(())
+}
+
+/// Exact body sizes of the plain, delta-of-delta and RLE encodings of
+/// `vals`, worked out in one pass without writing a byte.
+fn int_sizes(vals: &[i64]) -> [usize; 3] {
+    let (mut plain, mut d2, mut rle) = (0, 0, 0);
+    let (mut prev, mut prev_delta, mut run) = (0i64, 0i64, 0usize);
+    for (i, &v) in vals.iter().enumerate() {
+        plain += ivarint_len(v);
+        if i == 0 {
+            d2 += ivarint_len(v);
+        } else {
+            let delta = v.wrapping_sub(prev);
+            d2 += ivarint_len(delta.wrapping_sub(prev_delta));
+            prev_delta = delta;
+            if v != prev {
+                rle += ivarint_len(prev) + uvarint_len(run as u64);
+                run = 0;
+            }
+        }
+        run += 1;
+        prev = v;
+    }
+    if run > 0 {
+        rle += ivarint_len(prev) + uvarint_len(run as u64);
+    }
+    [plain, d2, rle]
+}
+
+/// The byte prefix and suffix `cur` shares with `prev`, the two never
+/// overlapping in either string.
+fn front_split(prev: &[u8], cur: &[u8]) -> (usize, usize) {
+    let max_p = prev.len().min(cur.len());
+    let mut p = 0;
+    while p < max_p && prev[p] == cur[p] {
+        p += 1;
+    }
+    let max_s = max_p - p;
+    let mut sfx = 0;
+    while sfx < max_s && prev[prev.len() - 1 - sfx] == cur[cur.len() - 1 - sfx] {
+        sfx += 1;
+    }
+    (p, sfx)
 }
 
 /// Front/back coding against the previous string: shared byte prefix and
@@ -441,16 +498,7 @@ fn encode_str_front(vals: &[&str], out: &mut Vec<u8>) {
     let mut prev: &[u8] = b"";
     for s in vals {
         let cur = s.as_bytes();
-        let max_p = prev.len().min(cur.len());
-        let mut p = 0;
-        while p < max_p && prev[p] == cur[p] {
-            p += 1;
-        }
-        let max_s = max_p - p;
-        let mut sfx = 0;
-        while sfx < max_s && prev[prev.len() - 1 - sfx] == cur[cur.len() - 1 - sfx] {
-            sfx += 1;
-        }
+        let (p, sfx) = front_split(prev, cur);
         put_uvarint(out, p as u64);
         put_uvarint(out, sfx as u64);
         let mid = &cur[p..cur.len() - sfx];
@@ -460,37 +508,83 @@ fn encode_str_front(vals: &[&str], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_str_front(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResult<()> {
-    let start = out.len();
-    for _ in 0..n {
-        let p = get_uvarint(buf)? as usize;
-        let sfx = get_uvarint(buf)? as usize;
-        let mid = get_len_bytes(buf)?;
-        // The previous string is the one this column just decoded.
-        let prev = match out[start..].last() {
-            Some(Value::Str(s)) => s.as_bytes(),
-            _ => b"",
+/// Exact body size of [`encode_str_front`] over `vals`.
+fn str_front_size(vals: &[&str]) -> usize {
+    let mut prev: &[u8] = b"";
+    let mut size = 0;
+    for s in vals {
+        let cur = s.as_bytes();
+        let (p, sfx) = front_split(prev, cur);
+        let mid = cur.len() - p - sfx;
+        size += uvarint_len(p as u64) + uvarint_len(sfx as u64) + uvarint_len(mid as u64) + mid;
+        prev = cur;
+    }
+    size
+}
+
+/// A [`Hasher`](std::hash::Hasher) over [`fnv1a`] for the dictionary
+/// encoder's map. The map lives for one column of one block, so keys
+/// crafted to collide cost that block quadratic time in its row count and
+/// nothing more.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(FNV1A_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A column's distinct strings, each mapped to its dictionary id.
+type DictIds<'a> = HashMap<&'a str, usize, BuildHasherDefault<Fnv1a>>;
+
+/// Whether [`encode_str_dict`] over `vals` wins, `loses(size)` being true
+/// of a body size that cannot. The size is counted string by string, and
+/// since the dictionary and the closed runs only grow, the count stops as
+/// soon as they alone lose.
+fn str_dict_wins(vals: &[&str], loses: impl Fn(usize) -> bool) -> bool {
+    let mut ids = DictIds::default();
+    let (mut entries, mut runs) = (0usize, 0usize);
+    // (id, length) of the run still open.
+    let mut open: Option<(usize, usize)> = None;
+    for &s in vals {
+        let next = ids.len();
+        let id = *ids.entry(s).or_insert_with(|| {
+            entries += uvarint_len(s.len() as u64) + s.len();
+            next
+        });
+        open = match open {
+            Some((run_id, len)) if run_id == id => Some((id, len + 1)),
+            Some((run_id, len)) => {
+                runs += uvarint_len(run_id as u64) + uvarint_len(len as u64);
+                Some((id, 1))
+            }
+            None => Some((id, 1)),
         };
-        if p + sfx > prev.len() {
-            return Err(corrupt("front-coded prefix/suffix exceed previous string"));
-        }
-        let mut cur = Vec::with_capacity(p + mid.len() + sfx);
-        cur.extend_from_slice(&prev[..p]);
-        cur.extend_from_slice(mid);
-        cur.extend_from_slice(&prev[prev.len() - sfx..]);
-        match String::from_utf8(cur) {
-            Ok(s) => out.push(Value::Str(s)),
-            Err(_) => return Err(corrupt("front-coded string is not UTF-8")),
+        if loses(uvarint_len(ids.len() as u64) + entries + runs) {
+            return false;
         }
     }
-    Ok(())
+    if let Some((run_id, len)) = open {
+        runs += uvarint_len(run_id as u64) + uvarint_len(len as u64);
+    }
+    !loses(uvarint_len(ids.len() as u64) + entries + runs)
 }
 
 fn encode_str_dict(vals: &[&str], out: &mut Vec<u8>) {
     let mut dict: Vec<&str> = Vec::new();
-    let mut index: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut index = DictIds::default();
     let mut ids: Vec<usize> = Vec::with_capacity(vals.len());
-    for s in vals {
+    for &s in vals {
         let id = *index.entry(s).or_insert_with(|| {
             dict.push(s);
             dict.len() - 1
@@ -515,37 +609,6 @@ fn encode_str_dict(vals: &[&str], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_str_dict(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResult<()> {
-    let dict_n = get_uvarint(buf)? as usize;
-    if dict_n > buf.len() {
-        return Err(corrupt("dictionary larger than remaining input"));
-    }
-    let mut dict: Vec<String> = Vec::with_capacity(dict_n);
-    for _ in 0..dict_n {
-        let bytes = get_len_bytes(buf)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => dict.push(s.to_string()),
-            Err(_) => return Err(corrupt("dictionary entry is not UTF-8")),
-        }
-    }
-    let mut emitted = 0usize;
-    while emitted < n {
-        let id = get_uvarint(buf)? as usize;
-        let run = get_uvarint(buf)? as usize;
-        if run == 0 || emitted + run > n {
-            return Err(corrupt("dictionary RLE run leaves the column"));
-        }
-        let Some(s) = dict.get(id) else {
-            return Err(corrupt("dictionary index out of range"));
-        };
-        for _ in 0..run {
-            out.push(Value::Str(s.clone()));
-        }
-        emitted += run;
-    }
-    Ok(())
-}
-
 fn encode_str_raw(vals: &[&str], out: &mut Vec<u8>) {
     for s in vals {
         put_uvarint(out, s.len() as u64);
@@ -553,31 +616,30 @@ fn encode_str_raw(vals: &[&str], out: &mut Vec<u8>) {
     }
 }
 
-/// Encode one column, choosing the smallest candidate encoding. `cells` holds
-/// one value per row.
+/// Encode one column in the smallest candidate encoding. `cells` holds one
+/// value per row. Each candidate's exact size is worked out first and only
+/// the winner is written; ties go to the candidate listed first.
 fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
     // Uniform integer family (Int or Timestamp)?
     let all_int = cells.iter().all(|v| matches!(v, Value::Int(_)));
     let all_ts = cells.iter().all(|v| matches!(v, Value::Timestamp(_)));
     if !cells.is_empty() && (all_int || all_ts) {
         let vals: Vec<i64> = cells.iter().filter_map(|v| int_of(v)).collect();
-        let mut plain = Vec::new();
-        encode_int_plain(&vals, &mut plain);
-        let mut d2 = Vec::new();
-        encode_int_delta2(&vals, &mut d2);
-        let mut rle = Vec::new();
-        encode_int_rle(&vals, &mut rle);
-        let ty = if all_int { CELL_INT } else { CELL_TIMESTAMP };
-        let (tag, body) = if plain.len() <= d2.len() && plain.len() <= rle.len() {
-            (COL_INT_PLAIN, plain)
-        } else if d2.len() <= rle.len() {
-            (COL_INT_DELTA2, d2)
+        let [plain, d2, rle] = int_sizes(&vals);
+        let tag = if plain <= d2 && plain <= rle {
+            COL_INT_PLAIN
+        } else if d2 <= rle {
+            COL_INT_DELTA2
         } else {
-            (COL_INT_RLE, rle)
+            COL_INT_RLE
         };
         out.push(tag);
-        out.push(ty);
-        out.extend_from_slice(&body);
+        out.push(if all_int { CELL_INT } else { CELL_TIMESTAMP });
+        match tag {
+            COL_INT_PLAIN => encode_int_plain(&vals, out),
+            COL_INT_DELTA2 => encode_int_delta2(&vals, out),
+            _ => encode_int_rle(&vals, out),
+        }
         return;
     }
     // Uniform strings?
@@ -589,21 +651,22 @@ fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
                 _ => None,
             })
             .collect();
-        let mut raw = Vec::new();
-        encode_str_raw(&vals, &mut raw);
-        let mut dict = Vec::new();
-        encode_str_dict(&vals, &mut dict);
-        let mut front = Vec::new();
-        encode_str_front(&vals, &mut front);
-        let (tag, body) = if raw.len() <= dict.len() && raw.len() <= front.len() {
-            (COL_STR_RAW, raw)
-        } else if dict.len() <= front.len() {
-            (COL_STR_DICT, dict)
+        let raw: usize = vals
+            .iter()
+            .map(|s| uvarint_len(s.len() as u64) + s.len())
+            .sum();
+        let front = str_front_size(&vals);
+        // The dictionary wins only smaller than raw and no larger than front.
+        if str_dict_wins(&vals, |size| size >= raw || size > front) {
+            out.push(COL_STR_DICT);
+            encode_str_dict(&vals, out);
+        } else if raw <= front {
+            out.push(COL_STR_RAW);
+            encode_str_raw(&vals, out);
         } else {
-            (COL_STR_FRONT, front)
-        };
-        out.push(tag);
-        out.extend_from_slice(&body);
+            out.push(COL_STR_FRONT);
+            encode_str_front(&vals, out);
+        }
         return;
     }
     // Uniform doubles / bools get tag-free fixed cells.
@@ -632,17 +695,167 @@ fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_column(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResult<()> {
+// ---------------------------------------------------------------------------
+// Decoded columns.
+// ---------------------------------------------------------------------------
+
+/// The most a decoder reserves for one vector before it has read the cells
+/// that fill it. A count read from a block is only a claim until the cells
+/// behind it decode, so a damaged count costs at most this much up front.
+const MAX_RESERVE_BYTES: usize = 8 << 20;
+
+/// An empty vector with room for `n` elements, or for as many as fit in
+/// [`MAX_RESERVE_BYTES`].
+fn reserve<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(MAX_RESERVE_BYTES / std::mem::size_of::<T>().max(1)))
+}
+
+/// One column of a decoded uniform block, its cells in the column's own
+/// form: numbers in a typed vector, strings as spans of one text.
+enum Column {
+    /// `Int` cells, or `Timestamp` cells when `timestamps`.
+    Ints {
+        vals: Vec<i64>,
+        timestamps: bool,
+    },
+    /// Row `r`'s string is `text[spans[r].0..spans[r].1]`; a dictionary
+    /// entry is stored once and spanned by every row that uses it.
+    Strs {
+        text: String,
+        spans: Vec<(usize, usize)>,
+    },
+    Doubles(Vec<f64>),
+    Bools(Vec<bool>),
+    /// Raw tagged cells: a column of mixed types or with NULLs.
+    Values(Vec<Value>),
+}
+
+impl Column {
+    fn cell(&self, r: usize) -> Cell<'_> {
+        match self {
+            Column::Ints {
+                vals,
+                timestamps: false,
+            } => Cell::Int(vals[r]),
+            Column::Ints {
+                vals,
+                timestamps: true,
+            } => Cell::Timestamp(vals[r]),
+            // Every span was cut at the ends of a validated `&str`, so it
+            // lies on char boundaries.
+            Column::Strs { text, spans } => Cell::Str(&text[spans[r].0..spans[r].1]),
+            Column::Doubles(vals) => Cell::Double(vals[r]),
+            Column::Bools(vals) => Cell::Bool(vals[r]),
+            Column::Values(vals) => vals[r].as_cell(),
+        }
+    }
+
+    /// Row `r`'s cell, owned: a raw cell moves out (leaving NULL), any
+    /// other is copied out of the column. For [`Block::into_rows`], which
+    /// takes each row once.
+    fn take(&mut self, r: usize) -> Value {
+        match self {
+            Column::Values(vals) => std::mem::replace(&mut vals[r], Value::Null),
+            _ => self.cell(r).to_value(),
+        }
+    }
+}
+
+fn get_str<'a>(buf: &mut &'a [u8], what: &str) -> StorageResult<&'a str> {
+    std::str::from_utf8(get_len_bytes(buf)?).map_err(|_| corrupt(what))
+}
+
+/// A string column's text, sized for the rest of the block at most.
+fn column_text(buf: &[u8]) -> String {
+    String::with_capacity(buf.len().min(MAX_RESERVE_BYTES))
+}
+
+fn decode_str_raw(buf: &mut &[u8], n: usize) -> StorageResult<Column> {
+    let mut text = column_text(buf);
+    let mut spans = reserve(n);
+    for _ in 0..n {
+        let start = text.len();
+        text.push_str(get_str(buf, "string cell is not UTF-8")?);
+        spans.push((start, text.len()));
+    }
+    Ok(Column::Strs { text, spans })
+}
+
+fn decode_str_dict(buf: &mut &[u8], n: usize) -> StorageResult<Column> {
+    let dict_n = get_uvarint(buf)? as usize;
+    if dict_n > buf.len() {
+        return Err(corrupt("dictionary larger than remaining input"));
+    }
+    let mut text = column_text(buf);
+    let mut entries: Vec<(usize, usize)> = reserve(dict_n);
+    for _ in 0..dict_n {
+        let start = text.len();
+        text.push_str(get_str(buf, "dictionary entry is not UTF-8")?);
+        entries.push((start, text.len()));
+    }
+    let mut spans = reserve(n);
+    while spans.len() < n {
+        let id = get_uvarint(buf)? as usize;
+        let run = get_uvarint(buf)? as usize;
+        if run == 0 || run > n - spans.len() {
+            return Err(corrupt("dictionary RLE run leaves the column"));
+        }
+        let Some(&span) = entries.get(id) else {
+            return Err(corrupt("dictionary index out of range"));
+        };
+        spans.resize(spans.len() + run, span);
+    }
+    Ok(Column::Strs { text, spans })
+}
+
+fn decode_str_front(buf: &mut &[u8], n: usize) -> StorageResult<Column> {
+    let mut text = column_text(buf);
+    let mut spans = reserve(n);
+    // The string being rebuilt, checked whole before it joins the text: a
+    // shared prefix or suffix may end inside a character.
+    let mut cur = Vec::new();
+    let mut prev = (0, 0);
+    for _ in 0..n {
+        let p = get_uvarint(buf)? as usize;
+        let sfx = get_uvarint(buf)? as usize;
+        let mid = get_len_bytes(buf)?;
+        let prev_bytes = &text.as_bytes()[prev.0..prev.1];
+        if p.checked_add(sfx)
+            .is_none_or(|shared| shared > prev_bytes.len())
+        {
+            return Err(corrupt("front-coded prefix/suffix exceed previous string"));
+        }
+        cur.clear();
+        cur.extend_from_slice(&prev_bytes[..p]);
+        cur.extend_from_slice(mid);
+        cur.extend_from_slice(&prev_bytes[prev_bytes.len() - sfx..]);
+        let s =
+            std::str::from_utf8(&cur).map_err(|_| corrupt("front-coded string is not UTF-8"))?;
+        let start = text.len();
+        text.push_str(s);
+        prev = (start, text.len());
+        spans.push(prev);
+    }
+    Ok(Column::Strs { text, spans })
+}
+
+fn decode_column(buf: &mut &[u8], n: usize) -> StorageResult<Column> {
     let tag = get_u8(buf)?;
-    match tag {
+    Ok(match tag {
         COL_RAW => {
+            let mut vals = reserve(n);
             for _ in 0..n {
-                out.push(get_cell(buf)?);
+                vals.push(get_cell(buf)?);
             }
+            Column::Values(vals)
         }
         COL_INT_PLAIN | COL_INT_DELTA2 | COL_INT_RLE => {
-            let ty = get_u8(buf)?;
-            let mut vals: Vec<i64> = Vec::with_capacity(n);
+            let timestamps = match get_u8(buf)? {
+                CELL_INT => false,
+                CELL_TIMESTAMP => true,
+                _ => return Err(corrupt("unknown integer column type")),
+            };
+            let mut vals = reserve(n);
             match tag {
                 COL_INT_PLAIN => {
                     for _ in 0..n {
@@ -652,43 +865,34 @@ fn decode_column(buf: &mut &[u8], n: usize, out: &mut Vec<Value>) -> StorageResu
                 COL_INT_DELTA2 => decode_int_delta2(buf, n, &mut vals)?,
                 _ => decode_int_rle(buf, n, &mut vals)?,
             }
-            match ty {
-                CELL_INT => out.extend(vals.into_iter().map(Value::Int)),
-                CELL_TIMESTAMP => out.extend(vals.into_iter().map(Value::Timestamp)),
-                _ => return Err(corrupt("unknown integer column type")),
-            }
+            Column::Ints { vals, timestamps }
         }
-        COL_STR_RAW => {
-            for _ in 0..n {
-                let bytes = get_len_bytes(buf)?;
-                match std::str::from_utf8(bytes) {
-                    Ok(s) => out.push(Value::Str(s.to_string())),
-                    Err(_) => return Err(corrupt("string cell is not UTF-8")),
-                }
-            }
-        }
-        COL_STR_DICT => decode_str_dict(buf, n, out)?,
-        COL_STR_FRONT => decode_str_front(buf, n, out)?,
+        COL_STR_RAW => decode_str_raw(buf, n)?,
+        COL_STR_DICT => decode_str_dict(buf, n)?,
+        COL_STR_FRONT => decode_str_front(buf, n)?,
         COL_DOUBLE_RAW => {
+            let mut vals = reserve(n);
             for _ in 0..n {
                 let b = take(buf, 8)?;
-                out.push(Value::Double(f64::from_bits(u64::from_le_bytes([
+                vals.push(f64::from_bits(u64::from_le_bytes([
                     b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                ]))));
+                ])));
             }
+            Column::Doubles(vals)
         }
         COL_BOOL_RAW => {
+            let mut vals = reserve(n);
             for _ in 0..n {
-                match get_u8(buf)? {
-                    0 => out.push(Value::Bool(false)),
-                    1 => out.push(Value::Bool(true)),
+                vals.push(match get_u8(buf)? {
+                    0 => false,
+                    1 => true,
                     _ => return Err(corrupt("bool cell is neither 0 nor 1")),
-                }
+                });
             }
+            Column::Bools(vals)
         }
         _ => return Err(corrupt("unknown column tag")),
-    }
-    Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -755,71 +959,149 @@ pub fn encode_block<R: BlockRow>(rows: &[R]) -> Vec<u8> {
     out
 }
 
-/// Decode one block payload produced by [`encode_rows_block`]. The payload
-/// must be consumed exactly; trailing bytes are corruption.
-pub fn decode_rows_block(mut payload: &[u8]) -> StorageResult<Vec<Row>> {
+/// One decoded row block, read in place. [`cell`](Block::cell) borrows a
+/// cell where the decoder left it (a uniform block's string in its column's
+/// one text), and [`row`](Block::row) builds an owned [`Row`] for the one
+/// row asked for, so a reader that keeps few of the rows it reads builds
+/// only those.
+#[derive(Default)]
+pub struct Block {
+    rows: usize,
+    layout: Layout,
+}
+
+enum Layout {
+    /// A uniform block: one decoded column per cell position.
+    Columns(Vec<Column>),
+    /// A ragged block, or rows already built: each row as it was written.
+    Rows(Vec<Row>),
+}
+
+impl Default for Layout {
+    fn default() -> Layout {
+        Layout::Rows(Vec::new())
+    }
+}
+
+impl Block {
+    /// A block of rows already built.
+    fn from_rows(rows: Vec<Row>) -> Block {
+        Block {
+            rows: rows.len(),
+            layout: Layout::Rows(rows),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True for a block of no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Number of cells in row `row`, for `row < self.len()`.
+    pub fn arity(&self, row: usize) -> usize {
+        match &self.layout {
+            Layout::Columns(cols) => cols.len(),
+            Layout::Rows(rows) => rows[row].len(),
+        }
+    }
+
+    /// Cell `col` of row `row`, borrowed, for `col < self.arity(row)`.
+    pub fn cell(&self, row: usize, col: usize) -> Cell<'_> {
+        match &self.layout {
+            Layout::Columns(cols) => cols[col].cell(row),
+            Layout::Rows(rows) => rows[row].values()[col].as_cell(),
+        }
+    }
+
+    /// Row `row` built as an owned [`Row`], for `row < self.len()`.
+    pub fn row(&self, row: usize) -> Row {
+        match &self.layout {
+            Layout::Columns(cols) => {
+                Row::new(cols.iter().map(|c| c.cell(row).to_value()).collect())
+            }
+            Layout::Rows(rows) => rows[row].clone(),
+        }
+    }
+
+    /// Every row, in order.
+    pub fn into_rows(self) -> Vec<Row> {
+        match self.layout {
+            Layout::Rows(rows) => rows,
+            Layout::Columns(mut cols) => (0..self.rows)
+                .map(|r| Row::new(cols.iter_mut().map(|c| c.take(r)).collect()))
+                .collect(),
+        }
+    }
+}
+
+/// Decode one block payload produced by [`encode_block`] into its columns.
+/// The payload must be consumed exactly; trailing bytes are corruption.
+pub fn decode_block(mut payload: &[u8]) -> StorageResult<Block> {
     let buf = &mut payload;
     let flag = get_u8(buf)?;
-    let nrows = get_uvarint(buf)? as usize;
-    if nrows > MAX_DECODED_LEN {
+    let rows = get_uvarint(buf)? as usize;
+    if rows > MAX_DECODED_LEN {
         return Err(corrupt("row count exceeds sanity bound"));
     }
-    let mut rows: Vec<Row> = Vec::with_capacity(nrows.min(1 << 20));
-    match flag {
+    let layout = match flag {
         BLOCK_UNIFORM => {
             let ncols = get_uvarint(buf)? as usize;
             if ncols > buf.len() + 1 {
                 return Err(corrupt("column count exceeds remaining input"));
             }
-            let mut cols = Vec::with_capacity(ncols);
+            let mut cols = reserve(ncols);
             for _ in 0..ncols {
-                let mut col = Vec::with_capacity(nrows.min(1 << 20));
-                decode_column(buf, nrows, &mut col)?;
-                cols.push(col.into_iter());
+                cols.push(decode_column(buf, rows)?);
             }
-            // Each cell moves out of its column into its row.
-            for _ in 0..nrows {
-                let mut vals = Vec::with_capacity(ncols);
-                for col in &mut cols {
-                    // Columns were decoded to exactly `nrows` entries each.
-                    match col.next() {
-                        Some(v) => vals.push(v),
-                        None => return Err(corrupt("short column")),
-                    }
-                }
-                rows.push(Row::new(vals));
-            }
+            Layout::Columns(cols)
         }
         BLOCK_RAGGED => {
-            for _ in 0..nrows {
+            let mut out = reserve(rows);
+            for _ in 0..rows {
                 let ncols = get_uvarint(buf)? as usize;
                 if ncols > buf.len() + 1 {
                     return Err(corrupt("row arity exceeds remaining input"));
                 }
-                let mut vals = Vec::with_capacity(ncols);
+                let mut vals = reserve(ncols);
                 for _ in 0..ncols {
                     vals.push(get_cell(buf)?);
                 }
-                rows.push(Row::new(vals));
+                out.push(Row::new(vals));
             }
+            Layout::Rows(out)
         }
         _ => return Err(corrupt("unknown block layout flag")),
-    }
+    };
     if !buf.is_empty() {
         return Err(corrupt("trailing bytes after row block"));
     }
-    Ok(rows)
+    Ok(Block { rows, layout })
+}
+
+/// Decode one block payload produced by [`encode_rows_block`] into rows:
+/// [`decode_block`], then [`Block::into_rows`].
+pub fn decode_rows_block(payload: &[u8]) -> StorageResult<Vec<Row>> {
+    decode_block(payload).map(Block::into_rows)
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot files: streaming readers and writers.
 // ---------------------------------------------------------------------------
 
-/// Streaming row reader over a snapshot file ([`SNAP_MAGIC`], the header
-/// block, then CRC-framed row blocks), decoding one block at a time.
+/// Streaming reader over a snapshot file ([`SNAP_MAGIC`], the header block,
+/// then CRC-framed row blocks), decoding one block at a time: as rows
+/// ([`next_row`](RowSource::next_row)) or as a [`Block`] read in place
+/// ([`next_block`](RowSource::next_block)).
 pub struct RowSource {
     reader: BufReader<File>,
     key: Vec<usize>,
+    /// The last frame read, its buffer reused for the next.
+    payload: Vec<u8>,
     pending: VecDeque<Row>,
 }
 
@@ -841,28 +1123,30 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> StorageResult<bool> {
     Ok(true)
 }
 
-/// Read one CRC-framed block from a stream: `None` at a clean end of file.
-fn read_block(r: &mut impl Read) -> StorageResult<Option<Vec<u8>>> {
+/// Read one CRC-framed block from a stream into `payload`: `false` at a
+/// clean end of file.
+fn read_block(r: &mut impl Read, payload: &mut Vec<u8>) -> StorageResult<bool> {
     let mut lenb = [0u8; 4];
     if !read_exact_or_eof(r, &mut lenb)? {
-        return Ok(None);
+        return Ok(false);
     }
     let len = u32::from_le_bytes(lenb) as usize;
     if len > MAX_DECODED_LEN {
         return Err(corrupt("block length exceeds sanity bound"));
     }
-    let mut payload = vec![0u8; len];
-    if !read_exact_or_eof(r, &mut payload)? {
+    payload.clear();
+    payload.resize(len, 0);
+    if !read_exact_or_eof(r, payload)? {
         return Err(corrupt("truncated block payload"));
     }
     let mut crcb = [0u8; 4];
     if !read_exact_or_eof(r, &mut crcb)? {
         return Err(corrupt("truncated block CRC"));
     }
-    if crc32(&payload) != u32::from_le_bytes(crcb) {
+    if crc32(payload) != u32::from_le_bytes(crcb) {
         return Err(corrupt("block CRC mismatch"));
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 /// The header block's payload: the key column count, then each position.
@@ -899,10 +1183,14 @@ impl RowSource {
         if !read_exact_or_eof(&mut reader, &mut magic)? || magic != SNAP_MAGIC {
             return Err(corrupt("not a snapshot file (bad magic)"));
         }
-        let header = read_block(&mut reader)?.ok_or_else(|| corrupt("missing snapshot header"))?;
+        let mut payload = Vec::new();
+        if !read_block(&mut reader, &mut payload)? {
+            return Err(corrupt("missing snapshot header"));
+        }
         Ok(RowSource {
-            key: decode_header(&header)?,
+            key: decode_header(&payload)?,
             reader,
+            payload,
             pending: VecDeque::new(),
         })
     }
@@ -914,16 +1202,29 @@ impl RowSource {
         &self.key
     }
 
+    /// The next block, or `None` at end of file. A block may hold no rows.
+    /// After [`next_row`](RowSource::next_row), the first block is what is
+    /// left of the one it was reading.
+    pub fn next_block(&mut self) -> StorageResult<Option<Block>> {
+        if !self.pending.is_empty() {
+            return Ok(Some(Block::from_rows(self.pending.drain(..).collect())));
+        }
+        if !read_block(&mut self.reader, &mut self.payload)? {
+            return Ok(None);
+        }
+        decode_block(&self.payload).map(Some)
+    }
+
     /// The next row, or `None` at end of file.
     pub fn next_row(&mut self) -> StorageResult<Option<Row>> {
         loop {
             if let Some(row) = self.pending.pop_front() {
                 return Ok(Some(row));
             }
-            let Some(payload) = read_block(&mut self.reader)? else {
+            let Some(block) = self.next_block()? else {
                 return Ok(None);
             };
-            self.pending.extend(decode_rows_block(&payload)?);
+            self.pending.extend(block.into_rows());
             // Empty blocks are legal; loop for the next frame.
         }
     }
@@ -1037,6 +1338,46 @@ mod tests {
             block.len(),
             raw.len()
         );
+    }
+
+    #[test]
+    fn a_decoded_block_reads_every_encoding_in_place() {
+        // Columns shaped for the plain, delta2, RLE, raw, dictionary,
+        // front, double, bool and raw-cell encodings, in a uniform block
+        // and in a ragged one.
+        let uniform: Vec<Row> = (0..40i64)
+            .map(|i| {
+                row(vec![
+                    Value::Int(i.wrapping_mul(0x5DEE_CE66_D1CE_4E5B)),
+                    Value::Timestamp(1_700_000_000 + 3 * i),
+                    Value::Int(7),
+                    Value::Str(format!("{i:x}")),
+                    Value::Str(["alpha-alpha", "beta-beta-beta"][(i % 2) as usize].into()),
+                    Value::Str(format!("key-{i:08}-é-suffix")),
+                    Value::Double(i as f64 / 3.0),
+                    Value::Bool(i % 3 == 0),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i)
+                    },
+                ])
+            })
+            .collect();
+        let mut ragged = uniform[..6].to_vec();
+        ragged.push(row(vec![Value::Str("short".into())]));
+        for rows in [uniform, ragged] {
+            let block = decode_block(&encode_rows_block(&rows)).unwrap();
+            assert_eq!(block.len(), rows.len());
+            for (r, want) in rows.iter().enumerate() {
+                assert_eq!(block.arity(r), want.len());
+                for (c, v) in want.values().iter().enumerate() {
+                    assert_eq!(block.cell(r, c), v.as_cell(), "row {r} col {c}");
+                }
+                assert_eq!(&block.row(r), want);
+            }
+            assert_eq!(block.into_rows(), rows);
+        }
     }
 
     #[test]

@@ -191,7 +191,8 @@ impl Value {
 
     /// Total order used by indexes and sort-based algorithms. NULL sorts first;
     /// values of different types sort by a fixed type rank. NaN sorts last
-    /// among doubles.
+    /// among doubles. [`Cell::total_cmp`] is the same order on borrowed
+    /// cells, kept as a copy for the reason [`Value::sql_cmp`] is.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -279,6 +280,27 @@ impl Cell<'_> {
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(&b)),
             _ => None,
+        }
+    }
+
+    /// [`Value::total_cmp`]'s total order, on borrowed cells.
+    #[inline]
+    pub fn total_cmp(&self, other: &Cell<'_>) -> Ordering {
+        fn rank(c: &Cell<'_>) -> u8 {
+            match c {
+                Cell::Null => 0,
+                Cell::Bool(_) => 1,
+                Cell::Int(_) => 2,
+                Cell::Double(_) => 3,
+                Cell::Timestamp(_) => 4,
+                Cell::Str(_) => 5,
+            }
+        }
+        match (self, other) {
+            (Cell::Double(a), Cell::Double(b)) => a.total_cmp(b),
+            _ => self
+                .sql_cmp(other)
+                .unwrap_or_else(|| rank(self).cmp(&rank(other))),
         }
     }
 }
@@ -387,6 +409,8 @@ mod tests {
             Value::Double(2.0),
             Value::Double(2.5),
             Value::Double(f64::NAN),
+            Value::Double(0.0),
+            Value::Double(-0.0),
             Value::Str("a".into()),
             Value::Str("b".into()),
             Value::Timestamp(2),
@@ -401,6 +425,12 @@ mod tests {
                     a.as_cell().sql_cmp(&b.as_cell()),
                     "{a:?} vs {b:?}"
                 );
+                assert_eq!(
+                    a.total_cmp(b),
+                    a.as_cell().total_cmp(&b.as_cell()),
+                    "{a:?} vs {b:?}"
+                );
+                assert_eq!(a == b, a.as_cell() == b.as_cell(), "{a:?} vs {b:?}");
             }
         }
     }

@@ -225,3 +225,420 @@ fn pinned_page_stamps_check_clean_and_restamp_byte_identically() {
     drop(file);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The column chooser before sizing, copied as it stood: every candidate
+/// encoding written out in full and the smallest kept, ties to the one
+/// listed first. The sized chooser must write the same bytes.
+mod emit_all {
+    use std::collections::HashMap;
+
+    use delta_storage::colbatch::{put_ivarint, put_uvarint};
+    use delta_storage::{Row, Value};
+
+    /// What the reference chose and how close the race was.
+    #[derive(Default)]
+    pub struct Tally {
+        /// Columns won, by column tag.
+        pub wins: [usize; 9],
+        /// Columns where the winner tied another candidate.
+        pub ties: usize,
+        /// String columns whose dictionary lost and already lost on a
+        /// prefix, where the sized chooser stops early.
+        pub dict_stopped: usize,
+    }
+
+    fn put_cell(out: &mut Vec<u8>, v: &Value) {
+        match v {
+            Value::Null => out.push(0),
+            Value::Int(i) => {
+                out.push(1);
+                put_ivarint(out, *i);
+            }
+            Value::Double(d) => {
+                out.push(2);
+                out.extend_from_slice(&d.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(3);
+                put_uvarint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Timestamp(t) => {
+                out.push(4);
+                put_ivarint(out, *t);
+            }
+            Value::Bool(b) => {
+                out.push(5);
+                out.push(*b as u8);
+            }
+        }
+    }
+
+    fn encode_int_plain(vals: &[i64], out: &mut Vec<u8>) {
+        for &v in vals {
+            put_ivarint(out, v);
+        }
+    }
+
+    fn encode_int_delta2(vals: &[i64], out: &mut Vec<u8>) {
+        let mut prev = 0i64;
+        let mut prev_delta = 0i64;
+        for (i, &v) in vals.iter().enumerate() {
+            if i == 0 {
+                put_ivarint(out, v);
+            } else {
+                let delta = v.wrapping_sub(prev);
+                put_ivarint(out, delta.wrapping_sub(prev_delta));
+                prev_delta = delta;
+            }
+            prev = v;
+        }
+    }
+
+    fn encode_int_rle(vals: &[i64], out: &mut Vec<u8>) {
+        let mut i = 0;
+        while i < vals.len() {
+            let v = vals[i];
+            let mut run = 1usize;
+            while i + run < vals.len() && vals[i + run] == v {
+                run += 1;
+            }
+            put_ivarint(out, v);
+            put_uvarint(out, run as u64);
+            i += run;
+        }
+    }
+
+    fn encode_str_front(vals: &[&str], out: &mut Vec<u8>) {
+        let mut prev: &[u8] = b"";
+        for s in vals {
+            let cur = s.as_bytes();
+            let max_p = prev.len().min(cur.len());
+            let mut p = 0;
+            while p < max_p && prev[p] == cur[p] {
+                p += 1;
+            }
+            let max_s = max_p - p;
+            let mut sfx = 0;
+            while sfx < max_s && prev[prev.len() - 1 - sfx] == cur[cur.len() - 1 - sfx] {
+                sfx += 1;
+            }
+            put_uvarint(out, p as u64);
+            put_uvarint(out, sfx as u64);
+            let mid = &cur[p..cur.len() - sfx];
+            put_uvarint(out, mid.len() as u64);
+            out.extend_from_slice(mid);
+            prev = cur;
+        }
+    }
+
+    fn encode_str_dict(vals: &[&str], out: &mut Vec<u8>) {
+        let mut dict: Vec<&str> = Vec::new();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut ids: Vec<usize> = Vec::with_capacity(vals.len());
+        for s in vals {
+            let id = *index.entry(s).or_insert_with(|| {
+                dict.push(s);
+                dict.len() - 1
+            });
+            ids.push(id);
+        }
+        put_uvarint(out, dict.len() as u64);
+        for entry in &dict {
+            put_uvarint(out, entry.len() as u64);
+            out.extend_from_slice(entry.as_bytes());
+        }
+        let mut i = 0;
+        while i < ids.len() {
+            let id = ids[i];
+            let mut run = 1usize;
+            while i + run < ids.len() && ids[i + run] == id {
+                run += 1;
+            }
+            put_uvarint(out, id as u64);
+            put_uvarint(out, run as u64);
+            i += run;
+        }
+    }
+
+    fn encode_str_raw(vals: &[&str], out: &mut Vec<u8>) {
+        for s in vals {
+            put_uvarint(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+
+    fn uvarint_len(v: usize) -> usize {
+        let mut out = Vec::new();
+        put_uvarint(&mut out, v as u64);
+        out.len()
+    }
+
+    /// Whether, before its last string, the dictionary's entries and closed
+    /// runs alone are no smaller than `raw` or larger than `front`.
+    fn dict_loses_on_a_prefix(vals: &[&str], raw: usize, front: usize) -> bool {
+        let mut ids: HashMap<&str, usize> = HashMap::new();
+        let (mut entries, mut runs, mut open) = (0, 0, None);
+        for (i, s) in vals.iter().enumerate() {
+            let next = ids.len();
+            let id = *ids.entry(s).or_insert_with(|| {
+                entries += uvarint_len(s.len()) + s.len();
+                next
+            });
+            if let Some((run_id, len)) = open.filter(|&(run_id, _)| run_id != id) {
+                runs += uvarint_len(run_id) + uvarint_len(len);
+                open = None;
+            }
+            open = Some(open.map_or((id, 1), |(run_id, len)| (run_id, len + 1)));
+            let bound = uvarint_len(ids.len()) + entries + runs;
+            if i + 1 < vals.len() && (bound >= raw || bound > front) {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn encode_column(cells: &[&Value], out: &mut Vec<u8>, tally: &mut Tally) {
+        let all_int = cells.iter().all(|v| matches!(v, Value::Int(_)));
+        let all_ts = cells.iter().all(|v| matches!(v, Value::Timestamp(_)));
+        if !cells.is_empty() && (all_int || all_ts) {
+            let vals: Vec<i64> = cells
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Int(i) | Value::Timestamp(i) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            let mut plain = Vec::new();
+            encode_int_plain(&vals, &mut plain);
+            let mut d2 = Vec::new();
+            encode_int_delta2(&vals, &mut d2);
+            let mut rle = Vec::new();
+            encode_int_rle(&vals, &mut rle);
+            let ty = if all_int { 1 } else { 4 };
+            let sizes = [plain.len(), d2.len(), rle.len()];
+            let (tag, body) = if plain.len() <= d2.len() && plain.len() <= rle.len() {
+                (1, plain)
+            } else if d2.len() <= rle.len() {
+                (2, d2)
+            } else {
+                (3, rle)
+            };
+            tally.wins[tag as usize] += 1;
+            tally.ties += usize::from(sizes.iter().filter(|&&s| s == body.len()).count() > 1);
+            out.push(tag);
+            out.push(ty);
+            out.extend_from_slice(&body);
+            return;
+        }
+        if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Str(_))) {
+            let vals: Vec<&str> = cells
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Str(s) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect();
+            let mut raw = Vec::new();
+            encode_str_raw(&vals, &mut raw);
+            let mut dict = Vec::new();
+            encode_str_dict(&vals, &mut dict);
+            let mut front = Vec::new();
+            encode_str_front(&vals, &mut front);
+            let sizes = [raw.len(), dict.len(), front.len()];
+            let dict_lost = dict.len() >= raw.len() || dict.len() > front.len();
+            if dict_lost && dict_loses_on_a_prefix(&vals, raw.len(), front.len()) {
+                tally.dict_stopped += 1;
+            }
+            let (tag, body) = if raw.len() <= dict.len() && raw.len() <= front.len() {
+                (4, raw)
+            } else if dict.len() <= front.len() {
+                (5, dict)
+            } else {
+                (6, front)
+            };
+            tally.wins[tag as usize] += 1;
+            tally.ties += usize::from(sizes.iter().filter(|&&s| s == body.len()).count() > 1);
+            out.push(tag);
+            out.extend_from_slice(&body);
+            return;
+        }
+        if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Double(_))) {
+            out.push(7);
+            for v in cells {
+                if let Value::Double(d) = v {
+                    out.extend_from_slice(&d.to_bits().to_le_bytes());
+                }
+            }
+            return;
+        }
+        if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Bool(_))) {
+            out.push(8);
+            for v in cells {
+                if let Value::Bool(b) = v {
+                    out.push(*b as u8);
+                }
+            }
+            return;
+        }
+        out.push(0);
+        for v in cells {
+            put_cell(out, v);
+        }
+    }
+
+    /// `encode_rows_block` as it stood, over the chooser above.
+    pub fn encode_rows_block(rows: &[Row], tally: &mut Tally) -> Vec<u8> {
+        let mut out = Vec::new();
+        let uniform = rows.windows(2).all(|w| w[0].len() == w[1].len());
+        if uniform && !rows.is_empty() {
+            out.push(0);
+            put_uvarint(&mut out, rows.len() as u64);
+            let ncols = rows[0].len();
+            put_uvarint(&mut out, ncols as u64);
+            for c in 0..ncols {
+                let cells: Vec<&Value> = rows.iter().map(|r| &r.values()[c]).collect();
+                encode_column(&cells, &mut out, tally);
+            }
+        } else {
+            out.push(1);
+            put_uvarint(&mut out, rows.len() as u64);
+            for row in rows {
+                put_uvarint(&mut out, row.len() as u64);
+                for v in row.values() {
+                    put_cell(&mut out, v);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// xorshift64*: deterministic cases without a strategy per column shape.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// One column of `n` cells in one of the shapes that make each candidate
+/// win: wide random integers (plain), strided sequences (delta-of-delta),
+/// constant runs (RLE), short unique strings (raw), a few long strings
+/// repeated (dictionary), generated keys (front coding) — and two-cell
+/// columns and empty strings, where candidates tie.
+fn column(shape: u64, n: usize, rng: &mut Rng) -> Vec<Value> {
+    let int = |i: i64, rng: &mut Rng| {
+        if rng.below(4) == 0 {
+            Value::Timestamp(i)
+        } else {
+            Value::Int(i)
+        }
+    };
+    let ts = rng.below(2) == 0;
+    let as_int = |i: i64| {
+        if ts {
+            Value::Timestamp(i)
+        } else {
+            Value::Int(i)
+        }
+    };
+    match shape {
+        0 => (0..n).map(|_| as_int(rng.next() as i64)).collect(),
+        1 => {
+            let (start, stride) = (rng.next() as i64 >> 8, rng.below(1000) as i64 - 500);
+            (0..n)
+                .map(|i| as_int(start.wrapping_add(stride * i as i64 + rng.below(2) as i64)))
+                .collect()
+        }
+        2 => {
+            let mut v = rng.next() as i64;
+            (0..n)
+                .map(|_| {
+                    if rng.below(40) == 0 {
+                        v = rng.below(300) as i64;
+                    }
+                    as_int(v)
+                })
+                .collect()
+        }
+        3 => (0..n)
+            .map(|_| Value::Str(format!("{:x}", rng.below(4096))))
+            .collect(),
+        4 => {
+            let words: Vec<String> = (0..1 + rng.below(4))
+                .map(|w| format!("category-{w}-{}", "x".repeat(rng.below(24) as usize)))
+                .collect();
+            (0..n)
+                .map(|_| Value::Str(words[rng.below(words.len() as u64) as usize].clone()))
+                .collect()
+        }
+        5 => {
+            let base = rng.below(1 << 30);
+            (0..n)
+                .map(|i| Value::Str(format!("row-{:010}-é-{}", base + i as u64, "abc".repeat(4))))
+                .collect()
+        }
+        6 => (0..n)
+            .map(|_| {
+                Value::Str(if rng.below(3) == 0 {
+                    "é".into()
+                } else {
+                    String::new()
+                })
+            })
+            .collect(),
+        7 => (0..n).map(|_| int(rng.below(3) as i64, rng)).collect(),
+        _ => (0..n)
+            .map(|_| match rng.below(3) {
+                0 => Value::Null,
+                1 => Value::Double(rng.below(10) as f64),
+                _ => Value::Bool(rng.below(2) == 0),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn the_sized_chooser_writes_what_encoding_every_candidate_wrote() {
+    let mut tally = emit_all::Tally::default();
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    for case in 0..1500 {
+        let n = match case % 5 {
+            0 => 1 + rng.below(3) as usize,
+            _ => 1 + rng.below(300) as usize,
+        };
+        let cols: Vec<Vec<Value>> = (0..1 + rng.below(4))
+            .map(|_| column(rng.below(9), n, &mut rng))
+            .collect();
+        let rows: Vec<Row> = (0..n)
+            .map(|r| Row::new(cols.iter().map(|c| c[r].clone()).collect()))
+            .collect();
+        let want = emit_all::encode_rows_block(&rows, &mut tally);
+        assert_eq!(encode_rows_block(&rows), want, "case {case}: {rows:?}");
+        assert_eq!(decode_rows_block(&want).unwrap(), rows, "case {case}");
+    }
+    // Every integer and string candidate won somewhere, candidates tied,
+    // and dictionaries lost early enough for the sized chooser to stop.
+    for tag in 1..=6 {
+        assert!(
+            tally.wins[tag] > 0,
+            "column tag {tag} never won: {:?}",
+            tally.wins
+        );
+    }
+    assert!(tally.ties > 20, "{} ties", tally.ties);
+    assert!(
+        tally.dict_stopped > 20,
+        "{} early dictionary stops",
+        tally.dict_stopped
+    );
+}
