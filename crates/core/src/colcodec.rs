@@ -22,7 +22,7 @@
 //! is a typed [`StorageError::Corrupt`].
 
 use delta_storage::colbatch as cb;
-use delta_storage::{Row, Schema, StorageError, StorageResult, Value};
+use delta_storage::{Cell, Row, Schema, StorageError, StorageResult, Value};
 
 use crate::model::{DeltaBatch, DeltaOp, OpDelta, OpLogRecord, ValueDelta, ValueDeltaRecord};
 
@@ -102,7 +102,7 @@ fn get_front_str(buf: &mut &[u8], prev: &str) -> StorageResult<String> {
 /// A record as the row block sees it: the op and txn columns in front of
 /// the row's own cells, which are read in place.
 struct Augmented<'a> {
-    prefix: [Value; 2],
+    prefix: [Cell<'static>; 2],
     row: &'a Row,
 }
 
@@ -111,10 +111,10 @@ impl cb::BlockRow for Augmented<'_> {
         self.prefix.len() + self.row.len()
     }
 
-    fn cell(&self, c: usize) -> &Value {
+    fn cell(&self, c: usize) -> Cell<'_> {
         match c.checked_sub(self.prefix.len()) {
-            None => &self.prefix[c],
-            Some(c) => &self.row.values()[c],
+            None => self.prefix[c],
+            Some(c) => self.row.values()[c].as_cell(),
         }
     }
 }
@@ -129,7 +129,7 @@ fn encode_value_body(v: &ValueDelta, block_rows: usize, out: &mut Vec<u8>) {
     for chunk in v.records.chunks(block_rows.max(1)) {
         rows.clear();
         rows.extend(chunk.iter().map(|r| Augmented {
-            prefix: [Value::Int(op_to_code(r.op)), Value::Int(r.txn as i64)],
+            prefix: [Cell::Int(op_to_code(r.op)), Cell::Int(r.txn as i64)],
             row: &r.row,
         }));
         cb::put_block(out, &cb::encode_block(&rows));

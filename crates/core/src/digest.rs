@@ -30,11 +30,11 @@ use std::path::Path;
 use delta_engine::db::Database;
 use delta_engine::EngineResult;
 use delta_storage::colbatch::{
-    self, encode_rows_block, get_block, get_ivarint, get_uvarint, put_block, put_ivarint,
-    put_uvarint, take, RowSink, RowSource,
+    self, get_block, get_ivarint, get_uvarint, put_block, put_cell, put_ivarint, put_uvarint, take,
+    RowSink, RowSource,
 };
 use delta_storage::fault::splitmix64;
-use delta_storage::{Row, StorageError, StorageResult, Value};
+use delta_storage::{Cell, Row, StorageError, StorageResult, Value};
 
 /// Magic prefix of an encoded digest: `0xFF 'C' 'D' version` (the columnar
 /// family's `D` letter, alongside `S`napshot / `B`atch / `W`al-segment).
@@ -123,12 +123,12 @@ fn mix(seed: u64) -> u64 {
     splitmix64(&mut state)
 }
 
-/// Hash one row under its key: the key fixes the bucket, the encoded row
-/// bytes fix the content, and the combination is finalized so that wrapping
-/// sums of distinct rows collide only by accident.
-fn row_hash(key: i64, row: &Row) -> u64 {
-    let bytes = encode_rows_block(std::slice::from_ref(row));
-    let crc = colbatch::crc32(&bytes) as u64;
+/// Hash one row under its key: the key fixes the bucket, `cells` — the
+/// row's cells in order, each as a raw tagged cell ([`put_cell`]) — fix
+/// the content, and the combination is finalized so that wrapping sums of
+/// distinct rows collide only by accident.
+fn row_hash(key: i64, cells: &[u8]) -> u64 {
+    let crc = colbatch::crc32(cells) as u64;
     mix((colbatch::zigzag(key) << 1) ^ (crc.wrapping_mul(0x0100_0000_01B3)))
 }
 
@@ -282,6 +282,8 @@ pub struct DigestBuilder {
     params: DigestParams,
     key_pos: usize,
     buckets: BTreeMap<i64, (u64, u64)>,
+    /// The cells of the row being hashed, its buffer reused for the next.
+    cells: Vec<u8>,
 }
 
 impl DigestBuilder {
@@ -293,14 +295,21 @@ impl DigestBuilder {
             params,
             key_pos,
             buckets: BTreeMap::new(),
+            cells: Vec::new(),
         }
     }
 
     /// Fold one row in. Non-integer (or missing) key values are a typed
     /// schema error — digests audit integer-keyed tables, same as mirrors.
     pub fn add_row(&mut self, row: &Row) -> StorageResult<()> {
-        let key = match row.values().get(self.key_pos) {
-            Some(Value::Int(k)) => *k,
+        self.add(row.len(), |c| row.values()[c].as_cell())
+    }
+
+    /// [`add_row`](DigestBuilder::add_row) for the row of `arity` cells
+    /// whose cell `c` is `cell(c)`, read where it lies.
+    fn add<'a>(&mut self, arity: usize, cell: impl Fn(usize) -> Cell<'a>) -> StorageResult<()> {
+        let key = match (self.key_pos < arity).then(|| cell(self.key_pos)) {
+            Some(Cell::Int(k)) => k,
             other => {
                 return Err(StorageError::SchemaMismatch(format!(
                     "digest key column {} of table {} must be an integer, got {:?}",
@@ -308,10 +317,14 @@ impl DigestBuilder {
                 )))
             }
         };
+        self.cells.clear();
+        for c in 0..arity {
+            put_cell(&mut self.cells, cell(c));
+        }
         let bucket = key.div_euclid(self.params.span);
         let entry = self.buckets.entry(bucket).or_insert((0, 0));
         entry.0 += 1;
-        entry.1 = entry.1.wrapping_add(row_hash(key, row));
+        entry.1 = entry.1.wrapping_add(row_hash(key, &self.cells));
         Ok(())
     }
 
@@ -329,8 +342,9 @@ impl DigestBuilder {
     }
 }
 
-/// Digest a snapshot file via a streaming [`RowSource`] scan (without
-/// materializing the table).
+/// Digest a snapshot file via a streaming [`RowSource`] scan, block by
+/// block, each row's cells read where the decoded block holds them (no
+/// row is built and the table is never materialized).
 pub fn digest_snapshot(
     table: &str,
     key_pos: usize,
@@ -339,8 +353,10 @@ pub fn digest_snapshot(
 ) -> StorageResult<TableDigest> {
     let mut src = RowSource::open(path)?;
     let mut builder = DigestBuilder::new(table, key_pos, params);
-    while let Some(row) = src.next_row()? {
-        builder.add_row(&row)?;
+    while let Some(block) = src.next_block()? {
+        for r in 0..block.len() {
+            builder.add(block.arity(r), |c| block.cell(r, c))?;
+        }
     }
     Ok(builder.finish())
 }

@@ -1113,6 +1113,71 @@ mod tests {
         assert_eq!(std::fs::read(&old).unwrap(), before, "old snapshot kept");
     }
 
+    /// Row 4 of `live_pair`'s table stored as `record` in the row codec,
+    /// each a fault the dump must refuse: an unknown cell tag, a string
+    /// length past the record's end, a string that is not UTF-8, a valid
+    /// row with trailing bytes and a valid row holding another key.
+    fn damaged_records() -> Vec<(&'static str, Vec<u8>)> {
+        let int4 = [1u8, 0, 0, 0, 0, 0, 0, 0, 4];
+        let with = |tail: &[u8]| [&[0u8, 2][..], &int4, tail].concat();
+        let mut trailing = Row::new(vec![Value::Int(4), Value::Str("d".into())]).to_bytes();
+        trailing.push(0);
+        vec![
+            ("unknown tag", with(&[99])),
+            ("string past the record", with(&[3, 0, 0, 0, 100, b'd'])),
+            ("invalid UTF-8", with(&[3, 0, 0, 0, 1, 0xFF])),
+            ("trailing bytes", trailing),
+            (
+                "another key",
+                Row::new(vec![Value::Int(5), Value::Str("d".into())]).to_bytes(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_damaged_record_behind_the_index_fails_the_snapshot_and_keeps_the_old_one() {
+        for keyed in [true, false] {
+            for (i, (fault, record)) in damaged_records().into_iter().enumerate() {
+                if !keyed && fault == "another key" {
+                    // A heap-order dump compares no key.
+                    continue;
+                }
+                let (db, old, _) = live_pair(&format!("snapdamaged{i}{keyed}"), keyed);
+                let before = std::fs::read(&old).unwrap();
+                let (rid, _) = db
+                    .scan_table("t")
+                    .unwrap()
+                    .into_iter()
+                    .find(|(_, row)| row.values()[0] == Value::Int(4))
+                    .unwrap();
+                let moved = db.heap("t").unwrap().update(rid, &record).unwrap();
+                assert_eq!(moved, rid, "{fault}: rewritten in place");
+                let r = take_snapshot(&db, "t", &old);
+                assert!(
+                    matches!(
+                        r,
+                        Err(delta_engine::EngineError::Storage(StorageError::Corrupt(_)))
+                    ),
+                    "{fault}, keyed {keyed}: {r:?}"
+                );
+                assert_eq!(
+                    std::fs::read(&old).unwrap(),
+                    before,
+                    "{fault}: old snapshot kept"
+                );
+                let temps: Vec<_> = std::fs::read_dir(old.parent().unwrap())
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .filter(|name| name.ends_with(".tmp"))
+                    .collect();
+                assert_eq!(temps, Vec::<String>::new(), "{fault}: no temp file left");
+                let dir = db.options().dir.clone();
+                drop(db);
+                delta_engine::db::destroy(dir);
+            }
+        }
+    }
+
     /// `good` rewritten in 8-row blocks with its last three bytes cut off,
     /// so a reader meets the damage only after it has read most rows.
     fn cut_copy(good: &Path, label: &str) -> PathBuf {

@@ -23,7 +23,7 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use delta_storage::codec::{ascii, export};
-use delta_storage::{colbatch, RecordId, Row, SlottedPage, StorageError, Value};
+use delta_storage::{colbatch, EncodedRow, RecordId, SlottedPage, StorageError, Value};
 
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
@@ -142,7 +142,7 @@ fn snapshot_tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Keys per chunk of a key-ordered snapshot dump: the dump holds one
-/// chunk's record ids and rows at a time, whatever the table's size.
+/// chunk's record ids and records at a time, whatever the table's size.
 const DUMP_CHUNK_KEYS: usize = colbatch::DEFAULT_BLOCK_ROWS;
 
 /// Dump `table` to `path` as a snapshot: columnar CRC-framed row blocks
@@ -159,6 +159,13 @@ const DUMP_CHUNK_KEYS: usize = colbatch::DEFAULT_BLOCK_ROWS;
 /// with `Corrupt` rather than leave the row out. Any other table is dumped
 /// in heap order with no key in its header. Either way the dump holds the
 /// shared table lock throughout.
+///
+/// No row is built (DESIGN.md §35): each record's bytes are copied from the
+/// heap into `RowSink::write_record`, which encodes every block from the
+/// cells of its records read in place and checks each record as
+/// `Row::from_bytes` would, so a damaged record still fails the dump with
+/// `Corrupt`. The key-ordered dump reads the key it compares through
+/// `EncodedRow`, which checks the whole record first.
 ///
 /// The dump is staged to a sibling `.tmp` file and renamed into place, so a
 /// crash or failure mid-dump never clobbers the previous snapshot, and every
@@ -199,8 +206,8 @@ pub fn snapshot_dump(db: &Database, table: &str, path: impl AsRef<Path>) -> Engi
 fn dump_in_heap_order(db: &Database, table: &str, tmp: &Path) -> EngineResult<u64> {
     let mut sink = colbatch::RowSink::create(tmp, colbatch::DEFAULT_BLOCK_ROWS)?;
     let mut n = 0u64;
-    db.for_each_row(table, |_, row| {
-        sink.write_row(row)?;
+    db.heap(table)?.for_each(|_, record| -> EngineResult<_> {
+        sink.write_record(record)?;
         n += 1;
         Ok(ControlFlow::Continue(()))
     })?;
@@ -212,7 +219,11 @@ fn dump_in_key_order(db: &Database, table: &str, idx: &Index, tmp: &Path) -> Eng
     let heap = db.heap(table)?;
     let key_pos = idx.column_pos();
     let mut sink = colbatch::RowSink::create_sorted(tmp, colbatch::DEFAULT_BLOCK_ROWS, &[key_pos])?;
-    let mut rows: Vec<Row> = Vec::with_capacity(DUMP_CHUNK_KEYS);
+    // A chunk's records, copied out under their pages' latches and handed
+    // to the sink after: `records` back to back, each ending at its `ends`.
+    let mut records: Vec<u8> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(DUMP_CHUNK_KEYS);
+    let mut at: Vec<u32> = Vec::new();
     let mut last: Option<Value> = None;
     let mut n = 0u64;
     loop {
@@ -220,22 +231,25 @@ fn dump_in_key_order(db: &Database, table: &str, idx: &Index, tmp: &Path) -> Eng
         let rids: Vec<RecordId> = chunk.iter().map(|&(_, rid)| rid).collect();
         let mut keys = chunk.iter().map(|(key, _)| key);
         heap.for_each_at(&rids, |rid, bytes| -> EngineResult<()> {
-            let key = keys.next();
-            match (key, bytes.map(Row::from_bytes).transpose()?) {
-                (Some(key), Some(row))
-                    if row.values().get(key_pos).map(|v| v.total_cmp(key))
-                        == Some(Ordering::Equal) =>
-                {
-                    rows.push(row);
-                    Ok(())
-                }
-                _ => Err(dangling(table, rid)),
+            let (Some(key), Some(bytes)) = (keys.next(), bytes) else {
+                return Err(dangling(table, rid));
+            };
+            let held = EncodedRow::index(bytes, &mut at)?.cell(key_pos);
+            if held.map(|c| c.total_cmp(&key.as_cell())) != Some(Ordering::Equal) {
+                return Err(dangling(table, rid));
             }
+            records.extend_from_slice(bytes);
+            ends.push(records.len());
+            Ok(())
         })?;
-        for row in rows.drain(..) {
-            sink.write_row(row)?;
+        let mut start = 0;
+        for &end in &ends {
+            sink.write_record(&records[start..end])?;
+            start = end;
             n += 1;
         }
+        records.clear();
+        ends.clear();
         match chunk.into_iter().last() {
             Some((key, _)) => last = Some(key),
             None => break,

@@ -13,8 +13,12 @@
 //!   chosen by size — plain zigzag varints, delta-of-delta for monotone
 //!   sequences, RLE for constant runs, dictionary + RLE and front/back
 //!   coding for strings, raw tagged cells as the fallback. The encoder
-//!   works out each candidate's exact size and writes only the winner; the
-//!   dictionary candidate stops as soon as it cannot win,
+//!   reads borrowed [`Cell`]s through [`BlockRow`], so rows, delta records
+//!   and stored records feed the same code. It works out each candidate's
+//!   exact size and writes only the winner; the dictionary candidate stops
+//!   as soon as it cannot win, and the front coding finds each string's
+//!   shared prefix and suffix once, eight bytes at a time, for sizing and
+//!   writing both,
 //! * one block decoder, [`decode_block`], whose [`Block`] keeps each column
 //!   in its own form (numbers in typed vectors, strings as spans of one
 //!   text) and is read cell by cell in place; [`decode_rows_block`] and
@@ -23,7 +27,9 @@
 //! * streaming snapshot readers/writers ([`RowSource`]/[`RowSink`]) over
 //!   the one snapshot format: [`SNAP_MAGIC`], a CRC-framed header naming
 //!   the columns the rows are sorted on (none for a heap-order dump), then
-//!   row blocks.
+//!   row blocks. [`RowSink`] buffers a block as record bytes — a heap's
+//!   records as they are stored, or rows encoded to that form — and
+//!   transcodes them into columns without building a row (DESIGN.md §35).
 //!
 //! WAL segments are not encoded here: a segment is archived by rename and
 //! read as the log wrote it (DESIGN.md §23).
@@ -45,7 +51,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{StorageError, StorageResult};
-use crate::record::Row;
+use crate::record::{read_cells, Row};
 use crate::value::{Cell, Value};
 
 /// The one wire and snapshot codec. Nothing branches on it: it survives only
@@ -297,29 +303,34 @@ const CELL_STR: u8 = 3;
 const CELL_TIMESTAMP: u8 = 4;
 const CELL_BOOL: u8 = 5;
 
-fn put_cell(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(CELL_NULL),
-        Value::Int(i) => {
+/// Append `cell` as a raw tagged cell: its tag byte, then a zigzag varint,
+/// the eight little-endian bytes of a double, a length-prefixed string or a
+/// bool byte. The form of a mixed column's cells and of a ragged block's;
+/// each cell's bytes end where its tag says, so cells written back to back
+/// spell out their sequence unambiguously.
+pub fn put_cell(out: &mut Vec<u8>, cell: Cell<'_>) {
+    match cell {
+        Cell::Null => out.push(CELL_NULL),
+        Cell::Int(i) => {
             out.push(CELL_INT);
-            put_ivarint(out, *i);
+            put_ivarint(out, i);
         }
-        Value::Double(d) => {
+        Cell::Double(d) => {
             out.push(CELL_DOUBLE);
             out.extend_from_slice(&d.to_bits().to_le_bytes());
         }
-        Value::Str(s) => {
+        Cell::Str(s) => {
             out.push(CELL_STR);
             put_uvarint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Timestamp(t) => {
+        Cell::Timestamp(t) => {
             out.push(CELL_TIMESTAMP);
-            put_ivarint(out, *t);
+            put_ivarint(out, t);
         }
-        Value::Bool(b) => {
+        Cell::Bool(b) => {
             out.push(CELL_BOOL);
-            out.push(*b as u8);
+            out.push(b as u8);
         }
     }
 }
@@ -363,10 +374,9 @@ const COL_BOOL_RAW: u8 = 8;
 
 /// Integer-family columns carry the concrete constructor after the tag so
 /// `Int` and `Timestamp` columns share the three integer encodings.
-fn int_of(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(*i),
-        Value::Timestamp(t) => Some(*t),
+fn int_of(c: &Cell<'_>) -> Option<i64> {
+    match *c {
+        Cell::Int(i) | Cell::Timestamp(i) => Some(i),
         _ => None,
     }
 }
@@ -475,51 +485,99 @@ fn int_sizes(vals: &[i64]) -> [usize; 3] {
     [plain, d2, rle]
 }
 
+/// The eight bytes of `b` at `at`, as a little-endian word.
+#[inline]
+fn word_at(b: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&b[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// How many leading bytes two equal-length strings share, eight at a time:
+/// the first differing byte of a word is its lowest set byte of the XOR.
+fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let x = word_at(a, i) ^ word_at(b, i);
+        if x != 0 {
+            return i + (x.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// How many trailing bytes two equal-length strings share, eight at a time
+/// from the end: in a little-endian word the last byte is the highest.
+fn shared_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut k = 0;
+    while k + 8 <= n {
+        let x = word_at(a, n - k - 8) ^ word_at(b, n - k - 8);
+        if x != 0 {
+            return k + (x.leading_zeros() / 8) as usize;
+        }
+        k += 8;
+    }
+    while k < n && a[n - 1 - k] == b[n - 1 - k] {
+        k += 1;
+    }
+    k
+}
+
 /// The byte prefix and suffix `cur` shares with `prev`, the two never
-/// overlapping in either string.
-fn front_split(prev: &[u8], cur: &[u8]) -> (usize, usize) {
-    let max_p = prev.len().min(cur.len());
-    let mut p = 0;
-    while p < max_p && prev[p] == cur[p] {
-        p += 1;
-    }
-    let max_s = max_p - p;
-    let mut sfx = 0;
-    while sfx < max_s && prev[prev.len() - 1 - sfx] == cur[cur.len() - 1 - sfx] {
-        sfx += 1;
-    }
+/// overlapping in either string: the suffix is sought only in what is
+/// left of the shorter string once the prefix is taken. The split the
+/// front coding writes for `cur` after `prev`.
+pub fn front_split(prev: &[u8], cur: &[u8]) -> (usize, usize) {
+    let p = shared_prefix(prev, cur);
+    let max_s = prev.len().min(cur.len()) - p;
+    let sfx = shared_suffix(&prev[prev.len() - max_s..], &cur[cur.len() - max_s..]);
     (p, sfx)
+}
+
+/// Each string's [`front_split`] against the one before it (the first
+/// against the empty string), worked out once for sizing and writing.
+fn front_splits(vals: &[&str]) -> Vec<(usize, usize)> {
+    let mut splits = Vec::with_capacity(vals.len());
+    let mut prev: &[u8] = b"";
+    for s in vals {
+        let cur = s.as_bytes();
+        splits.push(front_split(prev, cur));
+        prev = cur;
+    }
+    splits
 }
 
 /// Front/back coding against the previous string: shared byte prefix and
 /// suffix lengths plus the distinct middle. Generated-key columns with a
 /// shared shape ("row-0000000001-aaaa…") collapse to a few bytes per cell.
-fn encode_str_front(vals: &[&str], out: &mut Vec<u8>) {
-    let mut prev: &[u8] = b"";
-    for s in vals {
+/// `splits` is [`front_splits`] of `vals`.
+fn encode_str_front(vals: &[&str], splits: &[(usize, usize)], out: &mut Vec<u8>) {
+    for (s, &(p, sfx)) in vals.iter().zip(splits) {
         let cur = s.as_bytes();
-        let (p, sfx) = front_split(prev, cur);
         put_uvarint(out, p as u64);
         put_uvarint(out, sfx as u64);
         let mid = &cur[p..cur.len() - sfx];
         put_uvarint(out, mid.len() as u64);
         out.extend_from_slice(mid);
-        prev = cur;
     }
 }
 
 /// Exact body size of [`encode_str_front`] over `vals`.
-fn str_front_size(vals: &[&str]) -> usize {
-    let mut prev: &[u8] = b"";
-    let mut size = 0;
-    for s in vals {
-        let cur = s.as_bytes();
-        let (p, sfx) = front_split(prev, cur);
-        let mid = cur.len() - p - sfx;
-        size += uvarint_len(p as u64) + uvarint_len(sfx as u64) + uvarint_len(mid as u64) + mid;
-        prev = cur;
-    }
-    size
+fn str_front_size(vals: &[&str], splits: &[(usize, usize)]) -> usize {
+    vals.iter()
+        .zip(splits)
+        .map(|(s, &(p, sfx))| {
+            let mid = s.len() - p - sfx;
+            uvarint_len(p as u64) + uvarint_len(sfx as u64) + uvarint_len(mid as u64) + mid
+        })
+        .sum()
 }
 
 /// A [`Hasher`](std::hash::Hasher) over [`fnv1a`] for the dictionary
@@ -619,12 +677,15 @@ fn encode_str_raw(vals: &[&str], out: &mut Vec<u8>) {
 /// Encode one column in the smallest candidate encoding. `cells` holds one
 /// value per row. Each candidate's exact size is worked out first and only
 /// the winner is written; ties go to the candidate listed first.
-fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
+fn encode_column(cells: &[Cell<'_>], out: &mut Vec<u8>) {
     // Uniform integer family (Int or Timestamp)?
-    let all_int = cells.iter().all(|v| matches!(v, Value::Int(_)));
-    let all_ts = cells.iter().all(|v| matches!(v, Value::Timestamp(_)));
+    let all_int = cells.iter().all(|c| matches!(c, Cell::Int(_)));
+    let all_ts = cells.iter().all(|c| matches!(c, Cell::Timestamp(_)));
     if !cells.is_empty() && (all_int || all_ts) {
-        let vals: Vec<i64> = cells.iter().filter_map(|v| int_of(v)).collect();
+        // Sized up front: `filter_map` would grow the vector a doubling at
+        // a time.
+        let mut vals: Vec<i64> = Vec::with_capacity(cells.len());
+        vals.extend(cells.iter().filter_map(int_of));
         let [plain, d2, rle] = int_sizes(&vals);
         let tag = if plain <= d2 && plain <= rle {
             COL_INT_PLAIN
@@ -643,19 +704,18 @@ fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
         return;
     }
     // Uniform strings?
-    if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Str(_))) {
-        let vals: Vec<&str> = cells
-            .iter()
-            .filter_map(|v| match v {
-                Value::Str(s) => Some(s.as_str()),
-                _ => None,
-            })
-            .collect();
+    if !cells.is_empty() && cells.iter().all(|c| matches!(c, Cell::Str(_))) {
+        let mut vals: Vec<&str> = Vec::with_capacity(cells.len());
+        vals.extend(cells.iter().filter_map(|c| match *c {
+            Cell::Str(s) => Some(s),
+            _ => None,
+        }));
         let raw: usize = vals
             .iter()
             .map(|s| uvarint_len(s.len() as u64) + s.len())
             .sum();
-        let front = str_front_size(&vals);
+        let splits = front_splits(&vals);
+        let front = str_front_size(&vals, &splits);
         // The dictionary wins only smaller than raw and no larger than front.
         if str_dict_wins(&vals, |size| size >= raw || size > front) {
             out.push(COL_STR_DICT);
@@ -665,24 +725,24 @@ fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
             encode_str_raw(&vals, out);
         } else {
             out.push(COL_STR_FRONT);
-            encode_str_front(&vals, out);
+            encode_str_front(&vals, &splits, out);
         }
         return;
     }
     // Uniform doubles / bools get tag-free fixed cells.
-    if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Double(_))) {
+    if !cells.is_empty() && cells.iter().all(|c| matches!(c, Cell::Double(_))) {
         out.push(COL_DOUBLE_RAW);
-        for v in cells {
-            if let Value::Double(d) = v {
+        for c in cells {
+            if let Cell::Double(d) = c {
                 out.extend_from_slice(&d.to_bits().to_le_bytes());
             }
         }
         return;
     }
-    if !cells.is_empty() && cells.iter().all(|v| matches!(v, Value::Bool(_))) {
+    if !cells.is_empty() && cells.iter().all(|c| matches!(c, Cell::Bool(_))) {
         out.push(COL_BOOL_RAW);
-        for v in cells {
-            if let Value::Bool(b) = v {
+        for c in cells {
+            if let Cell::Bool(b) = c {
                 out.push(*b as u8);
             }
         }
@@ -690,8 +750,8 @@ fn encode_column(cells: &[&Value], out: &mut Vec<u8>) {
     }
     // Mixed types or NULLs: raw tagged cells.
     out.push(COL_RAW);
-    for v in cells {
-        put_cell(out, v);
+    for &c in cells {
+        put_cell(out, c);
     }
 }
 
@@ -903,14 +963,15 @@ const BLOCK_UNIFORM: u8 = 0;
 const BLOCK_RAGGED: u8 = 1;
 
 /// A row as the block encoder reads it: its arity and each of its cells,
-/// by reference. The encoder copies nothing out of a row, so a caller can
-/// encode rows it only borrows, or a row with cells in front that it never
-/// stores ([`encode_block`]).
+/// borrowed. The encoder copies nothing out of a row, so one encoder serves
+/// an owned [`Row`], a row with cells in front that it never stores
+/// ([`encode_block`]) and the cells of a stored record read in place
+/// ([`RowSink::write_record`]).
 pub trait BlockRow {
     /// Number of cells.
     fn arity(&self) -> usize;
     /// Cell `c`, for `c < self.arity()`.
-    fn cell(&self, c: usize) -> &Value;
+    fn cell(&self, c: usize) -> Cell<'_>;
 }
 
 impl BlockRow for Row {
@@ -918,8 +979,18 @@ impl BlockRow for Row {
         self.len()
     }
 
-    fn cell(&self, c: usize) -> &Value {
-        &self.values()[c]
+    fn cell(&self, c: usize) -> Cell<'_> {
+        self.values()[c].as_cell()
+    }
+}
+
+impl BlockRow for &[Cell<'_>] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, c: usize) -> Cell<'_> {
+        self[c]
     }
 }
 
@@ -934,29 +1005,34 @@ pub fn encode_rows_block(rows: &[Row]) -> Vec<u8> {
 /// cells, read in place.
 pub fn encode_block<R: BlockRow>(rows: &[R]) -> Vec<u8> {
     let mut out = Vec::new();
+    encode_block_into(rows, &mut out);
+    out
+}
+
+/// [`encode_block`], appended to `out`.
+fn encode_block_into<R: BlockRow>(rows: &[R], out: &mut Vec<u8>) {
     let uniform = rows.windows(2).all(|w| w[0].arity() == w[1].arity());
     if uniform && !rows.is_empty() {
         out.push(BLOCK_UNIFORM);
-        put_uvarint(&mut out, rows.len() as u64);
+        put_uvarint(out, rows.len() as u64);
         let ncols = rows[0].arity();
-        put_uvarint(&mut out, ncols as u64);
-        let mut cells: Vec<&Value> = Vec::with_capacity(rows.len());
+        put_uvarint(out, ncols as u64);
+        let mut cells: Vec<Cell<'_>> = Vec::with_capacity(rows.len());
         for c in 0..ncols {
             cells.clear();
             cells.extend(rows.iter().map(|row| row.cell(c)));
-            encode_column(&cells, &mut out);
+            encode_column(&cells, out);
         }
     } else {
         out.push(BLOCK_RAGGED);
-        put_uvarint(&mut out, rows.len() as u64);
+        put_uvarint(out, rows.len() as u64);
         for row in rows {
-            put_uvarint(&mut out, row.arity() as u64);
+            put_uvarint(out, row.arity() as u64);
             for c in 0..row.arity() {
-                put_cell(&mut out, row.cell(c));
+                put_cell(out, row.cell(c));
             }
         }
     }
-    out
 }
 
 /// One decoded row block, read in place. [`cell`](Block::cell) borrows a
@@ -1230,10 +1306,23 @@ impl RowSource {
     }
 }
 
-/// Streaming row writer of a snapshot file.
+/// Streaming row writer of a snapshot file. A row arrives as the bytes of
+/// a stored record ([`write_record`](RowSink::write_record)) or as a
+/// [`Row`] ([`write_row`](RowSink::write_row)), which is encoded to those
+/// bytes; either way the sink keeps only the bytes, back to back in one
+/// buffer reused block after block, and encodes each block from the cells
+/// of its records read in place (DESIGN.md §35). No row is built.
 pub struct RowSink {
     w: BufWriter<File>,
-    buf: Vec<Row>,
+    /// The records of the block being filled, in the row codec
+    /// ([`Row::encode`]), back to back.
+    records: Vec<u8>,
+    /// Where each record in `records` ends.
+    ends: Vec<usize>,
+    /// The last block's payload and its frame, their buffers reused for
+    /// the next.
+    payload: Vec<u8>,
+    frame: Vec<u8>,
     block_rows: usize,
 }
 
@@ -1254,30 +1343,70 @@ impl RowSink {
         w.write_all(&head).map_err(StorageError::Io)?;
         Ok(RowSink {
             w,
-            buf: Vec::new(),
+            records: Vec::new(),
+            ends: Vec::new(),
+            payload: Vec::new(),
+            frame: Vec::new(),
             block_rows: block_rows.max(1),
         })
     }
 
     /// Append one row.
     pub fn write_row(&mut self, row: Row) -> StorageResult<()> {
-        self.buf.push(row);
-        if self.buf.len() >= self.block_rows {
+        row.encode(&mut self.records);
+        self.end_record()
+    }
+
+    /// Append one row given as a record in the row codec, as a heap stores
+    /// it: the bytes [`Row::encode`] writes. The record is checked when its
+    /// block is written, as [`Row::from_bytes`] checks one, so a damaged
+    /// record fails this call or a later one with `Corrupt`, and the file
+    /// must then be abandoned.
+    pub fn write_record(&mut self, record: &[u8]) -> StorageResult<()> {
+        self.records.extend_from_slice(record);
+        self.end_record()
+    }
+
+    fn end_record(&mut self) -> StorageResult<()> {
+        self.ends.push(self.records.len());
+        if self.ends.len() >= self.block_rows {
             self.write_block()?;
         }
         Ok(())
     }
 
+    /// Encode the buffered records as one framed block: each record's cells
+    /// are read into one vector, borrowed from the records, and each row
+    /// is its span of that vector.
     fn write_block(&mut self) -> StorageResult<()> {
-        let mut framed = Vec::new();
-        put_block(&mut framed, &encode_rows_block(&self.buf));
-        self.buf.clear();
-        self.w.write_all(&framed).map_err(StorageError::Io)
+        let mut cells = Vec::new();
+        let mut spans = Vec::with_capacity(self.ends.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            let first = cells.len();
+            read_cells(&self.records[start..end], &mut cells)?;
+            if spans.is_empty() {
+                // Room for every row at the first one's arity, and never for
+                // more cells than the records have bytes.
+                let rest = cells.len() * (self.ends.len() - 1);
+                cells.reserve(rest.min(self.records.len()));
+            }
+            spans.push(first..cells.len());
+            start = end;
+        }
+        let rows: Vec<&[Cell<'_>]> = spans.into_iter().map(|span| &cells[span]).collect();
+        self.payload.clear();
+        encode_block_into(&rows, &mut self.payload);
+        self.records.clear();
+        self.ends.clear();
+        self.frame.clear();
+        put_block(&mut self.frame, &self.payload);
+        self.w.write_all(&self.frame).map_err(StorageError::Io)
     }
 
     /// Flush any buffered block and the underlying writer.
     pub fn finish(mut self) -> StorageResult<()> {
-        if !self.buf.is_empty() {
+        if !self.ends.is_empty() {
             self.write_block()?;
         }
         self.w.flush().map_err(StorageError::Io)
@@ -1329,7 +1458,7 @@ mod tests {
         let mut raw = Vec::new();
         for r in &rows {
             for v in r.values() {
-                put_cell(&mut raw, v);
+                put_cell(&mut raw, v.as_cell());
             }
         }
         assert!(

@@ -7,7 +7,7 @@
 //! export formats are proprietary is modelled one level up, in
 //! [`crate::codec::export`].
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::error::{StorageError, StorageResult};
 use crate::value::{Cell, Value};
@@ -109,14 +109,16 @@ impl Row {
         out
     }
 
-    /// Decode a row from the front of `buf`, advancing it.
+    /// Decode a row from the front of `buf`, advancing it past the row (and
+    /// not at all on an error).
     pub fn decode(buf: &mut &[u8]) -> StorageResult<Row> {
-        let mut cells = CellWalker::new(buf)?;
-        let mut values = Vec::with_capacity(cells.remaining());
-        while let Some(cell) = cells.next_cell()? {
-            values.push(cell.to_value());
+        let mut rest = *buf;
+        let n = read_cell_count(&mut rest)?;
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(read_cell(&mut rest)?.to_value());
         }
-        *buf = cells.rest();
+        *buf = rest;
         Ok(Row { values })
     }
 
@@ -128,6 +130,22 @@ impl Row {
     }
 }
 
+/// Walk the encoded row `bytes`, checking every cell (with the reader
+/// [`Row::from_bytes`] uses) and the absence of trailing bytes, and append
+/// its cells to `out`, strings borrowed from `bytes`. A caller that reads
+/// many records passes one `out` for all of them, so the walk itself
+/// allocates nothing.
+pub(crate) fn read_cells<'a>(bytes: &'a [u8], out: &mut Vec<Cell<'a>>) -> StorageResult<()> {
+    let mut buf = bytes;
+    let n = read_cell_count(&mut buf)?;
+    // Every cell takes at least its tag byte.
+    out.reserve(n.min(bytes.len()));
+    for _ in 0..n {
+        out.push(read_cell(&mut buf)?);
+    }
+    no_trailing_bytes(buf)
+}
+
 fn no_trailing_bytes(rest: &[u8]) -> StorageResult<()> {
     match rest.len() {
         0 => Ok(()),
@@ -137,64 +155,41 @@ fn no_trailing_bytes(rest: &[u8]) -> StorageResult<()> {
     }
 }
 
-/// A validating walk over the cells of one encoded row, in order: the one
-/// decoder behind [`Row::decode`] and [`EncodedRow`]. Each cell's tag,
-/// length and UTF-8 are checked as it is read; strings are borrowed from the
-/// bytes, not copied.
-struct CellWalker<'a> {
-    buf: &'a [u8],
-    left: usize,
+/// Read an encoded row's header, its cell count, from the front of `buf`.
+fn read_cell_count(buf: &mut &[u8]) -> StorageResult<usize> {
+    Ok(u16::from_be_bytes(*take_n(buf, "row header")?) as usize)
 }
 
-impl<'a> CellWalker<'a> {
-    /// Start a walk at the front of `buf` (reads the cell count).
-    fn new(mut buf: &'a [u8]) -> StorageResult<CellWalker<'a>> {
-        if buf.remaining() < 2 {
-            return Err(StorageError::Corrupt("row header truncated".into()));
-        }
-        let left = buf.get_u16() as usize;
-        Ok(CellWalker { buf, left })
-    }
-
-    /// Cells not read yet.
-    fn remaining(&self) -> usize {
-        self.left
-    }
-
-    /// The bytes after the cells read so far.
-    fn rest(&self) -> &'a [u8] {
-        self.buf
-    }
-
-    /// The next cell, or `None` after the last.
-    fn next_cell(&mut self) -> StorageResult<Option<Cell<'a>>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        read_cell(&mut self.buf).map(Some)
-    }
+#[cold]
+fn truncated(what: &str) -> StorageError {
+    StorageError::Corrupt(format!("{what} truncated"))
 }
 
-/// Read one cell from the front of `buf`, advancing it.
+/// Split `N` bytes off the front of `buf`, or fail naming `what` was cut
+/// short.
+#[inline]
+fn take_n<'a, const N: usize>(buf: &mut &'a [u8], what: &str) -> StorageResult<&'a [u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| truncated(what))?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// Read one cell from the front of `buf`, advancing it: the one cell reader
+/// behind [`Row::decode`], [`read_cells`] and [`EncodedRow`]. The tag,
+/// every length (against the bytes left, before it is used) and a string's
+/// UTF-8 are checked; a string is borrowed from the bytes, not copied.
 fn read_cell<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
-    let truncated = |what: &str| Err(StorageError::Corrupt(format!("{what} truncated")));
-    if buf.remaining() < 1 {
-        return truncated("row cell tag");
-    }
-    Ok(match buf.get_u8() {
+    let [tag] = *take_n(buf, "row cell tag")?;
+    Ok(match tag {
         TAG_NULL => Cell::Null,
-        TAG_INT if buf.remaining() < 8 => return truncated("int cell"),
-        TAG_INT => Cell::Int(buf.get_i64()),
-        TAG_DOUBLE if buf.remaining() < 8 => return truncated("double cell"),
-        TAG_DOUBLE => Cell::Double(buf.get_f64()),
+        TAG_INT => Cell::Int(i64::from_be_bytes(*take_n(buf, "int cell")?)),
+        TAG_DOUBLE => Cell::Double(f64::from_be_bytes(*take_n(buf, "double cell")?)),
         TAG_STR => {
-            if buf.remaining() < 4 {
-                return truncated("string length");
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                return truncated("string cell");
+            let len = u32::from_be_bytes(*take_n(buf, "string length")?) as usize;
+            if buf.len() < len {
+                return Err(truncated("string cell"));
             }
             let (bytes, rest) = buf.split_at(len);
             *buf = rest;
@@ -203,10 +198,8 @@ fn read_cell<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
                     .map_err(|_| StorageError::Corrupt("string cell not UTF-8".into()))?,
             )
         }
-        TAG_TIMESTAMP if buf.remaining() < 8 => return truncated("timestamp cell"),
-        TAG_TIMESTAMP => Cell::Timestamp(buf.get_i64()),
-        TAG_BOOL if buf.remaining() < 1 => return truncated("bool cell"),
-        TAG_BOOL => Cell::Bool(buf.get_u8() != 0),
+        TAG_TIMESTAMP => Cell::Timestamp(i64::from_be_bytes(*take_n(buf, "timestamp cell")?)),
+        TAG_BOOL => Cell::Bool(take_n::<1>(buf, "bool cell")?[0] != 0),
         other => return Err(StorageError::Corrupt(format!("unknown cell tag {other}"))),
     })
 }
@@ -227,15 +220,12 @@ impl<'a> EncodedRow<'a> {
     /// first, so one buffer serves a whole scan) where each cell starts.
     pub fn index(bytes: &'a [u8], at: &'a mut Vec<u32>) -> StorageResult<EncodedRow<'a>> {
         at.clear();
-        let mut cells = CellWalker::new(bytes)?;
-        loop {
-            let start = (bytes.len() - cells.rest().len()) as u32;
-            if cells.next_cell()?.is_none() {
-                break;
-            }
-            at.push(start);
+        let mut buf = bytes;
+        for _ in 0..read_cell_count(&mut buf)? {
+            at.push((bytes.len() - buf.len()) as u32);
+            read_cell(&mut buf)?;
         }
-        no_trailing_bytes(cells.rest())?;
+        no_trailing_bytes(buf)?;
         Ok(EncodedRow { bytes, at })
     }
 

@@ -8,11 +8,19 @@
 //! against a bytewise reference, and `fixtures/page_crc.hex` pins the page
 //! images `DiskFile::write_page` wrote before the kernel was sliced: the
 //! stamp is an on-disk format, so it must not move.
+//!
+//! A [`RowSink`] fed stored records writes the file it writes fed the same
+//! rows as `Row`s, frame for frame what [`encode_rows_block`] makes of them,
+//! and the word-at-a-time front-coding split equals a bytewise one.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
 use delta_storage::colbatch::{
-    crc32, crc32_update, decode_rows_block, encode_rows_block, get_block, put_block,
+    crc32, crc32_update, decode_rows_block, encode_rows_block, front_split, get_block, put_block,
+    put_uvarint, RowSink, SNAP_MAGIC,
 };
 use delta_storage::scrub::{
     check_page, page_content_crc, stamp_page_crc, PageCheck, PAGE_CRC_OFFSET,
@@ -72,6 +80,61 @@ fn reference_page_crc(page: &[u8]) -> u32 {
         0 => 1,
         crc => crc,
     }
+}
+
+/// Cells of every kind, with the doubles a bit pattern must survive (NaN
+/// payloads, both zeros) and strings of several byte widths.
+fn arb_edge_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        any::<u64>().prop_map(|bits| Value::Double(f64::from_bits(bits | 0x7FF0_0000_0000_0001))),
+        Just(Value::Double(0.0)),
+        Just(Value::Double(-0.0)),
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Str(String::new())),
+        Just(Value::Str("é日本🦀".into())),
+    ]
+}
+
+/// A scratch file name no other case of this process uses.
+fn scratch_file(label: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "delta-prop-colbatch-{}-{label}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// The snapshot a [`RowSink`] writes for `rows` in blocks of `block_rows`,
+/// each row handed over as its record bytes or as a `Row`.
+fn sink_file(rows: &[Row], block_rows: usize, as_records: bool) -> Vec<u8> {
+    let path = scratch_file(if as_records { "records" } else { "rows" });
+    let mut sink = RowSink::create(&path, block_rows).unwrap();
+    for row in rows {
+        if as_records {
+            sink.write_record(&row.to_bytes()).unwrap();
+        } else {
+            sink.write_row(row.clone()).unwrap();
+        }
+    }
+    sink.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    bytes
+}
+
+/// The same snapshot assembled by hand: the magic, a header naming no key,
+/// then one [`framed`] block per `block_rows` rows.
+fn reference_file(rows: &[Row], block_rows: usize) -> Vec<u8> {
+    let mut out = SNAP_MAGIC.to_vec();
+    let mut header = Vec::new();
+    put_uvarint(&mut header, 0);
+    put_block(&mut out, &header);
+    for chunk in rows.chunks(block_rows) {
+        out.extend_from_slice(&framed(chunk));
+    }
+    out
 }
 
 fn decode_framed(bytes: &[u8]) -> delta_storage::StorageResult<Vec<Row>> {
@@ -172,6 +235,19 @@ proptest! {
                 data.len()
             );
         }
+    }
+
+    #[test]
+    fn a_sink_fed_records_writes_the_file_a_sink_fed_rows_writes(
+        rows in prop::collection::vec(prop::collection::vec(arb_edge_value(), 0..5), 0..40),
+        block_rows in 1usize..9,
+    ) {
+        // Mixed types, NULLs and ragged arity: raw-cell columns and ragged
+        // blocks, with an empty table (no block at all) among the cases.
+        let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
+        let from_records = sink_file(&rows, block_rows, true);
+        prop_assert_eq!(&from_records, &sink_file(&rows, block_rows, false));
+        prop_assert_eq!(&from_records, &reference_file(&rows, block_rows));
     }
 
     #[test]
@@ -641,4 +717,126 @@ fn the_sized_chooser_writes_what_encoding_every_candidate_wrote() {
         "{} early dictionary stops",
         tally.dict_stopped
     );
+}
+
+/// A column of `n` cells that one of the shapes [`column`] has not: every
+/// cell equal (of any kind, NULL and NaN included), every string distinct
+/// (multi-byte ones among them), or doubles that are NaN payloads and both
+/// zeros.
+fn edge_column(shape: u64, n: usize, rng: &mut Rng) -> Vec<Value> {
+    match shape {
+        0 => {
+            let v = match rng.below(5) {
+                0 => Value::Null,
+                1 => Value::Int(rng.next() as i64),
+                2 => Value::Str(format!("same-é-{}", rng.below(100))),
+                3 => Value::Double(f64::from_bits(0xFFF8_0000_0000_0000 | rng.below(1 << 20))),
+                _ => Value::Bool(rng.below(2) == 0),
+            };
+            vec![v; n]
+        }
+        1 => (0..n)
+            .map(|i| Value::Str(format!("{i}-{}-日本", "x".repeat(rng.below(20) as usize))))
+            .collect(),
+        _ => (0..n)
+            .map(|_| {
+                Value::Double(match rng.below(3) {
+                    0 => f64::from_bits(rng.next() | 0x7FF0_0000_0000_0001),
+                    1 => 0.0,
+                    _ => -0.0,
+                })
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn uniform_tables_write_the_same_file_from_records_and_from_rows() {
+    let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+    for case in 0..160 {
+        let n = rng.below(700) as usize;
+        let block_rows = [1, 5, 64, 1024][rng.below(4) as usize];
+        let cols: Vec<Vec<Value>> = (0..1 + rng.below(4))
+            .map(|_| match rng.below(12) {
+                shape @ 0..9 => column(shape, n, &mut rng),
+                shape => edge_column(shape - 9, n, &mut rng),
+            })
+            .collect();
+        let rows: Vec<Row> = (0..n)
+            .map(|r| Row::new(cols.iter().map(|c| c[r].clone()).collect()))
+            .collect();
+        let from_records = sink_file(&rows, block_rows, true);
+        assert_eq!(
+            from_records,
+            sink_file(&rows, block_rows, false),
+            "case {case}"
+        );
+        assert_eq!(
+            from_records,
+            reference_file(&rows, block_rows),
+            "case {case}"
+        );
+    }
+}
+
+/// The front coding's split one byte at a time, as the encoder found it
+/// before it compared words: the reference [`front_split`] must equal.
+fn bytewise_front_split(prev: &[u8], cur: &[u8]) -> (usize, usize) {
+    let max_p = prev.len().min(cur.len());
+    let mut p = 0;
+    while p < max_p && prev[p] == cur[p] {
+        p += 1;
+    }
+    let max_s = max_p - p;
+    let mut sfx = 0;
+    while sfx < max_s && prev[prev.len() - 1 - sfx] == cur[cur.len() - 1 - sfx] {
+        sfx += 1;
+    }
+    (p, sfx)
+}
+
+#[test]
+fn front_split_equals_the_bytewise_reference_across_word_edges() {
+    // One byte changed at every position of every pair of lengths 0–40
+    // (or none changed): each prefix and suffix length, so each word edge.
+    for prev_len in 0..=40 {
+        let prev = vec![b'a'; prev_len];
+        for cur_len in 0..=40 {
+            for changed in 0..=cur_len {
+                let mut cur = vec![b'a'; cur_len];
+                if changed < cur_len {
+                    cur[changed] = 0xC3;
+                }
+                assert_eq!(
+                    front_split(&prev, &cur),
+                    bytewise_front_split(&prev, &cur),
+                    "{prev_len} vs {cur_len}, byte {changed} changed"
+                );
+            }
+        }
+    }
+    // A shared prefix and suffix of random lengths around a random middle,
+    // over a small alphabet so the middle often extends them by accident.
+    let alphabet = [b'a', b'b', 0xC3, 0xA9];
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    for _ in 0..20_000 {
+        let prev: Vec<u8> = (0..rng.below(41))
+            .map(|_| alphabet[rng.below(4) as usize])
+            .collect();
+        let keep_front = rng.below(prev.len() as u64 + 1) as usize;
+        let keep_back = rng.below((prev.len() - keep_front) as u64 + 1) as usize;
+        let mut cur = prev[..keep_front].to_vec();
+        cur.extend((0..rng.below(12)).map(|_| alphabet[rng.below(4) as usize]));
+        cur.extend_from_slice(&prev[prev.len() - keep_back..]);
+        cur.truncate(40);
+        assert_eq!(
+            front_split(&prev, &cur),
+            bytewise_front_split(&prev, &cur),
+            "{prev:?} vs {cur:?}"
+        );
+    }
+    // The prefix and the suffix never share a byte of the shorter string.
+    assert_eq!(front_split(b"aaaa", b"aaaaaa"), (4, 0));
+    assert_eq!(front_split(b"aaaaaa", b"aaaa"), (4, 0));
+    assert_eq!(front_split(b"", b"aaaa"), (0, 0));
 }

@@ -51,7 +51,7 @@ use delta_core::snapshot::{take_snapshot, DiffAlgorithm};
 use delta_engine::db::Database;
 use delta_engine::{EngineError, EngineResult};
 use delta_storage::colbatch::RowSource;
-use delta_storage::Value;
+use delta_storage::Cell;
 
 use crate::apply::Warehouse;
 use crate::pipeline::Pipeline;
@@ -162,20 +162,24 @@ fn drain(pipe: &Pipeline, wh: &Warehouse, max_rounds: u64) -> EngineResult<u64> 
 }
 
 /// Scan a snapshot once to find the key column's min/max (for digest
-/// bucketing). `None` when the snapshot is empty.
+/// bucketing), reading each key where its decoded block holds it. `None`
+/// when the snapshot is empty.
 fn snapshot_key_bounds(path: &Path, key_pos: usize) -> EngineResult<Option<(i64, i64)>> {
     let mut src = RowSource::open(path).map_err(EngineError::Storage)?;
     let mut bounds: Option<(i64, i64)> = None;
-    while let Some(row) = src.next_row().map_err(EngineError::Storage)? {
-        let Some(Value::Int(k)) = row.values().get(key_pos) else {
-            return Err(EngineError::Invalid(format!(
-                "audit key column {key_pos} must be an integer"
-            )));
-        };
-        bounds = Some(match bounds {
-            None => (*k, *k),
-            Some((lo, hi)) => (lo.min(*k), hi.max(*k)),
-        });
+    while let Some(block) = src.next_block().map_err(EngineError::Storage)? {
+        for r in 0..block.len() {
+            let key = (key_pos < block.arity(r)).then(|| block.cell(r, key_pos));
+            let Some(Cell::Int(k)) = key else {
+                return Err(EngineError::Invalid(format!(
+                    "audit key column {key_pos} must be an integer"
+                )));
+            };
+            bounds = Some(match bounds {
+                None => (k, k),
+                Some((lo, hi)) => (lo.min(k), hi.max(k)),
+            });
+        }
     }
     Ok(bounds)
 }
