@@ -34,7 +34,7 @@ use delta_storage::colbatch::{
     RowSink, RowSource,
 };
 use delta_storage::fault::splitmix64;
-use delta_storage::{Cell, Row, StorageError, StorageResult, Value};
+use delta_storage::{Cell, Row, StorageError, StorageResult};
 
 /// Magic prefix of an encoded digest: `0xFF 'C' 'D' version` (the columnar
 /// family's `D` letter, alongside `S`napshot / `B`atch / `W`al-segment).
@@ -517,7 +517,10 @@ fn coalesce(buckets: &[i64], span: i64) -> Vec<KeyRange> {
 /// any of `ranges` into a new snapshot at `dst`, in `src`'s order and under
 /// its header's sort key. Returns the number of rows kept — the scoped input
 /// a range-restricted [`crate::snapshot::diff_snapshots`] repair runs on,
-/// which reads a key-ordered copy as one run, with no run generation.
+/// which reads a key-ordered copy as one run, with no run generation. The
+/// source is read a block at a time: each row's key is read where its block
+/// holds it and its range found by binary search, and a row is built only
+/// when it is kept.
 pub fn filter_snapshot(
     src: &Path,
     key_pos: usize,
@@ -526,28 +529,49 @@ pub fn filter_snapshot(
 ) -> StorageResult<u64> {
     let mut source = RowSource::open(src)?;
     let mut sink = RowSink::create_sorted(dst, colbatch::DEFAULT_BLOCK_ROWS, source.key())?;
+    let ranges = sorted_disjoint(ranges);
     let mut kept = 0u64;
-    while let Some(row) = source.next_row()? {
-        let key = match row.values().get(key_pos) {
-            Some(Value::Int(k)) => *k,
-            other => {
-                return Err(StorageError::SchemaMismatch(format!(
-                    "snapshot key column {key_pos} must be an integer, got {other:?}"
-                )))
+    while let Some(block) = source.next_block()? {
+        for r in 0..block.len() {
+            let key = match (key_pos < block.arity(r)).then(|| block.cell(r, key_pos)) {
+                Some(Cell::Int(k)) => k,
+                other => {
+                    return Err(StorageError::SchemaMismatch(format!(
+                        "snapshot key column {key_pos} must be an integer, got {other:?}"
+                    )))
+                }
+            };
+            let at = ranges.partition_point(|range| range.hi < key);
+            if ranges.get(at).is_some_and(|range| range.contains(key)) {
+                sink.write_row(block.row(r))?;
+                kept += 1;
             }
-        };
-        if key_in_ranges(ranges, key) {
-            sink.write_row(row)?;
-            kept += 1;
         }
     }
     sink.finish()?;
     Ok(kept)
 }
 
+/// `ranges` sorted, with overlapping ones merged and empty ones dropped: the
+/// same keys, in ranges whose `hi`s ascend, so that a key's range is found
+/// by binary search. [`compare_digests`] gives ranges in this form already.
+fn sorted_disjoint(ranges: &[KeyRange]) -> Vec<KeyRange> {
+    let mut sorted: Vec<KeyRange> = ranges.iter().filter(|r| r.lo <= r.hi).copied().collect();
+    sorted.sort_by_key(|r| r.lo);
+    let mut out: Vec<KeyRange> = Vec::with_capacity(sorted.len());
+    for range in sorted {
+        match out.last_mut() {
+            Some(last) if range.lo <= last.hi => last.hi = last.hi.max(range.hi),
+            _ => out.push(range),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use delta_storage::Value;
 
     fn row(id: i64, v: &str) -> Row {
         Row::new(vec![Value::Int(id), Value::Str(v.to_string())])
@@ -653,6 +677,104 @@ mod tests {
         }
         assert_eq!(keys.len(), 20);
         assert!(keys.iter().all(|k| key_in_ranges(&ranges, *k)));
+    }
+
+    /// The filter as it was before it read blocks: every row built, every
+    /// range scanned.
+    fn filter_by_rows(
+        src: &Path,
+        key_pos: usize,
+        ranges: &[KeyRange],
+        dst: &Path,
+    ) -> StorageResult<u64> {
+        let mut source = RowSource::open(src)?;
+        let mut sink = RowSink::create_sorted(dst, colbatch::DEFAULT_BLOCK_ROWS, source.key())?;
+        let mut kept = 0u64;
+        while let Some(row) = source.next_row()? {
+            let key = match row.values().get(key_pos) {
+                Some(Value::Int(k)) => *k,
+                other => {
+                    return Err(StorageError::SchemaMismatch(format!(
+                        "snapshot key column {key_pos} must be an integer, got {other:?}"
+                    )))
+                }
+            };
+            if key_in_ranges(ranges, key) {
+                sink.write_row(row)?;
+                kept += 1;
+            }
+        }
+        sink.finish()?;
+        Ok(kept)
+    }
+
+    #[test]
+    fn a_block_wise_filter_writes_the_bytes_of_the_row_building_one() {
+        let dir = std::env::temp_dir().join(format!(
+            "delta-digest-filter-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (src, got, want) = (
+            dir.join("src.snap"),
+            dir.join("got.snap"),
+            dir.join("want.snap"),
+        );
+        // Keys at both i64 extremes and in between, in 7-row blocks, some of
+        // them ragged (a row with an extra cell), the key second.
+        let mut keys: Vec<i64> = (0..5)
+            .flat_map(|i| [i64::MIN + i, i64::MAX - i, 10 * i - 20])
+            .chain(100..160)
+            .collect();
+        keys.sort_unstable();
+        let mut sink = RowSink::create_sorted(&src, 7, &[1]).unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            let mut vals = vec![Value::Str(format!("v{i}")), Value::Int(k)];
+            if i % 11 == 3 {
+                vals.push(Value::Null);
+            }
+            sink.write_row(Row::new(vals)).unwrap();
+        }
+        sink.finish().unwrap();
+        let range = |lo, hi| KeyRange { lo, hi };
+        let cases: Vec<Vec<KeyRange>> = vec![
+            vec![],
+            vec![range(i64::MIN, i64::MAX)],
+            vec![range(i64::MIN, i64::MIN + 1), range(i64::MAX - 2, i64::MAX)],
+            vec![
+                range(-20, -10),
+                range(0, 0),
+                range(103, 110),
+                range(150, 200),
+            ],
+            // Unsorted, overlapping and empty ranges keep their meaning.
+            vec![
+                range(150, 155),
+                range(100, 120),
+                range(110, 130),
+                range(5, 4),
+            ],
+        ];
+        for ranges in &cases {
+            let kept = filter_snapshot(&src, 1, ranges, &got).unwrap();
+            assert_eq!(kept, filter_by_rows(&src, 1, ranges, &want).unwrap());
+            assert_eq!(
+                std::fs::read(&got).unwrap(),
+                std::fs::read(&want).unwrap(),
+                "{ranges:?}"
+            );
+        }
+        // A key column that is not an integer, or missing, is the same
+        // schema error.
+        for key_pos in [0, 2] {
+            let ranges = [range(i64::MIN, i64::MAX)];
+            let got = filter_snapshot(&src, key_pos, &ranges, &got).map_err(|e| e.to_string());
+            let want = filter_by_rows(&src, key_pos, &ranges, &want).map_err(|e| e.to_string());
+            assert!(got.is_err(), "key column {key_pos}");
+            assert_eq!(got, want);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

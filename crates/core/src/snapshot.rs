@@ -35,10 +35,15 @@
 //! diff is sequential.
 //!
 //! The merge reads each run one decoded [`Block`] at a time and compares
-//! keys and rows cell by cell where the block holds them; a `Row` is built
-//! only for a record the diff emits (DESIGN.md §34). A diff that finds 800
-//! records among 80 000 rows read allocates per block and per record, not
-//! per row.
+//! keys and rows where the block holds them; a `Row` is built only for a
+//! record the diff emits (DESIGN.md §34). A diff that finds 800 records
+//! among 80 000 rows read allocates per block and per record, not per row.
+//! When each side is a single run, the merge skips a stretch of equal rows
+//! at once: [`Block::equal_stretch`] compares two blocks a column at a
+//! time over their typed slices, and the merge compares one pair of rows
+//! only where a stretch ends (DESIGN.md §36). A run's order is checked as
+//! each block is read, over the key column's integers when the key is one
+//! integer column of a uniform block.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -170,12 +175,6 @@ fn cmp_at(a: At<'_>, b: At<'_>, key_cols: &[usize]) -> Ordering {
     Ordering::Equal
 }
 
-/// Whether rows `a` and `b` are equal rows (`Row`'s `==`), compared in place.
-fn equal_at(a: At<'_>, b: At<'_>) -> bool {
-    let n = a.0.arity(a.1);
-    n == b.0.arity(b.1) && (0..n).all(|c| a.0.cell(a.1, c) == b.0.cell(b.1, c))
-}
-
 /// A sorted run, or a snapshot read as one, walked one decoded block at a
 /// time; its rows are compared in place and built only when asked for.
 /// Every row must hold the key columns, and a file whose header names
@@ -211,7 +210,12 @@ impl RunReader {
 
     /// Move past the current row.
     fn advance(&mut self) -> StorageResult<()> {
-        self.pos += 1;
+        self.skip(1)
+    }
+
+    /// Move past `k` rows, `1 <= k` and at most the rows left in the block.
+    fn skip(&mut self, k: usize) -> StorageResult<()> {
+        self.pos += k;
         if self.pos < self.block.len() {
             return Ok(());
         }
@@ -230,27 +234,67 @@ impl RunReader {
             if block.is_empty() {
                 continue;
             }
-            let width = self.key_cols.iter().max().map_or(0, |&c| c + 1);
-            // The last row of the block before, which still holds it.
-            let mut before = self.block.len().checked_sub(1).map(|r| (&self.block, r));
-            for r in 0..block.len() {
-                if block.arity(r) < width {
-                    return Err(StorageError::Corrupt(
-                        "snapshot row lacks a key column of the diff".into(),
-                    ));
-                }
-                if self.ordered
-                    && before.is_some_and(|b| cmp_at((&block, r), b, &self.key_cols).is_lt())
-                {
-                    return Err(StorageError::Corrupt(
-                        "snapshot rows out of the key order its header claims".into(),
-                    ));
-                }
-                before = Some((&block, r));
-            }
+            self.check(&block)?;
             self.block = block;
             return Ok(());
         }
+    }
+
+    /// Check that every row of `block`, the block after the current one,
+    /// holds the key columns and, in a run that claims the key order, keeps
+    /// it. A uniform block's arity is checked once, and its order over the
+    /// key column's integers when the key is one integer column; any other
+    /// block is checked row by row, each row's arity before its order.
+    fn check(&self, block: &Block) -> StorageResult<()> {
+        let width = self.key_cols.iter().max().map_or(0, |&c| c + 1);
+        let lacks = || {
+            Err(StorageError::Corrupt(
+                "snapshot row lacks a key column of the diff".into(),
+            ))
+        };
+        let disorder = || {
+            Err(StorageError::Corrupt(
+                "snapshot rows out of the key order its header claims".into(),
+            ))
+        };
+        // Whether row `r` sorts below the row before it, which for the first
+        // row is the last of the current block.
+        let below = |r: usize| {
+            let before = match r.checked_sub(1) {
+                Some(p) => Some((block, p)),
+                None => self.block.len().checked_sub(1).map(|p| (&self.block, p)),
+            };
+            self.ordered && before.is_some_and(|b| cmp_at((block, r), b, &self.key_cols).is_lt())
+        };
+        let Some(arity) = block.uniform_arity() else {
+            for r in 0..block.len() {
+                if block.arity(r) < width {
+                    return lacks();
+                }
+                if below(r) {
+                    return disorder();
+                }
+            }
+            return Ok(());
+        };
+        if arity < width {
+            return lacks();
+        }
+        if !self.ordered {
+            return Ok(());
+        }
+        let ints = match self.key_cols[..] {
+            [c] => block.ints(c),
+            _ => None,
+        };
+        let unordered = match ints {
+            Some(keys) => below(0) || keys.windows(2).any(|w| w[1] < w[0]),
+            None => (0..block.len()).any(below),
+        };
+        if unordered {
+            return disorder();
+        }
+        Ok(())
     }
 
     /// Take the current row and its key, and move past it.
@@ -291,6 +335,31 @@ impl MergeCursor {
         };
         run.advance()?;
         stats.rows_read += 1;
+        self.pick(stats);
+        Ok(())
+    }
+
+    /// How many rows from the current ones on are equal, pair by pair, to
+    /// `other`'s under `key_cols` ([`Block::equal_stretch`], within the two
+    /// current blocks) when each side is a single run; `0` otherwise.
+    fn equal_stretch(&self, other: &MergeCursor, key_cols: &[usize]) -> usize {
+        let ([a], [b]) = (&self.runs[..], &other.runs[..]) else {
+            return 0;
+        };
+        match (a.current(), b.current()) {
+            (Some((x, i)), Some((y, j))) => x.equal_stretch(i, y, j, key_cols),
+            _ => 0,
+        }
+    }
+
+    /// Move a single-run cursor past `k` rows of its current block, counted
+    /// as `k` single steps count them.
+    fn skip(&mut self, k: usize, stats: &mut DiffStats) -> StorageResult<()> {
+        let [run] = &mut self.runs[..] else {
+            return Ok(());
+        };
+        run.skip(k)?;
+        stats.rows_read += k as u64;
         self.pick(stats);
         Ok(())
     }
@@ -484,7 +553,9 @@ fn sort_merge(
 
 /// Merge-join the two key-ordered sides, appending the delta records that
 /// turn the old side into the new one. Rows are compared where their blocks
-/// hold them; a row is built only for a record.
+/// hold them; a row is built only for a record. When both sides are single
+/// runs, a stretch of equal rows is skipped at once and the rows are
+/// compared one pair at a time only where the stretch ends.
 fn merge_diff_streams(
     old: &mut MergeCursor,
     new: &mut MergeCursor,
@@ -498,6 +569,15 @@ fn merge_diff_streams(
         row: block.row(r),
     };
     loop {
+        // Skip a stretch of unchanged rows at once, counting its `k` pairs as
+        // `k` single steps would.
+        let k = old.equal_stretch(new, key_cols);
+        if k > 0 {
+            stats.comparisons += k as u64;
+            old.skip(k, stats)?;
+            new.skip(k, stats)?;
+            continue;
+        }
         let (o, n) = (old.current(), new.current());
         let order = match (o, n) {
             (None, None) => return Ok(()),
@@ -519,7 +599,7 @@ fn merge_diff_streams(
             }
             Ordering::Equal => {
                 if let (Some(o), Some(n)) = (o, n) {
-                    if !equal_at(o, n) {
+                    if !o.0.same_row(o.1, n.0, n.1, &[]) {
                         records.push(record(DeltaOp::UpdateBefore, o));
                         records.push(record(DeltaOp::UpdateAfter, n));
                     }

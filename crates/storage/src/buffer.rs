@@ -402,12 +402,13 @@ impl BufferPool {
         Ok(result)
     }
 
-    /// The one place a page comes off disk.
+    /// The one place a page comes off disk. It is read straight into the
+    /// boxed page its frame will own: one allocation per page-in.
     fn read_from_disk(&self, pid: PageId) -> StorageResult<SlottedPage> {
         let file = self.file(pid.file)?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.read_page(pid.page_no, &mut buf)?;
-        SlottedPage::from_bytes(&buf)
+        let mut data = Box::new([0u8; PAGE_SIZE]);
+        file.read_page(pid.page_no, &mut data[..])?;
+        SlottedPage::from_boxed(data)
     }
 
     /// Find a frame to install into: a free slot, a clean clock victim

@@ -819,6 +819,54 @@ impl Column {
             _ => self.cell(r).to_value(),
         }
     }
+
+    /// How many of the `n` rows from row `i` on here and from row `j` on in
+    /// `other` hold [`same_cell`]s. Two typed columns of one kind compare
+    /// their slices; any other pairing, and a `Double` key column, compares
+    /// cell by cell.
+    fn equal_prefix(&self, i: usize, other: &Column, j: usize, n: usize, key: bool) -> usize {
+        fn prefix<T>(a: &[T], b: &[T], eq: impl Fn(&T, &T) -> bool) -> usize {
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| !eq(x, y))
+                .unwrap_or(a.len())
+        }
+        match (self, other) {
+            (
+                Column::Ints {
+                    vals: a,
+                    timestamps: ta,
+                },
+                Column::Ints {
+                    vals: b,
+                    timestamps: tb,
+                },
+            ) if ta == tb => prefix(&a[i..i + n], &b[j..j + n], |x, y| x == y),
+            (Column::Strs { text: ta, spans: a }, Column::Strs { text: tb, spans: b }) => {
+                let (ta, tb) = (ta.as_bytes(), tb.as_bytes());
+                prefix(&a[i..i + n], &b[j..j + n], |x, y| {
+                    ta[x.0..x.1] == tb[y.0..y.1]
+                })
+            }
+            // `f64 ==`, as `Cell ==`: NaN is unequal to itself and ±0.0 are
+            // equal. A key also needs `total_cmp`, which tells ±0.0 apart.
+            (Column::Doubles(a), Column::Doubles(b)) if !key => {
+                prefix(&a[i..i + n], &b[j..j + n], |x, y| x == y)
+            }
+            (Column::Bools(a), Column::Bools(b)) => {
+                prefix(&a[i..i + n], &b[j..j + n], |x, y| x == y)
+            }
+            _ => (0..n)
+                .position(|r| !same_cell(self.cell(i + r), other.cell(j + r), key))
+                .unwrap_or(n),
+        }
+    }
+}
+
+/// Whether `a` and `b` are the same cell to a key-ordered merge: `==`, and
+/// for a `key` cell also `Equal` under [`Cell::total_cmp`].
+fn same_cell(a: Cell<'_>, b: Cell<'_>, key: bool) -> bool {
+    a == b && (!key || a.total_cmp(&b).is_eq())
 }
 
 fn get_str<'a>(buf: &mut &'a [u8], what: &str) -> StorageResult<&'a str> {
@@ -1092,6 +1140,67 @@ impl Block {
             Layout::Columns(cols) => cols[col].cell(row),
             Layout::Rows(rows) => rows[row].values()[col].as_cell(),
         }
+    }
+
+    /// The arity every row shares in a uniform block (one decoded column per
+    /// cell position); `None` for a ragged block or rows already built.
+    pub fn uniform_arity(&self) -> Option<usize> {
+        match &self.layout {
+            Layout::Columns(cols) => Some(cols.len()),
+            Layout::Rows(_) => None,
+        }
+    }
+
+    /// Column `col` of a uniform block as its integers, one per row, when it
+    /// holds `Int` or `Timestamp` cells only; `None` for any other column.
+    pub fn ints(&self, col: usize) -> Option<&[i64]> {
+        match &self.layout {
+            Layout::Columns(cols) => match cols.get(col) {
+                Some(Column::Ints { vals, .. }) => Some(vals),
+                _ => None,
+            },
+            Layout::Rows(_) => None,
+        }
+    }
+
+    /// The length of the stretch of equal rows that starts at row `i` of
+    /// `self` and row `j` of `other`, ending at the first differing pair or
+    /// at the end of either block. A pair is equal when the rows are equal
+    /// (`Row`'s `==`: the same arity, every cell `==`) and every `key` cell
+    /// is also `Equal` under [`Cell::total_cmp`] (so a `-0.0` key differs
+    /// from `0.0`) — exactly the pairs a key-ordered merge finds unchanged.
+    /// Two uniform blocks are compared a column at a time, key columns
+    /// first, each over its typed slice where both columns have one kind.
+    pub fn equal_stretch(&self, i: usize, other: &Block, j: usize, key: &[usize]) -> usize {
+        let mut n = self
+            .rows
+            .saturating_sub(i)
+            .min(other.rows.saturating_sub(j));
+        let (Layout::Columns(a), Layout::Columns(b)) = (&self.layout, &other.layout) else {
+            return (0..n)
+                .position(|r| !self.same_row(i + r, other, j + r, key))
+                .unwrap_or(n);
+        };
+        if a.len() != b.len() {
+            return 0;
+        }
+        let rest = (0..a.len()).filter(|c| !key.contains(c));
+        for c in key.iter().copied().filter(|&c| c < a.len()).chain(rest) {
+            if n == 0 {
+                break;
+            }
+            n = a[c].equal_prefix(i, &b[c], j, n, key.contains(&c));
+        }
+        n
+    }
+
+    /// Whether row `r` here and row `s` of `other` form an equal pair, as
+    /// [`equal_stretch`](Block::equal_stretch) defines one, cell by cell.
+    /// With no `key` columns: whether the rows are equal rows (`Row`'s `==`).
+    pub fn same_row(&self, r: usize, other: &Block, s: usize, key: &[usize]) -> bool {
+        let n = self.arity(r);
+        n == other.arity(s)
+            && (0..n).all(|c| same_cell(self.cell(r, c), other.cell(s, c), key.contains(&c)))
     }
 
     /// Row `row` built as an owned [`Row`], for `row < self.len()`.

@@ -64,6 +64,12 @@ impl SlottedPage {
         }
         let mut data = Box::new([0u8; PAGE_SIZE]);
         data.copy_from_slice(bytes);
+        Self::from_boxed(data)
+    }
+
+    /// Take ownership of page bytes read from disk, with
+    /// [`from_bytes`](SlottedPage::from_bytes)'s header check and no copy.
+    pub(crate) fn from_boxed(data: Box<[u8; PAGE_SIZE]>) -> StorageResult<SlottedPage> {
         let p = SlottedPage { data };
         // Sanity-check the header so corrupt pages fail fast.
         let n = p.slot_count() as usize;
