@@ -242,8 +242,12 @@ fn build_insert_row(
     now: i64,
 ) -> EngineResult<Row> {
     // A value list names no column: every reference compiles to `unknown
-    // column`, raised if it is evaluated.
-    let eval = |e: &Expr| CompiledExpr::compile(e, |_| None).eval(&[] as &[Value], now);
+    // column`, raised if it is evaluated. A literal is cloned as it
+    // stands: compiling it and evaluating it out would copy it twice.
+    let eval = |e: &Expr| match e {
+        Expr::Literal(v) => Ok(v.clone()),
+        _ => CompiledExpr::compile(e, |_| None).eval(&[] as &[Value], now),
+    };
     match columns {
         None => {
             if value_exprs.len() != meta.schema.len() {
@@ -327,13 +331,18 @@ pub fn matching_rows(
             Ok::<_, EngineError>(ControlFlow::Continue(()))
         })?,
         Plan::IndexRange { index, lo, hi, .. } => {
-            for rid in index.range(as_ref_bound(&lo), as_ref_bound(&hi)) {
-                if let Some(bytes) = heap.get(rid)? {
-                    if let Some(row) = keep(&bytes)? {
-                        out.push((rid, row));
-                    }
+            let rids = index.range(as_ref_bound(&lo), as_ref_bound(&hi));
+            // `keep` touches neither the heap nor its pool, so it may read
+            // each record in place under the page latch.
+            heap.for_each_at(&rids, |rid, bytes| -> EngineResult<()> {
+                let Some(bytes) = bytes else {
+                    return Ok(());
+                };
+                if let Some(row) = keep(bytes)? {
+                    out.push((rid, row));
                 }
-            }
+                Ok(())
+            })?;
         }
     }
     Ok(out)

@@ -7,14 +7,18 @@
 //! or not: the record copy, the decoded row's `Vec` and its filler `String`.
 //! A counting global allocator counts what one 20-row range UPDATE over a
 //! 20 000-row table allocates; it must stay under one allocation per ten
-//! table rows.
+//! table rows. A keyed statement reads the records its index range names in
+//! place, so it too allocates per match, not per record it fetches; and an
+//! INSERT clones each literal of its value list once.
 #![allow(unsafe_code)] // the counting allocator forwards to `System`
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use delta_engine::db::{Database, DbOptions};
+use delta_engine::exec::{choose_access_path, AccessPath};
+use delta_sql::parser::parse_expression;
 
 /// Forwards to the system allocator, counting every allocation.
 struct Counting;
@@ -47,6 +51,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// The tests of this file take turns: the counter is global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Allocations made while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
 const ROWS: i64 = 20_000;
 const MATCHED: i64 = 20;
 const FILLER_LEN: usize = 57;
@@ -54,9 +68,9 @@ const FILLER_LEN: usize = 57;
 /// A table shaped like the benchmark's: `aux` (equal to `id`, never
 /// indexed) is the range column and `filler` pads each row. The buffer pool
 /// holds every page, so a scan reads without loading any.
-fn seeded() -> Arc<Database> {
+fn seeded(name: &str) -> Arc<Database> {
     let dir = std::env::temp_dir().join(format!(
-        "deltaforge-scan-allocations-{}",
+        "deltaforge-scan-allocations-{name}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -67,21 +81,27 @@ fn seeded() -> Arc<Database> {
     s.execute("CREATE TABLE parts (id INT PRIMARY KEY, grp INT, val INT, aux INT, filler VARCHAR)")
         .unwrap();
     for chunk in 0..ROWS / 500 {
-        let values: Vec<String> = (chunk * 500..(chunk + 1) * 500)
-            .map(|i| {
-                let filler = format!("{i:0>FILLER_LEN$}");
-                format!("({i}, {}, 0, {i}, '{filler}')", i % 10)
-            })
-            .collect();
-        s.execute(&format!("INSERT INTO parts VALUES {}", values.join(", ")))
+        s.execute(&insert_statement(chunk * 500..(chunk + 1) * 500))
             .unwrap();
     }
     db
 }
 
+/// One INSERT of the rows with ids `ids`, in the benchmark's shape.
+fn insert_statement(ids: std::ops::Range<i64>) -> String {
+    let values: Vec<String> = ids
+        .map(|i| {
+            let filler = format!("{i:0>FILLER_LEN$}");
+            format!("({i}, {}, 0, {i}, '{filler}')", i % 10)
+        })
+        .collect();
+    format!("INSERT INTO parts VALUES {}", values.join(", "))
+}
+
 #[test]
 fn a_range_update_allocates_per_page_and_match_not_per_row() {
-    let db = seeded();
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = seeded("range");
     let mut s = db.session();
     let mut counts = Vec::new();
     for rep in 0..5 {
@@ -90,9 +110,8 @@ fn a_range_update_allocates_per_page_and_match_not_per_row() {
             "UPDATE parts SET val = val + 1 WHERE aux >= {a} AND aux < {}",
             a + MATCHED
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let affected = s.execute(&sql).unwrap().affected;
-        counts.push(ALLOCATIONS.load(Ordering::Relaxed) - before);
+        let (count, affected) = allocations(|| s.execute(&sql).unwrap().affected);
+        counts.push(count);
         assert_eq!(affected, MATCHED as u64, "{sql}");
     }
     counts.sort_unstable();
@@ -105,5 +124,74 @@ fn a_range_update_allocates_per_page_and_match_not_per_row() {
     assert!(
         (median as i64) * 10 < ROWS,
         "{median} allocations for one scan of {ROWS} rows: at least one per ten rows"
+    );
+}
+
+/// Records an index range names but the rest of the predicate refuses.
+const FETCHED: i64 = 2_000;
+
+#[test]
+fn a_keyed_statement_reads_the_records_it_fetches_in_place() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = seeded("keyed");
+    let meta = db.table("parts").unwrap();
+    let mut s = db.session();
+    let mut counts = Vec::new();
+    for rep in 0..5 {
+        let a = 1_000 + rep * 3_000;
+        let predicate = format!("id >= {a} AND id < {} AND grp = 99", a + FETCHED);
+        let plan = choose_access_path(&db, &meta, Some(&parse_expression(&predicate).unwrap()));
+        assert!(
+            matches!(plan, AccessPath::IndexRange { .. }),
+            "{predicate}: {plan:?}"
+        );
+        let sql = format!("UPDATE parts SET val = val + 1 WHERE {predicate}");
+        let (count, affected) = allocations(|| s.execute(&sql).unwrap().affected);
+        counts.push(count);
+        assert_eq!(affected, 0, "{sql}");
+    }
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    eprintln!(
+        "keyed UPDATE fetching {FETCHED} records, matching none: \
+         {median} allocations (median of {counts:?})"
+    );
+    // Copying each fetched record out of its page made one allocation per
+    // record.
+    assert!(
+        (median as i64) * 10 < FETCHED,
+        "{median} allocations for {FETCHED} fetched records: at least one per ten"
+    );
+}
+
+/// Allocations per inserted row the INSERT test allows. A row of the
+/// benchmark's shape makes ≈ 14.3 (parse, row, record, log and index);
+/// compiling each literal and evaluating it out again copied the `filler`
+/// string twice, ≈ 15.3. The count is the same on every repetition to a
+/// hundredth.
+const GATE_PER_INSERTED_ROW: f64 = 14.8;
+
+/// Rows per INSERT statement.
+const INSERTED: i64 = 500;
+
+#[test]
+fn an_insert_clones_each_literal_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = seeded("insert");
+    let mut s = db.session();
+    let mut per_row = Vec::new();
+    for rep in 0..5 {
+        let first = ROWS + rep * INSERTED;
+        let sql = insert_statement(first..first + INSERTED);
+        let (count, affected) = allocations(|| s.execute(&sql).unwrap().affected);
+        assert_eq!(affected, INSERTED as u64);
+        per_row.push(count as f64 / INSERTED as f64);
+    }
+    per_row.sort_by(f64::total_cmp);
+    let median = per_row[per_row.len() / 2];
+    eprintln!("INSERT of {INSERTED} rows: {median:.2} allocations per row (of {per_row:?})");
+    assert!(
+        median < GATE_PER_INSERTED_ROW,
+        "{median:.2} allocations per inserted row: is a literal copied twice?"
     );
 }

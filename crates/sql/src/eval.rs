@@ -6,7 +6,6 @@
 //! a decoded row's values, or an [`EncodedRow`] straight from the stored
 //! bytes, which lets a scan decode only the rows that match.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use delta_storage::{Cell, EncodedRow, Schema, Value};
@@ -55,7 +54,8 @@ impl Cells for EncodedRow<'_> {
 /// to its position in the rows it will read. Evaluation reads borrowed
 /// cells; a comparison with a literal allocates nothing, and an owned value
 /// appears only where `+` concatenates strings or [`CompiledExpr::eval`]
-/// hands its result out.
+/// hands its result out. A boolean node is decided by [`CompiledExpr::truth`]
+/// straight from the cells it reads; `eval` of one is that truth as a value.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr(Node);
 
@@ -73,16 +73,83 @@ enum Node {
     /// behaving as if the name were looked up per row.
     Fail(String),
     Neg(Box<Node>),
+    Arith {
+        left: Box<Node>,
+        op: BinOp,
+        right: Box<Node>,
+    },
     Not(Box<Node>),
     IsNull {
         expr: Box<Node>,
         negated: bool,
     },
-    Binary {
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Compare {
         left: Box<Node>,
-        op: BinOp,
+        test: Test,
         right: Box<Node>,
     },
+    /// A column compared with a literal, either way round: the shape of a
+    /// scan's predicate, decided with one dispatch and one cell read.
+    CompareColumn {
+        pos: usize,
+        name: String,
+        test: Test,
+        literal: Value,
+        literal_first: bool,
+    },
+}
+
+/// A comparison operator as the orderings it accepts, indexed by
+/// `Ordering as i8 + 1` (`Less`, `Equal`, `Greater`).
+#[derive(Debug, Clone, Copy)]
+struct Test([bool; 3]);
+
+impl Test {
+    fn of(op: BinOp) -> Option<Test> {
+        Some(Test(match op {
+            BinOp::Eq => [false, true, false],
+            BinOp::Ne => [true, false, true],
+            BinOp::Lt => [true, false, false],
+            BinOp::Le => [true, true, false],
+            BinOp::Gt => [false, false, true],
+            BinOp::Ge => [false, true, true],
+            _ => return None,
+        }))
+    }
+
+    /// `l op r` in SQL 3VL: UNKNOWN if either side is NULL, an error if
+    /// [`Cell::sql_cmp`] cannot order them.
+    #[inline]
+    fn apply(self, l: Cell<'_>, r: Cell<'_>) -> Result<Option<bool>, EvalError> {
+        match l.sql_cmp(&r) {
+            Some(ord) => Ok(Some(self.0[(ord as i8 + 1) as usize])),
+            None if l.is_null() || r.is_null() => Ok(None),
+            None => Err(incomparable(l, r)),
+        }
+    }
+}
+
+#[cold]
+fn incomparable(l: Cell<'_>, r: Cell<'_>) -> EvalError {
+    EvalError::new(format!("cannot compare {l} with {r}"))
+}
+
+#[cold]
+fn unknown_column(name: &str) -> EvalError {
+    EvalError::new(format!("unknown column '{name}'"))
+}
+
+/// Cell `pos` of `row`; a row shorter than the layout it was compiled for
+/// has no such column.
+#[inline]
+fn column<'r, R: Cells + ?Sized>(
+    row: &'r R,
+    pos: usize,
+    name: &str,
+) -> Result<Cell<'r>, EvalError> {
+    row.cell(pos).ok_or_else(|| unknown_column(name))
 }
 
 /// An intermediate result: a cell borrowed from the row or the expression,
@@ -158,7 +225,8 @@ impl Node {
         aggs: &[Expr],
         first: usize,
     ) -> Node {
-        let sub = |e: &Expr| Box::new(Node::compile(e, position, aggs, first));
+        let node = |e: &Expr| Node::compile(e, position, aggs, first);
+        let sub = |e: &Expr| Box::new(node(e));
         match expr {
             Expr::Literal(v) => Node::Literal(v.clone()),
             Expr::Now => Node::Now,
@@ -167,7 +235,7 @@ impl Node {
                     pos,
                     name: name.clone(),
                 },
-                None => Node::Fail(format!("unknown column '{name}'")),
+                None => Node::Fail(unknown_column(name).message),
             },
             Expr::Unary {
                 op: UnOp::Neg,
@@ -181,10 +249,35 @@ impl Node {
                 expr: sub(expr),
                 negated: *negated,
             },
-            Expr::Binary { left, op, right } => Node::Binary {
-                left: sub(left),
-                op: *op,
-                right: sub(right),
+            Expr::Binary { left, op, right } => match (op, Test::of(*op)) {
+                (BinOp::And, _) => Node::And(sub(left), sub(right)),
+                (BinOp::Or, _) => Node::Or(sub(left), sub(right)),
+                (_, Some(test)) => match (node(left), node(right)) {
+                    (Node::Column { pos, name }, Node::Literal(literal)) => Node::CompareColumn {
+                        pos,
+                        name,
+                        test,
+                        literal,
+                        literal_first: false,
+                    },
+                    (Node::Literal(literal), Node::Column { pos, name }) => Node::CompareColumn {
+                        pos,
+                        name,
+                        test,
+                        literal,
+                        literal_first: true,
+                    },
+                    (left, right) => Node::Compare {
+                        left: Box::new(left),
+                        test,
+                        right: Box::new(right),
+                    },
+                },
+                _ => Node::Arith {
+                    left: sub(left),
+                    op: *op,
+                    right: sub(right),
+                },
             },
             Expr::Aggregate { func, .. } => match aggs.iter().position(|a| a == expr) {
                 Some(i) => Node::Column {
@@ -198,99 +291,115 @@ impl Node {
         }
     }
 
+    /// The cell an operator reads of this node: a literal, `NOW()` or a
+    /// column in place, any other node evaluated into `slot`.
+    #[inline]
+    fn operand<'r, R: Cells + ?Sized>(
+        &'r self,
+        row: &'r R,
+        now: i64,
+        slot: &'r mut Option<Datum<'r>>,
+    ) -> Result<Cell<'r>, EvalError> {
+        match self {
+            Node::Literal(v) => Ok(v.as_cell()),
+            Node::Now => Ok(Cell::Timestamp(now)),
+            Node::Column { pos, name } => column(row, *pos, name),
+            _ => Ok(slot.insert(self.eval(row, now)?).cell()),
+        }
+    }
+
     fn eval<'r, R: Cells + ?Sized>(&'r self, row: &'r R, now: i64) -> Result<Datum<'r>, EvalError> {
         Ok(Datum::Cell(match self {
             Node::Literal(v) => v.as_cell(),
             Node::Now => Cell::Timestamp(now),
-            Node::Column { pos, name } => row
-                .cell(*pos)
-                .ok_or_else(|| EvalError::new(format!("unknown column '{name}'")))?,
+            Node::Column { pos, name } => column(row, *pos, name)?,
             Node::Fail(message) => return Err(EvalError::new(message.clone())),
-            Node::Neg(expr) => match expr.eval(row, now)?.cell() {
+            Node::Neg(expr) => match expr.operand(row, now, &mut None)? {
                 Cell::Null => Cell::Null,
                 Cell::Int(i) => Cell::Int(i.wrapping_neg()),
                 Cell::Double(d) => Cell::Double(-d),
                 other => return Err(EvalError::new(format!("cannot negate {other}"))),
             },
-            Node::Not(expr) => match expr.truth(row, now)? {
-                Some(b) => Cell::Bool(!b),
-                None => Cell::Null,
-            },
-            Node::IsNull { expr, negated } => {
-                Cell::Bool(expr.eval(row, now)?.cell().is_null() != *negated)
+            Node::Arith { left, op, right } => {
+                let (mut ls, mut rs) = (None, None);
+                let l = left.operand(row, now, &mut ls)?;
+                let r = right.operand(row, now, &mut rs)?;
+                if l.is_null() || r.is_null() {
+                    Cell::Null
+                } else {
+                    return arith(l, *op, r);
+                }
             }
-            Node::Binary { left, op, right } => return Node::binary(left, *op, right, row, now),
+            Node::Not(_)
+            | Node::IsNull { .. }
+            | Node::And(..)
+            | Node::Or(..)
+            | Node::Compare { .. }
+            | Node::CompareColumn { .. } => self.truth(row, now)?.map_or(Cell::Null, Cell::Bool),
         }))
     }
 
-    fn binary<'r, R: Cells + ?Sized>(
-        left: &'r Node,
-        op: BinOp,
-        right: &'r Node,
-        row: &'r R,
-        now: i64,
-    ) -> Result<Datum<'r>, EvalError> {
-        let truth = |b: Option<bool>| Ok(Datum::Cell(b.map_or(Cell::Null, Cell::Bool)));
-        match op {
-            BinOp::And => {
-                // SQL 3VL: FALSE AND x = FALSE even when x is NULL.
+    fn truth<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<Option<bool>, EvalError> {
+        match self {
+            // SQL 3VL: FALSE AND x = FALSE even when x is NULL, and the
+            // right side is not evaluated.
+            Node::And(left, right) => {
                 let l = left.truth(row, now)?;
                 if l == Some(false) {
-                    return truth(Some(false));
+                    return Ok(l);
                 }
-                truth(match (l, right.truth(row, now)?) {
-                    (Some(true), Some(true)) => Some(true),
+                Ok(match (l, right.truth(row, now)?) {
                     (_, Some(false)) => Some(false),
+                    (Some(true), r) => r,
                     _ => None,
                 })
             }
-            BinOp::Or => {
+            Node::Or(left, right) => {
                 let l = left.truth(row, now)?;
                 if l == Some(true) {
-                    return truth(Some(true));
+                    return Ok(l);
                 }
-                truth(match (l, right.truth(row, now)?) {
-                    (Some(false), Some(false)) => Some(false),
+                Ok(match (l, right.truth(row, now)?) {
                     (_, Some(true)) => Some(true),
+                    (Some(false), r) => r,
                     _ => None,
                 })
             }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let (l, r) = (left.eval(row, now)?, right.eval(row, now)?);
-                let (l, r) = (l.cell(), r.cell());
-                if l.is_null() || r.is_null() {
-                    return truth(None);
-                }
-                let ord = l
-                    .sql_cmp(&r)
-                    .ok_or_else(|| EvalError::new(format!("cannot compare {l} with {r}")))?;
-                truth(Some(match op {
-                    BinOp::Eq => ord == Ordering::Equal,
-                    BinOp::Ne => ord != Ordering::Equal,
-                    BinOp::Lt => ord == Ordering::Less,
-                    BinOp::Le => ord != Ordering::Greater,
-                    BinOp::Gt => ord == Ordering::Greater,
-                    _ => ord != Ordering::Less,
-                }))
+            Node::Not(expr) => Ok(expr.truth(row, now)?.map(|b| !b)),
+            Node::IsNull { expr, negated } => Ok(Some(
+                expr.operand(row, now, &mut None)?.is_null() != *negated,
+            )),
+            Node::Compare { left, test, right } => {
+                let (mut ls, mut rs) = (None, None);
+                let l = left.operand(row, now, &mut ls)?;
+                test.apply(l, right.operand(row, now, &mut rs)?)
             }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let (l, r) = (left.eval(row, now)?, right.eval(row, now)?);
-                let (l, r) = (l.cell(), r.cell());
-                if l.is_null() || r.is_null() {
-                    return truth(None);
+            Node::CompareColumn {
+                pos,
+                name,
+                test,
+                literal,
+                literal_first,
+            } => {
+                let cell = column(row, *pos, name)?;
+                match literal_first {
+                    false => test.apply(cell, literal.as_cell()),
+                    true => test.apply(literal.as_cell(), cell),
                 }
-                arith(l, op, r)
             }
-        }
-    }
-
-    fn truth<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<Option<bool>, EvalError> {
-        match self.eval(row, now)?.cell() {
-            Cell::Null => Ok(None),
-            Cell::Bool(b) => Ok(Some(b)),
-            other => Err(EvalError::new(format!(
-                "expected a boolean predicate, got {other}"
-            ))),
+            // A value where a truth value is wanted.
+            Node::Literal(_)
+            | Node::Now
+            | Node::Column { .. }
+            | Node::Fail(_)
+            | Node::Neg(_)
+            | Node::Arith { .. } => match self.operand(row, now, &mut None)? {
+                Cell::Null => Ok(None),
+                Cell::Bool(b) => Ok(Some(b)),
+                other => Err(EvalError::new(format!(
+                    "expected a boolean predicate, got {other}"
+                ))),
+            },
         }
     }
 }

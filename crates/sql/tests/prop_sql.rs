@@ -260,7 +260,76 @@ fn arb_cell() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Any expression the evaluator takes, or (weighted up) the shape a scan's
+/// predicate takes.
 fn arb_eval_expr() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        3 => arb_any_expr(),
+        2 => arb_scan_predicate(),
+    ]
+}
+
+fn binary(left: Expr, op: BinOp, right: Expr) -> Expr {
+    Expr::Binary {
+        left: Box::new(left),
+        op,
+        right: Box::new(right),
+    }
+}
+
+fn arb_comparison() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Eq),
+        Just(BinOp::Ne),
+        Just(BinOp::Lt),
+        Just(BinOp::Le),
+        Just(BinOp::Gt),
+        Just(BinOp::Ge),
+    ]
+}
+
+/// A column (`zz`, unknown, among them) compared with a literal or with
+/// `NOW()`, either way round.
+fn arb_column_test() -> impl Strategy<Value = Expr> {
+    let other = prop_oneof![
+        6 => arb_cell().prop_map(Expr::Literal),
+        1 => Just(Expr::Now),
+    ];
+    (0usize..NAMES.len(), other, arb_comparison(), any::<bool>()).prop_map(
+        |(i, other, op, column_first)| {
+            let column = Expr::Column(NAMES[i].into());
+            match column_first {
+                true => binary(column, op, other),
+                false => binary(other, op, column),
+            }
+        },
+    )
+}
+
+/// `AND`/`OR`/`NOT` trees of column tests and `IS [NOT] NULL`: what a scan
+/// evaluates on every row, with NULL cells, mixed numeric operands and `zz`
+/// on either side of a short-circuiting connective.
+fn arb_scan_predicate() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        6 => arb_column_test(),
+        1 => ((0usize..NAMES.len()), any::<bool>()).prop_map(|(i, negated)| Expr::IsNull {
+            expr: Box::new(Expr::Column(NAMES[i].into())),
+            negated,
+        }),
+    ];
+    leaf.prop_recursive(4, 16, 2, |inner| {
+        prop_oneof![
+            4 => (inner.clone(), inner.clone(), any::<bool>())
+                .prop_map(|(l, r, and)| binary(l, if and { BinOp::And } else { BinOp::Or }, r)),
+            1 => inner.prop_map(|e| Expr::Unary {
+                op: UnOp::Not,
+                expr: Box::new(e),
+            }),
+        ]
+    })
+}
+
+fn arb_any_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         3 => arb_cell().prop_map(Expr::Literal),
         4 => (0usize..NAMES.len()).prop_map(|i| Expr::Column(NAMES[i].into())),
@@ -431,7 +500,9 @@ fn shown<T: std::fmt::Debug>(v: T) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4000))]
+    // 7 000 cases: about 4 200 from `arb_any_expr`, as many as this
+    // property ran before the scan arm shared its generator.
+    #![proptest_config(ProptestConfig::with_cases(7000))]
 
     #[test]
     fn compiled_evaluation_agrees_with_name_resolution(
@@ -456,5 +527,124 @@ proptest! {
         prop_assert_eq!(shown(compiled.truth(&encoded, now)), want, "encoded: {}", e);
         let want = shown(reference.truth(&e).map(|t| t == Some(true)));
         prop_assert_eq!(shown(compiled.matches(&encoded, now)), want, "encoded: {}", e);
+    }
+}
+
+/// Evaluate `src` every way the oracle does — value, truth and WHERE
+/// semantics, over decoded values and encoded bytes — against the reference,
+/// on the row `a = 7, b = NULL, c = 3, d = 'x', e = true`, and return the
+/// value's `Debug` text.
+fn decided(src: &str) -> String {
+    let schema = eval_schema();
+    let row = Row::new(vec![
+        Value::Int(7),
+        Value::Null,
+        Value::Timestamp(3),
+        Value::Str("x".into()),
+        Value::Bool(true),
+    ]);
+    let e = parse_expression(src).unwrap();
+    let reference = Reference {
+        schema: &schema,
+        row: &row,
+        now: 0,
+    };
+    let compiled = CompiledExpr::for_schema(&e, &schema);
+    let bytes = row.to_bytes();
+    let mut at = Vec::new();
+    let encoded = EncodedRow::index(&bytes, &mut at).unwrap();
+    let want = shown(reference.eval(&e));
+    assert_eq!(shown(compiled.eval(row.values(), 0)), want, "{src}");
+    assert_eq!(shown(compiled.eval(&encoded, 0)), want, "{src}");
+    let truth = shown(reference.truth(&e));
+    assert_eq!(shown(compiled.truth(row.values(), 0)), truth, "{src}");
+    assert_eq!(shown(compiled.truth(&encoded, 0)), truth, "{src}");
+    let matched = shown(reference.truth(&e).map(|t| t == Some(true)));
+    assert_eq!(shown(compiled.matches(&encoded, 0)), matched, "{src}");
+    want
+}
+
+fn failure(message: &str) -> String {
+    shown(Err::<Value, _>(EvalError {
+        message: message.into(),
+    }))
+}
+
+#[test]
+fn when_both_operands_fail_the_left_error_wins() {
+    let zz = failure("unknown column 'zz'");
+    let sum = failure("SUM(..) is only valid in a grouped SELECT projection");
+    let yy = failure("unknown column 'yy'");
+    assert_eq!(decided("zz = SUM(a)"), zz);
+    assert_eq!(decided("SUM(a) = zz"), sum);
+    assert_eq!(decided("zz < yy"), zz);
+    assert_eq!(decided("yy IS NULL AND zz IS NULL"), yy);
+    assert_eq!(decided("zz = 1 OR yy = 1"), zz);
+    assert_eq!(decided("NOT (zz > 1) AND yy > 1"), zz);
+    assert_eq!(decided("(zz + 1) >= (1 / 0)"), zz);
+    assert_eq!(decided("(1 / 0) >= (zz + 1)"), failure("division by zero"));
+    // Both operands evaluate before they are compared.
+    assert_eq!(decided("d < zz"), zz);
+    assert_eq!(decided("d < a"), failure("cannot compare 'x' with 7"));
+    assert_eq!(decided("a < d"), failure("cannot compare 7 with 'x'"));
+    assert_eq!(decided("'x' < a"), failure("cannot compare 'x' with 7"));
+    // An unknown column with a NULL beside it is still unknown.
+    assert_eq!(decided("b = zz"), zz);
+    assert_eq!(decided("NULL = zz"), zz);
+    assert_eq!(decided("zz = NULL"), zz);
+}
+
+#[test]
+fn a_skipped_right_side_raises_nothing() {
+    let f = "Ok(Bool(false))";
+    let t = "Ok(Bool(true))";
+    assert_eq!(decided("a = 0 AND zz = 1"), f);
+    assert_eq!(decided("a <> 7 AND SUM(a) > 0"), f);
+    assert_eq!(decided("e = false AND d < a"), f);
+    assert_eq!(decided("a = 7 OR zz = 1"), t);
+    assert_eq!(decided("c <= 3 OR (1 / 0) = 1"), t);
+    assert_eq!(decided("NOT (a >= 7) AND zz IS NULL"), f);
+    assert_eq!(decided("(a < 0 AND zz = 1) OR d = 'x'"), t);
+    // UNKNOWN does not short-circuit: the right side is read and fails.
+    let zz = failure("unknown column 'zz'");
+    assert_eq!(decided("b = 1 AND zz = 1"), zz);
+    assert_eq!(decided("b = 1 OR zz = 1"), zz);
+    assert_eq!(decided("a = 7 AND zz = 1"), zz);
+    assert_eq!(decided("a = 0 OR zz = 1"), zz);
+    // A right side that decides an UNKNOWN left.
+    assert_eq!(decided("b = 1 AND a = 0"), f);
+    assert_eq!(decided("b = 1 OR a = 7"), t);
+    assert_eq!(decided("b = 1 AND a = 7"), "Ok(Null)");
+}
+
+#[test]
+fn a_column_past_the_end_of_the_row_is_unknown_when_read() {
+    // Compiled for a layout wider than the row it reads: `far` is
+    // position 9 of a five-cell row.
+    let position = |name: &str| match name {
+        "far" => Some(9),
+        other => eval_schema().index_of(other),
+    };
+    let row = Row::new(vec![
+        Value::Int(7),
+        Value::Null,
+        Value::Timestamp(3),
+        Value::Str("x".into()),
+        Value::Bool(true),
+    ]);
+    let bytes = row.to_bytes();
+    let mut at = Vec::new();
+    let encoded = EncodedRow::index(&bytes, &mut at).unwrap();
+    for (src, want) in [
+        ("far = 1", failure("unknown column 'far'")),
+        ("1 = far", failure("unknown column 'far'")),
+        ("far = zz", failure("unknown column 'far'")),
+        ("zz = far", failure("unknown column 'zz'")),
+        ("a = 0 AND far = 1", "Ok(Bool(false))".to_string()),
+        ("far IS NULL OR a = 7", failure("unknown column 'far'")),
+    ] {
+        let compiled = CompiledExpr::compile(&parse_expression(src).unwrap(), position);
+        assert_eq!(shown(compiled.eval(row.values(), 0)), want, "{src}");
+        assert_eq!(shown(compiled.eval(&encoded, 0)), want, "{src}");
     }
 }
