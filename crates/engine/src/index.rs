@@ -1,10 +1,18 @@
 //! Ordered secondary indexes and unique primary-key indexes.
 //!
-//! Indexes are ordered maps from a single column's value to the record ids
-//! holding that value. They are maintained synchronously by DML and rebuilt
-//! by a heap scan at database open (a main-memory index over disk-resident
-//! data — the persistence story the paper's timestamp-extraction discussion
-//! needs is the *ordering*, which this provides deterministically).
+//! An index is one ordered set of `(key, record id)` entries over a single
+//! column, ordered by [`IndexKey`] and then by record id. Entries sit
+//! inline in the set's B-tree leaves: a key costs no allocation of its own,
+//! and a key held by many records is a run of adjacent entries. Unique and
+//! non-unique indexes share the set; uniqueness is a probe before the
+//! insert. A search is one descent to a sentinel entry: `(k, MIN_RID)`
+//! sorts before every entry of `k` and `(k, MAX_RID)` after, so a point
+//! probe walks forward from `(k, MIN_RID)` while the key stays `k`.
+//!
+//! Indexes are maintained synchronously by DML and rebuilt by a heap scan
+//! at database open (a main-memory index over disk-resident data — the
+//! persistence story the paper's timestamp-extraction discussion needs is
+//! the *ordering*, which this provides deterministically).
 //!
 //! The executor consults [`crate::exec::choose_access_path`]-style
 //! heuristics before using an index: per §3.1.1, *"indices may not be used by
@@ -12,8 +20,7 @@
 //! table"* — we reproduce that with a selectivity threshold.
 
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -51,20 +58,20 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-/// The ordered map and the number of `(key, rid)` pairs in it, kept under
-/// one lock so the count can never be read apart from the map it counts.
-#[derive(Default)]
-struct Entries {
-    map: BTreeMap<IndexKey, BTreeSet<RecordId>>,
-    len: usize,
-}
+/// Sentinels: `(key, MIN_RID)` sorts before every entry of `key`, and
+/// `(key, MAX_RID)` after.
+const MIN_RID: RecordId = RecordId::new(0, 0);
+const MAX_RID: RecordId = RecordId::new(u32::MAX, u16::MAX);
+
+/// One index entry; the set orders entries by key, then by record id.
+type IndexEntry = (IndexKey, RecordId);
 
 /// One in-memory ordered index.
 pub struct Index {
     pub def: IndexDef,
     /// Position of `def.column` in the table's schema.
     column_pos: usize,
-    entries: RwLock<Entries>,
+    entries: RwLock<BTreeSet<IndexEntry>>,
 }
 
 impl Index {
@@ -74,7 +81,7 @@ impl Index {
         Index {
             def,
             column_pos,
-            entries: RwLock::new(Entries::default()),
+            entries: RwLock::new(BTreeSet::new()),
         }
     }
 
@@ -84,23 +91,22 @@ impl Index {
     }
 
     /// Insert `(key, rid)`. NULL keys are not indexed (SQL semantics).
-    /// Unique indexes reject an existing non-NULL key.
+    /// Unique indexes reject an existing non-NULL key held by another rid;
+    /// re-inserting a present pair changes nothing.
     pub fn insert(&self, key: &Value, rid: RecordId) -> EngineResult<()> {
         if key.is_null() {
             return Ok(());
         }
-        let mut guard = self.entries.write();
-        let Entries { map, len } = &mut *guard;
-        let entry = map.entry(IndexKey(key.clone())).or_default();
-        if self.def.unique && !entry.is_empty() && !entry.contains(&rid) {
+        let mut entry = (IndexKey(key.clone()), MIN_RID);
+        let mut set = self.entries.write();
+        if self.def.unique && first_rid(&set, &entry).is_some_and(|held| held != rid) {
             return Err(EngineError::DuplicateKey {
                 table: self.def.table.clone(),
                 key: key.to_string(),
             });
         }
-        if entry.insert(rid) {
-            *len += 1;
-        }
+        entry.1 = rid;
+        set.insert(entry);
         Ok(())
     }
 
@@ -109,39 +115,29 @@ impl Index {
         if key.is_null() {
             return;
         }
-        let mut guard = self.entries.write();
-        let Entries { map, len } = &mut *guard;
-        if let Entry::Occupied(mut slot) = map.entry(IndexKey(key.clone())) {
-            if slot.get_mut().remove(&rid) {
-                *len -= 1;
-            }
-            if slot.get().is_empty() {
-                slot.remove();
-            }
-        }
+        self.entries.write().remove(&(IndexKey(key.clone()), rid));
     }
 
-    /// Record ids whose key equals `key`.
+    /// Record ids whose key equals `key`, in record-id order.
     pub fn lookup(&self, key: &Value) -> Vec<RecordId> {
         if key.is_null() {
             return Vec::new();
         }
-        self.entries
-            .read()
-            .map
-            .get(&IndexKey(key.clone()))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        let probe = (IndexKey(key.clone()), MIN_RID);
+        let set = self.entries.read();
+        set.range((Bound::Included(&probe), Bound::Unbounded))
+            .take_while(|(k, _)| k.cmp(&probe.0).is_eq())
+            .map(|&(_, rid)| rid)
+            .collect()
     }
 
-    /// The record id under `key` in a unique index (the first of them in
-    /// any other), without collecting the set.
+    /// The record id under `key` in a unique index (the lowest of them in
+    /// any other): one descent, nothing collected.
     pub fn lookup_unique(&self, key: &Value) -> Option<RecordId> {
         if key.is_null() {
             return None;
         }
-        let entries = self.entries.read();
-        entries.map.get(&IndexKey(key.clone()))?.first().copied()
+        first_rid(&self.entries.read(), &(IndexKey(key.clone()), MIN_RID))
     }
 
     /// Record ids within the bounds, in key order. An equality (both bounds
@@ -152,14 +148,13 @@ impl Index {
                 return self.lookup(a);
             }
         }
-        let Some(bounds) = key_range(lo, hi) else {
+        let Some((lo, hi)) = entry_range(lo, hi) else {
             return Vec::new();
         };
         self.entries
             .read()
-            .map
-            .range(bounds)
-            .flat_map(|(_, set)| set.iter().copied())
+            .range((lo.as_ref(), hi.as_ref()))
+            .map(|&(_, rid)| rid)
             .collect()
     }
 
@@ -168,46 +163,39 @@ impl Index {
     /// keys only, stopping once at least `limit` pairs are taken. Passing
     /// the last key of a chunk resumes the walk right after it.
     pub fn entries_after(&self, after: Option<&Value>, limit: usize) -> Vec<(Value, RecordId)> {
-        let lo = after.map_or(Bound::Unbounded, |k| Bound::Excluded(IndexKey(k.clone())));
-        let mut out = Vec::with_capacity(limit.min(1 << 16));
-        for (key, set) in self.entries.read().map.range((lo, Bound::Unbounded)) {
-            if out.len() >= limit {
+        let lo = after.map(|k| (IndexKey(k.clone()), MAX_RID));
+        let lo = lo.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
+        let mut out: Vec<(Value, RecordId)> = Vec::with_capacity(limit.min(1 << 16));
+        for (key, rid) in self.entries.read().range((lo, Bound::Unbounded)) {
+            // Past the limit, only the rest of the last key's entries.
+            let same_key = out.last().is_some_and(|(k, _)| k.total_cmp(&key.0).is_eq());
+            if out.len() >= limit && !same_key {
                 break;
             }
-            out.extend(set.iter().map(|&rid| (key.0.clone(), rid)));
+            out.push((key.0.clone(), *rid));
         }
         out
     }
 
     /// Number of record ids within the bounds, counted until it exceeds
     /// `limit` (selectivity estimation: a caller that will refuse the index
-    /// past `limit` matches pays for `limit + 1` keys, not for the range).
-    /// The result is exact whenever it is `<= limit`; `usize::MAX` counts
-    /// the whole range.
+    /// past `limit` matches pays for `limit + 1` entries, not for the
+    /// range). The result is exact whenever it is `<= limit` and `limit + 1`
+    /// otherwise; `usize::MAX` counts the whole range.
     pub fn count_range(&self, lo: Bound<&Value>, hi: Bound<&Value>, limit: usize) -> usize {
-        let Some(bounds) = key_range(lo, hi) else {
+        let Some((lo, hi)) = entry_range(lo, hi) else {
             return 0;
         };
-        let mut n = 0usize;
-        for (_, set) in self.entries.read().map.range(bounds) {
-            n += set.len();
-            if n > limit {
-                break;
-            }
-        }
-        n
+        self.entries
+            .read()
+            .range((lo.as_ref(), hi.as_ref()))
+            .take(limit.saturating_add(1))
+            .count()
     }
 
     /// Total indexed entries.
     pub fn len(&self) -> usize {
-        self.entries.read().len
-    }
-
-    /// Whether [`Index::len`] equals a recount of the map, taken under one
-    /// lock (the statistics invariant; O(entries), for checks and tests).
-    pub fn len_matches_recount(&self) -> bool {
-        let guard = self.entries.read();
-        guard.len == guard.map.values().map(BTreeSet::len).sum::<usize>()
+        self.entries.read().len()
     }
 
     /// Whether the index holds no entries.
@@ -217,13 +205,25 @@ impl Index {
 
     /// Drop all entries (table truncation / rebuild).
     pub fn clear(&self) {
-        *self.entries.write() = Entries::default();
+        self.entries.write().clear();
     }
 }
 
-/// The bounds as map keys, or `None` when no key can lie between them
-/// (`x > 5 AND x < 3`) — `BTreeMap::range` panics on such a pair.
-fn key_range(lo: Bound<&Value>, hi: Bound<&Value>) -> Option<(Bound<IndexKey>, Bound<IndexKey>)> {
+/// The record id of the first entry at or after `probe` when its key equals
+/// `probe`'s: with `probe = (key, MIN_RID)`, the lowest rid under `key`.
+fn first_rid(set: &BTreeSet<IndexEntry>, probe: &IndexEntry) -> Option<RecordId> {
+    let (key, rid) = set
+        .range((Bound::Included(probe), Bound::Unbounded))
+        .next()?;
+    key.cmp(&probe.0).is_eq().then_some(*rid)
+}
+
+/// The bounds as sentinel entries, or `None` when no key can lie between
+/// them (`x > 5 AND x < 3`) — `BTreeSet::range` panics on such a pair.
+fn entry_range(
+    lo: Bound<&Value>,
+    hi: Bound<&Value>,
+) -> Option<(Bound<IndexEntry>, Bound<IndexEntry>)> {
     if let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
         (lo, hi)
     {
@@ -234,13 +234,18 @@ fn key_range(lo: Bound<&Value>, hi: Bound<&Value>) -> Option<(Bound<IndexKey>, B
             _ => {}
         }
     }
-    Some((map_bound(lo), map_bound(hi)))
+    Some((
+        sentinel(lo, MIN_RID, MAX_RID),
+        sentinel(hi, MAX_RID, MIN_RID),
+    ))
 }
 
-fn map_bound(b: Bound<&Value>) -> Bound<IndexKey> {
+/// A bound on keys as a bound on entries: an included key `k` as
+/// `(k, included)`, an excluded one as `(k, excluded)`.
+fn sentinel(b: Bound<&Value>, included: RecordId, excluded: RecordId) -> Bound<IndexEntry> {
     match b {
-        Bound::Included(v) => Bound::Included(IndexKey(v.clone())),
-        Bound::Excluded(v) => Bound::Excluded(IndexKey(v.clone())),
+        Bound::Included(v) => Bound::Included((IndexKey(v.clone()), included)),
+        Bound::Excluded(v) => Bound::Excluded((IndexKey(v.clone()), excluded)),
         Bound::Unbounded => Bound::Unbounded,
     }
 }

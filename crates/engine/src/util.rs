@@ -303,7 +303,7 @@ pub fn loader_load(
                 let key = &row.values()[idx.column_pos()];
                 if !key.is_null() {
                     let k = key.to_string();
-                    if !fresh_keys.insert(k) || !idx.lookup(key).is_empty() {
+                    if !fresh_keys.insert(k) || idx.lookup_unique(key).is_some() {
                         return Err(EngineError::DuplicateKey {
                             table: table.to_string(),
                             key: key.to_string(),

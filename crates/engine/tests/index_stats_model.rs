@@ -1,14 +1,26 @@
-//! Index statistics against a model: after every step `Index::len` equals
-//! a recount of the map, and `count_range` equals a filtered recount (exact
-//! up to its limit, past it otherwise).
+//! Indexes against a model: a map from each key to the set of its record
+//! ids, ordered as `Value::total_cmp` orders keys. After every step
+//! `Index::len` equals the model's entry count; `lookup` and
+//! `lookup_unique` return the key's rids; `range` and `count_range` equal a
+//! filtered walk of the model (`count_range` exact up to its limit, one past
+//! it otherwise); and a chunked `entries_after` walk returns every entry,
+//! whole keys per chunk, whatever the chunk limit.
+//!
+//! Keys are drawn as `Int`s, or as `Double`s or `Timestamp`s that tie with
+//! the `Int` of the same number (`total_cmp` calls them one key): a
+//! non-unique index holds them side by side, and a unique one rejects a
+//! second rid under a tying key of another type.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use delta_engine::db::{Database, DbOptions};
 use delta_engine::index::{Index, IndexDef};
 use delta_engine::EngineError;
 use delta_storage::{RecordId, Value};
+
+/// Each key's record ids; the key is the number every tying value stands for.
+type Model = BTreeMap<i64, BTreeSet<RecordId>>;
 
 /// xorshift64*: seeded, no dependency.
 struct Rng(u64);
@@ -26,6 +38,34 @@ impl Rng {
     }
 }
 
+/// Which types stand for a key besides `Int`. `Double` and `Timestamp` are
+/// never mixed in one index: `total_cmp` ranks them apart, though each ties
+/// with `Int`.
+#[derive(Clone, Copy, Debug)]
+enum Mix {
+    IntOnly,
+    WithDouble,
+    WithTimestamp,
+}
+
+/// `k` as one of the values `mix` allows, drawn at random.
+fn value(k: i64, mix: Mix, rng: &mut Rng) -> Value {
+    match (mix, rng.below(2)) {
+        (Mix::WithDouble, 0) => Value::Double(k as f64),
+        (Mix::WithTimestamp, 0) => Value::Timestamp(k),
+        _ => Value::Int(k),
+    }
+}
+
+/// The number an indexed value stands for.
+fn number(v: &Value) -> i64 {
+    match v {
+        Value::Int(k) | Value::Timestamp(k) => *k,
+        Value::Double(d) => *d as i64,
+        other => panic!("unexpected key {other:?}"),
+    }
+}
+
 fn bound(kind: u64, v: &Value) -> Bound<&Value> {
     match kind {
         0 => Bound::Unbounded,
@@ -37,51 +77,127 @@ fn bound(kind: u64, v: &Value) -> Bound<&Value> {
 fn within(lo: Bound<&Value>, hi: Bound<&Value>, key: i64) -> bool {
     let above = match lo {
         Bound::Unbounded => true,
-        Bound::Included(v) => key >= v.as_int().unwrap(),
-        Bound::Excluded(v) => key > v.as_int().unwrap(),
+        Bound::Included(v) => key >= number(v),
+        Bound::Excluded(v) => key > number(v),
     };
     let below = match hi {
         Bound::Unbounded => true,
-        Bound::Included(v) => key <= v.as_int().unwrap(),
-        Bound::Excluded(v) => key < v.as_int().unwrap(),
+        Bound::Included(v) => key <= number(v),
+        Bound::Excluded(v) => key < number(v),
     };
     above && below
 }
 
-/// `idx` agrees with `model` on its entry count and on a random range.
-fn assert_statistics(idx: &Index, model: &BTreeSet<(i64, RecordId)>, rng: &mut Rng, step: &str) {
-    assert_eq!(idx.len(), model.len(), "len after {step}");
-    assert!(idx.len_matches_recount(), "recount after {step}");
-    assert_eq!(idx.is_empty(), model.is_empty(), "is_empty after {step}");
+/// The model's entries in index order: by key, then by rid.
+fn entries(model: &Model) -> impl Iterator<Item = (i64, RecordId)> + '_ {
+    model
+        .iter()
+        .flat_map(|(&k, rids)| rids.iter().map(move |&rid| (k, rid)))
+}
+
+/// Walk `idx` in `entries_after` chunks of `limit` and check each chunk
+/// against the model. Returns whether some chunk ran past its limit to
+/// finish a key (a key straddling the chunk boundary).
+fn assert_chunked_walk(idx: &Index, model: &Model, limit: usize, step: &str) -> bool {
+    let mut walked = Vec::new();
+    let mut last: Option<Value> = None;
+    let mut straddled = false;
+    loop {
+        let chunk = idx.entries_after(last.as_ref(), limit);
+        let Some((key, _)) = chunk.last() else { break };
+        let last_key = number(key);
+        let before_last_key = chunk.iter().filter(|(k, _)| number(k) != last_key).count();
+        // At least `limit` pairs, unless the walk ran out; the last key
+        // whole, so only it may carry the chunk past `limit`.
+        assert!(
+            chunk.len() >= limit
+                || walked.len() + chunk.len() == model.values().map(BTreeSet::len).sum(),
+            "chunk of {} under limit {limit} mid-walk, {step}",
+            chunk.len()
+        );
+        assert!(
+            before_last_key < limit,
+            "chunk ran on past limit {limit} into key {last_key}, {step}"
+        );
+        assert_eq!(
+            chunk.iter().filter(|(k, _)| number(k) == last_key).count(),
+            model[&last_key].len(),
+            "key {last_key} split across chunks (limit {limit}), {step}"
+        );
+        straddled |= chunk.len() > limit;
+        walked.extend(chunk.iter().map(|(k, rid)| (number(k), *rid)));
+        last = Some(key.clone());
+    }
+    assert_eq!(
+        walked,
+        entries(model).collect::<Vec<_>>(),
+        "entries_after walk with limit {limit}, {step}"
+    );
+    straddled
+}
+
+/// `idx` agrees with `model` on its entry count, on point probes, on a
+/// random range and on chunked walks. Returns whether a walk straddled.
+fn assert_against_model(idx: &Index, model: &Model, mix: Mix, rng: &mut Rng, step: &str) -> bool {
+    let len: usize = model.values().map(BTreeSet::len).sum();
+    assert_eq!(idx.len(), len, "len after {step}");
+    assert_eq!(idx.is_empty(), len == 0, "is_empty after {step}");
     let all = idx.range(Bound::Unbounded, Bound::Unbounded);
-    assert_eq!(all.len(), model.len(), "full range after {step}");
+    assert_eq!(
+        all,
+        entries(model).map(|(_, rid)| rid).collect::<Vec<_>>(),
+        "full range after {step}"
+    );
+
+    for k in [rng.below(24) as i64 - 2, rng.below(24) as i64 - 2] {
+        let probe = value(k, mix, rng);
+        let held: Vec<RecordId> = model.get(&k).into_iter().flatten().copied().collect();
+        assert_eq!(idx.lookup(&probe), held, "lookup({probe:?}) after {step}");
+        assert_eq!(
+            idx.lookup_unique(&probe),
+            held.first().copied(),
+            "lookup_unique({probe:?}) after {step}"
+        );
+    }
 
     // Inverted and empty ranges included: they count nothing.
     let (a, b) = (
-        Value::Int(rng.below(24) as i64 - 2),
-        Value::Int(rng.below(24) as i64 - 2),
+        value(rng.below(24) as i64 - 2, mix, rng),
+        value(rng.below(24) as i64 - 2, mix, rng),
     );
     let (lo, hi) = (bound(rng.below(3), &a), bound(rng.below(3), &b));
-    let expected = model.iter().filter(|(k, _)| within(lo, hi, *k)).count();
+    let expected: Vec<RecordId> = entries(model)
+        .filter(|&(k, _)| within(lo, hi, k))
+        .map(|(_, rid)| rid)
+        .collect();
     assert_eq!(
         idx.count_range(lo, hi, usize::MAX),
-        expected,
+        expected.len(),
         "count_range({lo:?}, {hi:?}) after {step}"
     );
-    assert_eq!(idx.range(lo, hi).len(), expected, "range after {step}");
+    assert_eq!(
+        idx.range(lo, hi),
+        expected,
+        "range({lo:?}, {hi:?}) after {step}"
+    );
     let limit = rng.below(6) as usize;
     let bounded = idx.count_range(lo, hi, limit);
-    if expected <= limit {
-        assert_eq!(bounded, expected, "bounded count below its limit");
+    if expected.len() <= limit {
+        assert_eq!(bounded, expected.len(), "bounded count below its limit");
     } else {
-        assert!(
-            bounded > limit && bounded <= expected,
-            "bounded count {bounded} for {expected} matches, limit {limit}"
+        assert_eq!(
+            bounded,
+            limit + 1,
+            "bounded count for {} matches, limit {limit}",
+            expected.len()
         );
     }
+
+    let limit = 1 + rng.below(4) as usize;
+    assert_chunked_walk(idx, model, limit, step)
 }
 
-fn churn_one_index(unique: bool, seed: u64) {
+fn churn_one_index(unique: bool, mix: Mix, seed: u64) {
     let idx = Index::new(
         IndexDef {
             name: "i".into(),
@@ -91,10 +207,12 @@ fn churn_one_index(unique: bool, seed: u64) {
         },
         0,
     );
-    let mut model: BTreeSet<(i64, RecordId)> = BTreeSet::new();
+    let mut model = Model::new();
     let mut rng = Rng(seed);
+    let mut straddles = 0;
     for step in 0..3_000 {
         let key = rng.below(20) as i64;
+        let v = value(key, mix, &mut rng);
         let rid = RecordId::new(rng.below(4) as u32, rng.below(8) as u16);
         let what = match rng.below(100) {
             0 => {
@@ -108,42 +226,93 @@ fn churn_one_index(unique: bool, seed: u64) {
                 "NULL insert + remove".to_string()
             }
             10..=54 => {
-                let taken = model.iter().any(|(k, r)| *k == key && *r != rid);
-                let result = idx.insert(&Value::Int(key), rid);
+                let taken = model.get(&key).is_some_and(|r| r.iter().any(|&r| r != rid));
+                let result = idx.insert(&v, rid);
                 if unique && taken {
-                    assert!(
-                        matches!(result, Err(EngineError::DuplicateKey { .. })),
-                        "step {step}: unique index took a second rid for {key}"
-                    );
+                    match result {
+                        Err(EngineError::DuplicateKey { table, key: text }) => {
+                            assert_eq!((table.as_str(), text), ("t", v.to_string()));
+                        }
+                        other => panic!(
+                            "step {step}: unique index took a second rid for {v:?}: {other:?}"
+                        ),
+                    }
                 } else {
                     result.unwrap();
-                    model.insert((key, rid));
+                    model.entry(key).or_default().insert(rid);
                 }
-                format!("insert ({key}, {rid:?})")
+                format!("insert ({v:?}, {rid:?})")
             }
             55..=64 => {
-                // Re-insert a pair that is there: idempotent, counted once.
-                if let Some(&(k, r)) = model.iter().nth(rng.below(20) as usize) {
-                    idx.insert(&Value::Int(k), r).unwrap();
+                // Re-insert a pair that is there, under any tying value:
+                // idempotent, counted once, never a duplicate.
+                let present: Vec<(i64, RecordId)> = entries(&model).collect();
+                if let Some(&(k, r)) = present.get(rng.below(20) as usize) {
+                    let again = value(k, mix, &mut rng);
+                    idx.insert(&again, r).unwrap();
                 }
                 "duplicate re-insert".to_string()
             }
             _ => {
                 // Present or absent, as the draw falls.
-                idx.remove(&Value::Int(key), rid);
-                model.remove(&(key, rid));
-                format!("remove ({key}, {rid:?})")
+                idx.remove(&v, rid);
+                if let Some(rids) = model.get_mut(&key) {
+                    rids.remove(&rid);
+                    if rids.is_empty() {
+                        model.remove(&key);
+                    }
+                }
+                format!("remove ({v:?}, {rid:?})")
             }
         };
-        assert_statistics(&idx, &model, &mut rng, &format!("step {step}: {what}"));
+        let step = format!("step {step}: {what} ({mix:?})");
+        straddles += usize::from(assert_against_model(&idx, &model, mix, &mut rng, &step));
+    }
+    if !unique {
+        assert!(
+            straddles > 0,
+            "no chunk ever straddled a key ({mix:?}, seed {seed})"
+        );
     }
 }
 
 #[test]
 fn index_statistics_track_a_model_through_churn() {
     for seed in [1, 0x9E37_79B9_7F4A_7C15, 42] {
-        churn_one_index(false, seed);
-        churn_one_index(true, seed);
+        for mix in [Mix::IntOnly, Mix::WithDouble, Mix::WithTimestamp] {
+            churn_one_index(false, mix, seed);
+            churn_one_index(true, mix, seed);
+        }
+    }
+}
+
+#[test]
+fn a_chunked_walk_keeps_each_key_whole_at_every_limit() {
+    let idx = Index::new(
+        IndexDef {
+            name: "i".into(),
+            table: "t".into(),
+            column: "c".into(),
+            unique: false,
+        },
+        0,
+    );
+    // Keys 0..6 holding two and three rids in turn, under tying types:
+    // every limit from 1 to 4 cuts some chunk inside a key.
+    let mut model = Model::new();
+    for k in 0..6i64 {
+        let values = [Value::Int(k), Value::Double(k as f64), Value::Int(k)];
+        for (n, v) in values.into_iter().take(2 + k as usize % 2).enumerate() {
+            let rid = RecordId::new(7 - k as u32, n as u16);
+            idx.insert(&v, rid).unwrap();
+            model.entry(k).or_default().insert(rid);
+        }
+    }
+    for limit in 1..=4 {
+        assert!(
+            assert_chunked_walk(&idx, &model, limit, "fixed keys"),
+            "limit {limit} cut no key"
+        );
     }
 }
 
@@ -155,11 +324,13 @@ fn assert_indexes_match_heap(db: &Database, rng: &mut Rng, step: &str) {
     for (name, pos) in INDEXES {
         let idx = db.indexes().get(name).unwrap();
         // NULL keys are not indexed.
-        let model: BTreeSet<(i64, RecordId)> = rows
-            .iter()
-            .filter_map(|(rid, r)| r.values()[pos].as_int().ok().map(|k| (k, *rid)))
-            .collect();
-        assert_statistics(&idx, &model, rng, &format!("{step} ({name})"));
+        let mut model = Model::new();
+        for (rid, r) in &rows {
+            if let Ok(k) = r.values()[pos].as_int() {
+                model.entry(k).or_default().insert(*rid);
+            }
+        }
+        assert_against_model(&idx, &model, Mix::IntOnly, rng, &format!("{step} ({name})"));
     }
 }
 

@@ -58,7 +58,6 @@ fn assert_state(db: &Database, s: &mut Session, expected: &[[i64; 3]]) {
     for name in ["pk_t", "u_code"] {
         let idx = db.indexes().get(name).unwrap();
         assert_eq!(idx.len(), expected.len(), "{name} entry count");
-        assert!(idx.len_matches_recount(), "{name} statistics");
     }
     let r = s.execute("SELECT id FROM t WHERE id = 2").unwrap();
     let found = expected.iter().any(|row| row[0] == 2);

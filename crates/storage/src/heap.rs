@@ -23,7 +23,7 @@ pub struct RecordId {
 }
 
 impl RecordId {
-    pub fn new(page_no: u32, slot: u16) -> RecordId {
+    pub const fn new(page_no: u32, slot: u16) -> RecordId {
         RecordId { page_no, slot }
     }
 }

@@ -213,6 +213,22 @@ fn read_cell_inline<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
     })
 }
 
+/// Step over the cell at the front of `buf`, checking it and building
+/// nothing. ASCII text is UTF-8 and `is_ascii` costs about half of
+/// `from_utf8`, so only other text, a short buffer or another tag takes
+/// [`read_cell_inline`], which accepts and refuses exactly as before.
+#[inline(always)]
+fn skip_cell(buf: &mut &[u8]) -> StorageResult<()> {
+    if let &[TAG_STR, a, b, c, d, ref rest @ ..] = *buf {
+        let len = u32::from_be_bytes([a, b, c, d]) as usize;
+        if let Some((_, tail)) = rest.split_at_checked(len).filter(|(s, _)| s.is_ascii()) {
+            *buf = tail;
+            return Ok(());
+        }
+    }
+    read_cell_inline(buf).map(drop)
+}
+
 /// An encoded row checked in full — every cell and the absence of trailing
 /// bytes, exactly as [`Row::from_bytes`] checks them — and read by position
 /// without being decoded. A scan evaluates its predicate on one of these and
@@ -232,7 +248,7 @@ impl<'a> EncodedRow<'a> {
         let mut buf = bytes;
         for _ in 0..read_cell_count(&mut buf)? {
             at.push((bytes.len() - buf.len()) as u32);
-            read_cell_inline(&mut buf)?;
+            skip_cell(&mut buf)?;
         }
         no_trailing_bytes(buf)?;
         Ok(EncodedRow { bytes, at })
@@ -344,6 +360,46 @@ mod tests {
         bad_utf8.put_u32(1);
         bad_utf8.put_u8(0xFF);
         assert!(EncodedRow::index(&bad_utf8, &mut at).is_err());
+    }
+
+    #[test]
+    fn the_walk_accepts_and_refuses_text_exactly_as_the_reader_does() {
+        let one_str = |bytes: &[u8]| {
+            let mut row = vec![];
+            row.put_u16(1);
+            row.put_u8(TAG_STR);
+            row.put_u32(bytes.len() as u32);
+            row.put_slice(bytes);
+            row
+        };
+        let mut at = Vec::new();
+        // Multi-byte UTF-8 passes the walk's fallback and reads back.
+        let text = "naïve café — 東京";
+        let row = one_str(text.as_bytes());
+        let encoded = EncodedRow::index(&row, &mut at).unwrap();
+        assert_eq!(encoded.cell(0), Some(Cell::Str(text)));
+        assert_eq!(
+            Row::from_bytes(&row).unwrap().values(),
+            [Value::Str(text.into())]
+        );
+        // A lead byte followed by a non-continuation, and a lone
+        // continuation byte: both refused, with the same error either way.
+        for bad in [&[b'a', 0xC3, 0x28, b'z'][..], &[0x80], &[b'o', b'k', 0x80]] {
+            let row = one_str(bad);
+            let walk = EncodedRow::index(&row, &mut at)
+                .err()
+                .map(|e| e.to_string());
+            let read = Row::from_bytes(&row).err().map(|e| e.to_string());
+            let mut cells = Vec::new();
+            let cell = read_cells(&row, &mut cells).err().map(|e| e.to_string());
+            assert!(
+                walk.as_deref()
+                    .is_some_and(|e| e.contains("string cell not UTF-8")),
+                "{bad:?}: {walk:?}"
+            );
+            assert_eq!(walk, read, "{bad:?}");
+            assert_eq!(walk, cell, "{bad:?}");
+        }
     }
 
     #[test]
