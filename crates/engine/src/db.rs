@@ -672,7 +672,7 @@ impl Database {
         let heap = self.heap(&meta.name)?;
         let rid = with_record_bytes(&row, |bytes| heap.insert(bytes))?;
         for idx in idxs.iter() {
-            idx.insert(&row.values()[idx.column_pos()], rid)?;
+            idx.insert_checked(&row.values()[idx.column_pos()], rid);
         }
         txn.undo.push(UndoEntry::Insert {
             table: meta.name.clone(),

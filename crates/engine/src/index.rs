@@ -110,6 +110,17 @@ impl Index {
         Ok(())
     }
 
+    /// Insert `(key, rid)` whose uniqueness the caller has checked: one
+    /// descent, no probe. `Database::insert_row` finds every unique key of
+    /// a row absent before it touches the heap, under the table's exclusive
+    /// lock, so [`Index::insert`]'s own probe would descend for nothing.
+    /// NULL keys are not indexed.
+    pub(crate) fn insert_checked(&self, key: &Value, rid: RecordId) {
+        if !key.is_null() {
+            self.entries.write().insert((IndexKey(key.clone()), rid));
+        }
+    }
+
     /// Remove `(key, rid)` if present.
     pub fn remove(&self, key: &Value, rid: RecordId) {
         if key.is_null() {

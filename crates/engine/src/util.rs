@@ -325,14 +325,13 @@ pub fn loader_load(
         let flush_page =
             |page: &mut SlottedPage, pending: &mut Vec<(u16, usize)>| -> EngineResult<()> {
                 let page_no = file.allocate_page()?;
-                file.write_page(page_no, page.as_bytes())?;
+                file.write_page(page_no, &mut std::mem::take(page).into_bytes()[..])?;
                 for (slot, row_idx) in pending.drain(..) {
                     let rid = delta_storage::RecordId::new(page_no, slot);
                     for idx in indexes.iter() {
                         idx.insert(&validated[row_idx].values()[idx.column_pos()], rid)?;
                     }
                 }
-                *page = SlottedPage::new();
                 Ok(())
             };
         for (row_idx, row) in validated.iter().enumerate() {

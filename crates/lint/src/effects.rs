@@ -30,7 +30,9 @@ pub const RETURNS_GUARD: u8 = 1 << 3;
 
 /// File/page I/O call patterns. Page-granular `read_page`/`write_page` are
 /// included because the sharded buffer pool's contract is that page I/O
-/// happens strictly outside shard locks.
+/// happens strictly outside shard locks; so are the positional
+/// `read_exact_at`/`write_all_at` those two are built on, which the plain
+/// `.read_exact(`/`.write_all(` patterns do not match.
 pub const IO_MARKERS: &[&str] = &[
     "File::create",
     "File::open",
@@ -44,6 +46,8 @@ pub const IO_MARKERS: &[&str] = &[
     ".sync_data(",
     ".write_all(",
     ".read_exact(",
+    ".write_all_at(",
+    ".read_exact_at(",
     ".flush(",
     ".set_len(",
     ".seek(",

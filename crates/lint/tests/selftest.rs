@@ -113,6 +113,53 @@ pub fn locate(&self, pid: PageId) -> StorageResult<usize> {
     );
 }
 
+#[test]
+fn planted_positional_page_io_under_a_shard_lock_is_caught() {
+    // Page I/O is positional (`read_exact_at`/`write_all_at`): a write
+    // under the guard, and a read a helper call away, must both be seen.
+    let root = temp_tree("posio");
+    fs::create_dir_all(root.join("crates/storage/src")).unwrap();
+    fs::write(
+        root.join("crates/storage/src/buffer.rs"),
+        r#"
+use std::os::unix::fs::FileExt;
+
+/// Write a page while the shard is locked.
+pub fn write_locked(&self, file: &std::fs::File, page: &[u8]) {
+    let inner = self.shard.lock();
+    let _ = file.write_all_at(page, 0);
+    drop(inner);
+}
+
+/// Read a page through a helper while the shard is locked.
+pub fn read_locked(&self, file: &std::fs::File, page: &mut [u8]) {
+    let inner = self.shard.lock();
+    read_at(file, page);
+    drop(inner);
+}
+
+fn read_at(file: &std::fs::File, page: &mut [u8]) {
+    let _ = file.read_exact_at(page, 0);
+}
+"#,
+    )
+    .unwrap();
+    let findings = delta_lint::run(&root).unwrap();
+    let io_under_guard = |what: &str| {
+        findings
+            .iter()
+            .any(|f| f.rule == "lock-hygiene" && f.message.contains(what))
+    };
+    assert!(
+        io_under_guard("write_all_at"),
+        "a positional write under a shard lock must be flagged, got: {findings:?}"
+    );
+    assert!(
+        io_under_guard("read_exact_at"),
+        "a positional read a call below a shard lock must be flagged, got: {findings:?}"
+    );
+}
+
 /// A guard held across a Condvar wait, WAL-style, with a configurable
 /// comment line above the acquisition.
 fn condvar_wait_src(comment: &str) -> String {

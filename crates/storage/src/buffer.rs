@@ -21,12 +21,16 @@
 //!   table and left mapped, so accesses keep hitting it while the snapshot
 //!   is written. A failed or torn write marks it dirty again, so the page
 //!   stays in memory and the access that wanted its frame gets the error.
+//!   The snapshots go into space the shard keeps from one write-back to
+//!   the next, and each is CRC-stamped and written where it lies: a page
+//!   write costs one copy, one CRC pass and one system call.
 //!
 //! Pages are accessed under short closures (`with_page` / `with_page_mut`),
 //! so frames are never held across calls. Higher-level isolation is provided
 //! by the engine's table locks.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -124,6 +128,20 @@ struct ShardInner {
     /// page waits for it to go. Frames whose id is registered here are
     /// never chosen as victims.
     in_flight: HashMap<PageId, IoKind>,
+    /// `write_back`'s snapshot space, kept for the next write-back so a
+    /// warm flush allocates nothing per page. It never holds more than the
+    /// shard's frame count of pages: one write-back copies at most every
+    /// frame, and of two that overlap (an eviction's beside a flush's,
+    /// which copy disjoint frames) the shard keeps the larger space.
+    snapshots: Snapshots,
+}
+
+/// Copies of dirty pages on their way to disk: ids in order, and their
+/// images back to back, `PAGE_SIZE` bytes each.
+#[derive(Default)]
+struct Snapshots {
+    ids: Vec<PageId>,
+    pages: Vec<u8>,
 }
 
 struct Shard {
@@ -142,6 +160,7 @@ impl Shard {
                 map: HashMap::new(),
                 clock: 0,
                 in_flight: HashMap::new(),
+                snapshots: Snapshots::default(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -358,7 +377,8 @@ impl BufferPool {
             match Self::take_victim(shard, &mut inner) {
                 Ok(Victim::Free(slot)) => break Ok(slot),
                 Ok(Victim::Dirty(slot)) => {
-                    let (relocked, written) = self.write_back(shard, inner, [slot]);
+                    let (relocked, written) =
+                        self.write_back(shard, inner, slot..slot + 1, |_| true);
                     inner = relocked;
                     if let Err(e) = written {
                         break Err(e);
@@ -453,37 +473,51 @@ impl BufferPool {
         }
     }
 
-    /// The one place a page goes to disk. Every dirty frame among `slots`
-    /// (which the caller found unpinned) is snapshotted under the lock,
-    /// marked clean and pinned `Writeback`; it stays mapped, so accesses
-    /// keep hitting it and may re-dirty it. The snapshots are written with
-    /// the lock released, then the pins cleared. A frame whose write failed
-    /// or tore is marked dirty again, so its page stays in memory until a
-    /// later write of it succeeds. Returns the shard still locked from the
-    /// critical section that cleared the pins, and the first write error.
+    /// The one place a page goes to disk. Every dirty frame in `slots`
+    /// (which the caller found unpinned) whose page is `targeted` is
+    /// snapshotted into the shard's snapshot space, marked clean and pinned
+    /// `Writeback`, all in the caller's critical section; it stays mapped,
+    /// so accesses keep hitting it and may re-dirty it. The snapshots are
+    /// stamped and written in place with the lock released, then the pins
+    /// cleared. A frame whose write failed or tore is marked dirty again, so
+    /// its page stays in memory until a later write of it succeeds. Returns
+    /// the shard still locked from the critical section that cleared the
+    /// pins, and the first write error.
     fn write_back<'a>(
         &self,
         shard: &'a Shard,
         mut inner: MutexGuard<'a, ShardInner>,
-        slots: impl IntoIterator<Item = usize>,
+        slots: Range<usize>,
+        targeted: impl Fn(&PageId) -> bool,
     ) -> (MutexGuard<'a, ShardInner>, StorageResult<()>) {
         let ShardInner {
-            frames, in_flight, ..
+            frames,
+            in_flight,
+            snapshots,
+            ..
         } = &mut *inner;
-        let mut pending: Vec<(PageId, Vec<u8>)> = Vec::new();
-        for slot in slots {
-            if let Some(frame) = frames[slot].as_mut().filter(|fr| fr.dirty) {
-                frame.dirty = false;
-                in_flight.insert(frame.id, IoKind::Writeback);
-                pending.push((frame.id, frame.page.as_bytes().to_vec()));
-            }
+        let frames = &mut frames[slots];
+        let due = |fr: &Frame| fr.dirty && targeted(&fr.id);
+        // While an overlapping write-back holds the shard's space, this one
+        // takes an empty one and grows its own.
+        let mut snap = std::mem::take(snapshots);
+        let count = frames.iter().flatten().filter(|fr| due(fr)).count();
+        snap.ids.clear();
+        snap.pages.clear();
+        snap.ids.reserve_exact(count);
+        snap.pages.reserve_exact(count * PAGE_SIZE);
+        for frame in frames.iter_mut().flatten().filter(|fr| due(fr)) {
+            frame.dirty = false;
+            in_flight.insert(frame.id, IoKind::Writeback);
+            snap.ids.push(frame.id);
+            snap.pages.extend_from_slice(frame.page.as_bytes());
         }
         drop(inner);
         let mut first_err: Option<StorageError> = None;
         let mut failed: Vec<PageId> = Vec::new();
-        for (pid, bytes) in &pending {
+        for (pid, page) in snap.ids.iter().zip(snap.pages.chunks_exact_mut(PAGE_SIZE)) {
             let write = match self.file(pid.file) {
-                Ok(file) => file.write_page(pid.page_no, bytes).map(|()| {
+                Ok(file) => file.write_page(pid.page_no, page).map(|()| {
                     shard.writebacks.fetch_add(1, Ordering::Relaxed);
                 }),
                 // Dropped concurrently: discard unwritten.
@@ -496,7 +530,7 @@ impl BufferPool {
             }
         }
         let mut inner = shard.inner.lock(); // lock-order: 1
-        for (pid, _) in &pending {
+        for pid in &snap.ids {
             inner.in_flight.remove(pid);
         }
         for pid in &failed {
@@ -505,6 +539,9 @@ impl BufferPool {
                     frame.dirty = true;
                 }
             }
+        }
+        if snap.pages.capacity() >= inner.snapshots.pages.capacity() {
+            inner.snapshots = snap;
         }
         (inner, first_err.map_or(Ok(()), Err))
     }
@@ -540,14 +577,8 @@ impl BufferPool {
                 std::thread::yield_now();
                 inner = shard.inner.lock();
             }
-            let slots: Vec<usize> = (0..inner.frames.len())
-                .filter(|&slot| {
-                    inner.frames[slot]
-                        .as_ref()
-                        .is_some_and(|fr| targeted(&fr.id))
-                })
-                .collect();
-            self.write_back(shard, inner, slots).1?;
+            let slots = 0..inner.frames.len();
+            self.write_back(shard, inner, slots, targeted).1?;
         }
         Ok(())
     }

@@ -6,7 +6,8 @@
 //! ship path treats its encodings as a first-class perf surface. This module
 //! provides the shared primitives:
 //!
-//! * varint/zigzag integer coding and a sliced-by-16 CRC-32 (IEEE),
+//! * varint/zigzag integer coding and a CRC-32 (IEEE) folded in four
+//!   interleaved lanes,
 //! * CRC-framed blocks (`[u32 le len][payload][u32 le crc]`) with a
 //!   format-version byte baked into every magic,
 //! * a self-describing **columnar row-block** codec: per-column encodings
@@ -89,7 +90,7 @@ fn corrupt(what: &str) -> StorageError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), sliced by 16.
+// CRC-32 (IEEE 802.3): four interleaved lanes, sliced by 8 and 16.
 // ---------------------------------------------------------------------------
 
 /// `CRC32_TABLES[0]` is the classic bytewise table of the reflected
@@ -127,12 +128,117 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 
 static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
+/// Bytes per lane of the interleaved kernel (a multiple of 8). Four lanes
+/// make a 2 016-byte stripe, so a page's 8 176 bytes past its CRC word are
+/// four stripes and a 112-byte tail.
+const CRC32_LANE: usize = 504;
+
+/// Bytes one stripe of the interleaved kernel folds.
+const CRC32_STRIPE: usize = 4 * CRC32_LANE;
+
+/// The CRC register carried through [`CRC32_LANE`] zero bytes, as four
+/// tables of one byte of the register each: the CRC register is linear in
+/// its bits, so `LANE_SHIFT[0][c & 0xFF] ^ … ^ LANE_SHIFT[3][c >> 24]` is
+/// the register `c` moved past one lane.
+const fn crc32_lane_shift() -> [[u32; 256]; 4] {
+    let byte = crc32_tables()[0];
+    // The register of each single set bit, moved past one lane.
+    let mut basis = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut c = 1u32 << bit;
+        let mut n = 0;
+        while n < CRC32_LANE {
+            c = (c >> 8) ^ byte[(c & 0xFF) as usize];
+            n += 1;
+        }
+        basis[bit] = c;
+        bit += 1;
+    }
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut j = 0;
+            while j < 8 {
+                if b & (1 << j) != 0 {
+                    shift[k][b] ^= basis[8 * k + j];
+                }
+                j += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
+static CRC32_LANE_SHIFT: [[u32; 256]; 4] = crc32_lane_shift();
+
 /// Continue a CRC-32 (IEEE) over `bytes`: `state` is the CRC of everything
 /// before them (0 for nothing), so `crc32_update(crc32(a), b)` equals the
 /// CRC of `a` followed by `b`.
+///
+/// A long input is folded a [`CRC32_STRIPE`] at a time in four lanes whose
+/// dependency chains interleave, each sliced by 8; a lane's register is
+/// moved past the lanes after it through [`CRC32_LANE_SHIFT`] and the four
+/// are combined by xor. The tail (and any input shorter than a stripe) is
+/// sliced by 16 in one chain.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
     let mut c = !state;
+    let (stripes, tail) = bytes.as_chunks::<CRC32_STRIPE>();
+    for stripe in stripes {
+        c = crc32_stripe(c, stripe);
+    }
+    !crc32_sliced16(c, tail)
+}
+
+/// Fold one stripe into the register `c`: the first lane starts from `c`,
+/// the other three from zero.
+fn crc32_stripe(c: u32, stripe: &[u8; CRC32_STRIPE]) -> u32 {
+    let words = |lane: usize| {
+        stripe[lane * CRC32_LANE..(lane + 1) * CRC32_LANE]
+            .as_chunks::<8>()
+            .0
+            .iter()
+    };
+    let (mut c0, mut c1, mut c2, mut c3) = (c, 0u32, 0u32, 0u32);
+    for (((w0, w1), w2), w3) in words(0).zip(words(1)).zip(words(2)).zip(words(3)) {
+        c0 = crc32_sliced8(c0, w0);
+        c1 = crc32_sliced8(c1, w1);
+        c2 = crc32_sliced8(c2, w2);
+        c3 = crc32_sliced8(c3, w3);
+    }
+    let shift = |c: u32| {
+        let s = &CRC32_LANE_SHIFT;
+        s[0][(c & 0xFF) as usize]
+            ^ s[1][((c >> 8) & 0xFF) as usize]
+            ^ s[2][((c >> 16) & 0xFF) as usize]
+            ^ s[3][(c >> 24) as usize]
+    };
+    shift(shift(shift(c0) ^ c1) ^ c2) ^ c3
+}
+
+/// Fold eight bytes into the register `c` with eight lookups.
+#[inline(always)]
+fn crc32_sliced8(c: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let v = u64::from_le_bytes(*w) ^ c as u64;
+    t[7][(v & 0xFF) as usize]
+        ^ t[6][((v >> 8) & 0xFF) as usize]
+        ^ t[5][((v >> 16) & 0xFF) as usize]
+        ^ t[4][((v >> 24) & 0xFF) as usize]
+        ^ t[3][((v >> 32) & 0xFF) as usize]
+        ^ t[2][((v >> 40) & 0xFF) as usize]
+        ^ t[1][((v >> 48) & 0xFF) as usize]
+        ^ t[0][(v >> 56) as usize]
+}
+
+/// Fold `bytes` into the register `c` sixteen bytes a lookup round, then
+/// the rest a byte at a time.
+fn crc32_sliced16(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let (blocks, tail) = bytes.as_chunks::<16>();
     for b in blocks {
         let w = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -156,7 +262,7 @@ pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     for &b in tail {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// CRC-32 (IEEE) of `bytes`.

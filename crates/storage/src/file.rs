@@ -4,9 +4,15 @@
 //! [`DiskFile`] hands out whole pages and counts physical reads/writes so the
 //! benchmark harness can report I/O alongside wall time (the paper explains
 //! the Import-vs-Loader gap by "extra I/O", which we make observable).
+//!
+//! A page read or write is one positional system call at the page's offset
+//! (`pread`/`pwrite`), so page I/O shares the file handle without a lock;
+//! only the operations that change the file's length (allocation and
+//! truncation) serialize on a mutex.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,7 +52,11 @@ impl std::fmt::Display for PageId {
 /// A file of fixed-size pages with physical I/O counters.
 pub struct DiskFile {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
+    /// Held while the file's length changes: allocation reads the page
+    /// count, writes the page past it and publishes the new count, and
+    /// truncation empties the file and zeroes the count, each as one step.
+    resize: Mutex<()>,
     /// Number of pages currently allocated.
     page_count: AtomicU64,
     reads: AtomicU64,
@@ -100,7 +110,8 @@ impl DiskFile {
         }
         Ok(DiskFile {
             path,
-            file: Mutex::new(file),
+            file,
+            resize: Mutex::new(()),
             page_count: AtomicU64::new(len / PAGE_SIZE as u64),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -161,19 +172,20 @@ impl DiskFile {
         if let Some(b) = &self.budget {
             b.admit_full(&self.path, PAGE_SIZE as u64)?;
         }
-        // lint: allow(lock_hygiene) -- the mutex *is* the file handle; seek+write must be atomic
-        let mut f = self.file.lock();
+        // lint: allow(lock_hygiene) -- the mutex orders growth; count+write+publish must be atomic
+        let resizing = self.resize.lock();
         let page_no = self.page_count.load(Ordering::Acquire);
-        f.seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))
-            .map_err(|e| self.page_io(IoOp::Allocate, Some(page_no as u32), e))?;
-        f.write_all(&[0u8; PAGE_SIZE])
+        self.file
+            .write_all_at(&[0u8; PAGE_SIZE], page_no * PAGE_SIZE as u64)
             .map_err(|e| self.page_io(IoOp::Allocate, Some(page_no as u32), e))?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.page_count.store(page_no + 1, Ordering::Release);
+        drop(resizing);
         Ok(page_no as u32)
     }
 
-    /// Read page `page_no` into `buf` (must be `PAGE_SIZE` bytes).
+    /// Read page `page_no` into `buf` (must be `PAGE_SIZE` bytes): one
+    /// positional read at the page's offset, under no lock.
     pub fn read_page(&self, page_no: u32, buf: &mut [u8]) -> StorageResult<()> {
         assert_eq!(buf.len(), PAGE_SIZE);
         if page_no as u64 >= self.page_count.load(Ordering::Acquire) {
@@ -183,21 +195,21 @@ impl DiskFile {
             )));
         }
         self.consult(IoOp::Read)?;
-        // lint: allow(lock_hygiene) -- the mutex *is* the file handle; seek+read must be atomic
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(page_no as u64 * PAGE_SIZE as u64))
-            .map_err(|e| self.page_io(IoOp::Read, Some(page_no), e))?;
-        f.read_exact(buf)
+        self.file
+            .read_exact_at(buf, page_offset(page_no))
             .map_err(|e| self.page_io(IoOp::Read, Some(page_no), e))?;
         self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Write `buf` (must be `PAGE_SIZE` bytes) to page `page_no`. The image
-    /// that reaches disk carries a whole-page CRC stamped into the header's
-    /// reserved word (see [`crate::scrub`]), verified only by the scrubber —
-    /// the hot read path stays CRC-free.
-    pub fn write_page(&self, page_no: u32, buf: &[u8]) -> StorageResult<()> {
+    /// Write `buf` (must be `PAGE_SIZE` bytes) to page `page_no`. The
+    /// whole-page CRC is stamped into `buf`'s header reserved word in place
+    /// (see [`crate::scrub`]; it is verified only by the scrubber, so the
+    /// hot read path stays CRC-free), and `buf` is written as it then
+    /// stands: one CRC pass, no copy, and one positional write at the
+    /// page's offset under no lock. A torn write lands its prefix at that
+    /// offset too, and nothing of any other page.
+    pub fn write_page(&self, page_no: u32, buf: &mut [u8]) -> StorageResult<()> {
         assert_eq!(buf.len(), PAGE_SIZE);
         if page_no as u64 >= self.page_count.load(Ordering::Acquire) {
             return Err(StorageError::NotFound(format!(
@@ -206,25 +218,20 @@ impl DiskFile {
             )));
         }
         let action = self.consult(IoOp::Write)?;
-        let mut stamped = [0u8; PAGE_SIZE];
-        stamped.copy_from_slice(buf);
-        crate::scrub::stamp_page_crc(&mut stamped);
-        let buf = &stamped[..];
-        // lint: allow(lock_hygiene) -- the mutex *is* the file handle; seek+write must be atomic
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(page_no as u64 * PAGE_SIZE as u64))
-            .map_err(|e| self.page_io(IoOp::Write, Some(page_no), e))?;
+        crate::scrub::stamp_page_crc(buf);
         if let (Some(a @ FaultAction::TornWrite { keep }), Some(inj)) = (action, &self.faults) {
             // Act out the tear: the prefix reaches the file, the caller
             // sees a typed error. The page now holds mixed old/new bytes,
             // exactly like a power cut mid-write.
             let keep = (keep as usize).min(buf.len());
-            f.write_all(&buf[..keep])
+            self.file
+                .write_all_at(&buf[..keep], page_offset(page_no))
                 .map_err(|e| self.page_io(IoOp::Write, Some(page_no), e))?;
             self.writes.fetch_add(1, Ordering::Relaxed);
             return Err(inj.error(IoOp::Write, &self.path, a));
         }
-        f.write_all(buf)
+        self.file
+            .write_all_at(buf, page_offset(page_no))
             .map_err(|e| self.page_io(IoOp::Write, Some(page_no), e))?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -236,9 +243,8 @@ impl DiskFile {
             // Lying fsync: report success without syncing.
             return Ok(());
         }
-        // lint: allow(lock_hygiene) -- the mutex *is* the file handle
-        let f = self.file.lock();
-        f.sync_data()
+        self.file
+            .sync_data()
             .map_err(|e| self.page_io(IoOp::Sync, None, e))?;
         Ok(())
     }
@@ -246,16 +252,23 @@ impl DiskFile {
     /// Truncate back to zero pages (used by the Loader's `REPLACE` mode).
     pub fn truncate(&self) -> StorageResult<()> {
         self.consult(IoOp::Truncate)?;
-        // lint: allow(lock_hygiene) -- the mutex *is* the file handle; truncate+reset must be atomic
-        let f = self.file.lock();
-        f.set_len(0)
+        // lint: allow(lock_hygiene) -- the mutex orders growth; truncate+reset must be atomic
+        let resizing = self.resize.lock();
+        self.file
+            .set_len(0)
             .map_err(|e| self.page_io(IoOp::Truncate, None, e))?;
         let freed = self.page_count.swap(0, Ordering::AcqRel);
+        drop(resizing);
         if let Some(b) = &self.budget {
             b.credit(&self.path, freed * PAGE_SIZE as u64);
         }
         Ok(())
     }
+}
+
+/// Byte offset of page `page_no` in its file.
+fn page_offset(page_no: u32) -> u64 {
+    page_no as u64 * PAGE_SIZE as u64
 }
 
 #[cfg(test)]
@@ -283,7 +296,7 @@ mod tests {
         assert_eq!((n0, n1), (0, 1));
         let mut page = vec![0u8; PAGE_SIZE];
         page[0] = 0xAB;
-        f.write_page(1, &page).unwrap();
+        f.write_page(1, &mut page).unwrap();
         let mut back = vec![0u8; PAGE_SIZE];
         f.read_page(1, &mut back).unwrap();
         assert_eq!(back[0], 0xAB);
@@ -297,7 +310,7 @@ mod tests {
         let f = DiskFile::open(&p).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         assert!(f.read_page(0, &mut buf).is_err());
-        assert!(f.write_page(0, &buf).is_err());
+        assert!(f.write_page(0, &mut buf).is_err());
     }
 
     #[test]
@@ -309,7 +322,7 @@ mod tests {
             f.allocate_page().unwrap();
             let mut page = vec![0u8; PAGE_SIZE];
             page[100] = 7;
-            f.write_page(0, &page).unwrap();
+            f.write_page(0, &mut page).unwrap();
             f.sync().unwrap();
         }
         let f = DiskFile::open(&p).unwrap();
@@ -337,15 +350,15 @@ mod tests {
         let f = DiskFile::open_with_faults(&p, Some(inj.clone())).unwrap();
         f.allocate_page().unwrap();
         f.allocate_page().unwrap();
-        let page = vec![1u8; PAGE_SIZE];
-        f.write_page(0, &page).unwrap();
-        match f.write_page(1, &page) {
+        let mut page = vec![1u8; PAGE_SIZE];
+        f.write_page(0, &mut page).unwrap();
+        match f.write_page(1, &mut page) {
             Err(StorageError::InjectedFault { op, .. }) => assert_eq!(op, IoOp::Write),
             other => panic!("expected InjectedFault, got {other:?}"),
         }
         assert_eq!(inj.stats().injected, 1);
         // Next write is clean again.
-        f.write_page(1, &page).unwrap();
+        f.write_page(1, &mut page).unwrap();
     }
 
     #[test]
@@ -356,9 +369,9 @@ mod tests {
         let inj = Arc::new(FaultInjector::new(FaultPlan::new(6).torn_write(0, 100)));
         let f = DiskFile::open_with_faults(&p, Some(inj)).unwrap();
         f.allocate_page().unwrap();
-        let page = vec![0xCCu8; PAGE_SIZE];
+        let mut page = vec![0xCCu8; PAGE_SIZE];
         assert!(matches!(
-            f.write_page(0, &page),
+            f.write_page(0, &mut page),
             Err(StorageError::InjectedFault { .. })
         ));
         let mut back = vec![0u8; PAGE_SIZE];
@@ -367,6 +380,52 @@ mod tests {
         assert_eq!(&back[..12], &page[..12], "prefix reached the file");
         assert_eq!(&back[16..100], &page[16..100], "prefix reached the file");
         assert_eq!(back[100], 0, "tail kept the old (zeroed) bytes");
+    }
+
+    #[test]
+    fn a_torn_positional_write_lands_its_prefix_on_its_own_page() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        // Tear page k of five at a prefix inside the header, one spanning
+        // the CRC word, and one deep in the page.
+        for (k, keep) in [(0u32, 13u32), (2, 100), (4, 5000), (1, 4096)] {
+            let p = tmpdir().join(format!("t11-{k}.db"));
+            let _ = std::fs::remove_file(&p);
+            // Writes 0..5 lay down the old pages; write 5 is the torn one.
+            let inj = Arc::new(FaultInjector::new(FaultPlan::new(11).torn_write(5, keep)));
+            let f = DiskFile::open_with_faults(&p, Some(inj)).unwrap();
+            let mut old = Vec::new();
+            for n in 0..5u32 {
+                assert_eq!(f.allocate_page().unwrap(), n);
+                let mut page = vec![0x10 + n as u8; PAGE_SIZE];
+                f.write_page(n, &mut page).unwrap();
+                old.push(page);
+            }
+            let mut new = vec![0xA0u8; PAGE_SIZE];
+            assert!(matches!(
+                f.write_page(k, &mut new),
+                Err(StorageError::InjectedFault { .. })
+            ));
+            let keep = keep as usize;
+            for n in 0..5u32 {
+                let mut back = vec![0u8; PAGE_SIZE];
+                f.read_page(n, &mut back).unwrap();
+                if n == k {
+                    // `new` is the stamped image the write tried to land.
+                    assert_eq!(&back[..keep], &new[..keep], "page {k}: new prefix");
+                    assert_eq!(
+                        &back[keep..],
+                        &old[n as usize][keep..],
+                        "page {k}: old rest"
+                    );
+                } else {
+                    assert_eq!(
+                        back, old[n as usize],
+                        "page {n} untouched by the tear of {k}"
+                    );
+                }
+            }
+            assert_eq!(std::fs::metadata(&p).unwrap().len(), 5 * PAGE_SIZE as u64);
+        }
     }
 
     #[test]
@@ -391,7 +450,7 @@ mod tests {
         f.allocate_page().unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         assert!(f.read_page(0, &mut buf).is_err());
-        assert!(f.write_page(0, &buf).is_err());
+        assert!(f.write_page(0, &mut buf).is_err());
         assert!(f.sync().is_err());
         inj.disarm();
         f.read_page(0, &mut buf).unwrap();

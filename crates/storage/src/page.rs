@@ -84,6 +84,12 @@ impl SlottedPage {
         &self.data[..]
     }
 
+    /// The page's bytes, owned: a page packed off the pool goes to
+    /// [`crate::DiskFile::write_page`] with no copy.
+    pub fn into_bytes(self) -> Box<[u8; PAGE_SIZE]> {
+        self.data
+    }
+
     fn read_u16(&self, at: usize) -> u16 {
         u16::from_le_bytes([self.data[at], self.data[at + 1]])
     }

@@ -211,7 +211,7 @@ mod tests {
             f.allocate_page().unwrap();
         }
         for i in 0..3 {
-            f.write_page(i, &page_with_record(format!("rec-{i}").as_bytes()))
+            f.write_page(i, &mut page_with_record(format!("rec-{i}").as_bytes()))
                 .unwrap();
         }
         let out = scrub_page_file(&f).unwrap();
@@ -230,7 +230,7 @@ mod tests {
                 f.allocate_page().unwrap();
             }
             for i in 0..2 {
-                f.write_page(i, &page_with_record(b"stable")).unwrap();
+                f.write_page(i, &mut page_with_record(b"stable")).unwrap();
             }
             f.sync().unwrap();
         }
@@ -275,7 +275,7 @@ mod tests {
             let f = DiskFile::open(&p).unwrap();
             for i in 0..2 {
                 f.allocate_page().unwrap();
-                f.write_page(i, &page_with_record(b"stable")).unwrap();
+                f.write_page(i, &mut page_with_record(b"stable")).unwrap();
             }
             f.sync().unwrap();
         }

@@ -4,10 +4,12 @@
 //! flip must never silently decode as different content — mirroring the WAL
 //! record codec's corruption-detection properties.
 //!
-//! The sliced CRC-32 kernel under the frames and the page stamps is checked
-//! against a bytewise reference, and `fixtures/page_crc.hex` pins the page
-//! images `DiskFile::write_page` wrote before the kernel was sliced: the
-//! stamp is an on-disk format, so it must not move.
+//! The lane-interleaved CRC-32 kernel under the frames and the page stamps
+//! is checked against a bytewise reference, from any start state and at any
+//! split, over inputs of several pages and at every length through a page
+//! (so around every lane and stripe boundary), and `fixtures/page_crc.hex`
+//! pins the page images `DiskFile::write_page` wrote before the kernel was
+//! sliced: the stamp is an on-disk format, so it must not move.
 //!
 //! A [`RowSink`] fed stored records writes the file it writes fed the same
 //! rows as `Row`s, frame for frame what [`encode_rows_block`] makes of them,
@@ -49,26 +51,44 @@ fn framed(rows: &[Row]) -> Vec<u8> {
     out
 }
 
-/// CRC-32 (IEEE) one byte at a time through one 256-entry table: the
-/// reference the sliced kernel must equal.
-fn bytewise_crc32(bytes: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, entry) in table.iter_mut().enumerate() {
-        let mut c = i as u32;
-        for _ in 0..8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-        }
-        *entry = c;
-    }
-    let mut c = 0xFFFF_FFFFu32;
+/// CRC-32 (IEEE) continued from `state` one byte at a time through one
+/// 256-entry table: the reference the lane-interleaved kernel must equal.
+fn bytewise_crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let mut c = !state;
     for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = bytewise_step(c, b);
     }
     !c
+}
+
+/// One byte into the CRC register `c` (the complement of a CRC).
+fn bytewise_step(c: u32, b: u8) -> u32 {
+    let mut c = c ^ b as u32;
+    for _ in 0..8 {
+        c = if c & 1 != 0 {
+            0xEDB8_8320 ^ (c >> 1)
+        } else {
+            c >> 1
+        };
+    }
+    c
+}
+
+fn bytewise_crc32(bytes: &[u8]) -> u32 {
+    bytewise_crc32_update(0, bytes)
+}
+
+/// `len` bytes from a splitmix-style generator: a fixed input no proptest
+/// case depends on.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
 }
 
 /// The page CRC by its definition: copy the page, zero the CRC word, hash
@@ -238,6 +258,39 @@ proptest! {
     }
 
     #[test]
+    fn crc32_update_equals_the_bytewise_reference_over_several_pages(
+        state in any::<u32>(),
+        data in prop::collection::vec(any::<u8>(), 0..=3 * PAGE_SIZE),
+    ) {
+        prop_assert_eq!(crc32_update(state, &data), bytewise_crc32_update(state, &data));
+    }
+
+    #[test]
+    fn crc32_update_is_the_same_at_any_split_over_several_pages(
+        state in any::<u32>(),
+        data in prop::collection::vec(any::<u8>(), 0..=3 * PAGE_SIZE),
+        cuts in prop::collection::vec(any::<usize>(), 1..6),
+    ) {
+        let whole = crc32_update(state, &data);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        // Each cut alone, then the input folded piece by piece at all of them.
+        let (mut chained, mut from) = (state, 0);
+        for &cut in &cuts {
+            prop_assert_eq!(
+                crc32_update(crc32_update(state, &data[..cut]), &data[cut..]),
+                whole,
+                "split at {} of {}",
+                cut,
+                data.len()
+            );
+            chained = crc32_update(chained, &data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(crc32_update(chained, &data[from..]), whole, "cuts {:?}", cuts);
+    }
+
+    #[test]
     fn a_sink_fed_records_writes_the_file_a_sink_fed_rows_writes(
         rows in prop::collection::vec(prop::collection::vec(arb_edge_value(), 0..5), 0..40),
         block_rows in 1usize..9,
@@ -253,6 +306,45 @@ proptest! {
     #[test]
     fn page_content_crc_equals_copy_zero_and_hash(page in prop::collection::vec(any::<u8>(), PAGE_SIZE)) {
         prop_assert_eq!(page_content_crc(&page), reference_page_crc(&page));
+    }
+}
+
+/// Every length from 0 to a page and 64 bytes, from a zero and an
+/// arbitrary start state, against the reference's CRC of the same prefix:
+/// so every lane and stripe boundary of the kernel up to a page, and every
+/// length within 16 bytes of one, is checked, whatever the lane size.
+#[test]
+fn crc32_update_equals_the_bytewise_reference_at_every_length_through_a_page() {
+    let data = noise(PAGE_SIZE + 64, 43);
+    for state in [0, 0x5EED_C0DE] {
+        let mut register = !state;
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32_update(state, &data[..len]),
+                !register,
+                "length {len} from state {state:#x}"
+            );
+            if let Some(&b) = data.get(len) {
+                register = bytewise_step(register, b);
+            }
+        }
+    }
+}
+
+/// A whole page folded in two at every cut equals the page folded at once:
+/// a cut at or beside a lane or stripe boundary carries the state across
+/// it.
+#[test]
+fn crc32_update_is_the_same_at_every_cut_of_a_page() {
+    let page = noise(PAGE_SIZE, 44);
+    let whole = crc32(&page);
+    assert_eq!(whole, bytewise_crc32(&page));
+    for cut in 0..=PAGE_SIZE {
+        assert_eq!(
+            crc32_update(crc32(&page[..cut]), &page[cut..]),
+            whole,
+            "cut at {cut}"
+        );
     }
 }
 
@@ -291,7 +383,7 @@ fn pinned_page_stamps_check_clean_and_restamp_byte_identically() {
 
         let page_no = page_no as u32;
         assert_eq!(file.allocate_page().unwrap(), page_no);
-        file.write_page(page_no, &unstamped).unwrap();
+        file.write_page(page_no, &mut unstamped).unwrap();
         let mut written = vec![0u8; PAGE_SIZE];
         file.read_page(page_no, &mut written).unwrap();
         assert_eq!(written, pinned, "{name}: write_page moved the stamp");
