@@ -300,11 +300,12 @@ enum Plan {
 ///
 /// The predicate is compiled once to column positions and evaluated on each
 /// record's stored bytes; only a match is decoded (DESIGN.md §24), so a scan
-/// allocates one page copy per page and one row per match. Decoding every
-/// row costs three allocations per *table* row, and their cost swings 2-3x
-/// with the state of the process heap (§20.6). `EncodedRow::index` checks
-/// every cell as `Row::from_bytes` does, so a damaged record fails the
-/// statement whether it matches or not.
+/// allocates one page buffer and one row per match. Decoding every row
+/// costs three allocations per *table* row, and their cost swings 2-3x with
+/// the state of the process heap (§20.6). `EncodedRow::index` checks every
+/// cell as `Row::from_bytes` does, so a damaged record fails the statement
+/// whether it matches or not, and keeps what it read for the predicate's
+/// column tests (§40).
 pub fn matching_rows(
     db: &Database,
     meta: &TableMeta,
@@ -312,21 +313,19 @@ pub fn matching_rows(
     now: i64,
 ) -> EngineResult<Vec<(RecordId, Row)>> {
     let compiled = predicate.map(|p| CompiledExpr::for_schema(p, &meta.schema));
-    let mut at = Vec::new();
-    let mut keep = |bytes: &[u8]| -> EngineResult<Option<Row>> {
-        if let Some(p) = &compiled {
-            if !p.matches(&EncodedRow::index(bytes, &mut at)?, now)? {
-                return Ok(None);
-            }
+    let mut cells = Vec::new();
+    let mut keep = |bytes: &[u8]| -> EngineResult<bool> {
+        match &compiled {
+            Some(p) => Ok(p.matches(&EncodedRow::index(bytes, &mut cells)?, now)?),
+            None => Ok(true),
         }
-        Ok(Some(Row::from_bytes(bytes)?))
     };
     let mut out = Vec::new();
     let heap = db.heap(&meta.name)?;
     match plan_access(db, meta, predicate) {
         Plan::SeqScan => heap.for_each(|rid, bytes| {
-            if let Some(row) = keep(bytes)? {
-                out.push((rid, row));
+            if keep(bytes)? {
+                out.push((rid, Row::from_bytes(bytes)?));
             }
             Ok::<_, EngineError>(ControlFlow::Continue(()))
         })?,
@@ -338,8 +337,8 @@ pub fn matching_rows(
                 let Some(bytes) = bytes else {
                     return Ok(());
                 };
-                if let Some(row) = keep(bytes)? {
-                    out.push((rid, row));
+                if keep(bytes)? {
+                    out.push((rid, Row::from_bytes(bytes)?));
                 }
                 Ok(())
             })?;

@@ -223,7 +223,7 @@ fn dump_in_key_order(db: &Database, table: &str, idx: &Index, tmp: &Path) -> Eng
     // to the sink after: `records` back to back, each ending at its `ends`.
     let mut records: Vec<u8> = Vec::new();
     let mut ends: Vec<usize> = Vec::with_capacity(DUMP_CHUNK_KEYS);
-    let mut at: Vec<u32> = Vec::new();
+    let mut cells = Vec::new();
     let mut last: Option<Value> = None;
     let mut n = 0u64;
     loop {
@@ -234,7 +234,7 @@ fn dump_in_key_order(db: &Database, table: &str, idx: &Index, tmp: &Path) -> Eng
             let (Some(key), Some(bytes)) = (keys.next(), bytes) else {
                 return Err(dangling(table, rid));
             };
-            let held = EncodedRow::index(bytes, &mut at)?.cell(key_pos);
+            let held = EncodedRow::index(bytes, &mut cells)?.cell(key_pos);
             if held.map(|c| c.total_cmp(&key.as_cell())) != Some(Ordering::Equal) {
                 return Err(dangling(table, rid));
             }

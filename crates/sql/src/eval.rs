@@ -5,7 +5,14 @@
 //! evaluating it per row looks nothing up by name. It reads any [`Cells`] —
 //! a decoded row's values, or an [`EncodedRow`] straight from the stored
 //! bytes, which lets a scan decode only the rows that match.
+//!
+//! A scan's predicate is mostly `AND`/`OR` lists of column tests, a column
+//! against a literal or `NOW()`. Those are decided in place, in one loop
+//! per list, from the cell the record's walk already read, through the one
+//! comparison rule, [`Cell::sql_cmp`]. Every other node takes a call out of
+//! line (DESIGN.md §40).
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use delta_storage::{Cell, EncodedRow, Schema, Value};
@@ -83,22 +90,54 @@ enum Node {
         expr: Box<Node>,
         negated: bool,
     },
-    And(Box<Node>, Box<Node>),
-    Or(Box<Node>, Box<Node>),
+    /// `AND` (`or` false) or `OR` (`or` true) of two or more terms, nested
+    /// connectives of the same kind flattened into one list: decided left
+    /// to right up to the first term that is `or`, as the nested form is.
+    Junction {
+        or: bool,
+        terms: Vec<Node>,
+    },
     Compare {
         left: Box<Node>,
         test: Test,
         right: Box<Node>,
     },
-    /// A column compared with a literal, either way round: the shape of a
-    /// scan's predicate, decided with one dispatch and one cell read.
-    CompareColumn {
-        pos: usize,
-        name: String,
-        test: Test,
-        literal: Value,
-        literal_first: bool,
-    },
+    /// A column compared with a literal or `NOW()`, either way round: the
+    /// shape of a scan's predicate, decided in place with one cell read.
+    CompareColumn(ColumnTest),
+}
+
+/// A column compared with a value fixed for the statement.
+#[derive(Debug, Clone)]
+struct ColumnTest {
+    pos: usize,
+    name: String,
+    test: Test,
+    other: Fixed,
+    column_first: bool,
+}
+
+/// The side of a [`ColumnTest`] that no row changes.
+#[derive(Debug, Clone)]
+enum Fixed {
+    Literal(Value),
+    Now,
+}
+
+impl ColumnTest {
+    /// The test in SQL 3VL, both operands read in place.
+    #[inline(always)]
+    fn decide<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<Option<bool>, EvalError> {
+        let cell = column(row, self.pos, &self.name)?;
+        let other = match &self.other {
+            Fixed::Literal(v) => v.as_cell(),
+            Fixed::Now => Cell::Timestamp(now),
+        };
+        match self.column_first {
+            true => self.test.apply(cell, other),
+            false => self.test.apply(other, cell),
+        }
+    }
 }
 
 /// A comparison operator as the orderings it accepts, indexed by
@@ -119,12 +158,18 @@ impl Test {
         }))
     }
 
+    /// Whether `l op r` holds where `l` and `r` compare as `ord`.
+    #[inline(always)]
+    fn accepts(self, ord: Ordering) -> bool {
+        self.0[(ord as i8 + 1) as usize]
+    }
+
     /// `l op r` in SQL 3VL: UNKNOWN if either side is NULL, an error if
     /// [`Cell::sql_cmp`] cannot order them.
-    #[inline]
+    #[inline(always)]
     fn apply(self, l: Cell<'_>, r: Cell<'_>) -> Result<Option<bool>, EvalError> {
         match l.sql_cmp(&r) {
-            Some(ord) => Ok(Some(self.0[(ord as i8 + 1) as usize])),
+            Some(ord) => Ok(Some(self.accepts(ord))),
             None if l.is_null() || r.is_null() => Ok(None),
             None => Err(incomparable(l, r)),
         }
@@ -213,8 +258,9 @@ impl CompiledExpr {
     }
 
     /// WHERE-clause semantics: NULL/UNKNOWN filters the row out.
+    #[inline]
     pub fn matches<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<bool, EvalError> {
-        Ok(self.0.truth(row, now)? == Some(true))
+        Ok(self.0.decide(row, now)? == Some(true))
     }
 }
 
@@ -250,23 +296,27 @@ impl Node {
                 negated: *negated,
             },
             Expr::Binary { left, op, right } => match (op, Test::of(*op)) {
-                (BinOp::And, _) => Node::And(sub(left), sub(right)),
-                (BinOp::Or, _) => Node::Or(sub(left), sub(right)),
+                (BinOp::And | BinOp::Or, _) => {
+                    let or = *op == BinOp::Or;
+                    let mut terms = Vec::new();
+                    for side in [node(left), node(right)] {
+                        match side {
+                            Node::Junction {
+                                or: same,
+                                terms: more,
+                            } if same == or => terms.extend(more),
+                            other => terms.push(other),
+                        }
+                    }
+                    Node::Junction { or, terms }
+                }
                 (_, Some(test)) => match (node(left), node(right)) {
-                    (Node::Column { pos, name }, Node::Literal(literal)) => Node::CompareColumn {
-                        pos,
-                        name,
-                        test,
-                        literal,
-                        literal_first: false,
-                    },
-                    (Node::Literal(literal), Node::Column { pos, name }) => Node::CompareColumn {
-                        pos,
-                        name,
-                        test,
-                        literal,
-                        literal_first: true,
-                    },
+                    (Node::Column { pos, name }, other @ (Node::Literal(_) | Node::Now)) => {
+                        Node::column_test(pos, name, test, other, true)
+                    }
+                    (other @ (Node::Literal(_) | Node::Now), Node::Column { pos, name }) => {
+                        Node::column_test(pos, name, test, other, false)
+                    }
                     (left, right) => Node::Compare {
                         left: Box::new(left),
                         test,
@@ -289,6 +339,21 @@ impl Node {
                 )),
             },
         }
+    }
+
+    /// A [`ColumnTest`] of `column` against `other`, a literal or `NOW()`.
+    fn column_test(pos: usize, name: String, test: Test, other: Node, column_first: bool) -> Node {
+        let other = match other {
+            Node::Literal(v) => Fixed::Literal(v),
+            _ => Fixed::Now,
+        };
+        Node::CompareColumn(ColumnTest {
+            pos,
+            name,
+            test,
+            other,
+            column_first,
+        })
     }
 
     /// The cell an operator reads of this node: a literal, `NOW()` or a
@@ -332,40 +397,73 @@ impl Node {
             }
             Node::Not(_)
             | Node::IsNull { .. }
-            | Node::And(..)
-            | Node::Or(..)
+            | Node::Junction { .. }
             | Node::Compare { .. }
-            | Node::CompareColumn { .. } => self.truth(row, now)?.map_or(Cell::Null, Cell::Bool),
+            | Node::CompareColumn(_) => self.truth(row, now)?.map_or(Cell::Null, Cell::Bool),
         }))
     }
 
+    /// This node's truth value. The connectives and column tests are
+    /// decided here; what is left is in [`Node::truth_of_rest`], out of
+    /// line, so the hot path keeps a small frame.
     fn truth<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<Option<bool>, EvalError> {
         match self {
-            // SQL 3VL: FALSE AND x = FALSE even when x is NULL, and the
-            // right side is not evaluated.
-            Node::And(left, right) => {
-                let l = left.truth(row, now)?;
-                if l == Some(false) {
-                    return Ok(l);
-                }
-                Ok(match (l, right.truth(row, now)?) {
-                    (_, Some(false)) => Some(false),
-                    (Some(true), r) => r,
-                    _ => None,
-                })
+            Node::Junction { or, terms } => Node::junction(*or, terms, row, now),
+            Node::Not(expr) => Ok(expr.decide(row, now)?.map(|b| !b)),
+            Node::CompareColumn(test) => test.decide(row, now),
+            Node::IsNull { .. }
+            | Node::Compare { .. }
+            | Node::Literal(_)
+            | Node::Now
+            | Node::Column { .. }
+            | Node::Fail(_)
+            | Node::Neg(_)
+            | Node::Arith { .. } => self.truth_of_rest(row, now),
+        }
+    }
+
+    /// `AND` (`or` false) or `OR` (`or` true) of `terms` in SQL 3VL: `or`
+    /// at the first term that is `or`, even where an earlier one was NULL,
+    /// and the terms after it not evaluated; otherwise NULL if a term was,
+    /// and `!or` if none was.
+    #[inline(always)]
+    fn junction<R: Cells + ?Sized>(
+        or: bool,
+        terms: &[Node],
+        row: &R,
+        now: i64,
+    ) -> Result<Option<bool>, EvalError> {
+        let mut known = true;
+        for term in terms {
+            match term.decide(row, now)? {
+                Some(t) if t == or => return Ok(Some(or)),
+                Some(_) => {}
+                None => known = false,
             }
-            Node::Or(left, right) => {
-                let l = left.truth(row, now)?;
-                if l == Some(true) {
-                    return Ok(l);
-                }
-                Ok(match (l, right.truth(row, now)?) {
-                    (_, Some(true)) => Some(true),
-                    (Some(false), r) => r,
-                    _ => None,
-                })
-            }
-            Node::Not(expr) => Ok(expr.truth(row, now)?.map(|b| !b)),
+        }
+        Ok(known.then_some(!or))
+    }
+
+    /// [`Node::truth`], with a column test decided in place rather than
+    /// through a call.
+    #[inline(always)]
+    fn decide<R: Cells + ?Sized>(&self, row: &R, now: i64) -> Result<Option<bool>, EvalError> {
+        match self {
+            Node::CompareColumn(test) => test.decide(row, now),
+            _ => self.truth(row, now),
+        }
+    }
+
+    /// The truth of the nodes [`Node::truth`] does not decide itself, out
+    /// of line: their operand slots and error formatting stay out of its
+    /// frame.
+    #[inline(never)]
+    fn truth_of_rest<R: Cells + ?Sized>(
+        &self,
+        row: &R,
+        now: i64,
+    ) -> Result<Option<bool>, EvalError> {
+        match self {
             Node::IsNull { expr, negated } => Ok(Some(
                 expr.operand(row, now, &mut None)?.is_null() != *negated,
             )),
@@ -374,26 +472,8 @@ impl Node {
                 let l = left.operand(row, now, &mut ls)?;
                 test.apply(l, right.operand(row, now, &mut rs)?)
             }
-            Node::CompareColumn {
-                pos,
-                name,
-                test,
-                literal,
-                literal_first,
-            } => {
-                let cell = column(row, *pos, name)?;
-                match literal_first {
-                    false => test.apply(cell, literal.as_cell()),
-                    true => test.apply(literal.as_cell(), cell),
-                }
-            }
             // A value where a truth value is wanted.
-            Node::Literal(_)
-            | Node::Now
-            | Node::Column { .. }
-            | Node::Fail(_)
-            | Node::Neg(_)
-            | Node::Arith { .. } => match self.operand(row, now, &mut None)? {
+            _ => match self.operand(row, now, &mut None)? {
                 Cell::Null => Ok(None),
                 Cell::Bool(b) => Ok(Some(b)),
                 other => Err(EvalError::new(format!(

@@ -526,6 +526,7 @@ proptest! {
         prop_assert_eq!(shown(compiled.truth(row.values(), now)), want.clone(), "decoded: {}", e);
         prop_assert_eq!(shown(compiled.truth(&encoded, now)), want, "encoded: {}", e);
         let want = shown(reference.truth(&e).map(|t| t == Some(true)));
+        prop_assert_eq!(shown(compiled.matches(row.values(), now)), want.clone(), "decoded: {}", e);
         prop_assert_eq!(shown(compiled.matches(&encoded, now)), want, "encoded: {}", e);
     }
 }
@@ -560,6 +561,7 @@ fn decided(src: &str) -> String {
     assert_eq!(shown(compiled.truth(row.values(), 0)), truth, "{src}");
     assert_eq!(shown(compiled.truth(&encoded, 0)), truth, "{src}");
     let matched = shown(reference.truth(&e).map(|t| t == Some(true)));
+    assert_eq!(shown(compiled.matches(row.values(), 0)), matched, "{src}");
     assert_eq!(shown(compiled.matches(&encoded, 0)), matched, "{src}");
     want
 }
@@ -592,6 +594,30 @@ fn when_both_operands_fail_the_left_error_wins() {
     assert_eq!(decided("b = zz"), zz);
     assert_eq!(decided("NULL = zz"), zz);
     assert_eq!(decided("zz = NULL"), zz);
+}
+
+#[test]
+fn a_column_read_twice_keeps_the_order_of_its_tests() {
+    // `a` is 7 and `b` NULL; `'x'` cannot be ordered against an INT. Each
+    // term reads its column in turn, so an incomparable literal raises
+    // only where its term is reached, and never against NULL.
+    let incomparable = failure("cannot compare 7 with 'x'");
+    assert_eq!(decided("a >= 'x' AND a < 5"), incomparable);
+    assert_eq!(decided("a < 5 AND a >= 'x'"), "Ok(Bool(false))");
+    assert_eq!(decided("a < 9 AND a >= 'x'"), incomparable);
+    assert_eq!(decided("a >= 'x' OR a < 9"), incomparable);
+    assert_eq!(decided("a < 9 OR a >= 'x'"), "Ok(Bool(true))");
+    assert_eq!(decided("a < 5 OR a >= 'x'"), incomparable);
+    assert_eq!(
+        decided("'x' <= a AND a < 5"),
+        failure("cannot compare 'x' with 7")
+    );
+    assert_eq!(decided("b >= 'x' AND b < 5"), "Ok(Null)");
+    assert_eq!(decided("b < 5 AND b >= 'x'"), "Ok(Null)");
+    assert_eq!(decided("b >= 'x' OR b < 5"), "Ok(Null)");
+    // UNKNOWN on the left reads the right side, which decides or fails.
+    assert_eq!(decided("b < 5 AND a >= 'x'"), incomparable);
+    assert_eq!(decided("b < 5 AND a < 5"), "Ok(Bool(false))");
 }
 
 #[test]

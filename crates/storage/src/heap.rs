@@ -168,19 +168,22 @@ impl HeapFile {
     /// Visit every live record as `(rid, bytes)`, page at a time, in storage
     /// order, until the callback returns `Break` or an error.
     ///
-    /// Each page is copied out whole (one allocation per page, not per
-    /// record) and the callback runs on the copy with no page latched, so it
-    /// may re-enter the heap: every record live when the scan starts is
-    /// visited once, and the callback may delete or update the rid it was
-    /// handed. A record the callback inserts, or an update moves to another
-    /// page, may or may not be visited later in the same scan.
+    /// Each page is copied out whole into one page buffer the scan keeps
+    /// (one allocation per scan, not per page or record) and the callback
+    /// runs on the copy with no page latched, so it may re-enter the heap:
+    /// every record live when the scan starts is visited once, and the
+    /// callback may delete or update the rid it was handed. A record the
+    /// callback inserts, or an update moves to another page, may or may not
+    /// be visited later in the same scan.
     pub fn for_each<E: From<StorageError>>(
         &self,
         mut f: impl FnMut(RecordId, &[u8]) -> Result<ControlFlow<()>, E>,
     ) -> Result<(), E> {
         let pages = self.page_count()?;
+        let mut page = SlottedPage::default();
         for page_no in 0..pages {
-            let page = self.pool.with_page(self.pid(page_no), SlottedPage::clone)?;
+            self.pool
+                .with_page(self.pid(page_no), |p| page.copy_from(p))?;
             for (slot, bytes) in page.iter() {
                 if f(RecordId::new(page_no, slot), bytes)?.is_break() {
                     return Ok(());

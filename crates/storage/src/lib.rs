@@ -45,7 +45,7 @@ pub use file::{DiskFile, FileId, PageId, PAGE_SIZE};
 pub use heap::{HeapFile, RecordId};
 pub use page::SlottedPage;
 pub use pressure::{Admission, BudgetStats, DiskBudget};
-pub use record::{EncodedRow, Row};
+pub use record::{CheckedCell, EncodedRow, Row};
 pub use schema::{Column, Schema};
 pub use scrub::{scrub_page_file, PageCheck, PageScrubOutcome};
 pub use value::{Cell, DataType, Value};

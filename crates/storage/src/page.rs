@@ -67,6 +67,11 @@ impl SlottedPage {
         Self::from_boxed(data)
     }
 
+    /// Overwrite this page with `other`'s bytes, keeping this page's buffer.
+    pub(crate) fn copy_from(&mut self, other: &SlottedPage) {
+        self.data.copy_from_slice(&other.data[..]);
+    }
+
     /// Take ownership of page bytes read from disk, with
     /// [`from_bytes`](SlottedPage::from_bytes)'s header check and no copy.
     pub(crate) fn from_boxed(data: Box<[u8; PAGE_SIZE]>) -> StorageResult<SlottedPage> {

@@ -6,6 +6,11 @@
 //! Export utility all share *within one product* — the paper's point that
 //! export formats are proprietary is modelled one level up, in
 //! [`crate::codec::export`].
+//!
+//! Every reader checks each cell with the one reader, [`Row::from_bytes`]'s.
+//! A scan reads a record through [`EncodedRow`]: one walk checks the whole
+//! record and keeps what it read of each cell as a [`CheckedCell`], so a
+//! predicate reads a fixed-width cell without parsing its bytes again.
 
 use bytes::BufMut;
 
@@ -185,9 +190,8 @@ fn read_cell<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
 }
 
 /// [`read_cell`], inlined into [`EncodedRow::index`]'s walk, which checks
-/// every cell of every record a scan reads. The other readers call it out
-/// of line: inlined into `EncodedRow::cell`, it made the key-ordered dump,
-/// which reads one key per record, ≈ 10 % slower (DESIGN.md §37).
+/// every cell of every record a scan reads; the other readers call it out
+/// of line.
 #[inline(always)]
 fn read_cell_inline<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
     let [tag] = *take_n(buf, "row cell tag")?;
@@ -213,54 +217,120 @@ fn read_cell_inline<'a>(buf: &mut &'a [u8]) -> StorageResult<Cell<'a>> {
     })
 }
 
-/// Step over the cell at the front of `buf`, checking it and building
-/// nothing. ASCII text is UTF-8 and `is_ascii` costs about half of
-/// `from_utf8`, so only other text, a short buffer or another tag takes
-/// [`read_cell_inline`], which accepts and refuses exactly as before.
-#[inline(always)]
-fn skip_cell(buf: &mut &[u8]) -> StorageResult<()> {
-    if let &[TAG_STR, a, b, c, d, ref rest @ ..] = *buf {
-        let len = u32::from_be_bytes([a, b, c, d]) as usize;
-        if let Some((_, tail)) = rest.split_at_checked(len).filter(|(s, _)| s.is_ascii()) {
-            *buf = tail;
-            return Ok(());
-        }
-    }
-    read_cell_inline(buf).map(drop)
-}
-
 /// An encoded row checked in full — every cell and the absence of trailing
 /// bytes, exactly as [`Row::from_bytes`] checks them — and read by position
 /// without being decoded. A scan evaluates its predicate on one of these and
 /// decodes only the rows that match; checking every cell first keeps a
-/// damaged record an error whether it matches or not.
+/// damaged record an error whether it matches or not. The walk keeps each
+/// cell's value (a string's place), so reading an `INT`, `DOUBLE`,
+/// `TIMESTAMP` or `BOOL` cell touches no byte of the record again.
 pub struct EncodedRow<'a> {
     bytes: &'a [u8],
-    /// Where each cell starts in `bytes`.
-    at: &'a [u32],
+    /// What the walk read of each cell.
+    cells: &'a [CheckedCell],
+}
+
+/// One cell of a record as [`EncodedRow::index`]'s walk checked it: its tag
+/// and, for a fixed-width cell, its payload; for text, where its bytes lie.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckedCell {
+    tag: u8,
+    /// A string's length in bytes.
+    len: u32,
+    /// The payload's bits, or where a string's bytes start.
+    word: u64,
+}
+
+impl CheckedCell {
+    #[inline(always)]
+    fn new(tag: u8, word: u64) -> CheckedCell {
+        CheckedCell { tag, len: 0, word }
+    }
+
+    #[inline(always)]
+    fn text(start: usize, len: usize) -> CheckedCell {
+        CheckedCell {
+            tag: TAG_STR,
+            len: len as u32,
+            word: start as u64,
+        }
+    }
 }
 
 impl<'a> EncodedRow<'a> {
-    /// Walk `bytes` once, checking every cell, and note in `at` (cleared
-    /// first, so one buffer serves a whole scan) where each cell starts.
-    pub fn index(bytes: &'a [u8], at: &'a mut Vec<u32>) -> StorageResult<EncodedRow<'a>> {
-        at.clear();
+    /// Walk `bytes` once, checking every cell, and note in `cells` (cleared
+    /// first, so one buffer serves a whole scan) what each one holds.
+    pub fn index(
+        bytes: &'a [u8],
+        cells: &'a mut Vec<CheckedCell>,
+    ) -> StorageResult<EncodedRow<'a>> {
+        cells.clear();
         let mut buf = bytes;
         for _ in 0..read_cell_count(&mut buf)? {
-            at.push((bytes.len() - buf.len()) as u32);
-            skip_cell(&mut buf)?;
+            cells.push(check_cell(&mut buf, bytes.len())?);
         }
         no_trailing_bytes(buf)?;
-        Ok(EncodedRow { bytes, at })
+        Ok(EncodedRow { bytes, cells })
     }
 
     /// The cell at `pos`, or `None` past the last.
     #[inline]
     pub fn cell(&self, pos: usize) -> Option<Cell<'a>> {
-        let mut buf = self.bytes.get(*self.at.get(pos)? as usize..)?;
-        // `index` checked this cell; reading it again cannot fail.
-        read_cell(&mut buf).ok()
+        let c = *self.cells.get(pos)?;
+        Some(match c.tag {
+            TAG_INT => Cell::Int(c.word as i64),
+            TAG_DOUBLE => Cell::Double(f64::from_bits(c.word)),
+            TAG_TIMESTAMP => Cell::Timestamp(c.word as i64),
+            TAG_BOOL => Cell::Bool(c.word != 0),
+            TAG_STR => {
+                let start = c.word as usize;
+                let text = self.bytes.get(start..start + c.len as usize)?;
+                // The walk checked this text; reading it again cannot fail.
+                Cell::Str(std::str::from_utf8(text).ok()?)
+            }
+            _ => Cell::Null,
+        })
     }
+}
+
+/// Check the cell at the front of `buf` (the rest of a `total`-byte
+/// record), advancing past it, and note what it holds. A whole `INT`,
+/// `DOUBLE` or `TIMESTAMP` cell and ASCII text are read here; anything
+/// else takes [`read_cell_inline`], which accepts and refuses exactly as
+/// [`Row::from_bytes`] does. ASCII text is UTF-8, and `is_ascii` costs
+/// about half of `from_utf8`.
+#[inline(always)]
+fn check_cell(buf: &mut &[u8], total: usize) -> StorageResult<CheckedCell> {
+    match **buf {
+        [tag @ (TAG_INT | TAG_DOUBLE | TAG_TIMESTAMP), a, b, c, d, e, f, g, h, ref rest @ ..] => {
+            *buf = rest;
+            return Ok(CheckedCell::new(
+                tag,
+                u64::from_be_bytes([a, b, c, d, e, f, g, h]),
+            ));
+        }
+        [TAG_STR, a, b, c, d, ref rest @ ..] => {
+            let len = u32::from_be_bytes([a, b, c, d]);
+            if let Some((_, tail)) = rest
+                .split_at_checked(len as usize)
+                .filter(|(s, _)| s.is_ascii())
+            {
+                let start = total - rest.len();
+                *buf = tail;
+                return Ok(CheckedCell::text(start, len as usize));
+            }
+        }
+        _ => {}
+    }
+    let start = total - buf.len();
+    Ok(match read_cell_inline(buf)? {
+        Cell::Null => CheckedCell::new(TAG_NULL, 0),
+        Cell::Int(i) => CheckedCell::new(TAG_INT, i as u64),
+        Cell::Double(d) => CheckedCell::new(TAG_DOUBLE, d.to_bits()),
+        Cell::Timestamp(t) => CheckedCell::new(TAG_TIMESTAMP, t as u64),
+        Cell::Bool(b) => CheckedCell::new(TAG_BOOL, b as u64),
+        Cell::Str(s) => CheckedCell::text(start + 5, s.len()),
+    })
 }
 
 impl From<Vec<Value>> for Row {
